@@ -18,13 +18,32 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Literal, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
-from .geometry import Box, BoxUnion
-from .rationals import as_fraction
+from .geometry import Box, BoxUnion, _trusted_box
+from .rationals import as_fraction, is_finite
 
 DEFAULT_BOX_CAP = 1 << 16
+# Deepest stage that stage sets and the closed-form reports (``cantor-info``,
+# ``hausdorff-bound``, ``range-solve --x``) accept.  Stage-n closed forms
+# and the box count 2**(n*d) are integers of about n*d bits; far deeper
+# stages would spend their time and memory in big-integer work (and Python
+# refuses to print integers of more than 4300 digits), so they are refused
+# before any of it.
+MAX_STAGE = 1024
+
+
+def check_stage(n: int) -> None:
+    """Reject a stage outside ``0..MAX_STAGE`` before any work on it."""
+    if not 0 <= n <= MAX_STAGE:
+        raise PreconditionError(f"stage must be between 0 and {MAX_STAGE}, got {n}")
+
+
+def _numerator_over(v: Fraction, scale: int) -> int:
+    """The numerator of ``v`` over ``scale``, a multiple of its denominator."""
+    return v.numerator * (scale // v.denominator)
 
 
 @dataclass(frozen=True)
@@ -95,21 +114,27 @@ class CantorSchedule:
 
     def stage_intervals_1d(self, n: int, *, cap: int = DEFAULT_BOX_CAP) -> list[tuple[Fraction, Fraction]]:
         """All 2**n closed surviving intervals [lo, hi] at stage n, left to right."""
-        if n < 0:
-            raise PreconditionError(f"stage must be nonnegative, got {n}")
+        check_stage(n)
         if (1 << n) > cap:
             raise BudgetError(
                 f"stage {n} has {1 << n} intervals, above the cap of {cap}"
             )
-        intervals: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1))]
-        for k in range(1, n + 1):
-            child = self.stage_interval_length(k)
-            nxt: list[tuple[Fraction, Fraction]] = []
-            for lo, hi in intervals:
-                nxt.append((lo, lo + child))
-                nxt.append((hi - child, hi))
-            intervals = nxt
-        return intervals
+        den, ends = self._stage_ends(n)
+        return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
+
+    def _stage_ends(self, n: int) -> tuple[int, list[tuple[int, int]]]:
+        """Stage-n intervals as integer numerators over one common denominator.
+
+        Integer arithmetic builds the 2**n intervals several times faster
+        than Fraction arithmetic; callers convert only what they keep.
+        """
+        lengths = [self.stage_interval_length(k) for k in range(1, n + 1)]
+        den = lcm(*(length.denominator for length in lengths))
+        ends = [(0, den)]
+        for length in lengths:
+            child = _numerator_over(length, den)
+            ends = [pair for lo, hi in ends for pair in ((lo, lo + child), (hi - child, hi))]
+        return den, ends
 
     def stage_approx(self, n: int, *, box_cap: int = DEFAULT_BOX_CAP) -> BoxUnion:
         """Stage-n approximation as a canonical half-open box union.
@@ -119,6 +144,28 @@ class CantorSchedule:
         queries, which do care about endpoints, use the closed-interval
         helpers instead.
         """
+        return self.clipped_translate(
+            n, (Fraction(0),) * self.d, Box.whole_space(self.d), box_cap=box_cap
+        )
+
+    def clipped_translate(
+        self, n: int, t: Sequence[object], clip: Box, *, box_cap: int = DEFAULT_BOX_CAP
+    ) -> BoxUnion:
+        """``(A_n + t) ∩ clip`` as a canonical half-open box union.
+
+        Built axis by axis: the 2**n stage intervals are shifted by t_i and
+        clipped to the clip's side on each axis, and the boxes are the
+        product of the d lists.  Stage intervals never touch, so each list
+        is a canonical 1-D union and so is their product; no
+        canonicalization pass is needed.  ``box_cap`` bounds the unclipped
+        stage, whatever the clip.
+        """
+        if len(t) != self.d or clip.dim != self.d:
+            raise DimensionMismatchError(
+                f"translation of length {len(t)}, clip of dimension {clip.dim},"
+                f" schedule dimension {self.d}"
+            )
+        check_stage(n)
         count = 1 << (n * self.d)
         if count > box_cap:
             feasible = 0
@@ -128,12 +175,37 @@ class CantorSchedule:
                 f"stage {n} in dimension {self.d} needs {count} boxes, above the cap of"
                 f" {box_cap}; largest feasible stage is {feasible}"
             )
-        ivs = self.stage_intervals_1d(n, cap=box_cap)
-        boxes = tuple(
-            Box(tuple(p[0] for p in prod), tuple(p[1] for p in prod))
-            for prod in itertools.product(ivs, repeat=self.d)
-        )
-        # Products of disjoint sorted intervals are already canonical.
+        if clip.is_empty:
+            return BoxUnion.empty(self.d)
+        den, ends = self._stage_ends(n)
+        axes: list[list[tuple[Fraction, Fraction]]] = []
+        for shift, lo_clip, hi_clip in zip(t, clip.lo, clip.hi):
+            # Shift and clip in integers over a common denominator of the
+            # stage, the shift and the finite clip ends.
+            shift = as_fraction(shift)
+            finite = [v for v in (lo_clip, hi_clip) if is_finite(v)]
+            scale = lcm(den, shift.denominator, *(v.denominator for v in finite))
+            factor = scale // den
+            offset = _numerator_over(shift, scale)
+            lo_cut = _numerator_over(lo_clip, scale) if is_finite(lo_clip) else None
+            hi_cut = _numerator_over(hi_clip, scale) if is_finite(hi_clip) else None
+            axis: list[tuple[Fraction, Fraction]] = []
+            for lo, hi in ends:
+                lo = lo * factor + offset
+                hi = hi * factor + offset
+                if hi_cut is not None:
+                    if lo >= hi_cut:
+                        break
+                    hi = min(hi, hi_cut)
+                if lo_cut is not None:
+                    if hi <= lo_cut:
+                        continue
+                    lo = max(lo, lo_cut)
+                axis.append((Fraction(lo, scale), Fraction(hi, scale)))
+            if not axis:
+                return BoxUnion.empty(self.d)
+            axes.append(axis)
+        boxes = tuple(_trusted_box(*zip(*prod)) for prod in itertools.product(*axes))
         return BoxUnion(self.d, boxes)
 
     def _descend_overlapping(

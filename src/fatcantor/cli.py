@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .cantor import CantorSchedule, NeedsDeeperStage
+from .cantor import CantorSchedule, NeedsDeeperStage, check_stage
 from .cover import (
     find_uncovered_box,
     grid_translate_pool,
@@ -124,8 +124,7 @@ def _frac_list_arg(text: str) -> list[Fraction]:
 
 def _compute_cantor_info(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
     n = int(inputs["stage"])
-    if n < 0:
-        raise _fail(f"stage must be nonnegative, got {n}")
+    check_stage(n)
     core = {
         "stage": n,
         "stage_measure_1d": frac_to_json(s.stage_measure_1d(n)),
@@ -321,7 +320,9 @@ def _verify_corollary_demo(s: CantorSchedule, inputs: dict, core: dict) -> bool:
 
 def _compute_range_solve(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
     if inputs["x"] is not None:
-        bounds = range_function(s, frac_from_json(inputs["x"]), int(inputs["stage"]))
+        stage = int(inputs["stage"])
+        check_stage(stage)
+        bounds = range_function(s, frac_from_json(inputs["x"]), stage)
         return {"bounds": measure_bounds_to_json(bounds)}, 0
     solution = solve_level(
         s,

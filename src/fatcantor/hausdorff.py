@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import CantorSchedule
+from .cantor import CantorSchedule, check_stage
 from .errors import BudgetError, PreconditionError, UnboundedBoxError
 from .geometry import Box, BoxUnion
 from .packing import CubeFamily, PackingLayout, layout_covers, pack_cover
@@ -103,6 +103,7 @@ def nu_delta_upper(
             f"stage {stage} boxes are not finer than delta={delta}; "
             f"the first admissible stage is {minimal}"
         )
+    check_stage(stage)
     side = s.stage_interval_length(stage)
     count = 1 << (stage * s.d)
     diam_sq = side * side * s.d

@@ -144,11 +144,10 @@ def approx_set(
     """Evaluate the tree with stage-n boxes in place of the limit set."""
     if expr_dim(e) != s.d:
         raise DimensionMismatchError(f"expression dimension {expr_dim(e)} vs schedule {s.d}")
-    stage = s.stage_approx(n, box_cap=box_cap)
 
     def run(node: "RingExpr") -> BoxUnion:
         if isinstance(node, Gen):
-            return stage.translate(node.translation).intersect_box(node.clip)
+            return s.clipped_translate(n, node.translation, node.clip, box_cap=box_cap)
         left = run(node.left)
         right = run(node.right)
         if isinstance(node, Union):

@@ -1,0 +1,203 @@
+"""Differential tests: the slab-sweep kernel against the pairwise loops.
+
+``BoxUnion.union``, ``intersect``, ``intersect_box`` and ``subtract`` all
+run through one sweep over axis-0 slabs (``geometry._combine``), and ring
+leaves are built axis by axis (``CantorSchedule.clipped_translate``).  The
+oracle is the quadratic code they replaced (``box_oracle``): pairwise box
+intersections and carvings handed to the canonicaliser.  Both sides must
+agree structurally, so ``==`` and ``repr`` are compared, not just measures.
+
+Coordinates are drawn from a coarse grid so that touching, adjacent and
+repeated boxes are common, and sides may be unbounded.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import box_oracle
+from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule
+from fatcantor.rationals import NEG_INF, POS_INF
+
+from strategies import fractions, schedules
+
+_GRID = [Fraction(k, 2) for k in range(-2, 5)]
+
+
+@st.composite
+def grid_boxes(draw, dim):
+    """A box with corners on a half-integer grid; sides may be empty or unbounded."""
+    lo, hi = [], []
+    for _ in range(dim):
+        a, b = sorted(draw(st.lists(st.sampled_from(_GRID), min_size=2, max_size=2)))
+        kind = draw(st.sampled_from(["finite", "finite", "finite", "below", "above", "free"]))
+        lo.append(NEG_INF if kind in ("below", "free") else a)
+        hi.append(POS_INF if kind in ("above", "free") else b)
+    return Box(tuple(lo), tuple(hi))
+
+
+@st.composite
+def grid_unions(draw, dim, max_size=4):
+    return BoxUnion.from_boxes(dim, draw(st.lists(grid_boxes(dim), max_size=max_size)))
+
+
+@st.composite
+def operand_pairs(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    return draw(grid_unions(dim)), draw(grid_unions(dim))
+
+
+def assert_same(got: BoxUnion, want: BoxUnion) -> None:
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+OPS = [
+    ("union", BoxUnion.union, box_oracle.union),
+    ("intersect", BoxUnion.intersect, box_oracle.intersect),
+    ("subtract", BoxUnion.subtract, box_oracle.subtract),
+]
+
+
+class TestSweepAgainstPairwiseLoops:
+    @settings(max_examples=300)
+    @given(pair=operand_pairs())
+    @pytest.mark.parametrize("name,fast,slow", OPS, ids=[op[0] for op in OPS])
+    def test_boolean_ops_match(self, name, fast, slow, pair):
+        a, b = pair
+        assert_same(fast(a, b), slow(a, b))
+        assert_same(fast(b, a), slow(b, a))
+
+    @settings(max_examples=300)
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=3))
+    def test_intersect_box_matches(self, data, dim):
+        a = data.draw(grid_unions(dim))
+        box = data.draw(grid_boxes(dim))
+        assert_same(a.intersect_box(box), box_oracle.intersect_box(a, box))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_operands(self, dim):
+        empty = BoxUnion.empty(dim)
+        cube = BoxUnion.single(Box.unit_cube(dim))
+        for _, fast, slow in OPS:
+            for a, b in [(empty, empty), (empty, cube), (cube, empty)]:
+                assert_same(fast(a, b), slow(a, b))
+        assert_same(cube.intersect_box(Box.empty(dim)), BoxUnion.empty(dim))
+        assert_same(empty.intersect_box(Box.unit_cube(dim)), empty)
+
+    def test_touching_boxes_merge_and_cut_exactly(self):
+        half = Fraction(1, 2)
+        left = BoxUnion.single(Box((Fraction(0), Fraction(0)), (half, Fraction(1))))
+        right = BoxUnion.single(Box((half, Fraction(0)), (Fraction(1), Fraction(1))))
+        whole = BoxUnion.single(Box.unit_cube(2))
+        assert_same(left.union(right), whole)
+        assert_same(whole.subtract(right), left)
+        assert left.intersect(right).is_empty
+        # Two slabs that touch but carry different cross-sections stay apart.
+        low = BoxUnion.single(Box((half, Fraction(0)), (Fraction(1), half)))
+        assert_same(left.union(low), box_oracle.union(left, low))
+        assert len(left.union(low).boxes) == 2
+
+    def test_half_spaces(self):
+        for dim, axis in [(1, 0), (2, 1), (3, 2)]:
+            below = Box.half_space(dim, axis, Fraction(1, 3), above=False)
+            above = below.complement_half_space()
+            cube = BoxUnion.single(Box.unit_cube(dim))
+            b, a = BoxUnion.single(below), BoxUnion.single(above)
+            assert_same(b.union(a), BoxUnion.single(Box.whole_space(dim)))
+            assert b.intersect(a).is_empty
+            assert_same(cube.intersect_box(below), box_oracle.intersect_box(cube, below))
+            assert_same(cube.subtract(a), cube.intersect_box(below))
+
+    @given(pair=operand_pairs())
+    def test_results_are_canonical(self, pair):
+        a, b = pair
+        for _, fast, _slow in OPS:
+            got = fast(a, b)
+            assert_same(BoxUnion.from_boxes(got.dim, reversed(got.boxes)), got)
+
+
+# ---------------------------------------------------------------------------
+# ring leaves built axis by axis
+# ---------------------------------------------------------------------------
+
+
+def leaf_oracle(s: CantorSchedule, n: int, t, clip: Box) -> BoxUnion:
+    """(A_n + t) ∩ clip from validated boxes and the pairwise loop."""
+    ivs = s.stage_intervals_1d(n)
+    stage = BoxUnion.from_boxes(
+        s.d,
+        [Box(tuple(p[0] for p in prod), tuple(p[1] for p in prod)) for prod in itertools.product(ivs, repeat=s.d)],
+    )
+    return box_oracle.intersect_box(BoxUnion(s.d, tuple(b.translate(t) for b in stage.boxes)), clip)
+
+
+@st.composite
+def leaf_cases(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    s = draw(schedules(dim=dim))
+    n = draw(st.integers(min_value=0, max_value={1: 6, 2: 3, 3: 2}[dim]))
+    t = tuple(draw(fractions(min_value=Fraction(-2), max_value=Fraction(2))) for _ in range(dim))
+    lo, hi = [], []
+    for _ in range(dim):
+        a = draw(fractions(min_value=Fraction(-1), max_value=Fraction(3)))
+        b = draw(fractions(min_value=a, max_value=Fraction(3)))
+        kind = draw(st.sampled_from(["finite", "finite", "below", "above", "free"]))
+        lo.append(NEG_INF if kind in ("below", "free") else a)
+        hi.append(POS_INF if kind in ("above", "free") else b)
+    return s, n, t, Box(tuple(lo), tuple(hi))
+
+
+class TestClippedTranslate:
+    @settings(max_examples=200)
+    @given(case=leaf_cases())
+    def test_matches_translate_then_intersect_box(self, case):
+        s, n, t, clip = case
+        got = s.clipped_translate(n, t, clip)
+        assert_same(got, s.stage_approx(n).translate(t).intersect_box(clip))
+        assert_same(got, leaf_oracle(s, n, t, clip))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_clip(self, dim):
+        s = CantorSchedule(dim)
+        clip = Box((Fraction(1, 3),) * dim, (Fraction(1, 3),) * dim)
+        t = (Fraction(1, 5),) * dim
+        assert s.clipped_translate(2, t, clip).is_empty
+        assert_same(s.clipped_translate(2, t, clip), leaf_oracle(s, 2, t, clip))
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_half_space_clip(self, above):
+        # the clip that split-check pushes into every leaf
+        s = CantorSchedule(2)
+        t = (Fraction(1, 3), Fraction(-1, 4))
+        clip = Box.half_space(2, 1, Fraction(3, 8), above=above)
+        assert_same(s.clipped_translate(3, t, clip), leaf_oracle(s, 3, t, clip))
+
+    def test_clip_cutting_stage_intervals(self):
+        s = CantorSchedule(1)
+        # 1/16 and 7/8 fall inside stage-3 intervals of [0, 1], so both
+        # boundary intervals are cut, not dropped.
+        clip = Box.interval(Fraction(1, 16), Fraction(7, 8))
+        got = s.clipped_translate(3, (Fraction(0),), clip)
+        assert got.boxes[0].lo == (Fraction(1, 16),)
+        assert got.boxes[-1].hi == (Fraction(7, 8),)
+        assert_same(got, leaf_oracle(s, 3, (Fraction(0),), clip))
+
+    @pytest.mark.parametrize(
+        "clip",
+        [Box.unit_cube(2), Box.empty(2), Box.half_space(2, 0, Fraction(1, 2), above=True)],
+        ids=["unit", "empty", "half-space"],
+    )
+    def test_box_cap_raises_the_stage_approx_error(self, clip):
+        s = CantorSchedule(2)
+        with pytest.raises(BudgetError) as want:
+            s.stage_approx(3, box_cap=63)
+        with pytest.raises(BudgetError) as got:
+            s.clipped_translate(3, (Fraction(0), Fraction(0)), clip, box_cap=63)
+        assert str(got.value) == str(want.value)
+        assert "largest feasible stage is 2" in str(got.value)

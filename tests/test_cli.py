@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from fatcantor import Box, CantorSchedule, Gen, base_expr
+from fatcantor.cantor import MAX_STAGE
 from fatcantor.serialize import box_to_json, expr_to_json
 
 
@@ -129,6 +130,31 @@ class TestEnvelope:
         assert doc["result"]["found"] is False
         assert doc["result"]["needs_deeper_stage"]["deepest_stage"] == 1
 
+    def test_stage_cap_is_checked_before_any_work(self, expr_file):
+        cap = str(MAX_STAGE)
+        above = str(MAX_STAGE + 1)
+        code, doc = run_json("cantor-info", "--stage", cap)
+        assert code == 0
+        assert doc["result"]["interval_count"] == 1 << MAX_STAGE
+        code, doc = run_json("hausdorff-bound", "--delta", "1/2", "--stage", cap)
+        assert code == 0
+        code, doc = run_json("range-solve", "--x", "1/2", "--stage", cap)
+        assert code == 0
+        # at the cap, stage boxes still meet the box budget first
+        code, doc = run_json("measure", "--expr-file", expr_file, "--stage", cap)
+        assert code == 3
+        for args in (
+            ("cantor-info", "--stage", above),
+            ("hausdorff-bound", "--delta", "1/2", "--stage", above),
+            ("range-solve", "--x", "1/2", "--stage", above),
+            ("measure", "--expr-file", expr_file, "--stage", above),
+        ):
+            code, doc = run_json(*args)
+            assert code == 2, args
+            error = doc["result"]["error"]
+            assert error["kind"] == "precondition"
+            assert error["message"] == f"stage must be between 0 and {MAX_STAGE}, got {above}"
+
     def test_range_solve_budget_exit(self):
         proc = run_cli("range-solve", "--target", "1/3", "--max-iter", "2")
         assert proc.returncode == 3
@@ -180,6 +206,13 @@ class TestResults:
         assert proc.returncode == 0
         doc = json.loads(out.read_text())
         assert doc["command"] == "cantor-info"
+
+    def test_out_flag_replaces_stdout(self, tmp_path):
+        out = tmp_path / "report.json"
+        proc = run_cli("cantor-info", "--stage", "3", "--out", str(out))
+        assert proc.returncode == 0
+        assert proc.stdout == ""
+        assert out.read_text() == run_cli("cantor-info", "--stage", "3").stdout
 
     def test_seed_is_echoed(self):
         code, doc = run_json("cantor-info", "--seed", "1234")
