@@ -19,6 +19,7 @@ The verification verdict is appended under ``result.verification``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -68,6 +69,7 @@ from .serialize import (
     frac_from_json,
     frac_to_json,
     infinite_cube_to_json,
+    int_to_json,
     layout_from_json,
     layout_to_json,
     level_solution_to_json,
@@ -85,18 +87,14 @@ from .serialize import (
 Compute = Callable[[CantorSchedule, dict], "tuple[dict, int]"]
 
 
-def _fail(message: str) -> "PreconditionError":
-    return PreconditionError(message)
-
-
 def _load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
+        raise PreconditionError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path} is not valid JSON: {exc}") from exc
+        raise PreconditionError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _target_from_json(doc: Any) -> "Box | Any":
@@ -106,14 +104,10 @@ def _target_from_json(doc: Any) -> "Box | Any":
     return expr_from_json(doc)
 
 
-def _frac_arg(text: str) -> Fraction:
-    return parse_fraction(text)
-
-
 def _frac_list_arg(text: str) -> list[Fraction]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
-        raise _fail("expected a comma-separated list of rationals")
+        raise PreconditionError("expected a comma-separated list of rationals")
     return [parse_fraction(piece) for piece in items]
 
 
@@ -134,7 +128,7 @@ def _compute_cantor_info(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
         "stage_defect": frac_to_json(s.stage_defect(n)),
         "interval_length": frac_to_json(s.stage_interval_length(n)),
         "interval_count": 1 << n,
-        "box_count": 1 << (n * s.d),
+        "box_count": int_to_json(1 << (n * s.d)),
         "removal_length": frac_to_json(s.removal_length(n)) if n >= 1 else None,
     }
     return core, 0
@@ -360,8 +354,8 @@ def _compute_tile_check(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=1, help="ambient dimension")
-    p.add_argument("--c", type=_frac_arg, default=Fraction(1), help="removal scale c")
-    p.add_argument("--rho", type=_frac_arg, default=Fraction(1, 4), help="removal ratio rho")
+    p.add_argument("--c", type=parse_fraction, default=Fraction(1), help="removal scale c")
+    p.add_argument("--rho", type=parse_fraction, default=Fraction(1, 4), help="removal ratio rho")
     p.add_argument("--seed", type=int, default=0, help="recorded for reproducibility")
     p.add_argument("--out", type=str, default=None, help="write the JSON document here")
     p.add_argument("--verify", action="store_true", help="replay and re-check from JSON")
@@ -382,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.add_argument("--expr-file", required=True)
     p.add_argument("--stage", type=int, default=REFERENCE_STAGE)
-    p.add_argument("--tol", type=_frac_arg, default=None, help="deepen stages until this width")
+    p.add_argument("--tol", type=parse_fraction, default=None, help="deepen stages until this width")
     p.add_argument("--stage-cap", type=int, default=DEFAULT_STAGE_CAP)
 
     p = sub.add_parser("split-check", help="exact additivity across a hyperplane")
     _add_schedule_flags(p)
     p.add_argument("--expr-file", required=True)
     p.add_argument("--axis", type=int, default=0)
-    p.add_argument("--threshold", type=_frac_arg, required=True)
+    p.add_argument("--threshold", type=parse_fraction, required=True)
     p.add_argument("--above", action="store_true", help="use {x >= t} instead of {x < t}")
     p.add_argument("--stage", type=int, default=REFERENCE_STAGE)
 
@@ -424,27 +418,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="cover a cube by translates of given cubes")
     _add_schedule_flags(p)
     p.add_argument("--sides", type=_frac_list_arg, required=True, help="e.g. 1/2,1/4,1/4")
-    p.add_argument("--alpha", type=_frac_arg, default=Fraction(1))
-    p.add_argument("--target-side", type=_frac_arg, default=Fraction(1, 2))
+    p.add_argument("--alpha", type=parse_fraction, default=Fraction(1))
+    p.add_argument("--target-side", type=parse_fraction, default=Fraction(1, 2))
 
     p = sub.add_parser("hausdorff-bound", help="gauge sum over a stage cover")
     _add_schedule_flags(p)
-    p.add_argument("--delta", type=_frac_arg, required=True)
+    p.add_argument("--delta", type=parse_fraction, required=True)
     p.add_argument("--exponent", type=int, default=None, help="gauge power (default: d)")
     p.add_argument("--stage", type=int, default=None, help="explicit admissible stage")
 
     p = sub.add_parser("corollary-demo", help="measure bound to covered cube, end to end")
     _add_schedule_flags(p)
-    p.add_argument("--delta", type=_frac_arg, required=True)
-    p.add_argument("--a", type=_frac_arg, default=None, help="measure bound (default: limit)")
+    p.add_argument("--delta", type=parse_fraction, required=True)
+    p.add_argument("--a", type=parse_fraction, default=None, help="measure bound (default: limit)")
     p.add_argument("--bits", type=int, default=24, help="dyadic grid for inexact roots")
 
     p = sub.add_parser("range-solve", help="level function bounds, or invert them")
     _add_schedule_flags(p)
-    p.add_argument("--x", type=_frac_arg, default=None)
+    p.add_argument("--x", type=parse_fraction, default=None)
     p.add_argument("--stage", type=int, default=8)
-    p.add_argument("--target", type=_frac_arg, default=None)
-    p.add_argument("--tol", type=_frac_arg, default=Fraction(1, 1 << 20))
+    p.add_argument("--target", type=parse_fraction, default=None)
+    p.add_argument("--tol", type=parse_fraction, default=Fraction(1, 1 << 20))
     p.add_argument("--max-iter", type=int, default=10_000)
 
     p = sub.add_parser("tile-check", help="exact tiling of a scaled box")
@@ -561,7 +555,7 @@ def _inputs_corollary_demo(args: argparse.Namespace, s: CantorSchedule) -> dict:
 
 def _inputs_range_solve(args: argparse.Namespace, s: CantorSchedule) -> dict:
     if (args.x is None) == (args.target is None):
-        raise _fail("range-solve needs exactly one of --x or --target")
+        raise PreconditionError("range-solve needs exactly one of --x or --target")
     if args.x is not None:
         return {"x": frac_to_json(args.x), "stage": args.stage, "target": None}
     return {
@@ -619,18 +613,18 @@ _COMMANDS: "dict[str, tuple[Callable[[argparse.Namespace, CantorSchedule], dict]
 
 
 def _partial_to_json(partial: Any) -> Any:
+    """Encode a BudgetError's ``partial``.
+
+    It is the best bracket of ``premeasure``, the ``(lo, hi)`` pair of
+    ``solve_level``, the last full layer of ``generate_rn``, or ``None``.
+    """
     if partial is None:
         return None
     if isinstance(partial, MeasureBounds):
         return measure_bounds_to_json(partial)
-    if isinstance(partial, Fraction):
-        return frac_to_json(partial)
-    if isinstance(partial, (tuple, list)):
-        return [_partial_to_json(v) for v in partial]
-    try:
-        return expr_to_json(partial)
-    except Exception:
-        return repr(partial)
+    if isinstance(partial, tuple):
+        return [frac_to_json(v) for v in partial]
+    return [expr_to_json(e) for e in partial]
 
 
 def _emit(doc: dict, out: "str | None") -> None:
@@ -642,8 +636,13 @@ def _emit(doc: dict, out: "str | None") -> None:
             fh.write(text)
 
 
+# Built on the first call of ``main``, not at import: parsing keeps no state
+# in the parser, so one instance serves every call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -2,28 +2,27 @@
 
 The carrier of every set computation in this package is the half-open box
 ``[lo_1, hi_1) x ... x [lo_d, hi_d)``.  Half-open boxes tile exactly (no
-double-counted faces), so finite unions admit a unique canonical form:
+double-counted faces), so finite unions admit a unique canonical form: cut
+along axis 0 into slabs where the set's cross-section changes, give each
+slab the canonical form of its cross-section one axis down, and order the
+boxes lexicographically by lower corner.  The slab boundaries are
+intrinsic to the set, so equal sets produce structurally equal
+representations and ``==`` is set equality.
 
-* recursively decompose along axis 0 into slabs cut at box endpoints,
-* canonicalize each slab's cross-section in the remaining coordinates,
-* merge adjacent slabs whose cross-sections are identical,
-* order the resulting boxes lexicographically by lower corner.
-
-The surviving slab boundaries are exactly the points where the set's
-cross-section changes, which is intrinsic to the set; equal sets therefore
-produce structurally equal representations and ``==`` is set equality.
-``from_boxes`` builds this form from an arbitrary list of boxes.
-
-``union``, ``intersect``, ``intersect_box`` and ``subtract`` share one
-kernel, ``_combine``, which never leaves the canonical form.  It walks the
-axis-0 slabs of both operands with two pointers, cutting at every slab
-boundary of either side; a piece covered by one operand only is kept or
-dropped by the operation's truth table, and a piece covered by both
-recurses on the two cross-sections one axis down.  Adjacent pieces with
-equal results merge, so the output is canonical without a further pass.
-At dimension 0 the cross-section is the single point, so the same sweep is
-the 1-D interval merge.  The cost is linear in the number of slabs per
-axis instead of the product of the box counts.
+All of the algebra runs through one kernel, ``_combine``, which never
+leaves the canonical form.  It walks the axis-0 slabs of two canonical
+operands with two pointers, cutting at every slab boundary of either side;
+a piece covered by one operand only is kept or dropped by the operation's
+truth table, and a piece covered by both recurses on the two
+cross-sections one axis down.  Adjacent pieces with equal results merge,
+so the output is canonical without a further pass.  At dimension 0 the
+cross-section is the single point, so the same sweep is the 1-D interval
+merge.  The cost is linear in the number of slabs per axis instead of the
+product of the box counts.  ``union``, ``intersect``, ``intersect_box``
+and ``subtract`` are single calls of it, and ``from_boxes`` canonicalises
+an arbitrary box list as a balanced fold of unions over single boxes (a
+nonempty box is already canonical).  The slab-decomposition canonicaliser
+this replaced is kept only as the test oracle (``tests/box_oracle.py``).
 
 Coordinates are rationals or the explicit infinity markers from
 ``rationals`` (so the same Box type expresses half-space clips); volume
@@ -78,10 +77,6 @@ class Box:
     @staticmethod
     def interval(lo: object, hi: object) -> "Box":
         return Box((_coerce_coord(lo),), (_coerce_coord(hi),))
-
-    @staticmethod
-    def from_intervals(intervals: Sequence[tuple[object, object]]) -> "Box":
-        return Box(tuple(p[0] for p in intervals), tuple(p[1] for p in intervals))
 
     @staticmethod
     def cube(corner: Sequence[object], side: object) -> "Box":
@@ -221,49 +216,6 @@ def _trusted_box(lo: tuple[Coord, ...], hi: tuple[Coord, ...]) -> Box:
 
 
 _Raw = tuple[tuple[Coord, ...], tuple[Coord, ...]]
-
-
-def _canon_rec(raw: list[_Raw], d: int) -> tuple[_Raw, ...]:
-    """Canonical slab decomposition of a union of non-empty d-dim raw boxes."""
-    if d == 1:
-        ivs = sorted((lo[0], hi[0]) for lo, hi in raw)
-        merged: list[list[Coord]] = []
-        for lo0, hi0 in ivs:
-            if merged and lo0 <= merged[-1][1]:
-                if hi0 > merged[-1][1]:
-                    merged[-1][1] = hi0
-            else:
-                merged.append([lo0, hi0])
-        return tuple(((lo0,), (hi0,)) for lo0, hi0 in merged)
-
-    cuts = sorted({lo[0] for lo, _ in raw} | {hi[0] for _, hi in raw})
-    slabs: list[tuple[Coord, Coord, tuple[_Raw, ...]]] = []
-    for x0, x1 in itertools.pairwise(cuts):
-        tails = [(lo[1:], hi[1:]) for lo, hi in raw if lo[0] <= x0 and x1 <= hi[0]]
-        if not tails:
-            continue
-        rest = _canon_rec(tails, d - 1)
-        if slabs and slabs[-1][1] == x0 and slabs[-1][2] == rest:
-            slabs[-1] = (slabs[-1][0], x1, rest)
-        else:
-            slabs.append((x0, x1, rest))
-    out: list[_Raw] = []
-    for x0, x1, rest in slabs:
-        for tlo, thi in rest:
-            out.append(((x0,) + tlo, (x1,) + thi))
-    return tuple(out)
-
-
-def _canonical(dim: int, boxes: Iterable[Box]) -> tuple[Box, ...]:
-    raw: list[_Raw] = []
-    for b in boxes:
-        if b.dim != dim:
-            raise DimensionMismatchError(f"{b.dim}-dim box in {dim}-dim union")
-        if not b.is_empty:
-            raw.append((b.lo, b.hi))
-    if not raw:
-        return ()
-    return tuple(_trusted_box(lo, hi) for lo, hi in _canon_rec(raw, dim))
 
 
 # A boolean op is its truth table on (only in a, only in b, in both).
@@ -414,7 +366,19 @@ class BoxUnion:
 
     @staticmethod
     def from_boxes(dim: int, boxes: Iterable[Box]) -> "BoxUnion":
-        return BoxUnion(dim, _canonical(dim, boxes))
+        # A nonempty box is its own canonical form, so a balanced fold of
+        # unions over single boxes canonicalises any list.
+        parts: list[Sequence[_Raw]] = []
+        for b in boxes:
+            if b.dim != dim:
+                raise DimensionMismatchError(f"{b.dim}-dim box in {dim}-dim union")
+            if not b.is_empty:
+                parts.append([(b.lo, b.hi)])
+        while len(parts) > 1:
+            merged = [_combine(_UNION, parts[i], parts[i + 1], dim) for i in range(0, len(parts) - 1, 2)]
+            parts = merged + parts[2 * len(merged) :]
+        raw = parts[0] if parts else ()
+        return BoxUnion(dim, tuple(_trusted_box(lo, hi) for lo, hi in raw))
 
     @staticmethod
     def empty(dim: int) -> "BoxUnion":

@@ -155,17 +155,13 @@ def diam_volume_check(u: Box | BoxUnion) -> DiamVolumeReport:
     """Check ``volume <= diam**dim`` by comparing squares."""
     if isinstance(u, Box):
         dim = u.dim
-        vol = volume_of(u)
+        vol = u.volume()
     else:
         dim = u.dim
         vol = u.measure()
     dsq = diam_squared(u)
     ok = vol * vol <= dsq**dim
     return DiamVolumeReport(volume=vol, diam_squared=dsq, dim=dim, ok=ok)
-
-
-def volume_of(b: Box) -> Fraction:
-    return b.volume()
 
 
 def _int_root_floor(x: int, k: int) -> int:
@@ -439,7 +435,11 @@ class LevelSolution:
 def _classify_point(
     s: CantorSchedule, x: Fraction, target: Fraction, tol: Fraction
 ) -> tuple[str, MeasureBounds]:
-    """Certify level(x) <= target ("le"), >= target ("ge"), or "straddle"."""
+    """Certify level(x) <= target ("le"), >= target ("ge"), or "straddle".
+
+    A bracket is never wider than the stage defect, so the search ends at
+    stage ``_stage_for_width(s, tol)`` at the latest.
+    """
     n = 1
     while True:
         br = range_function(s, x, n)
@@ -453,9 +453,11 @@ def _classify_point(
 
 
 def _stage_for_width(s: CantorSchedule, width: Fraction) -> int:
+    """First stage whose defect is at most ``width``; refused above ``MAX_STAGE``."""
     n = 1
     while s.stage_defect(n) > width:
         n += 1
+        check_stage(n)
     return n
 
 
@@ -474,7 +476,9 @@ def solve_level(
     the target; its bounds are then refined below width ``tol/2`` as well,
     giving ``|midpoint(bounds) - target| <= tol``.  Midpoints whose bounds
     cannot be separated from the target (flat spots of the level function)
-    end the search early with an even tighter ``"straddle"`` result.
+    end the search early with an even tighter ``"straddle"`` result.  A
+    tolerance that needs a stage above ``cantor.MAX_STAGE`` is refused
+    before the search starts.
     """
     target = as_fraction(target)
     tol = as_fraction(tol)
@@ -484,6 +488,7 @@ def solve_level(
     if not 0 <= target <= top:
         raise PreconditionError(f"target must lie in [0, {top}], got {target}")
     half = tol / 2
+    stage = _stage_for_width(s, half)
     lo, hi = Fraction(0), Fraction(1)
     iterations = 0
     while hi - lo > half:
@@ -510,7 +515,7 @@ def solve_level(
             )
         iterations += 1
     point = (lo + hi) / 2
-    pbr = range_function(s, point, _stage_for_width(s, half))
+    pbr = range_function(s, point, stage)
     return LevelSolution(
         target=target,
         point=point,

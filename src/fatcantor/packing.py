@@ -216,12 +216,13 @@ def _tiling_covers(
 ) -> bool:
     """Structural coverage proof, exact and cheap.
 
-    The dyadic shadows of the placed inputs tile the selected cube: they
-    are pairwise disjoint (checked), live inside it (checked), and their
-    total volume equals its volume (checked) — a measure-zero complement
-    that is itself a finite union of half-open boxes must be empty.  Each
-    shadow shares its anchor with its placement and is no larger, and the
-    target sits inside the selected cube, so the placements cover it.
+    The dyadic shadows of the placed inputs tile the selected cube: their
+    canonical union is the cube (checked), and their total volume equals
+    its volume (checked).  Two half-open cubes that meet overlap in a box
+    of positive volume, so an equal union with an equal total volume leaves
+    no room for an overlap.  Each shadow shares its anchor with its
+    placement and is no larger, and the target sits inside the selected
+    cube, so the placements cover it.
     """
     dim = family.dim
     selected_level = _cube_level(selected, by_result, exponents)
@@ -235,14 +236,8 @@ def _tiling_covers(
         if not placed.contains_box(shadow) or not big.contains_box(shadow):
             return False
         shadows.append(shadow)
-    for i in range(len(shadows)):
-        for j in range(i + 1, len(shadows)):
-            a, b = shadows[i], shadows[j]
-            overlap = a.intersect(b)
-            if overlap is not None and not overlap.is_empty:
-                return False
     total = sum((sh.volume() for sh in shadows), Fraction(0))
-    if total != big.volume():
+    if total != big.volume() or BoxUnion.from_boxes(dim, shadows) != BoxUnion.single(big):
         return False
     indices = [idx for idx, _ in layout.placements]
     return len(indices) == len(set(indices))

@@ -9,10 +9,11 @@ re-check" structurally identical by construction.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .cantor import CantorSchedule, GapCertificate, Membership, NeedsDeeperStage
+from .cantor import CantorSchedule, GapCertificate, NeedsDeeperStage
 from .cover import (
     CoverAttempt,
     InfiniteCubeReport,
@@ -26,7 +27,6 @@ from .hausdorff import (
     ChainChecks,
     CorollaryReport,
     DeltaCover,
-    DiamVolumeReport,
     LevelSolution,
 )
 from .packing import CubeFamily, MergeStep, PackingLayout
@@ -47,8 +47,28 @@ def _expect(doc: Any, keys: Sequence[str], what: str) -> Mapping[str, Any]:
 # -- scalars ----------------------------------------------------------------
 
 
+def _too_long() -> PreconditionError:
+    # Python refuses to print an integer longer than this limit.
+    return PreconditionError(
+        f"result too large to print: a number in it has more than"
+        f" {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def frac_to_json(value: Fraction) -> str:
-    return format_fraction(value)
+    try:
+        return format_fraction(value)
+    except ValueError as exc:
+        raise _too_long() from exc
+
+
+def int_to_json(value: int) -> int:
+    """An unbounded integer field, checked to print like ``frac_to_json``."""
+    try:
+        str(value)
+    except ValueError as exc:
+        raise _too_long() from exc
+    return value
 
 
 def frac_from_json(text: Any) -> Fraction:
@@ -153,10 +173,6 @@ def exprs_from_json(doc: Any) -> list["RingExpr"]:
 
 
 # -- reports ------------------------------------------------------------------
-
-
-def membership_to_json(m: Membership) -> dict:
-    return {"status": m.status, "stage": m.stage}
 
 
 def measure_bounds_to_json(b: MeasureBounds) -> dict:
@@ -325,19 +341,10 @@ def delta_cover_to_json(c: DeltaCover) -> dict:
     return {
         "stage": c.stage,
         "delta": frac_to_json(c.delta),
-        "count": c.count,
+        "count": int_to_json(c.count),
         "side": frac_to_json(c.side),
         "diam_squared": frac_to_json(c.diam_squared),
         "value": quad_to_json(c.value),
-    }
-
-
-def diam_volume_to_json(r: DiamVolumeReport) -> dict:
-    return {
-        "volume": frac_to_json(r.volume),
-        "diam_squared": frac_to_json(r.diam_squared),
-        "dim": r.dim,
-        "ok": r.ok,
     }
 
 

@@ -1,15 +1,68 @@
-"""Slow reference implementations of the BoxUnion boolean operations.
+"""Slow reference implementations of the BoxUnion algebra.
 
-These are the pairwise loops the sweep kernel in ``geometry`` replaced:
-intersect every box of one operand with every box of the other, or carve
-each box of the left operand by every box of the right one, and hand the
-pieces to the canonicaliser.  They are quadratic and kept only as an
-oracle for differential tests.
+These are the algorithms the sweep kernel in ``geometry`` replaced.  The
+canonicaliser ``canonical`` is the recursive slab decomposition: cut
+along axis 0 at every box endpoint, canonicalise each slab's
+cross-section one axis down, and merge adjacent slabs with equal
+cross-sections.  The boolean ops are the pairwise loops: intersect every
+box of one operand with every box of the other, or carve each box of the
+left operand by every box of the right one, and hand the pieces to
+``canonical``.  Nothing here calls ``BoxUnion.from_boxes``, so the
+differential tests compare the kernel against code that shares none of
+it.  All of it is quadratic or worse and kept only as an oracle.
 """
 
 from __future__ import annotations
 
-from fatcantor import Box, BoxUnion
+import itertools
+from typing import Iterable
+
+from fatcantor import Box, BoxUnion, DimensionMismatchError
+from fatcantor.rationals import Coord
+
+_Raw = tuple[tuple[Coord, ...], tuple[Coord, ...]]
+
+
+def _canon_rec(raw: list[_Raw], d: int) -> tuple[_Raw, ...]:
+    """Canonical slab decomposition of a union of non-empty d-dim raw boxes."""
+    if d == 1:
+        ivs = sorted((lo[0], hi[0]) for lo, hi in raw)
+        merged: list[list[Coord]] = []
+        for lo0, hi0 in ivs:
+            if merged and lo0 <= merged[-1][1]:
+                if hi0 > merged[-1][1]:
+                    merged[-1][1] = hi0
+            else:
+                merged.append([lo0, hi0])
+        return tuple(((lo0,), (hi0,)) for lo0, hi0 in merged)
+
+    cuts = sorted({lo[0] for lo, _ in raw} | {hi[0] for _, hi in raw})
+    slabs: list[tuple[Coord, Coord, tuple[_Raw, ...]]] = []
+    for x0, x1 in itertools.pairwise(cuts):
+        tails = [(lo[1:], hi[1:]) for lo, hi in raw if lo[0] <= x0 and x1 <= hi[0]]
+        if not tails:
+            continue
+        rest = _canon_rec(tails, d - 1)
+        if slabs and slabs[-1][1] == x0 and slabs[-1][2] == rest:
+            slabs[-1] = (slabs[-1][0], x1, rest)
+        else:
+            slabs.append((x0, x1, rest))
+    out: list[_Raw] = []
+    for x0, x1, rest in slabs:
+        for tlo, thi in rest:
+            out.append(((x0,) + tlo, (x1,) + thi))
+    return tuple(out)
+
+
+def canonical(dim: int, boxes: Iterable[Box]) -> BoxUnion:
+    """The canonical union of any boxes, by slab decomposition."""
+    raw: list[_Raw] = []
+    for b in boxes:
+        if b.dim != dim:
+            raise DimensionMismatchError(f"{b.dim}-dim box in {dim}-dim union")
+        if not b.is_empty:
+            raw.append((b.lo, b.hi))
+    return BoxUnion(dim, tuple(Box(lo, hi) for lo, hi in _canon_rec(raw, dim)) if raw else ())
 
 
 def box_minus(a: Box, b: Box) -> list[Box]:
@@ -35,7 +88,7 @@ def box_minus(a: Box, b: Box) -> list[Box]:
 
 
 def union(a: BoxUnion, b: BoxUnion) -> BoxUnion:
-    return BoxUnion.from_boxes(a.dim, a.boxes + b.boxes)
+    return canonical(a.dim, a.boxes + b.boxes)
 
 
 def intersect(a: BoxUnion, b: BoxUnion) -> BoxUnion:
@@ -45,7 +98,7 @@ def intersect(a: BoxUnion, b: BoxUnion) -> BoxUnion:
             xy = x.intersect(y)
             if xy is not None and not xy.is_empty:
                 pieces.append(xy)
-    return BoxUnion.from_boxes(a.dim, pieces)
+    return canonical(a.dim, pieces)
 
 
 def intersect_box(a: BoxUnion, box: Box) -> BoxUnion:
@@ -54,7 +107,7 @@ def intersect_box(a: BoxUnion, box: Box) -> BoxUnion:
         xy = x.intersect(box)
         if xy is not None and not xy.is_empty:
             pieces.append(xy)
-    return BoxUnion.from_boxes(a.dim, pieces)
+    return canonical(a.dim, pieces)
 
 
 def subtract(a: BoxUnion, b: BoxUnion) -> BoxUnion:
@@ -66,4 +119,4 @@ def subtract(a: BoxUnion, b: BoxUnion) -> BoxUnion:
             if not parts:
                 break
         pieces.extend(parts)
-    return BoxUnion.from_boxes(a.dim, pieces)
+    return canonical(a.dim, pieces)

@@ -1,11 +1,14 @@
-"""Differential tests: the slab-sweep kernel against the pairwise loops.
+"""Differential tests: the slab-sweep kernel against the slow oracle.
 
-``BoxUnion.union``, ``intersect``, ``intersect_box`` and ``subtract`` all
-run through one sweep over axis-0 slabs (``geometry._combine``), and ring
-leaves are built axis by axis (``CantorSchedule.clipped_translate``).  The
-oracle is the quadratic code they replaced (``box_oracle``): pairwise box
-intersections and carvings handed to the canonicaliser.  Both sides must
-agree structurally, so ``==`` and ``repr`` are compared, not just measures.
+``BoxUnion.from_boxes``, ``union``, ``intersect``, ``intersect_box`` and
+``subtract`` all run through one sweep over axis-0 slabs
+(``geometry._combine``), and ring leaves are built axis by axis
+(``CantorSchedule.clipped_translate``).  The oracle is the code they
+replaced (``box_oracle``): the recursive slab-decomposition canonicaliser,
+and pairwise box intersections and carvings handed to it.  Operands are
+canonicalised by the oracle too, so no side of a comparison depends on the
+kernel.  Both sides must agree structurally, so ``==`` and ``repr`` are
+compared, not just measures.
 
 Coordinates are drawn from a coarse grid so that touching, adjacent and
 repeated boxes are common, and sides may be unbounded.
@@ -43,7 +46,7 @@ def grid_boxes(draw, dim):
 
 @st.composite
 def grid_unions(draw, dim, max_size=4):
-    return BoxUnion.from_boxes(dim, draw(st.lists(grid_boxes(dim), max_size=max_size)))
+    return box_oracle.canonical(dim, draw(st.lists(grid_boxes(dim), max_size=max_size)))
 
 
 @st.composite
@@ -65,6 +68,14 @@ OPS = [
 
 
 class TestSweepAgainstPairwiseLoops:
+    @settings(max_examples=300)
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=3))
+    def test_from_boxes_matches_slab_decomposition(self, data, dim):
+        boxes = data.draw(st.lists(grid_boxes(dim), max_size=12))
+        want = box_oracle.canonical(dim, boxes)
+        assert_same(BoxUnion.from_boxes(dim, boxes), want)
+        assert_same(BoxUnion.from_boxes(dim, data.draw(st.permutations(boxes))), want)
+
     @settings(max_examples=300)
     @given(pair=operand_pairs())
     @pytest.mark.parametrize("name,fast,slow", OPS, ids=[op[0] for op in OPS])
@@ -130,7 +141,7 @@ class TestSweepAgainstPairwiseLoops:
 def leaf_oracle(s: CantorSchedule, n: int, t, clip: Box) -> BoxUnion:
     """(A_n + t) ∩ clip from validated boxes and the pairwise loop."""
     ivs = s.stage_intervals_1d(n)
-    stage = BoxUnion.from_boxes(
+    stage = box_oracle.canonical(
         s.d,
         [Box(tuple(p[0] for p in prod), tuple(p[1] for p in prod)) for prod in itertools.product(ivs, repeat=s.d)],
     )

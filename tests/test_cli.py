@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from fatcantor import Box, CantorSchedule, Gen, base_expr
+from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli
 from fatcantor.cantor import MAX_STAGE
 from fatcantor.serialize import box_to_json, expr_to_json
 
@@ -162,6 +162,63 @@ class TestEnvelope:
         assert doc["result"]["error"]["kind"] == "budget"
         assert "partial" in doc["result"]["error"]
 
+    def test_range_solve_target_checks_the_stage_its_tolerance_needs(self):
+        # At d = 1 the stage-n defect is 2^-(n+1), and the bracket must be
+        # narrower than tol/2: tol = 2^-1025 is the first to need stage 1025.
+        code, doc = run_json("range-solve", "--target", "1/3", "--tol", f"1/{2**1025}")
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"] == f"stage must be between 0 and {MAX_STAGE}, got {MAX_STAGE + 1}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cantor-info", "--d", "5000", "--stage", "4"),
+            ("cantor-info", "--d", "14", "--stage", "1024"),
+            ("cantor-info", "--rho", "1/100000000000", "--stage", "500"),
+            ("hausdorff-bound", "--d", "14", "--delta", "1/2", "--stage", "1024"),
+        ],
+        ids=["huge-d", "d-and-stage", "huge-rho-denominator", "hausdorff-count"],
+    )
+    def test_results_too_large_to_print_exit_two(self, argv):
+        # each input is within its own cap; the result has over 4300 digits
+        code, doc = run_json(*argv)
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"].startswith("result too large to print")
+
+
+class TestBudgetPartials:
+    """``error.partial`` of an exit-3 document, one test per kind of partial."""
+
+    def test_measure_tolerance_reports_the_best_bracket(self, tmp_path):
+        s = CantorSchedule(1)
+        path = tmp_path / "diff.json"
+        expr = Diff(base_expr(s), Gen((Fraction(1, 3),), Box.unit_cube(1)))
+        path.write_text(json.dumps(expr_to_json(expr)))
+        code, doc = run_json(
+            "measure", "--expr-file", str(path), "--tol", "1/1000000", "--stage-cap", "3"
+        )
+        assert code == 3
+        assert doc["result"]["error"]["partial"] == {
+            "lower": "19/64",
+            "upper": "35/64",
+            "stage": 3,
+            "leaf_count": 2,
+        }
+
+    def test_range_solve_reports_the_last_bracket(self):
+        code, doc = run_json("range-solve", "--target", "1/3", "--max-iter", "2")
+        assert code == 3
+        assert doc["result"]["error"]["partial"] == ["1/2", "3/4"]
+
+    def test_rn_enumerate_reports_the_last_full_layer(self):
+        code, doc = run_json("rn-enumerate", "--n", "2", "--max-size", "1")
+        assert code == 3
+        assert doc["result"]["error"]["partial"] == [expr_to_json(base_expr(CantorSchedule(1)))]
+
 
 # ---------------------------------------------------------------------------
 # representative results
@@ -251,3 +308,14 @@ class TestDeterminismAndReplay:
     def test_verification_flag_defaults_to_not_requested(self):
         code, doc = run_json("cantor-info")
         assert doc["result"]["verification"]["requested"] is False
+
+    def test_in_process_calls_share_no_parser_state(self, capsys):
+        # main() builds its parser once per process and reuses it
+        assert cli.main(["cantor-info", "--verify", "--seed", "5"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert cli.main(["cantor-info"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert first["config"]["seed"] == 5
+        assert first["result"]["verification"] == {"requested": True, "ok": True}
+        assert second["config"]["seed"] == 0
+        assert second["result"]["verification"] == {"requested": False}

@@ -8,7 +8,10 @@ closed form is the oracle for merge_dyadic.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -31,6 +34,8 @@ from fatcantor import (
     round_to_dyadic,
     volume,
 )
+from fatcantor.packing import _tiling_covers
+from fatcantor.serialize import layout_to_json
 
 from strategies import positive_fractions
 
@@ -223,3 +228,71 @@ class TestPackCover:
         layout = pack_cover(fam)
         assert layout.placements == ((2**dim, (Fraction(0),) * dim),)
         assert layout_covers(fam, layout)
+
+
+# ---------------------------------------------------------------------------
+# the tiling proof inside pack_cover
+# ---------------------------------------------------------------------------
+
+
+def tiling_proof(fam: CubeFamily, placements) -> bool:
+    """Run ``_tiling_covers`` on pack_cover's layout with other placements."""
+    layout = pack_cover(fam)
+    exponents = round_to_dyadic(fam.sides)
+    _, steps = merge_dyadic(fam.dim, exponents)
+    # In these families the last merge builds the selected cube.
+    selected = steps[-1].result
+    by_result = {step.result: step for step in steps}
+    tampered = dataclasses.replace(layout, placements=tuple(placements))
+    return _tiling_covers(fam, tampered, exponents, Fraction(1), selected, by_result)
+
+
+def at(*coords):
+    return tuple(Fraction(c) for c in coords)
+
+
+class TestTilingProof:
+    HALF_QUARTERS = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)))
+    FOUR_HALVES = CubeFamily(2, (Fraction(1, 2),) * 4)
+
+    def test_pack_cover_layouts_pass(self):
+        assert tiling_proof(self.HALF_QUARTERS, pack_cover(self.HALF_QUARTERS).placements)
+        assert tiling_proof(self.FOUR_HALVES, pack_cover(self.FOUR_HALVES).placements)
+
+    @pytest.mark.parametrize(
+        "which,placements",
+        [
+            # equal total volume, but [1/2, 3/4) is used twice and [3/4, 1) missed
+            ("1d", [(0, at(0)), (1, at("1/2")), (2, at("1/2"))]),
+            # the union is the whole cube, but [3/4, 1) is used twice
+            ("1d", [(0, at(0)), (1, at("1/2")), (2, at("3/4")), (3, at("3/4"))]),
+            # equal total volume, two shadows on the same quadrant
+            ("2d", [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0)), (3, at("1/2", 0))]),
+            # overlapping by half a shadow
+            ("2d", [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0)), (3, at("1/2", "1/4"))]),
+        ],
+    )
+    def test_overlapping_shadows_fail(self, which, placements):
+        fam = self.HALF_QUARTERS if which == "1d" else self.FOUR_HALVES
+        assert not tiling_proof(fam, placements)
+
+    def test_missing_cube_fails(self):
+        assert not tiling_proof(self.HALF_QUARTERS, [(0, at(0)), (1, at("1/2"))])
+        assert not tiling_proof(self.FOUR_HALVES, [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0))])
+
+    @pytest.mark.parametrize(
+        "dim,sides,digest",
+        [
+            (1, (Fraction(1, 64),) * 64, "ef9f03c2713bfe0e"),
+            (1, tuple(Fraction(k, 97) for k in range(1, 20)), "0d77c720ad67a7b1"),
+            (2, (Fraction(1, 4),) * 16, "1fc6f226b08b4cef"),
+            (2, tuple(Fraction(k, 23) for k in range(3, 14)), "1d51084e2b42bb08"),
+            (3, (Fraction(1, 2),) * 8, "d422c502ffda090a"),
+            (3, tuple(Fraction(k, 13) for k in range(5, 12)), "a02ba4cf1504b362"),
+        ],
+    )
+    def test_layouts_are_frozen(self, dim, sides, digest):
+        # sha256 prefixes of the serialized layouts recorded with the
+        # pairwise overlap check, before the tiling proof used box algebra
+        doc = json.dumps(layout_to_json(pack_cover(CubeFamily(dim, sides))), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
