@@ -166,13 +166,12 @@ class CantorSchedule:
                 f" schedule dimension {self.d}"
             )
         check_stage(n)
-        count = 1 << (n * self.d)
-        if count > box_cap:
+        if 1 << (n * self.d) > box_cap:
             feasible = 0
             while (1 << ((feasible + 1) * self.d)) <= box_cap:
                 feasible += 1
             raise BudgetError(
-                f"stage {n} in dimension {self.d} needs {count} boxes, above the cap of"
+                f"stage {n} in dimension {self.d} needs 2^{n * self.d} boxes, above the cap of"
                 f" {box_cap}; largest feasible stage is {feasible}"
             )
         if clip.is_empty:

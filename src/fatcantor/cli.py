@@ -27,6 +27,7 @@ from typing import Any, Callable, Sequence
 
 from .cantor import CantorSchedule, NeedsDeeperStage, check_stage
 from .cover import (
+    check_pool_size,
     find_uncovered_box,
     grid_translate_pool,
     infinite_cube_report,
@@ -48,7 +49,6 @@ from .rationals import parse_fraction
 from .ring import (
     DEFAULT_STAGE_CAP,
     REFERENCE_STAGE,
-    MeasureBounds,
     base_expr,
     generate_rn,
     measure_bounds,
@@ -57,29 +57,13 @@ from .ring import (
 )
 from .serialize import (
     box_from_json,
-    box_to_json,
-    corollary_to_json,
-    cover_attempt_to_json,
     cube_family_from_json,
-    cube_family_to_json,
-    delta_cover_to_json,
     expr_from_json,
-    expr_to_json,
     exprs_from_json,
     frac_from_json,
-    frac_to_json,
-    infinite_cube_to_json,
-    int_to_json,
     layout_from_json,
-    layout_to_json,
-    level_solution_to_json,
-    measure_bounds_to_json,
-    needs_deeper_to_json,
-    schedule_to_json,
-    split_report_to_json,
-    tile_report_to_json,
+    to_json,
     witness_from_json,
-    witness_to_json,
 )
 
 # A compute function maps (schedule, inputs-JSON) to (result-core-JSON, exit
@@ -121,17 +105,17 @@ def _compute_cantor_info(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
     check_stage(n)
     core = {
         "stage": n,
-        "stage_measure_1d": frac_to_json(s.stage_measure_1d(n)),
-        "stage_measure": frac_to_json(s.stage_measure(n)),
-        "limit_measure_1d": frac_to_json(s.limit_measure_1d()),
-        "limit_measure": frac_to_json(s.limit_measure()),
-        "stage_defect": frac_to_json(s.stage_defect(n)),
-        "interval_length": frac_to_json(s.stage_interval_length(n)),
+        "stage_measure_1d": s.stage_measure_1d(n),
+        "stage_measure": s.stage_measure(n),
+        "limit_measure_1d": s.limit_measure_1d(),
+        "limit_measure": s.limit_measure(),
+        "stage_defect": s.stage_defect(n),
+        "interval_length": s.stage_interval_length(n),
         "interval_count": 1 << n,
-        "box_count": int_to_json(1 << (n * s.d)),
-        "removal_length": frac_to_json(s.removal_length(n)) if n >= 1 else None,
+        "box_count": 1 << (n * s.d),
+        "removal_length": s.removal_length(n) if n >= 1 else None,
     }
-    return core, 0
+    return to_json(core), 0
 
 
 def _compute_measure(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
@@ -145,7 +129,7 @@ def _compute_measure(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
         )
     else:
         bounds = measure_bounds(expr, s, int(inputs["stage"]))
-    return {"bounds": measure_bounds_to_json(bounds)}, 0
+    return {"bounds": to_json(bounds)}, 0
 
 
 def _compute_split_check(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
@@ -157,11 +141,7 @@ def _compute_split_check(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
         above=bool(inputs["above"]),
     )
     report = split_identity_check(expr, half, s, int(inputs["stage"]))
-    core = {
-        "half_space": box_to_json(half),
-        "report": split_report_to_json(report),
-    }
-    return core, 0
+    return to_json({"half_space": half, "report": report}), 0
 
 
 def _compute_rn_enumerate(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
@@ -173,7 +153,7 @@ def _compute_rn_enumerate(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
         reference_stage=int(inputs["reference_stage"]),
         max_size=int(inputs["max_size"]),
     )
-    return {"count": len(elements), "elements": [expr_to_json(e) for e in elements]}, 0
+    return {"count": len(elements), "elements": to_json(elements)}, 0
 
 
 def _compute_cover_search(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
@@ -187,7 +167,7 @@ def _compute_cover_search(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
         budget=int(inputs["budget"]),
         clip=bool(inputs["clip"]),
     )
-    return {"attempt": cover_attempt_to_json(attempt)}, 0
+    return {"attempt": to_json(attempt)}, 0
 
 
 def _verify_cover_search(s: CantorSchedule, inputs: dict, core: dict) -> bool:
@@ -200,7 +180,7 @@ def _verify_cover_search(s: CantorSchedule, inputs: dict, core: dict) -> bool:
     stage = int(attempt["stage"])
     from .cover import _target_union  # the same target realization the search used
 
-    return verify_cover(_target_union(target, s, stage, box_cap=1 << 16), subset, s, stage)
+    return verify_cover(_target_union(target, s, stage), subset, s, stage)
 
 
 def _compute_uncovered_box(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
@@ -208,8 +188,8 @@ def _compute_uncovered_box(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
     pool = [expr_from_json(e) for e in inputs["pool"]]
     outcome = find_uncovered_box(target, pool, s, int(inputs["stage_cap"]))
     if isinstance(outcome, NeedsDeeperStage):
-        return {"found": False, "needs_deeper_stage": needs_deeper_to_json(outcome)}, 3
-    return {"found": True, "witness": witness_to_json(outcome)}, 0
+        return {"found": False, "needs_deeper_stage": to_json(outcome)}, 3
+    return {"found": True, "witness": to_json(outcome)}, 0
 
 
 def _verify_uncovered_box(s: CantorSchedule, inputs: dict, core: dict) -> bool:
@@ -227,14 +207,8 @@ def _verify_uncovered_box(s: CantorSchedule, inputs: dict, core: dict) -> bool:
 
 def _compute_infinite_cube(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
     pool = [expr_from_json(e) for e in inputs["pool"]]
-    report = infinite_cube_report(
-        s,
-        len(pool),
-        int(inputs["stage_cap"]),
-        pool=pool,
-        max_pool=max(len(pool), 1),
-    )
-    return {"report": infinite_cube_to_json(report)}, 0 if report.all_witnessed else 3
+    report = infinite_cube_report(s, len(pool), int(inputs["stage_cap"]), pool=pool)
+    return {"report": to_json(report)}, 0 if report.all_witnessed else 3
 
 
 def _verify_infinite_cube(s: CantorSchedule, inputs: dict, core: dict) -> bool:
@@ -258,12 +232,8 @@ def _compute_pack(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
         target_side=frac_from_json(inputs["target_side"]),
         alpha=frac_from_json(inputs["alpha"]),
     )
-    core = {
-        "layout": layout_to_json(layout),
-        "placements": len(layout.placements),
-        "covered_cube": box_to_json(layout.target),
-    }
-    return core, 0
+    core = {"layout": layout, "placements": len(layout.placements), "covered_cube": layout.target}
+    return to_json(core), 0
 
 
 def _verify_pack(s: CantorSchedule, inputs: dict, core: dict) -> bool:
@@ -282,7 +252,7 @@ def _compute_hausdorff_bound(s: CantorSchedule, inputs: dict) -> tuple[dict, int
         frac_from_json(inputs["delta"]),
         stage=stage,
     )
-    return {"cover": delta_cover_to_json(cover)}, 0
+    return {"cover": to_json(cover)}, 0
 
 
 def _compute_corollary_demo(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
@@ -294,7 +264,7 @@ def _compute_corollary_demo(s: CantorSchedule, inputs: dict) -> tuple[dict, int]
         bits=int(inputs["bits"]),
     )
     code = 0 if report.checks.all_ok() and report.verified else 1
-    return {"report": corollary_to_json(report)}, code
+    return {"report": to_json(report)}, code
 
 
 def _verify_corollary_demo(s: CantorSchedule, inputs: dict, core: dict) -> bool:
@@ -317,14 +287,14 @@ def _compute_range_solve(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
         stage = int(inputs["stage"])
         check_stage(stage)
         bounds = range_function(s, frac_from_json(inputs["x"]), stage)
-        return {"bounds": measure_bounds_to_json(bounds)}, 0
+        return {"bounds": to_json(bounds)}, 0
     solution = solve_level(
         s,
         frac_from_json(inputs["target"]),
         tol=frac_from_json(inputs["tol"]),
         max_iter=int(inputs["max_iter"]),
     )
-    return {"solution": level_solution_to_json(solution)}, 0
+    return {"solution": to_json(solution)}, 0
 
 
 def _verify_range_solve(s: CantorSchedule, inputs: dict, core: dict) -> bool:
@@ -344,7 +314,7 @@ def _compute_tile_check(s: CantorSchedule, inputs: dict) -> tuple[dict, int]:
     base = box_from_json(inputs["base"])
     q = [frac_from_json(v) for v in inputs["q"]]
     report = tile_check(base, q, max_tiles=int(inputs["max_tiles"]))
-    return {"report": tile_report_to_json(report)}, 0
+    return {"report": to_json(report)}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,28 +430,32 @@ def _inputs_cantor_info(args: argparse.Namespace, s: CantorSchedule) -> dict:
 
 
 def _inputs_measure(args: argparse.Namespace, s: CantorSchedule) -> dict:
-    return {
-        "expr": expr_to_json(expr_from_json(_load_json_file(args.expr_file))),
-        "stage": args.stage,
-        "tol": None if args.tol is None else frac_to_json(args.tol),
-        "stage_cap": args.stage_cap,
-    }
+    return to_json(
+        {
+            "expr": expr_from_json(_load_json_file(args.expr_file)),
+            "stage": args.stage,
+            "tol": args.tol,
+            "stage_cap": args.stage_cap,
+        }
+    )
 
 
 def _inputs_split_check(args: argparse.Namespace, s: CantorSchedule) -> dict:
-    return {
-        "expr": expr_to_json(expr_from_json(_load_json_file(args.expr_file))),
-        "axis": args.axis,
-        "threshold": frac_to_json(args.threshold),
-        "above": args.above,
-        "stage": args.stage,
-    }
+    return to_json(
+        {
+            "expr": expr_from_json(_load_json_file(args.expr_file)),
+            "axis": args.axis,
+            "threshold": args.threshold,
+            "above": args.above,
+            "stage": args.stage,
+        }
+    )
 
 
 def _pool_from_file(path: "str | None", s: CantorSchedule) -> list[dict]:
     if path is None:
-        return [expr_to_json(base_expr(s))]
-    return [expr_to_json(e) for e in exprs_from_json(_load_json_file(path))]
+        return to_json([base_expr(s)])
+    return to_json(exprs_from_json(_load_json_file(path)))
 
 
 def _inputs_rn_enumerate(args: argparse.Namespace, s: CantorSchedule) -> dict:
@@ -494,16 +468,15 @@ def _inputs_rn_enumerate(args: argparse.Namespace, s: CantorSchedule) -> dict:
 
 
 def _inputs_cover_search(args: argparse.Namespace, s: CantorSchedule) -> dict:
-    target_doc = _load_json_file(args.target_file)
-    target = _target_from_json(target_doc)
-    target_json = box_to_json(target) if isinstance(target, Box) else expr_to_json(target)
-    return {
-        "target": target_json,
-        "pool": [expr_to_json(e) for e in exprs_from_json(_load_json_file(args.expr_file))],
-        "stage": args.stage,
-        "budget": args.budget,
-        "clip": not args.no_clip,
-    }
+    return to_json(
+        {
+            "target": _target_from_json(_load_json_file(args.target_file)),
+            "pool": exprs_from_json(_load_json_file(args.expr_file)),
+            "stage": args.stage,
+            "budget": args.budget,
+            "clip": not args.no_clip,
+        }
+    )
 
 
 def _inputs_uncovered_box(args: argparse.Namespace, s: CantorSchedule) -> dict:
@@ -511,59 +484,42 @@ def _inputs_uncovered_box(args: argparse.Namespace, s: CantorSchedule) -> dict:
         target = Box.unit_cube(s.d)
     else:
         target = box_from_json(_load_json_file(args.target_file))
-    pool: list[dict] = []
-    if args.expr_file is not None:
-        pool = [expr_to_json(e) for e in exprs_from_json(_load_json_file(args.expr_file))]
-    return {"target": box_to_json(target), "pool": pool, "stage_cap": args.stage_cap}
+    pool = [] if args.expr_file is None else exprs_from_json(_load_json_file(args.expr_file))
+    return to_json({"target": target, "pool": pool, "stage_cap": args.stage_cap})
 
 
 def _inputs_infinite_cube(args: argparse.Namespace, s: CantorSchedule) -> dict:
     if args.expr_file is not None:
         pool = exprs_from_json(_load_json_file(args.expr_file))
-    elif args.quartered:
-        pool = quartered_translate_pool(s, args.pool_size)
     else:
-        pool = grid_translate_pool(s, args.pool_size)
-    return {"pool": [expr_to_json(e) for e in pool], "stage_cap": args.stage_cap}
+        check_pool_size(args.pool_size)  # before building a pool that large
+        build = quartered_translate_pool if args.quartered else grid_translate_pool
+        pool = build(s, args.pool_size)
+    return to_json({"pool": pool, "stage_cap": args.stage_cap})
 
 
 def _inputs_pack(args: argparse.Namespace, s: CantorSchedule) -> dict:
     family = CubeFamily(args.d, tuple(args.sides))
-    return {
-        "family": cube_family_to_json(family),
-        "alpha": frac_to_json(args.alpha),
-        "target_side": frac_to_json(args.target_side),
-    }
+    return to_json({"family": family, "alpha": args.alpha, "target_side": args.target_side})
 
 
 def _inputs_hausdorff_bound(args: argparse.Namespace, s: CantorSchedule) -> dict:
     exponent = s.d if args.exponent is None else args.exponent
-    return {
-        "delta": frac_to_json(args.delta),
-        "exponent": exponent,
-        "stage": args.stage,
-    }
+    return to_json({"delta": args.delta, "exponent": exponent, "stage": args.stage})
 
 
 def _inputs_corollary_demo(args: argparse.Namespace, s: CantorSchedule) -> dict:
-    return {
-        "delta": frac_to_json(args.delta),
-        "a": None if args.a is None else frac_to_json(args.a),
-        "bits": args.bits,
-    }
+    return to_json({"delta": args.delta, "a": args.a, "bits": args.bits})
 
 
 def _inputs_range_solve(args: argparse.Namespace, s: CantorSchedule) -> dict:
     if (args.x is None) == (args.target is None):
         raise PreconditionError("range-solve needs exactly one of --x or --target")
     if args.x is not None:
-        return {"x": frac_to_json(args.x), "stage": args.stage, "target": None}
-    return {
-        "x": None,
-        "target": frac_to_json(args.target),
-        "tol": frac_to_json(args.tol),
-        "max_iter": args.max_iter,
-    }
+        return to_json({"x": args.x, "stage": args.stage, "target": None})
+    return to_json(
+        {"x": None, "target": args.target, "tol": args.tol, "max_iter": args.max_iter}
+    )
 
 
 def _inputs_tile_check(args: argparse.Namespace, s: CantorSchedule) -> dict:
@@ -571,11 +527,7 @@ def _inputs_tile_check(args: argparse.Namespace, s: CantorSchedule) -> dict:
         base = Box.unit_cube(len(args.q))
     else:
         base = box_from_json(_load_json_file(args.base_file))
-    return {
-        "base": box_to_json(base),
-        "q": [frac_to_json(v) for v in args.q],
-        "max_tiles": args.max_tiles,
-    }
+    return to_json({"base": base, "q": args.q, "max_tiles": args.max_tiles})
 
 
 Verify = Callable[[CantorSchedule, dict, dict], bool]
@@ -612,21 +564,6 @@ _COMMANDS: "dict[str, tuple[Callable[[argparse.Namespace, CantorSchedule], dict]
 }
 
 
-def _partial_to_json(partial: Any) -> Any:
-    """Encode a BudgetError's ``partial``.
-
-    It is the best bracket of ``premeasure``, the ``(lo, hi)`` pair of
-    ``solve_level``, the last full layer of ``generate_rn``, or ``None``.
-    """
-    if partial is None:
-        return None
-    if isinstance(partial, MeasureBounds):
-        return measure_bounds_to_json(partial)
-    if isinstance(partial, tuple):
-        return [frac_to_json(v) for v in partial]
-    return [expr_to_json(e) for e in partial]
-
-
 def _emit(doc: dict, out: "str | None") -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out is None:
@@ -657,7 +594,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         _emit(doc, args.out)
         return 2
 
-    doc["config"] = {**schedule_to_json(schedule), "seed": args.seed}
+    doc["config"] = {**to_json(schedule), "seed": args.seed}
     build_inputs, compute, verify = _COMMANDS[args.command]
 
     try:
@@ -674,7 +611,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             "error": {
                 "kind": "budget",
                 "message": str(exc),
-                "partial": _partial_to_json(getattr(exc, "partial", None)),
+                "partial": to_json(getattr(exc, "partial", None)),
             }
         }
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cantor import (
-    DEFAULT_BOX_CAP,
     CantorSchedule,
     GapCertificate,
     NeedsDeeperStage,
@@ -62,15 +61,13 @@ def verify_cover(
     elements: Sequence["RingExpr"],
     s: CantorSchedule,
     stage: int,
-    *,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> bool:
     """Is ``target`` exactly inside the union of the elements' stage hulls?"""
     if target.dim != s.d:
         raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
     covered = BoxUnion.empty(s.d)
     for e in elements:
-        covered = covered.union(approx_set(positive_hull(e), s, stage, box_cap=box_cap))
+        covered = covered.union(approx_set(positive_hull(e), s, stage))
     return covered.contains_union(target)
 
 
@@ -97,14 +94,12 @@ def _target_union(
     target: "RingExpr | Box",
     s: CantorSchedule,
     stage: int,
-    *,
-    box_cap: int,
 ) -> BoxUnion:
     if isinstance(target, Box):
         if not target.is_bounded:
             raise UnboundedBoxError("cover target box must be bounded")
         return BoxUnion.single(target)
-    return approx_set(positive_hull(target), s, stage, box_cap=box_cap)
+    return approx_set(positive_hull(target), s, stage)
 
 
 def outer_upper(
@@ -115,7 +110,6 @@ def outer_upper(
     stage: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
     clip: bool = True,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> CoverAttempt:
     """Search the pool for a verified cover with minimal total upper bound.
 
@@ -129,14 +123,14 @@ def outer_upper(
 
     if not pool:
         raise PreconditionError("empty cover pool")
-    target_u = _target_union(target, s, stage, box_cap=box_cap)
+    target_u = _target_union(target, s, stage)
     bbox = target_u.bounding_box()
     elements = list(pool)
     if clip and bbox is not None:
         elements = [clip_to_box(e, bbox) for e in elements]
 
-    hull_sets = [approx_set(positive_hull(e), s, stage, box_cap=box_cap) for e in elements]
-    uppers = [measure_bounds(e, s, stage, box_cap=box_cap).upper for e in elements]
+    hull_sets = [approx_set(positive_hull(e), s, stage) for e in elements]
+    uppers = [measure_bounds(e, s, stage).upper for e in elements]
 
     def total(subset: tuple[int, ...]) -> Fraction:
         return sum((uppers[i] for i in subset), Fraction(0))
@@ -368,22 +362,26 @@ class InfiniteCubeReport:
     all_witnessed: bool
 
 
+def check_pool_size(size: int) -> None:
+    """Refuse a pool above ``DEFAULT_POOL_CAP`` elements before any search."""
+    if size > DEFAULT_POOL_CAP:
+        raise BudgetError(
+            f"pool of {size} elements would need 2^{size} - 1 subset rows,"
+            f" above the cap for {DEFAULT_POOL_CAP} elements"
+        )
+
+
 def infinite_cube_report(
     s: CantorSchedule,
     pool_size: int,
     stage_cap: int,
     *,
     pool: Sequence["RingExpr"] | None = None,
-    max_pool: int = DEFAULT_POOL_CAP,
 ) -> InfiniteCubeReport:
     """Run the witness search for every nonempty subfamily of a grid pool."""
+    check_pool_size(pool_size if pool is None else len(pool))
     if pool is None:
         pool = grid_translate_pool(s, pool_size)
-    if len(pool) > max_pool:
-        raise BudgetError(
-            f"pool of {len(pool)} elements would need {(1 << len(pool)) - 1} subset rows,"
-            f" above the cap for {max_pool} elements"
-        )
     target = Box.unit_cube(s.d)
     rows: list[SubsetWitnessRow] = []
     masks = range(1, 1 << len(pool)) if pool else [0]

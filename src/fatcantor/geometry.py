@@ -475,6 +475,8 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     scaling by a rational never needs more than a common refinement.  Both
     the volume identity and the literal disjoint tiling are verified.
     """
+    if max_tiles > DEFAULT_TILE_CAP:
+        raise PreconditionError(f"max_tiles must be at most {DEFAULT_TILE_CAP}, got {max_tiles}")
     if not base.is_bounded:
         raise UnboundedBoxError("tile_check needs a bounded base box")
     if not base.has_positive_sides():
@@ -494,7 +496,11 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     refinement = Box((zero,) * base.dim, ref_sides)
 
     if count > max_tiles:
-        raise BudgetError(f"tiling would need {count} boxes, above the cap of {max_tiles}")
+        # count may have more digits than Python prints; its bit length never does
+        raise BudgetError(
+            f"tiling would need at least 2^{count.bit_length() - 1} boxes,"
+            f" above the cap of {max_tiles}"
+        )
 
     tiles = [
         refinement.translate([i * s for i, s in zip(idx, ref_sides)])

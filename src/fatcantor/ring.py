@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cantor import DEFAULT_BOX_CAP, CantorSchedule
+from .cantor import CantorSchedule
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import Box, BoxUnion
 from .rationals import as_fraction
@@ -138,16 +138,14 @@ def simplify(e: "RingExpr") -> "RingExpr | None":
     return left if left == right else Inter(left, right)
 
 
-def approx_set(
-    e: "RingExpr", s: CantorSchedule, n: int, *, box_cap: int = DEFAULT_BOX_CAP
-) -> BoxUnion:
+def approx_set(e: "RingExpr", s: CantorSchedule, n: int) -> BoxUnion:
     """Evaluate the tree with stage-n boxes in place of the limit set."""
     if expr_dim(e) != s.d:
         raise DimensionMismatchError(f"expression dimension {expr_dim(e)} vs schedule {s.d}")
 
     def run(node: "RingExpr") -> BoxUnion:
         if isinstance(node, Gen):
-            return s.clipped_translate(n, node.translation, node.clip, box_cap=box_cap)
+            return s.clipped_translate(n, node.translation, node.clip)
         left = run(node.left)
         right = run(node.right)
         if isinstance(node, Union):
@@ -183,14 +181,12 @@ class MeasureBounds:
         return self.lower <= other.upper and other.lower <= self.upper
 
 
-def measure_bounds(
-    e: "RingExpr", s: CantorSchedule, n: int, *, box_cap: int = DEFAULT_BOX_CAP
-) -> MeasureBounds:
+def measure_bounds(e: "RingExpr", s: CantorSchedule, n: int) -> MeasureBounds:
     """Bracket the true measure of ``e`` using the stage-n evaluation."""
     simplified = simplify(e)
     if simplified is None:
         return MeasureBounds(Fraction(0), Fraction(0), stage=n, leaf_count=0)
-    m = approx_set(simplified, s, n, box_cap=box_cap).measure()
+    m = approx_set(simplified, s, n).measure()
     L = leaf_count(simplified)
     budget = L * s.stage_defect(n)
     lower = max(Fraction(0), m - budget)
@@ -204,7 +200,6 @@ def premeasure(
     tol: Fraction,
     *,
     stage_cap: int = DEFAULT_STAGE_CAP,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> MeasureBounds:
     """Deepen the stage until the certified interval is narrower than ``tol``."""
     tol = as_fraction(tol)
@@ -213,7 +208,7 @@ def premeasure(
     best: MeasureBounds | None = None
     for n in range(1, stage_cap + 1):
         try:
-            bounds = measure_bounds(e, s, n, box_cap=box_cap)
+            bounds = measure_bounds(e, s, n)
         except BudgetError as exc:
             raise BudgetError(
                 f"box cap hit at stage {n} before reaching tolerance {tol}", partial=best
@@ -255,7 +250,6 @@ def generate_rn(
     *,
     reference_stage: int = REFERENCE_STAGE,
     max_size: int = DEFAULT_RN_CAP,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> list["RingExpr"]:
     """n-th layer of the ring tower: R_1 = pool, R_{k+1} = {A ∪ B, A \\ B}.
 
@@ -271,7 +265,7 @@ def generate_rn(
         raise PreconditionError("empty generator pool")
 
     def key(expr: "RingExpr") -> BoxUnion:
-        return approx_set(expr, s, reference_stage, box_cap=box_cap)
+        return approx_set(expr, s, reference_stage)
 
     current: list["RingExpr"] = []
     seen: dict[BoxUnion, int] = {}
@@ -315,8 +309,6 @@ def split_identity_check(
     half_space: Box,
     s: CantorSchedule,
     n: int,
-    *,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> SplitReport:
     """Check lambda(S_n(e)) = lambda(S_n(e ∩ A)) + lambda(S_n(e ∩ A^c)) exactly.
 
@@ -326,11 +318,9 @@ def split_identity_check(
     """
     if not half_space.is_half_space():
         raise PreconditionError(f"{half_space!r} is not an axis half-space")
-    whole = approx_set(e, s, n, box_cap=box_cap).measure()
-    inside = approx_set(clip_to_box(e, half_space), s, n, box_cap=box_cap).measure()
-    outside = approx_set(
-        clip_to_box(e, half_space.complement_half_space()), s, n, box_cap=box_cap
-    ).measure()
+    whole = approx_set(e, s, n).measure()
+    inside = approx_set(clip_to_box(e, half_space), s, n).measure()
+    outside = approx_set(clip_to_box(e, half_space.complement_half_space()), s, n).measure()
     return SplitReport(
         whole=whole,
         inside=inside,

@@ -1,38 +1,35 @@
 """Lossless JSON encoding for every structure the CLI emits or reads.
 
 Scalars are strings ("p/q", "inf", "-inf"), never floats, so encode/decode
-round-trips are bit-exact.  Decoders validate shapes and raise
-``PreconditionError`` on malformed input; they are the same functions the
-``--verify`` replay path uses, which keeps "what we print" and "what we can
-re-check" structurally identical by construction.
+round-trips are bit-exact.  One encoder, :func:`to_json`, emits every
+report: a dataclass becomes the object of its fields, keyed by the field
+names, so a report's JSON keys are its field names and a new field cannot
+be left out.  Only the types whose JSON is not their fields' object have a
+hand-written encoder: scalars, ``Box`` (infinity markers),
+``ExtendedRational`` (field ``n`` prints as ``"sqrt"``), ``PackingLayout``
+(placements print as ``{"index", "translate"}``) and ring expressions
+(one-key objects).
+
+The decoders stay hand-written, because they validate input from outside
+the program: they check shapes and raise ``PreconditionError`` on malformed
+input.  They are the same functions the ``--verify`` replay path uses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .cantor import CantorSchedule, GapCertificate, NeedsDeeperStage
-from .cover import (
-    CoverAttempt,
-    InfiniteCubeReport,
-    LeafCertificate,
-    SubsetWitnessRow,
-    UncoveredWitness,
-)
+from .cantor import CantorSchedule, GapCertificate
+from .cover import LeafCertificate, UncoveredWitness
 from .errors import PreconditionError
-from .geometry import Box, BoxUnion, TileReport
-from .hausdorff import (
-    ChainChecks,
-    CorollaryReport,
-    DeltaCover,
-    LevelSolution,
-)
+from .geometry import Box, BoxUnion
 from .packing import CubeFamily, MergeStep, PackingLayout
 from .quadratic import ExtendedRational
 from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction
-from .ring import Diff, Gen, Inter, MeasureBounds, RingExpr, SplitReport, Union
+from .ring import Diff, Gen, Inter, RingExpr, Union
 
 
 def _expect(doc: Any, keys: Sequence[str], what: str) -> Mapping[str, Any]:
@@ -63,7 +60,7 @@ def frac_to_json(value: Fraction) -> str:
 
 
 def int_to_json(value: int) -> int:
-    """An unbounded integer field, checked to print like ``frac_to_json``."""
+    """An integer, checked to print like ``frac_to_json``."""
     try:
         str(value)
     except ValueError as exc:
@@ -75,10 +72,6 @@ def frac_from_json(text: Any) -> Fraction:
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise PreconditionError(f"expected a rational string, got {text!r}")
     return parse_fraction(str(text))
-
-
-def opt_frac_to_json(value: "Fraction | None") -> "str | None":
-    return None if value is None else frac_to_json(value)
 
 
 def quad_to_json(value: ExtendedRational) -> dict:
@@ -94,10 +87,13 @@ def quad_from_json(doc: Any) -> ExtendedRational:
 
 
 def box_to_json(box: Box) -> dict:
-    return {
-        "lo": [coord_to_json(v) for v in box.lo],
-        "hi": [coord_to_json(v) for v in box.hi],
-    }
+    try:
+        return {
+            "lo": [coord_to_json(v) for v in box.lo],
+            "hi": [coord_to_json(v) for v in box.hi],
+        }
+    except ValueError as exc:
+        raise _too_long() from exc
 
 
 def box_from_json(doc: Any) -> Box:
@@ -107,17 +103,9 @@ def box_from_json(doc: Any) -> Box:
     return Box(lo, hi)
 
 
-def box_union_to_json(u: BoxUnion) -> dict:
-    return {"dim": u.dim, "boxes": [box_to_json(b) for b in u.boxes]}
-
-
 def box_union_from_json(doc: Any) -> BoxUnion:
     m = _expect(doc, ("dim", "boxes"), "box union")
     return BoxUnion.from_boxes(int(m["dim"]), [box_from_json(b) for b in m["boxes"]])
-
-
-def schedule_to_json(s: CantorSchedule) -> dict:
-    return {"d": s.d, "c": frac_to_json(s.c), "rho": frac_to_json(s.rho)}
 
 
 def schedule_from_json(doc: Any) -> CantorSchedule:
@@ -133,14 +121,9 @@ _BINARY_OPS = {"union": Union, "diff": Diff, "inter": Inter}
 def expr_to_json(e: "RingExpr") -> dict:
     """One-key objects: {"gen": {...}} or {"union"|"diff"|"inter": [l, r]}."""
     if isinstance(e, Gen):
-        return {
-            "gen": {
-                "x": [frac_to_json(v) for v in e.translation],
-                "clip": box_to_json(e.clip),
-            }
-        }
+        return {"gen": {"x": _list(e.translation), "clip": _encode(e.clip)}}
     name = {Union: "union", Diff: "diff", Inter: "inter"}[type(e)]
-    return {name: [expr_to_json(e.left), expr_to_json(e.right)]}
+    return {name: [_encode(e.left), _encode(e.right)]}
 
 
 def expr_from_json(doc: Any) -> "RingExpr":
@@ -172,52 +155,12 @@ def exprs_from_json(doc: Any) -> list["RingExpr"]:
     raise PreconditionError("expected an expression object or a list of them")
 
 
-# -- reports ------------------------------------------------------------------
-
-
-def measure_bounds_to_json(b: MeasureBounds) -> dict:
-    return {
-        "lower": frac_to_json(b.lower),
-        "upper": frac_to_json(b.upper),
-        "stage": b.stage,
-        "leaf_count": b.leaf_count,
-    }
-
-
-def split_report_to_json(r: SplitReport) -> dict:
-    return {
-        "whole": frac_to_json(r.whole),
-        "inside": frac_to_json(r.inside),
-        "outside": frac_to_json(r.outside),
-        "stage": r.stage,
-        "equal": r.equal,
-    }
-
-
-def gap_certificate_to_json(c: GapCertificate) -> dict:
-    return {"stage": c.stage, "box": box_to_json(c.box)}
+# -- certificates and packing ------------------------------------------------
 
 
 def gap_certificate_from_json(doc: Any) -> GapCertificate:
     m = _expect(doc, ("stage", "box"), "gap certificate")
     return GapCertificate(stage=int(m["stage"]), box=box_from_json(m["box"]))
-
-
-def needs_deeper_to_json(n: NeedsDeeperStage) -> dict:
-    return {
-        "deepest_stage": n.deepest_stage,
-        "element_index": n.element_index,
-        "leaf_index": n.leaf_index,
-    }
-
-
-def leaf_certificate_to_json(c: LeafCertificate) -> dict:
-    return {
-        "element_index": c.element_index,
-        "leaf_index": c.leaf_index,
-        "translation": [frac_to_json(v) for v in c.translation],
-        "certificate": gap_certificate_to_json(c.certificate),
-    }
 
 
 def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
@@ -232,14 +175,6 @@ def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
     )
 
 
-def witness_to_json(w: UncoveredWitness) -> dict:
-    return {
-        "box": box_to_json(w.box),
-        "stage": w.stage,
-        "certificates": [leaf_certificate_to_json(c) for c in w.certificates],
-    }
-
-
 def witness_from_json(doc: Any) -> UncoveredWitness:
     m = _expect(doc, ("box", "stage", "certificates"), "uncovered witness")
     return UncoveredWitness(
@@ -249,53 +184,9 @@ def witness_from_json(doc: Any) -> UncoveredWitness:
     )
 
 
-def cover_attempt_to_json(a: CoverAttempt) -> dict:
-    return {
-        "subset": list(a.subset),
-        "stage": a.stage,
-        "total_premeasure_upper": opt_frac_to_json(a.total_premeasure_upper),
-        "verified": a.verified,
-        "infinite": a.infinite,
-    }
-
-
-def subset_row_to_json(r: SubsetWitnessRow) -> dict:
-    return {
-        "subset": list(r.subset),
-        "witness": None if r.witness is None else witness_to_json(r.witness),
-        "inconclusive_stage": r.inconclusive_stage,
-        "verified": r.verified,
-    }
-
-
-def infinite_cube_to_json(r: InfiniteCubeReport) -> dict:
-    return {
-        "pool": [expr_to_json(e) for e in r.pool],
-        "stage_cap": r.stage_cap,
-        "rows": [subset_row_to_json(row) for row in r.rows],
-        "all_witnessed": r.all_witnessed,
-    }
-
-
-# -- packing ------------------------------------------------------------------
-
-
-def cube_family_to_json(f: CubeFamily) -> dict:
-    return {"dim": f.dim, "sides": [frac_to_json(v) for v in f.sides]}
-
-
 def cube_family_from_json(doc: Any) -> CubeFamily:
     m = _expect(doc, ("dim", "sides"), "cube family")
     return CubeFamily(int(m["dim"]), tuple(frac_from_json(v) for v in m["sides"]))
-
-
-def merge_step_to_json(s: MergeStep) -> dict:
-    return {
-        "level": s.level,
-        "constituents": list(s.constituents),
-        "result": s.result,
-        "offsets": [[frac_to_json(v) for v in off] for off in s.offsets],
-    }
 
 
 def merge_step_from_json(doc: Any) -> MergeStep:
@@ -306,17 +197,6 @@ def merge_step_from_json(doc: Any) -> MergeStep:
         result=int(m["result"]),
         offsets=tuple(tuple(frac_from_json(v) for v in off) for off in m["offsets"]),
     )
-
-
-def layout_to_json(layout: PackingLayout) -> dict:
-    return {
-        "placements": [
-            {"index": idx, "translate": [frac_to_json(v) for v in pos]}
-            for idx, pos in layout.placements
-        ],
-        "target": box_to_json(layout.target),
-        "merge_tree": [merge_step_to_json(s) for s in layout.merge_tree],
-    }
 
 
 def layout_from_json(doc: Any) -> PackingLayout:
@@ -334,70 +214,79 @@ def layout_from_json(doc: Any) -> PackingLayout:
     )
 
 
-# -- gauges, pipelines, levels ------------------------------------------------
+# -- the encoder --------------------------------------------------------------
 
 
-def delta_cover_to_json(c: DeltaCover) -> dict:
+def _encode_layout(layout: PackingLayout) -> dict:
     return {
-        "stage": c.stage,
-        "delta": frac_to_json(c.delta),
-        "count": int_to_json(c.count),
-        "side": frac_to_json(c.side),
-        "diam_squared": frac_to_json(c.diam_squared),
-        "value": quad_to_json(c.value),
+        "placements": [
+            {"index": idx, "translate": _list(pos)} for idx, pos in layout.placements
+        ],
+        "target": _encode(layout.target),
+        "merge_tree": _list(layout.merge_tree),
     }
 
 
-def chain_checks_to_json(c: ChainChecks) -> dict:
-    return {
-        "sum_exceeds_half_a": c.sum_exceeds_half_a,
-        "diam_preserved": c.diam_preserved,
-        "alpha_consistent": c.alpha_consistent,
-        "covers_target": c.covers_target,
-        "gauge_dominates_covered_volume": c.gauge_dominates_covered_volume,
-        "cube_constant": c.cube_constant,
-    }
+def _same(value: Any) -> Any:
+    return value
 
 
-def corollary_to_json(r: CorollaryReport) -> dict:
-    return {
-        "d": r.d,
-        "a": frac_to_json(r.a),
-        "delta": frac_to_json(r.delta),
-        "cover": delta_cover_to_json(r.cover),
-        "alpha": frac_to_json(r.alpha),
-        "alpha_exact": r.alpha_exact,
-        "kept": r.kept,
-        "family": cube_family_to_json(r.family),
-        "layout": layout_to_json(r.layout),
-        "covered_cube": box_to_json(r.covered_cube),
-        "verified": r.verified,
-        "checks": chain_checks_to_json(r.checks),
-    }
+def _list(values: Sequence[Any]) -> list:
+    # ``_encode`` inlined here and in ``_by_fields``: one call less per value
+    return [_ENCODERS.get(type(v), _by_fields)(v) for v in values]
 
 
-def level_solution_to_json(s: LevelSolution) -> dict:
-    return {
-        "target": frac_to_json(s.target),
-        "point": frac_to_json(s.point),
-        "lo": frac_to_json(s.lo),
-        "hi": frac_to_json(s.hi),
-        "bracket": measure_bounds_to_json(s.bracket),
-        "iterations": s.iterations,
-        "status": s.status,
-    }
+# Encoders by exact type.  A dataclass not listed gets its encoder from
+# ``_by_fields`` on first use.  The encoders recurse through this table, never
+# through a public name, so a wrapper on a public function sees one call per
+# document.
+_ENCODERS: "dict[type, Callable[[Any], Any]]" = {
+    Fraction: frac_to_json,
+    int: int_to_json,
+    bool: _same,
+    str: _same,
+    type(None): _same,
+    tuple: _list,
+    list: _list,
+    dict: lambda doc: {key: _encode(v) for key, v in doc.items()},
+    Box: box_to_json,
+    ExtendedRational: quad_to_json,
+    PackingLayout: _encode_layout,
+    Gen: expr_to_json,
+    Union: expr_to_json,
+    Diff: expr_to_json,
+    Inter: expr_to_json,
+}
 
 
-def tile_report_to_json(r: TileReport) -> dict:
-    return {
-        "base": box_to_json(r.base),
-        "q": [frac_to_json(v) for v in r.q],
-        "scaled_box": box_to_json(r.scaled_box),
-        "refinement": box_to_json(r.refinement),
-        "counts_per_axis": list(r.counts_per_axis),
-        "count": r.count,
-        "scaled_volume": frac_to_json(r.scaled_volume),
-        "tiles_volume": frac_to_json(r.tiles_volume),
-        "equal": r.equal,
-        "tiling_verified": r.tiling_verified,
-    }
+def _by_fields(value: Any) -> dict:
+    """Encode a dataclass as the object of its fields, and register that
+    encoder for its type; refuse any other type."""
+    kind = type(value)
+    if not dataclasses.is_dataclass(kind):
+        raise TypeError(f"no JSON encoding for {kind.__name__}")
+    names = tuple(f.name for f in dataclasses.fields(kind))
+
+    def encode(obj: Any) -> dict:
+        doc = {}
+        for name in names:
+            v = getattr(obj, name)
+            doc[name] = _ENCODERS.get(type(v), _by_fields)(v)
+        return doc
+
+    _ENCODERS[kind] = encode
+    return encode(value)
+
+
+def _encode(value: Any) -> Any:
+    return _ENCODERS.get(type(value), _by_fields)(value)
+
+
+def to_json(value: Any) -> Any:
+    """The JSON document of ``value``: a scalar, a list, a dict or a report.
+
+    A dataclass without its own encoder becomes ``{field: to_json(value)}``;
+    ``Fraction`` prints as ``"p/q"``; tuples become lists.  Any other type
+    raises ``TypeError``.
+    """
+    return _encode(value)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli
+from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool
 from fatcantor.cantor import MAX_STAGE
 from fatcantor.serialize import box_to_json, expr_to_json
 
@@ -188,6 +188,64 @@ class TestEnvelope:
         error = doc["result"]["error"]
         assert error["kind"] == "precondition"
         assert error["message"].startswith("result too large to print")
+
+    def test_box_too_large_to_print_exits_two(self, tmp_path):
+        # base side 10^4000/(10^4000 - 1) and q = 1/(10^4000 + 7): the
+        # refinement box has a coordinate with an 8000-digit denominator
+        big = 10**4000
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"lo": ["0"], "hi": [f"{big}/{big - 1}"]}))
+        code, doc = run_json("tile-check", "--base-file", str(path), "--q", f"1/{big + 7}")
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"].startswith("result too large to print")
+
+    def test_pool_cap_is_checked_before_any_search(self, tmp_path):
+        # 13 elements would need 8191 subset rows; the cap is 12 elements
+        code, doc = run_json("infinite-cube", "--pool-size", "13")
+        assert code == 3
+        error = doc["result"]["error"]
+        assert error["kind"] == "budget"
+        assert error["message"] == (
+            "pool of 13 elements would need 2^13 - 1 subset rows, above the cap for 12 elements"
+        )
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps([expr_to_json(e) for e in grid_translate_pool(CantorSchedule(1), 13)]))
+        code, doc = run_json("infinite-cube", "--expr-file", str(path))
+        assert code == 3
+        assert doc["result"]["error"]["message"] == error["message"]
+        assert len(doc["inputs"]["pool"]) == 13
+
+    def test_max_tiles_above_the_cap_exits_two(self):
+        code, doc = run_json("tile-check", "--q", "2", "--max-tiles", "65536")
+        assert code == 0
+        code, doc = run_json("tile-check", "--q", "2", "--max-tiles", "65537")
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"] == "max_tiles must be at most 65536, got 65537"
+
+    def test_budget_messages_stay_printable(self, tmp_path):
+        # the box counts have thousands of digits; the messages give powers of two
+        big = "1" + "0" * 3000
+        code, doc = run_json("tile-check", "--q", f"{big},{big}")
+        assert code == 3
+        error = doc["result"]["error"]
+        assert error["kind"] == "budget"
+        assert error["message"] == "tiling would need at least 2^19931 boxes, above the cap of 65536"
+        d = 5000
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(expr_to_json(Gen((Fraction(0),) * d, Box.unit_cube(d)))))
+        code, doc = run_json("measure", "--d", str(d), "--expr-file", str(path), "--stage", "4")
+        assert code == 3
+        error = doc["result"]["error"]
+        assert error["kind"] == "budget"
+        assert error["message"] == (
+            "stage 4 in dimension 5000 needs 2^20000 boxes, above the cap of 65536;"
+            " largest feasible stage is 0"
+        )
+        assert error["partial"] is None
 
 
 class TestBudgetPartials:

@@ -1,0 +1,120 @@
+"""Byte-identical CLI documents, pinned by their stdout sha256.
+
+Each case runs one subcommand in-process with ``--verify`` on small fixed
+inputs.  The digests were recorded before the report encoders were folded
+into ``serialize.to_json``; a changed digest means a document changed, so a
+change to any report's JSON must update its digest here on purpose.  The
+input files are literal JSON, so the fixtures do not depend on the encoder
+under test.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from fatcantor import cli
+
+BASE = '{"gen": {"x": ["0/1"], "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}'
+HALF = '{"gen": {"x": ["1/2"], "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}'
+FILES = {
+    "diff.json": f'{{"diff": [{BASE}, {HALF}]}}',
+    "pool.json": f"[{BASE}, {HALF}]",
+    "pool3.json": f'[{BASE}, {HALF}, {BASE.replace("0/1", "-1/2", 1)}]',
+    "edge.json": '{"lo": ["0/1"], "hi": ["1/8"]}',
+    "middle.json": '{"lo": ["1/8"], "hi": ["7/8"]}',
+}
+
+CASES = {
+    "cantor-info": (
+        ["cantor-info", "--stage", "5", "--d", "2"],
+        0,
+        "888aef64961293dca41222f78abc670a5e667deba6d84b4b60daddebf4a1ca5a",
+    ),
+    "measure": (
+        ["measure", "--expr-file", "diff.json", "--stage", "3"],
+        0,
+        "607f2735cb5c6c222ff816390488959f3a92ab91cb7b7dade38b2af208882676",
+    ),
+    "split-check": (
+        ["split-check", "--expr-file", "diff.json", "--threshold", "1/3", "--stage", "3"],
+        0,
+        "c6278a23793b0419c1620882d768b6de8b747e96a35d7b9ae2a6179c39098890",
+    ),
+    "rn-enumerate": (
+        ["rn-enumerate", "--expr-file", "pool.json", "--n", "1", "--reference-stage", "3"],
+        0,
+        "630cd8de845d536e5d008792885cfa80e7dcbdaf206f5da3d6acffb6a4f76572",
+    ),
+    "cover-search": (
+        ["cover-search", "--target-file", "edge.json", "--expr-file", "pool.json"],
+        0,
+        "be19823db1cfc5b4250e0a2ef55777367260eb42e1539d6ddd6c207f7d71b1c0",
+    ),
+    "uncovered-box": (
+        ["uncovered-box", "--expr-file", "pool.json", "--stage-cap", "8"],
+        0,
+        "3c7eef51d41ac34c384d112f2b6b61980278d394b1e1f96d85faf4ca11cba82c",
+    ),
+    "infinite-cube": (
+        ["infinite-cube", "--pool-size", "2", "--stage-cap", "8"],
+        0,
+        "ea013ee5460a964658cba5ee7ff6b5f462569bc0f25d67a8c1b7547b0312af76",
+    ),
+    "pack": (
+        ["pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/3"],
+        0,
+        "d1ee28dcc5bb25443a1643159b3ba1eea2cbe8e1765447b859cfa59e8359ba62",
+    ),
+    "hausdorff-bound": (
+        ["hausdorff-bound", "--d", "2", "--delta", "1/8"],
+        0,
+        "7f35f7d416856317e8ecc8a2378aca3eb3d36210829f0c402c3cbd7d247e16f7",
+    ),
+    "corollary-demo": (
+        ["corollary-demo", "--delta", "1/4"],
+        0,
+        "43062a2c78ee0c2797c0038a5df4bafd70e4e42698ef48446a7b011e05fd8b6c",
+    ),
+    "range-solve": (
+        ["range-solve", "--target", "1/4"],
+        0,
+        "28b6bbc0daad96094997f5727ed221473a3f0af73cffac30c77ea87135c21c93",
+    ),
+    "tile-check": (
+        ["tile-check", "--q", "3/2,2"],
+        0,
+        "a67ba080d3dd2e7ba4f9c66d85df9461f318446c6906202d62c63a7122c68d41",
+    ),
+    # a search that finds no cover, and two exit-3 documents: a report of
+    # the stage cap, and a budget partial
+    "cover-search-none": (
+        ["cover-search", "--target-file", "middle.json", "--expr-file", "pool.json"],
+        0,
+        "aff8853323bbc279dbe716926db80b3d3b120ee89448b9911192ad5729d97355",
+    ),
+    "uncovered-box-needs-deeper": (
+        ["uncovered-box", "--expr-file", "pool3.json", "--stage-cap", "1"],
+        3,
+        "5adf3a11c5da9e84b189732ef63f36d57d064a09e771aa09a2e4105b645d2e87",
+    ),
+    "measure-budget": (
+        ["measure", "--expr-file", "diff.json", "--tol", "1/1000000", "--stage-cap", "3"],
+        3,
+        "b476bf243df34b788c73c82d9618e9dd4c7ad68e909570a852b83946a72659e5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_document_is_byte_identical(name, tmp_path, monkeypatch, capsys):
+    argv, code, digest = CASES[name]
+    for fname, text in FILES.items():
+        (tmp_path / fname).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--verify"]) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        assert '"ok": true' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

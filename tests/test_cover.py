@@ -261,4 +261,6 @@ class TestInfiniteCubeReport:
         from fatcantor import BudgetError
 
         with pytest.raises(BudgetError):
-            infinite_cube_report(S1, 6, 8, max_pool=4)
+            infinite_cube_report(S1, 13, 8)
+        with pytest.raises(BudgetError):
+            infinite_cube_report(S1, 0, 8, pool=grid_translate_pool(S1, 13))

@@ -280,3 +280,17 @@ class TestTileCheck:
             tile_check(Box.unit_cube(1), [Fraction(0)])
         with pytest.raises(PreconditionError):
             tile_check(Box.unit_cube(1), [Fraction(-2)])
+
+    def test_tile_cap_cannot_be_lifted(self):
+        from fatcantor.geometry import DEFAULT_TILE_CAP
+
+        assert tile_check(Box.unit_cube(1), [Fraction(2)], max_tiles=DEFAULT_TILE_CAP).count == 2
+        with pytest.raises(PreconditionError, match="max_tiles must be at most 65536"):
+            tile_check(Box.unit_cube(1), [Fraction(2)], max_tiles=DEFAULT_TILE_CAP + 1)
+
+    def test_over_budget_message_gives_the_count_as_a_power_of_two(self):
+        from fatcantor import BudgetError
+
+        with pytest.raises(BudgetError) as exc:
+            tile_check(Box.unit_cube(2), [Fraction(3), Fraction(5)], max_tiles=14)
+        assert str(exc.value) == "tiling would need at least 2^3 boxes, above the cap of 14"

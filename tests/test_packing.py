@@ -35,7 +35,7 @@ from fatcantor import (
     volume,
 )
 from fatcantor.packing import _tiling_covers
-from fatcantor.serialize import layout_to_json
+from fatcantor.serialize import to_json
 
 from strategies import positive_fractions
 
@@ -294,5 +294,5 @@ class TestTilingProof:
     def test_layouts_are_frozen(self, dim, sides, digest):
         # sha256 prefixes of the serialized layouts recorded with the
         # pairwise overlap check, before the tiling proof used box algebra
-        doc = json.dumps(layout_to_json(pack_cover(CubeFamily(dim, sides))), sort_keys=True)
+        doc = json.dumps(to_json(pack_cover(CubeFamily(dim, sides))), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest

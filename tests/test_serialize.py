@@ -7,6 +7,7 @@ schema is shape-checked explicitly because external tooling consumes it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -32,40 +33,37 @@ from fatcantor import (
     find_uncovered_box,
     measure_bounds,
     merge_dyadic,
+    nu_delta_upper,
+    outer_upper,
     pack_cover,
     solve_level,
+    split_identity_check,
     tile_check,
 )
+from fatcantor.cover import infinite_cube_report
+from fatcantor.hausdorff import PowerGauge
 from fatcantor.serialize import (
     box_from_json,
     box_to_json,
     box_union_from_json,
-    box_union_to_json,
-    corollary_to_json,
     cube_family_from_json,
-    cube_family_to_json,
     expr_from_json,
     expr_to_json,
+    exprs_from_json,
     frac_from_json,
     frac_to_json,
     gap_certificate_from_json,
-    gap_certificate_to_json,
     layout_from_json,
-    layout_to_json,
-    level_solution_to_json,
-    measure_bounds_to_json,
+    leaf_certificate_from_json,
     merge_step_from_json,
-    merge_step_to_json,
     quad_from_json,
     quad_to_json,
     schedule_from_json,
-    schedule_to_json,
-    tile_report_to_json,
+    to_json,
     witness_from_json,
-    witness_to_json,
 )
 
-from strategies import boxes, fractions, ring_exprs
+from strategies import boxes, fractions, ring_exprs, schedules
 
 S1 = CantorSchedule(1)
 
@@ -136,7 +134,7 @@ def test_half_space_serializes_with_infinity_markers():
 @given(bs=st.lists(boxes(dim=1), min_size=0, max_size=4))
 def test_box_union_round_trip_recanonicalizes(bs):
     u = BoxUnion.from_boxes(1, bs)
-    assert box_union_from_json(box_union_to_json(u)) == u
+    assert box_union_from_json(to_json(u)) == u
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def test_malformed_expressions_are_rejected(bad):
 
 def test_schedule_round_trip():
     s = CantorSchedule(2, c=Fraction(1, 2), rho=Fraction(1, 3))
-    doc = schedule_to_json(s)
+    doc = to_json(s)
     assert set(doc) == {"d", "c", "rho"}
     back = schedule_from_json(doc)
     assert (back.d, back.c, back.rho) == (2, Fraction(1, 2), Fraction(1, 3))
@@ -210,19 +208,19 @@ def test_schedule_round_trip():
 
 def test_gap_certificate_round_trip():
     cert = find_gap(S1, [Fraction(0)], Box.cube((Fraction(1, 2),), Fraction(1, 4)), 8)
-    back = gap_certificate_from_json(gap_certificate_to_json(cert))
+    back = gap_certificate_from_json(to_json(cert))
     assert back == cert
 
 
 def test_witness_round_trip():
     w = find_uncovered_box(Box.unit_cube(1), [base_expr(S1)], S1, 8)
-    back = witness_from_json(witness_to_json(w))
+    back = witness_from_json(to_json(w))
     assert back == w
 
 
 def test_measure_bounds_document_carries_the_bracket():
     b = measure_bounds(base_expr(S1), S1, 4)
-    doc = measure_bounds_to_json(b)
+    doc = to_json(b)
     assert doc["lower"] == "1/2"
     assert doc["upper"] == "17/32"
     assert doc["stage"] == 4
@@ -236,25 +234,25 @@ def test_measure_bounds_document_carries_the_bracket():
 
 def test_cube_family_round_trip():
     fam = CubeFamily(2, (Fraction(1, 2), Fraction(2, 3)))
-    assert cube_family_from_json(cube_family_to_json(fam)) == fam
+    assert cube_family_from_json(to_json(fam)) == fam
 
 
 def test_merge_step_round_trip():
     _, steps = merge_dyadic(2, [-1, -1, -1, -1])
     for step in steps:
-        assert merge_step_from_json(merge_step_to_json(step)) == step
+        assert merge_step_from_json(to_json(step)) == step
 
 
 def test_layout_round_trip():
     fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     layout = pack_cover(fam)
-    back = layout_from_json(layout_to_json(layout))
+    back = layout_from_json(to_json(layout))
     assert back == layout
 
 
 def test_corollary_document_is_float_free_and_json_safe():
     rep = corollary_pipeline(S1, Fraction(1, 4))
-    doc = corollary_to_json(rep)
+    doc = to_json(rep)
     assert _no_floats(doc)
     json.dumps(doc)  # must not choke
     assert doc["checks"]["cube_constant"] == "enclosing axis cube, constant 1"
@@ -262,7 +260,7 @@ def test_corollary_document_is_float_free_and_json_safe():
 
 def test_level_solution_document(tmp_path):
     sol = solve_level(S1, Fraction(1, 4))
-    doc = level_solution_to_json(sol)
+    doc = to_json(sol)
     assert doc["point"] == "1/2"
     assert doc["status"] == "straddle"
     assert _no_floats(doc)
@@ -270,7 +268,138 @@ def test_level_solution_document(tmp_path):
 
 def test_tile_report_document():
     rep = tile_check(Box.unit_cube(1), [Fraction(3, 2)])
-    doc = tile_report_to_json(rep)
+    doc = to_json(rep)
     assert _no_floats(doc)
     assert doc["count"] == 3
     json.dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# the one encoder: to_json
+# ---------------------------------------------------------------------------
+
+
+@given(q=fractions())
+def test_to_json_round_trips_fractions(q):
+    assert frac_from_json(to_json(q)) == q
+    assert to_json(q) == frac_to_json(q)
+
+
+@given(a=fractions(), b=fractions(), n=st.sampled_from([2, 3, 5, 7]))
+def test_to_json_round_trips_quadratic_values(a, b, n):
+    x = ExtendedRational(a, b, n)
+    assert to_json(x) == quad_to_json(x)
+    assert quad_from_json(to_json(x)) == x
+
+
+@given(b=boxes(dim=2))
+def test_to_json_round_trips_boxes(b):
+    assert to_json(b) == box_to_json(b)
+    assert box_from_json(to_json(b)) == b
+
+
+@given(s=schedules(dim=2))
+def test_to_json_round_trips_schedules(s):
+    assert schedule_from_json(to_json(s)) == s
+
+
+@given(es=st.lists(ring_exprs(max_leaves=4), min_size=1, max_size=3))
+def test_to_json_round_trips_expressions(es):
+    assert [to_json(e) for e in es] == [expr_to_json(e) for e in es]
+    assert [expr_from_json(to_json(e)) for e in es] == es
+    assert exprs_from_json(to_json(es)) == es
+    assert exprs_from_json(to_json(tuple(es))) == es
+
+
+def test_to_json_round_trips_every_certificate():
+    s = CantorSchedule(2)
+    w = find_uncovered_box(Box.unit_cube(2), [base_expr(s)], s, 8)
+    assert witness_from_json(to_json(w)) == w
+    assert w.certificates
+    for leaf in w.certificates:
+        assert leaf_certificate_from_json(to_json(leaf)) == leaf
+        assert gap_certificate_from_json(to_json(leaf.certificate)) == leaf.certificate
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_to_json_round_trips_packing_documents(dim):
+    fam = CubeFamily(dim, (Fraction(1, 2),) * (1 << dim) + (Fraction(1, 3), Fraction(1, 5)))
+    layout = pack_cover(fam)
+    assert cube_family_from_json(to_json(fam)) == fam
+    assert layout_from_json(to_json(layout)) == layout
+    assert layout.merge_tree
+    for step in layout.merge_tree:
+        assert merge_step_from_json(to_json(step)) == step
+    placement = to_json(layout)["placements"][0]
+    assert set(placement) == {"index", "translate"}
+
+
+_S1_HALF = Gen((Fraction(1, 2),), Box.unit_cube(1))
+_S1_DIFF = Diff(base_expr(S1), _S1_HALF)
+# One factory per report the CLI emits.
+REPORTS = {
+    "MeasureBounds": lambda: measure_bounds(_S1_DIFF, S1, 3),
+    "SplitReport": lambda: split_identity_check(
+        _S1_DIFF, Box.half_space(1, 0, Fraction(1, 3), above=False), S1, 3
+    ),
+    "CoverAttempt": lambda: outer_upper(
+        Box.interval(Fraction(0), Fraction(1, 8)), [base_expr(S1), _S1_HALF], S1, stage=2
+    ),
+    "NeedsDeeperStage": lambda: find_uncovered_box(
+        Box.unit_cube(1), [base_expr(S1), _S1_HALF, Gen((Fraction(-1, 2),), Box.unit_cube(1))],
+        S1,
+        1,
+    ),
+    "InfiniteCubeReport": lambda: infinite_cube_report(S1, 2, 8),
+    "DeltaCover": lambda: nu_delta_upper(CantorSchedule(2), PowerGauge(2), Fraction(1, 8)),
+    "CorollaryReport": lambda: corollary_pipeline(S1, Fraction(1, 4)),
+    "LevelSolution": lambda: solve_level(S1, Fraction(1, 4)),
+    "TileReport": lambda: tile_check(Box.unit_cube(2), [Fraction(3, 2), Fraction(2)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_reports_are_encoded_from_their_fields(kind):
+    report = REPORTS[kind]()
+    assert type(report).__name__ == kind
+    doc = to_json(report)
+    names = [f.name for f in dataclasses.fields(report)]
+    assert list(doc) == names
+    for name in names:
+        assert doc[name] == to_json(getattr(report, name))
+    assert _no_floats(doc)
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_scalars_and_containers():
+    assert to_json(None) is None
+    assert to_json(True) is True
+    assert to_json(7) == 7
+    assert to_json("straddle") == "straddle"
+    assert to_json((Fraction(1, 2), Fraction(3, 4))) == ["1/2", "3/4"]
+    assert to_json([[Fraction(1)], ()]) == [["1/1"], []]
+    assert to_json({"k": Fraction(-2, 3), "n": None}) == {"k": "-2/3", "n": None}
+
+
+class _Opaque:
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), _Opaque(), 0.5, {1, 2}, b"1/2", [Fraction(1), 0.25], {"x": 1.0}],
+    ids=["object", "class", "float", "set", "bytes", "float-in-list", "float-in-dict"],
+)
+def test_to_json_rejects_unregistered_types(value):
+    with pytest.raises(TypeError):
+        to_json(value)
+
+
+def test_to_json_refuses_numbers_too_long_to_print():
+    huge = 10 ** 5000
+    with pytest.raises(PreconditionError, match="too large to print"):
+        to_json(Fraction(huge, 3))
+    with pytest.raises(PreconditionError, match="too large to print"):
+        to_json({"count": huge})
+    with pytest.raises(PreconditionError, match="too large to print"):
+        to_json(Box((Fraction(0),), (Fraction(huge, 7),)))
