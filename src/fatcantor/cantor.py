@@ -35,10 +35,11 @@ DEFAULT_BOX_CAP = 1 << 16
 MAX_STAGE = 1024
 
 
-def check_stage(n: int) -> None:
-    """Reject a stage outside ``0..MAX_STAGE`` before any work on it."""
+def check_stage(n: int) -> int:
+    """Reject a stage outside ``0..MAX_STAGE`` before any work on it; return it."""
     if not 0 <= n <= MAX_STAGE:
         raise PreconditionError(f"stage must be between 0 and {MAX_STAGE}, got {n}")
+    return n
 
 
 def _numerator_over(v: Fraction, scale: int) -> int:

@@ -362,13 +362,14 @@ class InfiniteCubeReport:
     all_witnessed: bool
 
 
-def check_pool_size(size: int) -> None:
-    """Refuse a pool above ``DEFAULT_POOL_CAP`` elements before any search."""
+def check_pool_size(size: int) -> int:
+    """Refuse a pool above ``DEFAULT_POOL_CAP`` elements before any search; return its size."""
     if size > DEFAULT_POOL_CAP:
         raise BudgetError(
             f"pool of {size} elements would need 2^{size} - 1 subset rows,"
             f" above the cap for {DEFAULT_POOL_CAP} elements"
         )
+    return size
 
 
 def infinite_cube_report(

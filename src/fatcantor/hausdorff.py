@@ -27,17 +27,26 @@ from .quadratic import ExtendedRational
 from .rationals import as_fraction, pow2
 from .ring import MeasureBounds
 
+# Largest gauge exponent.  A gauge sum is ``count * diam**exponent``, an
+# exact number of about ``exponent`` times the stage's bits: exponent 1024
+# at ``delta = 1/8`` prints, 4096 is over Python's 4300-digit print limit.
+MAX_GAUGE_EXPONENT = 1024
+# Finest dyadic grid, ``2**-MAX_ROOT_BITS``, that ``side_scale_for`` starts
+# from; a grid that fine still prints.
+MAX_ROOT_BITS = 4096
+
 
 @dataclass(frozen=True)
 class PowerGauge:
-    """The gauge ``t -> t**exponent`` for a nonnegative integer exponent."""
+    """The gauge ``t -> t**exponent`` for an integer exponent in ``0..MAX_GAUGE_EXPONENT``."""
 
     exponent: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+        if not isinstance(self.exponent, int) or not 0 <= self.exponent <= MAX_GAUGE_EXPONENT:
             raise PreconditionError(
-                f"gauge exponent must be a nonnegative integer, got {self.exponent!r}"
+                f"gauge exponent must be an integer from 0 to {MAX_GAUGE_EXPONENT},"
+                f" got {self.exponent!r}"
             )
 
     def of_sqrt(self, squared: Fraction) -> ExtendedRational:
@@ -214,8 +223,11 @@ def side_scale_for(d: int, a: Fraction, *, bits: int = 24) -> tuple[Fraction, bo
     solution, the largest dyadic value on a ``2**-bits`` grid that does not
     exceed the true root is returned instead (``exact=False``); undershooting
     is sound for every downstream use: the volume hypothesis of the packing
-    step only gets easier and the covered cube only shrinks.
+    step only gets easier and the covered cube only shrinks.  ``bits`` must
+    lie in ``1..MAX_ROOT_BITS``.
     """
+    if not 1 <= bits <= MAX_ROOT_BITS:
+        raise PreconditionError(f"bits must be between 1 and {MAX_ROOT_BITS}, got {bits}")
     a = as_fraction(a)
     if d < 1 or a <= 0:
         raise PreconditionError("need dimension >= 1 and a > 0")

@@ -27,6 +27,11 @@ from .rationals import as_fraction
 
 DEFAULT_STAGE_CAP = 24
 DEFAULT_RN_CAP = 4096
+# Highest ring layer ``generate_rn`` builds.  The first candidate of each
+# layer is ``Union(a, a)`` of the previous layer's first element, so trees
+# double in size per layer: layer 8 on the one-element default pool takes
+# about a second, layer 12 about ten.
+MAX_RN_LAYER = 8
 REFERENCE_STAGE = 4
 
 
@@ -259,8 +264,8 @@ def generate_rn(
     agree at the reference stage would merge; callers who care can raise
     the reference stage.
     """
-    if n < 1:
-        raise PreconditionError(f"ring layers start at 1, got {n}")
+    if not 1 <= n <= MAX_RN_LAYER:
+        raise PreconditionError(f"ring layers run from 1 to {MAX_RN_LAYER}, got {n}")
     if not pool:
         raise PreconditionError("empty generator pool")
 

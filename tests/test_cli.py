@@ -17,6 +17,8 @@ import pytest
 
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool
 from fatcantor.cantor import MAX_STAGE
+from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS
+from fatcantor.ring import MAX_RN_LAYER
 from fatcantor.serialize import box_to_json, expr_to_json
 
 
@@ -225,6 +227,59 @@ class TestEnvelope:
         error = doc["result"]["error"]
         assert error["kind"] == "precondition"
         assert error["message"] == "max_tiles must be at most 65536, got 65537"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "--expr-file", "{expr}", "--tol", "1/8", "--stage-cap"),
+            ("tile-check", "--q", "2", "--max-tiles"),
+            ("range-solve", "--target", "1/4", "--max-iter"),
+            ("rn-enumerate", "--n", "2", "--max-size"),
+            ("cover-search", "--target-file", "{target}", "--expr-file", "{expr}", "--budget"),
+            ("uncovered-box", "--stage-cap"),
+            ("infinite-cube", "--pool-size", "2", "--stage-cap"),
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )
+    def test_count_flags_refuse_negative_values(self, argv, expr_file, target_file, capsys):
+        argv = [a.format(expr=expr_file, target=target_file) for a in argv]
+        flag = argv[-1]
+        assert cli.main([*argv, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected a nonnegative integer, got -1" in captured.err
+        assert cli.main([*argv, "0"]) in (0, 3)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["inputs"][flag[2:].replace("-", "_")] == 0
+
+    def test_root_bits_are_capped_before_any_root_work(self):
+        # bits 0 used to loop for ever, -1 crashed and 10^7 ran on past 20 s
+        argv = ("corollary-demo", "--d", "2", "--delta", "1/4", "--a", "1/5", "--bits")
+        code, doc = run_json(*argv, str(MAX_ROOT_BITS))
+        assert code == 0
+        for bits in ("0", "-1", str(MAX_ROOT_BITS + 1)):
+            code, doc = run_json(*argv, bits)
+            assert code == 2, bits
+            assert doc["result"]["error"]["message"] == (
+                f"bits must be between 1 and {MAX_ROOT_BITS}, got {bits}"
+            )
+
+    def test_ring_layer_and_gauge_exponent_caps_exit_two(self):
+        above = MAX_RN_LAYER + 1
+        code, doc = run_json("rn-enumerate", "--n", str(above))
+        assert code == 2
+        assert doc["result"]["error"]["message"] == (
+            f"ring layers run from 1 to {MAX_RN_LAYER}, got {above}"
+        )
+        argv = ("hausdorff-bound", "--delta", "1/8", "--exponent")
+        code, doc = run_json(*argv, str(MAX_GAUGE_EXPONENT))
+        assert code == 0
+        above = MAX_GAUGE_EXPONENT + 1
+        code, doc = run_json(*argv, str(above))
+        assert code == 2
+        assert doc["result"]["error"]["message"] == (
+            f"gauge exponent must be an integer from 0 to {MAX_GAUGE_EXPONENT}, got {above}"
+        )
 
     def test_budget_messages_stay_printable(self, tmp_path):
         # the box counts have thousands of digits; the messages give powers of two

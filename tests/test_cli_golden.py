@@ -1,9 +1,11 @@
 """Byte-identical CLI documents, pinned by their stdout sha256.
 
-Each case runs one subcommand in-process with ``--verify`` on small fixed
-inputs.  The digests were recorded before the report encoders were folded
-into ``serialize.to_json``; a changed digest means a document changed, so a
-change to any report's JSON must update its digest here on purpose.  The
+Each case runs one subcommand in-process on small fixed inputs, most of
+them with ``--verify``.  The first fifteen digests were recorded before the
+report encoders were folded into ``serialize.to_json``, the rest before the
+subcommands were declared in one command table; a changed digest means a
+document changed, so a change to any report's JSON must update its digest
+here on purpose.  The
 input files are literal JSON, so the fixtures do not depend on the encoder
 under test.
 """
@@ -28,81 +30,163 @@ FILES = {
 
 CASES = {
     "cantor-info": (
-        ["cantor-info", "--stage", "5", "--d", "2"],
+        ["cantor-info", "--stage", "5", "--d", "2", "--verify"],
         0,
         "888aef64961293dca41222f78abc670a5e667deba6d84b4b60daddebf4a1ca5a",
     ),
     "measure": (
-        ["measure", "--expr-file", "diff.json", "--stage", "3"],
+        ["measure", "--expr-file", "diff.json", "--stage", "3", "--verify"],
         0,
         "607f2735cb5c6c222ff816390488959f3a92ab91cb7b7dade38b2af208882676",
     ),
     "split-check": (
-        ["split-check", "--expr-file", "diff.json", "--threshold", "1/3", "--stage", "3"],
+        ["split-check", "--expr-file", "diff.json", "--threshold", "1/3", "--stage", "3",
+         "--verify"],
         0,
         "c6278a23793b0419c1620882d768b6de8b747e96a35d7b9ae2a6179c39098890",
     ),
     "rn-enumerate": (
-        ["rn-enumerate", "--expr-file", "pool.json", "--n", "1", "--reference-stage", "3"],
+        ["rn-enumerate", "--expr-file", "pool.json", "--n", "1", "--reference-stage", "3",
+         "--verify"],
         0,
         "630cd8de845d536e5d008792885cfa80e7dcbdaf206f5da3d6acffb6a4f76572",
     ),
     "cover-search": (
-        ["cover-search", "--target-file", "edge.json", "--expr-file", "pool.json"],
+        ["cover-search", "--target-file", "edge.json", "--expr-file", "pool.json", "--verify"],
         0,
         "be19823db1cfc5b4250e0a2ef55777367260eb42e1539d6ddd6c207f7d71b1c0",
     ),
     "uncovered-box": (
-        ["uncovered-box", "--expr-file", "pool.json", "--stage-cap", "8"],
+        ["uncovered-box", "--expr-file", "pool.json", "--stage-cap", "8", "--verify"],
         0,
         "3c7eef51d41ac34c384d112f2b6b61980278d394b1e1f96d85faf4ca11cba82c",
     ),
     "infinite-cube": (
-        ["infinite-cube", "--pool-size", "2", "--stage-cap", "8"],
+        ["infinite-cube", "--pool-size", "2", "--stage-cap", "8", "--verify"],
         0,
         "ea013ee5460a964658cba5ee7ff6b5f462569bc0f25d67a8c1b7547b0312af76",
     ),
     "pack": (
-        ["pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/3"],
+        ["pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/3", "--verify"],
         0,
         "d1ee28dcc5bb25443a1643159b3ba1eea2cbe8e1765447b859cfa59e8359ba62",
     ),
     "hausdorff-bound": (
-        ["hausdorff-bound", "--d", "2", "--delta", "1/8"],
+        ["hausdorff-bound", "--d", "2", "--delta", "1/8", "--verify"],
         0,
         "7f35f7d416856317e8ecc8a2378aca3eb3d36210829f0c402c3cbd7d247e16f7",
     ),
     "corollary-demo": (
-        ["corollary-demo", "--delta", "1/4"],
+        ["corollary-demo", "--delta", "1/4", "--verify"],
         0,
         "43062a2c78ee0c2797c0038a5df4bafd70e4e42698ef48446a7b011e05fd8b6c",
     ),
     "range-solve": (
-        ["range-solve", "--target", "1/4"],
+        ["range-solve", "--target", "1/4", "--verify"],
         0,
         "28b6bbc0daad96094997f5727ed221473a3f0af73cffac30c77ea87135c21c93",
     ),
     "tile-check": (
-        ["tile-check", "--q", "3/2,2"],
+        ["tile-check", "--q", "3/2,2", "--verify"],
         0,
         "a67ba080d3dd2e7ba4f9c66d85df9461f318446c6906202d62c63a7122c68d41",
     ),
     # a search that finds no cover, and two exit-3 documents: a report of
     # the stage cap, and a budget partial
     "cover-search-none": (
-        ["cover-search", "--target-file", "middle.json", "--expr-file", "pool.json"],
+        ["cover-search", "--target-file", "middle.json", "--expr-file", "pool.json", "--verify"],
         0,
         "aff8853323bbc279dbe716926db80b3d3b120ee89448b9911192ad5729d97355",
     ),
     "uncovered-box-needs-deeper": (
-        ["uncovered-box", "--expr-file", "pool3.json", "--stage-cap", "1"],
+        ["uncovered-box", "--expr-file", "pool3.json", "--stage-cap", "1", "--verify"],
         3,
         "5adf3a11c5da9e84b189732ef63f36d57d064a09e771aa09a2e4105b645d2e87",
     ),
     "measure-budget": (
-        ["measure", "--expr-file", "diff.json", "--tol", "1/1000000", "--stage-cap", "3"],
+        ["measure", "--expr-file", "diff.json", "--tol", "1/1000000", "--stage-cap", "3",
+         "--verify"],
         3,
         "b476bf243df34b788c73c82d9618e9dd4c7ad68e909570a852b83946a72659e5",
+    ),
+    # a run without --verify, the flag paths the rows above leave out, and
+    # the error documents of a bad schedule, a bad flag pair and a pool cap
+    "cantor-info-no-verify": (
+        ["cantor-info", "--stage", "3"],
+        0,
+        "a175699cbf8e6afcf0108bb1a3ddcb4c866ec81d4ff49058a82a555ee0312865",
+    ),
+    "range-solve-x": (
+        ["range-solve", "--x", "1/3", "--verify"],
+        0,
+        "2382e771952e6d27e71717175dbca1f669f7cd4008f6f830a449ccf3d77982d9",
+    ),
+    "measure-tol": (
+        ["measure", "--expr-file", "diff.json", "--tol", "1/8", "--verify"],
+        0,
+        "50148c73f71d703775e2a1df60932b92a1243a861109066af7f26095a5fb3a27",
+    ),
+    "infinite-cube-quartered": (
+        ["infinite-cube", "--pool-size", "2", "--quartered", "--stage-cap", "8", "--verify"],
+        0,
+        "73e86623500ea705a696f3c3c2c4a0e89e542d7ed0d3dd1a51bee5da4782ed4c",
+    ),
+    "infinite-cube-expr-file": (
+        ["infinite-cube", "--expr-file", "pool3.json", "--stage-cap", "8", "--verify"],
+        0,
+        "92f3e8e6ce5504c91521ed5032e3eb398c4159258d4f5c7f4912a77d03d49b69",
+    ),
+    "uncovered-box-no-files": (
+        ["uncovered-box", "--stage-cap", "4", "--verify"],
+        0,
+        "3fda3790023e0c6afe078d722221e9644f9410b11fb51d317f2bb0bf84ef9f3d",
+    ),
+    "tile-check-base-file": (
+        ["tile-check", "--base-file", "edge.json", "--q", "2", "--verify"],
+        0,
+        "cee208eca76121fb692c46ea501452e4fc13805ffc119da2f592a46e40c6caf0",
+    ),
+    "cover-search-no-clip": (
+        ["cover-search", "--target-file", "edge.json", "--expr-file", "pool.json", "--no-clip",
+         "--verify"],
+        0,
+        "2d7d9e2f3ad509c3b278ce11639af05a64dbd4db4b1ea5591b8089fbdff79152",
+    ),
+    "hausdorff-bound-exponent": (
+        ["hausdorff-bound", "--delta", "1/8", "--exponent", "1", "--stage", "3", "--verify"],
+        0,
+        "b2f3daea9bffbb7eb4ea8cbd5c77ebfb25959a6e29eee1a10496e2146e5d6e06",
+    ),
+    "corollary-demo-a": (
+        ["corollary-demo", "--delta", "1/4", "--a", "1/5", "--verify"],
+        0,
+        "7e3923ecbec3ef1c02c83d9107f50bb527ba1acff7aaaa0b531424bd18a9e6f4",
+    ),
+    "split-check-above": (
+        ["split-check", "--expr-file", "diff.json", "--threshold", "1/3", "--above", "--stage", "3",
+         "--verify"],
+        0,
+        "ed84fd32f3d2b1daf67331ad1c98cdc97ce75cb632affe33b7afdc282d0ce725",
+    ),
+    "rn-enumerate-default-pool": (
+        ["rn-enumerate", "--n", "2", "--reference-stage", "3", "--verify"],
+        0,
+        "b3f3bdd9560ed0436b76b73e8c1283328c0ad07ab6870d903e136e601ae7baf2",
+    ),
+    "cantor-info-bad-rho": (
+        ["cantor-info", "--rho", "1", "--verify"],
+        2,
+        "eab0f63c87099161e53b4d3139e3350ab8216fda92412087dcb7e5ca0cd69683",
+    ),
+    "range-solve-neither": (
+        ["range-solve", "--verify"],
+        2,
+        "6d0378a7b37f9ed3a4e82c19a249d05b3c9728bd950f5770a07cfb7cea2119f3",
+    ),
+    "infinite-cube-pool-cap": (
+        ["infinite-cube", "--pool-size", "13", "--verify"],
+        3,
+        "25f23fdf5a29be5747c6eb4874a3a237aed6769afd1e01759c8d0fb07250e320",
     ),
 }
 
@@ -113,8 +197,9 @@ def test_document_is_byte_identical(name, tmp_path, monkeypatch, capsys):
     for fname, text in FILES.items():
         (tmp_path / fname).write_text(text)
     monkeypatch.chdir(tmp_path)
-    assert cli.main([*argv, "--verify"]) == code
+    assert cli.main(argv) == code
     out = capsys.readouterr().out
     if code == 0:
-        assert '"ok": true' in out
+        verified = "--verify" in argv
+        assert ('"ok": true' if verified else '"requested": false') in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
