@@ -123,17 +123,26 @@ class CantorSchedule:
         den, ends = self._stage_ends(n)
         return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
 
+    def _stage_lengths(self, n: int, grain: int = 1) -> list[int]:
+        """Interval lengths of stages 0..n as integer numerators over one denominator.
+
+        The denominator is the first entry (the stage-0 length is 1).  It is
+        also a multiple of ``grain``, so rationals whose denominator divides
+        ``grain`` share it.
+        """
+        lengths = [self.stage_interval_length(k) for k in range(1, n + 1)]
+        den = lcm(grain, *(length.denominator for length in lengths))
+        return [den] + [_numerator_over(length, den) for length in lengths]
+
     def _stage_ends(self, n: int) -> tuple[int, list[tuple[int, int]]]:
         """Stage-n intervals as integer numerators over one common denominator.
 
         Integer arithmetic builds the 2**n intervals several times faster
         than Fraction arithmetic; callers convert only what they keep.
         """
-        lengths = [self.stage_interval_length(k) for k in range(1, n + 1)]
-        den = lcm(*(length.denominator for length in lengths))
+        den, *children = self._stage_lengths(n)
         ends = [(0, den)]
-        for length in lengths:
-            child = _numerator_over(length, den)
+        for child in children:
             ends = [pair for lo, hi in ends for pair in ((lo, lo + child), (hi - child, hi))]
         return den, ends
 

@@ -8,9 +8,14 @@ diameter involves ``sqrt(d)``, hence values live in the quadratic field
 are done by squaring, never by floating point.
 
 Also here: the explicit pipeline turning the measure of the limit set into
-a covered cube (via :mod:`.packing`), and the one-dimensional level
-function ``x -> measure(limit set ∩ [0, x])`` together with a certified
-bisection inverse.
+a covered cube (via :mod:`.packing`), and the level function
+``x -> measure(limit set ∩ {first coordinate <= x})`` together with a
+certified bisection inverse.  Its stage-n value comes from one descent
+along the path of ``x`` (``_levels``), which yields the levels of all
+stages 1, 2, ... in turn as integer numerators over one common
+denominator; the stage data it needs are tabled once per solve.  A
+bisection midpoint thus costs O(N) integer steps at its deciding stage
+N, not O(N^2) ``Fraction`` operations.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
+from typing import Iterator
 
-from .cantor import CantorSchedule, check_stage
+from .cantor import CantorSchedule, _numerator_over, check_stage
 from .errors import BudgetError, PreconditionError, UnboundedBoxError
 from .geometry import Box, BoxUnion
 from .packing import CubeFamily, PackingLayout, layout_covers, pack_cover
 from .quadratic import ExtendedRational
-from .rationals import as_fraction, pow2
+from .rationals import as_fraction
 from .ring import MeasureBounds
 
 # Largest gauge exponent.  A gauge sum is ``count * diam**exponent``, an
@@ -66,6 +73,8 @@ def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:
 
     The stage-n boxes are cubes of side ``l_n``, so their diameter is
     ``l_n * sqrt(d)``; the comparison is done on squares to stay rational.
+    A ``delta`` that needs a stage above ``cantor.MAX_STAGE`` is refused
+    as soon as the search passes it.
     """
     delta = as_fraction(delta)
     if delta <= 0:
@@ -76,6 +85,7 @@ def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:
         if side * side * s.d < delta * delta:
             return n
         n += 1
+        check_stage(n)
 
 
 @dataclass(frozen=True)
@@ -373,53 +383,70 @@ def corollary_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _stage_level(s: CantorSchedule, x: Fraction, n: int) -> Fraction:
-    """Exact ``measure(stage-n set ∩ [0, x])`` by descending one branch.
+def _levels(lengths: list[int], x: Fraction) -> Iterator[int]:
+    """Stage-n levels of ``x`` for n = 0, 1, ..., as integer numerators.
 
-    Each stage-k block carries exactly ``lambda_n / 2**k`` of the stage-n
-    set, so whole blocks to the left of ``x`` are summed in closed form and
-    only the block containing ``x`` is ever split: O(n) work.
+    ``lengths[n]`` is the stage-n interval length as an integer numerator
+    over one common denominator, which is ``lengths[0]`` (stage 0 is
+    [0, 1]) and must be a multiple of the denominator of ``x``; the levels
+    are numerators over it too, up to stage ``len(lengths) - 1``.
+
+    The stage-n level is ``measure(stage-n set ∩ [0, x])`` in one
+    dimension.  One walk down the path of ``x`` yields all of them, since
+    the path (left child, right child or gap at each step) does not depend
+    on n.  After step n, ``x`` lies in the stage-n interval starting at
+    ``lo_n`` and has ``W_n`` stage-n intervals to its left, where ``W_n``
+    is the path read as a binary word; each of them carries ``length_n``,
+    so the level is ``length_n * W_n + (x - lo_n)``.  Once ``x`` falls in
+    the gap of step g, the left child lies wholly below it and the right
+    child wholly above, and the level is ``length_n * G * 2**(n-g)`` from
+    then on, with ``G = 2*W_(g-1) + 1``.  Abscissas outside [0, 1] are
+    clamped, which gives level 0 below and ``lambda_n`` above.  A step
+    costs one integer product.
     """
-    if x <= 0:
-        return Fraction(0)
-    if x >= 1:
-        return s.stage_measure_1d(n)
-    lam = s.stage_measure_1d(n)
-    acc = Fraction(0)
-    lo, hi = Fraction(0), Fraction(1)
-    for k in range(1, n + 1):
-        child = s.stage_interval_length(k)
-        left_hi = lo + child
-        right_lo = hi - child
-        if x >= right_lo:
-            acc += lam * pow2(-k)
-            lo = right_lo
-        elif x <= left_hi:
-            hi = left_hi
+    point = _numerator_over(min(max(x, Fraction(0)), Fraction(1)), lengths[0])
+    lo, hi, word = 0, lengths[0], 0
+    yield point
+    for n in range(1, len(lengths)):
+        child = lengths[n]
+        if point >= hi - child:
+            lo, word = hi - child, 2 * word + 1
+        elif point <= lo + child:
+            hi, word = lo + child, 2 * word
         else:
-            # x sits in the removed gap: the left child lies fully below it
-            # and the right child fully above, so the sum is complete.
-            return acc + lam * pow2(-k)
-    return acc + max(Fraction(0), min(x, hi) - lo)
+            blocks = 2 * word + 1
+            for m in range(n, len(lengths)):
+                yield lengths[m] * blocks << (m - n)
+            return
+        yield child * word + point - lo
+
+
+def _bracket(s: CantorSchedule, n: int, level: Fraction) -> MeasureBounds:
+    """Stage-n bounds ``[max(0, a - defect_n), a]`` with ``a = level * lambda_n**(d-1)``."""
+    at = level * s.stage_measure_1d(n) ** (s.d - 1)
+    lower = at - s.stage_defect(n)
+    if lower < 0:
+        lower = Fraction(0)
+    return MeasureBounds(lower=lower, upper=at, stage=n, leaf_count=1)
 
 
 def range_function(s: CantorSchedule, x: Fraction, stage: int) -> MeasureBounds:
     """Certified bounds for ``measure(limit set ∩ {first coordinate <= x})``.
 
     Agrees exactly with clipping the base generator to the half-space and
-    taking its measure bounds at the same stage — the single-branch descent
-    just computes that in O(stage) arithmetic instead of materializing
-    ``2**(stage*d)`` boxes.  Both bounds are monotone nondecreasing in ``x``
-    at fixed stage.
+    taking its measure bounds at the same stage.  One descent along the
+    path of ``x`` (``_levels``) gives the one-dimensional stage level in
+    O(stage) integer operations instead of materializing
+    ``2**(stage*d)`` boxes; the other d - 1 axes contribute the factor
+    ``lambda_stage**(d-1)``.  Both bounds are monotone nondecreasing in
+    ``x`` at fixed stage.
     """
     if stage < 0:
         raise PreconditionError("stage must be nonnegative")
     x = as_fraction(x)
-    at = _stage_level(s, x, stage) * s.stage_measure_1d(stage) ** (s.d - 1)
-    lower = at - s.stage_defect(stage)
-    if lower < 0:
-        lower = Fraction(0)
-    return MeasureBounds(lower=lower, upper=at, stage=stage, leaf_count=1)
+    lengths = s._stage_lengths(stage, x.denominator)
+    *_, level = _levels(lengths, x)
+    return _bracket(s, stage, Fraction(level, lengths[0]))
 
 
 @dataclass(frozen=True)
@@ -444,24 +471,53 @@ class LevelSolution:
     status: str
 
 
+def _verdict_cuts(
+    s: CantorSchedule, lengths: list[int], target: Fraction, tol: Fraction
+) -> list[tuple[int, int, int]]:
+    """Per stage n >= 1, the level numerators at which ``_classify_point`` decides.
+
+    A level numerator L over ``lengths[0]`` has the stage-n bounds
+    ``[max(0, a - defect_n), a]`` with ``a = L * lambda_n**(d-1) / lengths[0]``.
+    They are "le" when ``a <= target``, "ge" when
+    ``max(0, a - defect_n) >= target`` and "straddle" when their width
+    ``min(a, defect_n)`` is at most ``tol``.  Each test is one comparison
+    of L with an integer cut.  A level never exceeds 1, so the straddle
+    cut ``lengths[0]`` admits every L.
+    """
+    cuts = []
+    for n in range(1, len(lengths)):
+        unit = s.stage_measure_1d(n) ** (s.d - 1) / lengths[0]
+        defect = s.stage_defect(n)
+        cuts.append(
+            (
+                floor(target / unit),
+                ceil((target + defect) / unit) if target > 0 else 0,
+                lengths[0] if defect <= tol else floor(tol / unit),
+            )
+        )
+    return cuts
+
+
 def _classify_point(
-    s: CantorSchedule, x: Fraction, target: Fraction, tol: Fraction
-) -> tuple[str, MeasureBounds]:
+    lengths: list[int], cuts: list[tuple[int, int, int]], x: Fraction
+) -> tuple[str, int, int]:
     """Certify level(x) <= target ("le"), >= target ("ge"), or "straddle".
 
-    A bracket is never wider than the stage defect, so the search ends at
-    stage ``_stage_for_width(s, tol)`` at the latest.
+    Returns the verdict, the deciding stage and its level numerator.  The
+    stages 1, 2, ... are tried along one descent of ``x``.  The tables end
+    at the first stage whose defect is within the tolerance, and a bracket
+    is never wider than the defect, so that stage straddles at the latest.
     """
-    n = 1
-    while True:
-        br = range_function(s, x, n)
-        if br.upper <= target:
-            return "le", br
-        if br.lower >= target:
-            return "ge", br
-        if br.width <= tol:
-            return "straddle", br
-        n += 1
+    levels = _levels(lengths, x)
+    next(levels)
+    for n, (level, (le, ge, straddle)) in enumerate(zip(levels, cuts), 1):
+        if level <= le:
+            return "le", n, level
+        if level >= ge:
+            return "ge", n, level
+        if level <= straddle:
+            return "straddle", n, level
+    raise AssertionError("the last stage's bracket is within the tolerance")
 
 
 def _stage_for_width(s: CantorSchedule, width: Fraction) -> int:
@@ -491,6 +547,13 @@ def solve_level(
     end the search early with an even tighter ``"straddle"`` result.  A
     tolerance that needs a stage above ``cantor.MAX_STAGE`` is refused
     before the search starts.
+
+    Cost: the stage data for stages up to N = ``_stage_for_width(s, tol/2)``
+    and each stage's integer cuts for the le/ge/straddle tests are built
+    once per solve.  Each midpoint is then one descent (``_levels``) that
+    stops at its deciding stage, at one integer product and a few integer
+    comparisons per stage, so a solve is O(N) midpoints of at most O(N)
+    steps each.  Only the returned bracket becomes a ``MeasureBounds``.
     """
     target = as_fraction(target)
     tol = as_fraction(tol)
@@ -501,6 +564,10 @@ def solve_level(
         raise PreconditionError(f"target must lie in [0, {top}], got {target}")
     half = tol / 2
     stage = _stage_for_width(s, half)
+    # The search stops once hi - lo <= half, so every abscissa it visits
+    # is a multiple of 2**-(b + 1) with 2**b > 1/half.
+    lengths = s._stage_lengths(stage, 1 << (half.denominator.bit_length() + 1))
+    cuts = _verdict_cuts(s, lengths, target, half)
     lo, hi = Fraction(0), Fraction(1)
     iterations = 0
     while hi - lo > half:
@@ -510,7 +577,7 @@ def solve_level(
                 partial=(lo, hi),
             )
         mid = (lo + hi) / 2
-        verdict, br = _classify_point(s, mid, target, half)
+        verdict, n, level = _classify_point(lengths, cuts, mid)
         if verdict == "le":
             lo = mid
         elif verdict == "ge":
@@ -521,19 +588,19 @@ def solve_level(
                 point=mid,
                 lo=mid,
                 hi=mid,
-                bracket=br,
+                bracket=_bracket(s, n, Fraction(level, lengths[0])),
                 iterations=iterations + 1,
                 status="straddle",
             )
         iterations += 1
     point = (lo + hi) / 2
-    pbr = range_function(s, point, stage)
+    *_, level = _levels(lengths, point)
     return LevelSolution(
         target=target,
         point=point,
         lo=lo,
         hi=hi,
-        bracket=pbr,
+        bracket=_bracket(s, stage, Fraction(level, lengths[0])),
         iterations=iterations,
         status="converged",
     )

@@ -40,9 +40,6 @@ class CubeFamily:
             raise PreconditionError("cube sides must be positive")
         object.__setattr__(self, "sides", sides)
 
-    def total_volume(self) -> Fraction:
-        return sum((v**self.dim for v in self.sides), Fraction(0))
-
 
 def round_to_dyadic(sides: Sequence[Fraction]) -> list[int]:
     """Exponents k_j with 2**k_j <= side_j < 2**(k_j + 1)."""

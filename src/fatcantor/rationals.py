@@ -9,7 +9,6 @@ terms with a positive denominator, infinities as ``"inf"`` / ``"-inf"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Union
 
 from .errors import PreconditionError
@@ -126,24 +125,6 @@ def coord_from_json(text: str) -> Coord:
     if text == "-inf":
         return NEG_INF
     return parse_fraction(text)
-
-
-def fraction_gcd(values: "list[Fraction] | tuple[Fraction, ...]") -> Fraction:
-    """Positive generator of the group generated by the given rationals.
-
-    gcd(p1/q1, p2/q2) = gcd(p1, p2) / lcm(q1, q2); every value is an exact
-    integer multiple of the result.
-    """
-    if not values:
-        raise PreconditionError("gcd of an empty collection")
-    num = 0
-    den = 1
-    for v in values:
-        num = gcd(num, abs(v.numerator))
-        den = lcm(den, v.denominator)
-    if num == 0:
-        raise PreconditionError("gcd of all-zero values")
-    return Fraction(num, den)
 
 
 def pow2(k: int) -> Fraction:

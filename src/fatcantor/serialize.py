@@ -22,10 +22,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from .cantor import CantorSchedule, GapCertificate
+from .cantor import GapCertificate
 from .cover import LeafCertificate, UncoveredWitness
 from .errors import PreconditionError
-from .geometry import Box, BoxUnion
+from .geometry import Box
 from .packing import CubeFamily, MergeStep, PackingLayout
 from .quadratic import ExtendedRational
 from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction
@@ -101,16 +101,6 @@ def box_from_json(doc: Any) -> Box:
     lo = tuple(coord_from_json(str(v)) for v in m["lo"])
     hi = tuple(coord_from_json(str(v)) for v in m["hi"])
     return Box(lo, hi)
-
-
-def box_union_from_json(doc: Any) -> BoxUnion:
-    m = _expect(doc, ("dim", "boxes"), "box union")
-    return BoxUnion.from_boxes(int(m["dim"]), [box_from_json(b) for b in m["boxes"]])
-
-
-def schedule_from_json(doc: Any) -> CantorSchedule:
-    m = _expect(doc, ("d", "c", "rho"), "schedule")
-    return CantorSchedule(int(m["d"]), frac_from_json(m["c"]), frac_from_json(m["rho"]))
 
 
 # -- ring expressions ---------------------------------------------------------

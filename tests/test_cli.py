@@ -173,6 +173,17 @@ class TestEnvelope:
         assert error["kind"] == "precondition"
         assert error["message"] == f"stage must be between 0 and {MAX_STAGE}, got {MAX_STAGE + 1}"
 
+    def test_range_solve_finishes_at_the_finest_tolerance(self):
+        # tol = 2^-1024 is the finest the stage cap admits at d = 1: its
+        # bracket needs stage 1024 and about 1024 bisection steps
+        tol = Fraction(1, 2**1024)
+        code, doc = run_json("range-solve", "--d", "1", "--target", "1/3", "--tol", f"1/{2**1024}")
+        assert code == 0
+        sol = doc["result"]["solution"]
+        assert sol["status"] == "straddle"
+        mid = (Fraction(sol["bracket"]["lower"]) + Fraction(sol["bracket"]["upper"])) / 2
+        assert abs(mid - Fraction(1, 3)) <= tol
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -37,7 +37,9 @@ from fatcantor import (
     side_scale_for,
     solve_level,
 )
+from fatcantor.cantor import MAX_STAGE
 
+import level_oracle
 from strategies import fractions, positive_fractions, unit_fractions
 
 S1 = CantorSchedule(1)
@@ -169,6 +171,15 @@ class TestNuDeltaUpper:
             nu_delta_upper(S1, PowerGauge(1), Fraction(1, 8), stage=needed - 1)
         deeper = nu_delta_upper(S1, PowerGauge(1), Fraction(1, 8), stage=needed + 2)
         assert deeper.stage == needed + 2
+
+    def test_min_stage_stops_at_the_stage_cap(self):
+        # 2^-12000 would need stage 12000; the search refuses the first
+        # stage past the cap instead of walking on to it
+        with pytest.raises(PreconditionError, match=f"got {MAX_STAGE + 1}$"):
+            min_stage_for_delta(S1, Fraction(1, 1 << 12000))
+        with pytest.raises(PreconditionError, match=f"got {MAX_STAGE + 1}$"):
+            nu_delta_upper(S1, PowerGauge(1), Fraction(1, 1 << 12000))
+        assert min_stage_for_delta(S1, Fraction(1, 1 << MAX_STAGE)) == MAX_STAGE
 
     @given(delta=st.sampled_from([Fraction(1, 2), Fraction(1, 5), Fraction(1, 16), Fraction(3, 64)]))
     def test_min_stage_is_minimal(self, delta):
@@ -389,3 +400,79 @@ class TestSolveLevel:
             solve_level(S1, Fraction(1, 3), max_iter=3)
         lo, hi = exc.value.partial
         assert lo < hi
+
+
+# ---------------------------------------------------------------------------
+# the single-descent kernel against the per-stage oracle
+# ---------------------------------------------------------------------------
+
+# (c, rho): the default schedule, and two whose child lengths have odd
+# denominators, so abscissas and lengths do not share one power of two
+LEVEL_SCHEDULES = [
+    (Fraction(1), Fraction(1, 4)),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1), Fraction(1, 5)),
+]
+
+
+@st.composite
+def level_schedules(draw):
+    c, rho = draw(st.sampled_from(LEVEL_SCHEDULES))
+    return CantorSchedule(draw(st.integers(min_value=1, max_value=3)), c=c, rho=rho)
+
+
+@st.composite
+def level_targets(draw, s):
+    """0, the limit measure, a flat spot of the level function, or a point in between."""
+    top = s.limit_measure()
+    g = draw(st.integers(min_value=1, max_value=6))
+    odd = 2 * draw(st.integers(min_value=0, max_value=(1 << (g - 1)) - 1)) + 1
+    return draw(
+        st.sampled_from(
+            [
+                Fraction(0),
+                top,
+                # the level of every point of a step-g gap
+                top * Fraction(odd, 1 << g),
+                top * Fraction(draw(st.integers(min_value=1, max_value=999)), 1000),
+            ]
+        )
+    )
+
+
+@st.composite
+def abscissas(draw, s):
+    """Outside [0, 1], a stage endpoint, or a small-denominator point."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    endpoints = [v for pair in s.stage_intervals_1d(n) for v in pair]
+    return draw(
+        st.one_of(
+            fractions(max_value=Fraction(0)),
+            fractions(min_value=Fraction(1)),
+            st.sampled_from(endpoints),
+            fractions(min_value=Fraction(0), max_value=Fraction(1)),
+            st.builds(Fraction, st.integers(min_value=0, max_value=3**7), st.just(3**7)),
+        )
+    )
+
+
+class TestLevelKernelAgainstOracle:
+    @settings(max_examples=40)
+    @given(data=st.data(), s=level_schedules(), bits=st.integers(min_value=1, max_value=40))
+    def test_solve_level_equals_the_oracle_bisection(self, data, s, bits):
+        target = data.draw(level_targets(s))
+        tol = pow2(-bits)
+        assert solve_level(s, target, tol=tol) == level_oracle.solve_level(s, target, tol=tol)
+
+    def test_flat_spots_straddle_like_the_oracle(self):
+        for c, rho in LEVEL_SCHEDULES:
+            s = CantorSchedule(2, c=c, rho=rho)
+            for target in (s.limit_measure() / 2, s.limit_measure() * Fraction(3, 8)):
+                got = solve_level(s, target, tol=pow2(-30))
+                assert got.status == "straddle"
+                assert got == level_oracle.solve_level(s, target, tol=pow2(-30))
+
+    @given(data=st.data(), s=level_schedules(), n=st.integers(min_value=0, max_value=64))
+    def test_range_function_equals_the_oracle_level(self, data, s, n):
+        x = data.draw(abscissas(s))
+        assert range_function(s, x, n) == level_oracle.range_function(s, x, n)

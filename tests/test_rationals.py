@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from fatcantor.rationals import (
     coord_from_json,
     coord_to_json,
     format_fraction,
-    fraction_gcd,
     is_finite,
     parse_fraction,
 )
@@ -95,33 +93,6 @@ def test_as_fraction_coerces_ints_but_not_strings():
 def test_as_fraction_rejects_floats():
     with pytest.raises(PreconditionError):
         as_fraction(0.5)
-
-
-# ---------------------------------------------------------------------------
-# gcd on fractions
-# ---------------------------------------------------------------------------
-
-
-@given(
-    values=st.lists(positive_fractions(max_value=Fraction(16)), min_size=1, max_size=6)
-)
-def test_fraction_gcd_divides_every_value(values):
-    g = fraction_gcd(values)
-    assert g > 0
-    for v in values:
-        assert (v / g).denominator == 1
-    # maximality via the classical identity on reduced fractions:
-    # gcd(p1/q1, ..., pk/qk) = gcd(p1, ..., pk) / lcm(q1, ..., qk)
-    expected = Fraction(
-        math.gcd(*(v.numerator for v in values)) if len(values) > 1 else values[0].numerator,
-        math.lcm(*(v.denominator for v in values)) if len(values) > 1 else values[0].denominator,
-    )
-    assert g == expected
-
-
-def test_fraction_gcd_rejects_empty_input():
-    with pytest.raises(PreconditionError):
-        fraction_gcd([])
 
 
 # ---------------------------------------------------------------------------
