@@ -8,9 +8,11 @@ rationals: stage measures, the limit measure, interval endpoints, and the
 gap structure behind membership tests and nowhere-density witnesses.
 
 A stage-n approximation is a union of ``2**(n*d)`` boxes, so exact
-materialization explodes quickly; the helpers here that only need the
-local structure near a query interval descend the construction tree and
-prune, touching O(stage) intervals instead.
+materialization explodes quickly.  Gap search, witness validation and
+membership instead share one walk of the 1-D construction tree
+(``CantorSchedule._windows``): level by level, it keeps the intervals
+whose closure meets a query window and stops at the first empty level.
+Child lengths follow ``l_k = (l_(k-1) - c*rho**k) / 2`` (``_child_lengths``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import Box, BoxUnion, _trusted_box
@@ -130,7 +132,7 @@ class CantorSchedule:
         also a multiple of ``grain``, so rationals whose denominator divides
         ``grain`` share it.
         """
-        lengths = [self.stage_interval_length(k) for k in range(1, n + 1)]
+        lengths = list(itertools.islice(self._child_lengths(), n))
         den = lcm(grain, *(length.denominator for length in lengths))
         return [den] + [_numerator_over(length, den) for length in lengths]
 
@@ -217,25 +219,43 @@ class CantorSchedule:
         boxes = tuple(_trusted_box(*zip(*prod)) for prod in itertools.product(*axes))
         return BoxUnion(self.d, boxes)
 
+    def _child_lengths(self) -> Iterator[Fraction]:
+        """Interval lengths ``l_1, l_2, ...`` by ``l_k = (l_(k-1) - c*rho**k) / 2``.
+
+        The removal ``c*rho**k`` is a running product; every value equals
+        the closed form exactly.
+        """
+        length, removal = Fraction(1), self.c
+        while True:
+            removal *= self.rho
+            length = (length - removal) / 2
+            yield length
+
+    def _windows(self, qlo: Fraction, qhi: Fraction) -> Iterator[list[tuple[Fraction, Fraction]]]:
+        """For k = 0, 1, ..., the closed stage-k intervals whose closure meets [qlo, qhi].
+
+        Each level lists its intervals left to right.  The next level splits
+        every kept interval and drops the children that miss the window, and
+        the walk ends after the first empty level.
+        """
+        level = [] if qhi < 0 or qlo > 1 else [(Fraction(0), Fraction(1))]
+        lengths = self._child_lengths()
+        while level:
+            yield level
+            child = next(lengths)
+            level = [
+                (lo, hi)
+                for parent_lo, parent_hi in level
+                for lo, hi in ((parent_lo, parent_lo + child), (parent_hi - child, parent_hi))
+                if hi >= qlo and lo <= qhi
+            ]
+        yield level
+
     def _descend_overlapping(
         self, n: int, qlo: Fraction, qhi: Fraction
     ) -> list[tuple[Fraction, Fraction]]:
-        """Stage-n surviving intervals whose closure meets [qlo, qhi]."""
-        found: list[tuple[Fraction, Fraction]] = []
-        stack: list[tuple[Fraction, Fraction, int]] = [(Fraction(0), Fraction(1), 0)]
-        while stack:
-            lo, hi, depth = stack.pop()
-            if hi < qlo or lo > qhi:
-                continue
-            if depth == n:
-                found.append((lo, hi))
-                continue
-            child = self.stage_interval_length(depth + 1)
-            # Right child pushed first so the left-to-right order survives the stack.
-            stack.append((hi - child, hi, depth + 1))
-            stack.append((lo, lo + child, depth + 1))
-        found.sort()
-        return found
+        """Stage-n surviving intervals whose closure meets [qlo, qhi], left to right."""
+        return next(itertools.islice(self._windows(qlo, qhi), n, None), [])
 
     def first_free_subinterval(
         self, n: int, t: Fraction, jlo: Fraction, jhi: Fraction
@@ -278,23 +298,15 @@ class Membership:
 
 
 def _trace_coordinate(s: CantorSchedule, x: Fraction, cap: int) -> tuple[str, int]:
-    if x < 0 or x > 1:
-        return "out", 0
-    lo, hi = Fraction(0), Fraction(1)
-    if x == lo or x == hi:
-        return "in", 0
-    for k in range(1, cap + 1):
-        child = s.stage_interval_length(k)
-        left_hi = lo + child
-        right_lo = hi - child
-        if x <= left_hi:
-            hi = left_hi
-        elif x >= right_lo:
-            lo = right_lo
-        else:
+    # Below the first level that decides, x lies inside its one kept
+    # interval, so it meets at most one child.
+    for k, level in enumerate(s._windows(x, x)):
+        if not level:
             return "out", k
-        if x == lo or x == hi:
+        if x in level[0]:
             return "in", k
+        if k == cap:
+            break
     return "unknown", cap
 
 

@@ -25,11 +25,11 @@ from .cantor import (
     GapCertificate,
     NeedsDeeperStage,
     find_gap,
+    gap_certificate_valid,
     middle_half,
 )
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
 from .geometry import Box, BoxUnion
-from .rationals import as_fraction
 from .ring import Diff, Gen, Inter, RingExpr, Union, approx_set, iter_leaves, measure_bounds
 
 DEFAULT_SUBSET_BUDGET = 4096
@@ -285,16 +285,10 @@ def uncovered_witness_valid(
     recorded = [(c.element_index, c.leaf_index, c.translation) for c in witness.certificates]
     if recorded != expected:
         return False
-    for cert in witness.certificates:
-        shifted = [as_fraction(v) for v in cert.translation]
-        if not any(
-            not s.interval_meets_stage_translate(
-                cert.certificate.stage, shifted[axis], box.lo[axis], box.hi[axis]  # type: ignore[arg-type]
-            )
-            for axis in range(s.d)
-        ):
-            return False
-    return True
+    return all(
+        gap_certificate_valid(s, cert.translation, GapCertificate(cert.certificate.stage, box))
+        for cert in witness.certificates
+    )
 
 
 def grid_translate_pool(

@@ -1,8 +1,8 @@
-"""Gauge sums over stage covers, diameter-volume checks, and level solving.
+"""Gauge sums over stage covers, diameters, and level solving.
 
 The stage-``n`` boxes of the construction form a cover of the limit set by
-``2**(n*d)`` congruent cubes of side ``stage_interval_length(n)``, so the
-sum of ``diam**s`` over the cover is a single closed-form quantity.  Its
+``2**(n*d)`` congruent cubes of side ``l_n``, the stage-n interval length,
+so the sum of ``diam**s`` over the cover is a single closed-form quantity.  Its
 diameter involves ``sqrt(d)``, hence values live in the quadratic field
 ℚ[√d] rather than plain rationals; comparisons against rational thresholds
 are done by squaring, never by floating point.
@@ -41,6 +41,10 @@ MAX_GAUGE_EXPONENT = 1024
 # Finest dyadic grid, ``2**-MAX_ROOT_BITS``, that ``side_scale_for`` starts
 # from; a grid that fine still prints.
 MAX_ROOT_BITS = 4096
+# Finest ``range-solve`` tolerance, ``2**-MAX_TOL_BITS``.  Bisection halves
+# [0, 1] until it is at most ``tol/2`` wide, so an admitted tolerance needs
+# at most ``MAX_TOL_BITS + 1`` steps, whatever stage the schedule reaches.
+MAX_TOL_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -79,13 +83,13 @@ def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:
     delta = as_fraction(delta)
     if delta <= 0:
         raise PreconditionError(f"delta must be positive, got {delta}")
-    n = 0
-    while True:
-        side = s.stage_interval_length(n)
-        if side * side * s.d < delta * delta:
-            return n
+    lengths = s._child_lengths()
+    n, side = 0, Fraction(1)
+    while side * side * s.d >= delta * delta:
         n += 1
         check_stage(n)
+        side = next(lengths)
+    return n
 
 
 @dataclass(frozen=True)
@@ -160,27 +164,6 @@ def diam_squared(u: Box | BoxUnion) -> Fraction:
             if dist > best:
                 best = dist
     return best
-
-
-@dataclass(frozen=True)
-class DiamVolumeReport:
-    volume: Fraction
-    diam_squared: Fraction
-    dim: int
-    ok: bool
-
-
-def diam_volume_check(u: Box | BoxUnion) -> DiamVolumeReport:
-    """Check ``volume <= diam**dim`` by comparing squares."""
-    if isinstance(u, Box):
-        dim = u.dim
-        vol = u.volume()
-    else:
-        dim = u.dim
-        vol = u.measure()
-    dsq = diam_squared(u)
-    ok = vol * vol <= dsq**dim
-    return DiamVolumeReport(volume=vol, diam_squared=dsq, dim=dim, ok=ok)
 
 
 def _int_root_floor(x: int, k: int) -> int:
@@ -545,8 +528,9 @@ def solve_level(
     giving ``|midpoint(bounds) - target| <= tol``.  Midpoints whose bounds
     cannot be separated from the target (flat spots of the level function)
     end the search early with an even tighter ``"straddle"`` result.  A
-    tolerance that needs a stage above ``cantor.MAX_STAGE`` is refused
-    before the search starts.
+    tolerance below ``2**-MAX_TOL_BITS``, or one that needs a stage above
+    ``cantor.MAX_STAGE``, is refused before the search starts, so a solve
+    takes at most ``MAX_TOL_BITS + 1`` bisection steps.
 
     Cost: the stage data for stages up to N = ``_stage_for_width(s, tol/2)``
     and each stage's integer cuts for the le/ge/straddle tests are built
@@ -559,6 +543,8 @@ def solve_level(
     tol = as_fraction(tol)
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
+    if tol * (1 << MAX_TOL_BITS) < 1:
+        raise PreconditionError(f"tolerance must be at least 2^-{MAX_TOL_BITS}")
     top = s.limit_measure()
     if not 0 <= target <= top:
         raise PreconditionError(f"target must lie in [0, {top}], got {target}")

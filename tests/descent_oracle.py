@@ -1,0 +1,140 @@
+"""Slow reference walks of the fat Cantor construction tree.
+
+These are the routines the windowed level-by-level walk in ``cantor``
+replaced.  ``descend_overlapping`` is a depth-first stack over
+``(lo, hi, depth)`` nodes, sorted at the end; ``trace_coordinate``
+follows the path of one point.  Both rebuild every child length from the
+closed form ``stage_interval_length``, and ``min_stage_for_delta`` scans
+the same closed form stage by stage.  ``first_free_subinterval``,
+``find_gap`` and ``membership`` are the library's routines on top of
+these walks.  Nothing here calls ``_windows`` or ``_child_lengths``, so
+the differential tests compare the kernel against code that shares none
+of it.  Each node costs a handful of ``Fraction`` powers; kept only as an
+oracle.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from fatcantor import Box, CantorSchedule, GapCertificate, Membership, NeedsDeeperStage
+from fatcantor import PreconditionError, middle_half
+from fatcantor.cantor import check_stage
+from fatcantor.rationals import as_fraction
+
+
+def descend_overlapping(
+    s: CantorSchedule, n: int, qlo: Fraction, qhi: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Stage-n surviving intervals whose closure meets [qlo, qhi]."""
+    found: list[tuple[Fraction, Fraction]] = []
+    stack: list[tuple[Fraction, Fraction, int]] = [(Fraction(0), Fraction(1), 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        if hi < qlo or lo > qhi:
+            continue
+        if depth == n:
+            found.append((lo, hi))
+            continue
+        child = s.stage_interval_length(depth + 1)
+        # Right child pushed first so the left-to-right order survives the stack.
+        stack.append((hi - child, hi, depth + 1))
+        stack.append((lo, lo + child, depth + 1))
+    found.sort()
+    return found
+
+
+def first_free_subinterval(
+    s: CantorSchedule, n: int, t: Fraction, jlo: Fraction, jhi: Fraction
+) -> tuple[Fraction, Fraction] | None:
+    """Leftmost positive-length open piece of (jlo, jhi) missing A_n + t."""
+    if jlo >= jhi:
+        raise PreconditionError(f"empty query interval ({jlo}, {jhi})")
+    shifted = [(lo + t, hi + t) for lo, hi in descend_overlapping(s, n, jlo - t, jhi - t)]
+    cursor = jlo
+    for lo, hi in shifted:
+        if lo > cursor:
+            return cursor, min(lo, jhi)
+        if hi > cursor:
+            cursor = hi
+        if cursor >= jhi:
+            return None
+    if cursor < jhi:
+        return cursor, jhi
+    return None
+
+
+def find_gap(
+    s: CantorSchedule, t: Sequence[object], j: Box, stage_cap: int
+) -> GapCertificate | NeedsDeeperStage:
+    """Open sub-box of ``j`` missing the translated stage approximation."""
+    shift = [as_fraction(v) for v in t]
+    for m in range(stage_cap + 1):
+        for axis in range(s.d):
+            free = first_free_subinterval(s, m, shift[axis], j.lo[axis], j.hi[axis])  # type: ignore[arg-type]
+            if free is None:
+                continue
+            wlo, whi = middle_half(*free)
+            lo = list(j.lo)
+            hi = list(j.hi)
+            lo[axis] = wlo
+            hi[axis] = whi
+            return GapCertificate(stage=m, box=Box(tuple(lo), tuple(hi)))
+    return NeedsDeeperStage(deepest_stage=stage_cap)
+
+
+def trace_coordinate(s: CantorSchedule, x: Fraction, cap: int) -> tuple[str, int]:
+    if x < 0 or x > 1:
+        return "out", 0
+    lo, hi = Fraction(0), Fraction(1)
+    if x == lo or x == hi:
+        return "in", 0
+    for k in range(1, cap + 1):
+        child = s.stage_interval_length(k)
+        left_hi = lo + child
+        right_lo = hi - child
+        if x <= left_hi:
+            hi = left_hi
+        elif x >= right_lo:
+            lo = right_lo
+        else:
+            return "out", k
+        if x == lo or x == hi:
+            return "in", k
+    return "unknown", cap
+
+
+def membership(s: CantorSchedule, x: Sequence[object], stage_cap: int) -> Membership:
+    """Decide x in C^d by descent, up to ``stage_cap`` stages per coordinate."""
+    coords = [as_fraction(v) for v in x]
+    out_stage: int | None = None
+    in_stage = 0
+    unknown = False
+    for v in coords:
+        status, stage = trace_coordinate(s, v, stage_cap)
+        if status == "out":
+            out_stage = stage if out_stage is None else min(out_stage, stage)
+        elif status == "in":
+            in_stage = max(in_stage, stage)
+        else:
+            unknown = True
+    if out_stage is not None:
+        return Membership("out", out_stage)
+    if unknown:
+        return Membership("unknown", stage_cap)
+    return Membership("in", in_stage)
+
+
+def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:
+    """Smallest stage whose boxes have diameter strictly below ``delta``."""
+    delta = as_fraction(delta)
+    if delta <= 0:
+        raise PreconditionError(f"delta must be positive, got {delta}")
+    n = 0
+    while True:
+        side = s.stage_interval_length(n)
+        if side * side * s.d < delta * delta:
+            return n
+        n += 1
+        check_stage(n)

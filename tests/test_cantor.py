@@ -8,6 +8,7 @@ Everything else in this file is checked against that replay.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,9 +25,13 @@ from fatcantor import (
     gap_certificate_valid,
     membership,
     middle_half,
+    min_stage_for_delta,
 )
+from fatcantor.cantor import _trace_coordinate
+from fatcantor.rationals import pow2
 
-from strategies import fractions, schedules, unit_fractions
+import descent_oracle
+from strategies import boxes, fractions, schedules, unit_fractions
 
 
 def brute_stage_intervals(c: Fraction, rho: Fraction, n: int) -> list[tuple[Fraction, Fraction]]:
@@ -331,3 +336,121 @@ class TestFindGap:
         got = find_gap(s, [Fraction(0), Fraction(0)], j, 8)
         if isinstance(got, GapCertificate):
             assert gap_certificate_valid(s, [Fraction(0), Fraction(0)], got, within=j)
+
+
+# ---------------------------------------------------------------------------
+# the windowed walk against the depth-first and path-walk oracle
+# ---------------------------------------------------------------------------
+
+WALK_SCHEDULES = [
+    (Fraction(1), Fraction(1, 4)),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1), Fraction(1, 5)),
+    (Fraction(1), pow2(-20)),
+]
+
+
+@st.composite
+def walk_schedules(draw, dim=1):
+    c, rho = draw(st.sampled_from(WALK_SCHEDULES))
+    return CantorSchedule(dim, c=c, rho=rho)
+
+
+@st.composite
+def walk_points(draw, s):
+    """Stage endpoints, gap points, points outside [0, 1] and other rationals."""
+    k = draw(st.integers(min_value=0, max_value=5))
+    stage = descent_oracle.descend_overlapping(s, k, Fraction(0), Fraction(1))
+    i = draw(st.integers(min_value=0, max_value=len(stage) - 1))
+    lo, hi = stage[i]
+    gaps = [(a_hi + b_lo) / 2 for (_, a_hi), (b_lo, _) in zip(stage, stage[1:])]
+    return draw(
+        st.one_of(
+            st.sampled_from([lo, hi]),
+            st.sampled_from(gaps) if gaps else st.just(lo),
+            st.sampled_from([Fraction(-1, 3), Fraction(-1), Fraction(4, 3), Fraction(2)]),
+            fractions(min_value=Fraction(-2), max_value=Fraction(2)),
+            unit_fractions(),
+        )
+    )
+
+
+class TestWalkAgainstOracle:
+    @pytest.mark.parametrize("c, rho", WALK_SCHEDULES)
+    def test_child_lengths_equal_the_closed_form(self, c, rho):
+        s = CantorSchedule(1, c=c, rho=rho)
+        lengths = s._child_lengths()
+        for k in range(1, 301):
+            got = next(lengths)
+            want = s.stage_interval_length(k)
+            assert got == want and repr(got) == repr(want)
+
+    @given(data=st.data(), s=walk_schedules(), n=st.integers(min_value=0, max_value=10))
+    def test_descend_overlapping_equals_the_stack_walk(self, data, s, n):
+        a = data.draw(walk_points(s))
+        b = data.draw(st.one_of(st.just(a), walk_points(s)))
+        qlo, qhi = min(a, b), max(a, b)
+        got = s._descend_overlapping(n, qlo, qhi)
+        want = descent_oracle.descend_overlapping(s, n, qlo, qhi)
+        assert got == want and repr(got) == repr(want)
+
+    @given(data=st.data(), s=walk_schedules(), n=st.integers(min_value=0, max_value=10))
+    def test_first_free_subinterval_equals_the_oracle(self, data, s, n):
+        t = data.draw(fractions(min_value=Fraction(-1), max_value=Fraction(1)))
+        a, b = data.draw(walk_points(s)), data.draw(walk_points(s))
+        if a == b:
+            b = a + Fraction(1, 8)
+        jlo, jhi = min(a, b), max(a, b)
+        got = s.first_free_subinterval(n, t, jlo, jhi)
+        assert repr(got) == repr(descent_oracle.first_free_subinterval(s, n, t, jlo, jhi))
+
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=3),
+        cap=st.integers(min_value=0, max_value=14),
+    )
+    def test_find_gap_equals_the_oracle(self, data, d, cap):
+        s = data.draw(walk_schedules(dim=d))
+        t = tuple(data.draw(fractions(min_value=Fraction(-1), max_value=Fraction(1))) for _ in range(d))
+        j = data.draw(boxes(dim=d))
+        got = find_gap(s, t, j, cap)
+        assert repr(got) == repr(descent_oracle.find_gap(s, t, j, cap))
+
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=3),
+        cap=st.integers(min_value=0, max_value=12),
+    )
+    def test_membership_equals_the_path_walk(self, data, d, cap):
+        s = data.draw(walk_schedules(dim=d))
+        x = tuple(data.draw(walk_points(s)) for _ in range(d))
+        for stage_cap in (0, cap):
+            for v in x:
+                got = _trace_coordinate(s, v, stage_cap)
+                assert got == descent_oracle.trace_coordinate(s, v, stage_cap)
+            got = membership(s, x, stage_cap)
+            assert got == descent_oracle.membership(s, x, stage_cap) and got.stage <= stage_cap
+
+    @given(
+        s=walk_schedules(dim=3),
+        d=st.integers(min_value=1, max_value=3),
+        delta=st.one_of(
+            st.integers(min_value=0, max_value=80).map(pow2),
+            st.integers(min_value=-80, max_value=2).map(pow2).map(lambda q: q * Fraction(2, 3)),
+        ),
+    )
+    def test_min_stage_for_delta_equals_the_closed_form_scan(self, s, d, delta):
+        s = CantorSchedule(d, c=s.c, rho=s.rho)
+        assert min_stage_for_delta(s, delta) == descent_oracle.min_stage_for_delta(s, delta)
+
+    def test_the_walk_stops_at_the_first_empty_level(self):
+        # A window outside [0, 1], or a point in a stage-1 gap, leaves an
+        # empty level after at most two levels, however deep the request.
+        s = CantorSchedule(1)
+        half = Fraction(1, 2)
+        assert list(itertools.islice(s._windows(Fraction(2), Fraction(3)), 5)) == [[]]
+        assert list(itertools.islice(s._windows(half, half), 5)) == [[(0, 1)], []]
+        assert s._descend_overlapping(10**6, Fraction(2), Fraction(3)) == []
+        assert s._descend_overlapping(10**6, Fraction(1, 2), Fraction(1, 2)) == []
+        assert s.first_free_subinterval(10**6, Fraction(0), Fraction(2), Fraction(3)) == (2, 3)
+

@@ -17,7 +17,7 @@ import pytest
 
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool
 from fatcantor.cantor import MAX_STAGE
-from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS
+from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
 from fatcantor.ring import MAX_RN_LAYER
 from fatcantor.serialize import box_to_json, expr_to_json
 
@@ -183,6 +183,17 @@ class TestEnvelope:
         assert sol["status"] == "straddle"
         mid = (Fraction(sol["bracket"]["lower"]) + Fraction(sol["bracket"]["upper"])) / 2
         assert abs(mid - Fraction(1, 3)) <= tol
+
+    @pytest.mark.parametrize("bits", [MAX_TOL_BITS + 1, 14000])
+    def test_range_solve_refuses_tolerances_below_the_bit_cap(self, bits):
+        # rho = 2^-20 reaches these within the stage cap; the refusal comes
+        # before any stage or bisection work
+        tol = f"1/{2**bits}"
+        code, doc = run_json("range-solve", "--rho", "1/1048576", "--target", "1/3", "--tol", tol)
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"] == f"tolerance must be at least 2^-{MAX_TOL_BITS}"
 
     @pytest.mark.parametrize(
         "argv",

@@ -25,7 +25,6 @@ from fatcantor import (
     clip_to_box,
     corollary_pipeline,
     diam_squared,
-    diam_volume_check,
     dyadic_root_floor,
     layout_covers,
     measure_bounds,
@@ -38,6 +37,7 @@ from fatcantor import (
     solve_level,
 )
 from fatcantor.cantor import MAX_STAGE
+from fatcantor.hausdorff import MAX_TOL_BITS
 
 import level_oracle
 from strategies import fractions, positive_fractions, unit_fractions
@@ -101,16 +101,6 @@ class TestDiameters:
             1, [Box.interval(Fraction(0), Fraction(1, 4)), Box.interval(Fraction(3, 4), Fraction(1))]
         )
         assert diam_squared(u) == 1
-
-    @given(
-        w=positive_fractions(max_value=Fraction(2)),
-        h=positive_fractions(max_value=Fraction(2)),
-    )
-    def test_volume_is_dominated_by_the_diameter_power(self, w, h):
-        b = Box((Fraction(0), Fraction(0)), (w, h))
-        rep = diam_volume_check(b)
-        assert rep.ok
-        assert rep.volume ** 2 <= rep.diam_squared ** rep.dim
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +390,17 @@ class TestSolveLevel:
             solve_level(S1, Fraction(1, 3), max_iter=3)
         lo, hi = exc.value.partial
         assert lo < hi
+
+    def test_tolerance_bits_are_capped(self):
+        # rho = 2^-20 admits tolerances far below 2^-1024 within the stage
+        # cap, so bisection is bounded by refusing tol < 2^-MAX_TOL_BITS
+        s = CantorSchedule(1, rho=pow2(-20))
+        tol = pow2(-MAX_TOL_BITS)
+        sol = solve_level(s, Fraction(1, 3), tol=tol)
+        assert abs(sol.bracket.midpoint() - Fraction(1, 3)) <= tol
+        assert sol.iterations <= MAX_TOL_BITS + 1
+        with pytest.raises(PreconditionError, match=f"^tolerance must be at least 2\\^-{MAX_TOL_BITS}$"):
+            solve_level(s, Fraction(1, 3), tol=tol / 2)
 
 
 # ---------------------------------------------------------------------------
