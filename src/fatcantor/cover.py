@@ -11,7 +11,9 @@ keep the positive side) only enlarges a set, so
 
 The witness search shrinks an open box through the elements one generator
 leaf at a time, so each step only needs the 1-D gap structure of a single
-translate; nothing d-dimensional is ever materialized.
+translate; nothing d-dimensional is ever materialized.  That step,
+``_shrink_past``, is folded over the elements of one search and over the
+subset masks of the infinite-cube table, one element per row.
 """
 
 from __future__ import annotations
@@ -211,6 +213,30 @@ class UncoveredWitness:
     certificates: tuple[LeafCertificate, ...]
 
 
+def _shrink_past(
+    s: CantorSchedule, start: UncoveredWitness, ei: int, element: "RingExpr", stage_cap: int
+) -> UncoveredWitness | NeedsDeeperStage:
+    """Extend ``start`` past the hull leaves of element ``ei``, one :func:`find_gap` each."""
+    box, deepest = start.box, start.stage
+    certificates = list(start.certificates)
+    for li, leaf in enumerate(hull_leaves(element)):
+        outcome = find_gap(s, leaf.translation, box, stage_cap)
+        if isinstance(outcome, NeedsDeeperStage):
+            return NeedsDeeperStage(outcome.deepest_stage, element_index=ei, leaf_index=li)
+        certificates.append(LeafCertificate(ei, li, leaf.translation, outcome))
+        box, deepest = outcome.box, max(deepest, outcome.stage)
+    return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
+
+
+def _reported(outcome: UncoveredWitness | NeedsDeeperStage) -> UncoveredWitness | NeedsDeeperStage:
+    """A fold state as reported: with no leaf dodged, the middle half of its box."""
+    if isinstance(outcome, NeedsDeeperStage) or outcome.certificates:
+        return outcome
+    sides = zip(outcome.box.lo, outcome.box.hi)
+    lo, hi = zip(*(middle_half(*side) for side in sides))  # type: ignore[arg-type]
+    return UncoveredWitness(Box(lo, hi), outcome.stage, ())
+
+
 def find_uncovered_box(
     target: Box,
     elements: Sequence["RingExpr"],
@@ -219,11 +245,10 @@ def find_uncovered_box(
 ) -> UncoveredWitness | NeedsDeeperStage:
     """Sequentially shrink an open box inside ``target`` past every element.
 
-    Processing order is deterministic: elements in the given order, then
-    the generator leaves of each element's positive hull left to right.
-    Each step calls :func:`find_gap` for one translate inside the current
-    box; the final box is disjoint from every element.  With no elements
-    the witness is the shrunk interior of the target.
+    Folds :func:`_shrink_past` over the elements in the given order, starting
+    from the target itself; within an element the generator leaves of its
+    positive hull go left to right.  The final box is disjoint from every
+    element.  With no elements the witness is the middle half of the target.
     """
     if target.dim != s.d:
         raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
@@ -232,32 +257,12 @@ def find_uncovered_box(
     if not target.has_positive_sides():
         raise PreconditionError("witness target needs positive sides")
 
-    box = Box(target.lo, target.hi)
-    certificates: list[LeafCertificate] = []
-    deepest = 0
-    processed = False
+    outcome: UncoveredWitness | NeedsDeeperStage = UncoveredWitness(target, 0, ())
     for ei, element in enumerate(elements):
-        for li, leaf in enumerate(hull_leaves(element)):
-            outcome = find_gap(s, leaf.translation, box, stage_cap)
-            if isinstance(outcome, NeedsDeeperStage):
-                return NeedsDeeperStage(
-                    deepest_stage=outcome.deepest_stage, element_index=ei, leaf_index=li
-                )
-            certificates.append(
-                LeafCertificate(
-                    element_index=ei,
-                    leaf_index=li,
-                    translation=leaf.translation,
-                    certificate=outcome,
-                )
-            )
-            box = outcome.box
-            deepest = max(deepest, outcome.stage)
-            processed = True
-    if not processed:
-        pairs = [middle_half(lo, hi) for lo, hi in zip(box.lo, box.hi)]  # type: ignore[arg-type]
-        box = Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-    return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
+        outcome = _shrink_past(s, outcome, ei, element, stage_cap)
+        if isinstance(outcome, NeedsDeeperStage):
+            break
+    return _reported(outcome)
 
 
 def uncovered_witness_valid(
@@ -373,35 +378,37 @@ def infinite_cube_report(
     *,
     pool: Sequence["RingExpr"] | None = None,
 ) -> InfiniteCubeReport:
-    """Run the witness search for every nonempty subfamily of a grid pool."""
+    """Witness every nonempty subfamily of a grid pool, one element per row.
+
+    The outcome for mask ``m`` is the outcome for ``m`` without its highest
+    bit, shrunk past that element (an inconclusive one stays so); mask 0 is
+    the unshrunk unit cube.  Every row is validated on its own.
+    """
     check_pool_size(pool_size if pool is None else len(pool))
     if pool is None:
         pool = grid_translate_pool(s, pool_size)
     target = Box.unit_cube(s.d)
+    outcomes: list[UncoveredWitness | NeedsDeeperStage] = [UncoveredWitness(target, 0, ())]
+    for mask in range(1, 1 << len(pool)):
+        top = mask.bit_length() - 1
+        outcome = outcomes[mask ^ (1 << top)]
+        if isinstance(outcome, UncoveredWitness):
+            outcome = _shrink_past(s, outcome, mask.bit_count() - 1, pool[top], stage_cap)
+        outcomes.append(outcome)
     rows: list[SubsetWitnessRow] = []
-    masks = range(1, 1 << len(pool)) if pool else [0]
-    for mask in masks:
+    for mask in range(1, len(outcomes)) if pool else [0]:
         subset = tuple(i for i in range(len(pool)) if mask >> i & 1)
-        chosen = [pool[i] for i in subset]
-        outcome = find_uncovered_box(target, chosen, s, stage_cap)
-        if isinstance(outcome, NeedsDeeperStage):
-            rows.append(
-                SubsetWitnessRow(
-                    subset=subset,
-                    witness=None,
-                    inconclusive_stage=outcome.deepest_stage,
-                    verified=False,
-                )
+        outcome = _reported(outcomes[mask])
+        witnessed = isinstance(outcome, UncoveredWitness)
+        rows.append(
+            SubsetWitnessRow(
+                subset=subset,
+                witness=outcome if witnessed else None,
+                inconclusive_stage=None if witnessed else outcome.deepest_stage,
+                verified=witnessed
+                and uncovered_witness_valid(s, target, [pool[i] for i in subset], outcome),
             )
-        else:
-            rows.append(
-                SubsetWitnessRow(
-                    subset=subset,
-                    witness=outcome,
-                    inconclusive_stage=None,
-                    verified=uncovered_witness_valid(s, target, chosen, outcome),
-                )
-            )
+        )
     return InfiniteCubeReport(
         pool=tuple(pool),
         stage_cap=stage_cap,

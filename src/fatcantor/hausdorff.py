@@ -20,7 +20,6 @@ N, not O(N^2) ``Fraction`` operations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -29,7 +28,7 @@ from typing import Iterator
 from .cantor import CantorSchedule, _numerator_over, check_stage
 from .errors import BudgetError, PreconditionError, UnboundedBoxError
 from .geometry import Box, BoxUnion
-from .packing import CubeFamily, PackingLayout, layout_covers, pack_cover
+from .packing import CubeFamily, PackingLayout, check_family_size, layout_covers, pack_cover
 from .quadratic import ExtendedRational
 from .rationals import as_fraction
 from .ring import MeasureBounds
@@ -144,26 +143,21 @@ def nu_delta_upper(
 def diam_squared(u: Box | BoxUnion) -> Fraction:
     """Squared diameter (of the closure), exact.
 
-    The sup of pairwise distances over a finite union of boxes is attained
-    at a pair of corners, so the square is a plain rational even though the
-    diameter itself usually is not.
+    The farthest points of two boxes a, b differ on each axis by
+    ``max(hi_b - lo_a, hi_a - lo_b)``, so the square is a plain rational even
+    though the diameter itself usually is not.  A box paired with itself
+    gives the sum of its squared sides; a union takes the largest pair.
     """
     boxes = [u] if isinstance(u, Box) else list(u.boxes)
     if not boxes or all(b.is_empty for b in boxes):
         raise PreconditionError("diameter of the empty set is undefined here")
-    corners: list[tuple[Fraction, ...]] = []
-    for b in boxes:
-        if not b.is_bounded:
-            raise UnboundedBoxError("diameter requires bounded boxes")
-        for picks in itertools.product(*zip(b.lo, b.hi)):
-            corners.append(picks)
-    best = Fraction(0)
-    for i in range(len(corners)):
-        for j in range(i + 1, len(corners)):
-            dist = sum((p - q) ** 2 for p, q in zip(corners[i], corners[j]))
-            if dist > best:
-                best = dist
-    return best
+    if not all(b.is_bounded for b in boxes):
+        raise UnboundedBoxError("diameter requires bounded boxes")
+    return max(
+        sum(max(bh - al, ah - bl) ** 2 for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi))
+        for i, a in enumerate(boxes)
+        for b in boxes[i:]
+    )
 
 
 def _int_root_floor(x: int, k: int) -> int:
@@ -310,17 +304,13 @@ def corollary_pipeline(
     alpha, alpha_exact = side_scale_for(s.d, a, bits=bits)
 
     ratio = (cover.side / alpha) ** s.d
-    total = Fraction(0)
-    kept = 0
-    while total < 1:
-        if kept >= cover.count:
-            raise AssertionError(
-                "stage cover exhausted before reaching the packing hypothesis;"
-                " the measure bound makes this impossible"
-            )
-        total += ratio
-        kept += 1
-    family = CubeFamily(s.d, (cover.side,) * kept)
+    kept = -(-ratio.denominator // ratio.numerator)  # least k with k * ratio >= 1
+    if kept > cover.count:
+        raise AssertionError(
+            "stage cover exhausted before reaching the packing hypothesis;"
+            " the measure bound makes this impossible"
+        )
+    family = CubeFamily(s.d, (cover.side,) * check_family_size(kept))
     layout = pack_cover(family, target_side=Fraction(1, 2), alpha=alpha)
     verified = layout_covers(family, layout) if verify else False
 

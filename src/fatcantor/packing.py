@@ -20,9 +20,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .geometry import Box, BoxUnion
 from .rationals import as_fraction, floor_log2, pow2
+
+
+# Largest family ``pack_cover`` accepts; 8192 equal cubes pack in 2 s on a 2-core x86 VM.
+MAX_FAMILY_CUBES = 1 << 13
+
+
+def check_family_size(size: int) -> int:
+    """Refuse a family above ``MAX_FAMILY_CUBES`` cubes before any work; return its size."""
+    if size > MAX_FAMILY_CUBES:
+        raise BudgetError(
+            f"a family of at least 2^{size.bit_length() - 1} cubes is above the cap of"
+            f" {MAX_FAMILY_CUBES} cubes"
+        )
+    return size
 
 
 @dataclass(frozen=True)
@@ -77,36 +91,31 @@ def merge_dyadic(dim: int, exponents: Sequence[int]) -> tuple[list[tuple[int, in
 
     Cubes are identified by index: inputs are 0..n-1, merged cubes extend
     the numbering.  Policy is deterministic: always merge the 2**d
-    lowest-index cubes at the smallest eligible level.  Returns the final
-    alive family as (index, exponent) pairs in index order plus the merge
-    steps in order.
+    lowest-index cubes at the smallest eligible level; a merge only feeds
+    the next level up and new indices are the largest, so one upward sweep
+    over per-level queues makes those steps.  Returns the final alive
+    family as (index, exponent) pairs in index order plus the merge steps.
     """
-    alive: dict[int, int] = {i: k for i, k in enumerate(exponents)}
-    next_id = len(alive)
-    steps: list[MergeStep] = []
     group = 1 << dim
-    while True:
-        by_level: dict[int, list[int]] = {}
-        for idx, k in alive.items():
-            by_level.setdefault(k, []).append(idx)
-        eligible = sorted(k for k, ids in by_level.items() if len(ids) >= group)
-        if not eligible:
-            break
-        level = eligible[0]
-        ids = sorted(by_level[level])[:group]
-        for idx in ids:
-            del alive[idx]
-        alive[next_id] = level + 1
-        steps.append(
-            MergeStep(
-                level=level,
-                constituents=tuple(ids),
-                result=next_id,
-                offsets=_corner_offsets(dim, level),
-            )
-        )
-        next_id += 1
-    final = sorted(alive.items())
+    queues: dict[int, list[int]] = {}
+    for idx, k in enumerate(exponents):
+        queues.setdefault(k, []).append(idx)
+    pending = sorted(queues, reverse=True)  # levels still to sweep, lowest last
+    steps: list[MergeStep] = []
+    next_id = len(exponents)
+    while pending:
+        level = pending.pop()
+        ids = queues[level]
+        merged = len(ids) - len(ids) % group
+        if merged and level + 1 not in queues:
+            pending.append(level + 1)
+        for start in range(0, merged, group):
+            constituents = tuple(ids[start : start + group])
+            steps.append(MergeStep(level, constituents, next_id, _corner_offsets(dim, level)))
+            queues.setdefault(level + 1, []).append(next_id)
+            next_id += 1
+        del ids[:merged]
+    final = sorted((idx, k) for k, ids in queues.items() for idx in ids)
     return final, steps
 
 
@@ -153,6 +162,7 @@ def pack_cover(
     places the original cubes so that their union covers the target.  The
     smallest adequate cube is selected, ties broken by lowest index.
     """
+    check_family_size(len(family.sides))
     target_side = as_fraction(target_side)
     alpha = as_fraction(alpha)
     if alpha <= 0:

@@ -182,9 +182,6 @@ class MeasureBounds:
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2
 
-    def intersects(self, other: "MeasureBounds") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
-
 
 def measure_bounds(e: "RingExpr", s: CantorSchedule, n: int) -> MeasureBounds:
     """Bracket the true measure of ``e`` using the stage-n evaluation."""

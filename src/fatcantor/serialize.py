@@ -78,11 +78,6 @@ def quad_to_json(value: ExtendedRational) -> dict:
     return {"a": frac_to_json(value.a), "b": frac_to_json(value.b), "sqrt": value.n}
 
 
-def quad_from_json(doc: Any) -> ExtendedRational:
-    m = _expect(doc, ("a", "b", "sqrt"), "quadratic value")
-    return ExtendedRational(frac_from_json(m["a"]), frac_from_json(m["b"]), int(m["sqrt"]))
-
-
 # -- geometry ---------------------------------------------------------------
 
 

@@ -133,7 +133,7 @@ def test_criterion_02_certified_bounds_on_random_expressions():
         for n, b in zip(stages, brackets):
             assert b.width <= 2 * L * pow2(-(n + 1)), (e, n)
         for b1, b2 in itertools.combinations(brackets, 2):
-            assert b1.intersects(b2)
+            assert b1.lower <= b2.upper and b2.lower <= b1.upper
         if positive:
             for b1, b2 in zip(brackets, brackets[1:]):
                 assert b2.upper <= b1.upper

@@ -241,6 +241,14 @@ class TestEnvelope:
         assert doc["result"]["error"]["message"] == error["message"]
         assert len(doc["inputs"]["pool"]) == 13
 
+    @pytest.mark.parametrize("d, bits", [("16", 29), ("500", 746)])
+    def test_corollary_families_above_the_cap_exit_three(self, d, bits):
+        code, doc = run_json("corollary-demo", "--d", d, "--delta", "1/4")
+        assert code == 3
+        error = doc["result"]["error"]
+        assert error["kind"] == "budget"
+        assert error["message"] == f"a family of at least 2^{bits} cubes is above the cap of 8192 cubes"
+
     def test_max_tiles_above_the_cap_exits_two(self):
         code, doc = run_json("tile-check", "--q", "2", "--max-tiles", "65536")
         assert code == 0

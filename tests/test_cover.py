@@ -41,7 +41,11 @@ from fatcantor import (
     verify_cover,
 )
 
-from strategies import fractions, ring_exprs
+from fatcantor import cover
+from fatcantor.serialize import to_json
+
+import witness_oracle
+from strategies import boxes, fractions, ring_exprs
 from test_cantor import brute_stage_intervals
 
 S1 = CantorSchedule(1)
@@ -264,3 +268,92 @@ class TestInfiniteCubeReport:
             infinite_cube_report(S1, 13, 8)
         with pytest.raises(BudgetError):
             infinite_cube_report(S1, 0, 8, pool=grid_translate_pool(S1, 13))
+
+
+# ---------------------------------------------------------------------------
+# the witness fold against the per-subset search it replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def pools(draw, dim):
+    """A grid, quartered or multi-leaf pool of 0-9 elements."""
+    s = CantorSchedule(dim)
+    kind = draw(st.sampled_from(["grid", "quartered", "leaves"]))
+    size = draw(st.integers(min_value=0, max_value=9))
+    if kind == "grid":
+        return grid_translate_pool(s, size)
+    if kind == "quartered":
+        return quartered_translate_pool(s, size)
+    return draw(st.lists(ring_exprs(dim=dim, max_leaves=3), min_size=size, max_size=size))
+
+
+class TestFoldAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=2), cap=st.integers(min_value=0, max_value=12))
+    def test_table_equals_the_per_subset_search(self, data, d, cap):
+        s = CantorSchedule(d)
+        pool = data.draw(pools(d))
+        got = infinite_cube_report(s, 0, cap, pool=pool)
+        want = witness_oracle.infinite_cube_report(s, 0, cap, pool=pool)
+        assert got == want
+        assert to_json(got) == to_json(want)
+
+    @pytest.mark.parametrize(
+        "d, size, cap, inconclusive",
+        [(1, 9, 8, 32), (1, 10, 8, 48), (1, 9, 12, 0), (2, 9, 0, 256), (2, 9, 1, 0)],
+    )
+    def test_grid_tables_with_inconclusive_rows_equal_the_oracle(self, d, size, cap, inconclusive):
+        s = CantorSchedule(d)
+        got = infinite_cube_report(s, size, cap)
+        want = witness_oracle.infinite_cube_report(s, size, cap)
+        assert sum(row.witness is None for row in got.rows) == inconclusive
+        assert got == want
+        assert to_json(got) == to_json(want)
+
+    def test_the_empty_pool_row_is_the_middle_half_of_the_cube(self):
+        for d in (1, 2):
+            s = CantorSchedule(d)
+            got = infinite_cube_report(s, 0, 4)
+            assert got == witness_oracle.infinite_cube_report(s, 0, 4)
+            (row,) = got.rows
+            assert row.witness.box == Box((Fraction(1, 4),) * d, (Fraction(3, 4),) * d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=2),
+        cap=st.integers(min_value=0, max_value=12),
+    )
+    def test_search_equals_the_oracle(self, data, d, cap):
+        s = CantorSchedule(d)
+        target = data.draw(st.one_of(st.just(Box.unit_cube(d)), boxes(dim=d)))
+        elements = data.draw(st.lists(ring_exprs(dim=d, max_leaves=3), max_size=5))
+        got = find_uncovered_box(target, elements, s, cap)
+        want = witness_oracle.find_uncovered_box(target, elements, s, cap)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_search_reports_the_failing_element_and_leaf(self):
+        unit = Box.unit_cube(1)
+        pool = [Gen((Fraction(0),), unit), Union(Gen((Fraction(1, 8),), unit), Gen((Fraction(1, 4),), unit))]
+        got = find_uncovered_box(unit, pool, S1, 1)
+        assert got == witness_oracle.find_uncovered_box(unit, pool, S1, 1)
+        assert got == NeedsDeeperStage(deepest_stage=1, element_index=1, leaf_index=1)
+
+    def test_table_does_the_gap_searches_of_one_element_per_row(self, monkeypatch):
+        calls = []
+        find_gap = cover.find_gap
+
+        def counting(*args):
+            calls.append(args)
+            return find_gap(*args)
+
+        monkeypatch.setattr(cover, "find_gap", counting)
+        rep = infinite_cube_report(S1, 9, 24)
+        assert rep.all_witnessed
+        assert len(calls) == 2**9 - 1
+        calls.clear()
+        monkeypatch.setattr(witness_oracle, "find_gap", counting)
+        witness_oracle.infinite_cube_report(S1, 9, 24)
+        assert len(calls) == 9 * 2**8

@@ -7,6 +7,7 @@ nothing with the package's Newton iteration.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from fatcantor import (
     ExtendedRational,
     PowerGauge,
     PreconditionError,
+    UnboundedBoxError,
     base_expr,
     clip_to_box,
     corollary_pipeline,
@@ -40,9 +42,28 @@ from fatcantor.cantor import MAX_STAGE
 from fatcantor.hausdorff import MAX_TOL_BITS
 
 import level_oracle
-from strategies import fractions, positive_fractions, unit_fractions
+from strategies import boxes, fractions, positive_fractions, unit_fractions
 
 S1 = CantorSchedule(1)
+
+
+def corner_diam_squared(boxes: list[Box]) -> Fraction:
+    """Largest squared distance between two corners of the boxes (oracle)."""
+    corners = [c for b in boxes for c in itertools.product(*zip(b.lo, b.hi))]
+    return max(
+        (sum((p - q) ** 2 for p, q in zip(a, b)) for a, b in itertools.combinations(corners, 2)),
+        default=Fraction(0),
+    )
+
+
+def kept_by_summing(ratio: Fraction, count: int) -> int:
+    """Shortest prefix of ``count`` equal terms ``ratio`` whose sum reaches 1 (oracle)."""
+    total, kept = Fraction(0), 0
+    while total < 1:
+        assert kept < count
+        total += ratio
+        kept += 1
+    return kept
 
 
 def bisect_root_floor(q: Fraction, k: int, grain: Fraction) -> Fraction:
@@ -101,6 +122,19 @@ class TestDiameters:
             1, [Box.interval(Fraction(0), Fraction(1, 4)), Box.interval(Fraction(3, 4), Fraction(1))]
         )
         assert diam_squared(u) == 1
+
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=3))
+    def test_pairwise_sides_equal_the_corner_enumeration(self, data, d):
+        bs = data.draw(st.lists(boxes(dim=d), min_size=1, max_size=4))
+        u = BoxUnion.from_boxes(d, bs)
+        assert diam_squared(u) == corner_diam_squared(list(u.boxes))
+        assert diam_squared(bs[0]) == corner_diam_squared([bs[0]])
+
+    def test_empty_and_unbounded_sets_are_refused(self):
+        with pytest.raises(PreconditionError):
+            diam_squared(BoxUnion.empty(2))
+        with pytest.raises(UnboundedBoxError):
+            diam_squared(Box.whole_space(1))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +326,20 @@ class TestCorollaryPipeline:
         assert rep.a == Fraction(1, 4)
         assert rep.verified and rep.checks.all_ok()
         assert rep.covered_cube.hi[0] - rep.covered_cube.lo[0] == rep.alpha / 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("delta, share", [(Fraction(1, 4), 1), (Fraction(1, 2), Fraction(1, 7))])
+    def test_kept_is_the_shortest_prefix_reaching_one(self, d, delta, share):
+        s = CantorSchedule(d)
+        rep = corollary_pipeline(s, delta, a=share * s.limit_measure(), verify=False)
+        ratio = (rep.cover.side / rep.alpha) ** d
+        assert rep.kept == kept_by_summing(ratio, rep.cover.count)
+        assert len(rep.family.sides) == rep.kept
+
+    def test_families_above_the_cap_are_refused_before_packing(self):
+        for d in (16, 500):
+            with pytest.raises(BudgetError, match="cubes is above the cap of 8192 cubes"):
+                corollary_pipeline(CantorSchedule(d), Fraction(1, 4))
 
     @given(delta=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 16), Fraction(3, 32)]))
     def test_random_deltas_verify_in_dimension_one(self, delta):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from fatcantor import (
     Box,
     BoxUnion,
+    BudgetError,
     CubeFamily,
     PackingLayout,
     PreconditionError,
@@ -34,7 +35,13 @@ from fatcantor import (
     round_to_dyadic,
     volume,
 )
-from fatcantor.packing import _tiling_covers
+from fatcantor.packing import (
+    MAX_FAMILY_CUBES,
+    MergeStep,
+    _corner_offsets,
+    _tiling_covers,
+    check_family_size,
+)
 from fatcantor.serialize import to_json
 
 from strategies import positive_fractions
@@ -55,6 +62,29 @@ def oracle_final_levels(dim: int, exponents: list[int]) -> Counter:
             counts[level] = digit
         level += 1
     return counts
+
+
+def merge_dyadic_by_rescan(dim: int, exponents: list[int]):
+    """Merge by regrouping every alive cube before each step (oracle)."""
+    alive: dict[int, int] = {i: k for i, k in enumerate(exponents)}
+    next_id = len(alive)
+    steps: list[MergeStep] = []
+    group = 1 << dim
+    while True:
+        by_level: dict[int, list[int]] = {}
+        for idx, k in alive.items():
+            by_level.setdefault(k, []).append(idx)
+        eligible = sorted(k for k, ids in by_level.items() if len(ids) >= group)
+        if not eligible:
+            break
+        level = eligible[0]
+        ids = sorted(by_level[level])[:group]
+        for idx in ids:
+            del alive[idx]
+        alive[next_id] = level + 1
+        steps.append(MergeStep(level, tuple(ids), next_id, _corner_offsets(dim, level)))
+        next_id += 1
+    return sorted(alive.items()), steps
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +140,17 @@ class TestMergeDyadic:
         # and every individual step conserves it too
         for step in steps:
             assert len(step.constituents) == 2**dim
+
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        exponents=st.lists(st.integers(min_value=-8, max_value=2), max_size=300),
+    )
+    def test_sweep_equals_the_rescan(self, dim, exponents):
+        assert merge_dyadic(dim, exponents) == merge_dyadic_by_rescan(dim, exponents)
+
+    def test_sweep_equals_the_rescan_on_long_carries(self):
+        for dim, exponents in [(1, [-9] * 512), (1, [-3, -9, -9, -4] * 100), (2, [-5] * 300 + [-3] * 7)]:
+            assert merge_dyadic(dim, exponents) == merge_dyadic_by_rescan(dim, exponents)
 
     def test_two_quarters_then_a_half_build_a_unit_cube(self):
         final, steps = merge_dyadic(1, [-1, -2, -2])
@@ -212,6 +253,13 @@ class TestPackCover:
             CubeFamily(1, (Fraction(0),))
         with pytest.raises(PreconditionError):
             CubeFamily(0, (Fraction(1, 2),))
+
+    def test_family_cap(self):
+        assert check_family_size(MAX_FAMILY_CUBES) == MAX_FAMILY_CUBES
+        family = CubeFamily(1, (Fraction(1),) * (MAX_FAMILY_CUBES + 1))
+        message = r"^a family of at least 2\^13 cubes is above the cap of 8192 cubes$"
+        with pytest.raises(BudgetError, match=message):
+            pack_cover(family)
 
     def test_determinism(self):
         fam = CubeFamily(2, tuple(Fraction(k, 16) for k in (9, 10, 11, 12, 13)))

@@ -1,0 +1,116 @@
+"""Slow reference witness search and infinite-cube table.
+
+These are the routines the witness fold in ``cover`` replaced.
+``find_uncovered_box`` shrinks the target past every hull leaf of every
+element in one loop; ``infinite_cube_report`` runs that search from the
+unit cube again for every nonempty subset of the pool, so a pool of p
+one-leaf elements costs p * 2^(p-1) gap searches instead of 2^p - 1.
+Nothing here calls ``_shrink_past``, so the differential tests compare the
+fold against code that shares none of it; kept only as an oracle.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from fatcantor import (
+    Box,
+    CantorSchedule,
+    InfiniteCubeReport,
+    LeafCertificate,
+    NeedsDeeperStage,
+    SubsetWitnessRow,
+    UncoveredWitness,
+    find_gap,
+    grid_translate_pool,
+    middle_half,
+    uncovered_witness_valid,
+)
+from fatcantor.cover import check_pool_size, hull_leaves
+from fatcantor.errors import DimensionMismatchError, PreconditionError, UnboundedBoxError
+
+
+def find_uncovered_box(
+    target: Box,
+    elements: Sequence[object],
+    s: CantorSchedule,
+    stage_cap: int,
+) -> UncoveredWitness | NeedsDeeperStage:
+    """Sequentially shrink an open box inside ``target`` past every element."""
+    if target.dim != s.d:
+        raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
+    if not target.is_bounded:
+        raise UnboundedBoxError("witness target must be bounded")
+    if not target.has_positive_sides():
+        raise PreconditionError("witness target needs positive sides")
+
+    box = Box(target.lo, target.hi)
+    certificates: list[LeafCertificate] = []
+    deepest = 0
+    processed = False
+    for ei, element in enumerate(elements):
+        for li, leaf in enumerate(hull_leaves(element)):
+            outcome = find_gap(s, leaf.translation, box, stage_cap)
+            if isinstance(outcome, NeedsDeeperStage):
+                return NeedsDeeperStage(
+                    deepest_stage=outcome.deepest_stage, element_index=ei, leaf_index=li
+                )
+            certificates.append(
+                LeafCertificate(
+                    element_index=ei,
+                    leaf_index=li,
+                    translation=leaf.translation,
+                    certificate=outcome,
+                )
+            )
+            box = outcome.box
+            deepest = max(deepest, outcome.stage)
+            processed = True
+    if not processed:
+        pairs = [middle_half(lo, hi) for lo, hi in zip(box.lo, box.hi)]
+        box = Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+    return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
+
+
+def infinite_cube_report(
+    s: CantorSchedule,
+    pool_size: int,
+    stage_cap: int,
+    *,
+    pool: Sequence[object] | None = None,
+) -> InfiniteCubeReport:
+    """Run the witness search for every nonempty subfamily of a grid pool."""
+    check_pool_size(pool_size if pool is None else len(pool))
+    if pool is None:
+        pool = grid_translate_pool(s, pool_size)
+    target = Box.unit_cube(s.d)
+    rows: list[SubsetWitnessRow] = []
+    masks = range(1, 1 << len(pool)) if pool else [0]
+    for mask in masks:
+        subset = tuple(i for i in range(len(pool)) if mask >> i & 1)
+        chosen = [pool[i] for i in subset]
+        outcome = find_uncovered_box(target, chosen, s, stage_cap)
+        if isinstance(outcome, NeedsDeeperStage):
+            rows.append(
+                SubsetWitnessRow(
+                    subset=subset,
+                    witness=None,
+                    inconclusive_stage=outcome.deepest_stage,
+                    verified=False,
+                )
+            )
+        else:
+            rows.append(
+                SubsetWitnessRow(
+                    subset=subset,
+                    witness=outcome,
+                    inconclusive_stage=None,
+                    verified=uncovered_witness_valid(s, target, chosen, outcome),
+                )
+            )
+    return InfiniteCubeReport(
+        pool=tuple(pool),
+        stage_cap=stage_cap,
+        rows=tuple(rows),
+        all_witnessed=all(r.verified for r in rows),
+    )
