@@ -84,8 +84,10 @@ def _load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer too long to convert
         raise PreconditionError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PreconditionError(f"{path} is nested too deeply to read") from exc
 
 
 def _target_from_json(doc: Any) -> Any:
@@ -416,9 +418,7 @@ COMMANDS: "dict[str, Command]" = {
         run=lambda s, i: (
             {
                 "report": (
-                    report := infinite_cube_report(
-                        s, len(i["pool"]), i["stage_cap"], pool=i["pool"]
-                    )
+                    report := infinite_cube_report(s, i["pool"], i["stage_cap"])
                 )
             },
             0 if report.all_witnessed else 3,

@@ -372,21 +372,15 @@ def check_pool_size(size: int) -> int:
 
 
 def infinite_cube_report(
-    s: CantorSchedule,
-    pool_size: int,
-    stage_cap: int,
-    *,
-    pool: Sequence["RingExpr"] | None = None,
+    s: CantorSchedule, pool: Sequence["RingExpr"], stage_cap: int
 ) -> InfiniteCubeReport:
-    """Witness every nonempty subfamily of a grid pool, one element per row.
+    """Witness every nonempty subfamily of a pool, one element per row.
 
     The outcome for mask ``m`` is the outcome for ``m`` without its highest
     bit, shrunk past that element (an inconclusive one stays so); mask 0 is
     the unshrunk unit cube.  Every row is validated on its own.
     """
-    check_pool_size(pool_size if pool is None else len(pool))
-    if pool is None:
-        pool = grid_translate_pool(s, pool_size)
+    check_pool_size(len(pool))
     target = Box.unit_cube(s.d)
     outcomes: list[UncoveredWitness | NeedsDeeperStage] = [UncoveredWitness(target, 0, ())]
     for mask in range(1, 1 << len(pool)):

@@ -280,7 +280,6 @@ def corollary_pipeline(
     *,
     a: Fraction | None = None,
     bits: int = 24,
-    verify: bool = True,
 ) -> CorollaryReport:
     """From a measure lower bound to an explicitly covered cube.
 
@@ -289,8 +288,8 @@ def corollary_pipeline(
     and record the gauge sum for the exponent ``d``; (4) solve
     ``alpha**d = a / (2 d**(d/2))``; (5) keep the shortest prefix of the
     cover whose normalized volumes reach 1; (6) pack those cubes into a
-    covering of ``[0, alpha/2]**d``; (7) optionally re-verify the coverage
-    by exact box subtraction.
+    covering of ``[0, alpha/2]**d``; (7) re-verify the coverage by exact
+    box subtraction.
     """
     delta = as_fraction(delta)
     if a is None:
@@ -312,7 +311,7 @@ def corollary_pipeline(
         )
     family = CubeFamily(s.d, (cover.side,) * check_family_size(kept))
     layout = pack_cover(family, target_side=Fraction(1, 2), alpha=alpha)
-    verified = layout_covers(family, layout) if verify else False
+    verified = layout_covers(family, layout)
 
     # Exact inequality chain.  The packing inputs are axis cubes with the
     # same side as the cover boxes, so their diameters agree identically.
@@ -331,7 +330,7 @@ def corollary_pipeline(
         sum_exceeds_half_a=sum_ok,
         diam_preserved=diam_ok,
         alpha_consistent=alpha_ok,
-        covers_target=verified if verify else True,
+        covers_target=verified,
         gauge_dominates_covered_volume=gauge_ok,
     )
     return CorollaryReport(

@@ -31,6 +31,15 @@ from .quadratic import ExtendedRational
 from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction
 from .ring import Diff, Gen, Inter, RingExpr, Union
 
+# Deepest expression ``expr_from_json`` admits, counted in nodes on the
+# longest root-to-leaf path (a generator alone has depth 1).  Every pass over
+# a decoded tree recurses once or twice per level (simplify, approx_set,
+# positive_hull, to_json, the indented emit, and ``rn-enumerate`` output
+# seven layers deeper), so this keeps them all far below the interpreter's
+# recursion limit, even from a caller already deep in its stack.  Golden and
+# benchmark expressions have at most four leaves.
+MAX_EXPR_DEPTH = 64
+
 
 def _expect(doc: Any, keys: Sequence[str], what: str) -> Mapping[str, Any]:
     if not isinstance(doc, Mapping):
@@ -68,10 +77,22 @@ def int_to_json(value: int) -> int:
     return value
 
 
+def _scalar_text(value: Any) -> str:
+    # JSON floats are refused: ``str(1.5)`` is not the text the file holds.
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise PreconditionError(f"expected a rational string, got {value!r}")
+    return str(value)
+
+
 def frac_from_json(text: Any) -> Fraction:
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise PreconditionError(f"expected a rational string, got {text!r}")
-    return parse_fraction(str(text))
+    return parse_fraction(_scalar_text(text))
+
+
+def _list_of(doc: Mapping[str, Any], key: str, what: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise PreconditionError(f"{what}: {key!r} must be a list, got {type(value).__name__}")
+    return value
 
 
 def quad_to_json(value: ExtendedRational) -> dict:
@@ -93,8 +114,8 @@ def box_to_json(box: Box) -> dict:
 
 def box_from_json(doc: Any) -> Box:
     m = _expect(doc, ("lo", "hi"), "box")
-    lo = tuple(coord_from_json(str(v)) for v in m["lo"])
-    hi = tuple(coord_from_json(str(v)) for v in m["hi"])
+    lo = tuple(coord_from_json(_scalar_text(v)) for v in _list_of(m, "lo", "box"))
+    hi = tuple(coord_from_json(_scalar_text(v)) for v in _list_of(m, "hi", "box"))
     return Box(lo, hi)
 
 
@@ -112,6 +133,13 @@ def expr_to_json(e: "RingExpr") -> dict:
 
 
 def expr_from_json(doc: Any) -> "RingExpr":
+    """Decode an expression nested at most ``MAX_EXPR_DEPTH`` levels deep."""
+    return _expr_from_json(doc, 1)
+
+
+def _expr_from_json(doc: Any, depth: int) -> "RingExpr":
+    if depth > MAX_EXPR_DEPTH:
+        raise PreconditionError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if not isinstance(doc, Mapping) or len(doc) != 1:
         raise PreconditionError(
             "expression must be an object with exactly one of the keys"
@@ -121,13 +149,15 @@ def expr_from_json(doc: Any) -> "RingExpr":
     if op == "gen":
         g = _expect(body, ("x", "clip"), "generator expression")
         return Gen(
-            tuple(frac_from_json(v) for v in g["x"]),
+            tuple(frac_from_json(v) for v in _list_of(g, "x", "generator expression")),
             box_from_json(g["clip"]),
         )
     if op in _BINARY_OPS:
         if not isinstance(body, Sequence) or isinstance(body, (str, bytes)) or len(body) != 2:
             raise PreconditionError(f"{op!r} expression needs a [left, right] pair")
-        return _BINARY_OPS[op](expr_from_json(body[0]), expr_from_json(body[1]))
+        return _BINARY_OPS[op](
+            _expr_from_json(body[0], depth + 1), _expr_from_json(body[1], depth + 1)
+        )
     raise PreconditionError(f"unknown expression op {op!r}")
 
 

@@ -19,7 +19,7 @@ from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_trans
 from fatcantor.cantor import MAX_STAGE
 from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
 from fatcantor.ring import MAX_RN_LAYER
-from fatcantor.serialize import box_to_json, expr_to_json
+from fatcantor.serialize import MAX_EXPR_DEPTH, box_to_json, expr_to_json
 
 
 def run_cli(*args: str):
@@ -331,6 +331,125 @@ class TestEnvelope:
             " largest feasible stage is 0"
         )
         assert error["partial"] is None
+
+
+class TestMalformedInputFiles:
+    """Input files of any shape end in exit 2 with a message, never exit 1.
+
+    The runs are in-process, so they start as deep in the stack as any
+    library caller of ``cli.main``.
+    """
+
+    GEN = '{"gen": {"x": ["%d/128"], "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}'
+
+    def run_main(self, capsys, *argv):
+        code = cli.main(list(argv))
+        return code, json.loads(capsys.readouterr().out)
+
+    def union_chain(self, depth: int, *, twin: bool = False) -> str:
+        """``depth`` nodes on the longest path, every leaf distinct; ``twin``
+        joins two copies, so ``simplify`` compares two deep equal trees."""
+        text = self.GEN % 0
+        for k in range(1, depth - 1 if twin else depth):
+            text = '{"union": [%s, %s]}' % (text, self.GEN % k)
+        return '{"union": [%s, %s]}' % (text, text) if twin else text
+
+    def assert_refused(self, capsys, argv, messages):
+        code, doc = self.run_main(capsys, *argv)
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"] in messages
+
+    @pytest.mark.parametrize("depth", [500, 900])
+    def test_deeply_nested_expressions_exit_two(self, capsys, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_text(self.union_chain(depth))
+        # whether the JSON reader or the expression decoder stops first
+        # depends on the interpreter's C recursion limit
+        self.assert_refused(
+            capsys,
+            ["measure", "--expr-file", str(path)],
+            {f"{path} is nested too deeply to read",
+             f"expression nested deeper than {MAX_EXPR_DEPTH} levels"},
+        )
+
+    def test_deeply_nested_arrays_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "arrays.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        self.assert_refused(
+            capsys, ["measure", "--expr-file", str(path)], {f"{path} is nested too deeply to read"}
+        )
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"lo": [0], "hi": [%s]}' % (b"1" * 5000), b'{"lo": ["\xff"], "hi": ["1"]}'],
+        ids=["integer-too-long", "not-utf-8"],
+    )
+    def test_unconvertible_json_exits_two(self, capsys, tmp_path, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code, doc = self.run_main(capsys, "uncovered-box", "--target-file", str(path))
+        assert code == 2
+        assert doc["result"]["error"]["message"].startswith(f"{path} is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "command, flag, text, message",
+        [
+            ("uncovered-box", "--target-file", '{"lo": 5, "hi": [1]}',
+             "box: 'lo' must be a list, got int"),
+            ("measure", "--expr-file",
+             '{"gen": {"x": 5, "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}',
+             "generator expression: 'x' must be a list, got int"),
+            ("uncovered-box", "--target-file", '{"lo": [1.5], "hi": [2]}',
+             "expected a rational string, got 1.5"),
+            ("uncovered-box", "--target-file", '{"lo": [0], "hi": [1e400]}',
+             "expected a rational string, got inf"),
+        ],
+        ids=["lo-int", "x-int", "float-coordinate", "float-overflow"],
+    )
+    def test_malformed_shapes_exit_two(self, capsys, tmp_path, command, flag, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        self.assert_refused(capsys, [command, flag, str(path)], {message})
+
+    def test_target_files_of_cover_search_refuse_a_malformed_box(self, capsys, tmp_path, expr_file):
+        path = tmp_path / "target.json"
+        path.write_text('{"lo": 5, "hi": [1]}')
+        self.assert_refused(
+            capsys,
+            ["cover-search", "--target-file", str(path), "--expr-file", expr_file],
+            {"box: 'lo' must be a list, got int"},
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "--stage", "2", "--verify"),
+            ("split-check", "--threshold", "1/3", "--stage", "2", "--verify"),
+            ("rn-enumerate", "--n", "3", "--reference-stage", "1", "--verify"),
+            ("cover-search", "--target-file", "TARGET", "--verify"),
+            ("uncovered-box", "--stage-cap", "4", "--verify"),
+            ("infinite-cube", "--stage-cap", "4", "--verify"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("twin", [False, True], ids=["chain", "twin"])
+    def test_expressions_at_the_depth_cap_run_every_pass(self, capsys, tmp_path, argv, twin):
+        target = tmp_path / "target.json"
+        target.write_text('{"lo": ["0/1"], "hi": ["1/8"]}')
+        path = tmp_path / "cap.json"
+        path.write_text(self.union_chain(MAX_EXPR_DEPTH, twin=twin))
+        argv = [str(target) if a == "TARGET" else a for a in argv]
+        code, doc = self.run_main(capsys, *argv, "--expr-file", str(path))
+        assert code in (0, 3), doc["result"]
+        assert "error" not in doc["result"] or doc["result"]["error"]["kind"] == "budget"
+        path.write_text(self.union_chain(MAX_EXPR_DEPTH + 1, twin=twin))
+        self.assert_refused(
+            capsys,
+            [*argv, "--expr-file", str(path)],
+            {f"expression nested deeper than {MAX_EXPR_DEPTH} levels"},
+        )
 
 
 class TestBudgetPartials:

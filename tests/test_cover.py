@@ -238,7 +238,7 @@ class TestUncoveredBox:
 
 class TestInfiniteCubeReport:
     def test_small_pool_report_is_fully_witnessed(self):
-        rep = infinite_cube_report(S1, 2, 12)
+        rep = infinite_cube_report(S1, grid_translate_pool(S1, 2), 12)
         assert rep.all_witnessed
         assert rep.stage_cap == 12
         # every nonempty subfamily of the pool appears
@@ -249,14 +249,14 @@ class TestInfiniteCubeReport:
             assert row.inconclusive_stage is None
 
     def test_rows_replay_against_their_subfamilies(self):
-        rep = infinite_cube_report(S1, 4, 12)
+        rep = infinite_cube_report(S1, grid_translate_pool(S1, 4), 12)
         assert rep.all_witnessed
         for row in rep.rows:
             members = [rep.pool[i] for i in row.subset]
             assert uncovered_witness_valid(S1, Box.unit_cube(1), members, row.witness)
 
     def test_empty_pool_uses_the_empty_family(self):
-        rep = infinite_cube_report(S1, 0, 4)
+        rep = infinite_cube_report(S1, [], 4)
         assert rep.all_witnessed
         assert len(rep.rows) == 1
         assert rep.rows[0].subset == ()
@@ -265,9 +265,7 @@ class TestInfiniteCubeReport:
         from fatcantor import BudgetError
 
         with pytest.raises(BudgetError):
-            infinite_cube_report(S1, 13, 8)
-        with pytest.raises(BudgetError):
-            infinite_cube_report(S1, 0, 8, pool=grid_translate_pool(S1, 13))
+            infinite_cube_report(S1, grid_translate_pool(S1, 13), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,7 @@ class TestFoldAgainstOracle:
     def test_table_equals_the_per_subset_search(self, data, d, cap):
         s = CantorSchedule(d)
         pool = data.draw(pools(d))
-        got = infinite_cube_report(s, 0, cap, pool=pool)
+        got = infinite_cube_report(s, pool, cap)
         want = witness_oracle.infinite_cube_report(s, 0, cap, pool=pool)
         assert got == want
         assert to_json(got) == to_json(want)
@@ -305,7 +303,7 @@ class TestFoldAgainstOracle:
     )
     def test_grid_tables_with_inconclusive_rows_equal_the_oracle(self, d, size, cap, inconclusive):
         s = CantorSchedule(d)
-        got = infinite_cube_report(s, size, cap)
+        got = infinite_cube_report(s, grid_translate_pool(s, size), cap)
         want = witness_oracle.infinite_cube_report(s, size, cap)
         assert sum(row.witness is None for row in got.rows) == inconclusive
         assert got == want
@@ -314,7 +312,7 @@ class TestFoldAgainstOracle:
     def test_the_empty_pool_row_is_the_middle_half_of_the_cube(self):
         for d in (1, 2):
             s = CantorSchedule(d)
-            got = infinite_cube_report(s, 0, 4)
+            got = infinite_cube_report(s, [], 4)
             assert got == witness_oracle.infinite_cube_report(s, 0, 4)
             (row,) = got.rows
             assert row.witness.box == Box((Fraction(1, 4),) * d, (Fraction(3, 4),) * d)
@@ -350,7 +348,7 @@ class TestFoldAgainstOracle:
             return find_gap(*args)
 
         monkeypatch.setattr(cover, "find_gap", counting)
-        rep = infinite_cube_report(S1, 9, 24)
+        rep = infinite_cube_report(S1, grid_translate_pool(S1, 9), 24)
         assert rep.all_witnessed
         assert len(calls) == 2**9 - 1
         calls.clear()

@@ -331,7 +331,7 @@ class TestCorollaryPipeline:
     @pytest.mark.parametrize("delta, share", [(Fraction(1, 4), 1), (Fraction(1, 2), Fraction(1, 7))])
     def test_kept_is_the_shortest_prefix_reaching_one(self, d, delta, share):
         s = CantorSchedule(d)
-        rep = corollary_pipeline(s, delta, a=share * s.limit_measure(), verify=False)
+        rep = corollary_pipeline(s, delta, a=share * s.limit_measure())
         ratio = (rep.cover.side / rep.alpha) ** d
         assert rep.kept == kept_by_summing(ratio, rep.cover.count)
         assert len(rep.family.sides) == rep.kept

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fatcantor import (
     Box,
+    BudgetError,
     BoxUnion,
     CantorSchedule,
     Diff,
@@ -35,7 +36,10 @@ from fatcantor import (
     simplify,
     split_identity_check,
 )
+from fatcantor import ring
+from fatcantor.serialize import to_json
 
+import ring_oracle
 from strategies import boxes, fractions, ring_exprs
 from test_cantor import brute_stage_intervals
 
@@ -358,3 +362,66 @@ class TestGenerateRn:
     def test_layer_zero_is_rejected(self):
         with pytest.raises(PreconditionError):
             generate_rn(self.POOL, 0, S1)
+
+
+class TestFoldAgainstOracle:
+    """The cached-set fold against the per-candidate tree evaluation it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=2),
+        n=st.integers(min_value=1, max_value=4),
+        reference_stage=st.integers(min_value=1, max_value=4),
+        max_size=st.sampled_from([0, 1, 2, 5, 12, 40]),
+    )
+    def test_layers_equal_the_oracle(self, data, d, n, reference_stage, max_size):
+        s = CantorSchedule(d)
+        pool = data.draw(st.lists(ring_exprs(dim=d, max_leaves=3), min_size=1, max_size=3))
+
+        def run(generate):
+            try:
+                return generate(pool, n, s, reference_stage=reference_stage, max_size=max_size)
+            except BudgetError as exc:
+                return exc
+
+        got, want = run(generate_rn), run(ring_oracle.generate_rn)
+        assert type(got) is type(want)
+        if isinstance(want, BudgetError):
+            assert str(got) == str(want)
+            got, want = got.partial, want.partial
+        assert got == want
+        assert to_json(got) == to_json(want)
+
+    def test_both_refuse_the_same_inputs(self):
+        for generate in (generate_rn, ring_oracle.generate_rn):
+            with pytest.raises(PreconditionError, match="empty generator pool"):
+                generate([], 2, S1)
+            with pytest.raises(PreconditionError, match="ring layers run from 1 to 8, got 9"):
+                generate(TestGenerateRn.POOL, 9, S1)
+            with pytest.raises(BudgetError, match="needs 2\\^18 boxes"):
+                generate([base_expr(CantorSchedule(2))], 2, CantorSchedule(2), reference_stage=9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_leaf_evaluation_per_pool_leaf_and_one_op_per_candidate(self, monkeypatch, n):
+        pool = [base_expr(S1), Gen((Fraction(1, 2),), Box.unit_cube(1)),
+                Gen((Fraction(-1, 2),), Box.unit_cube(1))]
+        calls = {"leaf": 0, "approx_set": 0, "union": 0, "subtract": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            CantorSchedule, "clipped_translate", counted("leaf", CantorSchedule.clipped_translate)
+        )
+        monkeypatch.setattr(ring, "approx_set", counted("approx_set", ring.approx_set))
+        monkeypatch.setattr(BoxUnion, "union", counted("union", BoxUnion.union))
+        monkeypatch.setattr(BoxUnion, "subtract", counted("subtract", BoxUnion.subtract))
+        sizes = [len(generate_rn(pool, k, S1)) for k in range(1, n)]
+        calls.update(leaf=0, approx_set=0, union=0, subtract=0)
+        generate_rn(pool, n, S1)
+        examined = sum(size * size for size in sizes)
+        assert calls == {"leaf": 3, "approx_set": 3, "union": examined, "subtract": examined}

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatcantor import (
@@ -40,9 +40,11 @@ from fatcantor import (
     split_identity_check,
     tile_check,
 )
-from fatcantor.cover import infinite_cube_report
+from fatcantor.cli import _target_from_json
+from fatcantor.cover import grid_translate_pool, infinite_cube_report
 from fatcantor.hausdorff import PowerGauge
 from fatcantor.serialize import (
+    MAX_EXPR_DEPTH,
     box_from_json,
     box_to_json,
     cube_family_from_json,
@@ -199,6 +201,77 @@ def test_expression_json_is_actually_json(e):
 def test_malformed_expressions_are_rejected(bad):
     with pytest.raises(PreconditionError):
         expr_from_json(bad)
+
+
+def _union_chain(depth: int) -> dict:
+    """A left-nested union with ``depth`` nodes on its longest path."""
+    doc = expr_to_json(base_expr(S1))
+    for k in range(1, depth):
+        doc = {"union": [doc, expr_to_json(Gen((Fraction(k, 128),), Box.unit_cube(1)))]}
+    return doc
+
+
+def test_expressions_deeper_than_the_cap_are_refused():
+    assert isinstance(expr_from_json(_union_chain(MAX_EXPR_DEPTH)), Union)
+    assert exprs_from_json([_union_chain(MAX_EXPR_DEPTH)])
+    for refused in (_union_chain(MAX_EXPR_DEPTH + 1), [_union_chain(MAX_EXPR_DEPTH + 1)]):
+        with pytest.raises(
+            PreconditionError, match=f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ):
+            exprs_from_json(refused)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"lo": 5, "hi": ["1"]}, "box: 'lo' must be a list, got int"),
+        ({"lo": ["0"], "hi": "1"}, "box: 'hi' must be a list, got str"),
+        ({"lo": [1.5], "hi": ["2"]}, "expected a rational string, got 1.5"),
+        ({"lo": ["0"], "hi": [float("inf")]}, "expected a rational string, got inf"),
+        ({"lo": [True], "hi": ["1"]}, "expected a rational string, got True"),
+    ],
+)
+def test_box_corners_must_be_lists_of_strings_or_ints(doc, message):
+    with pytest.raises(PreconditionError) as info:
+        box_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_generator_translations_must_be_lists_of_strings_or_ints():
+    clip = {"lo": ["0"], "hi": ["1"]}
+    with pytest.raises(PreconditionError, match="generator expression: 'x' must be a list, got int"):
+        expr_from_json({"gen": {"x": 5, "clip": clip}})
+    with pytest.raises(PreconditionError, match="expected a rational string, got 0.5"):
+        expr_from_json({"gen": {"x": [0.5], "clip": clip}})
+    assert expr_from_json({"gen": {"x": [0], "clip": {"lo": [0], "hi": ["inf"]}}}) == Gen(
+        (Fraction(0),), Box.half_space(1, 0, Fraction(0), above=True)
+    )
+
+
+# Arbitrary JSON, with the schema's own keys and scalar texts mixed in so
+# that many documents get past the first shape checks.
+_SCHEMA_KEYS = st.sampled_from(["gen", "union", "diff", "inter", "x", "clip", "lo", "hi"])
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["0", "1/2", "-3/4", "inf", "-inf", "1/0", "x"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_SCHEMA_KEYS | st.text(max_size=4), children, max_size=3),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_values)
+def test_decoders_return_a_value_or_refuse_arbitrary_json(doc):
+    for decode in (expr_from_json, exprs_from_json, box_from_json, _target_from_json):
+        try:
+            decode(doc)
+        except PreconditionError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +431,7 @@ REPORTS = {
         S1,
         1,
     ),
-    "InfiniteCubeReport": lambda: infinite_cube_report(S1, 2, 8),
+    "InfiniteCubeReport": lambda: infinite_cube_report(S1, grid_translate_pool(S1, 2), 8),
     "DeltaCover": lambda: nu_delta_upper(CantorSchedule(2), PowerGauge(2), Fraction(1, 8)),
     "CorollaryReport": lambda: corollary_pipeline(S1, Fraction(1, 4)),
     "LevelSolution": lambda: solve_level(S1, Fraction(1, 4)),
