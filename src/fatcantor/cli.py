@@ -69,6 +69,7 @@ from .ring import (
 from .serialize import (
     box_from_json,
     cube_family_from_json,
+    dumps_document,
     expr_from_json,
     exprs_from_json,
     frac_from_json,
@@ -99,11 +100,19 @@ def _target_from_json(doc: Any) -> Any:
     return expr_from_json(doc)
 
 
+def rational(text: str) -> Fraction:
+    """The argparse type of every rational flag: a refusal says why."""
+    try:
+        return parse_fraction(text)
+    except PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _frac_list_arg(text: str) -> list[Fraction]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
-        raise PreconditionError("expected a comma-separated list of rationals")
-    return [parse_fraction(piece) for piece in items]
+        raise argparse.ArgumentTypeError("expected a comma-separated list of rationals")
+    return [rational(piece) for piece in items]
 
 
 def nonnegative_int(text: str) -> int:
@@ -244,8 +253,8 @@ def _uncovered_box_core(outcome: Any) -> "tuple[dict, int]":
 
 _SCHEDULE_FLAGS = {
     "--d": dict(type=int, default=1, help="ambient dimension"),
-    "--c": dict(type=parse_fraction, default=Fraction(1), help="removal scale c"),
-    "--rho": dict(type=parse_fraction, default=Fraction(1, 4), help="removal ratio rho"),
+    "--c": dict(type=rational, default=Fraction(1), help="removal scale c"),
+    "--rho": dict(type=rational, default=Fraction(1, 4), help="removal ratio rho"),
     "--seed": dict(type=int, default=0, help="recorded for reproducibility"),
     "--out": dict(type=str, default=None, help="write the JSON document here"),
     "--verify": dict(action="store_true", help="replay and re-check from JSON"),
@@ -277,7 +286,7 @@ COMMANDS: "dict[str, Command]" = {
         {
             "--expr-file": dict(required=True),
             "--stage": dict(type=int, default=REFERENCE_STAGE),
-            "--tol": dict(type=parse_fraction, default=None, help="deepen stages until this width"),
+            "--tol": dict(type=rational, default=None, help="deepen stages until this width"),
             "--stage-cap": dict(type=nonnegative_int, default=DEFAULT_STAGE_CAP),
         },
         inputs=lambda a, s: {
@@ -300,7 +309,7 @@ COMMANDS: "dict[str, Command]" = {
         {
             "--expr-file": dict(required=True),
             "--axis": dict(type=int, default=0),
-            "--threshold": dict(type=parse_fraction, required=True),
+            "--threshold": dict(type=rational, required=True),
             "--above": dict(action="store_true", help="use {x >= t} instead of {x < t}"),
             "--stage": dict(type=int, default=REFERENCE_STAGE),
         },
@@ -429,8 +438,8 @@ COMMANDS: "dict[str, Command]" = {
         "cover a cube by translates of given cubes",
         {
             "--sides": dict(type=_frac_list_arg, required=True, help="e.g. 1/2,1/4,1/4"),
-            "--alpha": dict(type=parse_fraction, default=Fraction(1)),
-            "--target-side": dict(type=parse_fraction, default=Fraction(1, 2)),
+            "--alpha": dict(type=rational, default=Fraction(1)),
+            "--target-side": dict(type=rational, default=Fraction(1, 2)),
         },
         inputs=lambda a, s: {
             "family": CubeFamily(a.d, tuple(a.sides)),
@@ -454,7 +463,7 @@ COMMANDS: "dict[str, Command]" = {
     "hausdorff-bound": Command(
         "gauge sum over a stage cover",
         {
-            "--delta": dict(type=parse_fraction, required=True),
+            "--delta": dict(type=rational, required=True),
             "--exponent": dict(type=int, default=None, help="gauge power (default: d)"),
             "--stage": dict(type=int, default=None, help="explicit admissible stage"),
         },
@@ -471,8 +480,8 @@ COMMANDS: "dict[str, Command]" = {
     "corollary-demo": Command(
         "measure bound to covered cube, end to end",
         {
-            "--delta": dict(type=parse_fraction, required=True),
-            "--a": dict(type=parse_fraction, default=None, help="measure bound (default: limit)"),
+            "--delta": dict(type=rational, required=True),
+            "--a": dict(type=rational, default=None, help="measure bound (default: limit)"),
             "--bits": dict(type=int, default=24, help="dyadic grid for inexact roots"),
         },
         inputs=lambda a, s: {"delta": a.delta, "a": a.a, "bits": a.bits},
@@ -485,10 +494,10 @@ COMMANDS: "dict[str, Command]" = {
     "range-solve": Command(
         "level function bounds, or invert them",
         {
-            "--x": dict(type=parse_fraction, default=None),
+            "--x": dict(type=rational, default=None),
             "--stage": dict(type=int, default=8),
-            "--target": dict(type=parse_fraction, default=None),
-            "--tol": dict(type=parse_fraction, default=Fraction(1, 1 << 20)),
+            "--target": dict(type=rational, default=None),
+            "--tol": dict(type=rational, default=Fraction(1, 1 << 20)),
             "--max-iter": dict(type=nonnegative_int, default=10_000),
         },
         inputs=lambda a, s: (
@@ -566,7 +575,7 @@ def _verify(command: Command, s: CantorSchedule, inputs: dict, core: dict) -> bo
 
 
 def _emit(doc: dict, out: "str | None") -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = dumps_document(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

@@ -8,6 +8,7 @@ terms with a positive denominator, infinities as ``"inf"`` / ``"-inf"``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -103,12 +104,34 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# Largest decimal exponent ``parse_fraction`` admits, in absolute value: a
+# longer power of ten is more digits than Python prints by default, so it
+# could never appear in a document, and ``1e-100000000`` would otherwise
+# build 10^100000000 before any cap is checked.
+MAX_DECIMAL_EXPONENT = 4300
+
+# The text every document holds: ASCII digits, a sign only on the numerator.
+_CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+# The exponent of a decimal, in the syntax ``Fraction()`` accepts.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or a bare integer / exact decimal string)."""
+    """Parse ``"p/q"`` or any other text ``Fraction()`` reads, such as a bare
+    integer or an exact decimal whose exponent is at most
+    ``MAX_DECIMAL_EXPONENT`` in absolute value."""
+    canonical = _CANONICAL.fullmatch(text)
+    exponent = None if canonical is not None else _EXPONENT.search(text)
     try:
-        return Fraction(text.strip())
+        if canonical is not None:
+            return Fraction(int(canonical[1]), int(canonical[2]))
+        if exponent is None or abs(int(exponent[1])) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"not a rational: {text!r}") from exc
+    raise PreconditionError(
+        f"exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
+    )
 
 
 def coord_to_json(value: Coord) -> str:

@@ -13,6 +13,17 @@ hand-written encoder: scalars, ``Box`` (infinity markers),
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
 input.  They are the same functions the ``--verify`` replay path uses.
+
+:func:`dumps_document` writes a document as text.  It returns exactly
+``json.dumps(doc, indent=2, sort_keys=True)``, but in one recursive walk that
+appends to one list and joins it once: with ``indent`` set, CPython's
+``json`` falls back to its pure-Python encoder, nested generators (one per
+level) through which every piece of text is yielded.  It accepts only what
+documents hold: ``dict`` with ``str`` keys (emitted sorted), ``list`` and
+``tuple``, and exact ``str``, ``int``, ``bool`` and ``None``.  Any other
+type, floats included, raises ``TypeError``.  Strings go through the C
+escaper ``json`` itself uses under ``ensure_ascii``, so the text is ASCII
+and the bytes are the stdlib's.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
 from .cantor import GapCertificate
@@ -34,7 +46,7 @@ from .ring import Diff, Gen, Inter, RingExpr, Union
 # Deepest expression ``expr_from_json`` admits, counted in nodes on the
 # longest root-to-leaf path (a generator alone has depth 1).  Every pass over
 # a decoded tree recurses once or twice per level (simplify, approx_set,
-# positive_hull, to_json, the indented emit, and ``rn-enumerate`` output
+# positive_hull, to_json, dumps_document, and ``rn-enumerate`` output
 # seven layers deeper), so this keeps them all far below the interpreter's
 # recursion limit, even from a caller already deep in its stack.  Golden and
 # benchmark expressions have at most four leaves.
@@ -305,3 +317,64 @@ def to_json(value: Any) -> Any:
     raises ``TypeError``.
     """
     return _encode(value)
+
+
+# -- the document writer --------------------------------------------------------
+
+
+def dumps_document(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, written in one pass.
+
+    ``doc`` holds dicts with ``str`` keys, lists, tuples and exact ``str``,
+    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``.
+    """
+    chunks: "list[str]" = []
+    append = chunks.append
+    # pads[k] starts a line at depth k; commas[k] ends an item and does that.
+    pads = ["\n"]
+    commas = [",\n"]
+
+    def write(value: Any, depth: int) -> None:
+        kind = type(value)
+        if kind is str:
+            append(encode_basestring_ascii(value))
+        elif kind is int:
+            append(int.__repr__(value))
+        elif kind is dict or kind is list or kind is tuple:
+            if not value:
+                append("{}" if kind is dict else "[]")
+                return
+            inner = depth + 1
+            if inner == len(pads):
+                pads.append(pads[depth] + "  ")
+                commas.append("," + pads[inner])
+            sep = pads[inner]
+            if kind is dict:
+                append("{")
+                for key, item in sorted(value.items()):
+                    if type(key) is not str:
+                        raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+                    append(sep)
+                    append(encode_basestring_ascii(key))
+                    append(": ")
+                    write(item, inner)
+                    sep = commas[inner]
+                append(pads[depth])
+                append("}")
+            else:
+                append("[")
+                for item in value:
+                    append(sep)
+                    write(item, inner)
+                    sep = commas[inner]
+                append(pads[depth])
+                append("]")
+        elif value is None:
+            append("null")
+        elif kind is bool:
+            append("true" if value else "false")
+        else:
+            raise TypeError(f"no JSON text for {kind.__name__}")
+
+    write(doc, 0)
+    return "".join(chunks)

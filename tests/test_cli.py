@@ -18,6 +18,7 @@ import pytest
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool
 from fatcantor.cantor import MAX_STAGE
 from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
+from fatcantor.rationals import MAX_DECIMAL_EXPONENT
 from fatcantor.ring import MAX_RN_LAYER
 from fatcantor.serialize import MAX_EXPR_DEPTH, box_to_json, expr_to_json
 
@@ -257,6 +258,35 @@ class TestEnvelope:
         error = doc["result"]["error"]
         assert error["kind"] == "precondition"
         assert error["message"] == "max_tiles must be at most 65536, got 65537"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("range-solve", "--d", "1", "--target", "1/3", "--tol"),
+            ("pack", "--sides", "1/2,1/2", "--alpha"),
+            ("pack", "--sides"),
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )
+    def test_rational_flags_refuse_exponents_above_the_cap(self, argv, capsys):
+        # 1e-100000000 used to build 10^100000000 before any cap was checked
+        assert cli.main([*argv, "1e-100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"argument {argv[-1]}: exponent of '1e-100000000' exceeds {MAX_DECIMAL_EXPONENT}"
+            in captured.err
+        )
+
+    def test_an_empty_rational_list_names_its_flag(self, capsys):
+        assert cli.main(["pack", "--sides", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --sides: expected a comma-separated list of rationals" in captured.err
+
+    def test_tolerance_in_exponent_notation_still_parses(self, capsys):
+        assert cli.main(["range-solve", "--d", "1", "--target", "1/3", "--tol", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["tol"] == "1/1000"
 
     @pytest.mark.parametrize(
         "argv",

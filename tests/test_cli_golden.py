@@ -5,7 +5,9 @@ them with ``--verify``.  The first fifteen digests were recorded before the
 report encoders were folded into ``serialize.to_json``, the rest before the
 subcommands were declared in one command table; a changed digest means a
 document changed, so a change to any report's JSON must update its digest
-here on purpose.  The
+here on purpose.  Each document must also equal the stdlib's
+``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
+writer reproduces without running it.  The
 input files are literal JSON, so the fixtures do not depend on the encoder
 under test.
 """
@@ -13,6 +15,7 @@ under test.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -203,3 +206,5 @@ def test_document_is_byte_identical(name, tmp_path, monkeypatch, capsys):
         verified = "--verify" in argv
         assert ('"ok": true' if verified else '"requested": false') in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # the writer's text is the stdlib's indented text of the same document
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

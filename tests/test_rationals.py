@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fatcantor import NEG_INF, POS_INF, PreconditionError, floor_log2, pow2
 from fatcantor.rationals import (
+    MAX_DECIMAL_EXPONENT,
     as_fraction,
     coord_from_json,
     coord_to_json,
@@ -75,6 +76,43 @@ def test_parse_fraction_accepts_plain_integers_and_whitespace():
 def test_parse_fraction_rejects_garbage(bad):
     with pytest.raises(PreconditionError):
         parse_fraction(bad)
+
+
+# Texts off the canonical ``p/q`` path, all of which ``Fraction()`` reads.
+_NON_CANONICAL = st.sampled_from(
+    ["+3/4", " 3/4 ", "\t-3/4\n", "1_000/3", "0.25", "-.5", "1e-3", "2.5E+2", "7", "-0",
+     "\u0663/\u0664", "\uff11\uff12/5", "1/\u0668"]
+)
+
+
+@given(
+    text=st.builds(
+        "{}/{}".format,
+        st.integers(-(10**30), 10**30),
+        st.integers(1, 10**30),
+    )
+    | st.builds("{:0>3}/{:0>4}".format, st.integers(0, 999), st.integers(1, 9999))
+    | _NON_CANONICAL
+)
+def test_parse_fraction_reads_what_fraction_reads(text):
+    assert parse_fraction(text) == Fraction(text.strip())
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_parse_fraction_admits_exponents_up_to_the_cap(sign):
+    text = f"1e{sign}{MAX_DECIMAL_EXPONENT}"
+    assert parse_fraction(text) == Fraction(text)
+    assert parse_fraction(f" 25E{sign}{MAX_DECIMAL_EXPONENT} ") == Fraction(f"25E{sign}{MAX_DECIMAL_EXPONENT}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"1e{MAX_DECIMAL_EXPONENT + 1}", f"1e-{MAX_DECIMAL_EXPONENT + 1}", f"0.5E+{MAX_DECIMAL_EXPONENT + 1}",
+     "1e-100000000", "3e1_000_000"],
+)
+def test_parse_fraction_refuses_exponents_above_the_cap(text):
+    with pytest.raises(PreconditionError, match=f"exceeds {MAX_DECIMAL_EXPONENT}"):
+        parse_fraction(text)
 
 
 def test_format_fraction_always_writes_numerator_slash_denominator():

@@ -28,6 +28,7 @@ from fatcantor import (
     Union,
     approx_set,
     base_expr,
+    cli,
     corollary_pipeline,
     find_gap,
     find_uncovered_box,
@@ -48,6 +49,7 @@ from fatcantor.serialize import (
     box_from_json,
     box_to_json,
     cube_family_from_json,
+    dumps_document,
     expr_from_json,
     expr_to_json,
     exprs_from_json,
@@ -484,3 +486,77 @@ def test_to_json_refuses_numbers_too_long_to_print():
         to_json({"count": huge})
     with pytest.raises(PreconditionError, match="too large to print"):
         to_json(Box((Fraction(0),), (Fraction(huge, 7),)))
+
+
+# ---------------------------------------------------------------------------
+# the document writer: the stdlib's indented text, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _stdlib(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# Every code point, lone surrogates included, plus the characters JSON escapes.
+_texts = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff\ud800", "\u00e9\u20ac\U0001f600", "\u2028"]
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**4000), max_value=10**4000)
+    | st.sampled_from([10**3999, -(10**3999)])
+    | _texts
+)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(value=json_values)
+@settings(max_examples=300)
+def test_writer_matches_the_stdlib_indented_encoder(value):
+    assert dumps_document(value) == _stdlib(value)
+
+
+def test_writer_matches_the_stdlib_on_nesting_and_key_order():
+    value = {"b": [[], {}, [[{}]], ()], "a": {"z": None, "": True, "A": False}, "\u00e9": -7}
+    assert dumps_document(value) == _stdlib(value)
+    assert dumps_document([]) == "[]" and dumps_document({}) == "{}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, [1, 2.0], {"x": 1e300}, {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, _Opaque(), Fraction(1, 2),
+     {"k": {1, 2}}, b"1/2"],
+    ids=["float", "float-in-list", "float-in-dict", "int-key", "mixed-keys", "none-key", "object",
+         "fraction", "set", "bytes"],
+)
+def test_writer_refuses_what_documents_never_hold(value):
+    with pytest.raises(TypeError):
+        dumps_document(value)
+
+
+def test_writer_names_the_refused_type():
+    with pytest.raises(TypeError, match="float"):
+        dumps_document({"x": [0.5]})
+    with pytest.raises(TypeError, match="_Opaque"):
+        dumps_document(_Opaque())
+    with pytest.raises(TypeError, match="int"):
+        dumps_document({7: "seven"})
+
+
+def test_out_file_holds_the_bytes_stdout_prints(tmp_path, capsys):
+    argv = ["infinite-cube", "--pool-size", "3", "--d", "2", "--verify"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "doc.json"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
+    assert printed == _stdlib(json.loads(printed)) + "\n"
