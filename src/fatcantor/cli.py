@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import marshal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +37,10 @@ from typing import Any, Callable, Sequence
 
 from .cantor import CantorSchedule, NeedsDeeperStage, check_stage
 from .cover import (
+    UncoveredWitness,
     _target_union,
     check_pool_size,
+    extension_valid,
     find_uncovered_box,
     grid_translate_pool,
     infinite_cube_report,
@@ -200,14 +203,46 @@ def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay)
 
 
 def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
+    """Check every witnessed row, by extension of its parent row where it can.
+
+    A row's parent is the row for its subset without the last index.  When
+    the parent came earlier and passed, and the row's certificate list
+    starts with the parent's, value for value, only the row's box, stage and
+    new certificates are decoded, and :func:`extension_valid` proves the
+    newest element against the parent's decoded witness.  Any other row, or
+    one that extension rejects, is decoded whole and checked on its own by
+    :func:`uncovered_witness_valid`, so the verdict is that check's on every
+    row.
+    """
     target = Box.unit_cube(s.d)
-    return all(
-        uncovered_witness_valid(
-            s, target, [i["pool"][k] for k in row["subset"]], witness_from_json(row["witness"])
-        )
-        for row in core["report"]["rows"]
-        if row["witness"] is not None
-    )
+    # Rows that passed, by subset: the certificate list as bytes, and the witness.
+    # Marshal (version 0, no shared references) is a fast exact encoding
+    # whose bytes tell apart the JSON values 1, 1.0 and true, which ``==`` does not.
+    passed = {(): (marshal.dumps([], 0), UncoveredWitness(target, 0, ()))}
+    for row in core["report"]["rows"]:
+        doc = row["witness"]
+        if doc is None:
+            continue
+        subset = row["subset"]
+        elements = [i["pool"][k] for k in subset]
+        certs = doc.get("certificates") if isinstance(doc, dict) else None
+        parent = passed.get(tuple(subset[:-1])) if subset and isinstance(certs, list) else None
+        ok = False
+        if parent is not None:
+            blob, start = parent
+            n = len(start.certificates)
+            if marshal.dumps(certs[:n], 0) == blob:
+                tail = witness_from_json({**doc, "certificates": certs[n:]})
+                witness = UncoveredWitness(
+                    tail.box, tail.stage, start.certificates + tail.certificates
+                )
+                ok = extension_valid(s, start, witness, len(subset) - 1, elements[-1])
+        if not ok:
+            witness = witness_from_json(doc)
+            if not uncovered_witness_valid(s, target, elements, witness):
+                return False
+        passed[tuple(subset)] = (marshal.dumps(certs, 0), witness)
+    return True
 
 
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:

@@ -14,6 +14,14 @@ leaf at a time, so each step only needs the 1-D gap structure of a single
 translate; nothing d-dimensional is ever materialized.  That step,
 ``_shrink_past``, is folded over the elements of one search and over the
 subset masks of the infinite-cube table, one element per row.
+
+Checking is monotone the same way: a sub-box of a box that misses a closed
+stage translate misses it too.  ``uncovered_witness_valid`` checks a witness
+on its own; ``extension_valid`` checks a witness that extends an already
+checked one by one element, proving only that element's certificates.  The
+table and its ``--verify`` replay check each row by extension of its
+parent row and fall back to the check on its own, so every verdict is the
+one the check on its own gives.
 """
 
 from __future__ import annotations
@@ -296,6 +304,42 @@ def uncovered_witness_valid(
     )
 
 
+def extension_valid(
+    s: CantorSchedule,
+    parent: UncoveredWitness,
+    child: UncoveredWitness,
+    ei: int,
+    element: "RingExpr",
+) -> bool:
+    """Is ``child`` a witness for ``parent``'s family plus ``element``?
+
+    ``parent`` must already be valid for its family and target (or be the
+    unshrunk target with no certificates).  The child is valid when its box
+    has dimension ``s.d`` and positive sides and lies inside the parent's
+    box, its certificates are the parent's followed by one
+    ``(ei, li, translation)`` per hull leaf of ``element``, and the box
+    misses each new leaf's closed stage approximation at its recorded stage.
+    The parent's certificates carry over unchecked: a box inside the
+    parent's misses whatever the parent's box misses.  So a true answer
+    implies :func:`uncovered_witness_valid` on the child's family; after a
+    false one, only that check can tell whether the child is valid.
+    """
+    box = child.box
+    if box.dim != s.d or not box.has_positive_sides() or not parent.box.contains_box(box):
+        return False
+    n = len(parent.certificates)
+    if child.certificates[:n] != parent.certificates:
+        return False
+    new = child.certificates[n:]
+    recorded = [(c.element_index, c.leaf_index, c.translation) for c in new]
+    if recorded != [(ei, li, leaf.translation) for li, leaf in enumerate(hull_leaves(element))]:
+        return False
+    return all(
+        gap_certificate_valid(s, cert.translation, GapCertificate(cert.certificate.stage, box))
+        for cert in new
+    )
+
+
 def grid_translate_pool(
     s: CantorSchedule,
     size: int,
@@ -376,32 +420,47 @@ def infinite_cube_report(
 ) -> InfiniteCubeReport:
     """Witness every nonempty subfamily of a pool, one element per row.
 
-    The outcome for mask ``m`` is the outcome for ``m`` without its highest
-    bit, shrunk past that element (an inconclusive one stays so); mask 0 is
-    the unshrunk unit cube.  Every row is validated on its own.
+    The outcome for mask ``m`` is the outcome for its parent, ``m`` without
+    its highest bit, shrunk past that element (an inconclusive one stays
+    so); mask 0 is the unshrunk unit cube.  A row whose parent passed is
+    checked by :func:`extension_valid`, so each pass proves only the newest
+    element's certificates; a row that extension rejects, or whose parent
+    failed, is checked on its own by :func:`uncovered_witness_valid`.  Either
+    way ``verified`` is the verdict of the check on its own.
     """
     check_pool_size(len(pool))
     target = Box.unit_cube(s.d)
+    # By mask: the fold's outcome, and whether its row passed its check.
     outcomes: list[UncoveredWitness | NeedsDeeperStage] = [UncoveredWitness(target, 0, ())]
+    passed = [True]
+    rows: list[SubsetWitnessRow] = []
     for mask in range(1, 1 << len(pool)):
         top = mask.bit_length() - 1
-        outcome = outcomes[mask ^ (1 << top)]
+        parent, ei = mask ^ (1 << top), mask.bit_count() - 1
+        outcome = outcomes[parent]
         if isinstance(outcome, UncoveredWitness):
-            outcome = _shrink_past(s, outcome, mask.bit_count() - 1, pool[top], stage_cap)
+            outcome = _shrink_past(s, outcome, ei, pool[top], stage_cap)
         outcomes.append(outcome)
-    rows: list[SubsetWitnessRow] = []
-    for mask in range(1, len(outcomes)) if pool else [0]:
         subset = tuple(i for i in range(len(pool)) if mask >> i & 1)
-        outcome = _reported(outcomes[mask])
         witnessed = isinstance(outcome, UncoveredWitness)
+        verified = witnessed and (
+            passed[parent]
+            and extension_valid(s, outcomes[parent], outcome, ei, pool[top])
+            or uncovered_witness_valid(s, target, [pool[i] for i in subset], outcome)
+        )
+        passed.append(verified)
         rows.append(
             SubsetWitnessRow(
                 subset=subset,
                 witness=outcome if witnessed else None,
                 inconclusive_stage=None if witnessed else outcome.deepest_stage,
-                verified=witnessed
-                and uncovered_witness_valid(s, target, [pool[i] for i in subset], outcome),
+                verified=verified,
             )
+        )
+    if not pool:  # the empty family's one row: the middle half of the cube
+        witness = _reported(outcomes[0])
+        rows.append(
+            SubsetWitnessRow((), witness, None, uncovered_witness_valid(s, target, [], witness))
         )
     return InfiniteCubeReport(
         pool=tuple(pool),

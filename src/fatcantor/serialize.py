@@ -107,6 +107,16 @@ def _list_of(doc: Mapping[str, Any], key: str, what: str) -> list:
     return value
 
 
+def _count_of(doc: Mapping[str, Any], key: str, what: str) -> int:
+    # An exact int: ``int()`` would take 1.9 as 1 and true as 1.
+    value = doc[key]
+    if type(value) is not int:
+        raise PreconditionError(f"{what}: {key!r} must be an integer, got {type(value).__name__}")
+    if value < 0:
+        raise PreconditionError(f"{what}: {key!r} must be nonnegative")
+    return value
+
+
 def quad_to_json(value: ExtendedRational) -> dict:
     return {"a": frac_to_json(value.a), "b": frac_to_json(value.b), "sqrt": value.n}
 
@@ -186,28 +196,31 @@ def exprs_from_json(doc: Any) -> list["RingExpr"]:
 
 
 def gap_certificate_from_json(doc: Any) -> GapCertificate:
-    m = _expect(doc, ("stage", "box"), "gap certificate")
-    return GapCertificate(stage=int(m["stage"]), box=box_from_json(m["box"]))
+    what = "gap certificate"
+    m = _expect(doc, ("stage", "box"), what)
+    return GapCertificate(stage=_count_of(m, "stage", what), box=box_from_json(m["box"]))
 
 
 def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
-    m = _expect(
-        doc, ("element_index", "leaf_index", "translation", "certificate"), "leaf certificate"
-    )
+    what = "leaf certificate"
+    m = _expect(doc, ("element_index", "leaf_index", "translation", "certificate"), what)
     return LeafCertificate(
-        element_index=int(m["element_index"]),
-        leaf_index=int(m["leaf_index"]),
-        translation=tuple(frac_from_json(v) for v in m["translation"]),
+        element_index=_count_of(m, "element_index", what),
+        leaf_index=_count_of(m, "leaf_index", what),
+        translation=tuple(frac_from_json(v) for v in _list_of(m, "translation", what)),
         certificate=gap_certificate_from_json(m["certificate"]),
     )
 
 
 def witness_from_json(doc: Any) -> UncoveredWitness:
-    m = _expect(doc, ("box", "stage", "certificates"), "uncovered witness")
+    what = "uncovered witness"
+    m = _expect(doc, ("box", "stage", "certificates"), what)
     return UncoveredWitness(
         box=box_from_json(m["box"]),
-        stage=int(m["stage"]),
-        certificates=tuple(leaf_certificate_from_json(c) for c in m["certificates"]),
+        stage=_count_of(m, "stage", what),
+        certificates=tuple(
+            leaf_certificate_from_json(c) for c in _list_of(m, "certificates", what)
+        ),
     )
 
 

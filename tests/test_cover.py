@@ -10,7 +10,9 @@ through the brute-force stage construction from test_cantor.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from fatcantor import (
     approx_set,
     base_expr,
     clip_to_box,
+    cli,
+    extension_valid,
     find_uncovered_box,
     grid_translate_pool,
     infinite_cube_report,
@@ -41,8 +45,8 @@ from fatcantor import (
     verify_cover,
 )
 
-from fatcantor import cover
-from fatcantor.serialize import to_json
+from fatcantor import cover, serialize
+from fatcantor.serialize import to_json, witness_from_json
 
 import witness_oracle
 from strategies import boxes, fractions, ring_exprs
@@ -274,11 +278,11 @@ class TestInfiniteCubeReport:
 
 
 @st.composite
-def pools(draw, dim):
-    """A grid, quartered or multi-leaf pool of 0-9 elements."""
+def pools(draw, dim, max_size=9):
+    """A grid, quartered or multi-leaf pool of 0 to ``max_size`` elements."""
     s = CantorSchedule(dim)
     kind = draw(st.sampled_from(["grid", "quartered", "leaves"]))
-    size = draw(st.integers(min_value=0, max_value=9))
+    size = draw(st.integers(min_value=0, max_value=max_size))
     if kind == "grid":
         return grid_translate_pool(s, size)
     if kind == "quartered":
@@ -355,3 +359,222 @@ class TestFoldAgainstOracle:
         monkeypatch.setattr(witness_oracle, "find_gap", counting)
         witness_oracle.infinite_cube_report(S1, 9, 24)
         assert len(calls) == 9 * 2**8
+
+
+# ---------------------------------------------------------------------------
+# the table checked by extension against the check of every row on its own
+# ---------------------------------------------------------------------------
+
+
+def _core(report):
+    """A report's result core as the ``--verify`` replay reads it."""
+    return json.loads(json.dumps(to_json({"report": report})))
+
+
+def _verdict(check, *args):
+    # ``--verify`` counts a check that raises as failed
+    try:
+        return check(*args)
+    except Exception:
+        return False
+
+
+def _index(data, items):
+    return data.draw(st.integers(min_value=0, max_value=len(items) - 1))
+
+
+def _tamper_witness(data, doc, parent_box, kind):
+    """Change a witness's JSON in place; ``parent_box`` is the box it was shrunk from."""
+    certs = doc["certificates"]
+    if kind == "widen":  # past the parent's box on one side, by a little or a lot
+        axis = _index(data, parent_box.lo)
+        w = data.draw(st.sampled_from([Fraction(1, 2**30), Fraction(1, 64), Fraction(1, 2)]))
+        doc["box"]["lo"][axis] = to_json(parent_box.lo[axis] - w)
+    elif not certs:
+        return
+    elif kind == "stage":
+        certs[_index(data, certs)]["certificate"]["stage"] = data.draw(
+            st.integers(min_value=0, max_value=14)
+        )
+    elif kind == "retype":  # a value equal to the old one under ``==``, of another type
+        cert = certs[_index(data, certs)]
+        key = data.draw(st.sampled_from(["element_index", "leaf_index", "stage"]))
+        holder = cert["certificate"] if key == "stage" else cert
+        holder[key] = data.draw(st.sampled_from([float(holder[key]), holder[key] == 1]))
+    elif kind == "drop":
+        del certs[_index(data, certs)]
+    elif kind == "swap" and len(certs) >= 2:
+        i, j = data.draw(
+            st.lists(st.integers(0, len(certs) - 1), min_size=2, max_size=2, unique=True)
+        )
+        certs[i], certs[j] = certs[j], certs[i]
+
+
+def _parent_box(rows, row, d):
+    for other in rows:
+        if other["subset"] == row["subset"][:-1] and other["witness"] is not None:
+            return serialize.box_from_json(other["witness"]["box"])
+    return Box.unit_cube(d)
+
+
+_WITNESS_TAMPERS = ("stage", "retype", "widen", "drop", "swap")
+_ROW_TAMPERS = ("delete", "reorder", "permute")
+
+
+def _tamper_rows(data, rows, d, kind):
+    """Change a table's JSON rows in place."""
+    witnessed = [row for row in rows if row["witness"] is not None]
+    if kind in _WITNESS_TAMPERS and witnessed:
+        row = witnessed[_index(data, witnessed)]
+        _tamper_witness(data, row["witness"], _parent_box(rows, row, d), kind)
+    elif kind == "delete" and rows:  # the parent of every row that extends it
+        del rows[_index(data, rows)]
+    elif kind == "reorder":
+        rows[:] = data.draw(st.permutations(rows))
+    elif kind == "permute":
+        longer = [row for row in rows if len(row["subset"]) >= 2]
+        if longer:
+            row = longer[_index(data, longer)]
+            row["subset"] = data.draw(st.permutations(row["subset"]))
+
+
+def _on_its_own(s, pool, row):
+    members = [pool[k] for k in row.subset]
+    return row.witness is not None and uncovered_witness_valid(
+        s, Box.unit_cube(s.d), members, row.witness
+    )
+
+
+class TestCheckByExtension:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=2),
+        cap=st.integers(min_value=0, max_value=12),
+    )
+    def test_replay_verdicts_equal_the_check_of_every_row_on_its_own(self, data, d, cap):
+        s = CantorSchedule(d)
+        pool = data.draw(pools(d, max_size=5))
+        report = infinite_cube_report(s, pool, cap)
+        assert [row.verified for row in report.rows] == [
+            _on_its_own(s, pool, row) for row in report.rows
+        ]
+        inputs = {"pool": pool, "stage_cap": cap}
+        core = _core(report)
+        assert cli._check_infinite_cube(s, inputs, core, None) == witness_oracle.check_infinite_cube(
+            s, inputs, core
+        )
+        for kind in data.draw(st.lists(st.sampled_from(_WITNESS_TAMPERS + _ROW_TAMPERS), max_size=3)):
+            _tamper_rows(data, core["report"]["rows"], d, kind)
+        rows = core["report"]["rows"]
+        # every prefix of the rows, so the first failing row is the same one
+        for k in range(len(rows) + 1):
+            part = {"report": {"rows": rows[:k]}}
+            assert _verdict(cli._check_infinite_cube, s, inputs, part, None) == _verdict(
+                witness_oracle.check_infinite_cube, s, inputs, part
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=2),
+        cap=st.integers(min_value=0, max_value=12),
+    )
+    def test_report_flags_equal_the_check_on_its_own_when_the_fold_goes_wrong(self, data, d, cap):
+        s = CantorSchedule(d)
+        pool = data.draw(pools(d, max_size=5))
+        shrink_past = cover._shrink_past
+
+        def faulty(s, start, ei, element, stage_cap):
+            outcome = shrink_past(s, start, ei, element, stage_cap)
+            kind = data.draw(st.sampled_from((None, "stage", "widen", "drop", "swap")))
+            if kind is None or not isinstance(outcome, UncoveredWitness):
+                return outcome
+            doc = json.loads(json.dumps(to_json(outcome)))
+            _tamper_witness(data, doc, start.box, kind)
+            return witness_from_json(doc)
+
+        with mock.patch.object(cover, "_shrink_past", faulty):
+            report = infinite_cube_report(s, pool, cap)
+        assert [row.verified for row in report.rows] == [
+            _on_its_own(s, pool, row) for row in report.rows
+        ]
+
+    def test_extension_proves_only_the_new_element(self):
+        pool = grid_translate_pool(S1, 2)
+        rows = {row.subset: row.witness for row in infinite_cube_report(S1, pool, 12).rows}
+        parent, child = rows[(0,)], rows[(0, 1)]
+        assert extension_valid(S1, parent, child, 1, pool[1])
+        # the wrong element, the wrong index, a missing certificate
+        assert not extension_valid(S1, parent, child, 1, pool[0])
+        assert not extension_valid(S1, parent, child, 0, pool[1])
+        dropped = UncoveredWitness(child.box, child.stage, child.certificates[1:])
+        assert not extension_valid(S1, parent, dropped, 1, pool[1])
+        assert not uncovered_witness_valid(S1, Box.unit_cube(1), pool, dropped)
+
+    def test_a_box_past_its_parents_falls_back_to_the_check_on_its_own(self):
+        # A witness is the middle half of a gap, so a box a hair wider than
+        # its parent's still misses every translate: extension cannot say so,
+        # the check on its own does, and both table checks agree with it.
+        pool = grid_translate_pool(S1, 2)
+        report = infinite_cube_report(S1, pool, 12)
+        rows = {row.subset: row.witness for row in report.rows}
+        parent, child = rows[(0,)], rows[(0, 1)]
+        lo = (parent.box.lo[0] - Fraction(1, 2**30),)
+        wider = UncoveredWitness(Box(lo, child.box.hi), child.stage, child.certificates)
+        assert not extension_valid(S1, parent, wider, 1, pool[1])
+        assert uncovered_witness_valid(S1, Box.unit_cube(1), pool, wider)
+        core = _core(report)
+        (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
+        row["witness"]["box"] = to_json(wider.box)
+        inputs = {"pool": pool}
+        assert cli._check_infinite_cube(S1, inputs, core, None)
+        assert witness_oracle.check_infinite_cube(S1, inputs, core)
+
+    def test_a_retyped_prefix_is_decoded_again_and_refused(self):
+        pool = grid_translate_pool(S1, 2)
+        core = _core(infinite_cube_report(S1, pool, 12))
+        (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
+        cert = row["witness"]["certificates"][0]["certificate"]
+        cert["stage"] = float(cert["stage"])  # equal under ``==`` to the parent's stage
+        inputs = {"pool": pool}
+        assert not _verdict(cli._check_infinite_cube, S1, inputs, core, None)
+        assert not _verdict(witness_oracle.check_infinite_cube, S1, inputs, core)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_each_pass_checks_one_certificate_per_row(self, p, monkeypatch, tmp_path):
+        """On p one-leaf elements a pass makes 2^p - 1 gap checks and
+        certificate decodes; the check of every row on its own makes p * 2^(p-1)."""
+        gap_checks, decodes = [], []
+        gap_certificate_valid = cover.gap_certificate_valid
+        leaf_certificate_from_json = serialize.leaf_certificate_from_json
+
+        def counted_check(*args, **kwargs):
+            gap_checks.append(args)
+            return gap_certificate_valid(*args, **kwargs)
+
+        def counted_decode(doc):
+            decodes.append(doc)
+            return leaf_certificate_from_json(doc)
+
+        monkeypatch.setattr(cover, "gap_certificate_valid", counted_check)
+        monkeypatch.setattr(serialize, "leaf_certificate_from_json", counted_decode)
+        pool = grid_translate_pool(S1, p)
+        report = infinite_cube_report(S1, pool, 24)
+        assert report.all_witnessed
+        assert len(gap_checks) == 2**p - 1
+        inputs, core = {"pool": pool}, _core(report)
+        gap_checks.clear()
+        assert cli._check_infinite_cube(S1, inputs, core, None)
+        assert len(gap_checks) == len(decodes) == 2**p - 1
+        gap_checks.clear()
+        decodes.clear()
+        assert witness_oracle.check_infinite_cube(S1, inputs, core)
+        assert len(gap_checks) == len(decodes) == p * 2 ** (p - 1)
+        # the whole command: the report's pass, then the replay's
+        gap_checks.clear()
+        decodes.clear()
+        argv = ["infinite-cube", "--pool-size", str(p), "--stage-cap", "24", "--verify"]
+        assert cli.main([*argv, "--out", str(tmp_path / "cube.json")]) == 0
+        assert len(gap_checks) == 2 * (2**p - 1)
+        assert len(decodes) == 2**p - 1

@@ -301,6 +301,98 @@ def test_witness_round_trip():
     assert back == w
 
 
+def _witness_doc():
+    unit = Box.unit_cube(1)
+    pool = [Gen((Fraction(0),), unit), Gen((Fraction(1, 2),), unit)]
+    return json.loads(json.dumps(to_json(find_uncovered_box(unit, pool, S1, 8))))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("stage",), 1.9, "uncovered witness: 'stage' must be an integer, got float"),
+        (("stage",), True, "uncovered witness: 'stage' must be an integer, got bool"),
+        (("stage",), "1", "uncovered witness: 'stage' must be an integer, got str"),
+        (("stage",), -1, "uncovered witness: 'stage' must be nonnegative"),
+        (("certificates",), {}, "uncovered witness: 'certificates' must be a list, got dict"),
+        (("certificates", 1, "element_index"), 1.0,
+         "leaf certificate: 'element_index' must be an integer, got float"),
+        (("certificates", 0, "leaf_index"), False,
+         "leaf certificate: 'leaf_index' must be an integer, got bool"),
+        (("certificates", 0, "translation"), "01",
+         "leaf certificate: 'translation' must be a list, got str"),
+        (("certificates", 1, "certificate", "stage"), 2.0,
+         "gap certificate: 'stage' must be an integer, got float"),
+        (("certificates", 1, "certificate", "stage"), -2, "gap certificate: 'stage' must be nonnegative"),
+    ],
+)
+def test_certificate_decoders_take_exact_integers_and_lists(path, value, message):
+    doc = _witness_doc()
+    witness_from_json(doc)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with pytest.raises(PreconditionError) as info:
+        witness_from_json(doc)
+    assert str(info.value) == message
+
+
+# Arbitrary JSON in the certificate fields, mixed with the fields' own shapes
+# so that many documents get past the first checks.
+_CERT_KEYS = st.sampled_from(
+    ["stage", "box", "lo", "hi", "element_index", "leaf_index", "translation", "certificate",
+     "certificates"]
+)
+_cert_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=3)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["0", "1/2", "-3/4", "inf", "1/0"])
+)
+_cert_anything = st.recursive(
+    _cert_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_CERT_KEYS | st.text(max_size=4), children, max_size=3),
+    max_leaves=16,
+)
+
+
+def _shaped(fields):
+    return st.fixed_dictionaries(fields) | _cert_anything
+
+
+_coords = st.lists(_cert_scalars, max_size=2) | _cert_anything
+_box_docs = _shaped({"lo": _coords, "hi": _coords})
+_gap_docs = _shaped({"stage": _cert_scalars, "box": _box_docs})
+_leaf_docs = _shaped(
+    {"element_index": _cert_scalars, "leaf_index": _cert_scalars, "translation": _coords,
+     "certificate": _gap_docs}
+)
+_witness_docs = _shaped(
+    {"box": _box_docs, "stage": _cert_scalars,
+     "certificates": st.lists(_leaf_docs, max_size=3) | _cert_anything}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap=_gap_docs, leaf=_leaf_docs, witness=_witness_docs)
+def test_certificate_decoders_return_a_value_or_refuse_arbitrary_json(gap, leaf, witness):
+    for decode, doc in (
+        (gap_certificate_from_json, gap),
+        (leaf_certificate_from_json, leaf),
+        (witness_from_json, witness),
+    ):
+        try:
+            value = decode(doc)
+        except PreconditionError:
+            continue
+        assert decode(to_json(value)) == value
+
+
 def test_measure_bounds_document_carries_the_bracket():
     b = measure_bounds(base_expr(S1), S1, 4)
     doc = to_json(b)

@@ -1,12 +1,16 @@
-"""Slow reference witness search and infinite-cube table.
+"""Slow reference witness search, infinite-cube table and table check.
 
-These are the routines the witness fold in ``cover`` replaced.
-``find_uncovered_box`` shrinks the target past every hull leaf of every
-element in one loop; ``infinite_cube_report`` runs that search from the
-unit cube again for every nonempty subset of the pool, so a pool of p
-one-leaf elements costs p * 2^(p-1) gap searches instead of 2^p - 1.
-Nothing here calls ``_shrink_past``, so the differential tests compare the
-fold against code that shares none of it; kept only as an oracle.
+These are the routines the witness fold in ``cover`` and the check by
+extension replaced.  ``find_uncovered_box`` shrinks the target past every
+hull leaf of every element in one loop; ``infinite_cube_report`` runs that
+search from the unit cube again for every nonempty subset of the pool, so a
+pool of p one-leaf elements costs p * 2^(p-1) gap searches instead of
+2^p - 1.  Both it and ``check_infinite_cube``, the ``--verify`` check of a
+table's JSON core, decode and check every row on its own with
+``uncovered_witness_valid``: p * 2^(p-1) certificate decodes and gap checks
+where extension of the parent row needs 2^p - 1.  Nothing here calls
+``_shrink_past`` or ``extension_valid``, so the differential tests compare
+the fast paths against code that shares neither; kept only as an oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from fatcantor import (
 )
 from fatcantor.cover import check_pool_size, hull_leaves
 from fatcantor.errors import DimensionMismatchError, PreconditionError, UnboundedBoxError
+from fatcantor.serialize import witness_from_json
 
 
 def find_uncovered_box(
@@ -113,4 +118,17 @@ def infinite_cube_report(
         stage_cap=stage_cap,
         rows=tuple(rows),
         all_witnessed=all(r.verified for r in rows),
+    )
+
+
+def check_infinite_cube(s: CantorSchedule, i: dict, core: dict) -> bool:
+    """The ``--verify`` check of an infinite-cube core: every witnessed row
+    decoded whole and checked on its own."""
+    target = Box.unit_cube(s.d)
+    return all(
+        uncovered_witness_valid(
+            s, target, [i["pool"][k] for k in row["subset"]], witness_from_json(row["witness"])
+        )
+        for row in core["report"]["rows"]
+        if row["witness"] is not None
     )
