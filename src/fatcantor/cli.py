@@ -203,6 +203,32 @@ def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay)
 
 
 def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
+    """Check the whole table: its shape and flags, then each row.
+
+    The rows must be exactly the nonempty subsets of the pool in mask order
+    (the empty subset alone for an empty pool).  Every row with a witness
+    must pass :func:`_witnessed_rows_valid`, so each ``verified`` flag must
+    be true exactly when its row has a witness, and ``all_witnessed`` must
+    be the conjunction of the flags.  A row without a witness is checked by
+    replaying the run, as a box that ``uncovered-box`` did not find is.
+    """
+    report = core["report"]
+    rows = report["rows"]
+    subsets: list[list[int]] = [[]]  # by mask: doubling per index keeps mask order
+    for k in range(len(i["pool"])):
+        subsets += [subset + [k] for subset in subsets]
+    # Marshal tells apart the JSON values 1, 1.0 and true, which ``==`` does not.
+    if marshal.dumps([row["subset"] for row in rows], 0) != marshal.dumps(subsets[1:] or subsets, 0):
+        return False
+    flags = [row["verified"] for row in rows]
+    if any(flag is not (row["witness"] is not None) for flag, row in zip(flags, rows)):
+        return False
+    if report["all_witnessed"] is not all(flags) or not _witnessed_rows_valid(s, i, rows):
+        return False
+    return all(flags) or replay()
+
+
+def _witnessed_rows_valid(s: CantorSchedule, i: dict, rows: list) -> bool:
     """Check every witnessed row, by extension of its parent row where it can.
 
     A row's parent is the row for its subset without the last index.  When
@@ -219,7 +245,7 @@ def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay)
     # Marshal (version 0, no shared references) is a fast exact encoding
     # whose bytes tell apart the JSON values 1, 1.0 and true, which ``==`` does not.
     passed = {(): (marshal.dumps([], 0), UncoveredWitness(target, 0, ()))}
-    for row in core["report"]["rows"]:
+    for row in rows:
         doc = row["witness"]
         if doc is None:
             continue

@@ -158,12 +158,14 @@ def pow2(k: int) -> Fraction:
 
 
 def floor_log2(value: Fraction) -> int:
-    """Largest k with 2**k <= value (value must be positive)."""
-    if value <= 0:
+    """Largest k with 2**k <= value (value must be positive).
+
+    With p/q in lowest terms, p/q lies in (2**(k-1), 2**(k+1)) for
+    k = bitlen(p) - bitlen(q), so one shifted integer comparison decides.
+    """
+    p, q = value.numerator, value.denominator
+    if p <= 0:
         raise PreconditionError(f"floor_log2 needs a positive value, got {value}")
-    k = value.numerator.bit_length() - value.denominator.bit_length()
-    while pow2(k) > value:
-        k -= 1
-    while pow2(k + 1) <= value:
-        k += 1
-    return k
+    k = p.bit_length() - q.bit_length()
+    fits = q << k <= p if k >= 0 else q <= p << -k  # 2**k <= p/q
+    return k if fits else k - 1

@@ -461,17 +461,23 @@ class TestCheckByExtension:
         ]
         inputs = {"pool": pool, "stage_cap": cap}
         core = _core(report)
-        assert cli._check_infinite_cube(s, inputs, core, None) == witness_oracle.check_infinite_cube(
-            s, inputs, core
+
+        def replay():
+            return _core(infinite_cube_report(s, pool, cap)) == core
+
+        assert cli._check_infinite_cube(s, inputs, core, replay) == witness_oracle.check_infinite_cube(
+            s, inputs, core, replay
         )
         for kind in data.draw(st.lists(st.sampled_from(_WITNESS_TAMPERS + _ROW_TAMPERS), max_size=3)):
             _tamper_rows(data, core["report"]["rows"], d, kind)
+        assert _verdict(cli._check_infinite_cube, s, inputs, core, replay) == _verdict(
+            witness_oracle.check_infinite_cube, s, inputs, core, replay
+        )
         rows = core["report"]["rows"]
         # every prefix of the rows, so the first failing row is the same one
         for k in range(len(rows) + 1):
-            part = {"report": {"rows": rows[:k]}}
-            assert _verdict(cli._check_infinite_cube, s, inputs, part, None) == _verdict(
-                witness_oracle.check_infinite_cube, s, inputs, part
+            assert _verdict(cli._witnessed_rows_valid, s, inputs, rows[:k]) == _verdict(
+                witness_oracle.witnessed_rows_valid, s, inputs, rows[:k]
             )
 
     @settings(max_examples=100, deadline=None)
@@ -578,3 +584,77 @@ class TestCheckByExtension:
         assert cli.main([*argv, "--out", str(tmp_path / "cube.json")]) == 0
         assert len(gap_checks) == 2 * (2**p - 1)
         assert len(decodes) == 2**p - 1
+
+
+def _cut_to_one(report):
+    del report["rows"][1:]
+
+
+def _null_witnesses(report):
+    for row in report["rows"]:
+        row["witness"] = None
+
+
+def _flags_false(report):
+    for row in report["rows"]:
+        row["verified"] = False
+    report["all_witnessed"] = False
+
+
+def _conjunction_false(report):
+    report["all_witnessed"] = False
+
+
+def _null_witnesses_consistently(report):
+    # flags that agree with the missing witnesses, so only the replay can tell
+    _null_witnesses(report)
+    _flags_false(report)
+
+
+def _inconclusive_stage(report):
+    (row,) = [row for row in report["rows"] if row["witness"] is None][:1]
+    row["inconclusive_stage"] += 1
+
+
+class TestTableShapeAndFlags:
+    """The replay checks the table as a whole, not only its witnessed rows."""
+
+    def verdicts(self, s, pool, cap, tamper=None):
+        inputs = to_json({"pool": pool, "stage_cap": cap})
+        core = _core(infinite_cube_report(s, pool, cap))
+        if tamper is not None:
+            tamper(core["report"])
+        got = cli._verify(cli.COMMANDS["infinite-cube"], s, inputs, core)
+        decoded = {"pool": pool, "stage_cap": cap}
+        want = _verdict(
+            witness_oracle.check_infinite_cube,
+            s,
+            decoded,
+            core,
+            lambda: _core(infinite_cube_report(s, pool, cap)) == core,
+        )
+        return got, want
+
+    @pytest.mark.parametrize("cap", [1, 12], ids=["inconclusive-rows", "all-witnessed"])
+    def test_an_untampered_table_verifies(self, cap):
+        assert self.verdicts(S1, grid_translate_pool(S1, 3), cap) == (True, True)
+
+    def test_an_empty_pool_has_one_row(self):
+        assert self.verdicts(S1, [], 4) == (True, True)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [_cut_to_one, _null_witnesses, _flags_false, _conjunction_false, _null_witnesses_consistently],
+    )
+    def test_each_tamper_is_refused(self, tamper):
+        assert self.verdicts(S1, grid_translate_pool(S1, 3), 12, tamper) == (False, False)
+
+    def test_a_row_without_a_witness_is_replayed(self):
+        assert self.verdicts(S1, grid_translate_pool(S1, 3), 1, _inconclusive_stage) == (False, False)
+
+    def test_a_subset_index_of_another_type_is_refused(self):
+        def retype(report):
+            assert report["rows"][1]["subset"] == [1]
+            report["rows"][1]["subset"] = [True]  # equal to [1] under ``==``
+
+        assert self.verdicts(S1, grid_translate_pool(S1, 3), 12, retype) == (False, False)

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from fatcantor.packing import (
     _tiling_covers,
     check_family_size,
 )
+from fatcantor import cli
 from fatcantor.serialize import to_json
 
 from strategies import positive_fractions
@@ -288,9 +290,8 @@ def tiling_proof(fam: CubeFamily, placements) -> bool:
     _, steps = merge_dyadic(fam.dim, exponents)
     # In these families the last merge builds the selected cube.
     selected = steps[-1].result
-    by_result = {step.result: step for step in steps}
     tampered = dataclasses.replace(layout, placements=tuple(placements))
-    return _tiling_covers(fam, tampered, exponents, Fraction(1), selected, by_result)
+    return _tiling_covers(fam, tampered, Fraction(1), selected)
 
 
 def at(*coords):
@@ -342,3 +343,181 @@ class TestTilingProof:
         # pairwise overlap check, before the tiling proof used box algebra
         doc = json.dumps(to_json(pack_cover(CubeFamily(dim, sides))), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# the merge-tree proof against the box-algebra replay
+# ---------------------------------------------------------------------------
+
+ALPHAS = (Fraction(1), Fraction(3, 4), Fraction(2, 3))
+
+
+def selected_cube(fam: CubeFamily, alpha: Fraction) -> int:
+    """The cube pack_cover unfolds: the smallest adequate final cube."""
+    final, _ = merge_dyadic(fam.dim, round_to_dyadic([v / alpha for v in fam.sides]))
+    return min((k, idx) for idx, k in final if pow2(k) >= Fraction(1, 2))[1]
+
+
+@st.composite
+def feasible_families(draw):
+    """A family with sum (side/alpha)**d >= 1, equal or non-dyadic sides."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    alpha = draw(st.sampled_from(ALPHAS))
+    if draw(st.booleans()):
+        side = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)]))
+        count = next(n for n in itertools.count(1) if n * side**dim >= 1)
+        sides = [alpha * side] * (count + draw(st.integers(min_value=0, max_value=3)))
+    else:
+        sides, volume = [], Fraction(0)
+        while volume < 1:
+            side = Fraction(draw(st.integers(min_value=13, max_value=63)), 64)
+            sides.append(alpha * side)
+            volume += side**dim
+    return CubeFamily(dim, tuple(sides)), alpha
+
+
+class TestMergeTreeProof:
+    @settings(max_examples=150)
+    @given(case=feasible_families())
+    def test_proof_and_replay_accept_every_layout(self, case):
+        fam, alpha = case
+        layout = pack_cover(fam, alpha=alpha)
+        assert _tiling_covers(fam, layout, alpha, selected_cube(fam, alpha))
+        assert layout_covers(fam, layout)
+
+    # Eight quarters merge into two halves (cubes 10 and 11), which merge
+    # with two more halves into the unit cube 12: two steps at one level,
+    # non-dyadic sides, alpha != 1.
+    ALPHA = Fraction(3, 4)
+    FAMILY = CubeFamily(2, tuple(Fraction(3, 4) * v for v in [Fraction(13, 50)] * 8 + [Fraction(27, 50)] * 2))
+
+    def test_the_mutant_base_passes(self):
+        layout = pack_cover(self.FAMILY, alpha=self.ALPHA)
+        assert [(step.level, step.result) for step in layout.merge_tree] == [(-2, 10), (-2, 11), (-1, 12)]
+        assert layout.merge_tree[-1].constituents == (8, 9, 10, 11)
+        assert selected_cube(self.FAMILY, self.ALPHA) == 12
+        assert _tiling_covers(self.FAMILY, layout, self.ALPHA, 12)
+
+    def mutant(self, kind):
+        fam, layout = self.FAMILY, pack_cover(self.FAMILY, alpha=self.ALPHA)
+        placements, tree = list(layout.placements), list(layout.merge_tree)
+        unit = self.ALPHA / 4  # alpha * 2**base, base = -2
+        if kind == "shifted":
+            index, (x, y) = placements[2]
+            placements[2] = (index, (x + unit, y))
+        elif kind == "swapped":
+            a, b, *rest = tree[2].constituents
+            tree[2] = dataclasses.replace(tree[2], constituents=(b, a, *rest))
+        elif kind.startswith("offset"):
+            step = tree[int(kind[-1])]  # the walk checks cube 12, then 11, then 10
+            offsets = list(step.offsets)
+            offsets[1] = offsets[2]
+            tree[int(kind[-1])] = dataclasses.replace(step, offsets=tuple(offsets))
+        elif kind == "dropped":
+            del tree[0]
+        elif kind == "dropped-and-placed":
+            # cube 11 placed as if it were an input, in place of inputs 4-7
+            del tree[1]
+            placements[4:8] = [(11, placements[4][1])]
+        elif kind == "arity":
+            # cube 12 from three constituents, the corner of cube 11 bare
+            tree[2] = dataclasses.replace(tree[2], constituents=(8, 9, 10))
+            del placements[4:8]
+        elif kind == "short-translation":
+            index, (x, y) = placements[0]
+            placements[0] = (index, (x,))
+        elif kind == "target-dimension":
+            return fam, dataclasses.replace(layout, target=Box.cube(at(0), self.ALPHA / 2))
+        elif kind == "duplicate-constituent":
+            # input 0 at two corners of cube 10, input 1 nowhere: the
+            # placements name input 0 once, at the corner the walk meets last
+            tree[0] = dataclasses.replace(tree[0], constituents=(0, 0, 2, 3))
+            del placements[1]
+        elif kind == "duplicate-placement":
+            placements.append(placements[0])
+        elif kind == "level":
+            # cube 10 claims level -3: its inputs, placed at the corners
+            # {0, 1/8}^2 of its position (1/2, 0), tile only a quarter cube,
+            # but cube 12 takes it for a half
+            tree[0] = dataclasses.replace(tree[0], level=-3, offsets=_corner_offsets(2, -3))
+            eighth = self.ALPHA / 8
+            for index, (dx, dy) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+                placements[index] = (index, (4 * eighth + dx * eighth, dy * eighth))
+        elif kind == "side":
+            sides = list(fam.sides)
+            sides[0] = unit - Fraction(1, 1000)
+            fam = CubeFamily(2, tuple(sides))
+        elif kind == "target":
+            return fam, dataclasses.replace(layout, target=Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000)))
+        return fam, dataclasses.replace(layout, placements=tuple(placements), merge_tree=tuple(tree))
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["shifted", "swapped", "offset0", "offset1", "offset2", "dropped", "dropped-and-placed",
+         "arity", "duplicate-constituent", "duplicate-placement", "level", "side", "target",
+         "target-dimension", "short-translation"],
+    )
+    def test_mutants_are_rejected(self, kind):
+        fam, layout = self.mutant(kind)
+        assert not _tiling_covers(fam, layout, self.ALPHA, 12)
+
+    def test_only_the_proof_sees_the_tree_mutants(self):
+        # The placements of these mutants still cover the target, so the
+        # replay accepts them; the proof refuses them for their tree.
+        for kind in ["offset0", "offset1", "offset2"]:
+            fam, layout = self.mutant(kind)
+            assert layout_covers(fam, layout)
+
+    def test_the_proof_calls_nothing_the_search_calls(self):
+        layout = pack_cover(self.FAMILY, alpha=self.ALPHA)
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            assert _tiling_covers(self.FAMILY, layout, self.ALPHA, 12)
+        finally:
+            sys.setprofile(None)
+        names = {name for _, name in called}
+        assert not names & {"_corner_offsets", "merge_dyadic", "round_to_dyadic", "floor_log2", "pow2"}
+        assert not [path for path, _ in called if path.endswith("geometry.py")]
+
+    def test_a_selected_input_is_placed_alone_at_the_origin(self):
+        fam = CubeFamily(2, (Fraction(3, 4), Fraction(3, 4)))
+        layout = pack_cover(fam)
+        assert not layout.merge_tree and _tiling_covers(fam, layout, Fraction(1), 0)
+        moved = ((0, at("1/100", 0)),)
+        assert not _tiling_covers(fam, dataclasses.replace(layout, placements=moved), Fraction(1), 0)
+        wide = Box.cube(at(0, 0), Fraction(3, 4) + Fraction(1, 100))
+        assert not _tiling_covers(fam, dataclasses.replace(layout, target=wide), Fraction(1), 0)
+        assert not _tiling_covers(fam, layout, Fraction(1), 1)
+
+    def test_a_deep_chain_unfolds_past_the_recursion_limit(self):
+        # 1/2, 1/4, ..., 2^-1200 and 2^-1200 merge into a unit cube through
+        # 1200 levels, deeper than Python's default recursion limit.
+        depth = 1200
+        fam = CubeFamily(1, tuple(pow2(-k) for k in range(1, depth + 1)) + (pow2(-depth),))
+        layout = pack_cover(fam)
+        assert len(layout.merge_tree) == depth
+        assert layout.placements[0] == (0, at(0)) and layout.placements[-1] == (depth, (1 - pow2(-depth),))
+
+    def test_pack_verify_folds_the_placements_once(self, monkeypatch, tmp_path):
+        folds = []
+        from_boxes = BoxUnion.from_boxes
+
+        def counted(dim, boxes):
+            boxes = list(boxes)
+            folds.append(len(boxes))
+            return from_boxes(dim, boxes)
+
+        monkeypatch.setattr(BoxUnion, "from_boxes", staticmethod(counted))
+        out = tmp_path / "pack.json"
+        argv = ["pack", "--d", "2", "--sides", ",".join(["1/8"] * 64), "--verify", "--out", str(out)]
+        assert cli.main(argv) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["verification"]["ok"] is True and result["placements"] == 64
+        # the replay's fold over the placements; the others fold one box
+        assert [n for n in folds if n > 1] == [64]

@@ -50,6 +50,26 @@ def test_floor_log2_inverts_pow2(k):
     assert floor_log2(pow2(k) - pow2(k - 10)) == k - 1
 
 
+_widths = st.one_of(st.integers(1, 2**8), st.integers(2**200, 2**260))
+
+
+@given(p=_widths, q=_widths)
+def test_floor_log2_meets_its_definition_on_wide_fractions(p, q):
+    v = Fraction(p, q)
+    k = floor_log2(v)
+    assert pow2(k) <= v < pow2(k + 1)
+
+
+@given(a=st.integers(0, 260), b=st.integers(0, 260), odd=st.integers(0, 2**210).map(lambda n: 2 * n + 1))
+def test_floor_log2_of_powers_of_two_and_their_neighbours(a, b, odd):
+    assert floor_log2(Fraction(1 << a, 1 << b)) == a - b
+    # an odd factor keeps the fraction in lowest terms and lifts it by its own log
+    assert floor_log2(Fraction(odd << a, 1 << b)) == a - b + odd.bit_length() - 1
+    if a > 0:  # just below a power of two
+        assert floor_log2(Fraction((1 << a) - 1, 1 << b)) == a - b - 1
+    assert floor_log2(Fraction(1 << a, (1 << b) + 1)) == a - b - 1
+
+
 @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1), Fraction(-1, 7)])
 def test_floor_log2_rejects_nonpositive(bad):
     with pytest.raises(PreconditionError):

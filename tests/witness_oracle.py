@@ -8,14 +8,16 @@ pool of p one-leaf elements costs p * 2^(p-1) gap searches instead of
 2^p - 1.  Both it and ``check_infinite_cube``, the ``--verify`` check of a
 table's JSON core, decode and check every row on its own with
 ``uncovered_witness_valid``: p * 2^(p-1) certificate decodes and gap checks
-where extension of the parent row needs 2^p - 1.  Nothing here calls
+where extension of the parent row needs 2^p - 1; ``check_infinite_cube``
+also checks the table's shape and flags on its own terms.  Nothing here calls
 ``_shrink_past`` or ``extension_valid``, so the differential tests compare
 the fast paths against code that shares neither; kept only as an oracle.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from typing import Callable, Sequence
 
 from fatcantor import (
     Box,
@@ -121,14 +123,51 @@ def infinite_cube_report(
     )
 
 
-def check_infinite_cube(s: CantorSchedule, i: dict, core: dict) -> bool:
-    """The ``--verify`` check of an infinite-cube core: every witnessed row
-    decoded whole and checked on its own."""
+def witnessed_rows_valid(s: CantorSchedule, i: dict, rows: list) -> bool:
+    """Every witnessed row of a table's JSON decoded whole and checked on its own."""
     target = Box.unit_cube(s.d)
     return all(
         uncovered_witness_valid(
             s, target, [i["pool"][k] for k in row["subset"]], witness_from_json(row["witness"])
         )
-        for row in core["report"]["rows"]
+        for row in rows
         if row["witness"] is not None
+    )
+
+
+def check_infinite_cube(
+    s: CantorSchedule, i: dict, core: dict, replay: Callable[[], bool] | None = None
+) -> bool:
+    """The ``--verify`` check of an infinite-cube core.
+
+    The rows must list the nonempty subsets of the pool as lists of ints,
+    ordered by their bit masks; each witnessed row must pass on its own; each
+    ``verified`` flag must be its row's verdict and ``all_witnessed`` their
+    conjunction; and a table with a row without a witness is replayed.
+    """
+    report = core["report"]
+    rows = report["rows"]
+    size = len(i["pool"])
+    subsets = sorted(
+        (list(c) for r in range(1, size + 1) for c in itertools.combinations(range(size), r)),
+        key=lambda c: sum(2**k for k in c),
+    )
+    shape = [row["subset"] for row in rows]
+    if shape != (subsets or [[]]) or any(type(k) is not int for sub in shape for k in sub):
+        return False
+    verdicts = [
+        row["witness"] is not None
+        and uncovered_witness_valid(
+            s,
+            Box.unit_cube(s.d),
+            [i["pool"][k] for k in row["subset"]],
+            witness_from_json(row["witness"]),
+        )
+        for row in rows
+    ]
+    return (
+        all(row["verified"] is verdict for row, verdict in zip(rows, verdicts))
+        and report["all_witnessed"] is all(verdicts)
+        and all(verdict for row, verdict in zip(rows, verdicts) if row["witness"] is not None)
+        and (all(verdicts) or replay())
     )
