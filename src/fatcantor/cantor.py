@@ -405,20 +405,16 @@ def find_gap(
     return NeedsDeeperStage(deepest_stage=stage_cap)
 
 
-def gap_certificate_valid(
-    s: CantorSchedule, t: Sequence[object], cert: GapCertificate, *, within: Box | None = None
-) -> bool:
+def gap_certificate_valid(s: CantorSchedule, t: Sequence[object], cert: GapCertificate) -> bool:
     """Re-check a certificate from its serialized data alone.
 
-    The witness (as an open box) must be nonempty, sit inside ``within``
-    when given, and miss the closed stage translate: some coordinate
-    interval must meet no surviving interval of A_stage + t_i.
+    The witness (as an open box) must be nonempty and miss the closed stage
+    translate: some coordinate interval must meet no surviving interval of
+    A_stage + t_i.
     """
     if len(t) != s.d or cert.box.dim != s.d:
         return False
     if not cert.box.has_positive_sides() or not cert.box.is_bounded:
-        return False
-    if within is not None and not within.contains_box(cert.box):
         return False
     shift = [as_fraction(v) for v in t]
     for axis in range(s.d):

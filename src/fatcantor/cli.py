@@ -17,10 +17,11 @@ inputs to JSON, decodes them back through one table of input keys
 (``_DECODERS``) and runs on the decoded values, so a run depends on its
 document alone.
 
-``--verify`` replays the run from the serialized document: by default the
-inputs are re-decoded, the result recomputed and the two compared; an entry
-whose output carries a certificate (witnesses, layouts, covers) re-checks it
-with its validator instead.  The verdict is appended under
+``--verify`` replays the run from the serialized document: the inputs are
+the ones the run itself decoded from the document, and by default the
+result is recomputed and its JSON compared with the document's; an entry
+whose output carries a certificate (witnesses, layouts, covers) re-checks
+that JSON with its validator instead.  The verdict is appended under
 ``result.verification``.
 """
 
@@ -38,14 +39,15 @@ from typing import Any, Callable, Sequence
 from .cantor import CantorSchedule, NeedsDeeperStage, check_stage
 from .cover import (
     UncoveredWitness,
+    _parent,
     _target_union,
     check_pool_size,
-    extension_valid,
     find_uncovered_box,
     grid_translate_pool,
     infinite_cube_report,
     outer_upper,
     quartered_translate_pool,
+    table_verdicts,
     uncovered_witness_valid,
     verify_cover,
 )
@@ -58,7 +60,7 @@ from .hausdorff import (
     range_function,
     solve_level,
 )
-from .packing import CubeFamily, layout_covers, pack_cover
+from .packing import CubeFamily, PackingLayout, layout_covers, pack_cover
 from .rationals import parse_fraction
 from .ring import (
     DEFAULT_STAGE_CAP,
@@ -76,7 +78,7 @@ from .serialize import (
     expr_from_json,
     exprs_from_json,
     frac_from_json,
-    layout_from_json,
+    placements_from_json,
     to_json,
     witness_from_json,
 )
@@ -206,11 +208,12 @@ def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay)
     """Check the whole table: its shape and flags, then each row.
 
     The rows must be exactly the nonempty subsets of the pool in mask order
-    (the empty subset alone for an empty pool).  Every row with a witness
-    must pass :func:`_witnessed_rows_valid`, so each ``verified`` flag must
-    be true exactly when its row has a witness, and ``all_witnessed`` must
-    be the conjunction of the flags.  A row without a witness is checked by
-    replaying the run, as a box that ``uncovered-box`` did not find is.
+    (the empty subset alone for an empty pool).  Each ``verified`` flag must
+    be true exactly when its row has a witness, and must be the verdict of
+    :func:`cover.table_verdicts` on the decoded witnesses; ``all_witnessed``
+    must be the conjunction of the flags.  A row without a witness is
+    checked by replaying the run, as a box that ``uncovered-box`` did not
+    find is.
     """
     report = core["report"]
     rows = report["rows"]
@@ -223,56 +226,52 @@ def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay)
     flags = [row["verified"] for row in rows]
     if any(flag is not (row["witness"] is not None) for flag, row in zip(flags, rows)):
         return False
-    if report["all_witnessed"] is not all(flags) or not _witnessed_rows_valid(s, i, rows):
+    if report["all_witnessed"] is not all(flags):
+        return False
+    if table_verdicts(s, i["pool"], _table_witnesses(rows)) != flags:
         return False
     return all(flags) or replay()
 
 
-def _witnessed_rows_valid(s: CantorSchedule, i: dict, rows: list) -> bool:
-    """Check every witnessed row, by extension of its parent row where it can.
+def _table_witnesses(rows: list) -> "list[UncoveredWitness | None]":
+    """Decode a table's witnesses, rows in mask order, once per certificate.
 
-    A row's parent is the row for its subset without the last index.  When
-    the parent came earlier and passed, and the row's certificate list
-    starts with the parent's, value for value, only the row's box, stage and
-    new certificates are decoded, and :func:`extension_valid` proves the
-    newest element against the parent's decoded witness.  Any other row, or
-    one that extension rejects, is decoded whole and checked on its own by
-    :func:`uncovered_witness_valid`, so the verdict is that check's on every
-    row.
+    A row's parent is the row for its mask without the highest bit.  When a
+    row's certificate list starts with its parent's, equal as marshal bytes
+    (version 0, no shared references: they tell apart the JSON values 1, 1.0
+    and true, which ``==`` does not), the row shares the parent's decoded
+    certificates and decodes only the rest.
     """
-    target = Box.unit_cube(s.d)
-    # Rows that passed, by subset: the certificate list as bytes, and the witness.
-    # Marshal (version 0, no shared references) is a fast exact encoding
-    # whose bytes tell apart the JSON values 1, 1.0 and true, which ``==`` does not.
-    passed = {(): (marshal.dumps([], 0), UncoveredWitness(target, 0, ()))}
-    for row in rows:
+    # By mask: a witnessed row's certificate list, as bytes and decoded.
+    known: "list[tuple[bytes, tuple] | None]" = [(marshal.dumps([], 0), ())]
+    witnesses: "list[UncoveredWitness | None]" = []
+    for mask, row in enumerate(rows, 1):
         doc = row["witness"]
         if doc is None:
+            witnesses.append(None)
+            known.append(None)
             continue
-        subset = row["subset"]
-        elements = [i["pool"][k] for k in subset]
         certs = doc.get("certificates") if isinstance(doc, dict) else None
-        parent = passed.get(tuple(subset[:-1])) if subset and isinstance(certs, list) else None
-        ok = False
-        if parent is not None:
-            blob, start = parent
-            n = len(start.certificates)
-            if marshal.dumps(certs[:n], 0) == blob:
-                tail = witness_from_json({**doc, "certificates": certs[n:]})
-                witness = UncoveredWitness(
-                    tail.box, tail.stage, start.certificates + tail.certificates
-                )
-                ok = extension_valid(s, start, witness, len(subset) - 1, elements[-1])
-        if not ok:
+        blob, shared = known[_parent(mask)] or (None, ())
+        n = len(shared)
+        if isinstance(certs, list) and marshal.dumps(certs[:n], 0) == blob:
+            tail = witness_from_json({**doc, "certificates": certs[n:]})
+            witness = UncoveredWitness(tail.box, tail.stage, shared + tail.certificates)
+        else:
             witness = witness_from_json(doc)
-            if not uncovered_witness_valid(s, target, elements, witness):
-                return False
-        passed[tuple(subset)] = (marshal.dumps(certs, 0), witness)
-    return True
+        witnesses.append(witness)
+        known.append((marshal.dumps(certs, 0), witness.certificates))
+    return witnesses
+
+
+def _placed(doc: Any) -> PackingLayout:
+    """A layout's placements and target, all that ``layout_covers`` reads;
+    its merge tree is left undecoded."""
+    return PackingLayout(placements_from_json(doc), box_from_json(doc["target"]), ())
 
 
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    layout = layout_from_json(core["layout"])
+    layout = _placed(core["layout"])
     expected_target = Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"])
     return layout.target == expected_target and layout_covers(i["family"], layout)
 
@@ -280,7 +279,7 @@ def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
 def _check_corollary_demo(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     report = core["report"]
     family = cube_family_from_json(report["family"])
-    layout = layout_from_json(report["layout"])
+    layout = _placed(report["layout"])
     checks = report["checks"]
     flags = (
         checks["sum_exceeds_half_a"],
@@ -621,14 +620,12 @@ def _error(exc: Exception) -> "tuple[int, dict, str]":
 
 
 def _verify(command: Command, s: CantorSchedule, inputs: dict, core: dict) -> bool:
+    """Replay a run from its decoded inputs and its result core's JSON."""
+
+    def replay() -> bool:
+        return to_json(command.run(s, inputs)[0]) == core
+
     try:
-        # Round-trip through JSON so the replay sees serialized data only.
-        inputs = _decode(json.loads(json.dumps(inputs)))
-        core = json.loads(json.dumps(core))
-
-        def replay() -> bool:
-            return to_json(command.run(s, inputs)[0]) == core
-
         return replay() if command.check is None else command.check(s, inputs, core, replay)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"verification crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -661,7 +658,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         schedule = CantorSchedule(args.d, args.c, args.rho)
         doc["config"] = {**to_json(schedule), "seed": args.seed}
         doc["inputs"] = to_json(command.inputs(args, schedule))
-        core, code = command.run(schedule, _decode(doc["inputs"]))
+        inputs = _decode(doc["inputs"])
+        core, code = command.run(schedule, inputs)
         result = to_json(core)
     except Exception as exc:  # every failure still prints a document
         code, error, message = _error(exc)
@@ -670,7 +668,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     else:
         verification: dict = {"requested": args.verify}
         if args.verify:
-            verification["ok"] = _verify(command, schedule, doc["inputs"], result)
+            verification["ok"] = _verify(command, schedule, inputs, result)
             if not verification["ok"] and code == 0:
                 code = 1
                 print("verification failed", file=sys.stderr)

@@ -16,12 +16,13 @@ translate; nothing d-dimensional is ever materialized.  That step,
 subset masks of the infinite-cube table, one element per row.
 
 Checking is monotone the same way: a sub-box of a box that misses a closed
-stage translate misses it too.  ``uncovered_witness_valid`` checks a witness
-on its own; ``extension_valid`` checks a witness that extends an already
-checked one by one element, proving only that element's certificates.  The
-table and its ``--verify`` replay check each row by extension of its
-parent row and fall back to the check on its own, so every verdict is the
-one the check on its own gives.
+stage translate misses it too.  ``extension_valid`` is the one witness
+check: it proves a witness that extends an already checked one by a run of
+new elements, and ``uncovered_witness_valid`` is that check from the
+unshrunk target.  ``table_verdicts`` is the one walk over an infinite-cube
+table, used by the report and by its ``--verify`` replay alike: each row is
+checked by extension of its parent row and falls back to the check on its
+own, so every verdict is the one the check on its own gives.
 """
 
 from __future__ import annotations
@@ -281,58 +282,52 @@ def uncovered_witness_valid(
 ) -> bool:
     """Re-verify a witness from serialized data alone.
 
-    Checks that the box is a positive open box inside the target, that the
-    recorded certificates enumerate exactly the hull leaves of the given
-    elements, and that the box misses each leaf's closed stage
-    approximation at that leaf's own recorded stage.
+    Checks that the box is a bounded positive open box inside the target,
+    that the recorded certificates enumerate exactly the hull leaves of the
+    given elements, and that the box misses each leaf's closed stage
+    approximation at that leaf's own recorded stage: the unshrunk target,
+    extended by every element.
     """
-    box = witness.box
-    if box.dim != s.d or not box.is_bounded or not box.has_positive_sides():
-        return False
-    if not target.contains_box(box):
-        return False
-    expected: list[tuple[int, int, tuple[Fraction, ...]]] = []
-    for ei, element in enumerate(elements):
-        for li, leaf in enumerate(hull_leaves(element)):
-            expected.append((ei, li, leaf.translation))
-    recorded = [(c.element_index, c.leaf_index, c.translation) for c in witness.certificates]
-    if recorded != expected:
-        return False
-    return all(
-        gap_certificate_valid(s, cert.translation, GapCertificate(cert.certificate.stage, box))
-        for cert in witness.certificates
-    )
+    return extension_valid(s, UncoveredWitness(target, 0, ()), witness, 0, elements)
 
 
 def extension_valid(
     s: CantorSchedule,
     parent: UncoveredWitness,
     child: UncoveredWitness,
-    ei: int,
-    element: "RingExpr",
+    first: int,
+    elements: Sequence["RingExpr"],
 ) -> bool:
-    """Is ``child`` a witness for ``parent``'s family plus ``element``?
+    """Is ``child`` a witness for ``parent``'s family plus ``elements``?
 
     ``parent`` must already be valid for its family and target (or be the
-    unshrunk target with no certificates).  The child is valid when its box
-    has dimension ``s.d`` and positive sides and lies inside the parent's
-    box, its certificates are the parent's followed by one
-    ``(ei, li, translation)`` per hull leaf of ``element``, and the box
-    misses each new leaf's closed stage approximation at its recorded stage.
-    The parent's certificates carry over unchecked: a box inside the
-    parent's misses whatever the parent's box misses.  So a true answer
-    implies :func:`uncovered_witness_valid` on the child's family; after a
-    false one, only that check can tell whether the child is valid.
+    unshrunk target with no certificates); ``first`` is the index of the
+    first new element in the child's family.  The child is valid when its
+    box is a bounded box of dimension ``s.d`` with positive sides inside
+    the parent's box, its certificates are the parent's followed by one
+    ``(first + k, li, translation)`` per hull leaf ``li`` of ``elements[k]``,
+    and the box misses each new leaf's closed stage approximation at its
+    recorded stage.  The parent's certificates carry over unchecked: a box
+    inside the parent's misses whatever the parent's box misses.  So a true
+    answer implies :func:`uncovered_witness_valid` on the child's family;
+    after a false one, only that check can tell whether the child is valid.
     """
     box = child.box
-    if box.dim != s.d or not box.has_positive_sides() or not parent.box.contains_box(box):
+    if box.dim != s.d or not box.is_bounded or not box.has_positive_sides():
+        return False
+    if not parent.box.contains_box(box):
         return False
     n = len(parent.certificates)
-    if child.certificates[:n] != parent.certificates:
+    if tuple(child.certificates[:n]) != tuple(parent.certificates):
         return False
     new = child.certificates[n:]
     recorded = [(c.element_index, c.leaf_index, c.translation) for c in new]
-    if recorded != [(ei, li, leaf.translation) for li, leaf in enumerate(hull_leaves(element))]:
+    expected = [
+        (ei, li, leaf.translation)
+        for ei, element in enumerate(elements, first)
+        for li, leaf in enumerate(hull_leaves(element))
+    ]
+    if recorded != expected:
         return False
     return all(
         gap_certificate_valid(s, cert.translation, GapCertificate(cert.certificate.stage, box))
@@ -340,21 +335,12 @@ def extension_valid(
     )
 
 
-def grid_translate_pool(
-    s: CantorSchedule,
-    size: int,
-    *,
-    step: Fraction | None = None,
-    clip: Box | None = None,
-) -> list["RingExpr"]:
-    """Diagonal grid of clipped translates: t_i = i*step*(1, ..., 1)."""
+def grid_translate_pool(s: CantorSchedule, size: int) -> list["RingExpr"]:
+    """Diagonal grid of translates clipped to the unit cube: t_i = (i/size)*(1, ..., 1)."""
     if size < 0:
         raise PreconditionError(f"pool size must be nonnegative, got {size}")
-    if step is None:
-        step = Fraction(1, size) if size else Fraction(1)
-    if clip is None:
-        clip = Box.unit_cube(s.d)
-    return [Gen((Fraction(i) * step,) * s.d, clip) for i in range(size)]
+    unit = Box.unit_cube(s.d)
+    return [Gen((Fraction(i, size),) * s.d, unit) for i in range(size)]
 
 
 def quartered_translate_pool(s: CantorSchedule, size: int) -> list["RingExpr"]:
@@ -415,6 +401,45 @@ def check_pool_size(size: int) -> int:
     return size
 
 
+def _table_masks(size: int) -> range:
+    """The masks of a table's rows: every nonempty subset, or the empty one alone."""
+    return range(1, 1 << size) if size else range(1)
+
+
+def _parent(mask: int) -> int:
+    """A row's parent: its mask without the highest bit (mask 0 is its own)."""
+    return mask ^ (1 << mask.bit_length() >> 1)
+
+
+def table_verdicts(
+    s: CantorSchedule,
+    pool: Sequence["RingExpr"],
+    witnesses: Sequence["UncoveredWitness | None"],
+) -> list[bool]:
+    """Check an infinite-cube table's witnesses, one per row in mask order.
+
+    A row's parent is its mask without the highest bit; mask 0 is the
+    unshrunk unit cube, which passes.  A row whose parent passed is checked
+    by :func:`extension_valid`, proving only its newest element's
+    certificates.  Any other row, or a row that extension rejects, is
+    checked on its own by :func:`uncovered_witness_valid`, so every verdict
+    is the one the check on its own gives.  A row without a witness fails.
+    """
+    cube = Box.unit_cube(s.d)
+    # By mask: a row's witness if it passed, else None.
+    passed: list[UncoveredWitness | None] = [UncoveredWitness(cube, 0, ())]
+    for mask, witness in zip(_table_masks(len(pool)), witnesses, strict=True):
+        parent = passed[_parent(mask)]
+        members = [e for i, e in enumerate(pool) if mask >> i & 1]
+        ok = witness is not None and (
+            parent is not None
+            and extension_valid(s, parent, witness, len(members) - 1, members[-1:])
+            or uncovered_witness_valid(s, cube, members, witness)
+        )
+        passed.append(witness if ok else None)
+    return [witness is not None for witness in passed[1:]]
+
+
 def infinite_cube_report(
     s: CantorSchedule, pool: Sequence["RingExpr"], stage_cap: int
 ) -> InfiniteCubeReport:
@@ -422,49 +447,36 @@ def infinite_cube_report(
 
     The outcome for mask ``m`` is the outcome for its parent, ``m`` without
     its highest bit, shrunk past that element (an inconclusive one stays
-    so); mask 0 is the unshrunk unit cube.  A row whose parent passed is
-    checked by :func:`extension_valid`, so each pass proves only the newest
-    element's certificates; a row that extension rejects, or whose parent
-    failed, is checked on its own by :func:`uncovered_witness_valid`.  Either
-    way ``verified`` is the verdict of the check on its own.
+    so); mask 0 is the unshrunk unit cube, and an empty pool's one row is
+    its middle half.  The rows are then checked by :func:`table_verdicts`,
+    so ``verified`` is the verdict of the check on its own.
     """
     check_pool_size(len(pool))
-    target = Box.unit_cube(s.d)
-    # By mask: the fold's outcome, and whether its row passed its check.
-    outcomes: list[UncoveredWitness | NeedsDeeperStage] = [UncoveredWitness(target, 0, ())]
-    passed = [True]
-    rows: list[SubsetWitnessRow] = []
+    # By mask: the fold's outcome.
+    outcomes: list[UncoveredWitness | NeedsDeeperStage] = [
+        UncoveredWitness(Box.unit_cube(s.d), 0, ())
+    ]
     for mask in range(1, 1 << len(pool)):
-        top = mask.bit_length() - 1
-        parent, ei = mask ^ (1 << top), mask.bit_count() - 1
-        outcome = outcomes[parent]
+        outcome = outcomes[_parent(mask)]
         if isinstance(outcome, UncoveredWitness):
-            outcome = _shrink_past(s, outcome, ei, pool[top], stage_cap)
+            newest = pool[mask.bit_length() - 1]
+            outcome = _shrink_past(s, outcome, mask.bit_count() - 1, newest, stage_cap)
         outcomes.append(outcome)
-        subset = tuple(i for i in range(len(pool)) if mask >> i & 1)
-        witnessed = isinstance(outcome, UncoveredWitness)
-        verified = witnessed and (
-            passed[parent]
-            and extension_valid(s, outcomes[parent], outcome, ei, pool[top])
-            or uncovered_witness_valid(s, target, [pool[i] for i in subset], outcome)
+    found = outcomes[1:] or [_reported(outcomes[0])]
+    witnesses = [o if isinstance(o, UncoveredWitness) else None for o in found]
+    verdicts = table_verdicts(s, pool, witnesses)
+    rows = tuple(
+        SubsetWitnessRow(
+            subset=tuple(i for i in range(len(pool)) if mask >> i & 1),
+            witness=w,
+            inconclusive_stage=o.deepest_stage if w is None else None,
+            verified=v,
         )
-        passed.append(verified)
-        rows.append(
-            SubsetWitnessRow(
-                subset=subset,
-                witness=outcome if witnessed else None,
-                inconclusive_stage=None if witnessed else outcome.deepest_stage,
-                verified=verified,
-            )
-        )
-    if not pool:  # the empty family's one row: the middle half of the cube
-        witness = _reported(outcomes[0])
-        rows.append(
-            SubsetWitnessRow((), witness, None, uncovered_witness_valid(s, target, [], witness))
-        )
+        for mask, o, w, v in zip(_table_masks(len(pool)), found, witnesses, verdicts)
+    )
     return InfiniteCubeReport(
         pool=tuple(pool),
         stage_cap=stage_cap,
-        rows=tuple(rows),
+        rows=rows,
         all_witnessed=all(r.verified for r in rows),
     )

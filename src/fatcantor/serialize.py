@@ -239,16 +239,23 @@ def merge_step_from_json(doc: Any) -> MergeStep:
     )
 
 
+def placements_from_json(doc: Any) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
+    """A layout's placements as (input index, translation) pairs; nothing
+    else of the layout is read."""
+    what = "placement"
+    m = _expect(doc, ("placements",), "packing layout")
+    placements = []
+    for p in _list_of(m, "placements", "packing layout"):
+        pm = _expect(p, ("index", "translate"), what)
+        index = _count_of(pm, "index", what)
+        placements.append((index, tuple(frac_from_json(v) for v in _list_of(pm, "translate", what))))
+    return tuple(placements)
+
+
 def layout_from_json(doc: Any) -> PackingLayout:
     m = _expect(doc, ("placements", "target", "merge_tree"), "packing layout")
-    placements = []
-    for p in m["placements"]:
-        pm = _expect(p, ("index", "translate"), "placement")
-        placements.append(
-            (int(pm["index"]), tuple(frac_from_json(v) for v in pm["translate"]))
-        )
     return PackingLayout(
-        placements=tuple(placements),
+        placements=placements_from_json(m),
         target=box_from_json(m["target"]),
         merge_tree=tuple(merge_step_from_json(s) for s in m["merge_tree"]),
     )

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool
+from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool, serialize
 from fatcantor.cantor import MAX_STAGE
 from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
 from fatcantor.rationals import MAX_DECIMAL_EXPONENT
@@ -611,3 +611,17 @@ class TestDeterminismAndReplay:
         assert first["result"]["verification"] == {"requested": True, "ok": True}
         assert second["config"]["seed"] == 0
         assert second["result"]["verification"] == {"requested": False}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/4"), ("corollary-demo", "--delta", "1/4")],
+        ids=["pack", "corollary-demo"],
+    )
+    def test_layout_replays_decode_only_the_placements_and_target(self, argv, monkeypatch, capsys):
+        def refuse(doc):
+            raise AssertionError("the merge tree was decoded")
+
+        monkeypatch.setattr(serialize, "merge_step_from_json", refuse)
+        assert cli.main([*argv, "--verify"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["verification"] == {"requested": True, "ok": True}

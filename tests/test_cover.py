@@ -15,7 +15,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatcantor import (
@@ -46,6 +46,7 @@ from fatcantor import (
 )
 
 from fatcantor import cover, serialize
+from fatcantor.errors import PreconditionError
 from fatcantor.serialize import to_json, witness_from_json
 
 import witness_oracle
@@ -438,9 +439,17 @@ def _tamper_rows(data, rows, d, kind):
             row["subset"] = data.draw(st.permutations(row["subset"]))
 
 
+def _decoded(doc):
+    """A row's witness, or None where there is none or it does not decode."""
+    try:
+        return None if doc is None else witness_from_json(doc)
+    except PreconditionError:
+        return None
+
+
 def _on_its_own(s, pool, row):
     members = [pool[k] for k in row.subset]
-    return row.witness is not None and uncovered_witness_valid(
+    return row.witness is not None and witness_oracle.witness_valid(
         s, Box.unit_cube(s.d), members, row.witness
     )
 
@@ -473,12 +482,16 @@ class TestCheckByExtension:
         assert _verdict(cli._check_infinite_cube, s, inputs, core, replay) == _verdict(
             witness_oracle.check_infinite_cube, s, inputs, core, replay
         )
-        rows = core["report"]["rows"]
-        # every prefix of the rows, so the first failing row is the same one
-        for k in range(len(rows) + 1):
-            assert _verdict(cli._witnessed_rows_valid, s, inputs, rows[:k]) == _verdict(
-                witness_oracle.witnessed_rows_valid, s, inputs, rows[:k]
-            )
+        # the shared walk, row by row, on witnesses tampered in mask order
+        rows = _core(report)["report"]["rows"]
+        for kind in data.draw(st.lists(st.sampled_from(_WITNESS_TAMPERS), max_size=3)):
+            _tamper_rows(data, rows, d, kind)
+        witnesses = [_decoded(row["witness"]) for row in rows]
+        assert cover.table_verdicts(s, pool, witnesses) == [
+            witness is not None
+            and _verdict(witness_oracle.witnessed_rows_valid, s, inputs, [row])
+            for row, witness in zip(rows, witnesses)
+        ]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -506,16 +519,47 @@ class TestCheckByExtension:
             _on_its_own(s, pool, row) for row in report.rows
         ]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=2),
+        cap=st.integers(min_value=0, max_value=12),
+    )
+    def test_extension_by_a_run_equals_the_check_on_the_whole_family(self, data, d, cap):
+        """Where the child's box lies inside the parent's and its certificates
+        start with the parent's, extension by the new elements is the check on
+        its own of the concatenated family; anywhere else it refuses."""
+        s = CantorSchedule(d)
+        cube = Box.unit_cube(d)
+        elements = data.draw(st.lists(ring_exprs(dim=d, max_leaves=3), max_size=5))
+        k = data.draw(st.integers(min_value=0, max_value=len(elements)))
+        parent = find_uncovered_box(cube, elements[:k], s, cap) if k else UncoveredWitness(cube, 0, ())
+        child = find_uncovered_box(cube, elements, s, cap)
+        assume(isinstance(parent, UncoveredWitness) and isinstance(child, UncoveredWitness))
+        kind = data.draw(st.sampled_from((None, "stage", "widen", "drop", "swap")))
+        if kind is not None:
+            doc = json.loads(json.dumps(to_json(child)))
+            _tamper_witness(data, doc, parent.box, kind)
+            child = witness_from_json(doc)
+        extended = extension_valid(s, parent, child, k, elements[k:])
+        own = uncovered_witness_valid(s, cube, elements, child)
+        assert own == witness_oracle.witness_valid(s, cube, elements, child)
+        n = len(parent.certificates)
+        within = parent.box.contains_box(child.box) and child.certificates[:n] == parent.certificates
+        assert extended == (own and within)
+        if kind is None:
+            assert extended
+
     def test_extension_proves_only_the_new_element(self):
         pool = grid_translate_pool(S1, 2)
         rows = {row.subset: row.witness for row in infinite_cube_report(S1, pool, 12).rows}
         parent, child = rows[(0,)], rows[(0, 1)]
-        assert extension_valid(S1, parent, child, 1, pool[1])
+        assert extension_valid(S1, parent, child, 1, [pool[1]])
         # the wrong element, the wrong index, a missing certificate
-        assert not extension_valid(S1, parent, child, 1, pool[0])
-        assert not extension_valid(S1, parent, child, 0, pool[1])
+        assert not extension_valid(S1, parent, child, 1, [pool[0]])
+        assert not extension_valid(S1, parent, child, 0, [pool[1]])
         dropped = UncoveredWitness(child.box, child.stage, child.certificates[1:])
-        assert not extension_valid(S1, parent, dropped, 1, pool[1])
+        assert not extension_valid(S1, parent, dropped, 1, [pool[1]])
         assert not uncovered_witness_valid(S1, Box.unit_cube(1), pool, dropped)
 
     def test_a_box_past_its_parents_falls_back_to_the_check_on_its_own(self):
@@ -528,7 +572,7 @@ class TestCheckByExtension:
         parent, child = rows[(0,)], rows[(0, 1)]
         lo = (parent.box.lo[0] - Fraction(1, 2**30),)
         wider = UncoveredWitness(Box(lo, child.box.hi), child.stage, child.certificates)
-        assert not extension_valid(S1, parent, wider, 1, pool[1])
+        assert not extension_valid(S1, parent, wider, 1, [pool[1]])
         assert uncovered_witness_valid(S1, Box.unit_cube(1), pool, wider)
         core = _core(report)
         (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
@@ -564,6 +608,7 @@ class TestCheckByExtension:
             return leaf_certificate_from_json(doc)
 
         monkeypatch.setattr(cover, "gap_certificate_valid", counted_check)
+        monkeypatch.setattr(witness_oracle, "gap_certificate_valid", counted_check)
         monkeypatch.setattr(serialize, "leaf_certificate_from_json", counted_decode)
         pool = grid_translate_pool(S1, p)
         report = infinite_cube_report(S1, pool, 24)
@@ -620,12 +665,11 @@ class TestTableShapeAndFlags:
     """The replay checks the table as a whole, not only its witnessed rows."""
 
     def verdicts(self, s, pool, cap, tamper=None):
-        inputs = to_json({"pool": pool, "stage_cap": cap})
+        decoded = {"pool": pool, "stage_cap": cap}
         core = _core(infinite_cube_report(s, pool, cap))
         if tamper is not None:
             tamper(core["report"])
-        got = cli._verify(cli.COMMANDS["infinite-cube"], s, inputs, core)
-        decoded = {"pool": pool, "stage_cap": cap}
+        got = cli._verify(cli.COMMANDS["infinite-cube"], s, cli._decode(to_json(decoded)), core)
         want = _verdict(
             witness_oracle.check_infinite_cube,
             s,

@@ -59,6 +59,7 @@ from fatcantor.serialize import (
     layout_from_json,
     leaf_certificate_from_json,
     merge_step_from_json,
+    placements_from_json,
     quad_to_json,
     to_json,
     witness_from_json,
@@ -533,6 +534,35 @@ REPORTS = {
 }
 
 
+def _json_values_only(doc) -> bool:
+    """Only what ``json.loads`` gives back: dicts with str keys, lists, str,
+    int, bool and None; never a tuple or a float."""
+    kind = type(doc)
+    if kind is dict:
+        return all(type(k) is str and _json_values_only(v) for k, v in doc.items())
+    if kind is list:
+        return all(_json_values_only(v) for v in doc)
+    return kind in (str, int, bool, type(None))
+
+
+# Everything else a document holds: the schedule, inputs of every kind, a layout.
+OTHER_VALUES = {
+    "CantorSchedule": lambda: CantorSchedule(2, Fraction(1, 2), Fraction(1, 3)),
+    "PackingLayout": lambda: pack_cover(CubeFamily(2, (Fraction(1, 2),) * 4 + (Fraction(1, 3),))),
+    "inputs": lambda: {
+        "pool": grid_translate_pool(S1, 3),
+        "expr": _S1_DIFF,
+        "family": CubeFamily(1, (Fraction(1, 2), Fraction(1, 2))),
+        "target": Box.unit_cube(2),
+        "base": Box.half_space(1, 0, Fraction(1, 3), above=True),
+        "q": [Fraction(3, 2), Fraction(2)],
+        "stage": 3,
+        "above": True,
+        "a": None,
+    },
+}
+
+
 @pytest.mark.parametrize("kind", sorted(REPORTS))
 def test_reports_are_encoded_from_their_fields(kind):
     report = REPORTS[kind]()
@@ -542,8 +572,25 @@ def test_reports_are_encoded_from_their_fields(kind):
     assert list(doc) == names
     for name in names:
         assert doc[name] == to_json(getattr(report, name))
-    assert _no_floats(doc)
+    # ``--verify`` reads a run's ``to_json`` output as the document's JSON
+    assert _json_values_only(doc)
     assert json.loads(json.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_VALUES))
+def test_to_json_holds_only_json_values(kind):
+    doc = to_json(OTHER_VALUES[kind]())
+    assert _json_values_only(doc)
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_placements_decode_their_index_as_an_exact_int():
+    layout = {"placements": [{"index": 1, "translate": ["0/1"]}]}
+    assert placements_from_json(layout) == ((1, (Fraction(0),)),)
+    for index in (1.0, True, "1", -1):
+        layout["placements"][0]["index"] = index
+        with pytest.raises(PreconditionError, match="placement: 'index' must be"):
+            placements_from_json(layout)
 
 
 def test_scalars_and_containers():

@@ -1,17 +1,21 @@
-"""Slow reference witness search, infinite-cube table and table check.
+"""Slow reference witness search, witness check, infinite-cube table and table check.
 
-These are the routines the witness fold in ``cover`` and the check by
-extension replaced.  ``find_uncovered_box`` shrinks the target past every
-hull leaf of every element in one loop; ``infinite_cube_report`` runs that
-search from the unit cube again for every nonempty subset of the pool, so a
-pool of p one-leaf elements costs p * 2^(p-1) gap searches instead of
-2^p - 1.  Both it and ``check_infinite_cube``, the ``--verify`` check of a
-table's JSON core, decode and check every row on its own with
-``uncovered_witness_valid``: p * 2^(p-1) certificate decodes and gap checks
-where extension of the parent row needs 2^p - 1; ``check_infinite_cube``
-also checks the table's shape and flags on its own terms.  Nothing here calls
-``_shrink_past`` or ``extension_valid``, so the differential tests compare
-the fast paths against code that shares neither; kept only as an oracle.
+These are the routines the witness fold in ``cover`` and the shared table
+walk ``cover.table_verdicts`` replaced.  ``find_uncovered_box`` shrinks the
+target past every hull leaf of every element in one loop;
+``infinite_cube_report`` runs that search from the unit cube again for every
+nonempty subset of the pool, so a pool of p one-leaf elements costs
+p * 2^(p-1) gap searches instead of 2^p - 1.  ``witness_valid`` is the
+check of one witness on its own, written as its own loop over the
+certificates and hull leaves (in ``cover`` that check is a call of
+``extension_valid`` from the unshrunk target).  Both the table and
+``check_infinite_cube``, the ``--verify`` check of a table's JSON core,
+decode and check every row on its own with it: p * 2^(p-1) certificate
+decodes and gap checks where the shared walk needs 2^p - 1;
+``check_infinite_cube`` also checks the table's shape and flags on its own
+terms.  Nothing here calls ``_shrink_past``, ``extension_valid`` or
+``table_verdicts``, so the differential tests compare the fast paths against
+code that shares none of them; kept only as an oracle.
 """
 
 from __future__ import annotations
@@ -22,15 +26,16 @@ from typing import Callable, Sequence
 from fatcantor import (
     Box,
     CantorSchedule,
+    GapCertificate,
     InfiniteCubeReport,
     LeafCertificate,
     NeedsDeeperStage,
     SubsetWitnessRow,
     UncoveredWitness,
     find_gap,
+    gap_certificate_valid,
     grid_translate_pool,
     middle_half,
-    uncovered_witness_valid,
 )
 from fatcantor.cover import check_pool_size, hull_leaves
 from fatcantor.errors import DimensionMismatchError, PreconditionError, UnboundedBoxError
@@ -79,6 +84,31 @@ def find_uncovered_box(
     return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
 
 
+def witness_valid(
+    s: CantorSchedule, target: Box, elements: Sequence[object], witness: UncoveredWitness
+) -> bool:
+    """Is the witness a bounded positive box inside the target whose
+    certificates list exactly the hull leaves of the elements, each missed
+    by the box at its recorded stage?"""
+    box = witness.box
+    if box.dim != s.d or not box.is_bounded or not box.has_positive_sides():
+        return False
+    if not target.contains_box(box):
+        return False
+    expected = [
+        (ei, li, leaf.translation)
+        for ei, element in enumerate(elements)
+        for li, leaf in enumerate(hull_leaves(element))
+    ]
+    recorded = [(c.element_index, c.leaf_index, c.translation) for c in witness.certificates]
+    if recorded != expected:
+        return False
+    return all(
+        gap_certificate_valid(s, c.translation, GapCertificate(c.certificate.stage, box))
+        for c in witness.certificates
+    )
+
+
 def infinite_cube_report(
     s: CantorSchedule,
     pool_size: int,
@@ -112,7 +142,7 @@ def infinite_cube_report(
                     subset=subset,
                     witness=outcome,
                     inconclusive_stage=None,
-                    verified=uncovered_witness_valid(s, target, chosen, outcome),
+                    verified=witness_valid(s, target, chosen, outcome),
                 )
             )
     return InfiniteCubeReport(
@@ -127,7 +157,7 @@ def witnessed_rows_valid(s: CantorSchedule, i: dict, rows: list) -> bool:
     """Every witnessed row of a table's JSON decoded whole and checked on its own."""
     target = Box.unit_cube(s.d)
     return all(
-        uncovered_witness_valid(
+        witness_valid(
             s, target, [i["pool"][k] for k in row["subset"]], witness_from_json(row["witness"])
         )
         for row in rows
@@ -157,7 +187,7 @@ def check_infinite_cube(
         return False
     verdicts = [
         row["witness"] is not None
-        and uncovered_witness_valid(
+        and witness_valid(
             s,
             Box.unit_cube(s.d),
             [i["pool"][k] for k in row["subset"]],
