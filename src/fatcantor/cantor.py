@@ -27,7 +27,7 @@ from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import Box, BoxUnion, _trusted_box
 from .rationals import as_fraction, is_finite
 
-DEFAULT_BOX_CAP = 1 << 16
+DEFAULT_BOX_CAP = 1 << 16  # boxes in one stage set; a power of two
 # Deepest stage that stage sets and the closed-form reports (``cantor-info``,
 # ``hausdorff-bound``, ``range-solve --x``) accept.  Stage-n closed forms
 # and the box count 2**(n*d) are integers of about n*d bits; far deeper
@@ -115,12 +115,12 @@ class CantorSchedule:
 
     # -- stage geometry ----------------------------------------------------
 
-    def stage_intervals_1d(self, n: int, *, cap: int = DEFAULT_BOX_CAP) -> list[tuple[Fraction, Fraction]]:
+    def stage_intervals_1d(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """All 2**n closed surviving intervals [lo, hi] at stage n, left to right."""
         check_stage(n)
-        if (1 << n) > cap:
+        if (1 << n) > DEFAULT_BOX_CAP:
             raise BudgetError(
-                f"stage {n} has {1 << n} intervals, above the cap of {cap}"
+                f"stage {n} has {1 << n} intervals, above the cap of {DEFAULT_BOX_CAP}"
             )
         den, ends = self._stage_ends(n)
         return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
@@ -148,7 +148,7 @@ class CantorSchedule:
             ends = [pair for lo, hi in ends for pair in ((lo, lo + child), (hi - child, hi))]
         return den, ends
 
-    def stage_approx(self, n: int, *, box_cap: int = DEFAULT_BOX_CAP) -> BoxUnion:
+    def stage_approx(self, n: int) -> BoxUnion:
         """Stage-n approximation as a canonical half-open box union.
 
         The true stage set is closed; its half-open realization here has the
@@ -156,21 +156,17 @@ class CantorSchedule:
         queries, which do care about endpoints, use the closed-interval
         helpers instead.
         """
-        return self.clipped_translate(
-            n, (Fraction(0),) * self.d, Box.whole_space(self.d), box_cap=box_cap
-        )
+        return self.clipped_translate(n, (Fraction(0),) * self.d, Box.whole_space(self.d))
 
-    def clipped_translate(
-        self, n: int, t: Sequence[object], clip: Box, *, box_cap: int = DEFAULT_BOX_CAP
-    ) -> BoxUnion:
+    def clipped_translate(self, n: int, t: Sequence[object], clip: Box) -> BoxUnion:
         """``(A_n + t) ∩ clip`` as a canonical half-open box union.
 
         Built axis by axis: the 2**n stage intervals are shifted by t_i and
         clipped to the clip's side on each axis, and the boxes are the
         product of the d lists.  Stage intervals never touch, so each list
         is a canonical 1-D union and so is their product; no
-        canonicalization pass is needed.  ``box_cap`` bounds the unclipped
-        stage, whatever the clip.
+        canonicalization pass is needed.  ``DEFAULT_BOX_CAP`` bounds the
+        unclipped stage, whatever the clip.
         """
         if len(t) != self.d or clip.dim != self.d:
             raise DimensionMismatchError(
@@ -178,13 +174,11 @@ class CantorSchedule:
                 f" schedule dimension {self.d}"
             )
         check_stage(n)
-        if 1 << (n * self.d) > box_cap:
-            feasible = 0
-            while (1 << ((feasible + 1) * self.d)) <= box_cap:
-                feasible += 1
+        if 1 << (n * self.d) > DEFAULT_BOX_CAP:
             raise BudgetError(
                 f"stage {n} in dimension {self.d} needs 2^{n * self.d} boxes, above the cap of"
-                f" {box_cap}; largest feasible stage is {feasible}"
+                f" {DEFAULT_BOX_CAP}; largest feasible stage is"
+                f" {(DEFAULT_BOX_CAP.bit_length() - 1) // self.d}"
             )
         if clip.is_empty:
             return BoxUnion.empty(self.d)

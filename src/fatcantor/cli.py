@@ -21,8 +21,10 @@ document alone.
 the ones the run itself decoded from the document, and by default the
 result is recomputed and its JSON compared with the document's; an entry
 whose output carries a certificate (witnesses, layouts, covers) re-checks
-that JSON with its validator instead.  The verdict is appended under
-``result.verification``.
+that JSON with its validator instead.  The ``cover-search``,
+``infinite-cube`` and ``pack`` validators also tie the rest of the result
+to the inputs, and take its counts, indices and stages only as exact JSON
+integers.  The verdict is appended under ``result.verification``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from typing import Any, Callable, Sequence
 
 from .cantor import CantorSchedule, NeedsDeeperStage, check_stage
 from .cover import (
-    UncoveredWitness,
-    _parent,
     _target_union,
     check_pool_size,
+    clipped_pool,
     find_uncovered_box,
     grid_translate_pool,
     infinite_cube_report,
@@ -81,6 +82,7 @@ from .serialize import (
     placements_from_json,
     to_json,
     witness_from_json,
+    witnesses_from_json,
 )
 
 
@@ -189,13 +191,24 @@ class Command:
 
 
 def _check_cover_search(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
+    """A found cover names strictly increasing pool indices and the inputs'
+    stage, exact ints (``==`` takes 1.0 and true for 1); its total is the sum
+    of the chosen elements' upper bounds, clipped as the search clipped them,
+    and those elements cover the target's realization at that stage."""
     attempt = core["attempt"]
     if attempt["infinite"]:
         return replay()
-    subset = [i["pool"][k] for k in attempt["subset"]]
-    stage = int(attempt["stage"])
-    # the same target realization the search used
-    return verify_cover(_target_union(i["target"], s, stage), subset, s, stage)
+    subset, stage = attempt["subset"], attempt["stage"]
+    if type(subset) is not list or any(type(k) is not int for k in subset) or type(stage) is not int:
+        return False
+    if subset != sorted(set(subset)) or not set(subset).issubset(range(len(i["pool"]))):
+        return False
+    if stage != i["stage"] or attempt["verified"] is not True:
+        return False
+    target = _target_union(i["target"], s, stage)
+    elements = clipped_pool(target, [i["pool"][k] for k in subset], i["clip"])
+    total = sum((measure_bounds(e, s, stage).upper for e in elements), Fraction(0))
+    return attempt["total_premeasure_upper"] == to_json(total) and verify_cover(target, elements, s, stage)
 
 
 def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
@@ -207,16 +220,22 @@ def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay)
 def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     """Check the whole table: its shape and flags, then each row.
 
-    The rows must be exactly the nonempty subsets of the pool in mask order
-    (the empty subset alone for an empty pool).  Each ``verified`` flag must
-    be true exactly when its row has a witness, and must be the verdict of
-    :func:`cover.table_verdicts` on the decoded witnesses; ``all_witnessed``
-    must be the conjunction of the flags.  A row without a witness is
-    checked by replaying the run, as a box that ``uncovered-box`` did not
-    find is.
+    The report must echo the inputs: the pool's JSON, and the stage cap as
+    an exact int.  The rows must be exactly the nonempty subsets of the pool
+    in mask order (the empty subset alone for an empty pool).  Each
+    ``verified`` flag must be true exactly when its row has a witness, a
+    witnessed row's ``inconclusive_stage`` must be null, and the flags must
+    be the verdicts of :func:`cover.table_verdicts` on the witnesses, each
+    distinct certificate decoded once (:func:`serialize.witnesses_from_json`);
+    ``all_witnessed`` must be the conjunction of the flags.  A row without a
+    witness is checked by replaying the run, as a box that ``uncovered-box``
+    did not find is.
     """
     report = core["report"]
     rows = report["rows"]
+    cap = report["stage_cap"]
+    if report["pool"] != to_json(i["pool"]) or type(cap) is not int or cap != i["stage_cap"]:
+        return False
     subsets: list[list[int]] = [[]]  # by mask: doubling per index keeps mask order
     for k in range(len(i["pool"])):
         subsets += [subset + [k] for subset in subsets]
@@ -224,44 +243,16 @@ def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay)
     if marshal.dumps([row["subset"] for row in rows], 0) != marshal.dumps(subsets[1:] or subsets, 0):
         return False
     flags = [row["verified"] for row in rows]
-    if any(flag is not (row["witness"] is not None) for flag, row in zip(flags, rows)):
+    if any(
+        flag is not (row["witness"] is not None) or flag and row["inconclusive_stage"] is not None
+        for flag, row in zip(flags, rows)
+    ):
         return False
     if report["all_witnessed"] is not all(flags):
         return False
-    if table_verdicts(s, i["pool"], _table_witnesses(rows)) != flags:
+    if table_verdicts(s, i["pool"], witnesses_from_json([row["witness"] for row in rows])) != flags:
         return False
     return all(flags) or replay()
-
-
-def _table_witnesses(rows: list) -> "list[UncoveredWitness | None]":
-    """Decode a table's witnesses, rows in mask order, once per certificate.
-
-    A row's parent is the row for its mask without the highest bit.  When a
-    row's certificate list starts with its parent's, equal as marshal bytes
-    (version 0, no shared references: they tell apart the JSON values 1, 1.0
-    and true, which ``==`` does not), the row shares the parent's decoded
-    certificates and decodes only the rest.
-    """
-    # By mask: a witnessed row's certificate list, as bytes and decoded.
-    known: "list[tuple[bytes, tuple] | None]" = [(marshal.dumps([], 0), ())]
-    witnesses: "list[UncoveredWitness | None]" = []
-    for mask, row in enumerate(rows, 1):
-        doc = row["witness"]
-        if doc is None:
-            witnesses.append(None)
-            known.append(None)
-            continue
-        certs = doc.get("certificates") if isinstance(doc, dict) else None
-        blob, shared = known[_parent(mask)] or (None, ())
-        n = len(shared)
-        if isinstance(certs, list) and marshal.dumps(certs[:n], 0) == blob:
-            tail = witness_from_json({**doc, "certificates": certs[n:]})
-            witness = UncoveredWitness(tail.box, tail.stage, shared + tail.certificates)
-        else:
-            witness = witness_from_json(doc)
-        witnesses.append(witness)
-        known.append((marshal.dumps(certs, 0), witness.certificates))
-    return witnesses
 
 
 def _placed(doc: Any) -> PackingLayout:
@@ -273,7 +264,14 @@ def _placed(doc: Any) -> PackingLayout:
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     layout = _placed(core["layout"])
     expected_target = Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"])
-    return layout.target == expected_target and layout_covers(i["family"], layout)
+    count = core["placements"]
+    return (
+        layout.target == expected_target
+        and core["covered_cube"] == core["layout"]["target"]
+        and type(count) is int
+        and count == len(layout.placements)
+        and layout_covers(i["family"], layout)
+    )
 
 
 def _check_corollary_demo(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:

@@ -41,7 +41,9 @@ from .cantor import (
 )
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
 from .geometry import Box, BoxUnion
-from .ring import Diff, Gen, Inter, RingExpr, Union, approx_set, iter_leaves, measure_bounds
+from .ring import (
+    Diff, Gen, Inter, RingExpr, Union, approx_set, clip_to_box, iter_leaves, measure_bounds
+)
 
 DEFAULT_SUBSET_BUDGET = 4096
 DEFAULT_POOL_CAP = 12
@@ -113,6 +115,17 @@ def _target_union(
     return approx_set(positive_hull(target), s, stage)
 
 
+def clipped_pool(
+    target: BoxUnion, pool: Sequence["RingExpr"], clip: bool
+) -> list["RingExpr"]:
+    """The pool as :func:`outer_upper` searches it: with ``clip``, each
+    element clipped to the target's bounding box."""
+    bbox = target.bounding_box()
+    if clip and bbox is not None:
+        return [clip_to_box(e, bbox) for e in pool]
+    return list(pool)
+
+
 def outer_upper(
     target: "RingExpr | Box",
     pool: Sequence["RingExpr"],
@@ -130,15 +143,10 @@ def outer_upper(
     target's bounding box, which shrinks their premeasures but cannot break
     a cover.  Deterministic throughout.
     """
-    from .ring import clip_to_box  # local import keeps module load order simple
-
     if not pool:
         raise PreconditionError("empty cover pool")
     target_u = _target_union(target, s, stage)
-    bbox = target_u.bounding_box()
-    elements = list(pool)
-    if clip and bbox is not None:
-        elements = [clip_to_box(e, bbox) for e in elements]
+    elements = clipped_pool(target_u, pool, clip)
 
     hull_sets = [approx_set(positive_hull(e), s, stage) for e in elements]
     uppers = [measure_bounds(e, s, stage).upper for e in elements]

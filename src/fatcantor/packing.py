@@ -144,7 +144,11 @@ def placement_boxes(family: CubeFamily, layout: PackingLayout) -> list[Box]:
 
 
 def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
-    """Exact box-algebra coverage check: target minus placements is empty."""
+    """Exact box-algebra coverage check: each placement places a distinct
+    input of the family, and target minus placements is empty."""
+    indices = {index for index, _ in layout.placements}
+    if len(indices) != len(layout.placements) or not indices.issubset(range(len(family.sides))):
+        return False
     placed = BoxUnion.from_boxes(family.dim, placement_boxes(family, layout))
     return placed.contains_union(BoxUnion.single(layout.target))
 

@@ -13,6 +13,11 @@ hand-written encoder: scalars, ``Box`` (infinity markers),
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
 input.  They are the same functions the ``--verify`` replay path uses.
+:func:`witnesses_from_json` decodes a list of witnesses, such as an
+infinite-cube table, decoding each distinct certificate document once;
+:func:`witness_from_json` is the same decoder on one witness.  A layout is
+read only as its placements (:func:`placements_from_json`) and target;
+nothing decodes its merge tree.
 
 :func:`dumps_document` writes a document as text.  It returns exactly
 ``json.dumps(doc, indent=2, sort_keys=True)``, but in one recursive walk that
@@ -29,6 +34,7 @@ and the bytes are the stdlib's.
 from __future__ import annotations
 
 import dataclasses
+import marshal
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -38,7 +44,7 @@ from .cantor import GapCertificate
 from .cover import LeafCertificate, UncoveredWitness
 from .errors import PreconditionError
 from .geometry import Box
-from .packing import CubeFamily, MergeStep, PackingLayout
+from .packing import CubeFamily, PackingLayout
 from .quadratic import ExtendedRational
 from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction
 from .ring import Diff, Gen, Inter, RingExpr, Union
@@ -213,30 +219,36 @@ def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
 
 
 def witness_from_json(doc: Any) -> UncoveredWitness:
+    """One witness; ``null``, like any other malformed document, is refused."""
+    return _witness_from_json(doc, {})
+
+
+def witnesses_from_json(docs: Sequence[Any]) -> "list[UncoveredWitness | None]":
+    """A list of witness documents, ``null`` as ``None``; each distinct
+    certificate document is decoded once, and equal ones share the value."""
+    cache: "dict[bytes, LeafCertificate]" = {}
+    return [None if doc is None else _witness_from_json(doc, cache) for doc in docs]
+
+
+def _witness_from_json(doc: Any, cache: "dict[bytes, LeafCertificate]") -> UncoveredWitness:
     what = "uncovered witness"
     m = _expect(doc, ("box", "stage", "certificates"), what)
-    return UncoveredWitness(
-        box=box_from_json(m["box"]),
-        stage=_count_of(m, "stage", what),
-        certificates=tuple(
-            leaf_certificate_from_json(c) for c in _list_of(m, "certificates", what)
-        ),
-    )
+    box, stage = box_from_json(m["box"]), _count_of(m, "stage", what)
+    certificates = []
+    for c in _list_of(m, "certificates", what):
+        # Marshal bytes (version 0: no shared references) tell apart the JSON
+        # values 1, 1.0 and true, which ``==`` and ``hash`` do not.
+        key = marshal.dumps(c, 0)
+        leaf = cache.get(key)
+        if leaf is None:
+            leaf = cache[key] = leaf_certificate_from_json(c)
+        certificates.append(leaf)
+    return UncoveredWitness(box=box, stage=stage, certificates=tuple(certificates))
 
 
 def cube_family_from_json(doc: Any) -> CubeFamily:
     m = _expect(doc, ("dim", "sides"), "cube family")
     return CubeFamily(int(m["dim"]), tuple(frac_from_json(v) for v in m["sides"]))
-
-
-def merge_step_from_json(doc: Any) -> MergeStep:
-    m = _expect(doc, ("level", "constituents", "result", "offsets"), "merge step")
-    return MergeStep(
-        level=int(m["level"]),
-        constituents=tuple(int(v) for v in m["constituents"]),
-        result=int(m["result"]),
-        offsets=tuple(tuple(frac_from_json(v) for v in off) for off in m["offsets"]),
-    )
 
 
 def placements_from_json(doc: Any) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
@@ -250,15 +262,6 @@ def placements_from_json(doc: Any) -> tuple[tuple[int, tuple[Fraction, ...]], ..
         index = _count_of(pm, "index", what)
         placements.append((index, tuple(frac_from_json(v) for v in _list_of(pm, "translate", what))))
     return tuple(placements)
-
-
-def layout_from_json(doc: Any) -> PackingLayout:
-    m = _expect(doc, ("placements", "target", "merge_tree"), "packing layout")
-    return PackingLayout(
-        placements=placements_from_json(m),
-        target=box_from_json(m["target"]),
-        merge_tree=tuple(merge_step_from_json(s) for s in m["merge_tree"]),
-    )
 
 
 # -- the encoder --------------------------------------------------------------

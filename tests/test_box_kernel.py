@@ -207,8 +207,8 @@ class TestClippedTranslate:
     def test_box_cap_raises_the_stage_approx_error(self, clip):
         s = CantorSchedule(2)
         with pytest.raises(BudgetError) as want:
-            s.stage_approx(3, box_cap=63)
+            s.stage_approx(9)  # 2^18 boxes
         with pytest.raises(BudgetError) as got:
-            s.clipped_translate(3, (Fraction(0), Fraction(0)), clip, box_cap=63)
+            s.clipped_translate(9, (Fraction(0), Fraction(0)), clip)
         assert str(got.value) == str(want.value)
-        assert "largest feasible stage is 2" in str(got.value)
+        assert "largest feasible stage is 8" in str(got.value)

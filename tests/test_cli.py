@@ -612,16 +612,110 @@ class TestDeterminismAndReplay:
         assert second["config"]["seed"] == 0
         assert second["result"]["verification"] == {"requested": False}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [("pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/4"), ("corollary-demo", "--delta", "1/4")],
-        ids=["pack", "corollary-demo"],
-    )
-    def test_layout_replays_decode_only_the_placements_and_target(self, argv, monkeypatch, capsys):
-        def refuse(doc):
-            raise AssertionError("the merge tree was decoded")
 
-        monkeypatch.setattr(serialize, "merge_step_from_json", refuse)
-        assert cli.main([*argv, "--verify"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["result"]["verification"] == {"requested": True, "ok": True}
+# ---------------------------------------------------------------------------
+# certificate replays tie a result core to its inputs
+# ---------------------------------------------------------------------------
+
+
+def _replayed(argv, tamper, capsys):
+    """``cli._verify`` on a command's result core, read back from JSON and
+    changed in place by ``tamper``; a replay never crashes on it."""
+    args = cli._parser().parse_args(argv)
+    command = cli.COMMANDS[args.command]
+    s = CantorSchedule(args.d, args.c, args.rho)
+    inputs = cli._decode(json.loads(json.dumps(serialize.to_json(command.inputs(args, s)))))
+    core = json.loads(json.dumps(serialize.to_json(command.run(s, inputs)[0])))
+    tamper(core)
+    ok = cli._verify(command, s, inputs, core)
+    assert "verification crashed" not in capsys.readouterr().err
+    return ok
+
+
+def _untampered(core):
+    pass
+
+
+def _set(path, value):
+    """A tamper that sets the value at ``path`` of the core."""
+
+    def tamper(core):
+        holder = core
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+
+    return tamper
+
+
+class TestReplayTampers:
+    PACK = ("pack", "--sides", "1/4,1/4,1/4,1/4")
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _untampered,
+            # one input placed twice: cube 0 at 0 and at 1/4
+            _set(("layout", "placements"), [
+                {"index": 0, "translate": ["0/1"]}, {"index": 0, "translate": ["1/4"]}
+            ]),
+            _set(("layout", "placements", 1, "index"), 9),  # a family of 4 cubes
+            _set(("placements",), 3),
+            _set(("placements",), 2.0),
+            _set(("covered_cube", "hi"), ["1/4"]),
+        ],
+        ids=["untampered", "repeated-index", "index-outside", "count", "count-float", "covered-cube"],
+    )
+    def test_pack(self, tamper, capsys):
+        assert _replayed(self.PACK, tamper, capsys) is (tamper is _untampered)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _untampered,
+            _set(("report", "pool", 1, "gen", "x"), ["1/2"]),
+            _set(("report", "stage_cap"), 13),
+            _set(("report", "stage_cap"), 12.0),
+            _set(("report", "rows", 2, "inconclusive_stage"), 5),
+        ],
+        ids=["untampered", "pool", "stage-cap", "stage-cap-float", "inconclusive-stage"],
+    )
+    def test_infinite_cube(self, tamper, capsys):
+        argv = ("infinite-cube", "--pool-size", "3", "--stage-cap", "12")
+        assert _replayed(argv, tamper, capsys) is (tamper is _untampered)
+
+    @pytest.fixture
+    def cover_argv(self, tmp_path):
+        # Element 0 misses [0, 1/4) at stage 1; elements 1 and 2 each cover it.
+        pool = [
+            {"gen": {"x": [x], "clip": {"lo": ["0/1"], "hi": [hi]}}}
+            for x, hi in [("1/2", "1/1"), ("0/1", "1/1"), ("0/1", "1/2")]
+        ]
+        (tmp_path / "pool.json").write_text(json.dumps(pool))
+        (tmp_path / "target.json").write_text(json.dumps({"lo": ["0/1"], "hi": ["1/4"]}))
+        return (
+            "cover-search", "--target-file", str(tmp_path / "target.json"),
+            "--expr-file", str(tmp_path / "pool.json"), "--stage", "1",
+        )
+
+    @pytest.mark.parametrize("flags", [(), ("--no-clip",)], ids=["clip", "no-clip"])
+    def test_a_found_cover_verifies(self, cover_argv, flags, capsys):
+        assert _replayed((*cover_argv, *flags), _untampered, capsys)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _set(("attempt", "subset"), [-2, -1]),
+            _set(("attempt", "subset"), [1, 2, 2]),
+            _set(("attempt", "subset"), [2, 1]),
+            _set(("attempt", "subset"), [True]),
+            _set(("attempt", "stage"), 0),
+            _set(("attempt", "stage"), 1.5),
+            _set(("attempt", "verified"), False),
+            _set(("attempt", "total_premeasure_upper"), "1/8"),
+        ],
+        ids=["negative", "repeated", "decreasing", "bool-index", "stage", "stage-float",
+             "unverified", "total"],
+    )
+    def test_cover_search(self, cover_argv, tamper, capsys):
+        assert not _replayed(cover_argv, tamper, capsys)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
 from fractions import Fraction
 from unittest import mock
 
@@ -439,6 +440,24 @@ def _tamper_rows(data, rows, d, kind):
             row["subset"] = data.draw(st.permutations(row["subset"]))
 
 
+def _retype_a_repeat(data, rows):
+    """Set a field holding 1 to 1.0 or true, equal under ``==``, in a
+    certificate document an earlier row holds too; say whether one was found."""
+    seen, found = set(), []
+    for row in rows:
+        for cert in row["witness"]["certificates"] if row["witness"] is not None else ():
+            key = marshal.dumps(cert, 0)
+            if key in seen:
+                fields = [(cert, "element_index"), (cert, "leaf_index"), (cert["certificate"], "stage")]
+                found += [(holder, name) for holder, name in fields if type(holder[name]) is int and holder[name] == 1]
+            seen.add(key)
+    if not found:
+        return False
+    holder, name = found[_index(data, found)]
+    holder[name] = data.draw(st.sampled_from([1.0, True]))
+    return True
+
+
 def _decoded(doc):
     """A row's witness, or None where there is none or it does not decode."""
     try:
@@ -577,7 +596,7 @@ class TestCheckByExtension:
         core = _core(report)
         (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
         row["witness"]["box"] = to_json(wider.box)
-        inputs = {"pool": pool}
+        inputs = {"pool": pool, "stage_cap": 12}
         assert cli._check_infinite_cube(S1, inputs, core, None)
         assert witness_oracle.check_infinite_cube(S1, inputs, core)
 
@@ -587,14 +606,43 @@ class TestCheckByExtension:
         (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
         cert = row["witness"]["certificates"][0]["certificate"]
         cert["stage"] = float(cert["stage"])  # equal under ``==`` to the parent's stage
-        inputs = {"pool": pool}
+        inputs = {"pool": pool, "stage_cap": 12}
         assert not _verdict(cli._check_infinite_cube, S1, inputs, core, None)
         assert not _verdict(witness_oracle.check_infinite_cube, S1, inputs, core)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=2),
+        cap=st.integers(min_value=0, max_value=12),
+    )
+    def test_the_table_decoder_equals_the_decoder_of_each_row(self, data, d, cap):
+        """``witnesses_from_json`` decodes a table as ``witness_from_json``
+        decodes each row, and refuses what that refuses, on tampered tables
+        too; a certificate retyped to equal under ``==`` one decoded before
+        is decoded on its own and refused."""
+        s = CantorSchedule(d)
+        pool = data.draw(pools(d, max_size=5))
+        rows = _core(infinite_cube_report(s, pool, cap))["report"]["rows"]
+        for kind in data.draw(st.lists(st.sampled_from(_WITNESS_TAMPERS), max_size=3)):
+            _tamper_rows(data, rows, d, kind)
+        retyped = data.draw(st.booleans()) and _retype_a_repeat(data, rows)
+        docs = [row["witness"] for row in rows]
+        try:
+            want = [None if doc is None else witness_from_json(doc) for doc in docs]
+        except PreconditionError as refusal:
+            with pytest.raises(PreconditionError) as got:
+                serialize.witnesses_from_json(docs)
+            assert str(got.value) == str(refusal)
+            return
+        assert not retyped
+        assert serialize.witnesses_from_json(docs) == want
+
     @pytest.mark.parametrize("p", range(1, 7))
     def test_each_pass_checks_one_certificate_per_row(self, p, monkeypatch, tmp_path):
-        """On p one-leaf elements a pass makes 2^p - 1 gap checks and
-        certificate decodes; the check of every row on its own makes p * 2^(p-1)."""
+        """On p one-leaf elements a pass makes 2^p - 1 gap checks and decodes
+        each distinct certificate document once; the check of every row on
+        its own makes p * 2^(p-1) of each."""
         gap_checks, decodes = [], []
         gap_certificate_valid = cover.gap_certificate_valid
         leaf_certificate_from_json = serialize.leaf_certificate_from_json
@@ -614,10 +662,17 @@ class TestCheckByExtension:
         report = infinite_cube_report(S1, pool, 24)
         assert report.all_witnessed
         assert len(gap_checks) == 2**p - 1
-        inputs, core = {"pool": pool}, _core(report)
+        inputs, core = {"pool": pool, "stage_cap": 24}, _core(report)
+        distinct = {
+            marshal.dumps(cert, 0)
+            for row in core["report"]["rows"]
+            for cert in row["witness"]["certificates"]
+        }
+        assert len(distinct) <= 2**p - 1
         gap_checks.clear()
         assert cli._check_infinite_cube(S1, inputs, core, None)
-        assert len(gap_checks) == len(decodes) == 2**p - 1
+        assert len(gap_checks) == 2**p - 1
+        assert sorted(marshal.dumps(doc, 0) for doc in decodes) == sorted(distinct)
         gap_checks.clear()
         decodes.clear()
         assert witness_oracle.check_infinite_cube(S1, inputs, core)
@@ -628,7 +683,7 @@ class TestCheckByExtension:
         argv = ["infinite-cube", "--pool-size", str(p), "--stage-cap", "24", "--verify"]
         assert cli.main([*argv, "--out", str(tmp_path / "cube.json")]) == 0
         assert len(gap_checks) == 2 * (2**p - 1)
-        assert len(decodes) == 2**p - 1
+        assert len(decodes) == len(distinct)
 
 
 def _cut_to_one(report):

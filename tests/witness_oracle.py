@@ -11,7 +11,8 @@ certificates and hull leaves (in ``cover`` that check is a call of
 ``extension_valid`` from the unshrunk target).  Both the table and
 ``check_infinite_cube``, the ``--verify`` check of a table's JSON core,
 decode and check every row on its own with it: p * 2^(p-1) certificate
-decodes and gap checks where the shared walk needs 2^p - 1;
+decodes and gap checks, where the shared walk makes 2^p - 1 gap checks
+and the replay decodes each distinct certificate document once;
 ``check_infinite_cube`` also checks the table's shape and flags on its own
 terms.  Nothing here calls ``_shrink_past``, ``extension_valid`` or
 ``table_verdicts``, so the differential tests compare the fast paths against
