@@ -8,7 +8,10 @@ rationals: stage measures, the limit measure, interval endpoints, and the
 gap structure behind membership tests and nowhere-density witnesses.
 
 A stage-n approximation is a union of ``2**(n*d)`` boxes, so exact
-materialization explodes quickly.  Gap search, witness validation and
+materialization explodes quickly.  Stage sets are built on an integer
+lattice (``StageLattice``): each axis in units of one common denominator,
+so building, combining and measuring them is integer work, and Fractions
+are made only for a set a caller keeps.  Gap search, witness validation and
 membership instead share one walk of the 1-D construction tree
 (``CantorSchedule._windows``): level by level, it keeps the intervals
 whose closure meets a query window and stops at the first empty level.
@@ -18,10 +21,12 @@ Child lengths follow ``l_k = (l_(k-1) - c*rho**k) / 2`` (``_child_lengths``).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, Literal, Sequence
+from math import lcm, prod
+from operator import itemgetter, sub
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import Box, BoxUnion, _trusted_box
@@ -47,6 +52,81 @@ def check_stage(n: int) -> int:
 def _numerator_over(v: Fraction, scale: int) -> int:
     """The numerator of ``v`` over ``scale``, a multiple of its denominator."""
     return v.numerator * (scale // v.denominator)
+
+
+# A box on the lattice: ``geometry``'s raw (lo, hi) corners, in integers.
+_Raw = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class StageLattice:
+    """Stage-n leaves on an integer lattice: axis i in units of ``1/scales[i]``.
+
+    ``ends[i]`` holds the stage intervals as integers over ``scales[i]``.
+    A leaf is the product of its d shifted and clipped interval lists, in
+    the raw ``(lo, hi)`` form that ``geometry._combine`` takes.  Scaling
+    each axis by a positive constant keeps order and equality, so the
+    kernel's canonical forms, equality and dedup on the lattice are those
+    of the rational sets; only a union that a caller keeps is converted
+    (:meth:`box_union`), and a measure is one integer sum (:meth:`measure`).
+    """
+
+    d: int
+    scales: tuple[int, ...]
+    ends: tuple[list[tuple[int, int]], ...]
+
+    def leaf(self, t: Sequence[object], clip: Box) -> list[_Raw]:
+        """``(A_n + t) ∩ clip`` in canonical raw form; ``t`` and the finite
+        clip ends must lie on the lattice.
+
+        Stage intervals never touch, so each clipped list is a canonical
+        1-D union and their product is canonical as it stands.
+        """
+        if clip.is_empty:
+            return []
+        # Corners grow one axis at a time, the new axis innermost, so the
+        # boxes come out in lexicographic order of their lower corners.
+        raw: list[_Raw] = [((), ())]
+        for ends, scale, shift, lo_clip, hi_clip in zip(self.ends, self.scales, t, clip.lo, clip.hi):
+            offset = _numerator_over(as_fraction(shift), scale)
+            # The intervals that meet the clip, found in the unshifted list.
+            first, stop = 0, len(ends)
+            if is_finite(lo_clip):
+                lo_cut = _numerator_over(lo_clip, scale)
+                first = bisect_right(ends, lo_cut - offset, key=itemgetter(1))
+            if is_finite(hi_clip):
+                hi_cut = _numerator_over(hi_clip, scale)
+                stop = bisect_left(ends, hi_cut - offset, lo=first, key=itemgetter(0))
+            if first == stop:
+                return []
+            axis = [(lo + offset, hi + offset) for lo, hi in ends[first:stop]]
+            if is_finite(lo_clip):
+                axis[0] = (max(axis[0][0], lo_cut), axis[0][1])
+            if is_finite(hi_clip):
+                axis[-1] = (axis[-1][0], min(axis[-1][1], hi_cut))
+            # One-coordinate corners, made once per interval, not per box.
+            corners = [((lo,), (hi,)) for lo, hi in axis]
+            raw = [(lo + a, hi + b) for lo, hi in raw for a, b in corners]
+        return raw
+
+    def measure(self, raw: Iterable[_Raw]) -> Fraction:
+        """Lebesgue measure of a canonical raw union: one integer sum, reduced once."""
+        total = sum(prod(map(sub, hi, lo)) for lo, hi in raw)
+        return Fraction(total, prod(self.scales))
+
+    def box_union(self, raw: Iterable[_Raw]) -> BoxUnion:
+        """A canonical raw union as the BoxUnion of its rational coordinates."""
+        scales = self.scales
+        return BoxUnion(
+            self.d,
+            tuple(
+                _trusted_box(
+                    tuple(Fraction(v, scale) for v, scale in zip(lo, scales)),
+                    tuple(Fraction(v, scale) for v, scale in zip(hi, scales)),
+                )
+                for lo, hi in raw
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -161,18 +241,25 @@ class CantorSchedule:
     def clipped_translate(self, n: int, t: Sequence[object], clip: Box) -> BoxUnion:
         """``(A_n + t) ∩ clip`` as a canonical half-open box union.
 
-        Built axis by axis: the 2**n stage intervals are shifted by t_i and
-        clipped to the clip's side on each axis, and the boxes are the
-        product of the d lists.  Stage intervals never touch, so each list
-        is a canonical 1-D union and so is their product; no
-        canonicalization pass is needed.  ``DEFAULT_BOX_CAP`` bounds the
-        unclipped stage, whatever the clip.
+        The one-leaf case of :meth:`lattice`: the leaf is built on the
+        integer lattice of its own translation and clip, then converted.
+        ``DEFAULT_BOX_CAP`` bounds the unclipped stage, whatever the clip.
         """
         if len(t) != self.d or clip.dim != self.d:
             raise DimensionMismatchError(
                 f"translation of length {len(t)}, clip of dimension {clip.dim},"
                 f" schedule dimension {self.d}"
             )
+        lattice = self.lattice(n, [(t, clip)])
+        return lattice.box_union(lattice.leaf(t, clip))
+
+    def lattice(self, n: int, leaves: Iterable[tuple[Sequence[object], Box]]) -> StageLattice:
+        """The integer lattice on which stage-n leaves ``(A_n + t) ∩ clip`` are built.
+
+        Axis i is scaled by the lcm of the stage denominator and of the
+        denominators of every ``t_i`` and finite clip end on axis i of
+        ``leaves``.  The stage and the box cap are checked before any work.
+        """
         check_stage(n)
         if 1 << (n * self.d) > DEFAULT_BOX_CAP:
             raise BudgetError(
@@ -180,38 +267,21 @@ class CantorSchedule:
                 f" {DEFAULT_BOX_CAP}; largest feasible stage is"
                 f" {(DEFAULT_BOX_CAP.bit_length() - 1) // self.d}"
             )
-        if clip.is_empty:
-            return BoxUnion.empty(self.d)
         den, ends = self._stage_ends(n)
-        axes: list[list[tuple[Fraction, Fraction]]] = []
-        for shift, lo_clip, hi_clip in zip(t, clip.lo, clip.hi):
-            # Shift and clip in integers over a common denominator of the
-            # stage, the shift and the finite clip ends.
-            shift = as_fraction(shift)
-            finite = [v for v in (lo_clip, hi_clip) if is_finite(v)]
-            scale = lcm(den, shift.denominator, *(v.denominator for v in finite))
-            factor = scale // den
-            offset = _numerator_over(shift, scale)
-            lo_cut = _numerator_over(lo_clip, scale) if is_finite(lo_clip) else None
-            hi_cut = _numerator_over(hi_clip, scale) if is_finite(hi_clip) else None
-            axis: list[tuple[Fraction, Fraction]] = []
-            for lo, hi in ends:
-                lo = lo * factor + offset
-                hi = hi * factor + offset
-                if hi_cut is not None:
-                    if lo >= hi_cut:
-                        break
-                    hi = min(hi, hi_cut)
-                if lo_cut is not None:
-                    if hi <= lo_cut:
-                        continue
-                    lo = max(lo, lo_cut)
-                axis.append((Fraction(lo, scale), Fraction(hi, scale)))
-            if not axis:
-                return BoxUnion.empty(self.d)
-            axes.append(axis)
-        boxes = tuple(_trusted_box(*zip(*prod)) for prod in itertools.product(*axes))
-        return BoxUnion(self.d, boxes)
+        dens: list[set[int]] = [{den} for _ in range(self.d)]
+        for t, clip in leaves:
+            for axis_dens, shift, lo_clip, hi_clip in zip(dens, t, clip.lo, clip.hi):
+                axis_dens.add(as_fraction(shift).denominator)
+                axis_dens.update(v.denominator for v in (lo_clip, hi_clip) if is_finite(v))
+        scales = tuple(lcm(*axis_dens) for axis_dens in dens)
+        return StageLattice(
+            self.d,
+            scales,
+            tuple(
+                ends if scale == den else [(lo * (scale // den), hi * (scale // den)) for lo, hi in ends]
+                for scale in scales
+            ),
+        )
 
     def _child_lengths(self) -> Iterator[Fraction]:
         """Interval lengths ``l_1, l_2, ...`` by ``l_k = (l_(k-1) - c*rho**k) / 2``.

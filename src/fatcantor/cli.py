@@ -625,6 +625,9 @@ def _verify(command: Command, s: CantorSchedule, inputs: dict, core: dict) -> bo
 
     try:
         return replay() if command.check is None else command.check(s, inputs, core, replay)
+    except PreconditionError as exc:
+        print(f"verification refused: {exc}", file=sys.stderr)
+        return False
     except Exception as exc:  # pragma: no cover - defensive
         print(f"verification crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return False

@@ -145,9 +145,12 @@ def placement_boxes(family: CubeFamily, layout: PackingLayout) -> list[Box]:
 
 def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
     """Exact box-algebra coverage check: each placement places a distinct
-    input of the family, and target minus placements is empty."""
+    input of the family by a translation of the family's dimension, and
+    target minus placements is empty."""
     indices = {index for index, _ in layout.placements}
     if len(indices) != len(layout.placements) or not indices.issubset(range(len(family.sides))):
+        return False
+    if any(len(translation) != family.dim for _, translation in layout.placements):
         return False
     placed = BoxUnion.from_boxes(family.dim, placement_boxes(family, layout))
     return placed.contains_union(BoxUnion.single(layout.target))

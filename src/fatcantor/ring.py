@@ -13,6 +13,13 @@ through all three connectives.  That yields the certified interval
 tightened to upper = m when the tree has no ``Diff`` node (then the stage
 evaluation is an outer approximation).
 
+Evaluation runs on the integer lattice of the tree's leaves
+(``CantorSchedule.lattice``): each leaf is a product of integer interval
+lists, each connective is one ``geometry._combine`` on integer
+coordinates, and a stage measure is one integer sum, reduced once.  The
+lattice keeps order and equality, so results equal those of Fraction
+arithmetic; only ``approx_set`` converts its set to a ``BoxUnion``.
+
 ``generate_rn`` lists the ring the pool generates, layer by layer, as set
 algebra on cached stage sets: only the pool is evaluated from its leaves,
 and each candidate costs one ``_combine`` of its parents' sets.
@@ -24,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cantor import CantorSchedule
+from .cantor import CantorSchedule, StageLattice, _Raw
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
-from .geometry import Box, BoxUnion
+from .geometry import _INTERSECT, _SUBTRACT, _UNION, Box, BoxUnion, _combine
 from .rationals import as_fraction
 
 DEFAULT_STAGE_CAP = 24
@@ -147,23 +154,35 @@ def simplify(e: "RingExpr") -> "RingExpr | None":
     return left if left == right else Inter(left, right)
 
 
+def _lattice(exprs: Sequence["RingExpr"], s: CantorSchedule, n: int) -> StageLattice:
+    """The stage-n lattice of every leaf of ``exprs``."""
+    for e in exprs:
+        if expr_dim(e) != s.d:
+            raise DimensionMismatchError(f"expression dimension {expr_dim(e)} vs schedule {s.d}")
+    return s.lattice(n, ((g.translation, g.clip) for e in exprs for g in iter_leaves(e)))
+
+
+_OPS = {Union: _UNION, Diff: _SUBTRACT, Inter: _INTERSECT}
+
+
+def _evaluate(e: "RingExpr", lattice: StageLattice) -> Sequence[_Raw]:
+    """The tree's stage set on ``lattice``, in canonical raw form."""
+    if isinstance(e, Gen):
+        return lattice.leaf(e.translation, e.clip)
+    left = _evaluate(e.left, lattice)
+    right = _evaluate(e.right, lattice)
+    return _combine(_OPS[type(e)], left, right, lattice.d)
+
+
+def _stage_measure(e: "RingExpr", s: CantorSchedule, n: int) -> Fraction:
+    lattice = _lattice([e], s, n)
+    return lattice.measure(_evaluate(e, lattice))
+
+
 def approx_set(e: "RingExpr", s: CantorSchedule, n: int) -> BoxUnion:
     """Evaluate the tree with stage-n boxes in place of the limit set."""
-    if expr_dim(e) != s.d:
-        raise DimensionMismatchError(f"expression dimension {expr_dim(e)} vs schedule {s.d}")
-
-    def run(node: "RingExpr") -> BoxUnion:
-        if isinstance(node, Gen):
-            return s.clipped_translate(n, node.translation, node.clip)
-        left = run(node.left)
-        right = run(node.right)
-        if isinstance(node, Union):
-            return left.union(right)
-        if isinstance(node, Diff):
-            return left.subtract(right)
-        return left.intersect(right)
-
-    return run(e)
+    lattice = _lattice([e], s, n)
+    return lattice.box_union(_evaluate(e, lattice))
 
 
 @dataclass(frozen=True)
@@ -192,7 +211,7 @@ def measure_bounds(e: "RingExpr", s: CantorSchedule, n: int) -> MeasureBounds:
     simplified = simplify(e)
     if simplified is None:
         return MeasureBounds(Fraction(0), Fraction(0), stage=n, leaf_count=0)
-    m = approx_set(simplified, s, n).measure()
+    m = _stage_measure(simplified, s, n)
     L = leaf_count(simplified)
     budget = L * s.stage_defect(n)
     lower = max(Fraction(0), m - budget)
@@ -262,9 +281,10 @@ def generate_rn(
     Elements are deduplicated by their canonical stage evaluation at
     ``reference_stage`` (first occurrence wins, so the order is the
     deterministic enumeration order).  Only the pool is evaluated from its
-    leaves; each layer keeps every element's reference-stage set beside it,
-    so a candidate costs one ``_combine`` of its parents' sets, and
-    canonical form makes that set the tree's own stage evaluation.  Two
+    leaves, all on one lattice; each layer is keyed by every element's
+    reference-stage set as a tuple of integer boxes, so a candidate costs
+    one ``_combine`` of its parents' keys, and canonical form makes that
+    key the tree's own stage evaluation.  Two
     semantically distinct sets that agree at the reference stage would
     merge; callers who care can raise the reference stage.
     """
@@ -273,15 +293,16 @@ def generate_rn(
     if not pool:
         raise PreconditionError("empty generator pool")
 
-    layer: dict[BoxUnion, "RingExpr"] = {}
+    lattice = _lattice(pool, s, reference_stage)
+    layer: dict[tuple[_Raw, ...], "RingExpr"] = {}
     for e in pool:
-        layer.setdefault(approx_set(e, s, reference_stage), e)
+        layer.setdefault(tuple(_evaluate(e, lattice)), e)
     for _ in range(n - 1):
-        nxt: dict[BoxUnion, "RingExpr"] = {}
+        nxt: dict[tuple[_Raw, ...], "RingExpr"] = {}
         for set_a, a in layer.items():
             for set_b, b in layer.items():
-                for node, combine in ((Union, set_a.union), (Diff, set_a.subtract)):
-                    key = combine(set_b)
+                for node, op in ((Union, _UNION), (Diff, _SUBTRACT)):
+                    key = tuple(_combine(op, set_a, set_b, s.d))
                     if key not in nxt:
                         nxt[key] = node(a, b)
                         if len(nxt) > max_size:
@@ -318,9 +339,9 @@ def split_identity_check(
     """
     if not half_space.is_half_space():
         raise PreconditionError(f"{half_space!r} is not an axis half-space")
-    whole = approx_set(e, s, n).measure()
-    inside = approx_set(clip_to_box(e, half_space), s, n).measure()
-    outside = approx_set(clip_to_box(e, half_space.complement_half_space()), s, n).measure()
+    whole = _stage_measure(e, s, n)
+    inside = _stage_measure(clip_to_box(e, half_space), s, n)
+    outside = _stage_measure(clip_to_box(e, half_space.complement_half_space()), s, n)
     return SplitReport(
         whole=whole,
         inside=inside,

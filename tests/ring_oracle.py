@@ -1,19 +1,166 @@
-"""Slow reference enumeration of the ring tower.
+"""Slow reference evaluation of ring expressions, one Fraction leaf at a time.
 
-This is the ``generate_rn`` the cached-set fold in ``ring`` replaced.  It
-keys every candidate by ``approx_set`` of the whole candidate tree, so each
-key rebuilds every leaf of a tree whose size doubles per layer.  Nothing
-here reuses a parent's set, so the differential tests compare the fold
-against code that shares none of it; kept only as an oracle.
+This is the evaluation the integer lattice in ``ring`` replaced.  Each leaf
+is built on its own common denominator and converted to a ``BoxUnion`` of
+reduced Fractions (``clipped_translate``), the tree is folded with
+``BoxUnion`` operations, and measures add one box volume at a time.
+``generate_rn`` keys every candidate by ``approx_set`` of the whole
+candidate tree, so each key rebuilds every leaf of a tree whose size
+doubles per layer, and nothing reuses a parent's set.  None of it touches
+``StageLattice``, so the differential tests compare the lattice against
+code that shares none of it; kept only as an oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from fatcantor import BoxUnion, CantorSchedule, Diff, Union, approx_set
-from fatcantor.errors import BudgetError, PreconditionError
-from fatcantor.ring import DEFAULT_RN_CAP, MAX_RN_LAYER, REFERENCE_STAGE, RingExpr
+from fatcantor import Box, BoxUnion, CantorSchedule, Diff, Union
+from fatcantor.errors import BudgetError, DimensionMismatchError, PreconditionError
+from fatcantor.geometry import _trusted_box
+from fatcantor.rationals import as_fraction, is_finite
+from fatcantor.cantor import DEFAULT_BOX_CAP, check_stage
+from fatcantor.ring import (
+    DEFAULT_RN_CAP,
+    DEFAULT_STAGE_CAP,
+    MAX_RN_LAYER,
+    REFERENCE_STAGE,
+    Gen,
+    MeasureBounds,
+    RingExpr,
+    SplitReport,
+    clip_to_box,
+    expr_dim,
+    has_diff,
+    leaf_count,
+    simplify,
+)
+
+
+def _numerator_over(v: Fraction, scale: int) -> int:
+    return v.numerator * (scale // v.denominator)
+
+
+def clipped_translate(s: CantorSchedule, n: int, t: Sequence[object], clip: Box) -> BoxUnion:
+    """``(A_n + t) ∩ clip``: each axis shifted and clipped over its own
+    denominator, then converted to Fractions."""
+    if len(t) != s.d or clip.dim != s.d:
+        raise DimensionMismatchError(
+            f"translation of length {len(t)}, clip of dimension {clip.dim},"
+            f" schedule dimension {s.d}"
+        )
+    check_stage(n)
+    if 1 << (n * s.d) > DEFAULT_BOX_CAP:
+        raise BudgetError(
+            f"stage {n} in dimension {s.d} needs 2^{n * s.d} boxes, above the cap of"
+            f" {DEFAULT_BOX_CAP}; largest feasible stage is"
+            f" {(DEFAULT_BOX_CAP.bit_length() - 1) // s.d}"
+        )
+    if clip.is_empty:
+        return BoxUnion.empty(s.d)
+    den, ends = s._stage_ends(n)
+    axes: list[list[tuple[Fraction, Fraction]]] = []
+    for shift, lo_clip, hi_clip in zip(t, clip.lo, clip.hi):
+        shift = as_fraction(shift)
+        finite = [v for v in (lo_clip, hi_clip) if is_finite(v)]
+        scale = lcm(den, shift.denominator, *(v.denominator for v in finite))
+        factor = scale // den
+        offset = _numerator_over(shift, scale)
+        lo_cut = _numerator_over(lo_clip, scale) if is_finite(lo_clip) else None
+        hi_cut = _numerator_over(hi_clip, scale) if is_finite(hi_clip) else None
+        axis: list[tuple[Fraction, Fraction]] = []
+        for lo, hi in ends:
+            lo = lo * factor + offset
+            hi = hi * factor + offset
+            if hi_cut is not None:
+                if lo >= hi_cut:
+                    break
+                hi = min(hi, hi_cut)
+            if lo_cut is not None:
+                if hi <= lo_cut:
+                    continue
+                lo = max(lo, lo_cut)
+            axis.append((Fraction(lo, scale), Fraction(hi, scale)))
+        if not axis:
+            return BoxUnion.empty(s.d)
+        axes.append(axis)
+    boxes = tuple(_trusted_box(*zip(*prod)) for prod in itertools.product(*axes))
+    return BoxUnion(s.d, boxes)
+
+
+def approx_set(e: "RingExpr", s: CantorSchedule, n: int) -> BoxUnion:
+    if expr_dim(e) != s.d:
+        raise DimensionMismatchError(f"expression dimension {expr_dim(e)} vs schedule {s.d}")
+
+    def run(node: "RingExpr") -> BoxUnion:
+        if isinstance(node, Gen):
+            return clipped_translate(s, n, node.translation, node.clip)
+        left = run(node.left)
+        right = run(node.right)
+        if isinstance(node, Union):
+            return left.union(right)
+        if isinstance(node, Diff):
+            return left.subtract(right)
+        return left.intersect(right)
+
+    return run(e)
+
+
+def measure(u: BoxUnion) -> Fraction:
+    total = Fraction(0)
+    for b in u.boxes:
+        total += b.volume()
+    return total
+
+
+def measure_bounds(e: "RingExpr", s: CantorSchedule, n: int) -> MeasureBounds:
+    simplified = simplify(e)
+    if simplified is None:
+        return MeasureBounds(Fraction(0), Fraction(0), stage=n, leaf_count=0)
+    m = measure(approx_set(simplified, s, n))
+    L = leaf_count(simplified)
+    budget = L * s.stage_defect(n)
+    lower = max(Fraction(0), m - budget)
+    upper = m if not has_diff(simplified) else m + budget
+    return MeasureBounds(lower, upper, stage=n, leaf_count=L)
+
+
+def premeasure(
+    e: "RingExpr", s: CantorSchedule, tol: Fraction, *, stage_cap: int = DEFAULT_STAGE_CAP
+) -> MeasureBounds:
+    tol = as_fraction(tol)
+    if tol <= 0:
+        raise PreconditionError(f"tolerance must be positive, got {tol}")
+    best: MeasureBounds | None = None
+    for n in range(1, stage_cap + 1):
+        try:
+            bounds = measure_bounds(e, s, n)
+        except BudgetError as exc:
+            raise BudgetError(
+                f"box cap hit at stage {n} before reaching tolerance {tol}", partial=best
+            ) from exc
+        if best is None or bounds.width < best.width:
+            best = bounds
+        if bounds.width <= tol:
+            return bounds
+    raise BudgetError(
+        f"stage cap {stage_cap} reached with width {best.width if best else '?'} > {tol}",
+        partial=best,
+    )
+
+
+def split_identity_check(e: "RingExpr", half_space: Box, s: CantorSchedule, n: int) -> SplitReport:
+    if not half_space.is_half_space():
+        raise PreconditionError(f"{half_space!r} is not an axis half-space")
+    whole = measure(approx_set(e, s, n))
+    inside = measure(approx_set(clip_to_box(e, half_space), s, n))
+    outside = measure(approx_set(clip_to_box(e, half_space.complement_half_space()), s, n))
+    return SplitReport(
+        whole=whole, inside=inside, outside=outside, stage=n, equal=whole == inside + outside
+    )
 
 
 def generate_rn(

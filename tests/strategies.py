@@ -80,18 +80,45 @@ def gens(draw, dim=1):
 
 
 @st.composite
-def ring_exprs(draw, dim=1, max_leaves=6, positive_only=False):
+def odd_gens(draw, dim=1):
+    """A generator whose translation may have a denominator coprime to any
+    stage's (5, 7, 9), clipped to a bounded, empty, unbounded or half-space
+    box."""
+    t = tuple(
+        Fraction(draw(st.integers(min_value=-18, max_value=18)), draw(st.sampled_from([1, 2, 5, 7, 9])))
+        for _ in range(dim)
+    )
+    axis = draw(st.integers(min_value=0, max_value=dim - 1))
+    threshold = Fraction(draw(st.integers(min_value=-3, max_value=12)), draw(st.sampled_from([3, 7, 8])))
+    clip = draw(
+        st.sampled_from(
+            [
+                Box.unit_cube(dim),
+                Box.empty(dim),
+                Box.whole_space(dim),
+                Box.half_space(dim, axis, threshold, above=True),
+                Box.half_space(dim, axis, threshold, above=False),
+            ]
+        )
+        | boxes(dim=dim)
+    )
+    return Gen(t, clip)
+
+
+@st.composite
+def ring_exprs(draw, dim=1, max_leaves=6, positive_only=False, leaves_from=gens):
     """A random ring expression over translated Cantor generators.
 
     ``positive_only`` restricts to union/intersection nodes (no set
     difference), the shape for which stage upper bounds are monotone.
+    ``leaves_from`` is the strategy of the generator leaves.
     """
     leaves = draw(st.integers(min_value=1, max_value=max_leaves))
-    expr = draw(gens(dim=dim))
+    expr = draw(leaves_from(dim=dim))
     combos = [Union, Inter] if positive_only else [Union, Diff, Inter]
     for _ in range(leaves - 1):
         node = draw(st.sampled_from(combos))
-        other = draw(gens(dim=dim))
+        other = draw(leaves_from(dim=dim))
         if draw(st.booleans()):
             expr = node(expr, other)
         else:

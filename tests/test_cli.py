@@ -618,9 +618,9 @@ class TestDeterminismAndReplay:
 # ---------------------------------------------------------------------------
 
 
-def _replayed(argv, tamper, capsys):
+def _replay(argv, tamper, capsys):
     """``cli._verify`` on a command's result core, read back from JSON and
-    changed in place by ``tamper``; a replay never crashes on it."""
+    changed in place by ``tamper``, and the stderr it printed."""
     args = cli._parser().parse_args(argv)
     command = cli.COMMANDS[args.command]
     s = CantorSchedule(args.d, args.c, args.rho)
@@ -628,7 +628,13 @@ def _replayed(argv, tamper, capsys):
     core = json.loads(json.dumps(serialize.to_json(command.run(s, inputs)[0])))
     tamper(core)
     ok = cli._verify(command, s, inputs, core)
-    assert "verification crashed" not in capsys.readouterr().err
+    return ok, capsys.readouterr().err
+
+
+def _replayed(argv, tamper, capsys):
+    """The verdict of :func:`_replay`; a replay never crashes on a tamper."""
+    ok, err = _replay(argv, tamper, capsys)
+    assert "verification crashed" not in err
     return ok
 
 
@@ -663,11 +669,19 @@ class TestReplayTampers:
             _set(("placements",), 3),
             _set(("placements",), 2.0),
             _set(("covered_cube", "hi"), ["1/4"]),
+            _set(("layout", "placements", 1, "translate"), ["1/4", "0/1"]),  # at d = 1
+            _set(("layout", "placements", 1, "index"), -1),
         ],
-        ids=["untampered", "repeated-index", "index-outside", "count", "count-float", "covered-cube"],
+        ids=["untampered", "repeated-index", "index-outside", "count", "count-float", "covered-cube",
+             "translation-length", "index-negative"],
     )
     def test_pack(self, tamper, capsys):
         assert _replayed(self.PACK, tamper, capsys) is (tamper is _untampered)
+
+    def test_a_refused_decode_is_reported_as_a_refusal(self, capsys):
+        ok, err = _replay(self.PACK, _set(("layout", "placements", 1, "index"), -1), capsys)
+        assert not ok
+        assert err.startswith("verification refused: ")
 
     @pytest.mark.parametrize(
         "tamper",

@@ -37,10 +37,11 @@ from fatcantor import (
     split_identity_check,
 )
 from fatcantor import ring
+from fatcantor.cantor import StageLattice
 from fatcantor.serialize import to_json
 
 import ring_oracle
-from strategies import boxes, fractions, ring_exprs
+from strategies import boxes, fractions, gens, odd_gens, ring_exprs, schedules
 from test_cantor import brute_stage_intervals
 
 
@@ -365,19 +366,22 @@ class TestGenerateRn:
 
 
 class TestFoldAgainstOracle:
-    """The cached-set fold against the per-candidate tree evaluation it replaced."""
+    """The cached-set fold on the lattice against the per-candidate tree
+    evaluation, one Fraction leaf at a time, that it replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
-        d=st.integers(min_value=1, max_value=2),
+        d=st.integers(min_value=1, max_value=3),
         n=st.integers(min_value=1, max_value=4),
-        reference_stage=st.integers(min_value=1, max_value=4),
+        reference_stage=st.integers(min_value=0, max_value=4),
         max_size=st.sampled_from([0, 1, 2, 5, 12, 40]),
     )
     def test_layers_equal_the_oracle(self, data, d, n, reference_stage, max_size):
         s = CantorSchedule(d)
-        pool = data.draw(st.lists(ring_exprs(dim=d, max_leaves=3), min_size=1, max_size=3))
+        reference_stage = min(reference_stage, 8 // d)
+        leaves = data.draw(st.sampled_from([gens, odd_gens]))
+        pool = data.draw(st.lists(ring_exprs(dim=d, max_leaves=3, leaves_from=leaves), min_size=1, max_size=3))
 
         def run(generate):
             try:
@@ -406,7 +410,7 @@ class TestFoldAgainstOracle:
     def test_one_leaf_evaluation_per_pool_leaf_and_one_op_per_candidate(self, monkeypatch, n):
         pool = [base_expr(S1), Gen((Fraction(1, 2),), Box.unit_cube(1)),
                 Gen((Fraction(-1, 2),), Box.unit_cube(1))]
-        calls = {"leaf": 0, "approx_set": 0, "union": 0, "subtract": 0}
+        calls = {"leaf": 0, "combine": 0, "approx_set": 0, "union": 0, "subtract": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -414,14 +418,101 @@ class TestFoldAgainstOracle:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            CantorSchedule, "clipped_translate", counted("leaf", CantorSchedule.clipped_translate)
-        )
+        monkeypatch.setattr(StageLattice, "leaf", counted("leaf", StageLattice.leaf))
+        # ``ring`` binds the kernel by name, so only its top-level calls count.
+        monkeypatch.setattr(ring, "_combine", counted("combine", ring._combine))
         monkeypatch.setattr(ring, "approx_set", counted("approx_set", ring.approx_set))
         monkeypatch.setattr(BoxUnion, "union", counted("union", BoxUnion.union))
         monkeypatch.setattr(BoxUnion, "subtract", counted("subtract", BoxUnion.subtract))
         sizes = [len(generate_rn(pool, k, S1)) for k in range(1, n)]
-        calls.update(leaf=0, approx_set=0, union=0, subtract=0)
+        calls.update(leaf=0, combine=0, approx_set=0, union=0, subtract=0)
         generate_rn(pool, n, S1)
         examined = sum(size * size for size in sizes)
-        assert calls == {"leaf": 3, "approx_set": 3, "union": examined, "subtract": examined}
+        assert calls == {"leaf": 3, "combine": 2 * examined, "approx_set": 0, "union": 0, "subtract": 0}
+
+
+class TestLatticeAgainstOracle:
+    """Ring evaluation on the integer lattice against one Fraction leaf at a time."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except BudgetError as exc:
+            return type(exc), str(exc), exc.partial
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=3))
+    def test_every_evaluation_equals_the_oracle(self, data, d):
+        s = data.draw(schedules(dim=d))
+        n = data.draw(st.integers(min_value=0, max_value=(8, 4, 3)[d - 1]))
+        e = data.draw(ring_exprs(dim=d, max_leaves=4, leaves_from=odd_gens))
+        axis = data.draw(st.integers(min_value=0, max_value=d - 1))
+        threshold = Fraction(data.draw(st.integers(min_value=-2, max_value=9)), data.draw(st.sampled_from([1, 7, 9])))
+        half = Box.half_space(d, axis, threshold, above=data.draw(st.booleans()))
+        if data.draw(st.booleans()):
+            e = clip_to_box(e, half.complement_half_space())
+
+        got, want = approx_set(e, s, n), ring_oracle.approx_set(e, s, n)
+        assert got == want and repr(got) == repr(want)
+        assert measure_bounds(e, s, n) == ring_oracle.measure_bounds(e, s, n)
+        assert split_identity_check(e, half, s, n) == ring_oracle.split_identity_check(e, half, s, n)
+        tol = Fraction(1, data.draw(st.sampled_from([2, 64, 4096])))
+        cap = data.draw(st.integers(min_value=1, max_value=(9, 5, 3)[d - 1]))
+        assert self.outcome(lambda: premeasure(e, s, tol, stage_cap=cap)) == self.outcome(
+            lambda: ring_oracle.premeasure(e, s, tol, stage_cap=cap)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=2))
+    def test_clip_ends_on_the_ends_of_shifted_stage_intervals(self, data, d):
+        # A clip end that meets an interval end exactly must neither keep
+        # an empty piece nor drop a nonempty one.
+        s = CantorSchedule(d)
+        n = data.draw(st.integers(min_value=0, max_value=(6, 3)[d - 1]))
+        t = tuple(Fraction(data.draw(st.integers(min_value=-9, max_value=9)), 7) for _ in range(d))
+        ends = sorted({v for lo, hi in s.stage_intervals_1d(n) for v in (lo, hi)})
+        lo, hi = [], []
+        for shift in t:
+            a, b = sorted(data.draw(st.sampled_from(ends)) for _ in range(2))
+            lo.append(a + shift)
+            hi.append(b + shift)
+        e = Union(Gen(t, Box(tuple(lo), tuple(hi))), Gen(t, Box.half_space(d, 0, hi[0], above=True)))
+        got, want = approx_set(e, s, n), ring_oracle.approx_set(e, s, n)
+        assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("d, n", [(2, 9), (1, 17)])
+    def test_the_box_cap_refuses_with_the_oracle_text(self, d, n):
+        s = CantorSchedule(d)
+        e = Diff(base_expr(s), Gen((Fraction(1, 7),) * d, Box.empty(d)))
+        half = Box.half_space(d, 0, Fraction(1, 3), above=True)
+        calls = [
+            lambda m: m.approx_set(e, s, n),
+            lambda m: m.measure_bounds(e, s, n),
+            lambda m: m.split_identity_check(e, half, s, n),
+            lambda m: m.premeasure(e, s, Fraction(1, 2**40), stage_cap=n),
+            lambda m: m.generate_rn([e], 2, s, reference_stage=n),
+        ]
+        for call in calls:
+            got = self.outcome(lambda: call(ring))
+            assert got == self.outcome(lambda: call(ring_oracle))
+            assert got[0] is BudgetError
+        assert f"needs 2^{n * d} boxes" in self.outcome(lambda: approx_set(e, s, n))[1]
+
+    def test_measures_build_no_box_union(self, monkeypatch):
+        s = CantorSchedule(2)
+        e = Diff(base_expr(s), Gen((Fraction(1, 7), Fraction(2, 9)), Box.unit_cube(2)))
+        half = Box.half_space(2, 1, Fraction(1, 3), above=False)
+        built = []
+        init = BoxUnion.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BoxUnion, "__init__", counted)
+        measure_bounds(e, s, 4)
+        split_identity_check(e, half, s, 4)
+        assert built == []
+        approx_set(e, s, 4)
+        assert len(built) == 1
