@@ -11,7 +11,8 @@ A stage-n approximation is a union of ``2**(n*d)`` boxes, so exact
 materialization explodes quickly.  Stage sets are built on an integer
 lattice (``StageLattice``): each axis in units of one common denominator,
 so building, combining and measuring them is integer work, and Fractions
-are made only for a set a caller keeps.  Gap search, witness validation and
+are made only for a set a caller keeps; a leaf's slab tree holds its d
+interval lists, not its boxes.  Gap search, witness validation and
 membership instead share one walk of the 1-D construction tree
 (``CantorSchedule._windows``): level by level, it keeps the intervals
 whose closure meets a query window and stops at the first empty level.
@@ -21,15 +22,16 @@ Child lengths follow ``l_k = (l_(k-1) - c*rho**k) / 2`` (``_child_lengths``).
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .errors import BudgetError, DimensionMismatchError, PreconditionError
-from .geometry import Box, BoxUnion, _trusted_box
+from .errors import BudgetError, DimensionMismatchError, PreconditionError, too_large_to_print
+from .geometry import _POINT, Box, BoxUnion, _corners, _Tree, _trusted_box
 from .rationals import as_fraction, is_finite
 
 DEFAULT_BOX_CAP = 1 << 16  # boxes in one stage set; a power of two
@@ -40,6 +42,9 @@ DEFAULT_BOX_CAP = 1 << 16  # boxes in one stage set; a power of two
 # refuses to print integers of more than 4300 digits), so they are refused
 # before any of it.
 MAX_STAGE = 1024
+# Largest ambient dimension a schedule accepts: closed forms of stage n are
+# integers of about n*d bits, so a larger d is refused before any of them.
+MAX_DIM = 5000
 
 
 def check_stage(n: int) -> int:
@@ -49,13 +54,32 @@ def check_stage(n: int) -> int:
     return n
 
 
+def box_count(n: int, d: int) -> int:
+    """``2**(n*d)``, the stage-n box count, refused as a document holding it
+    would be when it has more digits than Python prints (2**k >= 10**limit)."""
+    limit = sys.get_int_max_str_digits()
+    # 2**k prints when k <= 3*limit, as 8**limit < 10**limit.
+    if limit and n * d > 3 * limit and n * d >= (10**limit).bit_length():
+        raise too_large_to_print()
+    return 1 << (n * d)
+
+
 def _numerator_over(v: Fraction, scale: int) -> int:
     """The numerator of ``v`` over ``scale``, a multiple of its denominator."""
     return v.numerator * (scale // v.denominator)
 
 
-# A box on the lattice: ``geometry``'s raw (lo, hi) corners, in integers.
-_Raw = tuple[tuple[int, ...], tuple[int, ...]]
+def _volume(tree: _Tree, d: int) -> int:
+    """Integer volume of a lattice tree, axis by axis: each distinct section
+    (by identity) carries the summed products above it, and is walked once."""
+    level = {id(tree): [tree, 1]}
+    for _ in range(d - 1):
+        below: dict[int, list] = {}
+        for section, weight in level.values():
+            for x0, x1, sub in section:
+                below.setdefault(id(sub), [sub, 0])[1] += weight * (x1 - x0)
+        level = below
+    return sum(weight * sum(x1 - x0 for x0, x1, _ in section) for section, weight in level.values())
 
 
 @dataclass(frozen=True)
@@ -63,11 +87,11 @@ class StageLattice:
     """Stage-n leaves on an integer lattice: axis i in units of ``1/scales[i]``.
 
     ``ends[i]`` holds the stage intervals as integers over ``scales[i]``.
-    A leaf is the product of its d shifted and clipped interval lists, in
-    the raw ``(lo, hi)`` form that ``geometry._combine`` takes.  Scaling
-    each axis by a positive constant keeps order and equality, so the
-    kernel's canonical forms, equality and dedup on the lattice are those
-    of the rational sets; only a union that a caller keeps is converted
+    A leaf is the product of its d shifted and clipped interval lists, as
+    the slab tree that ``geometry._combine`` takes.  Scaling each axis by a
+    positive constant keeps order and equality, so the kernel's canonical
+    forms, equality and dedup on the lattice are those of the rational
+    sets; only a union that a caller keeps is converted
     (:meth:`box_union`), and a measure is one integer sum (:meth:`measure`).
     """
 
@@ -75,18 +99,17 @@ class StageLattice:
     scales: tuple[int, ...]
     ends: tuple[list[tuple[int, int]], ...]
 
-    def leaf(self, t: Sequence[object], clip: Box) -> list[_Raw]:
-        """``(A_n + t) ∩ clip`` in canonical raw form; ``t`` and the finite
+    def leaf(self, t: Sequence[object], clip: Box) -> _Tree:
+        """``(A_n + t) ∩ clip`` as a canonical slab tree; ``t`` and the finite
         clip ends must lie on the lattice.
 
         Stage intervals never touch, so each clipped list is a canonical
-        1-D union and their product is canonical as it stands.
+        1-D union and their product is canonical as it stands: the slabs on
+        axis i are its intervals, all sharing one section, axes i+1 on.
         """
         if clip.is_empty:
-            return []
-        # Corners grow one axis at a time, the new axis innermost, so the
-        # boxes come out in lexicographic order of their lower corners.
-        raw: list[_Raw] = [((), ())]
+            return ()
+        axes = []
         for ends, scale, shift, lo_clip, hi_clip in zip(self.ends, self.scales, t, clip.lo, clip.hi):
             offset = _numerator_over(as_fraction(shift), scale)
             # The intervals that meet the clip, found in the unshifted list.
@@ -98,35 +121,29 @@ class StageLattice:
                 hi_cut = _numerator_over(hi_clip, scale)
                 stop = bisect_left(ends, hi_cut - offset, lo=first, key=itemgetter(0))
             if first == stop:
-                return []
+                return ()
             axis = [(lo + offset, hi + offset) for lo, hi in ends[first:stop]]
             if is_finite(lo_clip):
                 axis[0] = (max(axis[0][0], lo_cut), axis[0][1])
             if is_finite(hi_clip):
                 axis[-1] = (axis[-1][0], min(axis[-1][1], hi_cut))
-            # One-coordinate corners, made once per interval, not per box.
-            corners = [((lo,), (hi,)) for lo, hi in axis]
-            raw = [(lo + a, hi + b) for lo, hi in raw for a, b in corners]
-        return raw
+            axes.append(axis)
+        tree = _POINT
+        for axis in reversed(axes):
+            tree = tuple((lo, hi, tree) for lo, hi in axis)
+        return tree
 
-    def measure(self, raw: Iterable[_Raw]) -> Fraction:
-        """Lebesgue measure of a canonical raw union: one integer sum, reduced once."""
-        total = sum(prod(map(sub, hi, lo)) for lo, hi in raw)
-        return Fraction(total, prod(self.scales))
+    def measure(self, tree: _Tree) -> Fraction:
+        """Lebesgue measure of a canonical lattice tree: one integer sum, reduced once."""
+        return Fraction(_volume(tree, self.d), prod(self.scales))
 
-    def box_union(self, raw: Iterable[_Raw]) -> BoxUnion:
-        """A canonical raw union as the BoxUnion of its rational coordinates."""
+    def box_union(self, tree: _Tree) -> BoxUnion:
+        """A canonical lattice tree as the BoxUnion of its rational coordinates."""
         scales = self.scales
-        return BoxUnion(
-            self.d,
-            tuple(
-                _trusted_box(
-                    tuple(Fraction(v, scale) for v, scale in zip(lo, scales)),
-                    tuple(Fraction(v, scale) for v, scale in zip(hi, scales)),
-                )
-                for lo, hi in raw
-            ),
-        )
+        return BoxUnion(self.d, tuple(
+            _trusted_box(tuple(map(Fraction, lo, scales)), tuple(map(Fraction, hi, scales)))
+            for lo, hi in _corners(tree, self.d)
+        ))
 
 
 @dataclass(frozen=True)
@@ -146,8 +163,8 @@ class CantorSchedule:
     rho: Fraction = Fraction(1, 4)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise PreconditionError(f"dimension must be a positive integer, got {self.d!r}")
+        if not isinstance(self.d, int) or not 1 <= self.d <= MAX_DIM:
+            raise PreconditionError(f"dimension must be an integer from 1 to {MAX_DIM}, got {self.d!r}")
         c = as_fraction(self.c)
         rho = as_fraction(self.rho)
         object.__setattr__(self, "c", c)

@@ -22,9 +22,10 @@ the ones the run itself decoded from the document, and by default the
 result is recomputed and its JSON compared with the document's; an entry
 whose output carries a certificate (witnesses, layouts, covers) re-checks
 that JSON with its validator instead.  The ``cover-search``,
-``infinite-cube`` and ``pack`` validators also tie the rest of the result
-to the inputs, and take its counts, indices and stages only as exact JSON
-integers.  The verdict is appended under ``result.verification``.
+``infinite-cube``, ``pack`` and ``corollary-demo`` validators also tie the
+rest of the result to the inputs, and take its counts, indices and stages
+only as exact JSON integers.  The verdict is appended under
+``result.verification``.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ import functools
 import json
 import marshal
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .cantor import CantorSchedule, NeedsDeeperStage, check_stage
+from .cantor import CantorSchedule, NeedsDeeperStage, box_count, check_stage
 from .cover import (
     _target_union,
     check_pool_size,
@@ -57,6 +58,8 @@ from .geometry import Box, tile_check
 from .hausdorff import (
     PowerGauge,
     corollary_pipeline,
+    corollary_plan,
+    corollary_report,
     nu_delta_upper,
     range_function,
     solve_level,
@@ -275,18 +278,16 @@ def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
 
 
 def _check_corollary_demo(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
+    """Rebuild the closed-form steps from the inputs, without packing, and
+    the report from them and the layout's placements and target: it must
+    pass every check and equal the report but for the layout, which is read
+    only through those.  JSON text is compared, so 1 does not pass for true."""
     report = core["report"]
-    family = cube_family_from_json(report["family"])
-    layout = _placed(report["layout"])
-    checks = report["checks"]
-    flags = (
-        checks["sum_exceeds_half_a"],
-        checks["diam_preserved"],
-        checks["alpha_consistent"],
-        checks["covers_target"],
-        checks["gauge_dominates_covered_volume"],
-    )
-    return all(flags) and layout_covers(family, layout)
+    plan = corollary_plan(s, i["delta"], a=i["a"], bits=i["bits"])
+    rebuilt = corollary_report(s, plan, _placed(report["layout"]))
+    doc = to_json(replace(rebuilt, layout=None))
+    echoed = {**report, "layout": None}
+    return rebuilt.checks.all_ok() and json.dumps(doc, sort_keys=True) == json.dumps(echoed, sort_keys=True)
 
 
 def _check_range_solve(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
@@ -326,6 +327,7 @@ COMMANDS: "dict[str, Command]" = {
         run=lambda s, i: (
             {
                 "stage": (n := check_stage(i["stage"])),
+                "box_count": box_count(n, s.d),
                 "stage_measure_1d": s.stage_measure_1d(n),
                 "stage_measure": s.stage_measure(n),
                 "limit_measure_1d": s.limit_measure_1d(),
@@ -333,7 +335,6 @@ COMMANDS: "dict[str, Command]" = {
                 "stage_defect": s.stage_defect(n),
                 "interval_length": s.stage_interval_length(n),
                 "interval_count": 1 << n,
-                "box_count": 1 << (n * s.d),
                 "removal_length": s.removal_length(n) if n >= 1 else None,
             },
             0,

@@ -7,6 +7,8 @@ anything else exits 1.
 
 from __future__ import annotations
 
+import sys
+
 
 class FatCantorError(Exception):
     """Base class for errors raised by this package."""
@@ -34,3 +36,11 @@ class BudgetError(FatCantorError):
     def __init__(self, message: str, *, partial: object | None = None) -> None:
         super().__init__(message)
         self.partial = partial
+
+
+def too_large_to_print() -> PreconditionError:
+    """The refusal of a result holding an integer longer than Python prints."""
+    return PreconditionError(
+        f"result too large to print: a number in it has more than"
+        f" {sys.get_int_max_str_digits()} digits"
+    )

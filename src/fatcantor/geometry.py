@@ -2,27 +2,27 @@
 
 The carrier of every set computation in this package is the half-open box
 ``[lo_1, hi_1) x ... x [lo_d, hi_d)``.  Half-open boxes tile exactly (no
-double-counted faces), so finite unions admit a unique canonical form: cut
-along axis 0 into slabs where the set's cross-section changes, give each
-slab the canonical form of its cross-section one axis down, and order the
-boxes lexicographically by lower corner.  The slab boundaries are
-intrinsic to the set, so equal sets produce structurally equal
-representations and ``==`` is set equality.
+double-counted faces), so finite unions admit a unique canonical form, the
+slab tree: a tuple of the axis-0 slabs ``(x0, x1, section)`` where the
+set's cross-section changes, each ``section`` the tree of its cross-section
+one axis down; ``()`` is empty and ``_POINT`` is the nonempty 0-dim set.
+The slab boundaries are intrinsic to the set, so equal sets produce
+structurally equal trees and ``==`` is set equality.
 
-All of the algebra runs through one kernel, ``_combine``, which never
-leaves the canonical form.  It walks the axis-0 slabs of two canonical
-operands with two pointers, cutting at every slab boundary of either side;
-a piece covered by one operand only is kept or dropped by the operation's
-truth table, and a piece covered by both recurses on the two
-cross-sections one axis down.  Adjacent pieces with equal results merge,
-so the output is canonical without a further pass.  At dimension 0 the
-cross-section is the single point, so the same sweep is the 1-D interval
-merge.  The cost is linear in the number of slabs per axis instead of the
-product of the box counts.  ``union``, ``intersect``, ``intersect_box``
-and ``subtract`` are single calls of it, and ``from_boxes`` canonicalises
-an arbitrary box list as a balanced fold of unions over single boxes (a
-nonempty box is already canonical).  The slab-decomposition canonicaliser
-this replaced is kept only as the test oracle (``tests/box_oracle.py``).
+All of the algebra runs through one kernel, ``_combine``, which takes and
+returns trees.  It walks the slabs of two trees with two pointers, cutting
+at every slab boundary of either side; a piece covered by one operand only
+is kept or dropped by the operation's truth table, and a piece covered by
+both recurses on the two sections.  Adjacent pieces with equal results
+merge, so the output is canonical without a further pass.  At dimension 0
+the section is the point, so the same sweep is the 1-D interval merge.  The
+cost is linear in the number of slabs per axis instead of the product of
+the box counts.  ``BoxUnion`` holds the flattened tree, boxes ordered by
+lower corner: its operations nest their operands (``_nest``), call the
+kernel once and flatten the result (``_boxes``), and ``from_boxes`` folds
+single-box trees by union (a nonempty box is already canonical) and
+flattens once.  The slab-decomposition canonicaliser this replaced is kept
+only as the test oracle (``tests/box_oracle.py``).
 
 Coordinates are rationals or the explicit infinity markers from
 ``rationals`` (so the same Box type expresses half-space clips); volume
@@ -215,75 +215,48 @@ def _trusted_box(lo: tuple[Coord, ...], hi: tuple[Coord, ...]) -> Box:
     return box
 
 
-_Raw = tuple[tuple[Coord, ...], tuple[Coord, ...]]
-
-
 # A boolean op is its truth table on (only in a, only in b, in both).
 _Op = tuple[bool, bool, bool]
 _UNION: _Op = (True, True, True)
 _INTERSECT: _Op = (False, False, True)
 _SUBTRACT: _Op = (True, False, False)
 
-# The canonical 0-dim cross-section of a nonempty slab: the single point.
-_POINT: list[_Raw] = [((), ())]
+_Tree = tuple  # a slab tree: see the module docstring
+_POINT: _Tree = ("point",)
 
 
-def _raw(boxes: Iterable[Box]) -> list[_Raw]:
-    return [(b.lo, b.hi) for b in boxes]
-
-
-def _slabs(raw: Sequence[_Raw], d: int) -> list[tuple[Coord, Coord, list[_Raw]]]:
-    """Axis-0 slabs (x0, x1, cross-section) of a canonical raw union."""
-    if d == 1:
-        return [(lo[0], hi[0], _POINT) for lo, hi in raw]
-    slabs: list[tuple[Coord, Coord, list[_Raw]]] = []
-    tails: list[_Raw] = []
-    x0: Coord | None = None
-    for lo, hi in raw:
-        # Boxes of one slab are consecutive and share lo[0]; distinct slabs
-        # are disjoint along axis 0, so lo[0] alone tells them apart.
-        if x0 is None or not (lo[0] is x0 or lo[0] == x0):
-            x0 = lo[0]
-            tails = []
-            slabs.append((x0, hi[0], tails))
-        tails.append((lo[1:], hi[1:]))
-    return slabs
-
-
-def _combine(op: _Op, a: Sequence[_Raw], b: Sequence[_Raw], d: int) -> Sequence[_Raw]:
-    """Canonical raw form of ``a op b`` for canonical raw unions a, b.
+def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
+    """The canonical tree of ``a op b`` for canonical trees a, b.
 
     One two-pointer sweep over the axis-0 slabs of both operands; pieces
-    covered by both recurse on their cross-sections in dimension d - 1.
-    Only coordinate comparisons are used, never hashing.
+    covered by both recurse on their sections in dimension d - 1.  Only
+    coordinate comparisons are used, never hashing.
     """
     only_a, only_b, both = op
     if d == 0:
         # Both operands hold the point.
-        return a if both else []
+        return a if both else ()
     if not a:
-        return b if only_b else []
+        return b if only_b else ()
     if not b:
-        return a if only_a else []
+        return a if only_a else ()
 
-    out: list[tuple[Coord, Coord, Sequence[_Raw]]] = []
+    out: list[tuple[Coord, Coord, _Tree]] = []
 
-    def emit(x0: Coord, x1: Coord, section: Sequence[_Raw]) -> None:
+    def emit(x0: Coord, x1: Coord, section: _Tree) -> None:
         if not section:
             return
         if out:
             p0, p1, prev = out[-1]
-            if (p1 is x0 or p1 == x0) and prev == section:
+            if (p1 is x0 or p1 == x0) and (prev is section or prev == section):
                 out[-1] = (p0, x1, prev)
                 return
         out.append((x0, x1, section))
 
-    sa = _slabs(a, d)
-    sb = _slabs(b, d)
-    na, nb = len(sa), len(sb)
+    na, nb = len(a), len(b)
     i = j = 0
-    a0, a1, ta = sa[0]
-    b0, b1, tb = sb[0]
+    a0, a1, ta = a[0]
+    b0, b1, tb = b[0]
     # Invariant: [a0, a1) is the unswept rest of slab i of a, [b0, b1) of b.
     while True:
         if a0 is not b0 and a0 < b0:
@@ -298,7 +271,7 @@ def _combine(op: _Op, a: Sequence[_Raw], b: Sequence[_Raw], d: int) -> Sequence[
             i += 1
             if i == na:
                 break
-            a0, a1, ta = sa[i]
+            a0, a1, ta = a[i]
         elif a0 is not b0 and b0 < a0:
             if a0 < b1:
                 if only_b:
@@ -310,7 +283,7 @@ def _combine(op: _Op, a: Sequence[_Raw], b: Sequence[_Raw], d: int) -> Sequence[
             j += 1
             if j == nb:
                 break
-            b0, b1, tb = sb[j]
+            b0, b1, tb = b[j]
         else:
             # Both cover [a0, min(a1, b1)).
             section = _combine(op, ta, tb, d - 1)
@@ -319,9 +292,9 @@ def _combine(op: _Op, a: Sequence[_Raw], b: Sequence[_Raw], d: int) -> Sequence[
                 i += 1
                 j += 1
                 if i < na:
-                    a0, a1, ta = sa[i]
+                    a0, a1, ta = a[i]
                 if j < nb:
-                    b0, b1, tb = sb[j]
+                    b0, b1, tb = b[j]
                 if i == na or j == nb:
                     break
             elif a1 < b1:
@@ -330,25 +303,66 @@ def _combine(op: _Op, a: Sequence[_Raw], b: Sequence[_Raw], d: int) -> Sequence[
                 i += 1
                 if i == na:
                     break
-                a0, a1, ta = sa[i]
+                a0, a1, ta = a[i]
             else:
                 emit(b0, b1, section)
                 a0 = b1
                 j += 1
                 if j == nb:
                     break
-                b0, b1, tb = sb[j]
-    # At most one operand has slabs left; they are covered by it alone.
+                b0, b1, tb = b[j]
+    # At most one operand has slabs left; they are covered by it alone.  A
+    # whole slab after the first cannot merge: it is canonical in its operand.
     if i < na and only_a:
         emit(a0, a1, ta)
-        for x0, x1, t in sa[i + 1 :]:
-            emit(x0, x1, t)
+        out.extend(a[i + 1 :])
     if j < nb and only_b:
         emit(b0, b1, tb)
-        for x0, x1, t in sb[j + 1 :]:
-            emit(x0, x1, t)
+        out.extend(b[j + 1 :])
+    return tuple(out)
 
-    return [((x0,) + tlo, (x1,) + thi) for x0, x1, section in out for tlo, thi in section]
+
+def _box_tree(box: Box) -> _Tree:
+    """The tree of one nonempty box: one slab per axis."""
+    tree = _POINT
+    for x0, x1 in zip(reversed(box.lo), reversed(box.hi)):
+        tree = ((x0, x1, tree),)
+    return tree
+
+
+def _nest(boxes: Sequence[Box], d: int) -> _Tree:
+    """The tree of a canonical box list, built from the last axis up.
+
+    Box i opens a slab on each axis from ``first[i]`` on, the first axis on
+    which its lower corner differs from box i-1's (box 0 opens one on all).
+    The slabs opened on axis k from box i up to the next box that opens one
+    on axis k - 1 are the section under the slab box i opens there.
+    """
+    first = [0] + [
+        next(k for k, (x, y) in enumerate(zip(prev.lo, box.lo)) if x != y)
+        for prev, box in zip(boxes, boxes[1:])
+    ]
+    below: list[_Tree] = [_POINT] * len(boxes)
+    for k in reversed(range(d)):
+        slabs: list[tuple[Coord, Coord, _Tree]] = []
+        for i in reversed(range(len(boxes))):
+            if first[i] <= k:
+                slabs.append((boxes[i].lo[k], boxes[i].hi[k], below[i]))
+            if first[i] < k or i == 0:
+                below[i], slabs = tuple(reversed(slabs)), []
+    return below[0] if boxes else ()
+
+
+def _corners(tree: _Tree, d: int) -> list[tuple[tuple[Coord, ...], tuple[Coord, ...]]]:
+    """The ``(lo, hi)`` corners of a tree's boxes, in lexicographic order."""
+    rows: list[tuple[tuple[Coord, ...], tuple[Coord, ...], _Tree]] = [((), (), tree)]
+    for _ in range(d):
+        rows = [(lo + (x0,), hi + (x1,), sub) for lo, hi, section in rows for x0, x1, sub in section]
+    return [(lo, hi) for lo, hi, _ in rows]
+
+
+def _boxes(tree: _Tree, d: int) -> tuple[Box, ...]:
+    return tuple(_trusted_box(lo, hi) for lo, hi in _corners(tree, d))
 
 
 @dataclass(frozen=True)
@@ -368,17 +382,16 @@ class BoxUnion:
     def from_boxes(dim: int, boxes: Iterable[Box]) -> "BoxUnion":
         # A nonempty box is its own canonical form, so a balanced fold of
         # unions over single boxes canonicalises any list.
-        parts: list[Sequence[_Raw]] = []
+        parts: list[_Tree] = []
         for b in boxes:
             if b.dim != dim:
                 raise DimensionMismatchError(f"{b.dim}-dim box in {dim}-dim union")
             if not b.is_empty:
-                parts.append([(b.lo, b.hi)])
+                parts.append(_box_tree(b))
         while len(parts) > 1:
             merged = [_combine(_UNION, parts[i], parts[i + 1], dim) for i in range(0, len(parts) - 1, 2)]
             parts = merged + parts[2 * len(merged) :]
-        raw = parts[0] if parts else ()
-        return BoxUnion(dim, tuple(_trusted_box(lo, hi) for lo, hi in raw))
+        return BoxUnion(dim, _boxes(parts[0], dim) if parts else ())
 
     @staticmethod
     def empty(dim: int) -> "BoxUnion":
@@ -392,31 +405,26 @@ class BoxUnion:
     def is_empty(self) -> bool:
         return not self.boxes
 
-    def _check_dim(self, other: "BoxUnion") -> None:
+    def _apply(self, op: _Op, other: "BoxUnion") -> "BoxUnion":
         if other.dim != self.dim:
             raise DimensionMismatchError(f"union of dimension {self.dim} vs {other.dim}")
-
-    def _apply(self, op: _Op, other: Sequence[_Raw]) -> "BoxUnion":
-        raw = _combine(op, _raw(self.boxes), other, self.dim)
-        return BoxUnion(self.dim, tuple(_trusted_box(lo, hi) for lo, hi in raw))
+        tree = _combine(op, _nest(self.boxes, self.dim), _nest(other.boxes, self.dim), self.dim)
+        return BoxUnion(self.dim, _boxes(tree, self.dim))
 
     def union(self, other: "BoxUnion") -> "BoxUnion":
-        self._check_dim(other)
-        return self._apply(_UNION, _raw(other.boxes))
+        return self._apply(_UNION, other)
 
     def intersect(self, other: "BoxUnion") -> "BoxUnion":
-        self._check_dim(other)
-        return self._apply(_INTERSECT, _raw(other.boxes))
+        return self._apply(_INTERSECT, other)
 
     def intersect_box(self, box: Box) -> "BoxUnion":
         if box.dim != self.dim:
             raise DimensionMismatchError(f"intersect {self.dim}-dim union with {box.dim}-dim box")
         # A single nonempty box is its own canonical form.
-        return self._apply(_INTERSECT, [] if box.is_empty else [(box.lo, box.hi)])
+        return self._apply(_INTERSECT, BoxUnion(self.dim, () if box.is_empty else (box,)))
 
     def subtract(self, other: "BoxUnion") -> "BoxUnion":
-        self._check_dim(other)
-        return self._apply(_SUBTRACT, _raw(other.boxes))
+        return self._apply(_SUBTRACT, other)
 
     def translate(self, v: Sequence[object]) -> "BoxUnion":
         # A uniform shift preserves the canonical slab structure, so the

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterator
 
-from .cantor import CantorSchedule, _numerator_over, check_stage
+from .cantor import CantorSchedule, _numerator_over, box_count, check_stage
 from .errors import BudgetError, PreconditionError, UnboundedBoxError
 from .geometry import Box, BoxUnion
 from .packing import CubeFamily, PackingLayout, check_family_size, layout_covers, pack_cover
@@ -126,8 +126,8 @@ def nu_delta_upper(
             f"the first admissible stage is {minimal}"
         )
     check_stage(stage)
+    count = box_count(stage, s.d)
     side = s.stage_interval_length(stage)
-    count = 1 << (stage * s.d)
     diam_sq = side * side * s.d
     value = gauge.of_sqrt(diam_sq) * count
     return DeltaCover(
@@ -274,23 +274,27 @@ class CorollaryReport:
     checks: ChainChecks
 
 
-def corollary_pipeline(
+@dataclass(frozen=True)
+class CorollaryPlan:
+    """The pipeline's closed-form steps, everything before the packing."""
+
+    a: Fraction
+    delta: Fraction
+    cover: DeltaCover
+    alpha: Fraction
+    alpha_exact: bool
+    kept: int
+    family: CubeFamily
+
+
+def corollary_plan(
     s: CantorSchedule,
     delta: Fraction,
     *,
     a: Fraction | None = None,
     bits: int = 24,
-) -> CorollaryReport:
-    """From a measure lower bound to an explicitly covered cube.
-
-    Steps: (1) validate ``0 < a <= limit measure``; (2) pick the first
-    stage fine enough for ``delta``; (3) take the stage boxes as the cover
-    and record the gauge sum for the exponent ``d``; (4) solve
-    ``alpha**d = a / (2 d**(d/2))``; (5) keep the shortest prefix of the
-    cover whose normalized volumes reach 1; (6) pack those cubes into a
-    covering of ``[0, alpha/2]**d``; (7) re-verify the coverage by exact
-    box subtraction.
-    """
+) -> CorollaryPlan:
+    """Steps (1)-(5) of :func:`corollary_pipeline`, all closed forms."""
     delta = as_fraction(delta)
     if a is None:
         a = s.limit_measure()
@@ -310,8 +314,15 @@ def corollary_pipeline(
             " the measure bound makes this impossible"
         )
     family = CubeFamily(s.d, (cover.side,) * check_family_size(kept))
-    layout = pack_cover(family, target_side=Fraction(1, 2), alpha=alpha)
-    verified = layout_covers(family, layout)
+    return CorollaryPlan(a, delta, cover, alpha, alpha_exact, kept, family)
+
+
+def corollary_report(s: CantorSchedule, plan: CorollaryPlan, layout: PackingLayout) -> CorollaryReport:
+    """Step (7) and the inequality chain, for a ``layout`` of the plan's
+    family; the layout must cover ``[0, alpha/2)^d``."""
+    cover, a, alpha = plan.cover, plan.a, plan.alpha
+    target = Box.cube((Fraction(0),) * s.d, alpha / 2)
+    verified = layout.target == target and layout_covers(plan.family, layout)
 
     # Exact inequality chain.  The packing inputs are axis cubes with the
     # same side as the cover boxes, so their diameters agree identically.
@@ -323,7 +334,7 @@ def corollary_pipeline(
     )
     q = a * a / (4 * Fraction(s.d) ** s.d)
     alpha_pow = alpha ** (2 * s.d)
-    alpha_ok = alpha_pow == q if alpha_exact else alpha_pow <= q
+    alpha_ok = alpha_pow == q if plan.alpha_exact else alpha_pow <= q
     covered_vol = layout.target.volume()
     gauge_ok = (cover.value - ExtendedRational.from_rational(covered_vol)).sign() >= 0
     checks = ChainChecks(
@@ -335,18 +346,35 @@ def corollary_pipeline(
     )
     return CorollaryReport(
         d=s.d,
-        a=a,
-        delta=delta,
-        cover=cover,
-        alpha=alpha,
-        alpha_exact=alpha_exact,
-        kept=kept,
-        family=family,
+        **vars(plan),
         layout=layout,
         covered_cube=layout.target,
         verified=verified,
         checks=checks,
     )
+
+
+def corollary_pipeline(
+    s: CantorSchedule,
+    delta: Fraction,
+    *,
+    a: Fraction | None = None,
+    bits: int = 24,
+) -> CorollaryReport:
+    """From a measure lower bound to an explicitly covered cube.
+
+    Steps: (1) validate ``0 < a <= limit measure``; (2) pick the first
+    stage fine enough for ``delta``; (3) take the stage boxes as the cover
+    and record the gauge sum for the exponent ``d``; (4) solve
+    ``alpha**d = a / (2 d**(d/2))``; (5) keep the shortest prefix of the
+    cover whose normalized volumes reach 1; (6) pack those cubes into a
+    covering of ``[0, alpha/2]**d``; (7) re-verify the coverage by exact
+    box subtraction.  Steps (1)-(5) are :func:`corollary_plan` and step (7)
+    is :func:`corollary_report`, so a replay checks a layout without
+    packing again.
+    """
+    plan = corollary_plan(s, delta, a=a, bits=bits)
+    return corollary_report(s, plan, pack_cover(plan.family, target_side=Fraction(1, 2), alpha=plan.alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ tightened to upper = m when the tree has no ``Diff`` node (then the stage
 evaluation is an outer approximation).
 
 Evaluation runs on the integer lattice of the tree's leaves
-(``CantorSchedule.lattice``): each leaf is a product of integer interval
-lists, each connective is one ``geometry._combine`` on integer
-coordinates, and a stage measure is one integer sum, reduced once.  The
-lattice keeps order and equality, so results equal those of Fraction
-arithmetic; only ``approx_set`` converts its set to a ``BoxUnion``.
+(``CantorSchedule.lattice``): each leaf is the slab tree of a product of
+integer interval lists, each connective is one ``geometry._combine`` of
+two slab trees on integer coordinates, and a stage measure is one integer
+sum over the result, reduced once.  The lattice keeps order and equality,
+so results equal those of Fraction arithmetic; only ``approx_set`` flattens
+its set into a ``BoxUnion``.
 
 ``generate_rn`` lists the ring the pool generates, layer by layer, as set
 algebra on cached stage sets: only the pool is evaluated from its leaves,
-and each candidate costs one ``_combine`` of its parents' sets.
+and each candidate costs one ``_combine`` of its parents' trees.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cantor import CantorSchedule, StageLattice, _Raw
+from .cantor import CantorSchedule, StageLattice
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
-from .geometry import _INTERSECT, _SUBTRACT, _UNION, Box, BoxUnion, _combine
+from .geometry import _INTERSECT, _SUBTRACT, _UNION, Box, BoxUnion, _combine, _Tree
 from .rationals import as_fraction
 
 DEFAULT_STAGE_CAP = 24
@@ -165,8 +166,8 @@ def _lattice(exprs: Sequence["RingExpr"], s: CantorSchedule, n: int) -> StageLat
 _OPS = {Union: _UNION, Diff: _SUBTRACT, Inter: _INTERSECT}
 
 
-def _evaluate(e: "RingExpr", lattice: StageLattice) -> Sequence[_Raw]:
-    """The tree's stage set on ``lattice``, in canonical raw form."""
+def _evaluate(e: "RingExpr", lattice: StageLattice) -> _Tree:
+    """The expression's stage set on ``lattice``, as a canonical slab tree."""
     if isinstance(e, Gen):
         return lattice.leaf(e.translation, e.clip)
     left = _evaluate(e.left, lattice)
@@ -282,9 +283,9 @@ def generate_rn(
     ``reference_stage`` (first occurrence wins, so the order is the
     deterministic enumeration order).  Only the pool is evaluated from its
     leaves, all on one lattice; each layer is keyed by every element's
-    reference-stage set as a tuple of integer boxes, so a candidate costs
-    one ``_combine`` of its parents' keys, and canonical form makes that
-    key the tree's own stage evaluation.  Two
+    reference-stage set as its integer slab tree, so a candidate costs one
+    ``_combine`` of its parents' keys, and canonical form makes that key
+    the expression's own stage evaluation.  Two
     semantically distinct sets that agree at the reference stage would
     merge; callers who care can raise the reference stage.
     """
@@ -294,15 +295,15 @@ def generate_rn(
         raise PreconditionError("empty generator pool")
 
     lattice = _lattice(pool, s, reference_stage)
-    layer: dict[tuple[_Raw, ...], "RingExpr"] = {}
+    layer: dict[_Tree, "RingExpr"] = {}
     for e in pool:
-        layer.setdefault(tuple(_evaluate(e, lattice)), e)
+        layer.setdefault(_evaluate(e, lattice), e)
     for _ in range(n - 1):
-        nxt: dict[tuple[_Raw, ...], "RingExpr"] = {}
+        nxt: dict[_Tree, "RingExpr"] = {}
         for set_a, a in layer.items():
             for set_b, b in layer.items():
                 for node, op in ((Union, _UNION), (Diff, _SUBTRACT)):
-                    key = tuple(_combine(op, set_a, set_b, s.d))
+                    key = _combine(op, set_a, set_b, s.d)
                     if key not in nxt:
                         nxt[key] = node(a, b)
                         if len(nxt) > max_size:

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 import marshal
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
 from .cantor import GapCertificate
 from .cover import LeafCertificate, UncoveredWitness
-from .errors import PreconditionError
+from .errors import PreconditionError, too_large_to_print
 from .geometry import Box
 from .packing import CubeFamily, PackingLayout
 from .quadratic import ExtendedRational
@@ -71,19 +70,11 @@ def _expect(doc: Any, keys: Sequence[str], what: str) -> Mapping[str, Any]:
 # -- scalars ----------------------------------------------------------------
 
 
-def _too_long() -> PreconditionError:
-    # Python refuses to print an integer longer than this limit.
-    return PreconditionError(
-        f"result too large to print: a number in it has more than"
-        f" {sys.get_int_max_str_digits()} digits"
-    )
-
-
 def frac_to_json(value: Fraction) -> str:
     try:
         return format_fraction(value)
     except ValueError as exc:
-        raise _too_long() from exc
+        raise too_large_to_print() from exc
 
 
 def int_to_json(value: int) -> int:
@@ -91,7 +82,7 @@ def int_to_json(value: int) -> int:
     try:
         str(value)
     except ValueError as exc:
-        raise _too_long() from exc
+        raise too_large_to_print() from exc
     return value
 
 
@@ -137,7 +128,7 @@ def box_to_json(box: Box) -> dict:
             "hi": [coord_to_json(v) for v in box.hi],
         }
     except ValueError as exc:
-        raise _too_long() from exc
+        raise too_large_to_print() from exc
 
 
 def box_from_json(doc: Any) -> Box:

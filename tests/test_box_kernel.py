@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracle
-from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule
+from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule, geometry
 from fatcantor.rationals import NEG_INF, POS_INF
 
 from strategies import fractions, schedules
@@ -125,6 +125,14 @@ class TestSweepAgainstPairwiseLoops:
             assert_same(cube.intersect_box(below), box_oracle.intersect_box(cube, below))
             assert_same(cube.subtract(a), cube.intersect_box(below))
 
+    @settings(max_examples=300)
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=3))
+    def test_nest_then_flatten_round_trips(self, data, dim):
+        u = data.draw(grid_unions(dim, max_size=8))
+        tree = geometry._nest(u.boxes, dim)
+        assert geometry._boxes(tree, dim) == u.boxes
+        assert geometry._nest(geometry._boxes(tree, dim), dim) == tree
+
     @given(pair=operand_pairs())
     def test_results_are_canonical(self, pair):
         a, b = pair
@@ -188,6 +196,22 @@ class TestClippedTranslate:
         t = (Fraction(1, 3), Fraction(-1, 4))
         clip = Box.half_space(2, 1, Fraction(3, 8), above=above)
         assert_same(s.clipped_translate(3, t, clip), leaf_oracle(s, 3, t, clip))
+
+    def test_a_leaf_holds_one_section_per_axis(self):
+        # A d = 3, stage-5 leaf: 32 slabs on each axis sharing one section,
+        # 3 * 32 slab tuples for its 32768 boxes.
+        s = CantorSchedule(3)
+        t, clip = (Fraction(1, 3),) * 3, Box.whole_space(3)
+        lattice = s.lattice(5, [(t, clip)])
+        tree = lattice.leaf(t, clip)
+        slabs, sections = 0, [tree]
+        for _ in range(3):
+            assert len(sections) == 1
+            slabs += len(sections[0])
+            sections = list({id(sub): sub for _, _, sub in sections[0]}.values())
+        assert sections == [geometry._POINT]
+        assert slabs == 3 * 32
+        assert len(lattice.box_union(tree).boxes) == 32768
 
     def test_clip_cutting_stage_intervals(self):
         s = CantorSchedule(1)

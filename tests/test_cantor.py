@@ -9,6 +9,7 @@ Everything else in this file is checked against that replay.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from fatcantor import (
     middle_half,
     min_stage_for_delta,
 )
-from fatcantor.cantor import _trace_coordinate
+from fatcantor.cantor import MAX_DIM, _trace_coordinate, box_count
 from fatcantor.rationals import pow2
 
 import descent_oracle
@@ -142,6 +143,23 @@ class TestScheduleValidation:
     def test_bad_parameters_are_rejected(self, kwargs):
         with pytest.raises(PreconditionError):
             CantorSchedule(**kwargs)
+
+    def test_dimension_cap(self):
+        assert CantorSchedule(MAX_DIM).d == MAX_DIM
+        for d in (MAX_DIM + 1, 3_000_000):
+            with pytest.raises(PreconditionError, match=f"from 1 to {MAX_DIM}, got {d}"):
+                CantorSchedule(d)
+
+
+class TestBoxCount:
+    def test_the_largest_count_that_prints(self):
+        # 2^14284 has 4300 digits, 2^14285 has 4301: the default print limit
+        assert sys.get_int_max_str_digits() == 4300
+        assert len(str(box_count(14284, 1))) == 4300
+        assert box_count(7142, 2) == 1 << 14284
+        for n, d in [(14285, 1), (1, 14285), (1024, MAX_DIM)]:
+            with pytest.raises(PreconditionError, match="^result too large to print"):
+                box_count(n, d)
 
 
 # ---------------------------------------------------------------------------

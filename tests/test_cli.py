@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool, serialize
-from fatcantor.cantor import MAX_STAGE
+from fatcantor.cantor import MAX_DIM, MAX_STAGE
 from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
 from fatcantor.rationals import MAX_DECIMAL_EXPONENT
 from fatcantor.ring import MAX_RN_LAYER
@@ -213,6 +213,33 @@ class TestEnvelope:
         error = doc["result"]["error"]
         assert error["kind"] == "precondition"
         assert error["message"].startswith("result too large to print")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cantor-info", "--d", "5000", "--stage", "1024"),
+            ("hausdorff-bound", "--d", "5000", "--delta", "1/2", "--exponent", "1024", "--stage", "1024"),
+        ],
+        ids=["cantor-info", "hausdorff-bound"],
+    )
+    def test_box_count_is_refused_before_any_closed_form(self, monkeypatch, capsys, argv):
+        def closed_form(*args):
+            raise AssertionError("a closed form was computed")
+
+        for name in ("stage_measure_1d", "limit_measure_1d", "stage_interval_length"):
+            monkeypatch.setattr(CantorSchedule, name, closed_form)
+        assert cli.main(list(argv)) == 2
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert error["message"].startswith("result too large to print")
+
+    @pytest.mark.parametrize("d", [str(MAX_DIM + 1), "3000000"])
+    def test_dimension_above_the_cap_exits_two(self, capsys, d):
+        assert cli.main(["cantor-info", "--d", d, "--stage", "1"]) == 2
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert error == {
+            "kind": "precondition",
+            "message": f"dimension must be an integer from 1 to {MAX_DIM}, got {d}",
+        }
 
     def test_box_too_large_to_print_exits_two(self, tmp_path):
         # base side 10^4000/(10^4000 - 1) and q = 1/(10^4000 + 7): the
@@ -654,6 +681,12 @@ def _set(path, value):
     return tamper
 
 
+def _shrink_corollary_target(core):
+    """A smaller target, named alike by the layout and by ``covered_cube``."""
+    for path in (("report", "layout", "target"), ("report", "covered_cube")):
+        _set((*path, "hi"), ["1/16"])(core)
+
+
 class TestReplayTampers:
     PACK = ("pack", "--sides", "1/4,1/4,1/4,1/4")
 
@@ -696,6 +729,23 @@ class TestReplayTampers:
     )
     def test_infinite_cube(self, tamper, capsys):
         argv = ("infinite-cube", "--pool-size", "3", "--stage-cap", "12")
+        assert _replayed(argv, tamper, capsys) is (tamper is _untampered)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _untampered,
+            # larger cubes still cover the target, so only the echo refuses them
+            _set(("report", "family", "sides"), ["1/1", "1/1"]),
+            _set(("report", "kept"), 999),
+            _set(("report", "checks", "covers_target"), 1),
+            _set(("report", "layout", "target", "hi"), ["1/16"]),
+            _shrink_corollary_target,
+        ],
+        ids=["untampered", "family", "kept", "check-flag", "layout-target", "covered-cube-and-target"],
+    )
+    def test_corollary_demo(self, tamper, capsys):
+        argv = ("corollary-demo", "--delta", "1/4")
         assert _replayed(argv, tamper, capsys) is (tamper is _untampered)
 
     @pytest.fixture
