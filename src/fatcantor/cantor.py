@@ -12,15 +12,24 @@ materialization explodes quickly.  Stage sets are built on an integer
 lattice (``StageLattice``): each axis in units of one common denominator,
 so building, combining and measuring them is integer work, and Fractions
 are made only for a set a caller keeps; a leaf's slab tree holds its d
-interval lists, not its boxes.  Gap search, witness validation and
-membership instead share one walk of the 1-D construction tree
-(``CantorSchedule._windows``): level by level, it keeps the intervals
-whose closure meets a query window and stops at the first empty level.
-Child lengths follow ``l_k = (l_(k-1) - c*rho**k) / 2`` (``_child_lengths``).
+interval lists, not its boxes.
+
+Gap search and membership walk the 1-D construction tree level by level
+(``_Walk``): a level keeps the intervals whose closure meets a query
+window, and the walk stops at the first empty level.  ``find_gap`` keeps
+one walk per axis across its stages, so a search that ends at stage M walks at
+most d*(M + 1) levels.  Validation has its own descent
+(:meth:`CantorSchedule.interval_meets_stage_translate`): it follows the one
+interval that holds both ends of a query until they part or fall into one
+gap, and shares no code with the search.  Both run on integers: the
+lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` are numerators over the common
+denominator of levels 0..k (``_Ladder``), extended one level at a time as a
+walk first needs it and kept for the schedule.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from bisect import bisect_left, bisect_right
@@ -144,6 +153,99 @@ class StageLattice:
             _trusted_box(tuple(map(Fraction, lo, scales)), tuple(map(Fraction, hi, scales)))
             for lo, hi in _corners(tree, self.d)
         ))
+
+
+class _Ladder:
+    """The interval lengths of stages 0, 1, ... as integers, grown one level at a time.
+
+    ``lengths[k]`` is ``l_k`` over ``D_k``, the common denominator of
+    ``l_0 .. l_k``, and ``steps[k]`` is ``D_k / D_(k-1)`` (``D_0 = 1``), so a
+    position over ``D_(k-1)`` times ``steps[k]`` is the same position over
+    ``D_k``.  A level is computed when a walk first asks for it, never
+    before, so a walk that stops early costs nothing for the levels below.
+    """
+
+    __slots__ = ("lengths", "steps", "_den", "_children")
+
+    def __init__(self, children: Iterator[Fraction]) -> None:
+        self.lengths = [1]
+        self.steps = [1]
+        self._den = 1
+        self._children = children
+
+    def reach(self, k: int) -> None:
+        """Make the levels up to ``k`` available."""
+        while len(self.lengths) <= k:
+            length = next(self._children)
+            den = lcm(self._den, length.denominator)
+            self.steps.append(den // self._den)
+            self.lengths.append(length.numerator * (den // length.denominator))
+            self._den = den
+
+
+class _Walk:
+    """The search's walk down the construction tree of ``A + shift``.
+
+    At level k it holds the closed stage-k intervals of ``A_k + shift``
+    that meet the closed window [qlo, qhi], left to right; :meth:`advance`
+    moves it one level down.  Positions are integers in units of
+    ``1/den``, ``den = D_k * g`` with g the common denominator of the shift
+    and the window ends: ``lo`` and ``hi`` are the window, ``lows`` the
+    lower ends of the kept intervals, and every interval of the level has
+    length ``child``.
+    """
+
+    __slots__ = ("_ladder", "_g", "level", "den", "lo", "hi", "child", "lows")
+
+    def __init__(self, ladder: _Ladder, shift: Fraction, qlo: Fraction, qhi: Fraction) -> None:
+        g = lcm(shift.denominator, qlo.denominator, qhi.denominator)
+        self._ladder, self._g = ladder, g
+        self.level = 0
+        self.den = self.child = g
+        self.lo = qlo.numerator * (g // qlo.denominator)
+        self.hi = qhi.numerator * (g // qhi.denominator)
+        start = shift.numerator * (g // shift.denominator)
+        self.lows = [start] if start + g >= self.lo and start <= self.hi else []
+
+    def advance(self) -> None:
+        """Split every kept interval and keep the children that meet the window."""
+        k = self.level = self.level + 1
+        ladder = self._ladder
+        if k == len(ladder.lengths):
+            ladder.reach(k)
+        step = ladder.steps[k]
+        child = ladder.lengths[k] * self._g
+        # The right child starts this far above the left one.
+        offset = self.child * step - child
+        self.child = child
+        if step == 1:
+            lo, hi, lows = self.lo, self.hi, self.lows
+        else:
+            self.den *= step
+            lo = self.lo = self.lo * step
+            hi = self.hi = self.hi * step
+            lows = [x * step for x in self.lows]
+        # A kept parent meets the window, and its left child starts no higher
+        # and its right child ends no lower than it: one test each.
+        kept = []
+        for x in lows:
+            if x + child >= lo:
+                kept.append(x)
+            if x + offset <= hi:
+                kept.append(x + offset)
+        self.lows = kept
+
+    def first_free(self) -> "tuple[int, int] | None":
+        """The leftmost positive-length open piece of (lo, hi) that misses this
+        level, in units of ``1/den``, or ``None`` when the level covers it."""
+        cursor, hi, child = self.lo, self.hi, self.child
+        for x in self.lows:
+            if x > cursor:
+                return cursor, min(x, hi)
+            cursor = max(cursor, x + child)
+            if cursor >= hi:
+                return None
+        return (cursor, hi) if cursor < hi else None
 
 
 @dataclass(frozen=True)
@@ -312,31 +414,21 @@ class CantorSchedule:
             length = (length - removal) / 2
             yield length
 
-    def _windows(self, qlo: Fraction, qhi: Fraction) -> Iterator[list[tuple[Fraction, Fraction]]]:
-        """For k = 0, 1, ..., the closed stage-k intervals whose closure meets [qlo, qhi].
-
-        Each level lists its intervals left to right.  The next level splits
-        every kept interval and drops the children that miss the window, and
-        the walk ends after the first empty level.
-        """
-        level = [] if qhi < 0 or qlo > 1 else [(Fraction(0), Fraction(1))]
-        lengths = self._child_lengths()
-        while level:
-            yield level
-            child = next(lengths)
-            level = [
-                (lo, hi)
-                for parent_lo, parent_hi in level
-                for lo, hi in ((parent_lo, parent_lo + child), (parent_hi - child, parent_hi))
-                if hi >= qlo and lo <= qhi
-            ]
-        yield level
+    @functools.cached_property
+    def _ladder(self) -> _Ladder:
+        return _Ladder(self._child_lengths())
 
     def _descend_overlapping(
         self, n: int, qlo: Fraction, qhi: Fraction
     ) -> list[tuple[Fraction, Fraction]]:
         """Stage-n surviving intervals whose closure meets [qlo, qhi], left to right."""
-        return next(itertools.islice(self._windows(qlo, qhi), n, None), [])
+        walk = _Walk(self._ladder, Fraction(0), qlo, qhi)
+        while walk.level < n and walk.lows:
+            walk.advance()
+        if walk.level < n:
+            return []
+        den, child = walk.den, walk.child
+        return [(Fraction(x, den), Fraction(x + child, den)) for x in walk.lows]
 
     def first_free_subinterval(
         self, n: int, t: Fraction, jlo: Fraction, jhi: Fraction
@@ -348,26 +440,54 @@ class CantorSchedule:
         """
         if jlo >= jhi:
             raise PreconditionError(f"empty query interval ({jlo}, {jhi})")
-        shifted = [
-            (lo + t, hi + t) for lo, hi in self._descend_overlapping(n, jlo - t, jhi - t)
-        ]
-        cursor = jlo
-        for lo, hi in shifted:
-            if lo > cursor:
-                return cursor, min(lo, jhi)
-            if hi > cursor:
-                cursor = hi
-            if cursor >= jhi:
-                return None
-        if cursor < jhi:
-            return cursor, jhi
-        return None
+        walk = _Walk(self._ladder, t, jlo, jhi)
+        while walk.level < n and walk.lows:
+            walk.advance()
+        free = walk.first_free()
+        return None if free is None else (Fraction(free[0], walk.den), Fraction(free[1], walk.den))
 
     def interval_meets_stage_translate(
         self, n: int, t: Fraction, qlo: Fraction, qhi: Fraction
     ) -> bool:
-        """Does the closed interval [qlo, qhi] meet the closed A_n + t?"""
-        return bool(self._descend_overlapping(n, qlo - t, qhi - t))
+        """Does the closed interval [qlo, qhi] meet the closed A_n + t?
+
+        The validator's own descent, sharing no code with the search's walk.
+        With ``a = qlo - t`` and ``b = qhi - t``, it follows the one interval
+        ``[lo, hi]`` of each stage that holds both ends strictly inside.  The
+        ends of a stage interval are ends at every later stage, so [a, b]
+        meets ``A_n`` as soon as it holds one; it misses ``A_n`` when both
+        ends fall into one removed gap of a stage ``<= n``.  A query of
+        positive length is decided once the intervals are shorter than it,
+        however large ``n`` is.  Integers in units of ``1/(D_k * g)``, g the
+        common denominator of ``t``, ``qlo`` and ``qhi``.
+        """
+        g = lcm(t.denominator, qlo.denominator, qhi.denominator)
+        shift = t.numerator * (g // t.denominator)
+        a = qlo.numerator * (g // qlo.denominator) - shift
+        b = qhi.numerator * (g // qhi.denominator) - shift
+        lo, hi = 0, g
+        if b < lo or a > hi:
+            return False
+        ladder = self._ladder
+        lengths, steps = ladder.lengths, ladder.steps
+        k = 0
+        while lo < a and b < hi and k < n:
+            k += 1
+            if k == len(lengths):
+                ladder.reach(k)
+            step = steps[k]
+            if step != 1:
+                a, b, lo, hi = a * step, b * step, lo * step, hi * step
+            child = lengths[k] * g
+            if b < lo + child:
+                hi = lo + child
+            elif a > hi - child:
+                lo = hi - child
+            else:
+                # Both children's inner ends lie in [a, b] unless both query
+                # ends are in the gap between them.
+                return a <= lo + child or b >= hi - child
+        return True
 
 
 @dataclass(frozen=True)
@@ -381,14 +501,14 @@ class Membership:
 def _trace_coordinate(s: CantorSchedule, x: Fraction, cap: int) -> tuple[str, int]:
     # Below the first level that decides, x lies inside its one kept
     # interval, so it meets at most one child.
-    for k, level in enumerate(s._windows(x, x)):
-        if not level:
-            return "out", k
-        if x in level[0]:
-            return "in", k
-        if k == cap:
-            break
-    return "unknown", cap
+    walk = _Walk(s._ladder, Fraction(0), x, x)
+    while walk.lows:
+        if walk.lo in (walk.lows[0], walk.lows[0] + walk.child):
+            return "in", walk.level
+        if walk.level == cap:
+            return "unknown", cap
+        walk.advance()
+    return "out", walk.level
 
 
 def membership(s: CantorSchedule, x: Sequence[object], stage_cap: int) -> Membership:
@@ -459,7 +579,9 @@ def find_gap(
     taking the leftmost free piece of the first axis that has one; the
     witness is the middle half of that piece (a product set misses the
     translate as soon as one coordinate factor does).  Deterministic:
-    smallest qualifying stage, then lexicographic position.
+    smallest qualifying stage, then lexicographic position.  Each axis
+    keeps one walk (``_Walk``) and moves it one level per stage, so a
+    search that ends at stage M walks at most M + 1 levels per axis.
     """
     if len(t) != s.d or j.dim != s.d:
         raise DimensionMismatchError(
@@ -472,16 +594,25 @@ def find_gap(
     if stage_cap < 0:
         raise PreconditionError(f"stage cap must be nonnegative, got {stage_cap}")
     shift = [as_fraction(v) for v in t]
+    walks: list[_Walk] = []
     for m in range(stage_cap + 1):
         for axis in range(s.d):
-            free = s.first_free_subinterval(m, shift[axis], j.lo[axis], j.hi[axis])  # type: ignore[arg-type]
+            if m:
+                walk = walks[axis]
+                walk.advance()
+            else:
+                walk = _Walk(s._ladder, shift[axis], j.lo[axis], j.hi[axis])  # type: ignore[arg-type]
+                walks.append(walk)
+            free = walk.first_free()
             if free is None:
                 continue
-            wlo, whi = middle_half(*free)
+            # The middle half of the piece, (3*lo + hi)/4 to (lo + 3*hi)/4.
+            x0, x1 = free
+            quarter = 4 * walk.den
             lo = list(j.lo)
             hi = list(j.hi)
-            lo[axis] = wlo
-            hi[axis] = whi
+            lo[axis] = Fraction(3 * x0 + x1, quarter)
+            hi[axis] = Fraction(x0 + 3 * x1, quarter)
             return GapCertificate(stage=m, box=Box(tuple(lo), tuple(hi)))
     return NeedsDeeperStage(deepest_stage=stage_cap)
 
@@ -491,7 +622,8 @@ def gap_certificate_valid(s: CantorSchedule, t: Sequence[object], cert: GapCerti
 
     The witness (as an open box) must be nonempty and miss the closed stage
     translate: some coordinate interval must meet no surviving interval of
-    A_stage + t_i.
+    A_stage + t_i (:meth:`CantorSchedule.interval_meets_stage_translate`,
+    which shares no code with the search).
     """
     if len(t) != s.d or cert.box.dim != s.d:
         return False

@@ -479,7 +479,7 @@ COMMANDS: "dict[str, Command]" = {
             "pool": exprs_from_json(_load_json_file(a.expr_file))
             if a.expr_file is not None
             else (quartered_translate_pool if a.quartered else grid_translate_pool)(
-                s, check_pool_size(a.pool_size)
+                s, check_pool_size(a.pool_size, s.d)
             ),
             "stage_cap": a.stage_cap,
         },

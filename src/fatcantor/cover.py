@@ -47,6 +47,11 @@ from .ring import (
 
 DEFAULT_SUBSET_BUDGET = 4096
 DEFAULT_POOL_CAP = 12
+# Rows times pool size times d bounds the certificate coordinates an
+# infinite-cube table holds, which its time, memory and output grow with.
+# A pool of 12 at d = 2 (98280) fits; a pool of 7 at d = 5000 (4445000) would
+# take 1.6 GB.
+DEFAULT_TABLE_CAP = 1 << 17
 
 
 def positive_hull(e: "RingExpr") -> "RingExpr":
@@ -399,12 +404,21 @@ class InfiniteCubeReport:
     all_witnessed: bool
 
 
-def check_pool_size(size: int) -> int:
-    """Refuse a pool above ``DEFAULT_POOL_CAP`` elements before any search; return its size."""
+def check_pool_size(size: int, d: int) -> int:
+    """Refuse, before any search, a pool above ``DEFAULT_POOL_CAP`` elements
+    or a table above ``DEFAULT_TABLE_CAP`` rows times pool size times ``d``;
+    return the pool's size."""
     if size > DEFAULT_POOL_CAP:
         raise BudgetError(
             f"pool of {size} elements would need 2^{size} - 1 subset rows,"
             f" above the cap for {DEFAULT_POOL_CAP} elements"
+        )
+    rows = len(_table_masks(size))
+    if rows * size * d > DEFAULT_TABLE_CAP:
+        raise BudgetError(
+            f"pool of {size} elements in dimension {d} would need {rows} rows times {size}"
+            f" elements times {d} coordinates, {rows * size * d} cells,"
+            f" above the table cap of {DEFAULT_TABLE_CAP} cells"
         )
     return size
 
@@ -459,7 +473,7 @@ def infinite_cube_report(
     its middle half.  The rows are then checked by :func:`table_verdicts`,
     so ``verified`` is the verdict of the check on its own.
     """
-    check_pool_size(len(pool))
+    check_pool_size(len(pool), s.d)
     # By mask: the fold's outcome.
     outcomes: list[UncoveredWitness | NeedsDeeperStage] = [
         UncoveredWitness(Box.unit_cube(s.d), 0, ())

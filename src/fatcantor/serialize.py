@@ -8,33 +8,41 @@ be left out.  Only the types whose JSON is not their fields' object have a
 hand-written encoder: scalars, ``Box`` (infinity markers),
 ``ExtendedRational`` (field ``n`` prints as ``"sqrt"``), ``PackingLayout``
 (placements print as ``{"index", "translate"}``) and ring expressions
-(one-key objects).
+(one-key objects).  Within one call, each dataclass object and each tuple
+is encoded once, by identity, and every place that holds it holds the same
+JSON object: an infinite-cube table's rows share their parents'
+certificates, so its JSON holds each certificate once, and the merge steps
+of one level share their corner offsets.  An encoded document is therefore
+read-only; a caller that edits one place copies it first.
 
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
 input.  They are the same functions the ``--verify`` replay path uses.
 :func:`witnesses_from_json` decodes a list of witnesses, such as an
-infinite-cube table, decoding each distinct certificate document once;
-:func:`witness_from_json` is the same decoder on one witness.  A layout is
-read only as its placements (:func:`placements_from_json`) and target;
-nothing decodes its merge tree.
+infinite-cube table, decoding each distinct certificate document once:
+by identity in a document :func:`to_json` wrote, by value in one parsed
+from text.  :func:`witness_from_json` is the same decoder on one witness.
+A layout is read only as its placements (:func:`placements_from_json`) and
+target; nothing decodes its merge tree.
 
 :func:`dumps_document` writes a document as text.  It returns exactly
 ``json.dumps(doc, indent=2, sort_keys=True)``, but in one recursive walk that
 appends to one list and joins it once: with ``indent`` set, CPython's
 ``json`` falls back to its pure-Python encoder, nested generators (one per
-level) through which every piece of text is yielded.  It accepts only what
-documents hold: ``dict`` with ``str`` keys (emitted sorted), ``list`` and
-``tuple``, and exact ``str``, ``int``, ``bool`` and ``None``.  Any other
-type, floats included, raises ``TypeError``.  Strings go through the C
-escaper ``json`` itself uses under ``ensure_ascii``, so the text is ASCII
-and the bytes are the stdlib's.
+level) through which every piece of text is yielded.  A dict or list object
+that repeats at one depth is written once and its text appended again.  It
+accepts only what documents hold: ``dict`` with ``str`` keys (emitted
+sorted), ``list`` and ``tuple``, and exact ``str``, ``int``, ``bool`` and
+``None``.  Any other type, floats included, raises ``TypeError``.  Strings
+go through the C escaper ``json`` itself uses under ``ensure_ascii``, so the
+text is ASCII and the bytes are the stdlib's.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import marshal
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
@@ -70,19 +78,28 @@ def _expect(doc: Any, keys: Sequence[str], what: str) -> Mapping[str, Any]:
 # -- scalars ----------------------------------------------------------------
 
 
-def frac_to_json(value: Fraction) -> str:
+def frac_to_json(value: Fraction, memo: Any = None) -> str:
     try:
         return format_fraction(value)
     except ValueError as exc:
         raise too_large_to_print() from exc
 
 
-def int_to_json(value: int) -> int:
-    """An integer, checked to print like ``frac_to_json``."""
-    try:
-        str(value)
-    except ValueError as exc:
-        raise too_large_to_print() from exc
+# Python prints at most ``sys.get_int_max_str_digits()`` digits, a limit of
+# at least ``str_digits_check_threshold`` or none.  An integer of at most
+# three bits per digit of that is below 8**threshold < 10**threshold, so it
+# prints under every limit (the reasoning of ``cantor.box_count``).
+_PRINTABLE_BITS = 3 * sys.int_info.str_digits_check_threshold
+
+
+def int_to_json(value: int, memo: Any = None) -> int:
+    """An integer, checked to print like ``frac_to_json``; only one longer
+    than ``_PRINTABLE_BITS`` bits is printed to check it."""
+    if value.bit_length() > _PRINTABLE_BITS:
+        try:
+            str(value)
+        except ValueError as exc:
+            raise too_large_to_print() from exc
     return value
 
 
@@ -114,14 +131,14 @@ def _count_of(doc: Mapping[str, Any], key: str, what: str) -> int:
     return value
 
 
-def quad_to_json(value: ExtendedRational) -> dict:
+def quad_to_json(value: ExtendedRational, memo: Any = None) -> dict:
     return {"a": frac_to_json(value.a), "b": frac_to_json(value.b), "sqrt": value.n}
 
 
 # -- geometry ---------------------------------------------------------------
 
 
-def box_to_json(box: Box) -> dict:
+def box_to_json(box: Box, memo: Any = None) -> dict:
     try:
         return {
             "lo": [coord_to_json(v) for v in box.lo],
@@ -143,12 +160,14 @@ def box_from_json(doc: Any) -> Box:
 _BINARY_OPS = {"union": Union, "diff": Diff, "inter": Inter}
 
 
-def expr_to_json(e: "RingExpr") -> dict:
+def expr_to_json(e: "RingExpr", memo: "dict | None" = None) -> dict:
     """One-key objects: {"gen": {...}} or {"union"|"diff"|"inter": [l, r]}."""
+    if memo is None:
+        memo = {}
     if isinstance(e, Gen):
-        return {"gen": {"x": _list(e.translation), "clip": _encode(e.clip)}}
+        return {"gen": {"x": _list(e.translation, memo), "clip": _encode(e.clip, memo)}}
     name = {Union: "union", Diff: "diff", Inter: "inter"}[type(e)]
-    return {name: [_encode(e.left), _encode(e.right)]}
+    return {name: [_encode(e.left, memo), _encode(e.right, memo)]}
 
 
 def expr_from_json(doc: Any) -> "RingExpr":
@@ -211,30 +230,64 @@ def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
 
 def witness_from_json(doc: Any) -> UncoveredWitness:
     """One witness; ``null``, like any other malformed document, is refused."""
-    return _witness_from_json(doc, {})
+    return _witness_from_json(doc, _DecodeCache())
 
 
 def witnesses_from_json(docs: Sequence[Any]) -> "list[UncoveredWitness | None]":
     """A list of witness documents, ``null`` as ``None``; each distinct
-    certificate document is decoded once, and equal ones share the value."""
-    cache: "dict[bytes, LeafCertificate]" = {}
+    certificate document is decoded once, and equal ones share the value.
+
+    A document that :func:`to_json` wrote holds a repeated certificate as
+    one object, so the same object is found by identity first; a document
+    parsed from text shares nothing, and its repeats are found by value.
+    """
+    cache = _DecodeCache()
     return [None if doc is None else _witness_from_json(doc, cache) for doc in docs]
 
 
-def _witness_from_json(doc: Any, cache: "dict[bytes, LeafCertificate]") -> UncoveredWitness:
-    what = "uncovered witness"
-    m = _expect(doc, ("box", "stage", "certificates"), what)
-    box, stage = box_from_json(m["box"]), _count_of(m, "stage", what)
-    certificates = []
-    for c in _list_of(m, "certificates", what):
+class _DecodeCache:
+    """Decoded certificate documents of one :func:`witnesses_from_json` call.
+
+    ``by_id`` maps the id of a certificate document, or of the box document
+    of its gap certificate, to the document and its value; holding the
+    document keeps its id from being reused in the call.  ``by_bytes`` maps
+    a certificate's marshal bytes to its value.
+    """
+
+    __slots__ = ("by_id", "by_bytes")
+
+    def __init__(self) -> None:
+        self.by_id: "dict[int, tuple[Any, Any]]" = {}
+        self.by_bytes: "dict[bytes, LeafCertificate]" = {}
+
+    def leaf(self, doc: Any) -> LeafCertificate:
+        hit = self.by_id.get(id(doc))
+        if hit is not None:
+            return hit[1]
         # Marshal bytes (version 0: no shared references) tell apart the JSON
         # values 1, 1.0 and true, which ``==`` and ``hash`` do not.
-        key = marshal.dumps(c, 0)
-        leaf = cache.get(key)
+        key = marshal.dumps(doc, 0)
+        leaf = self.by_bytes.get(key)
         if leaf is None:
-            leaf = cache[key] = leaf_certificate_from_json(c)
-        certificates.append(leaf)
-    return UncoveredWitness(box=box, stage=stage, certificates=tuple(certificates))
+            leaf = self.by_bytes[key] = leaf_certificate_from_json(doc)
+        self.by_id[id(doc)] = (doc, leaf)
+        box = doc["certificate"]["box"]
+        self.by_id[id(box)] = (box, leaf.certificate.box)
+        return leaf
+
+    def box(self, doc: Any) -> Box:
+        hit = self.by_id.get(id(doc))
+        return box_from_json(doc) if hit is None else hit[1]
+
+
+def _witness_from_json(doc: Any, cache: "_DecodeCache") -> UncoveredWitness:
+    what = "uncovered witness"
+    m = _expect(doc, ("box", "stage", "certificates"), what)
+    certificates = tuple(cache.leaf(c) for c in _list_of(m, "certificates", what))
+    # A row's box is the box of its last certificate in a document that
+    # ``to_json`` wrote, so it is decoded with the certificates.
+    box, stage = cache.box(m["box"]), _count_of(m, "stage", what)
+    return UncoveredWitness(box=box, stage=stage, certificates=certificates)
 
 
 def cube_family_from_json(doc: Any) -> CubeFamily:
@@ -258,69 +311,91 @@ def placements_from_json(doc: Any) -> tuple[tuple[int, tuple[Fraction, ...]], ..
 # -- the encoder --------------------------------------------------------------
 
 
-def _encode_layout(layout: PackingLayout) -> dict:
+def _encode_layout(layout: PackingLayout, memo: dict) -> dict:
     return {
         "placements": [
-            {"index": idx, "translate": _list(pos)} for idx, pos in layout.placements
+            {"index": idx, "translate": _list(pos, memo)} for idx, pos in layout.placements
         ],
-        "target": _encode(layout.target),
-        "merge_tree": _list(layout.merge_tree),
+        "target": _encode(layout.target, memo),
+        "merge_tree": _list(layout.merge_tree, memo),
     }
 
 
-def _same(value: Any) -> Any:
+def _same(value: Any, memo: dict) -> Any:
     return value
 
 
-def _list(values: Sequence[Any]) -> list:
+def _list(values: Sequence[Any], memo: dict) -> list:
     # ``_encode`` inlined here and in ``_by_fields``: one call less per value
-    return [_ENCODERS.get(type(v), _by_fields)(v) for v in values]
+    return [_ENCODERS.get(type(v), _by_fields)(v, memo) for v in values]
 
 
-# Encoders by exact type.  A dataclass not listed gets its encoder from
-# ``_by_fields`` on first use.  The encoders recurse through this table, never
-# through a public name, so a wrapper on a public function sees one call per
-# document.
-_ENCODERS: "dict[type, Callable[[Any], Any]]" = {
+def _once(encode: "Callable[[Any, dict], Any]") -> "Callable[[Any, dict], Any]":
+    """``encode`` run once per object of a :func:`to_json` call; a repeat of
+    the object returns the JSON of its first occurrence."""
+
+    def encode_once(value: Any, memo: dict) -> Any:
+        hit = memo.get(id(value))
+        if hit is None:
+            # The value is held with its JSON, so no other object takes its id.
+            hit = memo[id(value)] = (value, encode(value, memo))
+        return hit[1]
+
+    return encode_once
+
+
+# Encoders by exact type; each takes the value and the memo of its
+# :func:`to_json` call, the JSON of every dataclass object and tuple encoded
+# so far, by identity (a list is mutable, so it is encoded where it stands).
+# A dataclass not listed gets its encoder from ``_by_fields`` on first use.
+# The encoders recurse through this table, never through a public name, so a
+# wrapper on a public function sees one call per document.
+_ENCODERS: "dict[type, Callable[[Any, dict], Any]]" = {
     Fraction: frac_to_json,
     int: int_to_json,
     bool: _same,
     str: _same,
     type(None): _same,
-    tuple: _list,
+    tuple: _once(_list),
     list: _list,
-    dict: lambda doc: {key: _encode(v) for key, v in doc.items()},
-    Box: box_to_json,
-    ExtendedRational: quad_to_json,
-    PackingLayout: _encode_layout,
-    Gen: expr_to_json,
-    Union: expr_to_json,
-    Diff: expr_to_json,
-    Inter: expr_to_json,
+    dict: lambda doc, memo: {key: _encode(v, memo) for key, v in doc.items()},
+    Box: _once(box_to_json),
+    ExtendedRational: _once(quad_to_json),
+    PackingLayout: _once(_encode_layout),
+    Gen: _once(expr_to_json),
+    Union: _once(expr_to_json),
+    Diff: _once(expr_to_json),
+    Inter: _once(expr_to_json),
 }
 
 
-def _by_fields(value: Any) -> dict:
+def _by_fields(value: Any, memo: dict) -> dict:
     """Encode a dataclass as the object of its fields, and register that
-    encoder for its type; refuse any other type."""
+    encoder, run once per object (:func:`_once`), for its type; refuse any
+    other type."""
     kind = type(value)
     if not dataclasses.is_dataclass(kind):
         raise TypeError(f"no JSON encoding for {kind.__name__}")
     names = tuple(f.name for f in dataclasses.fields(kind))
 
-    def encode(obj: Any) -> dict:
+    def encode(obj: Any, memo: dict) -> dict:
+        # ``_once`` inlined: one call less per object
+        hit = memo.get(id(obj))
+        if hit is not None:
+            return hit[1]
         doc = {}
         for name in names:
             v = getattr(obj, name)
-            doc[name] = _ENCODERS.get(type(v), _by_fields)(v)
+            doc[name] = _ENCODERS.get(type(v), _by_fields)(v, memo)
+        memo[id(obj)] = (obj, doc)
         return doc
 
     _ENCODERS[kind] = encode
-    return encode(value)
+    return encode(value, memo)
 
 
-def _encode(value: Any) -> Any:
-    return _ENCODERS.get(type(value), _by_fields)(value)
+def _encode(value: Any, memo: dict) -> Any:
+    return _ENCODERS.get(type(value), _by_fields)(value, memo)
 
 
 def to_json(value: Any) -> Any:
@@ -328,25 +403,39 @@ def to_json(value: Any) -> Any:
 
     A dataclass without its own encoder becomes ``{field: to_json(value)}``;
     ``Fraction`` prints as ``"p/q"``; tuples become lists.  Any other type
-    raises ``TypeError``.
+    raises ``TypeError``.  A dataclass object or tuple met twice is encoded
+    once, and both places hold the same JSON object, so the document is
+    read-only.
     """
-    return _encode(value)
+    return _encode(value, {})
 
 
 # -- the document writer --------------------------------------------------------
+
+
+# ``dumps_document`` keeps for a repeat the text of a container written in
+# more chunks than this: a certificate at d = 1 takes about 50, a box at
+# d = 1 about 20.
+_KEPT_CHUNKS = 24
 
 
 def dumps_document(doc: Any) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, written in one pass.
 
     ``doc`` holds dicts with ``str`` keys, lists, tuples and exact ``str``,
-    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``.
+    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``.  A
+    container object met again at the same depth is written once and its
+    text repeated, so ``doc`` must not change during the call.
     """
     chunks: "list[str]" = []
     append = chunks.append
     # pads[k] starts a line at depth k; commas[k] ends an item and does that.
     pads = ["\n"]
     commas = [",\n"]
+    # written[k]: by id, the chunks of each large container written at depth
+    # k so far (its first and end index), or its text once it repeats.  The
+    # text depends on the depth alone, so a repeat at that depth appends it.
+    written: "list[dict[int, Any]]" = [{}]
 
     def write(value: Any, depth: int) -> None:
         kind = type(value)
@@ -362,6 +451,15 @@ def dumps_document(doc: Any) -> str:
             if inner == len(pads):
                 pads.append(pads[depth] + "  ")
                 commas.append("," + pads[inner])
+                written.append({})
+            seen = written[depth]
+            text = seen.get(id(value))
+            if text is not None:
+                if type(text) is not str:
+                    text = seen[id(value)] = "".join(chunks[text[0]:text[1]])
+                append(text)
+                return
+            first = len(chunks)
             sep = pads[inner]
             if kind is dict:
                 append("{")
@@ -383,6 +481,10 @@ def dumps_document(doc: Any) -> str:
                     sep = commas[inner]
                 append(pads[depth])
                 append("]")
+            # Only a large container is kept: an entry for every container
+            # costs more than writing a small one again.
+            if len(chunks) - first > _KEPT_CHUNKS:
+                seen[id(value)] = (first, len(chunks))
         elif value is None:
             append("null")
         elif kind is bool:

@@ -1,16 +1,16 @@
 """Slow reference walks of the fat Cantor construction tree.
 
-These are the routines the windowed level-by-level walk in ``cantor``
-replaced.  ``descend_overlapping`` is a depth-first stack over
-``(lo, hi, depth)`` nodes, sorted at the end; ``trace_coordinate``
-follows the path of one point.  Both rebuild every child length from the
-closed form ``stage_interval_length``, and ``min_stage_for_delta`` scans
-the same closed form stage by stage.  ``first_free_subinterval``,
-``find_gap`` and ``membership`` are the library's routines on top of
-these walks.  Nothing here calls ``_windows`` or ``_child_lengths``, so
-the differential tests compare the kernel against code that shares none
-of it.  Each node costs a handful of ``Fraction`` powers; kept only as an
-oracle.
+These are the routines that the integer walks in ``cantor`` (the search's
+``_Walk`` and the validator's descent) replaced.  ``descend_overlapping``
+is a depth-first stack over ``(lo, hi, depth)`` nodes, sorted at the end;
+``trace_coordinate`` follows the path of one point.  Both rebuild every
+child length from the closed form ``stage_interval_length``, and
+``min_stage_for_delta`` scans the same closed form stage by stage.
+``first_free_subinterval``, ``find_gap`` and ``membership`` are the
+library's routines on top of these walks.  Nothing here calls ``_Walk``,
+``_Ladder`` or ``_child_lengths``, so the differential tests compare the
+kernel against code that shares none of it.  Each node costs a handful of
+``Fraction`` powers; kept only as an oracle.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ Everything else in this file is checked against that replay.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,8 @@ from fatcantor import (
     middle_half,
     min_stage_for_delta,
 )
-from fatcantor.cantor import MAX_DIM, _trace_coordinate, box_count
+from fatcantor import cantor
+from fatcantor.cantor import MAX_DIM, _trace_coordinate, _Walk, box_count
 from fatcantor.rationals import pow2
 
 import descent_oracle
@@ -357,7 +358,7 @@ class TestFindGap:
 
 
 # ---------------------------------------------------------------------------
-# the windowed walk against the depth-first and path-walk oracle
+# the integer walks against the depth-first and path-walk oracle
 # ---------------------------------------------------------------------------
 
 WALK_SCHEDULES = [
@@ -393,6 +394,33 @@ def walk_points(draw, s):
     )
 
 
+@st.composite
+def narrow_boxes(draw, s, t):
+    """A cube of side down to 2^-45 in ``A_k + t``, at the left or right end
+    of a stage-k interval, so that its first gap may lie deep."""
+    side = pow2(-draw(st.integers(min_value=0, max_value=45)))
+    lo = []
+    for shift in t:
+        k = draw(st.integers(min_value=0, max_value=4))
+        stage = descent_oracle.descend_overlapping(s, k, Fraction(0), Fraction(1))
+        a, b = stage[draw(st.integers(min_value=0, max_value=len(stage) - 1))]
+        lo.append(draw(st.sampled_from([a, b - side])) + shift)
+    return Box.cube(lo, side)
+
+
+def walk_levels(s, qlo, qhi, count):
+    """The first ``count`` levels of the walk over [qlo, qhi], up to its
+    first empty one, as lists of closed intervals."""
+    walk = _Walk(s._ladder, Fraction(0), qlo, qhi)
+    levels = []
+    while len(levels) < count:
+        levels.append([(Fraction(x, walk.den), Fraction(x + walk.child, walk.den)) for x in walk.lows])
+        if not walk.lows:
+            break
+        walk.advance()
+    return levels
+
+
 class TestWalkAgainstOracle:
     @pytest.mark.parametrize("c, rho", WALK_SCHEDULES)
     def test_child_lengths_equal_the_closed_form(self, c, rho):
@@ -402,6 +430,13 @@ class TestWalkAgainstOracle:
             got = next(lengths)
             want = s.stage_interval_length(k)
             assert got == want and repr(got) == repr(want)
+        # The integer ladder: l_k over D_k, with D_k / D_(k-1) = steps[k].
+        ladder = s._ladder
+        ladder.reach(300)
+        den = 1
+        for k in range(301):
+            den *= ladder.steps[k]
+            assert Fraction(ladder.lengths[k], den) == s.stage_interval_length(k)
 
     @given(data=st.data(), s=walk_schedules(), n=st.integers(min_value=0, max_value=10))
     def test_descend_overlapping_equals_the_stack_walk(self, data, s, n):
@@ -422,17 +457,103 @@ class TestWalkAgainstOracle:
         got = s.first_free_subinterval(n, t, jlo, jhi)
         assert repr(got) == repr(descent_oracle.first_free_subinterval(s, n, t, jlo, jhi))
 
+    @given(data=st.data(), s=walk_schedules(), n=st.integers(min_value=0, max_value=10))
+    def test_the_validator_descent_equals_the_stack_walk(self, data, s, n):
+        t = data.draw(fractions(min_value=Fraction(-1), max_value=Fraction(1)))
+        a, b = data.draw(walk_points(s)), data.draw(st.one_of(walk_points(s), st.just(Fraction(0))))
+        qlo, qhi = min(a, b) + t, max(a, b) + t
+        got = s.interval_meets_stage_translate(n, t, qlo, qhi)
+        assert got == bool(descent_oracle.descend_overlapping(s, n, qlo - t, qhi - t))
+
+    @pytest.mark.parametrize("c, rho", WALK_SCHEDULES[:3])
+    def test_the_validator_descent_decides_queries_that_end_on_a_stage_end(self, c, rho):
+        # Closed ends: a query from a stage end into the next gap meets the set.
+        s = CantorSchedule(1, c=c, rho=rho)
+        for k in range(4):
+            stage = descent_oracle.descend_overlapping(s, k, Fraction(0), Fraction(1))
+            ends = [e for interval in stage for e in interval]
+            gaps = [(a_hi + b_lo) / 2 for (_, a_hi), (b_lo, _) in zip(stage, stage[1:])]
+            for e in ends:
+                for g in gaps + ends:
+                    qlo, qhi = min(e, g), max(e, g)
+                    for n in (k, k + 2):
+                        want = bool(descent_oracle.descend_overlapping(s, n, qlo, qhi))
+                        assert s.interval_meets_stage_translate(n, Fraction(0), qlo, qhi) == want
+
     @given(
         data=st.data(),
         d=st.integers(min_value=1, max_value=3),
-        cap=st.integers(min_value=0, max_value=14),
+        cap=st.integers(min_value=0, max_value=40),
     )
     def test_find_gap_equals_the_oracle(self, data, d, cap):
         s = data.draw(walk_schedules(dim=d))
         t = tuple(data.draw(fractions(min_value=Fraction(-1), max_value=Fraction(1))) for _ in range(d))
-        j = data.draw(boxes(dim=d))
+        j = data.draw(st.one_of(boxes(dim=d), narrow_boxes(s, t)))
         got = find_gap(s, t, j, cap)
         assert repr(got) == repr(descent_oracle.find_gap(s, t, j, cap))
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=3),
+        cap=st.integers(min_value=0, max_value=40),
+    )
+    def test_a_search_walks_each_axis_once_per_stage(self, data, d, cap):
+        """A search that ends at stage M builds one walk per axis and moves
+        each at most M levels down: M + 1 levels, not one walk per stage."""
+        s = data.draw(walk_schedules(dim=d))
+        t = tuple(data.draw(fractions(min_value=Fraction(-1), max_value=Fraction(1))) for _ in range(d))
+        j = data.draw(st.one_of(boxes(dim=d), narrow_boxes(s, t)))
+        built, advanced = [], []
+        init, advance = _Walk.__init__, _Walk.advance
+
+        def counted_init(walk, *args):
+            built.append(walk)
+            init(walk, *args)
+
+        def counted_advance(walk):
+            advanced.append(walk)
+            advance(walk)
+
+        with mock.patch.object(_Walk, "__init__", counted_init):
+            with mock.patch.object(_Walk, "advance", counted_advance):
+                got = find_gap(s, t, j, cap)
+        stage = got.stage if isinstance(got, GapCertificate) else got.deepest_stage
+        assert len(built) <= d
+        assert all(walk.level <= stage for walk in built)
+        assert all(advanced.count(walk) == walk.level for walk in built)
+
+    def test_validation_never_enters_the_search_walk(self):
+        s = CantorSchedule(2, c=Fraction(1, 2), rho=Fraction(1, 3))
+        t = (Fraction(1, 8), Fraction(-1, 3))
+        certificates = [
+            find_gap(s, t, Box.cube((lo, lo), side), 40)
+            for lo in (Fraction(0), Fraction(1, 3), Fraction(1, 2))
+            for side in (Fraction(1), Fraction(1, 64), pow2(-30))
+        ]
+        assert all(isinstance(cert, GapCertificate) for cert in certificates)
+        search = {
+            code
+            for fn in (
+                _Walk.__init__, _Walk.advance, _Walk.first_free, cantor.find_gap,
+                CantorSchedule.first_free_subinterval, CantorSchedule._descend_overlapping,
+            )
+            for code in [fn.__code__]
+        }
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            verdicts = [gap_certificate_valid(s, t, cert) for cert in certificates]
+        finally:
+            sys.setprofile(None)
+        assert all(verdicts)
+        assert CantorSchedule.interval_meets_stage_translate.__code__ in called
+        assert not called & search
 
     @given(
         data=st.data(),
@@ -466,8 +587,8 @@ class TestWalkAgainstOracle:
         # empty level after at most two levels, however deep the request.
         s = CantorSchedule(1)
         half = Fraction(1, 2)
-        assert list(itertools.islice(s._windows(Fraction(2), Fraction(3)), 5)) == [[]]
-        assert list(itertools.islice(s._windows(half, half), 5)) == [[(0, 1)], []]
+        assert walk_levels(s, Fraction(2), Fraction(3), 5) == [[]]
+        assert walk_levels(s, half, half, 5) == [[(0, 1)], []]
         assert s._descend_overlapping(10**6, Fraction(2), Fraction(3)) == []
         assert s._descend_overlapping(10**6, Fraction(1, 2), Fraction(1, 2)) == []
         assert s.first_free_subinterval(10**6, Fraction(0), Fraction(2), Fraction(3)) == (2, 3)

@@ -8,6 +8,7 @@ exact rational string.  Exit codes: 0 success, 2 precondition violation,
 
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, grid_translate_pool, serialize
+from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, cover, grid_translate_pool, serialize
 from fatcantor.cantor import MAX_DIM, MAX_STAGE
 from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
 from fatcantor.rationals import MAX_DECIMAL_EXPONENT
@@ -268,6 +269,28 @@ class TestEnvelope:
         assert code == 3
         assert doc["result"]["error"]["message"] == error["message"]
         assert len(doc["inputs"]["pool"]) == 13
+
+    @pytest.mark.parametrize(
+        "d, size, cells", [("5000", "7", 4445000), ("3", "12", 147420), ("64", "9", 294336)]
+    )
+    def test_table_cap_is_checked_before_any_search(self, d, size, cells, tmp_path):
+        # rows times elements times d: 127 * 7 * 5000 would take 1.6 GB
+        code, doc = run_json("infinite-cube", "--d", d, "--pool-size", size)
+        assert code == 3
+        error = doc["result"]["error"]
+        assert error["kind"] == "budget"
+        assert error["message"].endswith(f", {cells} cells, above the table cap of 131072 cells")
+        path = tmp_path / "pool.json"
+        pool = grid_translate_pool(CantorSchedule(int(d)), int(size))
+        path.write_text(json.dumps([expr_to_json(e) for e in pool]))
+        code, doc = run_json("infinite-cube", "--d", d, "--expr-file", str(path))
+        assert code == 3
+        assert doc["result"]["error"]["message"] == error["message"]
+
+    def test_the_largest_tables_under_the_cap_are_accepted(self):
+        # 4095 * 12 * 2 and 7 * 3 * 5000 cells
+        assert cover.check_pool_size(12, 2) == 12
+        assert cover.check_pool_size(3, 5000) == 3
 
     @pytest.mark.parametrize("d, bits", [("16", 29), ("500", 746)])
     def test_corollary_families_above_the_cap_exit_three(self, d, bits):
@@ -646,13 +669,14 @@ class TestDeterminismAndReplay:
 
 
 def _replay(argv, tamper, capsys):
-    """``cli._verify`` on a command's result core, read back from JSON and
-    changed in place by ``tamper``, and the stderr it printed."""
+    """``cli._verify`` on a copy of a command's result core changed in place
+    by ``tamper``, and the stderr it printed.  The copy keeps the JSON's
+    shared subtrees, as ``cli.main`` hands it to the replay."""
     args = cli._parser().parse_args(argv)
     command = cli.COMMANDS[args.command]
     s = CantorSchedule(args.d, args.c, args.rho)
     inputs = cli._decode(json.loads(json.dumps(serialize.to_json(command.inputs(args, s)))))
-    core = json.loads(json.dumps(serialize.to_json(command.run(s, inputs)[0])))
+    core = copy.deepcopy(serialize.to_json(command.run(s, inputs)[0]))
     tamper(core)
     ok = cli._verify(command, s, inputs, core)
     return ok, capsys.readouterr().err
@@ -670,11 +694,13 @@ def _untampered(core):
 
 
 def _set(path, value):
-    """A tamper that sets the value at ``path`` of the core."""
+    """A tamper that sets the value at ``path`` of the core, copying each
+    container on the path first, so that no other place shares the edit."""
 
     def tamper(core):
         holder = core
         for key in path[:-1]:
+            holder[key] = copy.copy(holder[key])
             holder = holder[key]
         holder[path[-1]] = value
 

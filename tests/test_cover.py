@@ -9,6 +9,7 @@ through the brute-force stage construction from test_cantor.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import marshal
@@ -369,8 +370,16 @@ class TestFoldAgainstOracle:
 
 
 def _core(report):
-    """A report's result core as the ``--verify`` replay reads it."""
-    return json.loads(json.dumps(to_json({"report": report})))
+    """A report's result core as the ``--verify`` replay reads it: a copy of
+    its JSON that keeps the JSON's shared subtrees, as ``cli.main`` hands it.
+    A tamper copies what it edits, so an edit changes one place only."""
+    return copy.deepcopy(to_json({"report": report}))
+
+
+def _own(items, k):
+    """``items[k]``, replaced by a copy of it that nothing else holds."""
+    items[k] = copy.deepcopy(items[k])
+    return items[k]
 
 
 def _verdict(check, *args):
@@ -386,20 +395,21 @@ def _index(data, items):
 
 
 def _tamper_witness(data, doc, parent_box, kind):
-    """Change a witness's JSON in place; ``parent_box`` is the box it was shrunk from."""
+    """Change a witness's JSON in place, copying a box or certificate before
+    editing it; ``parent_box`` is the box it was shrunk from."""
     certs = doc["certificates"]
     if kind == "widen":  # past the parent's box on one side, by a little or a lot
         axis = _index(data, parent_box.lo)
         w = data.draw(st.sampled_from([Fraction(1, 2**30), Fraction(1, 64), Fraction(1, 2)]))
-        doc["box"]["lo"][axis] = to_json(parent_box.lo[axis] - w)
+        _own(doc, "box")["lo"][axis] = to_json(parent_box.lo[axis] - w)
     elif not certs:
         return
     elif kind == "stage":
-        certs[_index(data, certs)]["certificate"]["stage"] = data.draw(
+        _own(certs, _index(data, certs))["certificate"]["stage"] = data.draw(
             st.integers(min_value=0, max_value=14)
         )
     elif kind == "retype":  # a value equal to the old one under ``==``, of another type
-        cert = certs[_index(data, certs)]
+        cert = _own(certs, _index(data, certs))
         key = data.draw(st.sampled_from(["element_index", "leaf_index", "stage"]))
         holder = cert["certificate"] if key == "stage" else cert
         holder[key] = data.draw(st.sampled_from([float(holder[key]), holder[key] == 1]))
@@ -441,20 +451,26 @@ def _tamper_rows(data, rows, d, kind):
 
 
 def _retype_a_repeat(data, rows):
-    """Set a field holding 1 to 1.0 or true, equal under ``==``, in a
-    certificate document an earlier row holds too; say whether one was found."""
+    """Set a field holding 1 to 1.0 or true, equal under ``==``, in a copy of
+    a certificate document an earlier row holds too; say whether one was found."""
     seen, found = set(), []
     for row in rows:
-        for cert in row["witness"]["certificates"] if row["witness"] is not None else ():
+        certs = row["witness"]["certificates"] if row["witness"] is not None else []
+        for k, cert in enumerate(certs):
             key = marshal.dumps(cert, 0)
             if key in seen:
-                fields = [(cert, "element_index"), (cert, "leaf_index"), (cert["certificate"], "stage")]
-                found += [(holder, name) for holder, name in fields if type(holder[name]) is int and holder[name] == 1]
+                for path in (("element_index",), ("leaf_index",), ("certificate", "stage")):
+                    value = cert[path[0]] if len(path) == 1 else cert[path[0]][path[1]]
+                    if type(value) is int and value == 1:
+                        found.append((certs, k, path))
             seen.add(key)
     if not found:
         return False
-    holder, name = found[_index(data, found)]
-    holder[name] = data.draw(st.sampled_from([1.0, True]))
+    certs, k, path = found[_index(data, found)]
+    holder = _own(certs, k)
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = data.draw(st.sampled_from([1.0, True]))
     return True
 
 
@@ -604,7 +620,7 @@ class TestCheckByExtension:
         pool = grid_translate_pool(S1, 2)
         core = _core(infinite_cube_report(S1, pool, 12))
         (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
-        cert = row["witness"]["certificates"][0]["certificate"]
+        cert = _own(row["witness"]["certificates"], 0)["certificate"]
         cert["stage"] = float(cert["stage"])  # equal under ``==`` to the parent's stage
         inputs = {"pool": pool, "stage_cap": 12}
         assert not _verdict(cli._check_infinite_cube, S1, inputs, core, None)
@@ -757,3 +773,20 @@ class TestTableShapeAndFlags:
             report["rows"][1]["subset"] = [True]  # equal to [1] under ``==``
 
         assert self.verdicts(S1, grid_translate_pool(S1, 3), 12, retype) == (False, False)
+
+    def test_a_shared_certificate_edited_in_one_row_is_refused(self):
+        # The JSON of a table holds each certificate once, shared by every row
+        # that extends the row it first appears in; a copy keeps that sharing.
+        pool = grid_translate_pool(S1, 4)
+        core = copy.deepcopy(to_json({"report": infinite_cube_report(S1, pool, 12)}))
+        rows = core["report"]["rows"]
+        first = rows[0]["witness"]["certificates"][0]
+        holders = [row for row in rows if row["witness"]["certificates"][0] is first]
+        assert len(holders) == 8
+        inputs = {"pool": pool, "stage_cap": 12}
+        assert cli._check_infinite_cube(S1, inputs, core, None)
+        cert = _own(holders[-1]["witness"]["certificates"], 0)
+        cert["translation"] = ["1/3"]
+        assert holders[0]["witness"]["certificates"][0]["translation"] == ["0/1"]
+        assert not cli._check_infinite_cube(S1, inputs, core, None)
+        assert not witness_oracle.check_infinite_cube(S1, inputs, core)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from fatcantor import (
     nu_delta_upper,
     outer_upper,
     pack_cover,
+    serialize,
     solve_level,
     split_identity_check,
     tile_check,
@@ -55,6 +58,7 @@ from fatcantor.serialize import (
     frac_from_json,
     frac_to_json,
     gap_certificate_from_json,
+    int_to_json,
     leaf_certificate_from_json,
     placements_from_json,
     quad_to_json,
@@ -610,6 +614,25 @@ def test_to_json_rejects_unregistered_types(value):
         to_json(value)
 
 
+def test_int_to_json_checks_only_what_could_exceed_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert int_to_json(10**limit - 1) == 10**limit - 1
+    with pytest.raises(PreconditionError, match="too large to print"):
+        int_to_json(10**limit)
+    with pytest.raises(PreconditionError, match="too large to print"):
+        int_to_json(-(10**limit))
+    # at the lowest limit Python admits, just inside and just outside it
+    low = sys.int_info.str_digits_check_threshold
+    sys.set_int_max_str_digits(low)
+    try:
+        assert int_to_json(10**low - 1) == 10**low - 1
+        assert int_to_json(1 << 3 * low) == 1 << 3 * low
+        with pytest.raises(PreconditionError, match="too large to print"):
+            int_to_json(10**low)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_to_json_refuses_numbers_too_long_to_print():
     huge = 10 ** 5000
     with pytest.raises(PreconditionError, match="too large to print"):
@@ -654,6 +677,39 @@ json_values = st.recursive(
 @settings(max_examples=300)
 def test_writer_matches_the_stdlib_indented_encoder(value):
     assert dumps_document(value) == _stdlib(value)
+
+
+@given(value=json_values, kept=st.sampled_from([-1, serialize._KEPT_CHUNKS]))
+@settings(max_examples=200)
+def test_writer_repeats_shared_subtrees_as_the_stdlib_writes_them(value, kept):
+    # kept = -1: the text of every container is kept for a repeat
+    shared = {"v": value, "w": [value]}
+    doc = {"a": shared, "b": [shared, {"c": shared}], "d": [[shared, shared]], "e": value}
+    with mock.patch.object(serialize, "_KEPT_CHUNKS", kept):
+        assert dumps_document(doc) == _stdlib(doc)
+
+
+def test_a_table_holds_each_certificate_once_and_writes_as_the_stdlib():
+    s = CantorSchedule(2)
+    doc = to_json(infinite_cube_report(s, grid_translate_pool(s, 5), 12))
+    certs = [cert for row in doc["rows"] for cert in row["witness"]["certificates"]]
+    assert len(certs) == 5 * 2**4 and len({id(cert) for cert in certs}) == 2**5 - 1
+    # a row's box is its newest certificate's box
+    for row in doc["rows"]:
+        assert row["witness"]["box"] is row["witness"]["certificates"][-1]["certificate"]["box"]
+    assert dumps_document(doc) == _stdlib(doc)
+    assert json.loads(dumps_document(doc)) == doc
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_merge_steps_of_one_level_share_their_offsets(dim):
+    family = CubeFamily(dim, (Fraction(1, 8),) * 2 ** (3 * dim))
+    doc = to_json(pack_cover(family, target_side=Fraction(1, 2)))
+    by_level = {}
+    for step in doc["merge_tree"]:
+        assert by_level.setdefault(step["level"], step["offsets"]) is step["offsets"]
+    assert len(by_level) == 3
+    assert dumps_document(doc) == _stdlib(doc)
 
 
 def test_writer_matches_the_stdlib_on_nesting_and_key_order():

@@ -118,7 +118,7 @@ def infinite_cube_report(
     pool: Sequence[object] | None = None,
 ) -> InfiniteCubeReport:
     """Run the witness search for every nonempty subfamily of a grid pool."""
-    check_pool_size(pool_size if pool is None else len(pool))
+    check_pool_size(pool_size if pool is None else len(pool), s.d)
     if pool is None:
         pool = grid_translate_pool(s, pool_size)
     target = Box.unit_cube(s.d)
