@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, too_large_to_print
-from .geometry import _POINT, Box, BoxUnion, _corners, _Tree, _trusted_box
+from .geometry import _POINT, Box, BoxUnion, _map_ends, _Tree, check_kernel_dim
 from .rationals import as_fraction, is_finite
 
 DEFAULT_BOX_CAP = 1 << 16  # boxes in one stage set; a power of two
@@ -100,8 +100,10 @@ class StageLattice:
     the slab tree that ``geometry._combine`` takes.  Scaling each axis by a
     positive constant keeps order and equality, so the kernel's canonical
     forms, equality and dedup on the lattice are those of the rational
-    sets; only a union that a caller keeps is converted
-    (:meth:`box_union`), and a measure is one integer sum (:meth:`measure`).
+    sets.  Only a union that a caller keeps is converted
+    (:meth:`box_union`): its tree's integer ends become Fractions on the
+    tree itself, never flattened to boxes, so a leaf converts its d
+    interval lists.  A measure is one integer sum (:meth:`measure`).
     """
 
     d: int
@@ -147,12 +149,10 @@ class StageLattice:
         return Fraction(_volume(tree, self.d), prod(self.scales))
 
     def box_union(self, tree: _Tree) -> BoxUnion:
-        """A canonical lattice tree as the BoxUnion of its rational coordinates."""
-        scales = self.scales
-        return BoxUnion(self.d, tuple(
-            _trusted_box(tuple(map(Fraction, lo, scales)), tuple(map(Fraction, hi, scales)))
-            for lo, hi in _corners(tree, self.d)
-        ))
+        """A canonical lattice tree as the BoxUnion of its rational coordinates:
+        each slab end is converted once, and a shared section stays shared."""
+        to_fraction = [functools.partial(Fraction, denominator=scale) for scale in self.scales]
+        return BoxUnion(self.d, _map_ends(tree, to_fraction))
 
 
 class _Ladder:
@@ -377,7 +377,8 @@ class CantorSchedule:
 
         Axis i is scaled by the lcm of the stage denominator and of the
         denominators of every ``t_i`` and finite clip end on axis i of
-        ``leaves``.  The stage and the box cap are checked before any work.
+        ``leaves``.  The stage, the box cap and the dimension
+        (``geometry.MAX_KERNEL_DIM``) are checked before any work.
         """
         check_stage(n)
         if 1 << (n * self.d) > DEFAULT_BOX_CAP:
@@ -386,6 +387,7 @@ class CantorSchedule:
                 f" {DEFAULT_BOX_CAP}; largest feasible stage is"
                 f" {(DEFAULT_BOX_CAP.bit_length() - 1) // self.d}"
             )
+        check_kernel_dim(self.d)
         den, ends = self._stage_ends(n)
         dens: list[set[int]] = [{den} for _ in range(self.d)]
         for t, clip in leaves:
@@ -629,10 +631,18 @@ def gap_certificate_valid(s: CantorSchedule, t: Sequence[object], cert: GapCerti
         return False
     if not cert.box.has_positive_sides() or not cert.box.is_bounded:
         return False
+    return _misses_stage_translate(s, t, cert.stage, cert.box)
+
+
+def _misses_stage_translate(s: CantorSchedule, t: Sequence[object], stage: int, box: Box) -> bool:
+    """Does the open ``box`` miss the closed ``A_stage + t``: does some
+    coordinate interval meet no surviving interval?  The caller has checked
+    that ``t`` has ``s.d`` coordinates and ``box`` is a bounded box of
+    dimension ``s.d`` with positive sides."""
     shift = [as_fraction(v) for v in t]
     for axis in range(s.d):
         if not s.interval_meets_stage_translate(
-            cert.stage, shift[axis], cert.box.lo[axis], cert.box.hi[axis]  # type: ignore[arg-type]
+            stage, shift[axis], box.lo[axis], box.hi[axis]  # type: ignore[arg-type]
         ):
             return True
     return False

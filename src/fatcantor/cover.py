@@ -35,8 +35,8 @@ from .cantor import (
     CantorSchedule,
     GapCertificate,
     NeedsDeeperStage,
+    _misses_stage_translate,
     find_gap,
-    gap_certificate_valid,
     middle_half,
 )
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
@@ -342,8 +342,10 @@ def extension_valid(
     ]
     if recorded != expected:
         return False
+    # The box was checked once above; each certificate adds its translation.
     return all(
-        gap_certificate_valid(s, cert.translation, GapCertificate(cert.certificate.stage, box))
+        len(cert.translation) == s.d
+        and _misses_stage_translate(s, cert.translation, cert.certificate.stage, box)
         for cert in new
     )
 

@@ -17,12 +17,18 @@ both recurses on the two sections.  Adjacent pieces with equal results
 merge, so the output is canonical without a further pass.  At dimension 0
 the section is the point, so the same sweep is the 1-D interval merge.  The
 cost is linear in the number of slabs per axis instead of the product of
-the box counts.  ``BoxUnion`` holds the flattened tree, boxes ordered by
-lower corner: its operations nest their operands (``_nest``), call the
-kernel once and flatten the result (``_boxes``), and ``from_boxes`` folds
-single-box trees by union (a nonempty box is already canonical) and
-flattens once.  The slab-decomposition canonicaliser this replaced is kept
-only as the test oracle (``tests/box_oracle.py``).
+the box counts.  ``BoxUnion`` holds the tree itself: each operation is one
+kernel call on its operands' trees, ``from_boxes`` folds single-box trees
+by union (a nonempty box is already canonical), and a translation maps the
+slab ends (``_map_ends``).  Its ``boxes``, ordered by lower corner, are a
+view flattened (``_corners``) only when a caller reads them.  The
+slab-decomposition canonicaliser this replaced is kept only as the test
+oracle (``tests/box_oracle.py``).
+
+The kernel recurses once per axis and tree equality twice (a slab tuple
+inside the axis's tuple), so the commands refuse box algebra in more than
+``MAX_KERNEL_DIM`` axes before any work, inside Python's default recursion
+limit of 1000.
 
 Coordinates are rationals or the explicit infinity markers from
 ``rationals`` (so the same Box type expresses half-space clips); volume
@@ -31,16 +37,29 @@ and measure reject unbounded boxes.  No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
 from .rationals import NEG_INF, POS_INF, Coord, as_fraction, is_finite
 
 DEFAULT_TILE_CAP = 1 << 16
+# Most axes the commands admit in box algebra: tree equality recurses
+# through 2*256 nested tuples, which with the callers' frames stays below
+# the default recursion limit.
+MAX_KERNEL_DIM = 256
+
+
+def check_kernel_dim(d: int) -> int:
+    """Refuse box algebra in more than ``MAX_KERNEL_DIM`` axes before any work; return d."""
+    if d > MAX_KERNEL_DIM:
+        raise PreconditionError(f"box algebra takes at most {MAX_KERNEL_DIM} axes, got {d}")
+    return d
 
 
 def _coerce_coord(value: object) -> Coord:
@@ -330,29 +349,6 @@ def _box_tree(box: Box) -> _Tree:
     return tree
 
 
-def _nest(boxes: Sequence[Box], d: int) -> _Tree:
-    """The tree of a canonical box list, built from the last axis up.
-
-    Box i opens a slab on each axis from ``first[i]`` on, the first axis on
-    which its lower corner differs from box i-1's (box 0 opens one on all).
-    The slabs opened on axis k from box i up to the next box that opens one
-    on axis k - 1 are the section under the slab box i opens there.
-    """
-    first = [0] + [
-        next(k for k, (x, y) in enumerate(zip(prev.lo, box.lo)) if x != y)
-        for prev, box in zip(boxes, boxes[1:])
-    ]
-    below: list[_Tree] = [_POINT] * len(boxes)
-    for k in reversed(range(d)):
-        slabs: list[tuple[Coord, Coord, _Tree]] = []
-        for i in reversed(range(len(boxes))):
-            if first[i] <= k:
-                slabs.append((boxes[i].lo[k], boxes[i].hi[k], below[i]))
-            if first[i] < k or i == 0:
-                below[i], slabs = tuple(reversed(slabs)), []
-    return below[0] if boxes else ()
-
-
 def _corners(tree: _Tree, d: int) -> list[tuple[tuple[Coord, ...], tuple[Coord, ...]]]:
     """The ``(lo, hi)`` corners of a tree's boxes, in lexicographic order."""
     rows: list[tuple[tuple[Coord, ...], tuple[Coord, ...], _Tree]] = [((), (), tree)]
@@ -361,22 +357,35 @@ def _corners(tree: _Tree, d: int) -> list[tuple[tuple[Coord, ...], tuple[Coord, 
     return [(lo, hi) for lo, hi, _ in rows]
 
 
-def _boxes(tree: _Tree, d: int) -> tuple[Box, ...]:
-    return tuple(_trusted_box(lo, hi) for lo, hi in _corners(tree, d))
+def _map_ends(tree: _Tree, maps: Sequence[Callable]) -> _Tree:
+    """The tree with each slab end on axis i replaced by increasing ``maps[i]``
+    of it, level by level: each section shared by identity is mapped once."""
+    levels: list[dict[int, _Tree]] = [{id(tree): tree}]
+    for _ in maps:
+        levels.append({id(sub): sub for section in levels[-1].values() for _, _, sub in section})
+    # The sections below the last axis are points, kept as they are.
+    mapped = levels.pop()
+    for fn, level in zip(reversed(maps), reversed(levels)):
+        mapped = {
+            key: tuple((fn(x0), fn(x1), mapped[id(sub)]) for x0, x1, sub in section)
+            for key, section in level.items()
+        }
+    return mapped[id(tree)]
 
 
 @dataclass(frozen=True)
 class BoxUnion:
-    """Canonical finite disjoint union of half-open boxes.
+    """Canonical finite disjoint union of half-open boxes, held as its slab tree.
 
     Always construct through :meth:`from_boxes` (or the set operations);
-    the constructor trusts its input.  Because the representation is
-    canonical, structural equality is set equality and instances are
-    usable as dictionary keys.
+    the constructor trusts its input.  Because the tree is canonical,
+    structural equality is set equality and instances are usable as
+    dictionary keys.  ``boxes`` is a read-only view: the tree's boxes
+    ordered by lower corner, flattened on first access and cached.
     """
 
     dim: int
-    boxes: tuple[Box, ...]
+    tree: _Tree
 
     @staticmethod
     def from_boxes(dim: int, boxes: Iterable[Box]) -> "BoxUnion":
@@ -391,7 +400,7 @@ class BoxUnion:
         while len(parts) > 1:
             merged = [_combine(_UNION, parts[i], parts[i + 1], dim) for i in range(0, len(parts) - 1, 2)]
             parts = merged + parts[2 * len(merged) :]
-        return BoxUnion(dim, _boxes(parts[0], dim) if parts else ())
+        return BoxUnion(dim, parts[0] if parts else ())
 
     @staticmethod
     def empty(dim: int) -> "BoxUnion":
@@ -401,15 +410,18 @@ class BoxUnion:
     def single(box: Box) -> "BoxUnion":
         return BoxUnion.from_boxes(box.dim, [box])
 
+    @functools.cached_property
+    def boxes(self) -> tuple[Box, ...]:
+        return tuple(_trusted_box(lo, hi) for lo, hi in _corners(self.tree, self.dim))
+
     @property
     def is_empty(self) -> bool:
-        return not self.boxes
+        return not self.tree
 
     def _apply(self, op: _Op, other: "BoxUnion") -> "BoxUnion":
         if other.dim != self.dim:
             raise DimensionMismatchError(f"union of dimension {self.dim} vs {other.dim}")
-        tree = _combine(op, _nest(self.boxes, self.dim), _nest(other.boxes, self.dim), self.dim)
-        return BoxUnion(self.dim, _boxes(tree, self.dim))
+        return BoxUnion(self.dim, _combine(op, self.tree, other.tree, self.dim))
 
     def union(self, other: "BoxUnion") -> "BoxUnion":
         return self._apply(_UNION, other)
@@ -421,15 +433,17 @@ class BoxUnion:
         if box.dim != self.dim:
             raise DimensionMismatchError(f"intersect {self.dim}-dim union with {box.dim}-dim box")
         # A single nonempty box is its own canonical form.
-        return self._apply(_INTERSECT, BoxUnion(self.dim, () if box.is_empty else (box,)))
+        return self._apply(_INTERSECT, BoxUnion(self.dim, () if box.is_empty else _box_tree(box)))
 
     def subtract(self, other: "BoxUnion") -> "BoxUnion":
         return self._apply(_SUBTRACT, other)
 
     def translate(self, v: Sequence[object]) -> "BoxUnion":
-        # A uniform shift preserves the canonical slab structure, so the
-        # shifted boxes are already canonical.
-        return BoxUnion(self.dim, tuple(b.translate(v) for b in self.boxes))
+        # A uniform shift preserves the canonical slab structure.
+        if len(v) != self.dim:
+            raise DimensionMismatchError(f"translation of length {len(v)} for dimension {self.dim}")
+        shifts = [functools.partial(operator.add, as_fraction(x)) for x in v]
+        return BoxUnion(self.dim, _map_ends(self.tree, shifts))
 
     def measure(self) -> Fraction:
         total = Fraction(0)
@@ -483,6 +497,7 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     scaling by a rational never needs more than a common refinement.  Both
     the volume identity and the literal disjoint tiling are verified.
     """
+    check_kernel_dim(len(q))
     if max_tiles > DEFAULT_TILE_CAP:
         raise PreconditionError(f"max_tiles must be at most {DEFAULT_TILE_CAP}, got {max_tiles}")
     if not base.is_bounded:

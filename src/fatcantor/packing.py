@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetError, PreconditionError
-from .geometry import Box, BoxUnion
+from .geometry import Box, BoxUnion, check_kernel_dim
 from .rationals import as_fraction, floor_log2, pow2
 
 
@@ -54,6 +54,7 @@ class CubeFamily:
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or self.dim < 1:
             raise PreconditionError(f"dimension must be a positive integer, got {self.dim!r}")
+        check_kernel_dim(self.dim)
         sides = tuple(as_fraction(v) for v in self.sides)
         if any(v <= 0 for v in sides):
             raise PreconditionError("cube sides must be positive")

@@ -4,10 +4,12 @@ These are the algorithms the sweep kernel in ``geometry`` replaced.  The
 canonicaliser ``canonical`` is the recursive slab decomposition: cut
 along axis 0 at every box endpoint, canonicalise each slab's
 cross-section one axis down, and merge adjacent slabs with equal
-cross-sections.  The boolean ops are the pairwise loops: intersect every
-box of one operand with every box of the other, or carve each box of the
-left operand by every box of the right one, and hand the pieces to
-``canonical``.  Nothing here calls ``BoxUnion.from_boxes``, so the
+cross-sections; the slabs it keeps are the slab tree a ``BoxUnion``
+holds, built here.  The boolean ops are the pairwise loops over the
+operands' ``boxes``: intersect every box of one operand with every box of
+the other, or carve each box of the left operand by every box of the
+right one, and hand the pieces to ``canonical``.  Nothing here calls the
+kernel (``_combine``), ``BoxUnion.from_boxes`` or ``_box_tree``, so the
 differential tests compare the kernel against code that shares none of
 it.  All of it is quadratic or worse and kept only as an oracle.
 """
@@ -18,26 +20,18 @@ import itertools
 from typing import Iterable
 
 from fatcantor import Box, BoxUnion, DimensionMismatchError
+from fatcantor.geometry import _POINT
 from fatcantor.rationals import Coord
 
 _Raw = tuple[tuple[Coord, ...], tuple[Coord, ...]]
 
 
-def _canon_rec(raw: list[_Raw], d: int) -> tuple[_Raw, ...]:
-    """Canonical slab decomposition of a union of non-empty d-dim raw boxes."""
-    if d == 1:
-        ivs = sorted((lo[0], hi[0]) for lo, hi in raw)
-        merged: list[list[Coord]] = []
-        for lo0, hi0 in ivs:
-            if merged and lo0 <= merged[-1][1]:
-                if hi0 > merged[-1][1]:
-                    merged[-1][1] = hi0
-            else:
-                merged.append([lo0, hi0])
-        return tuple(((lo0,), (hi0,)) for lo0, hi0 in merged)
-
+def _canon_rec(raw: list[_Raw], d: int) -> tuple:
+    """Canonical slab tree of a union of non-empty d-dim raw boxes."""
+    if d == 0:
+        return _POINT
     cuts = sorted({lo[0] for lo, _ in raw} | {hi[0] for _, hi in raw})
-    slabs: list[tuple[Coord, Coord, tuple[_Raw, ...]]] = []
+    slabs: list[tuple[Coord, Coord, tuple]] = []
     for x0, x1 in itertools.pairwise(cuts):
         tails = [(lo[1:], hi[1:]) for lo, hi in raw if lo[0] <= x0 and x1 <= hi[0]]
         if not tails:
@@ -47,11 +41,7 @@ def _canon_rec(raw: list[_Raw], d: int) -> tuple[_Raw, ...]:
             slabs[-1] = (slabs[-1][0], x1, rest)
         else:
             slabs.append((x0, x1, rest))
-    out: list[_Raw] = []
-    for x0, x1, rest in slabs:
-        for tlo, thi in rest:
-            out.append(((x0,) + tlo, (x1,) + thi))
-    return tuple(out)
+    return tuple(slabs)
 
 
 def canonical(dim: int, boxes: Iterable[Box]) -> BoxUnion:
@@ -62,7 +52,7 @@ def canonical(dim: int, boxes: Iterable[Box]) -> BoxUnion:
             raise DimensionMismatchError(f"{b.dim}-dim box in {dim}-dim union")
         if not b.is_empty:
             raw.append((b.lo, b.hi))
-    return BoxUnion(dim, tuple(Box(lo, hi) for lo, hi in _canon_rec(raw, dim)) if raw else ())
+    return BoxUnion(dim, _canon_rec(raw, dim))
 
 
 def box_minus(a: Box, b: Box) -> list[Box]:

@@ -2,7 +2,8 @@
 
 This is the evaluation the integer lattice in ``ring`` replaced.  Each leaf
 is built on its own common denominator and converted to a ``BoxUnion`` of
-reduced Fractions (``clipped_translate``), the tree is folded with
+reduced Fractions (``clipped_translate``, which nests the product's slab
+tree itself, with no kernel call), the expression is folded with
 ``BoxUnion`` operations, and measures add one box volume at a time.
 ``generate_rn`` keys every candidate by ``approx_set`` of the whole
 candidate tree, so each key rebuilds every leaf of a tree whose size
@@ -13,14 +14,13 @@ code that shares none of it; kept only as an oracle.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from fatcantor import Box, BoxUnion, CantorSchedule, Diff, Union
 from fatcantor.errors import BudgetError, DimensionMismatchError, PreconditionError
-from fatcantor.geometry import _trusted_box
+from fatcantor.geometry import _POINT
 from fatcantor.rationals import as_fraction, is_finite
 from fatcantor.cantor import DEFAULT_BOX_CAP, check_stage
 from fatcantor.ring import (
@@ -87,8 +87,11 @@ def clipped_translate(s: CantorSchedule, n: int, t: Sequence[object], clip: Box)
         if not axis:
             return BoxUnion.empty(s.d)
         axes.append(axis)
-    boxes = tuple(_trusted_box(*zip(*prod)) for prod in itertools.product(*axes))
-    return BoxUnion(s.d, boxes)
+    # The product of canonical interval lists is canonical as it stands.
+    tree = _POINT
+    for axis in reversed(axes):
+        tree = tuple((lo, hi, tree) for lo, hi in axis)
+    return BoxUnion(s.d, tree)
 
 
 def approx_set(e: "RingExpr", s: CantorSchedule, n: int) -> BoxUnion:

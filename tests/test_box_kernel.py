@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracle
-from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule, geometry
+import ring_oracle
+from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule, geometry, ring
 from fatcantor.rationals import NEG_INF, POS_INF
 
-from strategies import fractions, schedules
+from strategies import fractions, ring_exprs, schedules
 
 _GRID = [Fraction(k, 2) for k in range(-2, 5)]
 
@@ -125,14 +127,6 @@ class TestSweepAgainstPairwiseLoops:
             assert_same(cube.intersect_box(below), box_oracle.intersect_box(cube, below))
             assert_same(cube.subtract(a), cube.intersect_box(below))
 
-    @settings(max_examples=300)
-    @given(data=st.data(), dim=st.integers(min_value=1, max_value=3))
-    def test_nest_then_flatten_round_trips(self, data, dim):
-        u = data.draw(grid_unions(dim, max_size=8))
-        tree = geometry._nest(u.boxes, dim)
-        assert geometry._boxes(tree, dim) == u.boxes
-        assert geometry._nest(geometry._boxes(tree, dim), dim) == tree
-
     @given(pair=operand_pairs())
     def test_results_are_canonical(self, pair):
         a, b = pair
@@ -153,7 +147,7 @@ def leaf_oracle(s: CantorSchedule, n: int, t, clip: Box) -> BoxUnion:
         s.d,
         [Box(tuple(p[0] for p in prod), tuple(p[1] for p in prod)) for prod in itertools.product(ivs, repeat=s.d)],
     )
-    return box_oracle.intersect_box(BoxUnion(s.d, tuple(b.translate(t) for b in stage.boxes)), clip)
+    return box_oracle.intersect_box(box_oracle.canonical(s.d, [b.translate(t) for b in stage.boxes]), clip)
 
 
 @st.composite
@@ -199,19 +193,24 @@ class TestClippedTranslate:
 
     def test_a_leaf_holds_one_section_per_axis(self):
         # A d = 3, stage-5 leaf: 32 slabs on each axis sharing one section,
-        # 3 * 32 slab tuples for its 32768 boxes.
+        # 3 * 32 slab tuples for its 32768 boxes, on the lattice and after
+        # its conversion to Fractions alike.
         s = CantorSchedule(3)
         t, clip = (Fraction(1, 3),) * 3, Box.whole_space(3)
         lattice = s.lattice(5, [(t, clip)])
         tree = lattice.leaf(t, clip)
-        slabs, sections = 0, [tree]
-        for _ in range(3):
-            assert len(sections) == 1
-            slabs += len(sections[0])
-            sections = list({id(sub): sub for _, _, sub in sections[0]}.values())
-        assert sections == [geometry._POINT]
-        assert slabs == 3 * 32
-        assert len(lattice.box_union(tree).boxes) == 32768
+        u = lattice.box_union(tree)
+        for root, kind in ((tree, int), (u.tree, Fraction)):
+            slabs, sections = 0, [root]
+            for _ in range(3):
+                assert len(sections) == 1
+                assert all(type(x) is kind for x0, x1, _ in sections[0] for x in (x0, x1))
+                slabs += len(sections[0])
+                sections = list({id(sub): sub for _, _, sub in sections[0]}.values())
+            assert sections == [geometry._POINT]
+            assert slabs == 3 * 32
+        assert u == ring_oracle.clipped_translate(s, 5, t, clip)
+        assert len(u.boxes) == 32768
 
     def test_clip_cutting_stage_intervals(self):
         s = CantorSchedule(1)
@@ -236,3 +235,70 @@ class TestClippedTranslate:
             s.clipped_translate(9, (Fraction(0), Fraction(0)), clip)
         assert str(got.value) == str(want.value)
         assert "largest feasible stage is 8" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# the slab tree is the stored form
+# ---------------------------------------------------------------------------
+
+
+class TestTheTreeIsTheStoredForm:
+    """``BoxUnion`` holds its slab tree; only reading ``boxes`` flattens it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=operand_pairs(), data=st.data())
+    def test_no_operation_flattens(self, pair, data):
+        a, b = pair
+        dim = a.dim
+        box = data.draw(grid_boxes(dim))
+        t = tuple(data.draw(st.sampled_from(_GRID)) for _ in range(dim))
+        s = CantorSchedule(dim)
+        n = {1: 4, 2: 2, 3: 1}[dim]
+        expr = data.draw(ring_exprs(dim=dim, max_leaves=3))
+        raw = a.boxes + b.boxes
+        want = {
+            "from_boxes": box_oracle.canonical(dim, raw),
+            "union": box_oracle.union(a, b),
+            "intersect": box_oracle.intersect(a, b),
+            "intersect_box": box_oracle.intersect_box(a, box),
+            "subtract": box_oracle.subtract(a, b),
+            "translate": box_oracle.canonical(dim, [x.translate(t) for x in a.boxes]),
+            "approx_set": ring_oracle.approx_set(expr, s, n),
+        }
+        # Fresh operands, so no view is cached.
+        a, b = BoxUnion(dim, a.tree), BoxUnion(dim, b.tree)
+        with mock.patch.object(geometry, "_corners", side_effect=AssertionError("flattened")):
+            got = {
+                "from_boxes": BoxUnion.from_boxes(dim, raw),
+                "union": a.union(b),
+                "intersect": a.intersect(b),
+                "intersect_box": a.intersect_box(box),
+                "subtract": a.subtract(b),
+                "translate": a.translate(t),
+                "approx_set": ring.approx_set(expr, s, n),
+            }
+            contains = a.contains_union(b)
+        assert contains == box_oracle.subtract(b, a).is_empty
+        for name, u in got.items():
+            assert u.boxes == want[name].boxes, name
+
+    def test_the_view_of_a_box_in_2000_axes_needs_no_recursion(self):
+        cube = Box.unit_cube(2000)
+        u = BoxUnion.single(cube)
+        assert u.boxes == (cube,)
+        shift = (Fraction(1, 2),) * 2000
+        assert u.translate(shift).boxes == (cube.translate(shift),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), case=leaf_cases())
+    def test_the_oracles_build_their_trees_without_the_kernel(self, data, case):
+        s, n, t, clip = case
+        boxes = data.draw(st.lists(grid_boxes(s.d), max_size=8))
+        refuse = AssertionError("kernel called")
+        with mock.patch.object(geometry, "_combine", side_effect=refuse), mock.patch.object(
+            geometry, "_box_tree", side_effect=refuse
+        ), mock.patch.object(BoxUnion, "from_boxes", side_effect=refuse):
+            canon = box_oracle.canonical(s.d, boxes)
+            leaf = ring_oracle.clipped_translate(s, n, t, clip)
+        assert_same(canon, BoxUnion.from_boxes(s.d, boxes))
+        assert_same(leaf, s.clipped_translate(n, t, clip))

@@ -18,6 +18,7 @@ import pytest
 
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, cover, grid_translate_pool, serialize
 from fatcantor.cantor import MAX_DIM, MAX_STAGE
+from fatcantor.geometry import MAX_KERNEL_DIM
 from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
 from fatcantor.rationals import MAX_DECIMAL_EXPONENT
 from fatcantor.ring import MAX_RN_LAYER
@@ -530,6 +531,53 @@ class TestMalformedInputFiles:
             [*argv, "--expr-file", str(path)],
             {f"expression nested deeper than {MAX_EXPR_DEPTH} levels"},
         )
+
+
+def _from_depth(depth: int, fn, *args):
+    """``fn(*args)`` called from a stack at least ``depth`` frames deep."""
+    frame, frames = sys._getframe(), 0
+    while frame is not None:
+        frames += 1
+        frame = frame.f_back
+    return fn(*args) if frames >= depth else _from_depth(depth, fn, *args)
+
+
+class TestKernelDimensionCap:
+    """Box algebra in more than ``MAX_KERNEL_DIM`` axes exits 2 before any
+    work, never with a RecursionError; at the cap every run verifies.  The
+    runs are in-process, from a stack 150 frames deep, deeper than a library
+    caller's of ``cli.main`` usually is."""
+
+    DEPTH = 150
+
+    def argvs(self, tmp_path, d: int) -> list[list[str]]:
+        box = {"lo": ["0/1"] * d, "hi": ["1/1"] * d}
+        two = {"union": [{"gen": {"x": [x] * d, "clip": box}} for x in ("0/1", "1/3")]}
+        path = tmp_path / f"two{d}.json"
+        path.write_text(json.dumps(two))
+        return [
+            ["pack", "--d", str(d), "--sides", "1,1", "--verify"],
+            ["measure", "--d", str(d), "--stage", "0", "--expr-file", str(path), "--verify"],
+            ["tile-check", "--q", ",".join(["1"] * d), "--verify"],
+        ]
+
+    def run_main(self, capsys, argv):
+        code = _from_depth(self.DEPTH, cli.main, argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("which, d", [(0, 1500), (1, 2000), (2, 300)], ids=["pack", "measure", "tile-check"])
+    def test_above_the_cap_exits_two(self, capsys, tmp_path, which, d):
+        code, doc = self.run_main(capsys, self.argvs(tmp_path, d)[which])
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"] == f"box algebra takes at most {MAX_KERNEL_DIM} axes, got {d}"
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["pack", "measure", "tile-check"])
+    def test_at_the_cap_verifies(self, capsys, tmp_path, which):
+        code, doc = self.run_main(capsys, self.argvs(tmp_path, MAX_KERNEL_DIM)[which])
+        assert code == 0
+        assert doc["result"]["verification"]["ok"] is True
 
 
 class TestBudgetPartials:

@@ -597,6 +597,25 @@ class TestCheckByExtension:
         assert not extension_valid(S1, parent, dropped, 1, [pool[1]])
         assert not uncovered_witness_valid(S1, Box.unit_cube(1), pool, dropped)
 
+    def test_a_rows_box_is_checked_once(self):
+        # Five new certificates: the box's dimension, sides and bounds are
+        # checked once for the row; each certificate adds only the length of
+        # its translation and its miss test.
+        pool = grid_translate_pool(S1, 5)
+        cube = Box.unit_cube(1)
+        witness = find_uncovered_box(cube, pool, S1, 24)
+        assert isinstance(witness, UncoveredWitness) and len(witness.certificates) == 5
+        checked = []
+        has_positive_sides = Box.has_positive_sides
+
+        def counted(box):
+            checked.append(box)
+            return has_positive_sides(box)
+
+        with mock.patch.object(Box, "has_positive_sides", counted):
+            assert uncovered_witness_valid(S1, cube, pool, witness)
+        assert sum(box is witness.box for box in checked) == 1
+
     def test_a_box_past_its_parents_falls_back_to_the_check_on_its_own(self):
         # A witness is the middle half of a gap, so a box a hair wider than
         # its parent's still misses every translate: extension cannot say so,
@@ -660,19 +679,23 @@ class TestCheckByExtension:
         each distinct certificate document once; the check of every row on
         its own makes p * 2^(p-1) of each."""
         gap_checks, decodes = [], []
-        gap_certificate_valid = cover.gap_certificate_valid
         leaf_certificate_from_json = serialize.leaf_certificate_from_json
 
-        def counted_check(*args, **kwargs):
-            gap_checks.append(args)
-            return gap_certificate_valid(*args, **kwargs)
+        def counted(check):
+            def counted_check(*args, **kwargs):
+                gap_checks.append(args)
+                return check(*args, **kwargs)
+
+            return counted_check
 
         def counted_decode(doc):
             decodes.append(doc)
             return leaf_certificate_from_json(doc)
 
-        monkeypatch.setattr(cover, "gap_certificate_valid", counted_check)
-        monkeypatch.setattr(witness_oracle, "gap_certificate_valid", counted_check)
+        # the table's walk tests each new certificate's miss once, its box
+        # checked once per row; the oracle checks each whole certificate
+        monkeypatch.setattr(cover, "_misses_stage_translate", counted(cover._misses_stage_translate))
+        monkeypatch.setattr(witness_oracle, "gap_certificate_valid", counted(witness_oracle.gap_certificate_valid))
         monkeypatch.setattr(serialize, "leaf_certificate_from_json", counted_decode)
         pool = grid_translate_pool(S1, p)
         report = infinite_cube_report(S1, pool, 24)
