@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, too_large_to_print
-from .geometry import _POINT, Box, BoxUnion, _map_ends, _Tree, check_kernel_dim
+from .geometry import _POINT, Box, BoxUnion, _box_tree, _map_ends, _Tree, check_kernel_dim
 from .rationals import as_fraction, is_finite
 
 DEFAULT_BOX_CAP = 1 << 16  # boxes in one stage set; a power of two
@@ -143,6 +143,22 @@ class StageLattice:
         for axis in reversed(axes):
             tree = tuple((lo, hi, tree) for lo, hi in axis)
         return tree
+
+    def box(self, box: Box) -> _Tree:
+        """A bounded box as a canonical slab tree; its ends must lie on the lattice."""
+        if box.is_empty:
+            return ()
+        to_lattice = [functools.partial(_numerator_over, scale=scale) for scale in self.scales]
+        return _map_ends(_box_tree(box), to_lattice)
+
+    def bounding_box(self, tree: _Tree) -> Box:
+        """The least box holding a nonempty lattice tree, in rational coordinates."""
+        lo, hi, level = [], [], [tree]
+        for scale in self.scales:
+            lo.append(Fraction(min(section[0][0] for section in level), scale))
+            hi.append(Fraction(max(section[-1][1] for section in level), scale))
+            level = list({id(sub): sub for section in level for _, _, sub in section}.values())
+        return Box(tuple(lo), tuple(hi))
 
     def measure(self, tree: _Tree) -> Fraction:
         """Lebesgue measure of a canonical lattice tree: one integer sum, reduced once."""

@@ -41,9 +41,8 @@ from typing import Any, Callable, Sequence
 
 from .cantor import CantorSchedule, NeedsDeeperStage, box_count, check_stage
 from .cover import (
-    _target_union,
+    _cover_sets,
     check_pool_size,
-    clipped_pool,
     find_uncovered_box,
     grid_translate_pool,
     infinite_cube_report,
@@ -208,10 +207,9 @@ def _check_cover_search(s: CantorSchedule, i: dict, core: dict, replay: Replay) 
         return False
     if stage != i["stage"] or attempt["verified"] is not True:
         return False
-    target = _target_union(i["target"], s, stage)
-    elements = clipped_pool(target, [i["pool"][k] for k in subset], i["clip"])
+    _, _, elements, _ = _cover_sets(i["target"], [i["pool"][k] for k in subset], s, stage, i["clip"])
     total = sum((measure_bounds(e, s, stage).upper for e in elements), Fraction(0))
-    return attempt["total_premeasure_upper"] == to_json(total) and verify_cover(target, elements, s, stage)
+    return attempt["total_premeasure_upper"] == to_json(total) and verify_cover(i["target"], elements, s, stage)
 
 
 def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:

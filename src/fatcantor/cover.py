@@ -9,6 +9,13 @@ keep the positive side) only enlarges a set, so
 * a success certificate is labeled for what it is: the target's stage
   evaluation is covered by the union of the elements' stage hulls.
 
+The cover search and its check build the target and every hull on one
+stage lattice (``_cover_sets``) as integer slab trees.  The search keeps
+the target's uncovered rest: a subset mask's rest is its parent's (the
+mask without its highest bit, as in the infinite-cube table) less the
+newest element's hull, one ``_combine`` per mask, and the masks are walked
+depth first, so only the rests along one path are held.
+
 The witness search shrinks an open box through the elements one generator
 leaf at a time, so each step only needs the 1-D gap structure of a single
 translate; nothing d-dimensional is ever materialized.  That step,
@@ -35,14 +42,15 @@ from .cantor import (
     CantorSchedule,
     GapCertificate,
     NeedsDeeperStage,
+    StageLattice,
     _misses_stage_translate,
     find_gap,
     middle_half,
 )
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
-from .geometry import Box, BoxUnion
+from .geometry import _INTERSECT, _SUBTRACT, Box, _combine, _Tree
 from .ring import (
-    Diff, Gen, Inter, RingExpr, Union, approx_set, clip_to_box, iter_leaves, measure_bounds
+    Diff, Gen, Inter, RingExpr, Union, _evaluate, _lattice, clip_to_box, iter_leaves, measure_bounds
 )
 
 DEFAULT_SUBSET_BUDGET = 4096
@@ -74,21 +82,6 @@ def hull_leaves(e: "RingExpr") -> list[Gen]:
     return list(iter_leaves(positive_hull(e)))
 
 
-def verify_cover(
-    target: BoxUnion,
-    elements: Sequence["RingExpr"],
-    s: CantorSchedule,
-    stage: int,
-) -> bool:
-    """Is ``target`` exactly inside the union of the elements' stage hulls?"""
-    if target.dim != s.d:
-        raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
-    covered = BoxUnion.empty(s.d)
-    for e in elements:
-        covered = covered.union(approx_set(positive_hull(e), s, stage))
-    return covered.contains_union(target)
-
-
 @dataclass(frozen=True)
 class CoverAttempt:
     """Best cover found by :func:`outer_upper`.
@@ -108,27 +101,47 @@ class CoverAttempt:
     infinite: bool
 
 
-def _target_union(
-    target: "RingExpr | Box",
-    s: CantorSchedule,
-    stage: int,
-) -> BoxUnion:
+def _cover_sets(
+    target: "RingExpr | Box", pool: Sequence["RingExpr"], s: CantorSchedule, stage: int, clip: bool
+) -> tuple[StageLattice, _Tree, list["RingExpr"], list[_Tree]]:
+    """The lattice of a target and a pool, the target's tree (a bounded box, or
+    an expression's positive hull), the elements, with ``clip`` clipped to the
+    bounding box of the target's set (its ends are lattice points), and each
+    element's hull tree."""
     if isinstance(target, Box):
+        if target.dim != s.d:
+            raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
         if not target.is_bounded:
             raise UnboundedBoxError("cover target box must be bounded")
-        return BoxUnion.single(target)
-    return approx_set(positive_hull(target), s, stage)
+        # The box's ends join the lattice as the clip of an untranslated leaf.
+        lattice = _lattice([Gen((0,) * s.d, target), *pool], s, stage)
+        target_tree = lattice.box(target)
+    else:
+        lattice = _lattice([target, *pool], s, stage)
+        target_tree = _evaluate(positive_hull(target), lattice)
+    if clip and target_tree:
+        bbox = lattice.bounding_box(target_tree)
+        pool = [clip_to_box(e, bbox) for e in pool]
+    return lattice, target_tree, list(pool), [_evaluate(positive_hull(e), lattice) for e in pool]
 
 
-def clipped_pool(
-    target: BoxUnion, pool: Sequence["RingExpr"], clip: bool
-) -> list["RingExpr"]:
-    """The pool as :func:`outer_upper` searches it: with ``clip``, each
-    element clipped to the target's bounding box."""
-    bbox = target.bounding_box()
-    if clip and bbox is not None:
-        return [clip_to_box(e, bbox) for e in pool]
-    return list(pool)
+def verify_cover(
+    target: "RingExpr | Box",
+    elements: Sequence["RingExpr"],
+    s: CantorSchedule,
+    stage: int,
+) -> bool:
+    """Is the target's stage set inside the union of the elements' stage hulls?
+
+    The target is taken as :func:`outer_upper` takes it, a bounded box or an
+    expression's positive hull, and the elements as given (unclipped).  All
+    of them are built on one lattice, and the target less each hull in turn
+    must end empty.
+    """
+    _, rest, _, hulls = _cover_sets(target, elements, s, stage, clip=False)
+    for hull in hulls:
+        rest = _combine(_SUBTRACT, rest, hull, s.d)
+    return not rest
 
 
 def outer_upper(
@@ -142,70 +155,65 @@ def outer_upper(
 ) -> CoverAttempt:
     """Search the pool for a verified cover with minimal total upper bound.
 
-    Greedy first (largest freshly covered measure, ties by pool index),
-    then exhaustive over subsets in bitmask order until ``budget`` subsets
-    have been examined.  Pool elements are optionally clipped to the
-    target's bounding box, which shrinks their premeasures but cannot break
-    a cover.  Deterministic throughout.
+    All sets are slab trees on one lattice (:func:`_cover_sets`), and pool
+    elements are optionally clipped to the bounding box of the target's
+    set, which shrinks their premeasures but cannot break a cover.  Greedy
+    first: take the element covering the most of the target's uncovered
+    rest (ties by pool index) until the rest is empty, which proves the
+    cover.  Then the masks ``1..budget``, depth first: a mask's rest is its
+    parent's (the mask without its highest bit) less its newest element's
+    hull, one subtraction per mask.  The least total wins; the greedy cover
+    wins ties, and otherwise the first mask in mask order does.  A mask
+    whose ``(total, mask)`` is not below the best so far, a mask above the
+    budget and the descendants of a cover cannot do better, so the walk
+    does not enter them.  Deterministic throughout.
     """
     if not pool:
         raise PreconditionError("empty cover pool")
-    target_u = _target_union(target, s, stage)
-    elements = clipped_pool(target_u, pool, clip)
-
-    hull_sets = [approx_set(positive_hull(e), s, stage) for e in elements]
+    lattice, target_tree, elements, hulls = _cover_sets(target, pool, s, stage, clip)
     uppers = [measure_bounds(e, s, stage).upper for e in elements]
-
-    def total(subset: tuple[int, ...]) -> Fraction:
-        return sum((uppers[i] for i in subset), Fraction(0))
-
-    def covers(subset: tuple[int, ...]) -> bool:
-        covered = BoxUnion.empty(s.d)
-        for i in subset:
-            covered = covered.union(hull_sets[i])
-        return covered.contains_union(target_u)
-
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    d, p = s.d, len(elements)
 
     # Greedy pass.
-    remaining = target_u
+    rest = target_tree
     chosen: list[int] = []
-    available = list(range(len(elements)))
-    while not remaining.is_empty and available:
-        gains = [(remaining.intersect(hull_sets[i]).measure(), i) for i in available]
+    available = list(range(p))
+    while rest and available:
+        gains = [(lattice.measure(_combine(_INTERSECT, rest, hulls[i], d)), i) for i in available]
         gain, pick = max(gains, key=lambda g: (g[0], -g[1]))
         if gain <= 0:
             break
         chosen.append(pick)
         available.remove(pick)
-        remaining = remaining.subtract(hull_sets[pick])
-    if remaining.is_empty and chosen:
-        subset = tuple(sorted(chosen))
-        if covers(subset):
-            best = (total(subset), subset)
+        rest = _combine(_SUBTRACT, rest, hulls[pick], d)
+    # The least (total, mask) so far; the greedy cover's mask -1 wins ties.
+    best: tuple[Fraction, int] | None = None
+    if not rest and chosen:
+        best = (sum((uppers[i] for i in chosen), Fraction(0)), -1)
 
-    # Exhaustive pass, bounded by the subset budget.
-    examined = 0
-    p = len(elements)
-    for mask in range(1, 1 << p):
-        if examined >= budget:
-            break
-        examined += 1
-        subset = tuple(i for i in range(p) if mask >> i & 1)
-        t = total(subset)
-        if best is not None and t >= best[0]:
+    # Exhaustive pass, depth first: (mask, its parent's rest, its parent's total).
+    stack = [(1 << k, target_tree, Fraction(0)) for k in reversed(range(p))]
+    while stack:
+        mask, rest, total = stack.pop()
+        newest = mask.bit_length() - 1
+        total += uppers[newest]
+        if mask > budget or best is not None and (total, mask) >= best:
             continue
-        if covers(subset):
-            best = (t, subset)
+        rest = _combine(_SUBTRACT, rest, hulls[newest], d)
+        if rest:
+            stack.extend((mask | 1 << k, rest, total) for k in reversed(range(newest + 1, p)))
+        else:
+            best = (total, mask)
 
     if best is None:
         return CoverAttempt(
             subset=(), stage=stage, total_premeasure_upper=None, verified=False, infinite=True
         )
+    total, mask = best
     return CoverAttempt(
-        subset=best[1],
+        subset=tuple(sorted(chosen)) if mask < 0 else tuple(i for i in range(p) if mask >> i & 1),
         stage=stage,
-        total_premeasure_upper=best[0],
+        total_premeasure_upper=total,
         verified=True,
         infinite=False,
     )

@@ -18,8 +18,11 @@ Evaluation runs on the integer lattice of the tree's leaves
 integer interval lists, each connective is one ``geometry._combine`` of
 two slab trees on integer coordinates, and a stage measure is one integer
 sum over the result, reduced once.  The lattice keeps order and equality,
-so results equal those of Fraction arithmetic; only ``approx_set`` makes
-a ``BoxUnion``, by converting the ends of its set's tree to Fractions.
+so results equal those of Fraction arithmetic.  The cover search
+(``cover.outer_upper`` and ``cover.verify_cover``) evaluates its target and
+hulls on one such lattice too (``_lattice``, ``_evaluate``).  Only
+``approx_set`` makes a ``BoxUnion``, by converting the ends of its set's
+tree to Fractions.
 
 ``generate_rn`` lists the ring the pool generates, layer by layer, as set
 algebra on cached stage sets: only the pool is evaluated from its leaves,

@@ -414,6 +414,10 @@ class TestEnvelope:
         assert error["partial"] is None
 
 
+GEN1 = {"gen": {"x": ["0/1"], "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}
+GEN2 = {"gen": {"x": ["0/1"] * 2, "clip": {"lo": ["0/1"] * 2, "hi": ["1/1"] * 2}}}
+
+
 class TestMalformedInputFiles:
     """Input files of any shape end in exit 2 with a message, never exit 1.
 
@@ -502,6 +506,25 @@ class TestMalformedInputFiles:
             ["cover-search", "--target-file", str(path), "--expr-file", expr_file],
             {"box: 'lo' must be a list, got int"},
         )
+
+    @pytest.mark.parametrize("flags", [(), ("--no-clip",)], ids=["clip", "no-clip"])
+    @pytest.mark.parametrize(
+        "target, pool, message",
+        [
+            ({"lo": ["0/1"] * 2, "hi": ["1/1"] * 2}, 1, "target dimension 2 vs schedule 1"),
+            (GEN2, 1, "expression dimension 2 vs schedule 1"),
+            ({"lo": ["0/1"], "hi": ["1/1"]}, 2, "expression dimension 2 vs schedule 1"),
+            ({"lo": ["0/1"], "hi": ["inf"]}, 1, "cover target box must be bounded"),
+        ],
+        ids=["box-target", "expression-target", "pool-element", "unbounded-target"],
+    )
+    def test_cover_search_refuses_a_wrong_dimension_whatever_the_flags(
+        self, capsys, tmp_path, target, pool, message, flags
+    ):
+        (tmp_path / "target.json").write_text(json.dumps(target))
+        (tmp_path / "pool.json").write_text(json.dumps([GEN1 if pool == 1 else GEN2]))
+        argv = ["cover-search", "--d", "1", "--target-file", str(tmp_path / "target.json")]
+        self.assert_refused(capsys, [*argv, "--expr-file", str(tmp_path / "pool.json"), *flags], {message})
 
     @pytest.mark.parametrize(
         "argv",

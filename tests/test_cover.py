@@ -9,6 +9,7 @@ through the brute-force stage construction from test_cantor.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import json
@@ -47,10 +48,11 @@ from fatcantor import (
     verify_cover,
 )
 
-from fatcantor import cover, serialize
+from fatcantor import cover, ring, serialize
 from fatcantor.errors import PreconditionError
 from fatcantor.serialize import to_json, witness_from_json
 
+import cover_oracle
 import witness_oracle
 from strategies import boxes, fractions, ring_exprs
 from test_cantor import brute_stage_intervals
@@ -98,16 +100,17 @@ class TestPositiveHull:
 
 class TestVerifyCover:
     def test_stage_approximation_covers_itself(self):
-        target = S1.stage_approx(2)
-        assert verify_cover(target, [base_expr(S1)], S1, 2)
+        # an expression target stands for its stage set
+        assert verify_cover(base_expr(S1), [base_expr(S1)], S1, 2)
 
     def test_deeper_stages_no_longer_cover(self):
-        # the stage-3 approximation is strictly inside stage 2
-        target = S1.stage_approx(2)
+        # [0, 5/32) is the first stage-2 interval; stage 3 cuts a gap into it
+        target = Box.interval(Fraction(0), Fraction(5, 32))
+        assert verify_cover(target, [base_expr(S1)], S1, 2)
         assert not verify_cover(target, [base_expr(S1)], S1, 3)
 
     def test_translates_can_fill_the_gaps_of_one_element(self):
-        target = BoxUnion.single(Box.interval(Fraction(0), Fraction(3, 4)))
+        target = Box.interval(Fraction(0), Fraction(3, 4))
         pool = [Gen((t,), Box.whole_space(1)) for t in
                 (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(-1, 4))]
         covered = verify_cover(target, pool, S1, 1)
@@ -127,8 +130,8 @@ class TestVerifyCover:
 
     @given(e=ring_exprs(max_leaves=3), n=st.integers(min_value=0, max_value=3))
     def test_every_expression_covers_its_own_approximation(self, e, n):
-        target = approx_set(e, S1, n)
-        assert verify_cover(target, [e], S1, n)
+        for box in approx_set(e, S1, n).boxes:
+            assert verify_cover(box, [e], S1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +165,22 @@ class TestOuterUpper:
         att = outer_upper(Box.unit_cube(1), pool, S1, stage=3, budget=5)
         assert att.infinite
 
+    def test_ties_go_to_the_first_mask_in_mask_order(self):
+        # At stage 0 a leaf is its clip.  Greedy takes the widest element, 4
+        # (total 3/2); {0, 3} (mask 9) and {1, 2} (mask 6) both cover with
+        # total 1, and the depth-first walk meets mask 9 first.
+        def piece(lo, hi, t=Fraction(0)):
+            return Gen((t,), Box.interval(lo, hi))
+
+        quarter, half = Fraction(1, 4), Fraction(1, 2)
+        pool = [
+            piece(0, half), piece(0, quarter), piece(quarter, 1), piece(half, 1),
+            Union(piece(0, 1), piece(-half, half, -half)),
+        ]
+        att = outer_upper(Box.unit_cube(1), pool, S1, stage=0, clip=False)
+        assert (att.subset, att.total_premeasure_upper) == ((1, 2), 1)
+        assert att == cover_oracle.outer_upper(Box.unit_cube(1), pool, S1, stage=0, budget=4096, clip=False)
+
     @given(n=st.integers(min_value=1, max_value=3))
     def test_verified_attempts_replay_through_verify_cover(self, n):
         pool = grid_translate_pool(S1, 4)
@@ -169,7 +188,128 @@ class TestOuterUpper:
         att = outer_upper(target, pool, S1, stage=n)
         if not att.infinite:
             chosen = [pool[i] for i in att.subset]
-            assert verify_cover(approx_set(target, S1, n), chosen, S1, n)
+            assert verify_cover(target, chosen, S1, n)
+
+
+# ---------------------------------------------------------------------------
+# the lattice search against the per-mask Fraction search it replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cover_cases(draw):
+    """A target, a pool of 1 to 5 elements, a stage and a schedule in d 1-2.
+
+    Besides random boxes and expressions, a target may be a pool element
+    clipped to a box, and the pool may hold whole-line translates on a
+    coarse grid, so that covers are found as well as missed.
+    """
+    d = draw(st.integers(min_value=1, max_value=2))
+    s = CantorSchedule(d)
+    stage = draw(st.integers(min_value=0, max_value=3 if d == 1 else 2))
+    grid = st.builds(
+        lambda k: Gen((Fraction(k, 4),) * d, Box.whole_space(d)), st.integers(min_value=-2, max_value=2)
+    )
+    pool = draw(st.lists(ring_exprs(dim=d, max_leaves=3) | grid, min_size=1, max_size=5))
+    kind = draw(st.sampled_from(["box", "expression", "clipped element"]))
+    if kind == "box":
+        target = draw(boxes(dim=d, span=Fraction(1)))
+    elif kind == "expression":
+        target = draw(ring_exprs(dim=d, max_leaves=2))
+    else:
+        target = clip_to_box(draw(st.sampled_from(pool)), draw(boxes(dim=d, span=Fraction(1))))
+    return s, stage, target, pool
+
+
+def _answer(att):
+    return att.subset, att.total_premeasure_upper, att.verified, att.infinite
+
+
+class TestCoverSearchAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=cover_cases(),
+        budget=st.integers(min_value=0, max_value=40),
+        clip=st.booleans(),
+    )
+    def test_outer_upper_and_verify_cover_equal_the_oracle(self, case, budget, clip):
+        s, stage, target, pool = case
+        got = outer_upper(target, pool, s, stage=stage, budget=budget, clip=clip)
+        want = cover_oracle.outer_upper(target, pool, s, stage=stage, budget=budget, clip=clip)
+        assert _answer(got) == _answer(want)
+        for elements in (pool, [pool[i] for i in got.subset]):
+            assert verify_cover(target, elements, s, stage) == cover_oracle.verify_cover(
+                target, elements, s, stage
+            )
+
+
+# Element 0 misses [0, 1/4) at stage 1; elements 1 and 2 each cover it.
+_EDGE_POOL = [
+    Gen((Fraction(1, 2),), Box.unit_cube(1)),
+    Gen((Fraction(0),), Box.unit_cube(1)),
+    Gen((Fraction(0),), Box.interval(Fraction(0), Fraction(1, 2))),
+]
+_ONE_PATH_CASES = {
+    "box-found": (Box.interval(Fraction(0), Fraction(1, 4)), _EDGE_POOL, 1, False),
+    "box-infinite": (Box.interval(Fraction(0), Fraction(1, 4)), _EDGE_POOL, 2, True),
+    "expression-found": (base_expr(S1), [base_expr(S1), *_EDGE_POOL], 2, False),
+    "expression-infinite": (base_expr(S1), _EDGE_POOL[:1], 2, True),
+}
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the cover search used the Fraction BoxUnion path")
+
+
+class TestOneEvaluationPath:
+    """The search and its check run on the lattice alone, one subtraction per mask."""
+
+    def test_cover_holds_no_box_union_path(self):
+        assert "BoxUnion" not in vars(cover) and "approx_set" not in vars(cover)
+
+    @pytest.mark.parametrize("clip", [True, False], ids=["clip", "no-clip"])
+    @pytest.mark.parametrize("name", list(_ONE_PATH_CASES))
+    def test_answers_need_no_box_union_operation(self, name, clip):
+        target, pool, stage, infinite = _ONE_PATH_CASES[name]
+        want = cover_oracle.outer_upper(target, pool, S1, stage=stage, budget=4096, clip=clip)
+        assert want.infinite is infinite
+        chosen = [pool[i] for i in want.subset] or pool
+        covered = cover_oracle.verify_cover(target, chosen, S1, stage)
+        patches = [
+            mock.patch.object(BoxUnion, method, _raise)
+            for method in ("union", "intersect", "subtract", "contains_union")
+        ]
+        with contextlib.ExitStack() as stack:
+            for patch in patches + [mock.patch.object(ring, "approx_set", _raise)]:
+                stack.enter_context(patch)
+            got = outer_upper(target, pool, S1, stage=stage, clip=clip)
+            assert _answer(got) == _answer(want)
+            assert verify_cover(target, chosen, S1, stage) is covered is (not infinite)
+
+    @pytest.mark.parametrize("budget", [1, 7, 40, 63, 4096])
+    def test_the_walk_subtracts_once_per_examined_mask(self, budget):
+        # No subset of the grid pool covers the unit cube, so no mask is pruned.
+        pool = grid_translate_pool(S1, 6)
+
+        def calls(budget: int) -> int:
+            with mock.patch.object(cover, "_combine", wraps=cover._combine) as combine:
+                att = outer_upper(Box.unit_cube(1), pool, S1, stage=3, budget=budget)
+            assert att.infinite
+            return combine.call_count
+
+        assert calls(budget) - calls(0) == min(budget, 63)
+
+    def test_the_walk_skips_masks_that_cannot_do_better(self):
+        # Clipped to [0, 1/4), element 0 is empty (total 0) and elements 1
+        # and 2 are equal, so the greedy cover {1} ties every other cover.
+        # The walk subtracts for mask 1 alone: masks 2-7 total no less.
+        target, pool, stage, _ = _ONE_PATH_CASES["box-found"]
+        with mock.patch.object(cover, "_combine", wraps=cover._combine) as combine:
+            outer_upper(target, pool, S1, stage=stage, budget=0)
+            greedy = combine.call_count
+            att = outer_upper(target, pool, S1, stage=stage)
+        assert att.subset == (1,)
+        assert combine.call_count - 2 * greedy == 1
 
 
 # ---------------------------------------------------------------------------
