@@ -149,7 +149,7 @@ class StageLattice:
         if box.is_empty:
             return ()
         to_lattice = [functools.partial(_numerator_over, scale=scale) for scale in self.scales]
-        return _map_ends(_box_tree(box), to_lattice)
+        return _map_ends(_box_tree(box.lo, box.hi), to_lattice)
 
     def bounding_box(self, tree: _Tree) -> Box:
         """The least box holding a nonempty lattice tree, in rational coordinates."""

@@ -90,8 +90,10 @@ class CoverAttempt:
     in the union of the chosen elements' stage-``stage`` hulls; since hulls
     only shrink with deeper stages while containing the true elements, the
     certified statement is "the true target set is covered by the stage
-    hulls of the chosen elements".  ``infinite`` marks exhaustion of the
-    search without any verified cover; no arithmetic infinity is involved.
+    hulls of the chosen elements".  ``infinite`` holds exactly when the
+    pool's stage hulls leave part of the target's stage set uncovered, so
+    that no subset of the pool covers it (and, for an empty target, when
+    the budget admits no mask); no arithmetic infinity is involved.
     """
 
     subset: tuple[int, ...]
@@ -160,9 +162,12 @@ def outer_upper(
     set, which shrinks their premeasures but cannot break a cover.  Greedy
     first: take the element covering the most of the target's uncovered
     rest (ties by pool index) until the rest is empty, which proves the
-    cover.  Then the masks ``1..budget``, depth first: a mask's rest is its
-    parent's (the mask without its highest bit) less its newest element's
-    hull, one subtraction per mask.  The least total wins; the greedy cover
+    cover.  The pass stalls with a rest left only when no remaining hull
+    meets it; then the whole pool misses the rest, no subset can cover the
+    target, and the attempt is ``infinite`` at once.  Otherwise the masks
+    ``1..budget``, depth first: a mask's rest is its parent's (the mask
+    without its highest bit) less its newest element's hull, one
+    subtraction per mask.  The least total wins; the greedy cover
     wins ties, and otherwise the first mask in mask order does.  A mask
     whose ``(total, mask)`` is not below the best so far, a mask above the
     budget and the descendants of a cover cannot do better, so the walk
@@ -186,9 +191,14 @@ def outer_upper(
         chosen.append(pick)
         available.remove(pick)
         rest = _combine(_SUBTRACT, rest, hulls[pick], d)
+    if rest:
+        # No hull left meets the rest, so the whole pool misses it.
+        return CoverAttempt(
+            subset=(), stage=stage, total_premeasure_upper=None, verified=False, infinite=True
+        )
     # The least (total, mask) so far; the greedy cover's mask -1 wins ties.
     best: tuple[Fraction, int] | None = None
-    if not rest and chosen:
+    if chosen:
         best = (sum((uppers[i] for i in chosen), Fraction(0)), -1)
 
     # Exhaustive pass, depth first: (mask, its parent's rest, its parent's total).

@@ -19,11 +19,16 @@ the section is the point, so the same sweep is the 1-D interval merge.  The
 cost is linear in the number of slabs per axis instead of the product of
 the box counts.  ``BoxUnion`` holds the tree itself: each operation is one
 kernel call on its operands' trees, ``from_boxes`` folds single-box trees
-by union (a nonempty box is already canonical), and a translation maps the
-slab ends (``_map_ends``).  Its ``boxes``, ordered by lower corner, are a
-view flattened (``_corners``) only when a caller reads them.  The
-slab-decomposition canonicaliser this replaced is kept only as the test
-oracle (``tests/box_oracle.py``).
+(``_box_tree``; a nonempty box is already canonical) with ``_union_all``,
+and a translation maps the slab ends (``_map_ends``).  Its ``boxes``,
+ordered by lower corner, are a view flattened (``_corners``) only when a
+caller reads them.  The slab-decomposition canonicaliser this replaced is
+kept only as the test oracle (``tests/box_oracle.py``).
+
+``_union_all`` is the one balanced union fold.  Besides ``from_boxes``,
+``packing.layout_covers`` folds its placements' trees with it and
+``tile_check`` each axis's run of intervals; neither builds a ``Box`` or
+a ``BoxUnion`` per piece.
 
 The kernel recurses once per axis and tree equality twice (a slab tuple
 inside the axis's tuple), so the commands refuse box algebra in more than
@@ -38,7 +43,6 @@ and measure reject unbounded boxes.  No floating point anywhere.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,12 +345,20 @@ def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
     return tuple(out)
 
 
-def _box_tree(box: Box) -> _Tree:
-    """The tree of one nonempty box: one slab per axis."""
+def _box_tree(lo: Sequence[Coord], hi: Sequence[Coord]) -> _Tree:
+    """The tree of one nonempty box with corners lo, hi: one slab per axis."""
     tree = _POINT
-    for x0, x1 in zip(reversed(box.lo), reversed(box.hi)):
+    for x0, x1 in zip(reversed(lo), reversed(hi)):
         tree = ((x0, x1, tree),)
     return tree
+
+
+def _union_all(trees: list[_Tree], d: int) -> _Tree:
+    """The union of canonical trees, by a balanced fold."""
+    while len(trees) > 1:
+        merged = [_combine(_UNION, trees[i], trees[i + 1], d) for i in range(0, len(trees) - 1, 2)]
+        trees = merged + trees[2 * len(merged) :]
+    return trees[0] if trees else ()
 
 
 def _corners(tree: _Tree, d: int) -> list[tuple[tuple[Coord, ...], tuple[Coord, ...]]]:
@@ -396,11 +408,8 @@ class BoxUnion:
             if b.dim != dim:
                 raise DimensionMismatchError(f"{b.dim}-dim box in {dim}-dim union")
             if not b.is_empty:
-                parts.append(_box_tree(b))
-        while len(parts) > 1:
-            merged = [_combine(_UNION, parts[i], parts[i + 1], dim) for i in range(0, len(parts) - 1, 2)]
-            parts = merged + parts[2 * len(merged) :]
-        return BoxUnion(dim, parts[0] if parts else ())
+                parts.append(_box_tree(b.lo, b.hi))
+        return BoxUnion(dim, _union_all(parts, dim))
 
     @staticmethod
     def empty(dim: int) -> "BoxUnion":
@@ -433,7 +442,7 @@ class BoxUnion:
         if box.dim != self.dim:
             raise DimensionMismatchError(f"intersect {self.dim}-dim union with {box.dim}-dim box")
         # A single nonempty box is its own canonical form.
-        return self._apply(_INTERSECT, BoxUnion(self.dim, () if box.is_empty else _box_tree(box)))
+        return self._apply(_INTERSECT, BoxUnion(self.dim, () if box.is_empty else _box_tree(box.lo, box.hi)))
 
     def subtract(self, other: "BoxUnion") -> "BoxUnion":
         return self._apply(_SUBTRACT, other)
@@ -495,7 +504,12 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     in lowest terms, the box ``[0, q_i * a_i)`` splits into exactly
     ``prod(p_i)`` translates of the refinement box ``[0, a_i / s_i)``:
     scaling by a rational never needs more than a common refinement.  Both
-    the volume identity and the literal disjoint tiling are verified.
+    the volume identity and the tiling are verified.  A tile is the product
+    of one interval per axis, so the tiles' union is the product of each
+    axis's union: the grid tiles the scaled box exactly when, on every axis,
+    the ``p_i`` intervals ``[k a_i / s_i, (k + 1) a_i / s_i)`` union to
+    ``[0, q_i * a_i)``.  That checks ``sum(p_i)`` intervals, not
+    ``prod(p_i)`` boxes.
     """
     check_kernel_dim(len(q))
     if max_tiles > DEFAULT_TILE_CAP:
@@ -525,12 +539,10 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
             f" above the cap of {max_tiles}"
         )
 
-    tiles = [
-        refinement.translate([i * s for i, s in zip(idx, ref_sides)])
-        for idx in itertools.product(*(range(c) for c in counts))
-    ]
-    tiled = BoxUnion.from_boxes(base.dim, tiles)
-    tiling_verified = tiled == BoxUnion.single(scaled_box)
+    tiling_verified = all(
+        _union_all([_box_tree((k * r,), ((k + 1) * r,)) for k in range(c)], 1) == _box_tree((zero,), (end,))
+        for c, r, end in zip(counts, ref_sides, scaled_box.hi)
+    )
 
     scaled_volume = scaled_box.volume()
     tiles_volume = count * refinement.volume()

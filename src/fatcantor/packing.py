@@ -12,8 +12,10 @@ contradicting the volume hypothesis; so an adequate cube always exists.
 
 Everything is exact rational arithmetic.  Before a layout is returned,
 its coverage of the target is proved by induction over its merge tree, in
-integer arithmetic and without box algebra (``_tiling_covers``);
-``layout_covers`` is the box-algebra replay.
+integer arithmetic and without box algebra (``_tiling_covers``).
+``layout_covers`` is the independent replay on the box kernel's slab trees:
+one tree per placed cube, built from its translation and side, folded by
+union and subtracted from the target's tree.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetError, PreconditionError
-from .geometry import Box, BoxUnion, check_kernel_dim
+from .errors import BudgetError, DimensionMismatchError, PreconditionError
+from .geometry import _SUBTRACT, Box, _box_tree, _combine, _union_all, check_kernel_dim
 from .rationals import as_fraction, floor_log2, pow2
 
 
@@ -137,24 +139,21 @@ class PackingLayout:
     merge_tree: tuple[MergeStep, ...]
 
 
-def placement_boxes(family: CubeFamily, layout: PackingLayout) -> list[Box]:
-    return [
-        Box.cube(translation, family.sides[index])
-        for index, translation in layout.placements
-    ]
-
-
 def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
-    """Exact box-algebra coverage check: each placement places a distinct
-    input of the family by a translation of the family's dimension, and
-    target minus placements is empty."""
+    """Exact coverage replay on the box kernel's trees: each placement places
+    a distinct input of the family by a translation of the family's
+    dimension, and the target's tree less the union of the placed cubes'
+    trees is empty."""
+    dim, sides, target = family.dim, family.sides, layout.target
     indices = {index for index, _ in layout.placements}
-    if len(indices) != len(layout.placements) or not indices.issubset(range(len(family.sides))):
+    if len(indices) != len(layout.placements) or not indices.issubset(range(len(sides))):
         return False
-    if any(len(translation) != family.dim for _, translation in layout.placements):
+    if any(len(translation) != dim for _, translation in layout.placements):
         return False
-    placed = BoxUnion.from_boxes(family.dim, placement_boxes(family, layout))
-    return placed.contains_union(BoxUnion.single(layout.target))
+    if target.dim != dim:
+        raise DimensionMismatchError(f"union of dimension {target.dim} vs {dim}")
+    placed = _union_all([_box_tree(t, [x + sides[i] for x in t]) for i, t in layout.placements], dim)
+    return not _combine(_SUBTRACT, () if target.is_empty else _box_tree(target.lo, target.hi), placed, dim)
 
 
 def pack_cover(

@@ -286,18 +286,34 @@ class TestOneEvaluationPath:
             assert _answer(got) == _answer(want)
             assert verify_cover(target, chosen, S1, stage) is covered is (not infinite)
 
-    @pytest.mark.parametrize("budget", [1, 7, 40, 63, 4096])
+    @pytest.mark.parametrize("budget", [1, 7, 40, 62, 4096])
     def test_the_walk_subtracts_once_per_examined_mask(self, budget):
-        # No subset of the grid pool covers the unit cube, so no mask is pruned.
+        # The base set's pieces on the sixths of [0, 1) cover it only all
+        # together: every proper subset misses a piece, so masks 1-62 are
+        # examined, and mask 63 ties the greedy cover and is skipped.
+        sixths = [Box.interval(Fraction(k, 6), Fraction(k + 1, 6)) for k in range(6)]
+        pool = [clip_to_box(base_expr(S1), box) for box in sixths]
+
+        def calls(budget: int) -> int:
+            with mock.patch.object(cover, "_combine", wraps=cover._combine) as combine:
+                att = outer_upper(base_expr(S1), pool, S1, stage=3, budget=budget)
+            assert att.subset == tuple(range(6))
+            return combine.call_count
+
+        assert calls(budget) - calls(0) == min(budget, 62)
+
+    def test_a_pool_that_misses_the_target_walks_no_mask(self):
+        # The greedy pass stalls on the grid pool, which proves that no
+        # subset covers the unit cube, so the budget changes nothing.
         pool = grid_translate_pool(S1, 6)
 
         def calls(budget: int) -> int:
             with mock.patch.object(cover, "_combine", wraps=cover._combine) as combine:
                 att = outer_upper(Box.unit_cube(1), pool, S1, stage=3, budget=budget)
-            assert att.infinite
+            assert att.infinite and not att.verified
             return combine.call_count
 
-        assert calls(budget) - calls(0) == min(budget, 63)
+        assert calls(4096) == calls(0)
 
     def test_the_walk_skips_masks_that_cannot_do_better(self):
         # Clipped to [0, 1/4), element 0 is empty (total 0) and elements 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +275,26 @@ class TestTileCheck:
         assert report.scaled_volume == volume(b) * q[0] * q[1]
         assert report.tiles_volume == report.count * volume(report.refinement)
         assert report.scaled_volume == report.tiles_volume
+
+    @settings(max_examples=80)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_the_per_axis_verdict_is_the_literal_tiling(self, data, dim):
+        # The literal check builds every tile as a Box and folds them all.
+        b = data.draw(boxes(dim=dim))
+        q: list[Fraction] = []
+        for _ in range(dim):
+            room = 300 // prod(v.numerator for v in q)
+            q.append(Fraction(data.draw(st.integers(1, room)), data.draw(st.integers(1, 7))))
+        ref = [a / v.denominator for a, v in zip(b.sides(), q)]
+        tiles = [
+            Box(tuple(k * r for k, r in zip(idx, ref)), tuple((k + 1) * r for k, r in zip(idx, ref)))
+            for idx in itertools.product(*(range(v.numerator) for v in q))
+        ]
+        scaled = Box((Fraction(0),) * dim, tuple(v * a for v, a in zip(q, b.sides())))
+        literal = BoxUnion.from_boxes(dim, tiles) == BoxUnion.single(scaled)
+        report = tile_check(b, q)
+        assert report.count == len(tiles) <= 300
+        assert report.tiling_verified is literal
 
     def test_nonpositive_scale_is_rejected(self):
         with pytest.raises(PreconditionError):

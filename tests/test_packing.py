@@ -25,13 +25,13 @@ from fatcantor import (
     BoxUnion,
     BudgetError,
     CubeFamily,
+    DimensionMismatchError,
     PackingLayout,
     PreconditionError,
     floor_log2,
     layout_covers,
     merge_dyadic,
     pack_cover,
-    placement_boxes,
     pow2,
     round_to_dyadic,
     volume,
@@ -43,10 +43,12 @@ from fatcantor.packing import (
     _tiling_covers,
     check_family_size,
 )
-from fatcantor import cli
+from fatcantor import cli, packing
+from fatcantor.rationals import POS_INF
 from fatcantor.serialize import to_json
 
-from strategies import positive_fractions
+import test_cli_golden
+from strategies import fractions, positive_fractions
 
 
 def oracle_final_levels(dim: int, exponents: list[int]) -> Counter:
@@ -203,7 +205,7 @@ class TestPackCover:
     def test_placement_boxes_stay_inside_the_covered_cube(self):
         fam = CubeFamily(2, tuple(Fraction(1, 2) for _ in range(5)))
         layout = pack_cover(fam)
-        covered = BoxUnion.from_boxes(2, [b for b in placement_boxes(fam, layout)])
+        covered = BoxUnion.from_boxes(2, [Box.cube(t, fam.sides[i]) for i, t in layout.placements])
         assert covered.contains_union(BoxUnion.single(layout.target))
 
     @settings(max_examples=120)
@@ -506,18 +508,145 @@ class TestMergeTreeProof:
 
     def test_pack_verify_folds_the_placements_once(self, monkeypatch, tmp_path):
         folds = []
-        from_boxes = BoxUnion.from_boxes
+        union_all = packing._union_all
 
-        def counted(dim, boxes):
-            boxes = list(boxes)
-            folds.append(len(boxes))
-            return from_boxes(dim, boxes)
+        def counted(trees, d):
+            folds.append(len(trees))
+            return union_all(trees, d)
 
-        monkeypatch.setattr(BoxUnion, "from_boxes", staticmethod(counted))
+        monkeypatch.setattr(packing, "_union_all", counted)
         out = tmp_path / "pack.json"
         argv = ["pack", "--d", "2", "--sides", ",".join(["1/8"] * 64), "--verify", "--out", str(out)]
         assert cli.main(argv) == 0
         result = json.loads(out.read_text())["result"]
         assert result["verification"]["ok"] is True and result["placements"] == 64
-        # the replay's fold over the placements; the others fold one box
-        assert [n for n in folds if n > 1] == [64]
+        # the replay's one fold, over the placements' trees
+        assert folds == [64]
+
+
+# ---------------------------------------------------------------------------
+# the replay on the kernel's trees against the box-algebra route
+# ---------------------------------------------------------------------------
+
+
+def box_algebra_replay(fam: CubeFamily, layout: PackingLayout) -> bool:
+    """``layout_covers`` by box algebra: one Box per placement, folded by
+    ``BoxUnion.from_boxes``, must contain the target's ``BoxUnion``."""
+    indices = {index for index, _ in layout.placements}
+    if len(indices) != len(layout.placements) or not indices.issubset(range(len(fam.sides))):
+        return False
+    if any(len(translation) != fam.dim for _, translation in layout.placements):
+        return False
+    placed = BoxUnion.from_boxes(fam.dim, [Box.cube(t, fam.sides[i]) for i, t in layout.placements])
+    return placed.contains_union(BoxUnion.single(layout.target))
+
+
+def grid_layout(dim: int, h: Fraction, g: int) -> tuple[CubeFamily, PackingLayout]:
+    """g**d cubes of side h that tile the target [0, g h)**d exactly."""
+    corners = list(itertools.product(range(g), repeat=dim))
+    placements = tuple((i, tuple(h * k for k in corner)) for i, corner in enumerate(corners))
+    target = Box.cube((Fraction(0),) * dim, g * h)
+    return CubeFamily(dim, (h,) * len(corners)), PackingLayout(placements, target, ())
+
+
+_STEPS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 6)]
+_NUDGES = [Fraction(0), Fraction(0), Fraction(1, 12), Fraction(-1, 12), Fraction(1, 35), Fraction(-2, 9)]
+
+
+@st.composite
+def perturbed_layouts(draw):
+    """A grid layout, maybe perturbed: sides grown (overlaps), translations
+    nudged (gaps and overlaps), cubes left out (gaps), cubes placed at
+    random (sticking out of the target), and the target resized."""
+    dim = draw(st.integers(1, 3))
+    h = draw(st.sampled_from(_STEPS))
+    fam, layout = grid_layout(dim, h, draw(st.integers(1, 3)))
+    if not draw(st.booleans()):
+        return fam, layout
+    sides, placements = [], []
+    for index, translation in layout.placements:
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        sides.append(h + abs(draw(st.sampled_from(_NUDGES))))
+        placements.append(tuple(x + draw(st.sampled_from(_NUDGES)) for x in translation))
+    for _ in range(draw(st.integers(0, 2))):
+        sides.append(draw(st.sampled_from(_STEPS)))
+        placements.append(tuple(draw(fractions(min_value=-1, max_value=2)) for _ in range(dim)))
+    if not sides:
+        sides, placements = [h], [(Fraction(0),) * dim]
+    order = draw(st.permutations(range(len(sides))))
+    lo, hi = layout.target.lo, layout.target.hi
+    target = Box(
+        tuple(a + draw(st.sampled_from(_NUDGES)) if draw(st.booleans()) else a for a in lo),
+        tuple(b + abs(draw(st.sampled_from(_NUDGES))) for b in hi),
+    )
+    return CubeFamily(dim, tuple(sides)), PackingLayout(
+        tuple((order[k], placements[k]) for k in range(len(sides))), target, ()
+    )
+
+
+class TestReplayOnTrees:
+    @settings(max_examples=200)
+    @given(case=perturbed_layouts())
+    def test_the_replay_is_the_box_algebra_verdict(self, case):
+        fam, layout = case
+        assert layout_covers(fam, layout) is box_algebra_replay(fam, layout)
+
+    @pytest.mark.parametrize(
+        "dim,h,g", [(1, Fraction(1, 3), 3), (2, Fraction(2, 5), 2), (3, Fraction(3, 7), 2)]
+    )
+    @pytest.mark.parametrize(
+        "kind,covers",
+        [("none", True), ("dropped", False), ("shifted", False), ("wide", False), ("empty", True),
+         ("unbounded", False), ("repeated", False)],
+    )
+    def test_tampers(self, dim, h, g, kind, covers):
+        fam, layout = grid_layout(dim, h, g)
+        placements, target = list(layout.placements), layout.target
+        if kind == "dropped":
+            del placements[-1]
+        elif kind == "shifted":
+            index, translation = placements[-1]
+            placements[-1] = (index, (translation[0] + h / 2, *translation[1:]))
+        elif kind == "wide":
+            target = Box(target.lo, (target.hi[0] + Fraction(1, 100), *target.hi[1:]))
+        elif kind == "empty":
+            target, placements = Box.empty(dim), placements[:1]
+        elif kind == "unbounded":
+            target = Box(target.lo, (POS_INF, *target.hi[1:]))
+        elif kind == "repeated":
+            placements[-1] = (placements[0][0], placements[-1][1])
+        layout = PackingLayout(tuple(placements), target, ())
+        assert layout_covers(fam, layout) is box_algebra_replay(fam, layout) is covers
+
+    def test_a_target_of_the_wrong_dimension_raises(self):
+        fam, layout = grid_layout(1, Fraction(1, 2), 2)
+        layout = dataclasses.replace(layout, target=Box.unit_cube(2))
+        for replay in (layout_covers, box_algebra_replay):
+            with pytest.raises(DimensionMismatchError, match="^union of dimension 2 vs 1$"):
+                replay(fam, layout)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a Box or BoxUnion per piece")
+
+
+class TestOnePath:
+    def test_packing_holds_no_box_union_path(self):
+        assert "BoxUnion" not in vars(packing) and "placement_boxes" not in vars(packing)
+
+    @pytest.mark.parametrize(
+        "name", ["pack", "corollary-demo", "corollary-demo-a", "tile-check", "tile-check-base-file"]
+    )
+    def test_the_checks_need_no_box_union(self, name, tmp_path, monkeypatch, capsys):
+        # The golden documents, byte for byte, with the box-algebra route refused.
+        argv, code, digest = test_cli_golden.CASES[name]
+        for fname, text in test_cli_golden.FILES.items():
+            (tmp_path / fname).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        for method in ("from_boxes", "single", "contains_union"):
+            monkeypatch.setattr(BoxUnion, method, _refuse)
+        monkeypatch.setattr(Box, "translate", _refuse)
+        assert "--verify" in argv and cli.main(argv) == code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
