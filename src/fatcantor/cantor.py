@@ -100,10 +100,9 @@ class StageLattice:
     the slab tree that ``geometry._combine`` takes.  Scaling each axis by a
     positive constant keeps order and equality, so the kernel's canonical
     forms, equality and dedup on the lattice are those of the rational
-    sets.  Only a union that a caller keeps is converted
-    (:meth:`box_union`): its tree's integer ends become Fractions on the
-    tree itself, never flattened to boxes, so a leaf converts its d
-    interval lists.  A measure is one integer sum (:meth:`measure`).
+    sets.  A measure is one integer sum (:meth:`measure`), and no result
+    is converted back to Fractions except by
+    :meth:`CantorSchedule.stage_approx`.
     """
 
     d: int
@@ -163,12 +162,6 @@ class StageLattice:
     def measure(self, tree: _Tree) -> Fraction:
         """Lebesgue measure of a canonical lattice tree: one integer sum, reduced once."""
         return Fraction(_volume(tree, self.d), prod(self.scales))
-
-    def box_union(self, tree: _Tree) -> BoxUnion:
-        """A canonical lattice tree as the BoxUnion of its rational coordinates:
-        each slab end is converted once, and a shared section stays shared."""
-        to_fraction = [functools.partial(Fraction, denominator=scale) for scale in self.scales]
-        return BoxUnion(self.d, _map_ends(tree, to_fraction))
 
 
 class _Ladder:
@@ -371,22 +364,10 @@ class CantorSchedule:
         queries, which do care about endpoints, use the closed-interval
         helpers instead.
         """
-        return self.clipped_translate(n, (Fraction(0),) * self.d, Box.whole_space(self.d))
-
-    def clipped_translate(self, n: int, t: Sequence[object], clip: Box) -> BoxUnion:
-        """``(A_n + t) ∩ clip`` as a canonical half-open box union.
-
-        The one-leaf case of :meth:`lattice`: the leaf is built on the
-        integer lattice of its own translation and clip, then converted.
-        ``DEFAULT_BOX_CAP`` bounds the unclipped stage, whatever the clip.
-        """
-        if len(t) != self.d or clip.dim != self.d:
-            raise DimensionMismatchError(
-                f"translation of length {len(t)}, clip of dimension {clip.dim},"
-                f" schedule dimension {self.d}"
-            )
-        lattice = self.lattice(n, [(t, clip)])
-        return lattice.box_union(lattice.leaf(t, clip))
+        lattice = self.lattice(n, ())
+        tree = lattice.leaf((0,) * self.d, Box.whole_space(self.d))
+        to_fraction = functools.partial(Fraction, denominator=lattice.scales[0])
+        return BoxUnion(self.d, _map_ends(tree, [to_fraction] * self.d))
 
     def lattice(self, n: int, leaves: Iterable[tuple[Sequence[object], Box]]) -> StageLattice:
         """The integer lattice on which stage-n leaves ``(A_n + t) ∩ clip`` are built.

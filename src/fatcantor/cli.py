@@ -467,7 +467,7 @@ COMMANDS: "dict[str, Command]" = {
     "infinite-cube": Command(
         "witnesses for every subset of a pool",
         {
-            "--pool-size": dict(type=int, default=4),
+            "--pool-size": dict(type=nonnegative_int, default=4),
             "--quartered": dict(action="store_true", help="quarter-clipped pool variant"),
             "--expr-file": dict(default=None, help="JSON list overriding the built-in pool"),
             "--stage-cap": dict(type=nonnegative_int, default=12),
@@ -675,7 +675,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         result["verification"] = verification
 
     doc["result"] = result
-    _emit(doc, args.out)
+    try:
+        _emit(doc, args.out)
+    except OSError as exc:
+        print(f"cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -50,7 +50,7 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
-from .rationals import NEG_INF, POS_INF, Coord, as_fraction, is_finite
+from .rationals import NEG_INF, POS_INF, Coord, as_fraction, format_fraction, is_finite
 
 DEFAULT_TILE_CAP = 1 << 16
 # Most axes the commands admit in box algebra: tree equality recurses
@@ -87,8 +87,10 @@ class Box:
     def __post_init__(self) -> None:
         lo = tuple(_coerce_coord(v) for v in self.lo)
         hi = tuple(_coerce_coord(v) for v in self.hi)
-        if len(lo) != len(hi) or not lo:
+        if len(lo) != len(hi):
             raise DimensionMismatchError(f"corner dimensions differ: {len(lo)} vs {len(hi)}")
+        if not lo:
+            raise DimensionMismatchError("a box needs at least one axis")
         for a, b in zip(lo, hi):
             if a > b:
                 raise PreconditionError(f"box side inverted: lo={a} > hi={b}")
@@ -522,7 +524,7 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     if len(scale) != base.dim:
         raise DimensionMismatchError(f"q of length {len(scale)} for dimension {base.dim}")
     if any(v <= 0 for v in scale):
-        raise PreconditionError(f"q must be positive, got {scale}")
+        raise PreconditionError(f"q must be positive, got {', '.join(map(format_fraction, scale))}")
 
     sides = base.sides()
     ref_sides = tuple(a / v.denominator for a, v in zip(sides, scale))

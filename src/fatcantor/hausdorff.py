@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .cantor import CantorSchedule, _numerator_over, box_count, check_stage
 from .errors import BudgetError, PreconditionError, UnboundedBoxError
-from .geometry import Box, BoxUnion
+from .geometry import Box
 from .packing import CubeFamily, PackingLayout, check_family_size, layout_covers, pack_cover
 from .quadratic import ExtendedRational
 from .rationals import as_fraction
@@ -140,24 +140,14 @@ def nu_delta_upper(
     )
 
 
-def diam_squared(u: Box | BoxUnion) -> Fraction:
-    """Squared diameter (of the closure), exact.
-
-    The farthest points of two boxes a, b differ on each axis by
-    ``max(hi_b - lo_a, hi_a - lo_b)``, so the square is a plain rational even
-    though the diameter itself usually is not.  A box paired with itself
-    gives the sum of its squared sides; a union takes the largest pair.
-    """
-    boxes = [u] if isinstance(u, Box) else list(u.boxes)
-    if not boxes or all(b.is_empty for b in boxes):
+def diam_squared(box: Box) -> Fraction:
+    """Squared diameter of a box's closure, exact: the sum of its squared
+    sides, a plain rational though the diameter itself usually is not."""
+    if box.is_empty:
         raise PreconditionError("diameter of the empty set is undefined here")
-    if not all(b.is_bounded for b in boxes):
+    if not box.is_bounded:
         raise UnboundedBoxError("diameter requires bounded boxes")
-    return max(
-        sum(max(bh - al, ah - bl) ** 2 for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi))
-        for i, a in enumerate(boxes)
-        for b in boxes[i:]
-    )
+    return sum((hi - lo) ** 2 for lo, hi in zip(box.lo, box.hi))
 
 
 def _int_root_floor(x: int, k: int) -> int:

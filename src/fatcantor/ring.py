@@ -20,9 +20,8 @@ two slab trees on integer coordinates, and a stage measure is one integer
 sum over the result, reduced once.  The lattice keeps order and equality,
 so results equal those of Fraction arithmetic.  The cover search
 (``cover.outer_upper`` and ``cover.verify_cover``) evaluates its target and
-hulls on one such lattice too (``_lattice``, ``_evaluate``).  Only
-``approx_set`` makes a ``BoxUnion``, by converting the ends of its set's
-tree to Fractions.
+hulls on one such lattice too (``_lattice``, ``_evaluate``).  No
+evaluation converts its set back to Fractions.
 
 ``generate_rn`` lists the ring the pool generates, layer by layer, as set
 algebra on cached stage sets: only the pool is evaluated from its leaves,
@@ -37,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .cantor import CantorSchedule, StageLattice
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
-from .geometry import _INTERSECT, _SUBTRACT, _UNION, Box, BoxUnion, _combine, _Tree
+from .geometry import _INTERSECT, _SUBTRACT, _UNION, Box, _combine, _Tree
 from .rationals import as_fraction
 
 DEFAULT_STAGE_CAP = 24
@@ -181,12 +180,6 @@ def _evaluate(e: "RingExpr", lattice: StageLattice) -> _Tree:
 def _stage_measure(e: "RingExpr", s: CantorSchedule, n: int) -> Fraction:
     lattice = _lattice([e], s, n)
     return lattice.measure(_evaluate(e, lattice))
-
-
-def approx_set(e: "RingExpr", s: CantorSchedule, n: int) -> BoxUnion:
-    """Evaluate the tree with stage-n boxes in place of the limit set."""
-    lattice = _lattice([e], s, n)
-    return lattice.box_union(_evaluate(e, lattice))
 
 
 @dataclass(frozen=True)

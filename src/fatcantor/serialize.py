@@ -7,8 +7,7 @@ names, so a report's JSON keys are its field names and a new field cannot
 be left out.  Only the types whose JSON is not their fields' object have a
 hand-written encoder: scalars, ``Box`` (infinity markers),
 ``ExtendedRational`` (field ``n`` prints as ``"sqrt"``), ``PackingLayout``
-(placements print as ``{"index", "translate"}``), ``BoxUnion`` (its
-``dim`` and its ``boxes`` view, not its slab tree) and ring expressions
+(placements print as ``{"index", "translate"}``) and ring expressions
 (one-key objects).  Within one call, each dataclass object and each tuple
 is encoded once, by identity, and every place that holds it holds the same
 JSON object: an infinite-cube table's rows share their parents'
@@ -51,7 +50,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .cantor import GapCertificate
 from .cover import LeafCertificate, UncoveredWitness
 from .errors import PreconditionError, too_large_to_print
-from .geometry import Box, BoxUnion
+from .geometry import Box
 from .packing import CubeFamily, PackingLayout
 from .quadratic import ExtendedRational
 from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction
@@ -59,7 +58,7 @@ from .ring import Diff, Gen, Inter, RingExpr, Union
 
 # Deepest expression ``expr_from_json`` admits, counted in nodes on the
 # longest root-to-leaf path (a generator alone has depth 1).  Every pass over
-# a decoded tree recurses once or twice per level (simplify, approx_set,
+# a decoded tree recurses once or twice per level (simplify, ring._evaluate,
 # positive_hull, to_json, dumps_document, and ``rn-enumerate`` output
 # seven layers deeper), so this keeps them all far below the interpreter's
 # recursion limit, even from a caller already deep in its stack.  Golden and
@@ -361,7 +360,6 @@ _ENCODERS: "dict[type, Callable[[Any, dict], Any]]" = {
     list: _list,
     dict: lambda doc, memo: {key: _encode(v, memo) for key, v in doc.items()},
     Box: _once(box_to_json),
-    BoxUnion: _once(lambda u, memo: {"dim": int_to_json(u.dim), "boxes": _encode(u.boxes, memo)}),
     ExtendedRational: _once(quad_to_json),
     PackingLayout: _once(_encode_layout),
     Gen: _once(expr_to_json),

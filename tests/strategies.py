@@ -5,15 +5,20 @@ Fractions); no strategy ever produces a float.  Sizes are kept small on
 purpose: the interesting failures in this code base are combinatorial
 (box decompositions, stage descents), not magnitude-driven, and small
 rationals keep shrunk counterexamples readable.
+
+``lattice_union`` and ``approx_set`` turn the library's integer-lattice
+stage sets into Fraction ``BoxUnion`` objects, so tests can compare them
+with the oracles' sets box for box.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fatcantor import Box, CantorSchedule, Diff, Gen, Inter, Union
+from fatcantor import Box, BoxUnion, CantorSchedule, Diff, Gen, Inter, Union, geometry, ring
 
 
 # Small signed rationals with denominators that are products of 2s and 3s,
@@ -124,3 +129,15 @@ def ring_exprs(draw, dim=1, max_leaves=6, positive_only=False, leaves_from=gens)
         else:
             expr = node(other, expr)
     return expr
+
+
+def lattice_union(lattice, tree) -> BoxUnion:
+    """A canonical lattice slab tree as the ``BoxUnion`` of its rational coordinates."""
+    to_fraction = [functools.partial(Fraction, denominator=scale) for scale in lattice.scales]
+    return BoxUnion(lattice.d, geometry._map_ends(tree, to_fraction))
+
+
+def approx_set(e, s: CantorSchedule, n: int) -> BoxUnion:
+    """The library's stage-n set of ``e`` (``ring._evaluate`` on ``ring._lattice``)."""
+    lattice = ring._lattice([e], s, n)
+    return lattice_union(lattice, ring._evaluate(e, lattice))

@@ -27,7 +27,6 @@ from fatcantor import (
     PowerGauge,
     Union,
     UncoveredWitness,
-    approx_set,
     base_expr,
     clip_to_box,
     corollary_pipeline,
@@ -52,6 +51,8 @@ from fatcantor import (
 )
 from fatcantor.packing import CubeFamily
 from fatcantor.serialize import expr_to_json
+
+from strategies import approx_set
 
 
 S1 = CantorSchedule(1)

@@ -3,7 +3,7 @@
 ``BoxUnion.from_boxes``, ``union``, ``intersect``, ``intersect_box`` and
 ``subtract`` all run through one sweep over axis-0 slabs
 (``geometry._combine``), and ring leaves are built axis by axis
-(``CantorSchedule.clipped_translate``).  The oracle is the code they
+(``StageLattice.leaf``).  The oracle is the code they
 replaced (``box_oracle``): the recursive slab-decomposition canonicaliser,
 and pairwise box intersections and carvings handed to it.  Operands are
 canonicalised by the oracle too, so no side of a comparison depends on the
@@ -26,10 +26,10 @@ from hypothesis import strategies as st
 
 import box_oracle
 import ring_oracle
-from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule, geometry, ring
+from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule, geometry
 from fatcantor.rationals import NEG_INF, POS_INF
 
-from strategies import fractions, ring_exprs, schedules
+from strategies import approx_set, fractions, lattice_union, ring_exprs, schedules
 
 _GRID = [Fraction(k, 2) for k in range(-2, 5)]
 
@@ -150,6 +150,12 @@ def leaf_oracle(s: CantorSchedule, n: int, t, clip: Box) -> BoxUnion:
     return box_oracle.intersect_box(box_oracle.canonical(s.d, [b.translate(t) for b in stage.boxes]), clip)
 
 
+def clipped_translate(s: CantorSchedule, n: int, t, clip: Box) -> BoxUnion:
+    """(A_n + t) ∩ clip: the lattice leaf, converted to Fractions."""
+    lattice = s.lattice(n, [(t, clip)])
+    return lattice_union(lattice, lattice.leaf(t, clip))
+
+
 @st.composite
 def leaf_cases(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
@@ -171,7 +177,7 @@ class TestClippedTranslate:
     @given(case=leaf_cases())
     def test_matches_translate_then_intersect_box(self, case):
         s, n, t, clip = case
-        got = s.clipped_translate(n, t, clip)
+        got = clipped_translate(s, n, t, clip)
         assert_same(got, s.stage_approx(n).translate(t).intersect_box(clip))
         assert_same(got, leaf_oracle(s, n, t, clip))
 
@@ -180,8 +186,8 @@ class TestClippedTranslate:
         s = CantorSchedule(dim)
         clip = Box((Fraction(1, 3),) * dim, (Fraction(1, 3),) * dim)
         t = (Fraction(1, 5),) * dim
-        assert s.clipped_translate(2, t, clip).is_empty
-        assert_same(s.clipped_translate(2, t, clip), leaf_oracle(s, 2, t, clip))
+        assert clipped_translate(s, 2, t, clip).is_empty
+        assert_same(clipped_translate(s, 2, t, clip), leaf_oracle(s, 2, t, clip))
 
     @pytest.mark.parametrize("above", [False, True])
     def test_half_space_clip(self, above):
@@ -189,7 +195,7 @@ class TestClippedTranslate:
         s = CantorSchedule(2)
         t = (Fraction(1, 3), Fraction(-1, 4))
         clip = Box.half_space(2, 1, Fraction(3, 8), above=above)
-        assert_same(s.clipped_translate(3, t, clip), leaf_oracle(s, 3, t, clip))
+        assert_same(clipped_translate(s, 3, t, clip), leaf_oracle(s, 3, t, clip))
 
     def test_a_leaf_holds_one_section_per_axis(self):
         # A d = 3, stage-5 leaf: 32 slabs on each axis sharing one section,
@@ -199,7 +205,7 @@ class TestClippedTranslate:
         t, clip = (Fraction(1, 3),) * 3, Box.whole_space(3)
         lattice = s.lattice(5, [(t, clip)])
         tree = lattice.leaf(t, clip)
-        u = lattice.box_union(tree)
+        u = lattice_union(lattice, tree)
         for root, kind in ((tree, int), (u.tree, Fraction)):
             slabs, sections = 0, [root]
             for _ in range(3):
@@ -217,7 +223,7 @@ class TestClippedTranslate:
         # 1/16 and 7/8 fall inside stage-3 intervals of [0, 1], so both
         # boundary intervals are cut, not dropped.
         clip = Box.interval(Fraction(1, 16), Fraction(7, 8))
-        got = s.clipped_translate(3, (Fraction(0),), clip)
+        got = clipped_translate(s, 3, (Fraction(0),), clip)
         assert got.boxes[0].lo == (Fraction(1, 16),)
         assert got.boxes[-1].hi == (Fraction(7, 8),)
         assert_same(got, leaf_oracle(s, 3, (Fraction(0),), clip))
@@ -232,7 +238,7 @@ class TestClippedTranslate:
         with pytest.raises(BudgetError) as want:
             s.stage_approx(9)  # 2^18 boxes
         with pytest.raises(BudgetError) as got:
-            s.clipped_translate(9, (Fraction(0), Fraction(0)), clip)
+            clipped_translate(s, 9, (Fraction(0), Fraction(0)), clip)
         assert str(got.value) == str(want.value)
         assert "largest feasible stage is 8" in str(got.value)
 
@@ -275,7 +281,7 @@ class TestTheTreeIsTheStoredForm:
                 "intersect_box": a.intersect_box(box),
                 "subtract": a.subtract(b),
                 "translate": a.translate(t),
-                "approx_set": ring.approx_set(expr, s, n),
+                "approx_set": approx_set(expr, s, n),
             }
             contains = a.contains_union(b)
         assert contains == box_oracle.subtract(b, a).is_empty
@@ -301,4 +307,4 @@ class TestTheTreeIsTheStoredForm:
             canon = box_oracle.canonical(s.d, boxes)
             leaf = ring_oracle.clipped_translate(s, n, t, clip)
         assert_same(canon, BoxUnion.from_boxes(s.d, boxes))
-        assert_same(leaf, s.clipped_translate(n, t, clip))
+        assert_same(leaf, clipped_translate(s, n, t, clip))

@@ -119,6 +119,14 @@ class TestEnvelope:
         assert proc.returncode == 2
         assert proc.stderr  # human-readable diagnostic
 
+    def test_an_unwritable_out_path_exits_two(self, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        proc = run_cli("cantor-info", "--stage", "3", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"cannot write {out}: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_infeasible_pack_family_exits_two(self):
         proc = run_cli("pack", "--sides", "1/4,1/8")
         assert proc.returncode == 2
@@ -310,6 +318,12 @@ class TestEnvelope:
         assert error["kind"] == "precondition"
         assert error["message"] == "max_tiles must be at most 65536, got 65537"
 
+    @pytest.mark.parametrize("q, shown", [("0", "0/1"), ("2,-1/3", "2/1, -1/3")])
+    def test_a_nonpositive_scale_is_printed_as_rationals(self, q, shown):
+        code, doc = run_json("tile-check", "--q", q)
+        assert code == 2
+        assert doc["result"]["error"]["message"] == f"q must be positive, got {shown}"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -349,6 +363,7 @@ class TestEnvelope:
             ("cover-search", "--target-file", "{target}", "--expr-file", "{expr}", "--budget"),
             ("uncovered-box", "--stage-cap"),
             ("infinite-cube", "--pool-size", "2", "--stage-cap"),
+            ("infinite-cube", "--pool-size"),
         ],
         ids=lambda argv: f"{argv[0]} {argv[-1]}",
     )
@@ -359,6 +374,12 @@ class TestEnvelope:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: expected a nonnegative integer, got -1" in captured.err
+        if flag == "--pool-size":
+            # the size is not echoed; the empty pool it builds is
+            assert cli.main([*argv, "0", "--verify"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["inputs"]["pool"] == [] and doc["result"]["verification"]["ok"] is True
+            return
         assert cli.main([*argv, "0"]) in (0, 3)
         doc = json.loads(capsys.readouterr().out)
         assert doc["inputs"][flag[2:].replace("-", "_")] == 0
@@ -490,8 +511,9 @@ class TestMalformedInputFiles:
              "expected a rational string, got 1.5"),
             ("uncovered-box", "--target-file", '{"lo": [0], "hi": [1e400]}',
              "expected a rational string, got inf"),
+            ("uncovered-box", "--target-file", '{"lo": [], "hi": []}', "a box needs at least one axis"),
         ],
-        ids=["lo-int", "x-int", "float-coordinate", "float-overflow"],
+        ids=["lo-int", "x-int", "float-coordinate", "float-overflow", "no-axes"],
     )
     def test_malformed_shapes_exit_two(self, capsys, tmp_path, command, flag, text, message):
         path = tmp_path / "input.json"

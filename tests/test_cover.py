@@ -32,7 +32,6 @@ from fatcantor import (
     NeedsDeeperStage,
     Union,
     UncoveredWitness,
-    approx_set,
     base_expr,
     clip_to_box,
     cli,
@@ -48,13 +47,13 @@ from fatcantor import (
     verify_cover,
 )
 
-from fatcantor import cover, ring, serialize
+from fatcantor import cover, serialize
 from fatcantor.errors import PreconditionError
 from fatcantor.serialize import to_json, witness_from_json
 
 import cover_oracle
 import witness_oracle
-from strategies import boxes, fractions, ring_exprs
+from strategies import approx_set, boxes, fractions, ring_exprs
 from test_cantor import brute_stage_intervals
 
 S1 = CantorSchedule(1)
@@ -280,7 +279,7 @@ class TestOneEvaluationPath:
             for method in ("union", "intersect", "subtract", "contains_union")
         ]
         with contextlib.ExitStack() as stack:
-            for patch in patches + [mock.patch.object(ring, "approx_set", _raise)]:
+            for patch in patches:
                 stack.enter_context(patch)
             got = outer_upper(target, pool, S1, stage=stage, clip=clip)
             assert _answer(got) == _answer(want)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from fatcantor import (
     Box,
-    BoxUnion,
     BudgetError,
     CantorSchedule,
     ExtendedRational,
@@ -117,23 +116,15 @@ class TestDiameters:
         b = Box((Fraction(0), Fraction(0)), (Fraction(3), Fraction(4)))
         assert diam_squared(b) == 25
 
-    def test_union_diameter_spans_components(self):
-        u = BoxUnion.from_boxes(
-            1, [Box.interval(Fraction(0), Fraction(1, 4)), Box.interval(Fraction(3, 4), Fraction(1))]
-        )
-        assert diam_squared(u) == 1
-
     @given(data=st.data(), d=st.integers(min_value=1, max_value=3))
-    def test_pairwise_sides_equal_the_corner_enumeration(self, data, d):
-        bs = data.draw(st.lists(boxes(dim=d), min_size=1, max_size=4))
-        u = BoxUnion.from_boxes(d, bs)
-        assert diam_squared(u) == corner_diam_squared(list(u.boxes))
-        assert diam_squared(bs[0]) == corner_diam_squared([bs[0]])
+    def test_sides_equal_the_corner_enumeration(self, data, d):
+        b = data.draw(boxes(dim=d))
+        assert diam_squared(b) == corner_diam_squared([b])
 
-    def test_empty_and_unbounded_sets_are_refused(self):
-        with pytest.raises(PreconditionError):
-            diam_squared(BoxUnion.empty(2))
-        with pytest.raises(UnboundedBoxError):
+    def test_empty_and_unbounded_boxes_are_refused(self):
+        with pytest.raises(PreconditionError, match="diameter of the empty set is undefined here"):
+            diam_squared(Box.empty(2))
+        with pytest.raises(UnboundedBoxError, match="diameter requires bounded boxes"):
             diam_squared(Box.whole_space(1))
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fatcantor
 from fatcantor import (
     Box,
     BudgetError,
@@ -24,7 +25,6 @@ from fatcantor import (
     Inter,
     PreconditionError,
     Union,
-    approx_set,
     base_expr,
     clip_to_box,
     expr_dim,
@@ -36,12 +36,12 @@ from fatcantor import (
     simplify,
     split_identity_check,
 )
-from fatcantor import ring
+from fatcantor import hausdorff, ring, serialize
 from fatcantor.cantor import StageLattice
 from fatcantor.serialize import to_json
 
 import ring_oracle
-from strategies import boxes, fractions, gens, odd_gens, ring_exprs, schedules
+from strategies import approx_set, boxes, fractions, gens, odd_gens, ring_exprs, schedules
 from test_cantor import brute_stage_intervals
 
 
@@ -410,7 +410,7 @@ class TestFoldAgainstOracle:
     def test_one_leaf_evaluation_per_pool_leaf_and_one_op_per_candidate(self, monkeypatch, n):
         pool = [base_expr(S1), Gen((Fraction(1, 2),), Box.unit_cube(1)),
                 Gen((Fraction(-1, 2),), Box.unit_cube(1))]
-        calls = {"leaf": 0, "combine": 0, "approx_set": 0, "union": 0, "subtract": 0}
+        calls = {"leaf": 0, "combine": 0, "union": 0, "subtract": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -421,14 +421,13 @@ class TestFoldAgainstOracle:
         monkeypatch.setattr(StageLattice, "leaf", counted("leaf", StageLattice.leaf))
         # ``ring`` binds the kernel by name, so only its top-level calls count.
         monkeypatch.setattr(ring, "_combine", counted("combine", ring._combine))
-        monkeypatch.setattr(ring, "approx_set", counted("approx_set", ring.approx_set))
         monkeypatch.setattr(BoxUnion, "union", counted("union", BoxUnion.union))
         monkeypatch.setattr(BoxUnion, "subtract", counted("subtract", BoxUnion.subtract))
         sizes = [len(generate_rn(pool, k, S1)) for k in range(1, n)]
-        calls.update(leaf=0, combine=0, approx_set=0, union=0, subtract=0)
+        calls.update(leaf=0, combine=0, union=0, subtract=0)
         generate_rn(pool, n, S1)
         examined = sum(size * size for size in sizes)
-        assert calls == {"leaf": 3, "combine": 2 * examined, "approx_set": 0, "union": 0, "subtract": 0}
+        assert calls == {"leaf": 3, "combine": 2 * examined, "union": 0, "subtract": 0}
 
 
 class TestLatticeAgainstOracle:
@@ -487,7 +486,6 @@ class TestLatticeAgainstOracle:
         e = Diff(base_expr(s), Gen((Fraction(1, 7),) * d, Box.empty(d)))
         half = Box.half_space(d, 0, Fraction(1, 3), above=True)
         calls = [
-            lambda m: m.approx_set(e, s, n),
             lambda m: m.measure_bounds(e, s, n),
             lambda m: m.split_identity_check(e, half, s, n),
             lambda m: m.premeasure(e, s, Fraction(1, 2**40), stage_cap=n),
@@ -497,7 +495,9 @@ class TestLatticeAgainstOracle:
             got = self.outcome(lambda: call(ring))
             assert got == self.outcome(lambda: call(ring_oracle))
             assert got[0] is BudgetError
-        assert f"needs 2^{n * d} boxes" in self.outcome(lambda: approx_set(e, s, n))[1]
+        got = self.outcome(lambda: approx_set(e, s, n))
+        assert got == self.outcome(lambda: ring_oracle.approx_set(e, s, n))
+        assert f"needs 2^{n * d} boxes" in got[1]
 
     def test_measures_build_no_box_union(self, monkeypatch):
         s = CantorSchedule(2)
@@ -516,3 +516,18 @@ class TestLatticeAgainstOracle:
         assert built == []
         approx_set(e, s, 4)
         assert len(built) == 1
+
+
+class TestOneStageSetPath:
+    """Stage sets are evaluated on the lattice alone; only ``stage_approx``
+    converts one to a Fraction ``BoxUnion``."""
+
+    def test_the_fraction_fork_is_gone(self):
+        assert not hasattr(ring, "approx_set")
+        assert not hasattr(CantorSchedule, "clipped_translate")
+        assert not hasattr(StageLattice, "box_union")
+        for module in (ring, hausdorff, serialize):
+            assert "BoxUnion" not in vars(module), module.__name__
+
+    def test_every_exported_name_resolves(self):
+        assert [name for name in fatcantor.__all__ if not hasattr(fatcantor, name)] == []

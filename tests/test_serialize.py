@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from fatcantor import (
     Box,
-    BoxUnion,
     CantorSchedule,
     CubeFamily,
     Diff,
@@ -28,7 +27,6 @@ from fatcantor import (
     Inter,
     PreconditionError,
     Union,
-    approx_set,
     base_expr,
     cli,
     corollary_pipeline,
@@ -66,7 +64,7 @@ from fatcantor.serialize import (
     witness_from_json,
 )
 
-from strategies import boxes, fractions, ring_exprs, schedules
+from strategies import approx_set, boxes, fractions, ring_exprs, schedules
 
 S1 = CantorSchedule(1)
 
@@ -142,13 +140,6 @@ def test_half_space_serializes_with_infinity_markers():
     doc = box_to_json(hs)
     assert doc["hi"] == ["inf"]
     assert box_from_json(doc) == hs
-
-
-@given(bs=st.lists(boxes(dim=1), min_size=0, max_size=4))
-def test_box_union_round_trip_recanonicalizes(bs):
-    u = BoxUnion.from_boxes(1, bs)
-    doc = to_json(u)
-    assert BoxUnion.from_boxes(doc["dim"], [box_from_json(b) for b in doc["boxes"]]) == u
 
 
 # ---------------------------------------------------------------------------
