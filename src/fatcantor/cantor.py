@@ -5,7 +5,7 @@ middle interval of length ``c * rho**k`` from each surviving interval; the
 d-dimensional set is the product of d copies.  With ``2*rho < 1`` the
 removals form a geometric series and everything is closed-form in
 rationals: stage measures, the limit measure, interval endpoints, and the
-gap structure behind membership tests and nowhere-density witnesses.
+gap structure behind the nowhere-density witnesses.
 
 A stage-n approximation is a union of ``2**(n*d)`` boxes, so exact
 materialization explodes quickly.  Stage sets are built on an integer
@@ -14,7 +14,7 @@ so building, combining and measuring them is integer work, and Fractions
 are made only for a set a caller keeps; a leaf's slab tree holds its d
 interval lists, not its boxes.
 
-Gap search and membership walk the 1-D construction tree level by level
+Gap search walks the 1-D construction tree level by level
 (``_Walk``): a level keeps the intervals whose closure meets a query
 window, and the walk stops at the first empty level.  ``find_gap`` keeps
 one walk per axis across its stages, so a search that ends at stage M walks at
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, too_large_to_print
 from .geometry import _POINT, Box, BoxUnion, _box_tree, _map_ends, _Tree, check_kernel_dim
@@ -360,9 +360,8 @@ class CantorSchedule:
         """Stage-n approximation as a canonical half-open box union.
 
         The true stage set is closed; its half-open realization here has the
-        same measure and supports exact box algebra.  Membership and gap
-        queries, which do care about endpoints, use the closed-interval
-        helpers instead.
+        same measure and supports exact box algebra.  Gap queries, which
+        do care about endpoints, use the closed-interval helpers instead.
         """
         lattice = self.lattice(n, ())
         tree = lattice.leaf((0,) * self.d, Box.whole_space(self.d))
@@ -487,58 +486,6 @@ class CantorSchedule:
                 # ends are in the gap between them.
                 return a <= lo + child or b >= hi - child
         return True
-
-
-@dataclass(frozen=True)
-class Membership:
-    """Outcome of a membership query: status plus the deciding stage."""
-
-    status: Literal["in", "out", "unknown"]
-    stage: int
-
-
-def _trace_coordinate(s: CantorSchedule, x: Fraction, cap: int) -> tuple[str, int]:
-    # Below the first level that decides, x lies inside its one kept
-    # interval, so it meets at most one child.
-    walk = _Walk(s._ladder, Fraction(0), x, x)
-    while walk.lows:
-        if walk.lo in (walk.lows[0], walk.lows[0] + walk.child):
-            return "in", walk.level
-        if walk.level == cap:
-            return "unknown", cap
-        walk.advance()
-    return "out", walk.level
-
-
-def membership(s: CantorSchedule, x: Sequence[object], stage_cap: int) -> Membership:
-    """Decide x in C^d by descent, up to ``stage_cap`` stages per coordinate.
-
-    Points that become endpoints of a surviving interval stay in the set
-    forever (removals are open middles), so they resolve to ``in`` at a
-    finite stage; points inside a removed gap resolve to ``out``; anything
-    still undecided at the cap is reported ``unknown``.
-    """
-    if len(x) != s.d:
-        raise DimensionMismatchError(f"point of length {len(x)} in dimension {s.d}")
-    if stage_cap < 0:
-        raise PreconditionError(f"stage cap must be nonnegative, got {stage_cap}")
-    coords = [as_fraction(v) for v in x]
-    out_stage: int | None = None
-    in_stage = 0
-    unknown = False
-    for v in coords:
-        status, stage = _trace_coordinate(s, v, stage_cap)
-        if status == "out":
-            out_stage = stage if out_stage is None else min(out_stage, stage)
-        elif status == "in":
-            in_stage = max(in_stage, stage)
-        else:
-            unknown = True
-    if out_stage is not None:
-        return Membership("out", out_stage)
-    if unknown:
-        return Membership("unknown", stage_cap)
-    return Membership("in", in_stage)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from typing import Any, Callable, Sequence
 
 from .cantor import CantorSchedule, NeedsDeeperStage, box_count, check_stage
 from .cover import (
+    DEFAULT_SUBSET_BUDGET,
     _cover_sets,
     check_pool_size,
     find_uncovered_box,
@@ -53,7 +54,7 @@ from .cover import (
     verify_cover,
 )
 from .errors import BudgetError, PreconditionError
-from .geometry import Box, tile_check
+from .geometry import DEFAULT_TILE_CAP, Box, tile_check
 from .hausdorff import (
     PowerGauge,
     corollary_pipeline,
@@ -66,6 +67,7 @@ from .hausdorff import (
 from .packing import CubeFamily, PackingLayout, layout_covers, pack_cover
 from .rationals import parse_fraction
 from .ring import (
+    DEFAULT_RN_CAP,
     DEFAULT_STAGE_CAP,
     REFERENCE_STAGE,
     base_expr,
@@ -379,10 +381,10 @@ COMMANDS: "dict[str, Command]" = {
         },
         run=lambda s, i: (
             {
-                "half_space": (
-                    half := Box.half_space(s.d, i["axis"], i["threshold"], above=i["above"])
+                "half_space": Box.half_space(s.d, i["axis"], i["threshold"], above=i["above"]),
+                "report": split_identity_check(
+                    i["expr"], s, i["stage"], axis=i["axis"], threshold=i["threshold"], above=i["above"]
                 ),
-                "report": split_identity_check(i["expr"], half, s, i["stage"]),
             },
             0,
         ),
@@ -393,7 +395,7 @@ COMMANDS: "dict[str, Command]" = {
             "--expr-file": dict(default=None, help="JSON list of pool expressions"),
             "--n": dict(type=int, required=True),
             "--reference-stage": dict(type=int, default=REFERENCE_STAGE),
-            "--max-size": dict(type=nonnegative_int, default=4096),
+            "--max-size": dict(type=nonnegative_int, default=DEFAULT_RN_CAP),
         },
         inputs=lambda a, s: {
             "pool": [base_expr(s)]
@@ -425,7 +427,7 @@ COMMANDS: "dict[str, Command]" = {
             "--target-file": dict(required=True, help="box or expression JSON"),
             "--expr-file": dict(required=True, help="JSON list of pool expressions"),
             "--stage": dict(type=int, default=2),
-            "--budget": dict(type=nonnegative_int, default=4096),
+            "--budget": dict(type=nonnegative_int, default=DEFAULT_SUBSET_BUDGET),
             "--no-clip": dict(action="store_true"),
         },
         inputs=lambda a, s: {
@@ -577,7 +579,7 @@ COMMANDS: "dict[str, Command]" = {
         {
             "--base-file": dict(default=None, help="box JSON (default: unit cube)"),
             "--q": dict(type=_frac_list_arg, required=True, help="per-axis scale factors"),
-            "--max-tiles": dict(type=nonnegative_int, default=1 << 16),
+            "--max-tiles": dict(type=nonnegative_int, default=DEFAULT_TILE_CAP),
         },
         inputs=lambda a, s: {
             "base": Box.unit_cube(len(a.q))

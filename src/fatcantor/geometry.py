@@ -163,15 +163,6 @@ class Box:
             raise UnboundedBoxError(f"volume of unbounded box {self}")
         return prod(self.sides(), start=Fraction(1))
 
-    def translate(self, v: Sequence[object]) -> "Box":
-        if len(v) != self.dim:
-            raise DimensionMismatchError(f"translation of length {len(v)} for dimension {self.dim}")
-        w = tuple(as_fraction(x) for x in v)
-        return Box(
-            tuple(a + x for a, x in zip(self.lo, w)),
-            tuple(b + x for b, x in zip(self.hi, w)),
-        )
-
     def intersect(self, other: "Box") -> "Box | None":
         """Exact intersection; ``None`` when the result is empty."""
         if other.dim != self.dim:
@@ -197,33 +188,6 @@ class Box:
         return all(a <= c for a, c in zip(self.lo, other.lo)) and all(
             d <= b for b, d in zip(self.hi, other.hi)
         )
-
-    def is_half_space(self) -> bool:
-        """Exactly one coordinate has exactly one finite bound, the rest are free."""
-        special = 0
-        for a, b in zip(self.lo, self.hi):
-            fin = (1 if is_finite(a) else 0) + (1 if is_finite(b) else 0)
-            if fin == 0:
-                continue
-            if fin == 2:
-                return False
-            special += 1
-        return special == 1
-
-    def half_space_parts(self) -> tuple[int, Fraction, bool]:
-        """(axis, threshold, above) of a half-space box."""
-        if not self.is_half_space():
-            raise PreconditionError(f"{self} is not an axis half-space")
-        for i, (a, b) in enumerate(zip(self.lo, self.hi)):
-            if is_finite(a):
-                return i, a, True  # type: ignore[return-value]
-            if is_finite(b):
-                return i, b, False  # type: ignore[return-value]
-        raise AssertionError("unreachable")
-
-    def complement_half_space(self) -> "Box":
-        axis, threshold, above = self.half_space_parts()
-        return Box.half_space(self.dim, axis, threshold, above=not above)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"[{a}, {b})" for a, b in zip(self.lo, self.hi))
@@ -477,10 +441,6 @@ class BoxUnion:
 
     def __repr__(self) -> str:
         return f"BoxUnion(dim={self.dim}, boxes={list(self.boxes)!r})"
-
-
-def volume(box: Box) -> Fraction:
-    return box.volume()
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,6 @@ class _Infinity:
     def __init__(self, sign: int) -> None:
         self._sign = sign
 
-    @property
-    def sign(self) -> int:
-        return self._sign
-
     def __lt__(self, other: object) -> bool:
         if isinstance(other, _Infinity):
             return self._sign < other._sign
@@ -61,9 +57,6 @@ class _Infinity:
     def __hash__(self) -> int:
         return hash(("_Infinity", self._sign))
 
-    def __neg__(self) -> "_Infinity":
-        return NEG_INF if self is POS_INF else POS_INF
-
     # Shifting an unbounded side by a finite amount leaves it unbounded.
     def __add__(self, other: object) -> "_Infinity":
         if isinstance(other, (Fraction, int)):
@@ -71,11 +64,6 @@ class _Infinity:
         return NotImplemented
 
     __radd__ = __add__
-
-    def __sub__(self, other: object) -> "_Infinity":
-        if isinstance(other, (Fraction, int)):
-            return self
-        return NotImplemented
 
     def __repr__(self) -> str:
         return "POS_INF" if self._sign > 0 else "NEG_INF"

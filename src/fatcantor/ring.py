@@ -324,21 +324,24 @@ class SplitReport:
 
 def split_identity_check(
     e: "RingExpr",
-    half_space: Box,
     s: CantorSchedule,
     n: int,
+    *,
+    axis: int,
+    threshold: object,
+    above: bool,
 ) -> SplitReport:
     """Check lambda(S_n(e)) = lambda(S_n(e ∩ A)) + lambda(S_n(e ∩ A^c)) exactly.
 
-    ``half_space`` must be an axis half-space; with half-open boxes the two
-    clipped evaluations partition the original one, so the identity holds
-    with exact rational arithmetic, not merely up to tolerance.
+    ``A`` is the half-space ``{x : x_axis >= threshold}`` when ``above``,
+    else ``{x : x_axis < threshold}``, and ``A^c`` is the other side of the
+    same cut.  With half-open boxes the two clipped evaluations partition
+    the original one, so the identity holds with exact rational
+    arithmetic, not merely up to tolerance.
     """
-    if not half_space.is_half_space():
-        raise PreconditionError(f"{half_space!r} is not an axis half-space")
     whole = _stage_measure(e, s, n)
-    inside = _stage_measure(clip_to_box(e, half_space), s, n)
-    outside = _stage_measure(clip_to_box(e, half_space.complement_half_space()), s, n)
+    inside = _stage_measure(clip_to_box(e, Box.half_space(s.d, axis, threshold, above=above)), s, n)
+    outside = _stage_measure(clip_to_box(e, Box.half_space(s.d, axis, threshold, above=not above)), s, n)
     return SplitReport(
         whole=whole,
         inside=inside,

@@ -291,8 +291,9 @@ def _witness_from_json(doc: Any, cache: "_DecodeCache") -> UncoveredWitness:
 
 
 def cube_family_from_json(doc: Any) -> CubeFamily:
-    m = _expect(doc, ("dim", "sides"), "cube family")
-    return CubeFamily(int(m["dim"]), tuple(frac_from_json(v) for v in m["sides"]))
+    what = "cube family"
+    m = _expect(doc, ("dim", "sides"), what)
+    return CubeFamily(_count_of(m, "dim", what), tuple(frac_from_json(v) for v in _list_of(m, "sides", what)))
 
 
 def placements_from_json(doc: Any) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:

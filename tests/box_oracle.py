@@ -17,11 +17,11 @@ it.  All of it is quadratic or worse and kept only as an oracle.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from fatcantor import Box, BoxUnion, DimensionMismatchError
 from fatcantor.geometry import _POINT
-from fatcantor.rationals import Coord
+from fatcantor.rationals import Coord, as_fraction
 
 _Raw = tuple[tuple[Coord, ...], tuple[Coord, ...]]
 
@@ -75,6 +75,12 @@ def box_minus(a: Box, b: Box) -> list[Box]:
         lo[i] = overlap.lo[i]
         hi[i] = overlap.hi[i]
     return [p for p in pieces if not p.is_empty]
+
+
+def translate(box: Box, t: Sequence[object]) -> Box:
+    """box + t, corner by corner; an unbounded side stays unbounded."""
+    shift = [as_fraction(x) for x in t]
+    return Box(tuple(a + x for a, x in zip(box.lo, shift)), tuple(b + x for b, x in zip(box.hi, shift)))
 
 
 def union(a: BoxUnion, b: BoxUnion) -> BoxUnion:

@@ -3,11 +3,10 @@
 These are the routines that the integer walks in ``cantor`` (the search's
 ``_Walk`` and the validator's descent) replaced.  ``descend_overlapping``
 is a depth-first stack over ``(lo, hi, depth)`` nodes, sorted at the end;
-``trace_coordinate`` follows the path of one point.  Both rebuild every
-child length from the closed form ``stage_interval_length``, and
-``min_stage_for_delta`` scans the same closed form stage by stage.
-``first_free_subinterval``, ``find_gap`` and ``membership`` are the
-library's routines on top of these walks.  Nothing here calls ``_Walk``,
+it rebuilds every child length from the closed form
+``stage_interval_length``, and ``min_stage_for_delta`` scans the same
+closed form stage by stage.  ``first_free_subinterval`` and ``find_gap``
+are the library's routines on top of that walk.  Nothing here calls ``_Walk``,
 ``_Ladder`` or ``_child_lengths``, so the differential tests compare the
 kernel against code that shares none of it.  Each node costs a handful of
 ``Fraction`` powers; kept only as an oracle.
@@ -18,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from fatcantor import Box, CantorSchedule, GapCertificate, Membership, NeedsDeeperStage
+from fatcantor import Box, CantorSchedule, GapCertificate, NeedsDeeperStage
 from fatcantor import PreconditionError, middle_half
 from fatcantor.cantor import check_stage
 from fatcantor.rationals import as_fraction
@@ -82,48 +81,6 @@ def find_gap(
             hi[axis] = whi
             return GapCertificate(stage=m, box=Box(tuple(lo), tuple(hi)))
     return NeedsDeeperStage(deepest_stage=stage_cap)
-
-
-def trace_coordinate(s: CantorSchedule, x: Fraction, cap: int) -> tuple[str, int]:
-    if x < 0 or x > 1:
-        return "out", 0
-    lo, hi = Fraction(0), Fraction(1)
-    if x == lo or x == hi:
-        return "in", 0
-    for k in range(1, cap + 1):
-        child = s.stage_interval_length(k)
-        left_hi = lo + child
-        right_lo = hi - child
-        if x <= left_hi:
-            hi = left_hi
-        elif x >= right_lo:
-            lo = right_lo
-        else:
-            return "out", k
-        if x == lo or x == hi:
-            return "in", k
-    return "unknown", cap
-
-
-def membership(s: CantorSchedule, x: Sequence[object], stage_cap: int) -> Membership:
-    """Decide x in C^d by descent, up to ``stage_cap`` stages per coordinate."""
-    coords = [as_fraction(v) for v in x]
-    out_stage: int | None = None
-    in_stage = 0
-    unknown = False
-    for v in coords:
-        status, stage = trace_coordinate(s, v, stage_cap)
-        if status == "out":
-            out_stage = stage if out_stage is None else min(out_stage, stage)
-        elif status == "in":
-            in_stage = max(in_stage, stage)
-        else:
-            unknown = True
-    if out_stage is not None:
-        return Membership("out", out_stage)
-    if unknown:
-        return Membership("unknown", stage_cap)
-    return Membership("in", in_stage)
 
 
 def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:

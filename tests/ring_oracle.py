@@ -7,9 +7,11 @@ tree itself, with no kernel call), the expression is folded with
 ``BoxUnion`` operations, and measures add one box volume at a time.
 ``generate_rn`` keys every candidate by ``approx_set`` of the whole
 candidate tree, so each key rebuilds every leaf of a tree whose size
-doubles per layer, and nothing reuses a parent's set.  None of it touches
-``StageLattice``, so the differential tests compare the lattice against
-code that shares none of it; kept only as an oracle.
+doubles per layer, and nothing reuses a parent's set.
+``split_identity_check`` clips by both sides of the cut it is given
+(axis, threshold, above) and measures each clipped set the same way.  None
+of it touches ``StageLattice``, so the differential tests compare the
+lattice against code that shares none of it; kept only as an oracle.
 """
 
 from __future__ import annotations
@@ -155,12 +157,12 @@ def premeasure(
     )
 
 
-def split_identity_check(e: "RingExpr", half_space: Box, s: CantorSchedule, n: int) -> SplitReport:
-    if not half_space.is_half_space():
-        raise PreconditionError(f"{half_space!r} is not an axis half-space")
+def split_identity_check(
+    e: "RingExpr", s: CantorSchedule, n: int, *, axis: int, threshold: object, above: bool
+) -> SplitReport:
     whole = measure(approx_set(e, s, n))
-    inside = measure(approx_set(clip_to_box(e, half_space), s, n))
-    outside = measure(approx_set(clip_to_box(e, half_space.complement_half_space()), s, n))
+    inside = measure(approx_set(clip_to_box(e, Box.half_space(s.d, axis, threshold, above=above)), s, n))
+    outside = measure(approx_set(clip_to_box(e, Box.half_space(s.d, axis, threshold, above=not above)), s, n))
     return SplitReport(
         whole=whole, inside=inside, outside=outside, stage=n, equal=whole == inside + outside
     )

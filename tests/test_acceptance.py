@@ -156,8 +156,7 @@ def test_criterion_03_splitting_identity():
         e = _random_expr(rng, 5)
         n = rng.randint(0, 8)
         thr = _random_fraction(rng)
-        half = Box.half_space(1, 0, thr, above=rng.random() < 0.5)
-        rep = split_identity_check(e, half, S1, n)
+        rep = split_identity_check(e, S1, n, axis=0, threshold=thr, above=rng.random() < 0.5)
         if not (rep.equal and rep.whole == rep.inside + rep.outside):
             failures += 1
     assert failures == 0

@@ -1,4 +1,4 @@
-"""Fat Cantor stage construction, membership, and gap certificates.
+"""Fat Cantor stage construction and gap certificates.
 
 Oracle: the construction is replayed here from its definition with a plain
 list of closed intervals.  Start from [0, 1]; at stage k remove from the
@@ -24,12 +24,11 @@ from fatcantor import (
     PreconditionError,
     find_gap,
     gap_certificate_valid,
-    membership,
     middle_half,
     min_stage_for_delta,
 )
 from fatcantor import cantor
-from fatcantor.cantor import MAX_DIM, _trace_coordinate, _Walk, box_count
+from fatcantor.cantor import MAX_DIM, _Walk, box_count
 from fatcantor.rationals import pow2
 
 import descent_oracle
@@ -196,56 +195,6 @@ class TestStageIntervals:
             fine = s.stage_approx(n + 1)
             assert coarse.contains_union(fine)
             assert not fine.contains_union(coarse)
-
-
-# ---------------------------------------------------------------------------
-# membership with stage certificates
-# ---------------------------------------------------------------------------
-
-
-class TestMembership:
-    def test_frozen_membership_calls(self):
-        s = CantorSchedule(1)
-        assert membership(s, [Fraction(0)], 8).status == "in"
-        m_half = membership(s, [Fraction(1, 2)], 8)
-        assert (m_half.status, m_half.stage) == ("out", 1)
-        m_edge = membership(s, [Fraction(3, 8)], 8)
-        assert (m_edge.status, m_edge.stage) == ("in", 1)
-        # 3/10 leaves through a stage-3 gap
-        assert membership(s, [Fraction(3, 10)], 12).status == "out"
-
-    def test_undecided_points_report_unknown_with_the_cap(self):
-        s = CantorSchedule(1)
-        m = membership(s, [Fraction(1, 3)], 10)
-        assert m.status == "unknown"
-        assert m.stage == 10
-
-    @given(x=unit_fractions(), cap=st.integers(min_value=2, max_value=8))
-    def test_membership_agrees_with_brute_intervals(self, x, cap):
-        s = CantorSchedule(1)
-        m = membership(s, [x], cap)
-        if m.status == "out":
-            assert not brute_point_in_stage(s.c, s.rho, m.stage, x)
-        else:
-            # in or unknown: the point survives every checked stage
-            assert brute_point_in_stage(s.c, s.rho, min(m.stage, cap), x)
-
-    @given(x=unit_fractions(), y=unit_fractions())
-    def test_membership_in_two_dimensions_requires_both_coordinates(self, x, y):
-        s2 = CantorSchedule(2)
-        s1 = CantorSchedule(1)
-        m2 = membership(s2, [x, y], 6)
-        m_x = membership(s1, [x], 6)
-        m_y = membership(s1, [y], 6)
-        if m2.status == "out":
-            assert "out" in (m_x.status, m_y.status)
-        elif m2.status == "in":
-            assert m_x.status == "in" and m_y.status == "in"
-
-    def test_points_outside_the_unit_cube_leave_at_stage_zero(self):
-        s = CantorSchedule(1)
-        assert membership(s, [Fraction(-1, 2)], 4).status == "out"
-        assert membership(s, [Fraction(3, 2)], 4).status == "out"
 
 
 # ---------------------------------------------------------------------------
@@ -554,21 +503,6 @@ class TestWalkAgainstOracle:
         assert all(verdicts)
         assert CantorSchedule.interval_meets_stage_translate.__code__ in called
         assert not called & search
-
-    @given(
-        data=st.data(),
-        d=st.integers(min_value=1, max_value=3),
-        cap=st.integers(min_value=0, max_value=12),
-    )
-    def test_membership_equals_the_path_walk(self, data, d, cap):
-        s = data.draw(walk_schedules(dim=d))
-        x = tuple(data.draw(walk_points(s)) for _ in range(d))
-        for stage_cap in (0, cap):
-            for v in x:
-                got = _trace_coordinate(s, v, stage_cap)
-                assert got == descent_oracle.trace_coordinate(s, v, stage_cap)
-            got = membership(s, x, stage_cap)
-            assert got == descent_oracle.membership(s, x, stage_cap) and got.stage <= stage_cap
 
     @given(
         s=walk_schedules(dim=3),

@@ -18,10 +18,10 @@ import pytest
 
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, cover, grid_translate_pool, serialize
 from fatcantor.cantor import MAX_DIM, MAX_STAGE
-from fatcantor.geometry import MAX_KERNEL_DIM
+from fatcantor.geometry import DEFAULT_TILE_CAP, MAX_KERNEL_DIM
 from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
 from fatcantor.rationals import MAX_DECIMAL_EXPONENT
-from fatcantor.ring import MAX_RN_LAYER
+from fatcantor.ring import DEFAULT_RN_CAP, MAX_RN_LAYER
 from fatcantor.serialize import MAX_EXPR_DEPTH, box_to_json, expr_to_json
 
 
@@ -673,6 +673,17 @@ class TestResults:
         )
         assert code == 0
         assert doc["result"]["report"]["equal"] is True
+
+    def test_split_check_refuses_an_axis_out_of_range_before_the_report(self, expr_file):
+        code, doc = run_json("split-check", "--expr-file", expr_file, "--threshold", "1/2", "--axis", "1")
+        assert code == 2
+        assert doc["result"]["error"] == {"kind": "precondition", "message": "axis 1 out of range for dimension 1"}
+
+    def test_parser_defaults_are_the_library_caps(self):
+        parse = cli._parser().parse_args
+        assert parse(["rn-enumerate", "--n", "1"]).max_size == DEFAULT_RN_CAP
+        assert parse(["cover-search", "--target-file", "t", "--expr-file", "e"]).budget == cover.DEFAULT_SUBSET_BUDGET
+        assert parse(["tile-check", "--q", "2"]).max_tiles == DEFAULT_TILE_CAP
 
     def test_pack_covers_the_advertised_interval(self):
         code, doc = run_json("pack", "--sides", "1/2,1/4,1/4")

@@ -25,9 +25,9 @@ from fatcantor import (
     PreconditionError,
     UnboundedBoxError,
     tile_check,
-    volume,
 )
 
+import box_oracle
 from strategies import boxes, fractions, positive_fractions
 
 
@@ -88,35 +88,27 @@ class TestBox:
 
     def test_volume_is_product_of_sides(self):
         b = Box((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(3)))
-        assert volume(b) == Fraction(1, 2) * Fraction(2)
-        assert b.volume() == volume(b)
+        assert b.volume() == Fraction(1, 2) * Fraction(2)
 
     @given(b=boxes(dim=2))
     def test_contains_point_matches_half_open_convention(self, b):
         assert b.contains_point(b.lo)
         assert not b.contains_point(b.hi)
 
-    @given(b=boxes(dim=1), t=fractions())
-    def test_translate_shifts_corners(self, b, t):
-        moved = b.translate((t,))
-        assert moved.lo == (b.lo[0] + t,)
-        assert moved.hi == (b.hi[0] + t,)
-        assert volume(moved) == volume(b)
-
     def test_empty_box_has_no_points(self):
         e = Box.empty(2)
         assert e.is_empty
-        assert volume(e) == 0
+        assert e.volume() == 0
 
     def test_unbounded_volume_is_an_error(self):
         hs = Box.half_space(1, 0, Fraction(1, 2), above=True)
         assert not hs.is_bounded
         with pytest.raises(UnboundedBoxError):
-            volume(hs)
+            hs.volume()
 
     def test_half_space_and_complement_partition_the_line(self):
         below = Box.half_space(1, 0, Fraction(1, 3), above=False)
-        above = below.complement_half_space()
+        above = Box.half_space(1, 0, Fraction(1, 3), above=True)
         for x in (Fraction(-5), Fraction(1, 3) - Fraction(1, 64), Fraction(1, 3), Fraction(7)):
             assert below.contains_point((x,)) != above.contains_point((x,))
 
@@ -174,7 +166,7 @@ class TestBoxUnionCanonical:
     @given(bs=st.lists(boxes(dim=1), min_size=1, max_size=4), t=fractions())
     def test_translate_commutes_with_canonicalization(self, bs, t):
         u = BoxUnion.from_boxes(bs[0].dim if bs else 1, bs).translate((t,))
-        v = BoxUnion.from_boxes(1, [b.translate((t,)) for b in bs])
+        v = BoxUnion.from_boxes(1, [box_oracle.translate(b, (t,)) for b in bs])
         assert u == v
 
 
@@ -251,7 +243,7 @@ class TestTileCheck:
         assert report.counts_per_axis == (3,)
         assert report.refinement == base
         assert report.equal and report.tiling_verified
-        assert report.scaled_volume == 3 * volume(base)
+        assert report.scaled_volume == 3 * base.volume()
 
     def test_rational_scaling_refines_the_base(self):
         base = Box.cube((Fraction(0), Fraction(0)), Fraction(1, 3))
@@ -272,8 +264,8 @@ class TestTileCheck:
         assert report.equal and report.tiling_verified
         # double counting: scaling multiplies volume by prod(q), and the
         # same region is a disjoint union of count copies of the refinement
-        assert report.scaled_volume == volume(b) * q[0] * q[1]
-        assert report.tiles_volume == report.count * volume(report.refinement)
+        assert report.scaled_volume == b.volume() * q[0] * q[1]
+        assert report.tiles_volume == report.count * report.refinement.volume()
         assert report.scaled_volume == report.tiles_volume
 
     @settings(max_examples=80)

@@ -34,7 +34,6 @@ from fatcantor import (
     pack_cover,
     pow2,
     round_to_dyadic,
-    volume,
 )
 from fatcantor.packing import (
     MAX_FAMILY_CUBES,
@@ -646,7 +645,6 @@ class TestOnePath:
         monkeypatch.chdir(tmp_path)
         for method in ("from_boxes", "single", "contains_union"):
             monkeypatch.setattr(BoxUnion, method, _refuse)
-        monkeypatch.setattr(Box, "translate", _refuse)
         assert "--verify" in argv and cli.main(argv) == code == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -36,7 +36,7 @@ from fatcantor import (
     simplify,
     split_identity_check,
 )
-from fatcantor import hausdorff, ring, serialize
+from fatcantor import cantor, geometry, hausdorff, rationals, ring, serialize
 from fatcantor.cantor import StageLattice
 from fatcantor.serialize import to_json
 
@@ -267,8 +267,7 @@ def test_clip_to_unit_cube_is_identity_on_base_expressions(e):
 
 class TestSplitIdentity:
     def test_frozen_split_of_the_base_expression(self):
-        half = Box.half_space(1, 0, Fraction(1, 2), above=False)
-        rep = split_identity_check(base_expr(S1), half, S1, 4)
+        rep = split_identity_check(base_expr(S1), S1, 4, axis=0, threshold=Fraction(1, 2), above=False)
         assert rep.equal
         assert rep.whole == Fraction(17, 32)
         assert rep.inside == rep.outside == Fraction(17, 64)
@@ -281,17 +280,37 @@ class TestSplitIdentity:
         n=st.integers(min_value=0, max_value=8),
     )
     def test_split_identity_holds_everywhere(self, e, thr, above, n):
-        half = Box.half_space(1, 0, thr, above=above)
-        rep = split_identity_check(e, half, S1, n)
+        rep = split_identity_check(e, S1, n, axis=0, threshold=thr, above=above)
         assert rep.equal
         assert rep.whole == rep.inside + rep.outside
 
     @given(e=ring_exprs(dim=2, max_leaves=3), thr=fractions(min_value=Fraction(0), max_value=Fraction(1)))
     def test_split_identity_in_dimension_two(self, e, thr):
         s2 = CantorSchedule(2)
-        half = Box.half_space(2, 1, thr, above=True)
-        rep = split_identity_check(e, half, s2, 3)
+        rep = split_identity_check(e, s2, 3, axis=1, threshold=thr, above=True)
         assert rep.equal
+
+    def test_the_cut_is_given_and_unreached_code_is_gone(self):
+        # No command reports point membership or parses a half-space Box
+        # back into its cut, so that code and its exports are gone.
+        gone = {
+            cantor: ("Membership", "membership", "_trace_coordinate"),
+            geometry: ("volume",),
+            Box: ("translate", "is_half_space", "half_space_parts", "complement_half_space"),
+            rationals._Infinity: ("sign", "__neg__", "__sub__"),
+        }
+        assert [(owner, name) for owner, names in gone.items() for name in names if hasattr(owner, name)] == []
+        assert not {"Membership", "membership", "volume"} & set(fatcantor.__all__)
+        # Each call clips by both sides of one cut, so flipping ``above``
+        # swaps the two halves.
+        s2 = CantorSchedule(2)
+        e = Diff(base_expr(s2), Gen((Fraction(1, 3), Fraction(1, 7)), Box.unit_cube(2)))
+        cut = dict(axis=1, threshold=Fraction(2, 5))
+        up = split_identity_check(e, s2, 3, above=True, **cut)
+        down = split_identity_check(e, s2, 3, above=False, **cut)
+        assert 0 < up.inside < up.whole
+        assert (up.inside, up.outside) == (down.outside, down.inside)
+        assert up.whole == down.whole and up.equal and down.equal
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +467,14 @@ class TestLatticeAgainstOracle:
         e = data.draw(ring_exprs(dim=d, max_leaves=4, leaves_from=odd_gens))
         axis = data.draw(st.integers(min_value=0, max_value=d - 1))
         threshold = Fraction(data.draw(st.integers(min_value=-2, max_value=9)), data.draw(st.sampled_from([1, 7, 9])))
-        half = Box.half_space(d, axis, threshold, above=data.draw(st.booleans()))
+        cut = dict(axis=axis, threshold=threshold, above=data.draw(st.booleans()))
         if data.draw(st.booleans()):
-            e = clip_to_box(e, half.complement_half_space())
+            e = clip_to_box(e, Box.half_space(d, axis, threshold, above=not cut["above"]))
 
         got, want = approx_set(e, s, n), ring_oracle.approx_set(e, s, n)
         assert got == want and repr(got) == repr(want)
         assert measure_bounds(e, s, n) == ring_oracle.measure_bounds(e, s, n)
-        assert split_identity_check(e, half, s, n) == ring_oracle.split_identity_check(e, half, s, n)
+        assert split_identity_check(e, s, n, **cut) == ring_oracle.split_identity_check(e, s, n, **cut)
         tol = Fraction(1, data.draw(st.sampled_from([2, 64, 4096])))
         cap = data.draw(st.integers(min_value=1, max_value=(9, 5, 3)[d - 1]))
         assert self.outcome(lambda: premeasure(e, s, tol, stage_cap=cap)) == self.outcome(
@@ -484,10 +503,9 @@ class TestLatticeAgainstOracle:
     def test_the_box_cap_refuses_with_the_oracle_text(self, d, n):
         s = CantorSchedule(d)
         e = Diff(base_expr(s), Gen((Fraction(1, 7),) * d, Box.empty(d)))
-        half = Box.half_space(d, 0, Fraction(1, 3), above=True)
         calls = [
             lambda m: m.measure_bounds(e, s, n),
-            lambda m: m.split_identity_check(e, half, s, n),
+            lambda m: m.split_identity_check(e, s, n, axis=0, threshold=Fraction(1, 3), above=True),
             lambda m: m.premeasure(e, s, Fraction(1, 2**40), stage_cap=n),
             lambda m: m.generate_rn([e], 2, s, reference_stage=n),
         ]
@@ -502,7 +520,6 @@ class TestLatticeAgainstOracle:
     def test_measures_build_no_box_union(self, monkeypatch):
         s = CantorSchedule(2)
         e = Diff(base_expr(s), Gen((Fraction(1, 7), Fraction(2, 9)), Box.unit_cube(2)))
-        half = Box.half_space(2, 1, Fraction(1, 3), above=False)
         built = []
         init = BoxUnion.__init__
 
@@ -512,7 +529,7 @@ class TestLatticeAgainstOracle:
 
         monkeypatch.setattr(BoxUnion, "__init__", counted)
         measure_bounds(e, s, 4)
-        split_identity_check(e, half, s, 4)
+        split_identity_check(e, s, 4, axis=1, threshold=Fraction(1, 3), above=False)
         assert built == []
         approx_set(e, s, 4)
         assert len(built) == 1

@@ -405,6 +405,21 @@ def test_cube_family_round_trip():
     assert cube_family_from_json(to_json(fam)) == fam
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dim": 1.9, "sides": ["1/2"]}, "'dim' must be an integer, got float"),
+        ({"dim": True, "sides": ["1/2"]}, "'dim' must be an integer, got bool"),
+        ({"dim": "2", "sides": ["1/2"]}, "'dim' must be an integer, got str"),
+        ({"dim": 1, "sides": {"1/2": 0}}, "'sides' must be a list, got dict"),
+        ({"dim": 1, "sides": 5}, "'sides' must be a list, got int"),
+    ],
+)
+def test_cube_family_decodes_dim_and_sides_by_their_shape(doc, message):
+    with pytest.raises(PreconditionError, match=f"cube family: {message}"):
+        cube_family_from_json(doc)
+
+
 def test_layout_round_trip():
     # the replays decode a layout's placements and target; its merge tree is never read
     fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -504,7 +519,7 @@ _S1_DIFF = Diff(base_expr(S1), _S1_HALF)
 REPORTS = {
     "MeasureBounds": lambda: measure_bounds(_S1_DIFF, S1, 3),
     "SplitReport": lambda: split_identity_check(
-        _S1_DIFF, Box.half_space(1, 0, Fraction(1, 3), above=False), S1, 3
+        _S1_DIFF, S1, 3, axis=0, threshold=Fraction(1, 3), above=False
     ),
     "CoverAttempt": lambda: outer_upper(
         Box.interval(Fraction(0), Fraction(1, 8)), [base_expr(S1), _S1_HALF], S1, stage=2
