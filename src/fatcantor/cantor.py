@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +38,9 @@ from math import lcm, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetError, DimensionMismatchError, PreconditionError, too_large_to_print
+from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import _POINT, Box, BoxUnion, _box_tree, _map_ends, _Tree, check_kernel_dim
-from .rationals import as_fraction, is_finite
+from .rationals import as_fraction, is_finite, printable
 
 DEFAULT_BOX_CAP = 1 << 16  # boxes in one stage set; a power of two
 # Deepest stage that stage sets and the closed-form reports (``cantor-info``,
@@ -64,13 +63,10 @@ def check_stage(n: int) -> int:
 
 
 def box_count(n: int, d: int) -> int:
-    """``2**(n*d)``, the stage-n box count, refused as a document holding it
-    would be when it has more digits than Python prints (2**k >= 10**limit)."""
-    limit = sys.get_int_max_str_digits()
-    # 2**k prints when k <= 3*limit, as 8**limit < 10**limit.
-    if limit and n * d > 3 * limit and n * d >= (10**limit).bit_length():
-        raise too_large_to_print()
-    return 1 << (n * d)
+    """``2**(n*d)``, the stage-n box count, refused (``rationals.printable``)
+    as a document holding it would be when it has more digits than Python
+    prints, before any closed form of the stage is computed."""
+    return printable(1 << (n * d))
 
 
 def _numerator_over(v: Fraction, scale: int) -> int:
@@ -281,12 +277,13 @@ class CantorSchedule:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rho", rho)
         if c <= 0:
-            raise PreconditionError(f"c must be positive, got {c}")
+            raise PreconditionError(f"c must be positive, got {printable(c)}")
         if rho <= 0 or 2 * rho >= 1:
-            raise PreconditionError(f"rho must satisfy 0 < 2*rho < 1, got {rho}")
+            raise PreconditionError(f"rho must satisfy 0 < 2*rho < 1, got {printable(rho)}")
         if c * rho / (1 - 2 * rho) >= 1:
             raise PreconditionError(
-                f"removed total c*rho/(1-2*rho) = {c * rho / (1 - 2 * rho)} must stay below 1"
+                f"removed total c*rho/(1-2*rho) = {printable(c * rho / (1 - 2 * rho))}"
+                " must stay below 1"
             )
 
     # -- closed forms ------------------------------------------------------

@@ -42,6 +42,7 @@ from typing import Any, Callable, Sequence
 from .cantor import CantorSchedule, NeedsDeeperStage, box_count, check_stage
 from .cover import (
     DEFAULT_SUBSET_BUDGET,
+    DEFAULT_WITNESS_STAGE_CAP,
     _cover_sets,
     check_pool_size,
     find_uncovered_box,
@@ -56,6 +57,9 @@ from .cover import (
 from .errors import BudgetError, PreconditionError
 from .geometry import DEFAULT_TILE_CAP, Box, tile_check
 from .hausdorff import (
+    DEFAULT_LEVEL_TOL,
+    DEFAULT_MAX_ITER,
+    DEFAULT_ROOT_BITS,
     PowerGauge,
     corollary_pipeline,
     corollary_plan,
@@ -64,7 +68,9 @@ from .hausdorff import (
     range_function,
     solve_level,
 )
-from .packing import CubeFamily, PackingLayout, layout_covers, pack_cover
+from .packing import (
+    DEFAULT_ALPHA, DEFAULT_TARGET_SIDE, CubeFamily, PackingLayout, layout_covers, pack_cover
+)
 from .rationals import parse_fraction
 from .ring import (
     DEFAULT_RN_CAP,
@@ -312,8 +318,8 @@ def _uncovered_box_core(outcome: Any) -> "tuple[dict, int]":
 
 _SCHEDULE_FLAGS = {
     "--d": dict(type=int, default=1, help="ambient dimension"),
-    "--c": dict(type=rational, default=Fraction(1), help="removal scale c"),
-    "--rho": dict(type=rational, default=Fraction(1, 4), help="removal ratio rho"),
+    "--c": dict(type=rational, default=CantorSchedule.c, help="removal scale c"),
+    "--rho": dict(type=rational, default=CantorSchedule.rho, help="removal ratio rho"),
     "--seed": dict(type=int, default=0, help="recorded for reproducibility"),
     "--out": dict(type=str, default=None, help="write the JSON document here"),
     "--verify": dict(action="store_true", help="replay and re-check from JSON"),
@@ -452,7 +458,7 @@ COMMANDS: "dict[str, Command]" = {
         {
             "--target-file": dict(default=None, help="box JSON (default: unit cube)"),
             "--expr-file": dict(default=None, help="JSON list of elements (default: empty)"),
-            "--stage-cap": dict(type=nonnegative_int, default=12),
+            "--stage-cap": dict(type=nonnegative_int, default=DEFAULT_WITNESS_STAGE_CAP),
         },
         inputs=lambda a, s: {
             "target": Box.unit_cube(s.d)
@@ -472,7 +478,7 @@ COMMANDS: "dict[str, Command]" = {
             "--pool-size": dict(type=nonnegative_int, default=4),
             "--quartered": dict(action="store_true", help="quarter-clipped pool variant"),
             "--expr-file": dict(default=None, help="JSON list overriding the built-in pool"),
-            "--stage-cap": dict(type=nonnegative_int, default=12),
+            "--stage-cap": dict(type=nonnegative_int, default=DEFAULT_WITNESS_STAGE_CAP),
         },
         inputs=lambda a, s: {
             # the pool size is checked before a pool that large is built
@@ -497,8 +503,8 @@ COMMANDS: "dict[str, Command]" = {
         "cover a cube by translates of given cubes",
         {
             "--sides": dict(type=_frac_list_arg, required=True, help="e.g. 1/2,1/4,1/4"),
-            "--alpha": dict(type=rational, default=Fraction(1)),
-            "--target-side": dict(type=rational, default=Fraction(1, 2)),
+            "--alpha": dict(type=rational, default=DEFAULT_ALPHA),
+            "--target-side": dict(type=rational, default=DEFAULT_TARGET_SIDE),
         },
         inputs=lambda a, s: {
             "family": CubeFamily(a.d, tuple(a.sides)),
@@ -541,7 +547,7 @@ COMMANDS: "dict[str, Command]" = {
         {
             "--delta": dict(type=rational, required=True),
             "--a": dict(type=rational, default=None, help="measure bound (default: limit)"),
-            "--bits": dict(type=int, default=24, help="dyadic grid for inexact roots"),
+            "--bits": dict(type=int, default=DEFAULT_ROOT_BITS, help="dyadic grid for inexact roots"),
         },
         inputs=lambda a, s: {"delta": a.delta, "a": a.a, "bits": a.bits},
         run=lambda s, i: (
@@ -556,8 +562,8 @@ COMMANDS: "dict[str, Command]" = {
             "--x": dict(type=rational, default=None),
             "--stage": dict(type=int, default=8),
             "--target": dict(type=rational, default=None),
-            "--tol": dict(type=rational, default=Fraction(1, 1 << 20)),
-            "--max-iter": dict(type=nonnegative_int, default=10_000),
+            "--tol": dict(type=rational, default=DEFAULT_LEVEL_TOL),
+            "--max-iter": dict(type=nonnegative_int, default=DEFAULT_MAX_ITER),
         },
         inputs=lambda a, s: (
             _refuse("range-solve needs exactly one of --x or --target")

@@ -55,6 +55,8 @@ from .ring import (
 
 DEFAULT_SUBSET_BUDGET = 4096
 DEFAULT_POOL_CAP = 12
+# The stage cap of ``uncovered-box`` and ``infinite-cube`` unless told otherwise.
+DEFAULT_WITNESS_STAGE_CAP = 12
 # Rows times pool size times d bounds the certificate coordinates an
 # infinite-cube table holds, which its time, memory and output grow with.
 # A pool of 12 at d = 2 (98280) fits; a pool of 7 at d = 5000 (4445000) would

@@ -50,7 +50,7 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
-from .rationals import NEG_INF, POS_INF, Coord, as_fraction, format_fraction, is_finite
+from .rationals import NEG_INF, POS_INF, Coord, as_fraction, format_fraction, is_finite, printable
 
 DEFAULT_TILE_CAP = 1 << 16
 # Most axes the commands admit in box algebra: tree equality recurses
@@ -93,7 +93,7 @@ class Box:
             raise DimensionMismatchError("a box needs at least one axis")
         for a, b in zip(lo, hi):
             if a > b:
-                raise PreconditionError(f"box side inverted: lo={a} > hi={b}")
+                raise PreconditionError(f"box side inverted: lo={printable(a)} > hi={printable(b)}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -30,7 +30,7 @@ from .errors import BudgetError, PreconditionError, UnboundedBoxError
 from .geometry import Box
 from .packing import CubeFamily, PackingLayout, check_family_size, layout_covers, pack_cover
 from .quadratic import ExtendedRational
-from .rationals import as_fraction
+from .rationals import as_fraction, printable
 from .ring import MeasureBounds
 
 # Largest gauge exponent.  A gauge sum is ``count * diam**exponent``, an
@@ -40,10 +40,16 @@ MAX_GAUGE_EXPONENT = 1024
 # Finest dyadic grid, ``2**-MAX_ROOT_BITS``, that ``side_scale_for`` starts
 # from; a grid that fine still prints.
 MAX_ROOT_BITS = 4096
+# Dyadic grid ``2**-DEFAULT_ROOT_BITS`` that ``side_scale_for`` starts from
+# unless told otherwise.
+DEFAULT_ROOT_BITS = 24
 # Finest ``range-solve`` tolerance, ``2**-MAX_TOL_BITS``.  Bisection halves
 # [0, 1] until it is at most ``tol/2`` wide, so an admitted tolerance needs
 # at most ``MAX_TOL_BITS + 1`` steps, whatever stage the schedule reaches.
 MAX_TOL_BITS = 4096
+# The tolerance and bisection budget of ``solve_level`` unless told otherwise.
+DEFAULT_LEVEL_TOL = Fraction(1, 1 << 20)
+DEFAULT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:
     """
     delta = as_fraction(delta)
     if delta <= 0:
-        raise PreconditionError(f"delta must be positive, got {delta}")
+        raise PreconditionError(f"delta must be positive, got {printable(delta)}")
     lengths = s._child_lengths()
     n, side = 0, Fraction(1)
     while side * side * s.d >= delta * delta:
@@ -122,7 +128,7 @@ def nu_delta_upper(
         stage = minimal
     elif stage < minimal:
         raise PreconditionError(
-            f"stage {stage} boxes are not finer than delta={delta}; "
+            f"stage {stage} boxes are not finer than delta={printable(delta)}; "
             f"the first admissible stage is {minimal}"
         )
     check_stage(stage)
@@ -193,7 +199,7 @@ def dyadic_root_floor(q: Fraction, k: int, bits: int) -> Fraction:
     return Fraction(m, 1 << bits)
 
 
-def side_scale_for(d: int, a: Fraction, *, bits: int = 24) -> tuple[Fraction, bool]:
+def side_scale_for(d: int, a: Fraction, *, bits: int = DEFAULT_ROOT_BITS) -> tuple[Fraction, bool]:
     """The scale ``alpha`` with ``alpha**d = a / (2 * d**(d/2))``.
 
     Returns ``(alpha, exact)``.  When the defining equation has no rational
@@ -282,7 +288,7 @@ def corollary_plan(
     delta: Fraction,
     *,
     a: Fraction | None = None,
-    bits: int = 24,
+    bits: int = DEFAULT_ROOT_BITS,
 ) -> CorollaryPlan:
     """Steps (1)-(5) of :func:`corollary_pipeline`, all closed forms."""
     delta = as_fraction(delta)
@@ -291,7 +297,7 @@ def corollary_plan(
     a = as_fraction(a)
     if not 0 < a <= s.limit_measure():
         raise PreconditionError(
-            f"a must lie in (0, {s.limit_measure()}], got {a}"
+            f"a must lie in (0, {printable(s.limit_measure())}], got {printable(a)}"
         )
     cover = nu_delta_upper(s, PowerGauge(s.d), delta)
     alpha, alpha_exact = side_scale_for(s.d, a, bits=bits)
@@ -349,7 +355,7 @@ def corollary_pipeline(
     delta: Fraction,
     *,
     a: Fraction | None = None,
-    bits: int = 24,
+    bits: int = DEFAULT_ROOT_BITS,
 ) -> CorollaryReport:
     """From a measure lower bound to an explicitly covered cube.
 
@@ -412,8 +418,11 @@ def _levels(lengths: list[int], x: Fraction) -> Iterator[int]:
 
 
 def _bracket(s: CantorSchedule, n: int, level: Fraction) -> MeasureBounds:
-    """Stage-n bounds ``[max(0, a - defect_n), a]`` with ``a = level * lambda_n**(d-1)``."""
-    at = level * s.stage_measure_1d(n) ** (s.d - 1)
+    """Stage-n bounds ``[max(0, a - defect_n), a]`` with ``a = level * lambda_n**(d-1)``.
+
+    ``a`` is the upper bound a document prints, so one too long to print is
+    refused before the subtraction, which costs far more at that size."""
+    at = printable(level * s.stage_measure_1d(n) ** (s.d - 1))
     lower = at - s.stage_defect(n)
     if lower < 0:
         lower = Fraction(0)
@@ -523,8 +532,8 @@ def solve_level(
     s: CantorSchedule,
     target: Fraction,
     *,
-    tol: Fraction = Fraction(1, 1 << 20),
-    max_iter: int = 10_000,
+    tol: Fraction = DEFAULT_LEVEL_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> LevelSolution:
     """Find ``x`` whose level is ``target``, by certified bisection.
 
@@ -554,7 +563,7 @@ def solve_level(
         raise PreconditionError(f"tolerance must be at least 2^-{MAX_TOL_BITS}")
     top = s.limit_measure()
     if not 0 <= target <= top:
-        raise PreconditionError(f"target must lie in [0, {top}], got {target}")
+        raise PreconditionError(f"target must lie in [0, {printable(top)}], got {printable(target)}")
     half = tol / 2
     stage = _stage_for_width(s, half)
     # The search stops once hi - lo <= half, so every abscissa it visits

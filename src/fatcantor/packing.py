@@ -28,12 +28,16 @@ from typing import Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import _SUBTRACT, Box, _box_tree, _combine, _union_all, check_kernel_dim
-from .rationals import as_fraction, floor_log2, pow2
+from .rationals import as_fraction, floor_log2, pow2, printable
 
 
 # Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.5-0.7 s, and in
 # 1.0-1.4 s with ``--verify`` (whole CLI runs, Python 3.11, 2-core x86 VM).
 MAX_FAMILY_CUBES = 1 << 13
+# The scale and target side of ``pack_cover`` unless told otherwise: the
+# largest target side the covering guarantee admits.
+DEFAULT_ALPHA = Fraction(1)
+DEFAULT_TARGET_SIDE = Fraction(1, 2)
 
 
 def check_family_size(size: int) -> int:
@@ -159,8 +163,8 @@ def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
 def pack_cover(
     family: CubeFamily,
     *,
-    target_side: Fraction | int = Fraction(1, 2),
-    alpha: Fraction | int = Fraction(1),
+    target_side: Fraction | int = DEFAULT_TARGET_SIDE,
+    alpha: Fraction | int = DEFAULT_ALPHA,
 ) -> PackingLayout:
     """Cover ``[0, alpha*target_side]^d`` by translates of the input cubes.
 
@@ -174,15 +178,15 @@ def pack_cover(
     target_side = as_fraction(target_side)
     alpha = as_fraction(alpha)
     if alpha <= 0:
-        raise PreconditionError(f"alpha must be positive, got {alpha}")
+        raise PreconditionError(f"alpha must be positive, got {printable(alpha)}")
     if not 0 < target_side <= Fraction(1, 2):
-        raise PreconditionError(f"target side must be in (0, 1/2], got {target_side}")
+        raise PreconditionError(f"target side must be in (0, 1/2], got {printable(target_side)}")
     normalized = [v / alpha for v in family.sides]
     hypothesis = sum((v**family.dim for v in normalized), Fraction(0))
     if hypothesis < 1:
         raise PreconditionError(
-            f"total normalized volume {hypothesis} is below 1; the covering guarantee needs"
-            " sum (side/alpha)**d >= 1"
+            f"total normalized volume {printable(hypothesis)} is below 1;"
+            " the covering guarantee needs sum (side/alpha)**d >= 1"
         )
 
     exponents = round_to_dyadic(normalized)

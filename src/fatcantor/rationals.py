@@ -4,17 +4,29 @@ Every coordinate in this package is a ``fractions.Fraction``; the two
 singletons below let boxes have unbounded sides (half-space clips) without
 ever touching floating point.  Rationals serialize as ``"p/q"`` in lowest
 terms with a positive denominator, infinities as ``"inf"`` / ``"-inf"``.
+``functools.total_ordering`` derives the infinities' ``<=``, ``>`` and
+``>=`` from their ``<`` and identity equality.
+
+This module owns printability: Python prints an integer of at most
+``sys.get_int_max_str_digits()`` digits, and a number longer than that
+refuses the run with ``errors.too_large_to_print()`` (exit 2) instead of
+failing where it is printed.  :func:`format_fraction` refuses so for every
+rational a document holds, and :func:`printable` for an integer count or a
+number a refusal message shows.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from fractions import Fraction
-from typing import Union
+from typing import TypeVar, Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, too_large_to_print
 
 
+@functools.total_ordering
 class _Infinity:
     """Signed infinity, totally ordered against rationals and itself."""
 
@@ -28,27 +40,6 @@ class _Infinity:
             return self._sign < other._sign
         if isinstance(other, (Fraction, int)):
             return self._sign < 0
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return self._sign <= other._sign
-        if isinstance(other, (Fraction, int)):
-            return self._sign < 0
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return self._sign > other._sign
-        if isinstance(other, (Fraction, int)):
-            return self._sign > 0
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return self._sign >= other._sign
-        if isinstance(other, (Fraction, int)):
-            return self._sign > 0
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
@@ -89,7 +80,31 @@ def as_fraction(value: object) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise too_large_to_print() from exc
+
+
+# Python prints at most ``sys.get_int_max_str_digits()`` digits, a limit of
+# at least ``str_digits_check_threshold`` or none.  An integer of at most
+# three bits per digit of that is below 8**threshold < 10**threshold, so it
+# prints under every limit without being printed to check.
+_PRINTABLE_BITS = 3 * sys.int_info.str_digits_check_threshold
+
+_T = TypeVar("_T")
+
+
+def printable(value: _T) -> _T:
+    """``value`` itself, once ``str(value)`` prints; a number in it with more
+    digits than Python prints raises ``too_large_to_print()``.  An integer of
+    at most ``_PRINTABLE_BITS`` bits is returned without printing it."""
+    if type(value) is not int or value.bit_length() > _PRINTABLE_BITS:
+        try:
+            str(value)
+        except ValueError as exc:
+            raise too_large_to_print() from exc
+    return value
 
 
 # Largest decimal exponent ``parse_fraction`` admits, in absolute value: a

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 from .cantor import CantorSchedule, StageLattice
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import _INTERSECT, _SUBTRACT, _UNION, Box, _combine, _Tree
-from .rationals import as_fraction
+from .rationals import as_fraction, printable
 
 DEFAULT_STAGE_CAP = 24
 DEFAULT_RN_CAP = 4096
@@ -226,21 +226,22 @@ def premeasure(
     """Deepen the stage until the certified interval is narrower than ``tol``."""
     tol = as_fraction(tol)
     if tol <= 0:
-        raise PreconditionError(f"tolerance must be positive, got {tol}")
+        raise PreconditionError(f"tolerance must be positive, got {printable(tol)}")
     best: MeasureBounds | None = None
     for n in range(1, stage_cap + 1):
         try:
             bounds = measure_bounds(e, s, n)
         except BudgetError as exc:
             raise BudgetError(
-                f"box cap hit at stage {n} before reaching tolerance {tol}", partial=best
+                f"box cap hit at stage {n} before reaching tolerance {printable(tol)}", partial=best
             ) from exc
         if best is None or bounds.width < best.width:
             best = bounds
         if bounds.width <= tol:
             return bounds
     raise BudgetError(
-        f"stage cap {stage_cap} reached with width {best.width if best else '?'} > {tol}",
+        f"stage cap {stage_cap} reached with width {printable(best.width) if best else '?'}"
+        f" > {printable(tol)}",
         partial=best,
     )
 

@@ -8,11 +8,13 @@ be left out.  Only the types whose JSON is not their fields' object have a
 hand-written encoder: scalars, ``Box`` (infinity markers),
 ``ExtendedRational`` (field ``n`` prints as ``"sqrt"``), ``PackingLayout``
 (placements print as ``{"index", "translate"}``) and ring expressions
-(one-key objects).  Within one call, each dataclass object and each tuple
-is encoded once, by identity, and every place that holds it holds the same
-JSON object: an infinite-cube table's rows share their parents'
-certificates, so its JSON holds each certificate once, and the merge steps
-of one level share their corner offsets.  An encoded document is therefore
+(one-key objects).  No encoder checks printability itself:
+``rationals.format_fraction`` and ``rationals.printable`` refuse a number
+with more digits than Python prints.  Within one call, each dataclass
+object and each tuple is encoded once, by identity, and every place that
+holds it holds the same JSON object: an infinite-cube table's rows share
+their parents' certificates, so its JSON holds each certificate once, and
+the merge steps of one level share their corner offsets.  An encoded document is therefore
 read-only; a caller that edits one place copies it first.
 
 The decoders stay hand-written, because they validate input from outside
@@ -42,18 +44,17 @@ from __future__ import annotations
 
 import dataclasses
 import marshal
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
 from .cantor import GapCertificate
 from .cover import LeafCertificate, UncoveredWitness
-from .errors import PreconditionError, too_large_to_print
+from .errors import PreconditionError
 from .geometry import Box
 from .packing import CubeFamily, PackingLayout
 from .quadratic import ExtendedRational
-from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction
+from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction, printable
 from .ring import Diff, Gen, Inter, RingExpr, Union
 
 # Deepest expression ``expr_from_json`` admits, counted in nodes on the
@@ -79,28 +80,11 @@ def _expect(doc: Any, keys: Sequence[str], what: str) -> Mapping[str, Any]:
 
 
 def frac_to_json(value: Fraction, memo: Any = None) -> str:
-    try:
-        return format_fraction(value)
-    except ValueError as exc:
-        raise too_large_to_print() from exc
-
-
-# Python prints at most ``sys.get_int_max_str_digits()`` digits, a limit of
-# at least ``str_digits_check_threshold`` or none.  An integer of at most
-# three bits per digit of that is below 8**threshold < 10**threshold, so it
-# prints under every limit (the reasoning of ``cantor.box_count``).
-_PRINTABLE_BITS = 3 * sys.int_info.str_digits_check_threshold
+    return format_fraction(value)
 
 
 def int_to_json(value: int, memo: Any = None) -> int:
-    """An integer, checked to print like ``frac_to_json``; only one longer
-    than ``_PRINTABLE_BITS`` bits is printed to check it."""
-    if value.bit_length() > _PRINTABLE_BITS:
-        try:
-            str(value)
-        except ValueError as exc:
-            raise too_large_to_print() from exc
-    return value
+    return printable(value)
 
 
 def _scalar_text(value: Any) -> str:
@@ -139,13 +123,7 @@ def quad_to_json(value: ExtendedRational, memo: Any = None) -> dict:
 
 
 def box_to_json(box: Box, memo: Any = None) -> dict:
-    try:
-        return {
-            "lo": [coord_to_json(v) for v in box.lo],
-            "hi": [coord_to_json(v) for v in box.hi],
-        }
-    except ValueError as exc:
-        raise too_large_to_print() from exc
+    return {"lo": [coord_to_json(v) for v in box.lo], "hi": [coord_to_json(v) for v in box.hi]}
 
 
 def box_from_json(doc: Any) -> Box:

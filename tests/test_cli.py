@@ -9,6 +9,7 @@ exact rational string.  Exit codes: 0 success, 2 precondition violation,
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import subprocess
 import sys
@@ -19,7 +20,19 @@ import pytest
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, cover, grid_translate_pool, serialize
 from fatcantor.cantor import MAX_DIM, MAX_STAGE
 from fatcantor.geometry import DEFAULT_TILE_CAP, MAX_KERNEL_DIM
-from fatcantor.hausdorff import MAX_GAUGE_EXPONENT, MAX_ROOT_BITS, MAX_TOL_BITS
+from fatcantor.hausdorff import (
+    DEFAULT_LEVEL_TOL,
+    DEFAULT_MAX_ITER,
+    DEFAULT_ROOT_BITS,
+    MAX_GAUGE_EXPONENT,
+    MAX_ROOT_BITS,
+    MAX_TOL_BITS,
+    corollary_pipeline,
+    corollary_plan,
+    side_scale_for,
+    solve_level,
+)
+from fatcantor.packing import DEFAULT_ALPHA, DEFAULT_TARGET_SIDE, pack_cover
 from fatcantor.rationals import MAX_DECIMAL_EXPONENT
 from fatcantor.ring import DEFAULT_RN_CAP, MAX_RN_LAYER
 from fatcantor.serialize import MAX_EXPR_DEPTH, box_to_json, expr_to_json
@@ -261,6 +274,44 @@ class TestEnvelope:
         assert code == 2
         error = doc["result"]["error"]
         assert error["kind"] == "precondition"
+        assert error["message"].startswith("result too large to print")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cantor-info", "--rho", "1e4300"),
+            ("cantor-info", "--c", "1e4300", "--rho", "1/3"),
+            ("pack", "--d", "5", "--sides", "1e-1000", "--alpha", "1e1000"),
+            ("uncovered-box", "--target-file", "{inverted}"),
+            ("tile-check", "--base-file", "{inverted}", "--q", "1"),
+            ("corollary-demo", "--d", "5", "--rho", "1e-1000", "--delta", "1/2", "--a", "2"),
+            ("range-solve", "--d", "5", "--rho", "1e-1000", "--target", "2"),
+        ],
+        ids=[
+            "schedule-rho", "schedule-removed-total", "pack-volume", "uncovered-box-inverted",
+            "tile-check-inverted", "corollary-limit", "range-solve-limit",
+        ],
+    )
+    def test_refusals_holding_a_number_too_long_to_print_exit_two(self, tmp_path, argv):
+        # each refusal would show a number of over 4300 digits; the box file
+        # has lo = 10^4300 above hi = 0
+        path = tmp_path / "inverted.json"
+        path.write_text(json.dumps({"lo": ["1e4300"], "hi": ["0/1"]}))
+        code, doc = run_json(*(arg.format(inverted=path) for arg in argv))
+        assert code == 2
+        error = doc["result"]["error"]
+        assert error["kind"] == "precondition"
+        assert error["message"].startswith("result too large to print")
+
+    def test_range_solve_refuses_an_unprintable_bound_before_the_defect(self, monkeypatch, capsys):
+        # the subtraction of the stage defect from a bound of 5 million bits
+        # took most of a minute; the bound is refused before it
+        def defect(*args):
+            raise AssertionError("the stage defect was computed")
+
+        monkeypatch.setattr(CantorSchedule, "stage_defect", defect)
+        assert cli.main(["range-solve", "--d", "5000", "--x", "1/2", "--stage", "1024"]) == 2
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
         assert error["message"].startswith("result too large to print")
 
     def test_pool_cap_is_checked_before_any_search(self, tmp_path):
@@ -684,6 +735,27 @@ class TestResults:
         assert parse(["rn-enumerate", "--n", "1"]).max_size == DEFAULT_RN_CAP
         assert parse(["cover-search", "--target-file", "t", "--expr-file", "e"]).budget == cover.DEFAULT_SUBSET_BUDGET
         assert parse(["tile-check", "--q", "2"]).max_tiles == DEFAULT_TILE_CAP
+        for command in (["uncovered-box"], ["infinite-cube"]):
+            assert parse(command).stage_cap == cover.DEFAULT_WITNESS_STAGE_CAP == 12
+        pack = parse(["pack", "--sides", "1"])
+        assert (pack.c, pack.rho) == (CantorSchedule.c, CantorSchedule.rho) == (1, Fraction(1, 4))
+        assert (pack.alpha, pack.target_side) == (DEFAULT_ALPHA, DEFAULT_TARGET_SIDE)
+        assert (pack.alpha, pack.target_side) == (1, Fraction(1, 2))
+        assert parse(["corollary-demo", "--delta", "1"]).bits == DEFAULT_ROOT_BITS == 24
+        solve = parse(["range-solve"])
+        assert (solve.tol, solve.max_iter) == (DEFAULT_LEVEL_TOL, DEFAULT_MAX_ITER)
+        assert (solve.tol, solve.max_iter) == (Fraction(1, 1 << 20), 10_000)
+        # the library functions default to the same values
+        for function, name, value in [
+            (side_scale_for, "bits", DEFAULT_ROOT_BITS),
+            (corollary_plan, "bits", DEFAULT_ROOT_BITS),
+            (corollary_pipeline, "bits", DEFAULT_ROOT_BITS),
+            (solve_level, "tol", DEFAULT_LEVEL_TOL),
+            (solve_level, "max_iter", DEFAULT_MAX_ITER),
+            (pack_cover, "alpha", DEFAULT_ALPHA),
+            (pack_cover, "target_side", DEFAULT_TARGET_SIDE),
+        ]:
+            assert inspect.signature(function).parameters[name].default is value
 
     def test_pack_covers_the_advertised_interval(self):
         code, doc = run_json("pack", "--sides", "1/2,1/4,1/4")

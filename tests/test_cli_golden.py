@@ -2,8 +2,10 @@
 
 Each case runs one subcommand in-process on small fixed inputs, most of
 them with ``--verify``.  The first fifteen digests were recorded before the
-report encoders were folded into ``serialize.to_json``, the rest before the
-subcommands were declared in one command table; a changed digest means a
+report encoders were folded into ``serialize.to_json``, the next fifteen
+before the subcommands were declared in one command table, and the last
+five, which pin paths no other case runs, before ``rationals`` took over the
+printability checks; a changed digest means a
 document changed, so a change to any report's JSON must update its digest
 here on purpose.  Each document must also equal the stdlib's
 ``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
@@ -29,6 +31,10 @@ FILES = {
     "pool3.json": f'[{BASE}, {HALF}, {BASE.replace("0/1", "-1/2", 1)}]',
     "edge.json": '{"lo": ["0/1"], "hi": ["1/8"]}',
     "middle.json": '{"lo": ["1/8"], "hi": ["7/8"]}',
+    # a Diff and a Union of an Inter, so a positive hull drops and keeps nodes
+    "mixed.json": f'[{{"diff": [{BASE}, {HALF}]}}, {{"union": [{{"inter": [{BASE}, {HALF}]}}, '
+    f'{BASE.replace("0/1", "-1/2", 1)}]}}]',
+    "half-line.json": '{"gen": {"x": ["0/1"], "clip": {"lo": ["-inf"], "hi": ["1/2"]}}}',
 }
 
 CASES = {
@@ -190,6 +196,34 @@ CASES = {
         ["infinite-cube", "--pool-size", "13", "--verify"],
         3,
         "25f23fdf5a29be5747c6eb4874a3a237aed6769afd1e01759c8d0fb07250e320",
+    ),
+    # paths the rows above leave out: an irrational sign (odd d >= 3), an
+    # expression target, positive hulls of Diff, Union and Inter elements,
+    # and an infinite clip end read from JSON
+    "corollary-demo-odd-d": (
+        ["corollary-demo", "--d", "3", "--delta", "1/8", "--verify"],
+        0,
+        "c958037a799e8dca786f25659f4cbfee3e8148001197936097ef7daf3a827c17",
+    ),
+    "cover-search-expr-target": (
+        ["cover-search", "--target-file", "diff.json", "--expr-file", "pool3.json", "--verify"],
+        0,
+        "b6db0e5d579c2f37c4ccab717eff61274e1226222b489d31084e22070ce5c995",
+    ),
+    "uncovered-box-mixed-pool": (
+        ["uncovered-box", "--expr-file", "mixed.json", "--verify"],
+        0,
+        "87c570d9667868abfddb9d2cd5f9851510acb05050267e8cf12966e75819d436",
+    ),
+    "infinite-cube-mixed-pool": (
+        ["infinite-cube", "--expr-file", "mixed.json", "--verify"],
+        0,
+        "9d10c525cd181927cfa4e901643ed19f476c4082d2246b2d3cc332bb8067cff4",
+    ),
+    "measure-half-line": (
+        ["measure", "--expr-file", "half-line.json", "--stage", "3", "--verify"],
+        0,
+        "307997d38b09149ef6c5e5db61a24af93e0146261f20fd5ccdcedcef5b32d4ba",
     ),
 }
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from fatcantor.rationals import (
     format_fraction,
     is_finite,
     parse_fraction,
+    printable,
 )
 
 from strategies import positive_fractions
@@ -141,6 +144,18 @@ def test_format_fraction_always_writes_numerator_slash_denominator():
     assert format_fraction(Fraction(0)) == "0/1"
 
 
+def test_printable_returns_what_prints_and_refuses_the_rest():
+    limit = sys.get_int_max_str_digits()
+    big = 10**limit - 1
+    for value in (0, -big, big, Fraction(1, big), Fraction(-big, 7), POS_INF):
+        assert printable(value) is value
+    for value in (10**limit, -(10**limit), Fraction(1, 10**limit), Fraction(10**limit, 3)):
+        with pytest.raises(PreconditionError, match="^result too large to print"):
+            printable(value)
+        with pytest.raises(PreconditionError, match="^result too large to print"):
+            format_fraction(Fraction(value))
+
+
 def test_as_fraction_coerces_ints_but_not_strings():
     assert as_fraction(5) == Fraction(5)
     assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
@@ -165,6 +180,31 @@ def test_infinities_bound_every_fraction():
     assert not is_finite(POS_INF)
     assert not is_finite(NEG_INF)
     assert is_finite(Fraction(7, 3))
+
+
+_ORDER_OPS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+
+def _order_key(value):
+    return (-1, 0) if value is NEG_INF else (1, 0) if value is POS_INF else (0, value)
+
+
+def test_infinities_compare_with_every_operator():
+    # the signed order: NEG_INF below every rational, POS_INF above, each
+    # equal only to itself; checked from both sides of every operator
+    values = [NEG_INF, POS_INF, -1, 0, Fraction(1, 2), 3]
+    for a in (NEG_INF, POS_INF):
+        for b in values:
+            for op in _ORDER_OPS:
+                assert op(a, b) is op(_order_key(a), _order_key(b)), (op, a, b)
+                assert op(b, a) is op(_order_key(b), _order_key(a)), (op, b, a)
+
+
+def test_infinity_order_is_derived_from_lt_and_eq():
+    from fatcantor.rationals import _Infinity
+
+    for name in ("__le__", "__gt__", "__ge__"):
+        assert getattr(_Infinity, name).__module__ == "functools", name
 
 
 def test_coord_json_round_trip():
