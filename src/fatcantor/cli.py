@@ -126,9 +126,13 @@ def rational(text: str) -> Fraction:
 
 
 def _frac_list_arg(text: str) -> list[Fraction]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of rationals")
+    """A comma-separated list of rationals: an empty entry is refused, since
+    dropping it would shift the indices of the entries after it."""
+    items = [piece.strip() for piece in text.split(",")]
+    if not all(items):
+        raise argparse.ArgumentTypeError(
+            "expected a comma-separated list of rationals, got an empty entry"
+        )
     return [rational(piece) for piece in items]
 
 

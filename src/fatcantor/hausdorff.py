@@ -421,7 +421,10 @@ def _bracket(s: CantorSchedule, n: int, level: Fraction) -> MeasureBounds:
     """Stage-n bounds ``[max(0, a - defect_n), a]`` with ``a = level * lambda_n**(d-1)``.
 
     ``a`` is the upper bound a document prints, so one too long to print is
-    refused before the subtraction, which costs far more at that size."""
+    refused before the subtraction, which costs far more at that size.  A
+    zero level has both bounds 0, with neither power computed."""
+    if not level:
+        return MeasureBounds(lower=Fraction(0), upper=Fraction(0), stage=n, leaf_count=1)
     at = printable(level * s.stage_measure_1d(n) ** (s.d - 1))
     lower = at - s.stage_defect(n)
     if lower < 0:

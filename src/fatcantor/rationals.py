@@ -161,14 +161,19 @@ def pow2(k: int) -> Fraction:
 
 
 def floor_log2(value: Fraction) -> int:
-    """Largest k with 2**k <= value (value must be positive).
-
-    With p/q in lowest terms, p/q lies in (2**(k-1), 2**(k+1)) for
-    k = bitlen(p) - bitlen(q), so one shifted integer comparison decides.
-    """
-    p, q = value.numerator, value.denominator
+    """Largest k with 2**k <= value (value must be positive)."""
+    p = value.numerator
     if p <= 0:
         raise PreconditionError(f"floor_log2 needs a positive value, got {value}")
+    return _floor_log2_ratio(p, value.denominator)
+
+
+def _floor_log2_ratio(p: int, q: int) -> int:
+    """Largest k with 2**k <= p/q, for positive integers p, q in any terms.
+
+    p/q lies in (2**(k-1), 2**(k+1)) for k = bitlen(p) - bitlen(q), reduced
+    or not, so one shifted integer comparison decides.
+    """
     k = p.bit_length() - q.bit_length()
     fits = q << k <= p if k >= 0 else q <= p << -k  # 2**k <= p/q
     return k if fits else k - 1

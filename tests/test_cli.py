@@ -400,6 +400,26 @@ class TestEnvelope:
         assert captured.out == ""
         assert "argument --sides: expected a comma-separated list of rationals" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pack", "--d", "1", "--sides", "1,,"),
+            ("pack", "--d", "1", "--sides", "1/2,,1/4"),
+            ("tile-check", "--q", "2,"),
+        ],
+    )
+    def test_an_empty_entry_is_refused_not_dropped(self, argv, capsys):
+        # Dropping it would shift the indices the placements refer to.
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag = argv[-2]
+        assert f"argument {flag}: expected a comma-separated list of rationals" in captured.err
+
+    def test_entries_may_keep_surrounding_whitespace(self, capsys):
+        assert cli.main(["pack", "--d", "1", "--sides", " 1/2 , 1/2 "]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["family"]["sides"] == ["1/2", "1/2"]
+
     def test_tolerance_in_exponent_notation_still_parses(self, capsys):
         assert cli.main(["range-solve", "--d", "1", "--target", "1/3", "--tol", "1e-3"]) == 0
         assert json.loads(capsys.readouterr().out)["inputs"]["tol"] == "1/1000"

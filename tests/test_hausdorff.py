@@ -391,6 +391,16 @@ class TestRangeFunction:
         # the full cube keeps one slice factor at full stage measure
         assert b.upper == s2.stage_measure_1d(5) ** 2
 
+    def test_a_zero_level_computes_neither_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a power for a zero level")
+
+        s = CantorSchedule(5000)
+        monkeypatch.setattr(CantorSchedule, "stage_measure_1d", refuse)
+        monkeypatch.setattr(CantorSchedule, "stage_defect", refuse)
+        b = range_function(s, Fraction(-1), 1024)
+        assert (b.lower, b.upper, b.stage, b.leaf_count) == (0, 0, 1024, 1)
+
 
 class TestSolveLevel:
     def test_target_quarter_is_hit_exactly_at_one_half(self):

@@ -43,7 +43,7 @@ from fatcantor.packing import (
     check_family_size,
 )
 from fatcantor import cli, packing
-from fatcantor.rationals import POS_INF
+from fatcantor.rationals import POS_INF, _floor_log2_ratio
 from fatcantor.serialize import to_json
 
 import test_cli_golden
@@ -104,6 +104,28 @@ def test_rounding_brackets_each_side_from_below(sides):
 
 def test_rounding_keeps_exact_powers_of_two():
     assert round_to_dyadic([Fraction(1, 2), Fraction(1, 4), Fraction(8)]) == [-1, -2, 3]
+
+
+_ALPHAS = [Fraction(1), Fraction(3, 4), Fraction(2, 3), Fraction(5, 7), Fraction(6), Fraction(1, 12)]
+
+
+@given(
+    sides=st.lists(positive_fractions(max_value=Fraction(8)), min_size=1, max_size=16),
+    alpha=st.sampled_from(_ALPHAS),
+    powers=st.lists(st.integers(-12, 12), max_size=4),
+)
+def test_integer_rounding_is_floor_log2_of_the_ratio(sides, alpha, powers):
+    # Sides alpha * 2**k sit exactly on a level boundary.
+    sides += [alpha * pow2(k) for k in powers]
+    expected = [floor_log2(v / alpha) for v in sides]
+    assert packing._dyadic_exponents(sides, alpha) == round_to_dyadic([v / alpha for v in sides]) == expected
+
+
+@given(
+    p=st.integers(1, 1 << 80), q=st.integers(1, 1 << 80), m=st.integers(1, 1 << 40)
+)
+def test_the_bit_length_rule_needs_no_lowest_terms(p, q, m):
+    assert _floor_log2_ratio(p * m, q * m) == _floor_log2_ratio(p, q) == floor_log2(Fraction(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +289,27 @@ class TestPackCover:
     def test_determinism(self):
         fam = CubeFamily(2, tuple(Fraction(k, 16) for k in (9, 10, 11, 12, 13)))
         assert pack_cover(fam) == pack_cover(fam)
+
+    @settings(max_examples=150)
+    @given(
+        dim=st.integers(1, 3),
+        alpha=st.sampled_from(_ALPHAS),
+        sides=st.lists(
+            st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 12, 13, 30])),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_the_hypothesis_is_the_fraction_sum(self, dim, alpha, sides):
+        # Mixed denominators: the per-denominator integer sums against the
+        # Fraction sum of the normalized volumes.
+        total = sum(((v / alpha) ** dim for v in sides), Fraction(0))
+        fam = CubeFamily(dim, tuple(sides))
+        if total >= 1:
+            assert layout_covers(fam, pack_cover(fam, alpha=alpha))
+        else:
+            with pytest.raises(PreconditionError, match=f"^total normalized volume {total} is below 1;"):
+                pack_cover(fam, alpha=alpha)
 
     @given(dim=st.integers(min_value=1, max_value=3))
     def test_selection_prefers_the_smallest_adequate_cube(self, dim):
@@ -550,24 +593,28 @@ def grid_layout(dim: int, h: Fraction, g: int) -> tuple[CubeFamily, PackingLayou
 
 _STEPS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 6)]
 _NUDGES = [Fraction(0), Fraction(0), Fraction(1, 12), Fraction(-1, 12), Fraction(1, 35), Fraction(-2, 9)]
+# Over distinct primes, so that the replay's lattice spans all of them.
+_PRIME_NUDGES = [Fraction(0), Fraction(0), Fraction(1, 11), Fraction(-2, 13), Fraction(1, 17), Fraction(-3, 19)]
 
 
 @st.composite
 def perturbed_layouts(draw):
     """A grid layout, maybe perturbed: sides grown (overlaps), translations
-    nudged (gaps and overlaps), cubes left out (gaps), cubes placed at
+    nudged (gaps and overlaps) by amounts over one set of denominators or
+    over distinct primes, cubes left out (gaps), cubes placed at
     random (sticking out of the target), and the target resized."""
     dim = draw(st.integers(1, 3))
     h = draw(st.sampled_from(_STEPS))
     fam, layout = grid_layout(dim, h, draw(st.integers(1, 3)))
     if not draw(st.booleans()):
         return fam, layout
+    nudges = draw(st.sampled_from([_NUDGES, _PRIME_NUDGES]))
     sides, placements = [], []
     for index, translation in layout.placements:
         if draw(st.integers(0, 5)) == 0:
             continue
-        sides.append(h + abs(draw(st.sampled_from(_NUDGES))))
-        placements.append(tuple(x + draw(st.sampled_from(_NUDGES)) for x in translation))
+        sides.append(h + abs(draw(st.sampled_from(nudges))))
+        placements.append(tuple(x + draw(st.sampled_from(nudges)) for x in translation))
     for _ in range(draw(st.integers(0, 2))):
         sides.append(draw(st.sampled_from(_STEPS)))
         placements.append(tuple(draw(fractions(min_value=-1, max_value=2)) for _ in range(dim)))
