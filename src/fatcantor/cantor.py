@@ -21,22 +21,24 @@ one walk per axis across its stages, so a search that ends at stage M walks at
 most d*(M + 1) levels.  Validation has its own descent
 (:meth:`CantorSchedule.interval_meets_stage_translate`): it follows the one
 interval that holds both ends of a query until they part or fall into one
-gap, and shares no code with the search.  Both run on integers: the
-lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` are numerators over the common
-denominator of levels 0..k (``_Ladder``), extended one level at a time as a
-walk first needs it and kept for the schedule.
+gap, and shares no code with the search.  Both run on integers.
+
+Every stage length comes from one table per schedule (``_Ladder``): the
+lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` as numerators over the common
+denominator of levels 0..k, computed once, extended one level at a time as
+a caller first needs it, and kept for the schedule.  The walks, the stage
+sets and :mod:`.hausdorff` all read it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import _POINT, Box, BoxUnion, _box_tree, _map_ends, _Tree, check_kernel_dim
@@ -161,31 +163,46 @@ class StageLattice:
 
 
 class _Ladder:
-    """The interval lengths of stages 0, 1, ... as integers, grown one level at a time.
+    """The schedule's one table of stage lengths, grown one level at a time.
 
-    ``lengths[k]`` is ``l_k`` over ``D_k``, the common denominator of
-    ``l_0 .. l_k``, and ``steps[k]`` is ``D_k / D_(k-1)`` (``D_0 = 1``), so a
-    position over ``D_(k-1)`` times ``steps[k]`` is the same position over
-    ``D_k``.  A level is computed when a walk first asks for it, never
-    before, so a walk that stops early costs nothing for the levels below.
+    Only here are the lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` computed,
+    with a running removal ``c*rho**k``; each equals the closed form
+    ``stage_interval_length(k)`` exactly.  ``lengths[k]`` is ``l_k`` over
+    ``dens[k] = D_k``, the common denominator of ``l_0 .. l_k``, and
+    ``steps[k]`` is ``D_k / D_(k-1)`` (``D_0 = 1``), so a position over
+    ``D_(k-1)`` times ``steps[k]`` is the same position over ``D_k``.  A
+    level is computed when a caller first asks for it and kept for the
+    schedule, so a walk that stops early costs nothing for the levels below.
     """
 
-    __slots__ = ("lengths", "steps", "_den", "_children")
+    __slots__ = ("lengths", "steps", "dens", "_length", "_removal", "_rho")
 
-    def __init__(self, children: Iterator[Fraction]) -> None:
+    def __init__(self, c: Fraction, rho: Fraction) -> None:
         self.lengths = [1]
         self.steps = [1]
-        self._den = 1
-        self._children = children
+        self.dens = [1]
+        self._length, self._removal, self._rho = Fraction(1), c, rho
 
     def reach(self, k: int) -> None:
         """Make the levels up to ``k`` available."""
         while len(self.lengths) <= k:
-            length = next(self._children)
-            den = lcm(self._den, length.denominator)
-            self.steps.append(den // self._den)
+            self._removal *= self._rho
+            length = self._length = (self._length - self._removal) / 2
+            den = lcm(self.dens[-1], length.denominator)
+            self.steps.append(den // self.dens[-1])
             self.lengths.append(length.numerator * (den // length.denominator))
-            self._den = den
+            self.dens.append(den)
+
+    def over(self, n: int, grain: int = 1) -> list[int]:
+        """Lengths of stages 0..n as integer numerators over ``lcm(D_n, grain)``.
+
+        That denominator is the first entry (the stage-0 length is 1).  It
+        is a multiple of ``grain``, so rationals whose denominator divides
+        ``grain`` share it.
+        """
+        self.reach(n)
+        den = lcm(self.dens[n], grain)
+        return [length * (den // at) for length, at in zip(self.lengths[: n + 1], self.dens)]
 
 
 class _Walk:
@@ -330,24 +347,13 @@ class CantorSchedule:
         den, ends = self._stage_ends(n)
         return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
 
-    def _stage_lengths(self, n: int, grain: int = 1) -> list[int]:
-        """Interval lengths of stages 0..n as integer numerators over one denominator.
-
-        The denominator is the first entry (the stage-0 length is 1).  It is
-        also a multiple of ``grain``, so rationals whose denominator divides
-        ``grain`` share it.
-        """
-        lengths = list(itertools.islice(self._child_lengths(), n))
-        den = lcm(grain, *(length.denominator for length in lengths))
-        return [den] + [_numerator_over(length, den) for length in lengths]
-
     def _stage_ends(self, n: int) -> tuple[int, list[tuple[int, int]]]:
         """Stage-n intervals as integer numerators over one common denominator.
 
         Integer arithmetic builds the 2**n intervals several times faster
         than Fraction arithmetic; callers convert only what they keep.
         """
-        den, *children = self._stage_lengths(n)
+        den, *children = self._ladder.over(n)
         ends = [(0, den)]
         for child in children:
             ends = [pair for lo, hi in ends for pair in ((lo, lo + child), (hi - child, hi))]
@@ -397,21 +403,9 @@ class CantorSchedule:
             ),
         )
 
-    def _child_lengths(self) -> Iterator[Fraction]:
-        """Interval lengths ``l_1, l_2, ...`` by ``l_k = (l_(k-1) - c*rho**k) / 2``.
-
-        The removal ``c*rho**k`` is a running product; every value equals
-        the closed form exactly.
-        """
-        length, removal = Fraction(1), self.c
-        while True:
-            removal *= self.rho
-            length = (length - removal) / 2
-            yield length
-
     @functools.cached_property
     def _ladder(self) -> _Ladder:
-        return _Ladder(self._child_lengths())
+        return _Ladder(self.c, self.rho)
 
     def _descend_overlapping(
         self, n: int, qlo: Fraction, qhi: Fraction

@@ -52,6 +52,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
 from .rationals import NEG_INF, POS_INF, Coord, as_fraction, format_fraction, is_finite, printable
 
+# Most intervals ``tile_check`` folds: ``sum(p_i)`` over the axes of ``q``.
 DEFAULT_TILE_CAP = 1 << 16
 # Most axes the commands admit in box algebra: tree equality recurses
 # through 2*256 nested tuples, which with the callers' frames stays below
@@ -470,8 +471,9 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     of one interval per axis, so the tiles' union is the product of each
     axis's union: the grid tiles the scaled box exactly when, on every axis,
     the ``p_i`` intervals ``[k a_i / s_i, (k + 1) a_i / s_i)`` union to
-    ``[0, q_i * a_i)``.  That checks ``sum(p_i)`` intervals, not
-    ``prod(p_i)`` boxes.
+    ``[0, q_i * a_i)``.  That folds ``sum(p_i)`` intervals, not
+    ``prod(p_i)`` boxes, so ``max_tiles`` caps ``sum(p_i)``, checked before
+    ``prod(p_i)`` is computed.
     """
     check_kernel_dim(len(q))
     if max_tiles > DEFAULT_TILE_CAP:
@@ -486,20 +488,20 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     if any(v <= 0 for v in scale):
         raise PreconditionError(f"q must be positive, got {', '.join(map(format_fraction, scale))}")
 
+    counts = tuple(v.numerator for v in scale)
+    folded = sum(counts)
+    if folded > max_tiles:
+        # folded may have more digits than Python prints; its bit length never does
+        raise BudgetError(
+            f"tiling check would fold at least 2^{folded.bit_length() - 1} intervals,"
+            f" above the cap of {max_tiles}"
+        )
     sides = base.sides()
     ref_sides = tuple(a / v.denominator for a, v in zip(sides, scale))
-    counts = tuple(v.numerator for v in scale)
     count = prod(counts)
     zero = Fraction(0)
     scaled_box = Box((zero,) * base.dim, tuple(v * a for v, a in zip(scale, sides)))
     refinement = Box((zero,) * base.dim, ref_sides)
-
-    if count > max_tiles:
-        # count may have more digits than Python prints; its bit length never does
-        raise BudgetError(
-            f"tiling would need at least 2^{count.bit_length() - 1} boxes,"
-            f" above the cap of {max_tiles}"
-        )
 
     tiling_verified = all(
         _union_all([_box_tree((k * r,), ((k + 1) * r,)) for k in range(c)], 1) == _box_tree((zero,), (end,))

@@ -13,7 +13,8 @@ a covered cube (via :mod:`.packing`), and the level function
 certified bisection inverse.  Its stage-n value comes from one descent
 along the path of ``x`` (``_levels``), which yields the levels of all
 stages 1, 2, ... in turn as integer numerators over one common
-denominator; the stage data it needs are tabled once per solve.  A
+denominator.  The stage lengths come from the schedule's one table
+(``cantor._Ladder``), and a solve tables its verdict cuts once.  A
 bisection midpoint thus costs O(N) integer steps at its deciding stage
 N, not O(N^2) ``Fraction`` operations.
 """
@@ -88,12 +89,13 @@ def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:
     delta = as_fraction(delta)
     if delta <= 0:
         raise PreconditionError(f"delta must be positive, got {printable(delta)}")
-    lengths = s._child_lengths()
-    n, side = 0, Fraction(1)
-    while side * side * s.d >= delta * delta:
+    # l_n**2 * d >= delta**2 on integers: l_n is lengths[n] / dens[n].
+    ladder, p, q = s._ladder, delta.numerator, delta.denominator
+    n = 0
+    while (ladder.lengths[n] * q) ** 2 * s.d >= (p * ladder.dens[n]) ** 2:
         n += 1
         check_stage(n)
-        side = next(lengths)
+        ladder.reach(n)
     return n
 
 
@@ -446,7 +448,7 @@ def range_function(s: CantorSchedule, x: Fraction, stage: int) -> MeasureBounds:
     if stage < 0:
         raise PreconditionError("stage must be nonnegative")
     x = as_fraction(x)
-    lengths = s._stage_lengths(stage, x.denominator)
+    lengths = s._ladder.over(stage, x.denominator)
     *_, level = _levels(lengths, x)
     return _bracket(s, stage, Fraction(level, lengths[0]))
 
@@ -551,12 +553,12 @@ def solve_level(
     ``cantor.MAX_STAGE``, is refused before the search starts, so a solve
     takes at most ``MAX_TOL_BITS + 1`` bisection steps.
 
-    Cost: the stage data for stages up to N = ``_stage_for_width(s, tol/2)``
-    and each stage's integer cuts for the le/ge/straddle tests are built
-    once per solve.  Each midpoint is then one descent (``_levels``) that
-    stops at its deciding stage, at one integer product and a few integer
-    comparisons per stage, so a solve is O(N) midpoints of at most O(N)
-    steps each.  Only the returned bracket becomes a ``MeasureBounds``.
+    Cost: the stage lengths up to N = ``_stage_for_width(s, tol/2)`` are
+    read from the schedule's table, and each stage's integer cuts for the
+    le/ge/straddle tests are built once per solve.  Each midpoint is then
+    one descent (``_levels``) that stops at its deciding stage, at one
+    integer product and a few integer comparisons per stage, so a solve is
+    O(N) midpoints of at most O(N) steps each.  Only the returned bracket becomes a ``MeasureBounds``.
     """
     target = as_fraction(target)
     tol = as_fraction(tol)
@@ -571,7 +573,7 @@ def solve_level(
     stage = _stage_for_width(s, half)
     # The search stops once hi - lo <= half, so every abscissa it visits
     # is a multiple of 2**-(b + 1) with 2**b > 1/half.
-    lengths = s._stage_lengths(stage, 1 << (half.denominator.bit_length() + 1))
+    lengths = s._ladder.over(stage, 1 << (half.denominator.bit_length() + 1))
     cuts = _verdict_cuts(s, lengths, target, half)
     lo, hi = Fraction(0), Fraction(1)
     iterations = 0

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import _SUBTRACT, Box, _box_tree, _combine, _union_all, check_kernel_dim
-from .rationals import _floor_log2_ratio, as_fraction, floor_log2, is_finite, pow2, printable
+from .rationals import _floor_log2_ratio, as_fraction, is_finite, pow2, printable
 
 
 # Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.5-0.7 s with or
@@ -77,14 +77,9 @@ class CubeFamily:
         object.__setattr__(self, "sides", sides)
 
 
-def round_to_dyadic(sides: Sequence[Fraction]) -> list[int]:
-    """Exponents k_j with 2**k_j <= side_j < 2**(k_j + 1)."""
-    return [floor_log2(as_fraction(v)) for v in sides]
-
-
 def _dyadic_exponents(sides: Sequence[Fraction], alpha: Fraction) -> list[int]:
-    """``round_to_dyadic`` of the sides over ``alpha``, on the unreduced
-    integer ratios: no Fraction per side."""
+    """The exponents k_j with ``2**k_j <= side_j / alpha < 2**(k_j + 1)``, by
+    ``floor_log2``'s rule on the unreduced integer ratios: no Fraction per side."""
     an, ad = alpha.numerator, alpha.denominator
     return [_floor_log2_ratio(v.numerator * ad, v.denominator * an) for v in sides]
 

@@ -6,9 +6,10 @@ is a depth-first stack over ``(lo, hi, depth)`` nodes, sorted at the end;
 it rebuilds every child length from the closed form
 ``stage_interval_length``, and ``min_stage_for_delta`` scans the same
 closed form stage by stage.  ``first_free_subinterval`` and ``find_gap``
-are the library's routines on top of that walk.  Nothing here calls ``_Walk``,
-``_Ladder`` or ``_child_lengths``, so the differential tests compare the
-kernel against code that shares none of it.  Each node costs a handful of
+are the library's routines on top of that walk.  Nothing here calls
+``_Walk`` or ``_Ladder``, the schedule's one table of stage lengths that
+every library routine reads, so the differential tests compare the kernel
+against code that shares none of it.  Each node costs a handful of
 ``Fraction`` powers; kept only as an oracle.
 """
 

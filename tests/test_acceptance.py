@@ -31,6 +31,7 @@ from fatcantor import (
     clip_to_box,
     corollary_pipeline,
     find_uncovered_box,
+    floor_log2,
     generate_rn,
     grid_translate_pool,
     layout_covers,
@@ -43,7 +44,6 @@ from fatcantor import (
     pow2,
     quartered_translate_pool,
     range_function,
-    round_to_dyadic,
     solve_level,
     split_identity_check,
     tile_check,
@@ -261,7 +261,7 @@ def test_criterion_06_random_families_pack_and_cover():
             sides.append(Fraction(1))
         family = CubeFamily(d, tuple(sides))
 
-        exponents = round_to_dyadic(family.sides)
+        exponents = [floor_log2(v) for v in family.sides]
         final, _steps = merge_dyadic(d, exponents)
         level_counts: dict[int, int] = {}
         for _, level in final:

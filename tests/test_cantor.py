@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -372,20 +373,29 @@ def walk_levels(s, qlo, qhi, count):
 
 class TestWalkAgainstOracle:
     @pytest.mark.parametrize("c, rho", WALK_SCHEDULES)
-    def test_child_lengths_equal_the_closed_form(self, c, rho):
+    def test_ladder_lengths_equal_the_closed_form(self, c, rho):
         s = CantorSchedule(1, c=c, rho=rho)
-        lengths = s._child_lengths()
-        for k in range(1, 301):
-            got = next(lengths)
-            want = s.stage_interval_length(k)
-            assert got == want and repr(got) == repr(want)
         # The integer ladder: l_k over D_k, with D_k / D_(k-1) = steps[k].
         ladder = s._ladder
         ladder.reach(300)
         den = 1
         for k in range(301):
             den *= ladder.steps[k]
-            assert Fraction(ladder.lengths[k], den) == s.stage_interval_length(k)
+            assert ladder.dens[k] == den
+            assert Fraction(ladder.lengths[k], ladder.dens[k]) == s.stage_interval_length(k)
+
+    @pytest.mark.parametrize("grain", [1, 3, 1 << 40, 1009])
+    @pytest.mark.parametrize("c, rho", WALK_SCHEDULES)
+    def test_over_puts_every_stage_length_over_one_denominator(self, c, rho, grain):
+        s = CantorSchedule(1, c=c, rho=rho)
+        for n in (0, 1, 7, 40):
+            lengths = s._ladder.over(n, grain)
+            closed = [s.stage_interval_length(k) for k in range(n + 1)]
+            den = lengths[0]
+            assert len(lengths) == n + 1
+            assert den == lcm(grain, *(length.denominator for length in closed))
+            assert den % grain == 0 and all(den % at == 0 for at in s._ladder.dens[: n + 1])
+            assert [Fraction(length, den) for length in lengths] == closed
 
     @given(data=st.data(), s=walk_schedules(), n=st.integers(min_value=0, max_value=10))
     def test_descend_overlapping_equals_the_stack_walk(self, data, s, n):

@@ -369,6 +369,27 @@ class TestEnvelope:
         assert error["kind"] == "precondition"
         assert error["message"] == "max_tiles must be at most 65536, got 65537"
 
+    def test_the_cap_bounds_the_folded_intervals_not_the_tiles(self):
+        # 257 * 256 tiles above the cap, from 257 + 256 intervals below it
+        code, doc = run_json("tile-check", "--q", "257,256", "--verify")
+        assert code == 0
+        result = doc["result"]
+        assert result["verification"]["ok"] is True
+        assert result["report"]["tiling_verified"] is True
+        assert result["report"]["count"] == 257 * 256
+
+    @pytest.mark.parametrize(
+        "argv, bits, cap",
+        [(("--q", "65536,1"), 16, 65536), (("--max-tiles", "1", "--q", "1/2,1/3"), 1, 1)],
+    )
+    def test_more_folded_intervals_than_the_cap_exit_three(self, argv, bits, cap):
+        # no more tiles than the cap (65536 and 1), but more intervals to fold (65537 and 2)
+        code, doc = run_json("tile-check", *argv)
+        assert code == 3
+        error = doc["result"]["error"]
+        assert error["kind"] == "budget"
+        assert error["message"] == f"tiling check would fold at least 2^{bits} intervals, above the cap of {cap}"
+
     @pytest.mark.parametrize("q, shown", [("0", "0/1"), ("2,-1/3", "2/1, -1/3")])
     def test_a_nonpositive_scale_is_printed_as_rationals(self, q, shown):
         code, doc = run_json("tile-check", "--q", q)
@@ -485,13 +506,13 @@ class TestEnvelope:
         )
 
     def test_budget_messages_stay_printable(self, tmp_path):
-        # the box counts have thousands of digits; the messages give powers of two
+        # the counts have thousands of digits; the messages give powers of two
         big = "1" + "0" * 3000
         code, doc = run_json("tile-check", "--q", f"{big},{big}")
         assert code == 3
         error = doc["result"]["error"]
         assert error["kind"] == "budget"
-        assert error["message"] == "tiling would need at least 2^19931 boxes, above the cap of 65536"
+        assert error["message"] == "tiling check would fold at least 2^9966 intervals, above the cap of 65536"
         d = 5000
         path = tmp_path / "gen.json"
         path.write_text(json.dumps(expr_to_json(Gen((Fraction(0),) * d, Box.unit_cube(d)))))

@@ -305,5 +305,5 @@ class TestTileCheck:
         from fatcantor import BudgetError
 
         with pytest.raises(BudgetError) as exc:
-            tile_check(Box.unit_cube(2), [Fraction(3), Fraction(5)], max_tiles=14)
-        assert str(exc.value) == "tiling would need at least 2^3 boxes, above the cap of 14"
+            tile_check(Box.unit_cube(2), [Fraction(3), Fraction(5)], max_tiles=7)
+        assert str(exc.value) == "tiling check would fold at least 2^3 intervals, above the cap of 7"

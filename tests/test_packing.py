@@ -33,7 +33,6 @@ from fatcantor import (
     merge_dyadic,
     pack_cover,
     pow2,
-    round_to_dyadic,
 )
 from fatcantor.packing import (
     MAX_FAMILY_CUBES,
@@ -97,13 +96,13 @@ def merge_dyadic_by_rescan(dim: int, exponents: list[int]):
 
 @given(sides=st.lists(positive_fractions(max_value=Fraction(8)), min_size=1, max_size=16))
 def test_rounding_brackets_each_side_from_below(sides):
-    exps = round_to_dyadic(sides)
+    exps = packing._dyadic_exponents(sides, Fraction(1))
     for side, e in zip(sides, exps):
         assert pow2(e) <= side < pow2(e + 1)
 
 
 def test_rounding_keeps_exact_powers_of_two():
-    assert round_to_dyadic([Fraction(1, 2), Fraction(1, 4), Fraction(8)]) == [-1, -2, 3]
+    assert packing._dyadic_exponents([Fraction(1, 2), Fraction(1, 4), Fraction(8)], Fraction(1)) == [-1, -2, 3]
 
 
 _ALPHAS = [Fraction(1), Fraction(3, 4), Fraction(2, 3), Fraction(5, 7), Fraction(6), Fraction(1, 12)]
@@ -118,7 +117,7 @@ def test_integer_rounding_is_floor_log2_of_the_ratio(sides, alpha, powers):
     # Sides alpha * 2**k sit exactly on a level boundary.
     sides += [alpha * pow2(k) for k in powers]
     expected = [floor_log2(v / alpha) for v in sides]
-    assert packing._dyadic_exponents(sides, alpha) == round_to_dyadic([v / alpha for v in sides]) == expected
+    assert packing._dyadic_exponents(sides, alpha) == expected
 
 
 @given(
@@ -330,7 +329,7 @@ class TestPackCover:
 def tiling_proof(fam: CubeFamily, placements) -> bool:
     """Run ``_tiling_covers`` on pack_cover's layout with other placements."""
     layout = pack_cover(fam)
-    exponents = round_to_dyadic(fam.sides)
+    exponents = [floor_log2(v) for v in fam.sides]
     _, steps = merge_dyadic(fam.dim, exponents)
     # In these families the last merge builds the selected cube.
     selected = steps[-1].result
@@ -398,7 +397,7 @@ ALPHAS = (Fraction(1), Fraction(3, 4), Fraction(2, 3))
 
 def selected_cube(fam: CubeFamily, alpha: Fraction) -> int:
     """The cube pack_cover unfolds: the smallest adequate final cube."""
-    final, _ = merge_dyadic(fam.dim, round_to_dyadic([v / alpha for v in fam.sides]))
+    final, _ = merge_dyadic(fam.dim, [floor_log2(v / alpha) for v in fam.sides])
     return min((k, idx) for idx, k in final if pow2(k) >= Fraction(1, 2))[1]
 
 
@@ -526,7 +525,7 @@ class TestMergeTreeProof:
         finally:
             sys.setprofile(None)
         names = {name for _, name in called}
-        assert not names & {"_corner_offsets", "merge_dyadic", "round_to_dyadic", "floor_log2", "pow2"}
+        assert not names & {"_corner_offsets", "merge_dyadic", "_dyadic_exponents", "floor_log2", "pow2"}
         assert not [path for path, _ in called if path.endswith("geometry.py")]
 
     def test_a_selected_input_is_placed_alone_at_the_origin(self):
