@@ -21,7 +21,9 @@ one walk per axis across its stages, so a search that ends at stage M walks at
 most d*(M + 1) levels.  Validation has its own descent
 (:meth:`CantorSchedule.interval_meets_stage_translate`): it follows the one
 interval that holds both ends of a query until they part or fall into one
-gap, and shares no code with the search.  Both run on integers.
+gap, and shares no code with the search.  Both run on integers.  A gap
+certificate is checked in one place, ``_misses_stage_translate`` (that
+descent on each axis of the box), which ``cover.extension_valid`` runs.
 
 Every stage length comes from one table per schedule (``_Ladder``): the
 lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` as numerators over the common
@@ -145,8 +147,10 @@ class StageLattice:
         """A bounded box as a canonical slab tree; its ends must lie on the lattice."""
         if box.is_empty:
             return ()
-        to_lattice = [functools.partial(_numerator_over, scale=scale) for scale in self.scales]
-        return _map_ends(_box_tree(box.lo, box.hi), to_lattice)
+        return _box_tree(
+            [_numerator_over(v, scale) for v, scale in zip(box.lo, self.scales)],  # type: ignore[arg-type]
+            [_numerator_over(v, scale) for v, scale in zip(box.hi, self.scales)],  # type: ignore[arg-type]
+        )
 
     def bounding_box(self, tree: _Tree) -> Box:
         """The least box holding a nonempty lattice tree, in rational coordinates."""
@@ -240,17 +244,14 @@ class _Walk:
         # The right child starts this far above the left one.
         offset = self.child * step - child
         self.child = child
-        if step == 1:
-            lo, hi, lows = self.lo, self.hi, self.lows
-        else:
-            self.den *= step
-            lo = self.lo = self.lo * step
-            hi = self.hi = self.hi * step
-            lows = [x * step for x in self.lows]
+        self.den *= step
+        lo = self.lo = self.lo * step
+        hi = self.hi = self.hi * step
         # A kept parent meets the window, and its left child starts no higher
         # and its right child ends no lower than it: one test each.
         kept = []
-        for x in lows:
+        for x in self.lows:
+            x *= step
             if x + child >= lo:
                 kept.append(x)
             if x + offset <= hi:
@@ -526,7 +527,7 @@ def find_gap(
         )
     if not j.is_bounded:
         raise PreconditionError("find_gap needs a bounded query box")
-    if not j.has_positive_sides():
+    if j.is_empty:
         raise PreconditionError("find_gap needs a query box with positive sides")
     if stage_cap < 0:
         raise PreconditionError(f"stage cap must be nonnegative, got {stage_cap}")
@@ -554,26 +555,12 @@ def find_gap(
     return NeedsDeeperStage(deepest_stage=stage_cap)
 
 
-def gap_certificate_valid(s: CantorSchedule, t: Sequence[object], cert: GapCertificate) -> bool:
-    """Re-check a certificate from its serialized data alone.
-
-    The witness (as an open box) must be nonempty and miss the closed stage
-    translate: some coordinate interval must meet no surviving interval of
-    A_stage + t_i (:meth:`CantorSchedule.interval_meets_stage_translate`,
-    which shares no code with the search).
-    """
-    if len(t) != s.d or cert.box.dim != s.d:
-        return False
-    if not cert.box.has_positive_sides() or not cert.box.is_bounded:
-        return False
-    return _misses_stage_translate(s, t, cert.stage, cert.box)
-
-
 def _misses_stage_translate(s: CantorSchedule, t: Sequence[object], stage: int, box: Box) -> bool:
     """Does the open ``box`` miss the closed ``A_stage + t``: does some
-    coordinate interval meet no surviving interval?  The caller has checked
-    that ``t`` has ``s.d`` coordinates and ``box`` is a bounded box of
-    dimension ``s.d`` with positive sides."""
+    coordinate interval meet no surviving interval?  The one check of a gap
+    certificate, run by ``cover.extension_valid``; the caller has checked
+    that ``t`` has ``s.d`` coordinates and ``box`` is a bounded, nonempty box
+    of dimension ``s.d``."""
     shift = [as_fraction(v) for v in t]
     for axis in range(s.d):
         if not s.interval_meets_stage_translate(

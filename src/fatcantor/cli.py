@@ -108,13 +108,16 @@ def _load_json_file(path: str) -> Any:
         raise PreconditionError(f"{path} is nested too deeply to read") from exc
 
 
-def _target_from_json(doc: Any) -> Any:
-    """A target is a level (a rational string), a box {"lo","hi"} or a ring expression."""
-    if isinstance(doc, str):
-        return frac_from_json(doc)
+def _cover_target_from_json(doc: Any) -> Any:
+    """A cover-search target is a box {"lo","hi"} or a ring expression."""
     if isinstance(doc, dict) and "lo" in doc and "hi" in doc:
         return box_from_json(doc)
     return expr_from_json(doc)
+
+
+def _target_from_json(doc: Any) -> Any:
+    """An input ``target`` is a range-solve level (a rational string) or a cover-search target."""
+    return frac_from_json(doc) if isinstance(doc, str) else _cover_target_from_json(doc)
 
 
 def rational(text: str) -> Fraction:
@@ -441,7 +444,7 @@ COMMANDS: "dict[str, Command]" = {
             "--no-clip": dict(action="store_true"),
         },
         inputs=lambda a, s: {
-            "target": _target_from_json(_load_json_file(a.target_file)),
+            "target": _cover_target_from_json(_load_json_file(a.target_file)),
             "pool": exprs_from_json(_load_json_file(a.expr_file)),
             "stage": a.stage,
             "budget": a.budget,

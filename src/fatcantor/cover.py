@@ -296,7 +296,7 @@ def find_uncovered_box(
         raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
     if not target.is_bounded:
         raise UnboundedBoxError("witness target must be bounded")
-    if not target.has_positive_sides():
+    if target.is_empty:
         raise PreconditionError("witness target needs positive sides")
 
     outcome: UncoveredWitness | NeedsDeeperStage = UncoveredWitness(target, 0, ())
@@ -315,7 +315,7 @@ def uncovered_witness_valid(
 ) -> bool:
     """Re-verify a witness from serialized data alone.
 
-    Checks that the box is a bounded positive open box inside the target,
+    Checks that the box is a bounded, nonempty open box inside the target,
     that the recorded certificates enumerate exactly the hull leaves of the
     given elements, and that the box misses each leaf's closed stage
     approximation at that leaf's own recorded stage: the unshrunk target,
@@ -336,7 +336,7 @@ def extension_valid(
     ``parent`` must already be valid for its family and target (or be the
     unshrunk target with no certificates); ``first`` is the index of the
     first new element in the child's family.  The child is valid when its
-    box is a bounded box of dimension ``s.d`` with positive sides inside
+    box is a bounded, nonempty box of dimension ``s.d`` inside
     the parent's box, its certificates are the parent's followed by one
     ``(first + k, li, translation)`` per hull leaf ``li`` of ``elements[k]``,
     and the box misses each new leaf's closed stage approximation at its
@@ -346,7 +346,7 @@ def extension_valid(
     after a false one, only that check can tell whether the child is valid.
     """
     box = child.box
-    if box.dim != s.d or not box.is_bounded or not box.has_positive_sides():
+    if box.dim != s.d or not box.is_bounded or box.is_empty:
         return False
     if not parent.box.contains_box(box):
         return False

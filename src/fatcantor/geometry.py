@@ -151,9 +151,6 @@ class Box:
     def is_bounded(self) -> bool:
         return all(is_finite(v) for v in self.lo + self.hi)
 
-    def has_positive_sides(self) -> bool:
-        return all(a < b for a, b in zip(self.lo, self.hi))
-
     def sides(self) -> tuple[Fraction, ...]:
         if not self.is_bounded:
             raise UnboundedBoxError(f"side lengths of unbounded box {self}")
@@ -480,7 +477,7 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
         raise PreconditionError(f"max_tiles must be at most {DEFAULT_TILE_CAP}, got {max_tiles}")
     if not base.is_bounded:
         raise UnboundedBoxError("tile_check needs a bounded base box")
-    if not base.has_positive_sides():
+    if base.is_empty:
         raise PreconditionError("tile_check needs a base box with positive sides")
     scale = tuple(as_fraction(v) for v in q)
     if len(scale) != base.dim:

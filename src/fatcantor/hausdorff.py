@@ -255,24 +255,6 @@ class ChainChecks:
 
 
 @dataclass(frozen=True)
-class CorollaryReport:
-    """Record of the measure-to-covered-cube pipeline, step by step."""
-
-    d: int
-    a: Fraction
-    delta: Fraction
-    cover: DeltaCover
-    alpha: Fraction
-    alpha_exact: bool
-    kept: int
-    family: CubeFamily
-    layout: PackingLayout
-    covered_cube: Box
-    verified: bool
-    checks: ChainChecks
-
-
-@dataclass(frozen=True)
 class CorollaryPlan:
     """The pipeline's closed-form steps, everything before the packing."""
 
@@ -283,6 +265,18 @@ class CorollaryPlan:
     alpha_exact: bool
     kept: int
     family: CubeFamily
+
+
+@dataclass(frozen=True)
+class CorollaryReport(CorollaryPlan):
+    """Record of the measure-to-covered-cube pipeline, step by step: the
+    plan's fields, then the dimension, the packing and its checks."""
+
+    d: int
+    layout: PackingLayout
+    covered_cube: Box
+    verified: bool
+    checks: ChainChecks
 
 
 def corollary_plan(

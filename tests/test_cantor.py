@@ -24,7 +24,6 @@ from fatcantor import (
     NeedsDeeperStage,
     PreconditionError,
     find_gap,
-    gap_certificate_valid,
     middle_half,
     min_stage_for_delta,
 )
@@ -34,6 +33,7 @@ from fatcantor.rationals import pow2
 
 import descent_oracle
 from strategies import boxes, fractions, schedules, unit_fractions
+from witness_oracle import gap_certificate_valid
 
 
 def brute_stage_intervals(c: Fraction, rho: Fraction, n: int) -> list[tuple[Fraction, Fraction]]:
@@ -299,6 +299,23 @@ class TestFindGap:
         inside_the_set = GapCertificate(stage=1, box=Box.interval(Fraction(0), Fraction(1, 16)))
         assert not gap_certificate_valid(s, [Fraction(0)], inside_the_set)
 
+    @given(s=schedules(dim=2), box=boxes(dim=2), t=st.tuples(fractions(), fractions()), n=st.integers(0, 6))
+    def test_the_certificate_check_equals_the_oracle(self, s, box, t, n):
+        want = gap_certificate_valid(s, t, GapCertificate(n, box))
+        assert cantor._misses_stage_translate(s, t, n, box) == want
+
+    def test_a_box_whose_closure_touches_the_stage_set_is_refused(self):
+        # (3/8, 5/8) is the stage-1 gap of the default schedule: the open box
+        # misses A_1, but its closure meets it at both ends.
+        s = CantorSchedule(1)
+        zero = (Fraction(0),)
+        touching = GapCertificate(1, Box.interval(Fraction(3, 8), Fraction(5, 8)))
+        inside = GapCertificate(1, Box.interval(Fraction(7, 16), Fraction(9, 16)))
+        assert not cantor._misses_stage_translate(s, zero, 1, touching.box)
+        assert not gap_certificate_valid(s, zero, touching)
+        assert cantor._misses_stage_translate(s, zero, 1, inside.box)
+        assert gap_certificate_valid(s, zero, inside)
+
     @given(s=schedules(dim=2))
     def test_two_dimensional_gaps_replay(self, s):
         j = Box.cube((Fraction(1, 4), Fraction(1, 4)), Fraction(1, 2))
@@ -507,7 +524,7 @@ class TestWalkAgainstOracle:
 
         sys.setprofile(profile)
         try:
-            verdicts = [gap_certificate_valid(s, t, cert) for cert in certificates]
+            verdicts = [cantor._misses_stage_translate(s, t, cert.stage, cert.box) for cert in certificates]
         finally:
             sys.setprofile(None)
         assert all(verdicts)

@@ -621,6 +621,29 @@ class TestMalformedInputFiles:
             {"box: 'lo' must be a list, got int"},
         )
 
+    @pytest.mark.parametrize(
+        "text, kind",
+        [('"1/2"', "str"), ("3", "int"), ("null", "NoneType"), ("true", "bool"), ('["0/1", "1/1"]', "list")],
+        ids=["string", "number", "null", "true", "list"],
+    )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cover-search", "--target-file", "TARGET", "--expr-file", "POOL"],
+             "expression must be an object with exactly one of the keys 'gen', 'union', 'diff', 'inter'"),
+            (["uncovered-box", "--target-file", "TARGET"], "box: expected an object, got {kind}"),
+            (["tile-check", "--q", "2", "--base-file", "TARGET"], "box: expected an object, got {kind}"),
+        ],
+        ids=["cover-search", "uncovered-box", "tile-check"],
+    )
+    def test_a_target_neither_box_nor_expression_exits_two(self, capsys, tmp_path, argv, message, text, kind):
+        # A JSON string is a level of range-solve, never a region: cover-search
+        # refuses it as it refuses any other non-expression.
+        (tmp_path / "target.json").write_text(text)
+        (tmp_path / "pool.json").write_text(json.dumps([GEN1]))
+        files = {"TARGET": str(tmp_path / "target.json"), "POOL": str(tmp_path / "pool.json")}
+        self.assert_refused(capsys, [files.get(a, a) for a in argv], {message.format(kind=kind)})
+
     @pytest.mark.parametrize("flags", [(), ("--no-clip",)], ids=["clip", "no-clip"])
     @pytest.mark.parametrize(
         "target, pool, message",

@@ -3,9 +3,10 @@
 Each case runs one subcommand in-process on small fixed inputs, most of
 them with ``--verify``.  The first fifteen digests were recorded before the
 report encoders were folded into ``serialize.to_json``, the next fifteen
-before the subcommands were declared in one command table, and the last
-five, which pin paths no other case runs, before ``rationals`` took over the
-printability checks; a changed digest means a
+before the subcommands were declared in one command table, the next five,
+which pin paths no other case runs, before ``rationals`` took over the
+printability checks, and the last one pins ``range-solve``'s converged
+bisection, which no other case reaches.  A changed digest means a
 document changed, so a change to any report's JSON must update its digest
 here on purpose.  Each document must also equal the stdlib's
 ``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
@@ -224,6 +225,13 @@ CASES = {
         ["measure", "--expr-file", "half-line.json", "--stage", "3", "--verify"],
         0,
         "307997d38b09149ef6c5e5db61a24af93e0146261f20fd5ccdcedcef5b32d4ba",
+    ),
+    # a bisection that converges within the tolerance (17 iterations)
+    "range-solve-converged": (
+        ["range-solve", "--c", "1/2", "--rho", "1/3", "--target", "1/20", "--tol", "1/65536",
+         "--verify"],
+        0,
+        "b91ef2367a6b981ef83e245d257a07f7e6c0cf4c8f9b92cda66c2718a8d1aefc",
     ),
 }
 

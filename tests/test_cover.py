@@ -14,6 +14,7 @@ import copy
 import itertools
 import json
 import marshal
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -52,6 +53,7 @@ from fatcantor.errors import PreconditionError
 from fatcantor.serialize import to_json, witness_from_json
 
 import cover_oracle
+import descent_oracle
 import witness_oracle
 from strategies import approx_set, boxes, fractions, ring_exprs
 from test_cantor import brute_stage_intervals
@@ -753,23 +755,60 @@ class TestCheckByExtension:
         assert not uncovered_witness_valid(S1, Box.unit_cube(1), pool, dropped)
 
     def test_a_rows_box_is_checked_once(self):
-        # Five new certificates: the box's dimension, sides and bounds are
-        # checked once for the row; each certificate adds only the length of
-        # its translation and its miss test.
+        # Five new certificates: the box's dimension, bounds and emptiness
+        # are checked once for the row; each certificate adds only the length
+        # of its translation and its miss test.  Boundedness is counted, since
+        # ``contains_box`` reads emptiness too.
         pool = grid_translate_pool(S1, 5)
         cube = Box.unit_cube(1)
         witness = find_uncovered_box(cube, pool, S1, 24)
         assert isinstance(witness, UncoveredWitness) and len(witness.certificates) == 5
         checked = []
-        has_positive_sides = Box.has_positive_sides
+        is_bounded = Box.is_bounded.fget
 
         def counted(box):
             checked.append(box)
-            return has_positive_sides(box)
+            return is_bounded(box)
 
-        with mock.patch.object(Box, "has_positive_sides", counted):
+        with mock.patch.object(Box, "is_bounded", property(counted)):
             assert uncovered_witness_valid(S1, cube, pool, witness)
         assert sum(box is witness.box for box in checked) == 1
+
+    @pytest.mark.parametrize("d, p", [(1, 5), (2, 4)])
+    def test_the_oracle_check_shares_no_validator_code(self, d, p):
+        # The oracle's check of a witness runs its own descent; it never
+        # enters the library's certificate check or the descent behind it.
+        s = CantorSchedule(d)
+        pool = grid_translate_pool(s, p)
+        cube = Box.unit_cube(d)
+        witness = find_uncovered_box(cube, pool, s, 24)
+        assert isinstance(witness, UncoveredWitness)
+        validator = {
+            fn.__code__
+            for fn in (
+                CantorSchedule.interval_meets_stage_translate, cover._misses_stage_translate,
+                cover.extension_valid, cover.uncovered_witness_valid,
+            )
+        }
+
+        def entered(check):
+            called = set()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    called.add(frame.f_code)
+
+            sys.setprofile(profile)
+            try:
+                assert check(s, cube, pool, witness)
+            finally:
+                sys.setprofile(None)
+            return called
+
+        oracle = entered(witness_oracle.witness_valid)
+        assert not oracle & validator
+        assert descent_oracle.descend_overlapping.__code__ in oracle
+        assert validator <= entered(uncovered_witness_valid)
 
     def test_a_box_past_its_parents_falls_back_to_the_check_on_its_own(self):
         # A witness is the middle half of a gap, so a box a hair wider than

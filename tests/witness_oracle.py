@@ -8,15 +8,21 @@ nonempty subset of the pool, so a pool of p one-leaf elements costs
 p * 2^(p-1) gap searches instead of 2^p - 1.  ``witness_valid`` is the
 check of one witness on its own, written as its own loop over the
 certificates and hull leaves (in ``cover`` that check is a call of
-``extension_valid`` from the unshrunk target).  Both the table and
+``extension_valid`` from the unshrunk target).  It checks each certificate
+with ``gap_certificate_valid``: the box, closed, misses the closed stage
+translate when on some axis the depth-first walk of
+``descent_oracle.descend_overlapping`` finds no stage interval that meets
+it.  Both the table and
 ``check_infinite_cube``, the ``--verify`` check of a table's JSON core,
 decode and check every row on its own with it: p * 2^(p-1) certificate
 decodes and gap checks, where the shared walk makes 2^p - 1 gap checks
 and the replay decodes each distinct certificate document once;
 ``check_infinite_cube`` also checks the table's shape and flags on its own
-terms.  Nothing here calls ``_shrink_past``, ``extension_valid`` or
-``table_verdicts``, so the differential tests compare the fast paths against
-code that shares none of them; kept only as an oracle.
+terms.  Nothing here calls ``_shrink_past``, ``extension_valid``,
+``table_verdicts`` or the library's certificate check
+(``cantor._misses_stage_translate`` and its descent), so the differential
+tests compare the fast paths and the validator against code that shares
+none of them; kept only as an oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
+import descent_oracle
 from fatcantor import (
     Box,
     CantorSchedule,
@@ -34,13 +41,26 @@ from fatcantor import (
     SubsetWitnessRow,
     UncoveredWitness,
     find_gap,
-    gap_certificate_valid,
     grid_translate_pool,
     middle_half,
 )
 from fatcantor.cover import check_pool_size, hull_leaves
 from fatcantor.errors import DimensionMismatchError, PreconditionError, UnboundedBoxError
+from fatcantor.rationals import as_fraction
 from fatcantor.serialize import witness_from_json
+
+
+def gap_certificate_valid(s: CantorSchedule, t: Sequence[object], cert: GapCertificate) -> bool:
+    """Is the certificate's box a bounded, nonempty box of dimension ``s.d``
+    whose closure misses the closed ``A_stage + t``: on some axis, does no
+    stage interval of the translate meet the closed side?"""
+    box = cert.box
+    if len(t) != s.d or box.dim != s.d or not box.is_bounded or box.is_empty:
+        return False
+    return any(
+        not descent_oracle.descend_overlapping(s, cert.stage, lo - as_fraction(x), hi - as_fraction(x))
+        for x, lo, hi in zip(t, box.lo, box.hi)
+    )
 
 
 def find_uncovered_box(
@@ -54,7 +74,7 @@ def find_uncovered_box(
         raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
     if not target.is_bounded:
         raise UnboundedBoxError("witness target must be bounded")
-    if not target.has_positive_sides():
+    if target.is_empty:
         raise PreconditionError("witness target needs positive sides")
 
     box = Box(target.lo, target.hi)
@@ -88,11 +108,11 @@ def find_uncovered_box(
 def witness_valid(
     s: CantorSchedule, target: Box, elements: Sequence[object], witness: UncoveredWitness
 ) -> bool:
-    """Is the witness a bounded positive box inside the target whose
+    """Is the witness a bounded, nonempty box inside the target whose
     certificates list exactly the hull leaves of the elements, each missed
     by the box at its recorded stage?"""
     box = witness.box
-    if box.dim != s.d or not box.is_bounded or not box.has_positive_sides():
+    if box.dim != s.d or not box.is_bounded or box.is_empty:
         return False
     if not target.contains_box(box):
         return False
