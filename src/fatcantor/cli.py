@@ -18,14 +18,15 @@ inputs to JSON, decodes them back through one table of input keys
 document alone.
 
 ``--verify`` replays the run from the serialized document: the inputs are
-the ones the run itself decoded from the document, and by default the
-result is recomputed and its JSON compared with the document's; an entry
-whose output carries a certificate (witnesses, layouts, covers) re-checks
-that JSON with its validator instead.  The ``cover-search``,
-``infinite-cube``, ``pack`` and ``corollary-demo`` validators also tie the
-rest of the result to the inputs, and take its counts, indices and stages
-only as exact JSON integers.  The verdict is appended under
-``result.verification``.
+the ones the run itself decoded from the document.  Every verdict ends in
+one comparison, :func:`serialize.same_json`: two JSON values match when
+they print alike but for key order, so ``1``, ``1.0`` and ``true`` differ.
+By default the result is recomputed and its JSON compared with the
+document's.  An entry whose output carries a certificate (a witness, a
+layout, a cover) checks that certificate with its validator instead, and
+compares the rest of the result with what the inputs and the certificate
+give; a result of any other shape is checked by the rerun, or refused.
+The verdict is appended under ``result.verification``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import marshal
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -43,6 +43,7 @@ from .cantor import CantorSchedule, NeedsDeeperStage, box_count, check_stage
 from .cover import (
     DEFAULT_SUBSET_BUDGET,
     DEFAULT_WITNESS_STAGE_CAP,
+    CoverAttempt,
     _cover_sets,
     check_pool_size,
     find_uncovered_box,
@@ -83,6 +84,8 @@ from .ring import (
     split_identity_check,
 )
 from .serialize import (
+    _expect,
+    _list_of,
     box_from_json,
     cube_family_from_json,
     dumps_document,
@@ -90,6 +93,7 @@ from .serialize import (
     exprs_from_json,
     frac_from_json,
     placements_from_json,
+    same_json,
     to_json,
     witness_from_json,
     witnesses_from_json,
@@ -190,7 +194,8 @@ class Command:
     ``run`` maps the schedule and the decoded inputs to the typed result
     core and the exit code.  ``check(schedule, inputs, core_json, replay)``
     validates the certificate in a core; without it, ``--verify`` accepts a
-    run whose replay gives an equal core.  Library functions are called from
+    run whose replay gives the same JSON (:func:`serialize.same_json`).
+    Library functions are called from
     the lambdas' bodies, never stored in an entry, so a wrapper bound over
     one of this module's globals sees every call.
     """
@@ -208,99 +213,100 @@ class Command:
 
 
 def _check_cover_search(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    """A found cover names strictly increasing pool indices and the inputs'
-    stage, exact ints (``==`` takes 1.0 and true for 1); its total is the sum
-    of the chosen elements' upper bounds, clipped as the search clipped them,
-    and those elements cover the target's realization at that stage."""
-    attempt = core["attempt"]
+    """A found cover is checked, not recomputed: the attempt is rebuilt from
+    the pool indices the core names, in increasing order, at the inputs'
+    stage, with the sum of those elements' upper bounds, clipped as the
+    search clipped them.  The core must equal it, and those elements must
+    cover the target's realization at that stage.  An infinite verdict is
+    checked by the rerun."""
+    attempt = _expect(core.get("attempt"), ("subset", "infinite"), "cover attempt")
     if attempt["infinite"]:
         return replay()
-    subset, stage = attempt["subset"], attempt["stage"]
-    if type(subset) is not list or any(type(k) is not int for k in subset) or type(stage) is not int:
-        return False
-    if subset != sorted(set(subset)) or not set(subset).issubset(range(len(i["pool"]))):
-        return False
-    if stage != i["stage"] or attempt["verified"] is not True:
-        return False
-    _, _, elements, _ = _cover_sets(i["target"], [i["pool"][k] for k in subset], s, stage, i["clip"])
+    named = _list_of(attempt, "subset", "cover attempt")
+    chosen = tuple(k for k in range(len(i["pool"])) if k in named)
+    stage = i["stage"]
+    _, _, elements, _ = _cover_sets(i["target"], [i["pool"][k] for k in chosen], s, stage, i["clip"])
     total = sum((measure_bounds(e, s, stage).upper for e in elements), Fraction(0))
-    return attempt["total_premeasure_upper"] == to_json(total) and verify_cover(i["target"], elements, s, stage)
+    rebuilt = CoverAttempt(chosen, stage, total, verified=True, infinite=False)
+    return same_json(core, to_json({"attempt": rebuilt})) and verify_cover(i["target"], elements, s, stage)
 
 
 def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    if not core["found"]:
+    """A found box is checked by its witness; any other core, such as a
+    report of the stage cap, by the rerun."""
+    witness = core.get("witness")
+    if not same_json(core, {"found": True, "witness": witness}):
         return replay()
-    return uncovered_witness_valid(s, i["target"], i["pool"], witness_from_json(core["witness"]))
+    return uncovered_witness_valid(s, i["target"], i["pool"], witness_from_json(witness))
 
 
 def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    """Check the whole table: its shape and flags, then each row.
+    """A table with a witness in every row is checked, not recomputed.
 
-    The report must echo the inputs: the pool's JSON, and the stage cap as
-    an exact int.  The rows must be exactly the nonempty subsets of the pool
-    in mask order (the empty subset alone for an empty pool).  Each
-    ``verified`` flag must be true exactly when its row has a witness, a
-    witnessed row's ``inconclusive_stage`` must be null, and the flags must
-    be the verdicts of :func:`cover.table_verdicts` on the witnesses, each
-    distinct certificate decoded once (:func:`serialize.witnesses_from_json`);
-    ``all_witnessed`` must be the conjunction of the flags.  A row without a
-    witness is checked by replaying the run, as a box that ``uncovered-box``
-    did not find is.
+    It must be the report of the inputs' pool and stage cap whose rows hold
+    the nonempty subsets of the pool in mask order (the empty subset alone
+    for an empty pool), each verified and not inconclusive, and all
+    witnessed.  Each witness must then pass :func:`cover.table_verdicts`,
+    each distinct certificate decoded once
+    (:func:`serialize.witnesses_from_json`).  Any other table, such as one
+    with a row at the stage cap, is checked by the rerun, as a box that
+    ``uncovered-box`` did not find is.
     """
-    report = core["report"]
-    rows = report["rows"]
-    cap = report["stage_cap"]
-    if report["pool"] != to_json(i["pool"]) or type(cap) is not int or cap != i["stage_cap"]:
-        return False
+    report = _expect(core.get("report"), ("rows",), "infinite-cube report")
+    witnesses = [
+        row.get("witness") if isinstance(row, dict) else None
+        for row in _list_of(report, "rows", "infinite-cube report")
+    ]
     subsets: list[list[int]] = [[]]  # by mask: doubling per index keeps mask order
     for k in range(len(i["pool"])):
         subsets += [subset + [k] for subset in subsets]
-    # Marshal tells apart the JSON values 1, 1.0 and true, which ``==`` does not.
-    if marshal.dumps([row["subset"] for row in rows], 0) != marshal.dumps(subsets[1:] or subsets, 0):
-        return False
-    flags = [row["verified"] for row in rows]
-    if any(
-        flag is not (row["witness"] is not None) or flag and row["inconclusive_stage"] is not None
-        for flag, row in zip(flags, rows)
-    ):
-        return False
-    if report["all_witnessed"] is not all(flags):
-        return False
-    if table_verdicts(s, i["pool"], witnesses_from_json([row["witness"] for row in rows])) != flags:
-        return False
-    return all(flags) or replay()
+    subsets = subsets[1:] or subsets
+    if len(witnesses) != len(subsets) or None in witnesses:
+        return replay()
+    # The rows hold the document's own witnesses, which the compare skips.
+    table = {
+        "pool": to_json(i["pool"]),
+        "stage_cap": i["stage_cap"],
+        "rows": [
+            {"subset": subset, "witness": witness, "inconclusive_stage": None, "verified": True}
+            for subset, witness in zip(subsets, witnesses)
+        ],
+        "all_witnessed": True,
+    }
+    return same_json(core, {"report": table}) and all(
+        table_verdicts(s, i["pool"], witnesses_from_json(witnesses))
+    )
 
 
 def _placed(doc: Any) -> PackingLayout:
     """A layout's placements and target, all that ``layout_covers`` reads;
     its merge tree is left undecoded."""
-    return PackingLayout(placements_from_json(doc), box_from_json(doc["target"]), ())
+    m = _expect(doc, ("placements", "target"), "packing layout")
+    return PackingLayout(placements_from_json(m), box_from_json(m["target"]), ())
 
 
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    layout = _placed(core["layout"])
-    expected_target = Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"])
-    count = core["placements"]
-    return (
-        layout.target == expected_target
-        and core["covered_cube"] == core["layout"]["target"]
-        and type(count) is int
-        and count == len(layout.placements)
-        and layout_covers(i["family"], layout)
-    )
+    """The layout's placements must cover the cube ``[0, alpha·target_side)^d``,
+    and the core must name that cube as the layout's target and as
+    ``covered_cube``, and count the placements."""
+    doc = core.get("layout")
+    layout = _placed(doc)
+    cube = to_json(Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"]))
+    echo = {"layout": {**doc, "target": cube}, "placements": len(layout.placements), "covered_cube": cube}
+    return same_json(core, echo) and layout_covers(i["family"], layout)
 
 
 def _check_corollary_demo(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     """Rebuild the closed-form steps from the inputs, without packing, and
     the report from them and the layout's placements and target: it must
-    pass every check and equal the report but for the layout, which is read
-    only through those.  JSON text is compared, so 1 does not pass for true."""
-    report = core["report"]
+    pass every check and equal the report, whose layout is read only
+    through those and must name the target as ``covered_cube`` does."""
+    layout = _expect(core.get("report"), ("layout",), "corollary report")["layout"]
     plan = corollary_plan(s, i["delta"], a=i["a"], bits=i["bits"])
-    rebuilt = corollary_report(s, plan, _placed(report["layout"]))
-    doc = to_json(replace(rebuilt, layout=None))
-    echoed = {**report, "layout": None}
-    return rebuilt.checks.all_ok() and json.dumps(doc, sort_keys=True) == json.dumps(echoed, sort_keys=True)
+    rebuilt = corollary_report(s, plan, _placed(layout))
+    echo = to_json(replace(rebuilt, layout=None))
+    echo["layout"] = {**layout, "target": echo["covered_cube"]}
+    return rebuilt.checks.all_ok() and same_json(core, {"report": echo})
 
 
 def _check_range_solve(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
@@ -635,7 +641,7 @@ def _verify(command: Command, s: CantorSchedule, inputs: dict, core: dict) -> bo
     """Replay a run from its decoded inputs and its result core's JSON."""
 
     def replay() -> bool:
-        return to_json(command.run(s, inputs)[0]) == core
+        return same_json(core, to_json(command.run(s, inputs)[0]))
 
     try:
         return replay() if command.check is None else command.check(s, inputs, core, replay)

@@ -27,6 +27,13 @@ from text.  :func:`witness_from_json` is the same decoder on one witness.
 A layout is read only as its placements (:func:`placements_from_json`) and
 target; nothing decodes its merge tree.
 
+:func:`same_json` is the one comparison behind every ``--verify`` verdict:
+two JSON values match when their objects have the same keys, in any order,
+and every value has the same JSON type, so ``1``, ``1.0`` and ``true``
+differ, as their text does.  It skips a subtree both sides hold as one
+object, so a check that builds its expectation around the document's own
+certificates walks only the rest.
+
 :func:`dumps_document` writes a document as text.  It returns exactly
 ``json.dumps(doc, indent=2, sort_keys=True)``, but in one recursive walk that
 appends to one list and joins it once: with ``indent`` set, CPython's
@@ -285,6 +292,39 @@ def placements_from_json(doc: Any) -> tuple[tuple[int, tuple[Fraction, ...]], ..
         index = _count_of(pm, "index", what)
         placements.append((index, tuple(frac_from_json(v) for v in _list_of(pm, "translate", what))))
     return tuple(placements)
+
+
+# -- comparison -----------------------------------------------------------------
+
+
+def same_json(doc: Any, expected: Any) -> bool:
+    """Do two JSON values print as the same document, but for key order?
+
+    Objects must have the same keys, in any order, and every value the same
+    JSON type: unlike ``==``, this tells apart ``1``, ``1.0`` and ``true``,
+    as their text does.  A subtree that both sides hold as the same object
+    is equal without a walk.  Any shape is compared, none raises.
+    """
+    if doc is expected:
+        return True
+    kind = type(expected)
+    if type(doc) is not kind:
+        return False
+    if kind is dict:
+        if doc.keys() != expected.keys():
+            return False
+        pairs = zip(map(doc.__getitem__, expected), expected.values())
+    elif kind is list:
+        if len(doc) != len(expected):
+            return False
+        pairs = zip(doc, expected)
+    else:
+        return doc == expected
+    # the identity test inlined: one call less per shared or cached value
+    for a, b in pairs:
+        if a is not b and not same_json(a, b):
+            return False
+    return True
 
 
 # -- the encoder --------------------------------------------------------------

@@ -933,18 +933,74 @@ def _untampered(core):
     pass
 
 
+def _holder(core, path):
+    """The container of the value at ``path`` of the core, each container on
+    the path copied first, so that no other place shares an edit of it."""
+    holder = core
+    for key in path[:-1]:
+        holder[key] = copy.copy(holder[key])
+        holder = holder[key]
+    return holder
+
+
 def _set(path, value):
-    """A tamper that sets the value at ``path`` of the core, copying each
-    container on the path first, so that no other place shares the edit."""
+    """A tamper that sets the value at ``path`` of the core."""
+
+    def tamper(core):
+        _holder(core, path)[path[-1]] = value
+
+    return tamper
+
+
+def _drop(path):
+    """A tamper that deletes the key at ``path`` of the core."""
+
+    def tamper(core):
+        del _holder(core, path)[path[-1]]
+
+    return tamper
+
+
+def _retyped(path, value):
+    """A tamper that sets an int at ``path`` to ``value``, a float or bool
+    equal to it under ``==``."""
 
     def tamper(core):
         holder = core
-        for key in path[:-1]:
-            holder[key] = copy.copy(holder[key])
+        for key in path:
             holder = holder[key]
-        holder[path[-1]] = value
+        assert type(holder) is int and holder == value and type(value) is not int
+        _set(path, value)(core)
 
     return tamper
+
+
+def _structural_tampers(core):
+    """Every single-field change of a core's shape: each key deleted, and
+    each container replaced by null, an empty list or object, a string or a
+    number that it does not already equal; as (path, tamper) pairs.  A
+    subtree the core shares is changed at each place that holds it."""
+
+    def walk(value, path):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            here = (*path, key)
+            if isinstance(value, dict):
+                yield here, _drop(here)
+            if isinstance(item, (dict, list)):
+                for other in (None, [], {}, "x", 0):
+                    if not serialize.same_json(item, other):
+                        yield here, _set(here, other)
+                yield from walk(item, here)
+
+    return list(walk(core, ()))
+
+
+def _zero_as_integer_text(core):
+    """The pack target's corner written "0", as the layout and ``covered_cube``
+    both name it: the same box, in text the program does not write."""
+    for path in (("layout", "target"), ("covered_cube",)):
+        _set((*path, "lo"), ["0"])(core)
 
 
 def _shrink_corollary_target(core):
@@ -970,9 +1026,10 @@ class TestReplayTampers:
             _set(("covered_cube", "hi"), ["1/4"]),
             _set(("layout", "placements", 1, "translate"), ["1/4", "0/1"]),  # at d = 1
             _set(("layout", "placements", 1, "index"), -1),
+            _zero_as_integer_text,
         ],
         ids=["untampered", "repeated-index", "index-outside", "count", "count-float", "covered-cube",
-             "translation-length", "index-negative"],
+             "translation-length", "index-negative", "target-text"],
     )
     def test_pack(self, tamper, capsys):
         assert _replayed(self.PACK, tamper, capsys) is (tamper is _untampered)
@@ -1007,8 +1064,10 @@ class TestReplayTampers:
             _set(("report", "checks", "covers_target"), 1),
             _set(("report", "layout", "target", "hi"), ["1/16"]),
             _shrink_corollary_target,
+            _set(("report", "layout", "target", "lo"), ["0"]),  # the same box, in other text
         ],
-        ids=["untampered", "family", "kept", "check-flag", "layout-target", "covered-cube-and-target"],
+        ids=["untampered", "family", "kept", "check-flag", "layout-target", "covered-cube-and-target",
+             "layout-target-text"],
     )
     def test_corollary_demo(self, tamper, capsys):
         argv = ("corollary-demo", "--delta", "1/4")
@@ -1049,3 +1108,91 @@ class TestReplayTampers:
     )
     def test_cover_search(self, cover_argv, tamper, capsys):
         assert not _replayed(cover_argv, tamper, capsys)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Input files by placeholder: the default schedule's base set, a
+        pool of it and its translate by 1/2, and a pool whose one element
+        misses the target [0, 1/4) at stage 1."""
+        base = serialize.expr_to_json(base_expr(CantorSchedule(1)))
+        half = {"gen": {"x": ["1/2"], "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}
+        texts = {
+            "@expr": base,
+            "@pool": [base, half],
+            "@missing": [half],
+            "@quarter": {"lo": ["0/1"], "hi": ["1/4"]},
+        }
+        paths = {}
+        for name, doc in texts.items():
+            path = tmp_path / f"{name[1:]}.json"
+            path.write_text(json.dumps(doc))
+            paths[name] = str(path)
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, path, value",
+        [
+            (("measure", "--expr-file", "@expr", "--stage", "3"), ("bounds", "leaf_count"), True),
+            (("split-check", "--expr-file", "@expr", "--threshold", "1/3", "--stage", "2"),
+             ("report", "stage"), 2.0),
+            (("rn-enumerate", "--expr-file", "@pool", "--n", "1", "--reference-stage", "3"),
+             ("count",), 2.0),
+            (("cantor-info", "--stage", "3"), ("interval_count",), 8.0),
+            (("hausdorff-bound", "--delta", "1/8"), ("cover", "stage"), 3.0),
+            (("tile-check", "--q", "3/2,2"), ("report", "count"), 6.0),
+            (("range-solve", "--target", "1/4"), ("solution", "iterations"), 1.0),
+            (("range-solve", "--x", "1/3"), ("bounds", "leaf_count"), True),
+            (("uncovered-box", "--expr-file", "@pool", "--stage-cap", "0"),
+             ("needs_deeper_stage", "deepest_stage"), 0.0),
+            (("uncovered-box", "--expr-file", "@pool"), ("found",), 1),
+            (("cover-search", "--target-file", "@quarter", "--expr-file", "@missing", "--stage", "1"),
+             ("attempt", "stage"), 1.0),
+            # row 54, subset [0, 1, 2, 4, 5], is the first at the stage cap
+            (("infinite-cube", "--pool-size", "10", "--stage-cap", "8"),
+             ("report", "rows", 54, "inconclusive_stage"), 8.0),
+        ],
+        ids=["measure", "split-check", "rn-enumerate", "cantor-info", "hausdorff-bound",
+             "tile-check", "range-solve-target", "range-solve-x", "uncovered-box-needs-deeper",
+             "uncovered-box-found", "cover-search-infinite", "infinite-cube-inconclusive"],
+    )
+    def test_an_int_retyped_is_refused(self, argv, path, value, files, capsys):
+        # 1, 1.0 and true are equal under ``==`` but not as JSON text.
+        argv = [files.get(arg, arg) for arg in argv]
+        assert _replayed(argv, _untampered, capsys)
+        tamper = _set(path, value) if path == ("found",) else _retyped(path, value)  # true as 1
+        assert not _replayed(argv, tamper, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("uncovered-box", "--expr-file", "@pool"),
+            ("uncovered-box", "--expr-file", "@pool", "--stage-cap", "0"),
+            ("cover-search", "--target-file", "@quarter", "--expr-file", "@pool", "--stage", "1"),
+            ("cover-search", "--target-file", "@quarter", "--expr-file", "@missing", "--stage", "1"),
+            ("infinite-cube", "--pool-size", "2", "--stage-cap", "8"),
+            ("infinite-cube", "--pool-size", "2", "--stage-cap", "0"),
+            PACK,
+            ("corollary-demo", "--delta", "1/4"),
+        ],
+        ids=["uncovered-box", "uncovered-box-needs-deeper", "cover-search", "cover-search-infinite",
+             "infinite-cube", "infinite-cube-inconclusive", "pack", "corollary-demo"],
+    )
+    def test_a_changed_shape_is_refused_not_a_crash(self, argv, files, capsys):
+        """Each key deleted, each container replaced by another shape: the
+        check refuses it, and never as an internal fault.  Only a layout's
+        merge tree is read by no check, so a change there may pass."""
+        args = cli._parser().parse_args([files.get(arg, arg) for arg in argv])
+        command = cli.COMMANDS[args.command]
+        s = CantorSchedule(args.d, args.c, args.rho)
+        inputs = cli._decode(serialize.to_json(command.inputs(args, s)))
+        core = serialize.to_json(command.run(s, inputs)[0])
+        assert cli._verify(command, s, inputs, core)
+        tampers = _structural_tampers(core)
+        assert tampers
+        for path, tamper in tampers:
+            tampered = dict(core)  # the tamper copies what it edits below this
+            tamper(tampered)
+            ok = cli._verify(command, s, inputs, tampered)
+            err = capsys.readouterr().err
+            assert "verification crashed" not in err, (path, err)
+            assert not ok or "merge_tree" in path, path

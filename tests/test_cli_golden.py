@@ -13,6 +13,11 @@ here on purpose.  Each document must also equal the stdlib's
 writer reproduces without running it.  The
 input files are literal JSON, so the fixtures do not depend on the encoder
 under test.
+
+Each document of a run that exits 0 must also replay from its own text:
+read back with ``json.loads``, so that it shares no subtree and keeps no
+key order of the run, its schedule, inputs and result alone must pass
+``--verify``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import json
 
 import pytest
 
-from fatcantor import cli
+from fatcantor import CantorSchedule, cli
+from fatcantor.serialize import frac_from_json
 
 BASE = '{"gen": {"x": ["0/1"], "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}'
 HALF = '{"gen": {"x": ["1/2"], "clip": {"lo": ["0/1"], "hi": ["1/1"]}}}'
@@ -250,3 +256,25 @@ def test_document_is_byte_identical(name, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # the writer's text is the stdlib's indented text of the same document
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def replays_from_text(text: str) -> bool:
+    """``cli._verify`` on a document read back from its text: the schedule
+    rebuilt from ``config``, the inputs decoded from ``inputs``, and the
+    result without its ``verification``."""
+    doc = json.loads(text)
+    config = doc["config"]
+    s = CantorSchedule(config["d"], frac_from_json(config["c"]), frac_from_json(config["rho"]))
+    result = {key: value for key, value in doc["result"].items() if key != "verification"}
+    return cli._verify(cli.COMMANDS[doc["command"]], s, cli._decode(doc["inputs"]), result)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items() if case[1] == 0))
+def test_a_document_read_back_from_its_text_replays(name, tmp_path, monkeypatch, capsys):
+    argv, _, _ = CASES[name]
+    for fname, text in FILES.items():
+        (tmp_path / fname).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--out", "doc.json"]) == 0
+    assert replays_from_text((tmp_path / "doc.json").read_text(encoding="utf-8"))
+    assert capsys.readouterr().err == ""
