@@ -23,7 +23,7 @@ most d*(M + 1) levels.  Validation has its own descent
 interval that holds both ends of a query until they part or fall into one
 gap, and shares no code with the search.  Both run on integers.  A gap
 certificate is checked in one place, ``_misses_stage_translate`` (that
-descent on each axis of the box), which ``cover.extension_valid`` runs.
+descent on each axis of the box), which ``cover.uncovered_witness_valid`` runs.
 
 Every stage length comes from one table per schedule (``_Ladder``): the
 lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` as numerators over the common
@@ -558,7 +558,7 @@ def find_gap(
 def _misses_stage_translate(s: CantorSchedule, t: Sequence[object], stage: int, box: Box) -> bool:
     """Does the open ``box`` miss the closed ``A_stage + t``: does some
     coordinate interval meet no surviving interval?  The one check of a gap
-    certificate, run by ``cover.extension_valid``; the caller has checked
+    certificate, run by ``cover.uncovered_witness_valid``; the caller has checked
     that ``t`` has ``s.d`` coordinates and ``box`` is a bounded, nonempty box
     of dimension ``s.d``."""
     shift = [as_fraction(v) for v in t]

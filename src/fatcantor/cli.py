@@ -48,10 +48,8 @@ from .cover import (
     check_pool_size,
     find_uncovered_box,
     grid_translate_pool,
-    infinite_cube_report,
     outer_upper,
     quartered_translate_pool,
-    table_verdicts,
     uncovered_witness_valid,
     verify_cover,
 )
@@ -96,7 +94,6 @@ from .serialize import (
     same_json,
     to_json,
     witness_from_json,
-    witnesses_from_json,
 )
 
 
@@ -232,50 +229,13 @@ def _check_cover_search(s: CantorSchedule, i: dict, core: dict, replay: Replay) 
 
 
 def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    """A found box is checked by its witness; any other core, such as a
-    report of the stage cap, by the rerun."""
+    """A found box is checked by its witness, one check over the whole pool
+    against the inputs' target (the unit cube for ``infinite-cube``); any
+    other core, such as a report of the stage cap, by the rerun."""
     witness = core.get("witness")
     if not same_json(core, {"found": True, "witness": witness}):
         return replay()
     return uncovered_witness_valid(s, i["target"], i["pool"], witness_from_json(witness))
-
-
-def _check_infinite_cube(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    """A table with a witness in every row is checked, not recomputed.
-
-    It must be the report of the inputs' pool and stage cap whose rows hold
-    the nonempty subsets of the pool in mask order (the empty subset alone
-    for an empty pool), each verified and not inconclusive, and all
-    witnessed.  Each witness must then pass :func:`cover.table_verdicts`,
-    each distinct certificate decoded once
-    (:func:`serialize.witnesses_from_json`).  Any other table, such as one
-    with a row at the stage cap, is checked by the rerun, as a box that
-    ``uncovered-box`` did not find is.
-    """
-    report = _expect(core.get("report"), ("rows",), "infinite-cube report")
-    witnesses = [
-        row.get("witness") if isinstance(row, dict) else None
-        for row in _list_of(report, "rows", "infinite-cube report")
-    ]
-    subsets: list[list[int]] = [[]]  # by mask: doubling per index keeps mask order
-    for k in range(len(i["pool"])):
-        subsets += [subset + [k] for subset in subsets]
-    subsets = subsets[1:] or subsets
-    if len(witnesses) != len(subsets) or None in witnesses:
-        return replay()
-    # The rows hold the document's own witnesses, which the compare skips.
-    table = {
-        "pool": to_json(i["pool"]),
-        "stage_cap": i["stage_cap"],
-        "rows": [
-            {"subset": subset, "witness": witness, "inconclusive_stage": None, "verified": True}
-            for subset, witness in zip(subsets, witnesses)
-        ],
-        "all_witnessed": True,
-    }
-    return same_json(core, {"report": table}) and all(
-        table_verdicts(s, i["pool"], witnesses_from_json(witnesses))
-    )
 
 
 def _placed(doc: Any) -> PackingLayout:
@@ -323,6 +283,13 @@ def _uncovered_box_core(outcome: Any) -> "tuple[dict, int]":
     if isinstance(outcome, NeedsDeeperStage):
         return {"found": False, "needs_deeper_stage": outcome}, 3
     return {"found": True, "witness": outcome}, 0
+
+
+def _infinite_cube_core(s: CantorSchedule, i: dict) -> "tuple[dict, int]":
+    """``uncovered-box`` on the unit cube over a pool within the cap: a box
+    that misses the whole pool misses every subfamily's union too."""
+    check_pool_size(len(i["pool"]))
+    return _uncovered_box_core(find_uncovered_box(Box.unit_cube(s.d), i["pool"], s, i["stage_cap"]))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +453,7 @@ COMMANDS: "dict[str, Command]" = {
         check=_check_uncovered_box,
     ),
     "infinite-cube": Command(
-        "witnesses for every subset of a pool",
+        "one box that misses a whole pool, and so every subfamily",
         {
             "--pool-size": dict(type=nonnegative_int, default=4),
             "--quartered": dict(action="store_true", help="quarter-clipped pool variant"),
@@ -498,19 +465,14 @@ COMMANDS: "dict[str, Command]" = {
             "pool": exprs_from_json(_load_json_file(a.expr_file))
             if a.expr_file is not None
             else (quartered_translate_pool if a.quartered else grid_translate_pool)(
-                s, check_pool_size(a.pool_size, s.d)
+                s, check_pool_size(a.pool_size)
             ),
             "stage_cap": a.stage_cap,
         },
-        run=lambda s, i: (
-            {
-                "report": (
-                    report := infinite_cube_report(s, i["pool"], i["stage_cap"])
-                )
-            },
-            0 if report.all_witnessed else 3,
+        run=_infinite_cube_core,
+        check=lambda s, i, core, replay: _check_uncovered_box(
+            s, {**i, "target": Box.unit_cube(s.d)}, core, replay
         ),
-        check=_check_infinite_cube,
     ),
     "pack": Command(
         "cover a cube by translates of given cubes",

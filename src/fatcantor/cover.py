@@ -12,24 +12,24 @@ keep the positive side) only enlarges a set, so
 The cover search and its check build the target and every hull on one
 stage lattice (``_cover_sets``) as integer slab trees.  The search keeps
 the target's uncovered rest: a subset mask's rest is its parent's (the
-mask without its highest bit, as in the infinite-cube table) less the
-newest element's hull, one ``_combine`` per mask, and the masks are walked
-depth first, so only the rests along one path are held.
+mask without its highest bit) less the newest element's hull, one
+``_combine`` per mask, and the masks are walked depth first, so only the
+rests along one path are held.
 
 The witness search shrinks an open box through the elements one generator
-leaf at a time, so each step only needs the 1-D gap structure of a single
-translate; nothing d-dimensional is ever materialized.  That step,
-``_shrink_past``, is folded over the elements of one search and over the
-subset masks of the infinite-cube table, one element per row.
+leaf at a time, one ``find_gap`` per leaf, so each step only needs the 1-D
+gap structure of a single translate; nothing d-dimensional is ever
+materialized.
 
-Checking is monotone the same way: a sub-box of a box that misses a closed
-stage translate misses it too.  ``extension_valid`` is the one witness
-check: it proves a witness that extends an already checked one by a run of
-new elements, and ``uncovered_witness_valid`` is that check from the
-unshrunk target.  ``table_verdicts`` is the one walk over an infinite-cube
-table, used by the report and by its ``--verify`` replay alike: each row is
-checked by extension of its parent row and falls back to the check on its
-own, so every verdict is the one the check on its own gives.
+The claim a witness makes is monotone: a box that misses every translate
+of a pool misses the union of any subfamily too.  So ``infinite-cube``
+runs one search over its whole pool, and that one witness, cut down to a
+subfamily's certificates, certifies every subfamily.  Checking is monotone
+the same way: a sub-box of a box that misses a closed stage translate
+misses it too, so each certificate's stage is checked against the
+witness's own box.  ``uncovered_witness_valid`` is the one witness check:
+it reads the box once, ties the witness's stage to its certificates, and
+runs one gap-certificate check per hull leaf.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ DEFAULT_SUBSET_BUDGET = 4096
 DEFAULT_POOL_CAP = 12
 # The stage cap of ``uncovered-box`` and ``infinite-cube`` unless told otherwise.
 DEFAULT_WITNESS_STAGE_CAP = 12
-# Rows times pool size times d bounds the certificate coordinates an
-# infinite-cube table holds, which its time, memory and output grow with.
-# A pool of 12 at d = 2 (98280) fits; a pool of 7 at d = 5000 (4445000) would
-# take 1.6 GB.
-DEFAULT_TABLE_CAP = 1 << 17
 
 
 def positive_hull(e: "RingExpr") -> "RingExpr":
@@ -245,38 +240,14 @@ class LeafCertificate:
 class UncoveredWitness:
     """Open box inside the target that misses every cover element.
 
-    ``stage`` is the deepest stage any leaf needed.  The box sits inside
-    the witness of every per-leaf certificate, hence misses each leaf's
-    stage approximation and a fortiori the true element sets.
+    ``stage`` is the deepest stage any leaf needed, 0 with no leaf.  The box
+    sits inside the witness of every per-leaf certificate, hence misses each
+    leaf's stage approximation and a fortiori the true element sets.
     """
 
     box: Box
     stage: int
     certificates: tuple[LeafCertificate, ...]
-
-
-def _shrink_past(
-    s: CantorSchedule, start: UncoveredWitness, ei: int, element: "RingExpr", stage_cap: int
-) -> UncoveredWitness | NeedsDeeperStage:
-    """Extend ``start`` past the hull leaves of element ``ei``, one :func:`find_gap` each."""
-    box, deepest = start.box, start.stage
-    certificates = list(start.certificates)
-    for li, leaf in enumerate(hull_leaves(element)):
-        outcome = find_gap(s, leaf.translation, box, stage_cap)
-        if isinstance(outcome, NeedsDeeperStage):
-            return NeedsDeeperStage(outcome.deepest_stage, element_index=ei, leaf_index=li)
-        certificates.append(LeafCertificate(ei, li, leaf.translation, outcome))
-        box, deepest = outcome.box, max(deepest, outcome.stage)
-    return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
-
-
-def _reported(outcome: UncoveredWitness | NeedsDeeperStage) -> UncoveredWitness | NeedsDeeperStage:
-    """A fold state as reported: with no leaf dodged, the middle half of its box."""
-    if isinstance(outcome, NeedsDeeperStage) or outcome.certificates:
-        return outcome
-    sides = zip(outcome.box.lo, outcome.box.hi)
-    lo, hi = zip(*(middle_half(*side) for side in sides))  # type: ignore[arg-type]
-    return UncoveredWitness(Box(lo, hi), outcome.stage, ())
 
 
 def find_uncovered_box(
@@ -287,10 +258,12 @@ def find_uncovered_box(
 ) -> UncoveredWitness | NeedsDeeperStage:
     """Sequentially shrink an open box inside ``target`` past every element.
 
-    Folds :func:`_shrink_past` over the elements in the given order, starting
-    from the target itself; within an element the generator leaves of its
-    positive hull go left to right.  The final box is disjoint from every
-    element.  With no elements the witness is the middle half of the target.
+    Starting from the target itself, each generator leaf of each element's
+    positive hull, elements in the given order and leaves left to right,
+    shrinks the box to the gap :func:`find_gap` finds for it.  The final box
+    is disjoint from every element; the first leaf with no gap up to the
+    stage cap is reported instead.  With no elements the witness is the
+    middle half of the target.
     """
     if target.dim != s.d:
         raise DimensionMismatchError(f"target dimension {target.dim} vs schedule {s.d}")
@@ -299,12 +272,19 @@ def find_uncovered_box(
     if target.is_empty:
         raise PreconditionError("witness target needs positive sides")
 
-    outcome: UncoveredWitness | NeedsDeeperStage = UncoveredWitness(target, 0, ())
+    box, deepest = target, 0
+    certificates: list[LeafCertificate] = []
     for ei, element in enumerate(elements):
-        outcome = _shrink_past(s, outcome, ei, element, stage_cap)
-        if isinstance(outcome, NeedsDeeperStage):
-            break
-    return _reported(outcome)
+        for li, leaf in enumerate(hull_leaves(element)):
+            outcome = find_gap(s, leaf.translation, box, stage_cap)
+            if isinstance(outcome, NeedsDeeperStage):
+                return NeedsDeeperStage(outcome.deepest_stage, element_index=ei, leaf_index=li)
+            certificates.append(LeafCertificate(ei, li, leaf.translation, outcome))
+            box, deepest = outcome.box, max(deepest, outcome.stage)
+    if not certificates:
+        lo, hi = zip(*(middle_half(*side) for side in zip(box.lo, box.hi)))  # type: ignore[arg-type]
+        box = Box(lo, hi)
+    return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
 
 
 def uncovered_witness_valid(
@@ -315,49 +295,25 @@ def uncovered_witness_valid(
 ) -> bool:
     """Re-verify a witness from serialized data alone.
 
-    Checks that the box is a bounded, nonempty open box inside the target,
-    that the recorded certificates enumerate exactly the hull leaves of the
-    given elements, and that the box misses each leaf's closed stage
-    approximation at that leaf's own recorded stage: the unshrunk target,
-    extended by every element.
+    The witness is valid when its box is a bounded, nonempty box of
+    dimension ``s.d`` inside the target, its certificates are one
+    ``(ei, li, translation)`` per hull leaf ``li`` of ``elements[ei]``, in
+    that order, its stage is the largest certificate stage (0 with none),
+    and the box misses each leaf's closed stage approximation at that
+    leaf's recorded stage.
     """
-    return extension_valid(s, UncoveredWitness(target, 0, ()), witness, 0, elements)
-
-
-def extension_valid(
-    s: CantorSchedule,
-    parent: UncoveredWitness,
-    child: UncoveredWitness,
-    first: int,
-    elements: Sequence["RingExpr"],
-) -> bool:
-    """Is ``child`` a witness for ``parent``'s family plus ``elements``?
-
-    ``parent`` must already be valid for its family and target (or be the
-    unshrunk target with no certificates); ``first`` is the index of the
-    first new element in the child's family.  The child is valid when its
-    box is a bounded, nonempty box of dimension ``s.d`` inside
-    the parent's box, its certificates are the parent's followed by one
-    ``(first + k, li, translation)`` per hull leaf ``li`` of ``elements[k]``,
-    and the box misses each new leaf's closed stage approximation at its
-    recorded stage.  The parent's certificates carry over unchecked: a box
-    inside the parent's misses whatever the parent's box misses.  So a true
-    answer implies :func:`uncovered_witness_valid` on the child's family;
-    after a false one, only that check can tell whether the child is valid.
-    """
-    box = child.box
+    box = witness.box
     if box.dim != s.d or not box.is_bounded or box.is_empty:
         return False
-    if not parent.box.contains_box(box):
+    if not target.contains_box(box):
         return False
-    n = len(parent.certificates)
-    if tuple(child.certificates[:n]) != tuple(parent.certificates):
+    certificates = witness.certificates
+    if witness.stage != max((c.certificate.stage for c in certificates), default=0):
         return False
-    new = child.certificates[n:]
-    recorded = [(c.element_index, c.leaf_index, c.translation) for c in new]
+    recorded = [(c.element_index, c.leaf_index, c.translation) for c in certificates]
     expected = [
         (ei, li, leaf.translation)
-        for ei, element in enumerate(elements, first)
+        for ei, element in enumerate(elements)
         for li, leaf in enumerate(hull_leaves(element))
     ]
     if recorded != expected:
@@ -366,7 +322,7 @@ def extension_valid(
     return all(
         len(cert.translation) == s.d
         and _misses_stage_translate(s, cert.translation, cert.certificate.stage, box)
-        for cert in new
+        for cert in certificates
     )
 
 
@@ -400,127 +356,10 @@ def quartered_translate_pool(s: CantorSchedule, size: int) -> list["RingExpr"]:
     return pool
 
 
-@dataclass(frozen=True)
-class SubsetWitnessRow:
-    """One row of the infinite-cube table: a subfamily and its outcome."""
-
-    subset: tuple[int, ...]
-    witness: UncoveredWitness | None
-    inconclusive_stage: int | None
-    verified: bool
-
-
-@dataclass(frozen=True)
-class InfiniteCubeReport:
-    """Witness table showing no subfamily of the pool covers the unit cube.
-
-    Every row with a witness certifies that subfamily fails to cover; rows
-    that hit the stage cap are reported inconclusive, never as covers.  A
-    fully witnessed table is the finite, checkable face of "the unit cube
-    has no finite cover of finite total premeasure".
-    """
-
-    pool: tuple["RingExpr", ...]
-    stage_cap: int
-    rows: tuple[SubsetWitnessRow, ...]
-    all_witnessed: bool
-
-
-def check_pool_size(size: int, d: int) -> int:
-    """Refuse, before any search, a pool above ``DEFAULT_POOL_CAP`` elements
-    or a table above ``DEFAULT_TABLE_CAP`` rows times pool size times ``d``;
-    return the pool's size."""
+def check_pool_size(size: int) -> int:
+    """Refuse, before any search, an ``infinite-cube`` pool above
+    ``DEFAULT_POOL_CAP`` elements; return the pool's size.  The witness fold
+    shrinks its box once per hull leaf, so a much larger pool is not cheap."""
     if size > DEFAULT_POOL_CAP:
-        raise BudgetError(
-            f"pool of {size} elements would need 2^{size} - 1 subset rows,"
-            f" above the cap for {DEFAULT_POOL_CAP} elements"
-        )
-    rows = len(_table_masks(size))
-    if rows * size * d > DEFAULT_TABLE_CAP:
-        raise BudgetError(
-            f"pool of {size} elements in dimension {d} would need {rows} rows times {size}"
-            f" elements times {d} coordinates, {rows * size * d} cells,"
-            f" above the table cap of {DEFAULT_TABLE_CAP} cells"
-        )
+        raise BudgetError(f"pool of {size} elements is above the cap of {DEFAULT_POOL_CAP} elements")
     return size
-
-
-def _table_masks(size: int) -> range:
-    """The masks of a table's rows: every nonempty subset, or the empty one alone."""
-    return range(1, 1 << size) if size else range(1)
-
-
-def _parent(mask: int) -> int:
-    """A row's parent: its mask without the highest bit (mask 0 is its own)."""
-    return mask ^ (1 << mask.bit_length() >> 1)
-
-
-def table_verdicts(
-    s: CantorSchedule,
-    pool: Sequence["RingExpr"],
-    witnesses: Sequence["UncoveredWitness | None"],
-) -> list[bool]:
-    """Check an infinite-cube table's witnesses, one per row in mask order.
-
-    A row's parent is its mask without the highest bit; mask 0 is the
-    unshrunk unit cube, which passes.  A row whose parent passed is checked
-    by :func:`extension_valid`, proving only its newest element's
-    certificates.  Any other row, or a row that extension rejects, is
-    checked on its own by :func:`uncovered_witness_valid`, so every verdict
-    is the one the check on its own gives.  A row without a witness fails.
-    """
-    cube = Box.unit_cube(s.d)
-    # By mask: a row's witness if it passed, else None.
-    passed: list[UncoveredWitness | None] = [UncoveredWitness(cube, 0, ())]
-    for mask, witness in zip(_table_masks(len(pool)), witnesses, strict=True):
-        parent = passed[_parent(mask)]
-        members = [e for i, e in enumerate(pool) if mask >> i & 1]
-        ok = witness is not None and (
-            parent is not None
-            and extension_valid(s, parent, witness, len(members) - 1, members[-1:])
-            or uncovered_witness_valid(s, cube, members, witness)
-        )
-        passed.append(witness if ok else None)
-    return [witness is not None for witness in passed[1:]]
-
-
-def infinite_cube_report(
-    s: CantorSchedule, pool: Sequence["RingExpr"], stage_cap: int
-) -> InfiniteCubeReport:
-    """Witness every nonempty subfamily of a pool, one element per row.
-
-    The outcome for mask ``m`` is the outcome for its parent, ``m`` without
-    its highest bit, shrunk past that element (an inconclusive one stays
-    so); mask 0 is the unshrunk unit cube, and an empty pool's one row is
-    its middle half.  The rows are then checked by :func:`table_verdicts`,
-    so ``verified`` is the verdict of the check on its own.
-    """
-    check_pool_size(len(pool), s.d)
-    # By mask: the fold's outcome.
-    outcomes: list[UncoveredWitness | NeedsDeeperStage] = [
-        UncoveredWitness(Box.unit_cube(s.d), 0, ())
-    ]
-    for mask in range(1, 1 << len(pool)):
-        outcome = outcomes[_parent(mask)]
-        if isinstance(outcome, UncoveredWitness):
-            newest = pool[mask.bit_length() - 1]
-            outcome = _shrink_past(s, outcome, mask.bit_count() - 1, newest, stage_cap)
-        outcomes.append(outcome)
-    found = outcomes[1:] or [_reported(outcomes[0])]
-    witnesses = [o if isinstance(o, UncoveredWitness) else None for o in found]
-    verdicts = table_verdicts(s, pool, witnesses)
-    rows = tuple(
-        SubsetWitnessRow(
-            subset=tuple(i for i in range(len(pool)) if mask >> i & 1),
-            witness=w,
-            inconclusive_stage=o.deepest_stage if w is None else None,
-            verified=v,
-        )
-        for mask, o, w, v in zip(_table_masks(len(pool)), found, witnesses, verdicts)
-    )
-    return InfiniteCubeReport(
-        pool=tuple(pool),
-        stage_cap=stage_cap,
-        rows=rows,
-        all_witnessed=all(r.verified for r in rows),
-    )

@@ -12,18 +12,13 @@ hand-written encoder: scalars, ``Box`` (infinity markers),
 ``rationals.format_fraction`` and ``rationals.printable`` refuse a number
 with more digits than Python prints.  Within one call, each dataclass
 object and each tuple is encoded once, by identity, and every place that
-holds it holds the same JSON object: an infinite-cube table's rows share
-their parents' certificates, so its JSON holds each certificate once, and
-the merge steps of one level share their corner offsets.  An encoded document is therefore
-read-only; a caller that edits one place copies it first.
+holds it holds the same JSON object: the merge steps of one level of a
+packing layout share their corner offsets.  An encoded document is
+therefore read-only; a caller that edits one place copies it first.
 
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
 input.  They are the same functions the ``--verify`` replay path uses.
-:func:`witnesses_from_json` decodes a list of witnesses, such as an
-infinite-cube table, decoding each distinct certificate document once:
-by identity in a document :func:`to_json` wrote, by value in one parsed
-from text.  :func:`witness_from_json` is the same decoder on one witness.
 A layout is read only as its placements (:func:`placements_from_json`) and
 target; nothing decodes its merge tree.
 
@@ -50,7 +45,6 @@ text is ASCII and the bytes are the stdlib's.
 from __future__ import annotations
 
 import dataclasses
-import marshal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
@@ -215,63 +209,10 @@ def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
 
 def witness_from_json(doc: Any) -> UncoveredWitness:
     """One witness; ``null``, like any other malformed document, is refused."""
-    return _witness_from_json(doc, _DecodeCache())
-
-
-def witnesses_from_json(docs: Sequence[Any]) -> "list[UncoveredWitness | None]":
-    """A list of witness documents, ``null`` as ``None``; each distinct
-    certificate document is decoded once, and equal ones share the value.
-
-    A document that :func:`to_json` wrote holds a repeated certificate as
-    one object, so the same object is found by identity first; a document
-    parsed from text shares nothing, and its repeats are found by value.
-    """
-    cache = _DecodeCache()
-    return [None if doc is None else _witness_from_json(doc, cache) for doc in docs]
-
-
-class _DecodeCache:
-    """Decoded certificate documents of one :func:`witnesses_from_json` call.
-
-    ``by_id`` maps the id of a certificate document, or of the box document
-    of its gap certificate, to the document and its value; holding the
-    document keeps its id from being reused in the call.  ``by_bytes`` maps
-    a certificate's marshal bytes to its value.
-    """
-
-    __slots__ = ("by_id", "by_bytes")
-
-    def __init__(self) -> None:
-        self.by_id: "dict[int, tuple[Any, Any]]" = {}
-        self.by_bytes: "dict[bytes, LeafCertificate]" = {}
-
-    def leaf(self, doc: Any) -> LeafCertificate:
-        hit = self.by_id.get(id(doc))
-        if hit is not None:
-            return hit[1]
-        # Marshal bytes (version 0: no shared references) tell apart the JSON
-        # values 1, 1.0 and true, which ``==`` and ``hash`` do not.
-        key = marshal.dumps(doc, 0)
-        leaf = self.by_bytes.get(key)
-        if leaf is None:
-            leaf = self.by_bytes[key] = leaf_certificate_from_json(doc)
-        self.by_id[id(doc)] = (doc, leaf)
-        box = doc["certificate"]["box"]
-        self.by_id[id(box)] = (box, leaf.certificate.box)
-        return leaf
-
-    def box(self, doc: Any) -> Box:
-        hit = self.by_id.get(id(doc))
-        return box_from_json(doc) if hit is None else hit[1]
-
-
-def _witness_from_json(doc: Any, cache: "_DecodeCache") -> UncoveredWitness:
     what = "uncovered witness"
     m = _expect(doc, ("box", "stage", "certificates"), what)
-    certificates = tuple(cache.leaf(c) for c in _list_of(m, "certificates", what))
-    # A row's box is the box of its last certificate in a document that
-    # ``to_json`` wrote, so it is decoded with the certificates.
-    box, stage = cache.box(m["box"]), _count_of(m, "stage", what)
+    certificates = tuple(leaf_certificate_from_json(c) for c in _list_of(m, "certificates", what))
+    box, stage = box_from_json(m["box"]), _count_of(m, "stage", what)
     return UncoveredWitness(box=box, stage=stage, certificates=certificates)
 
 

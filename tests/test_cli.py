@@ -315,14 +315,12 @@ class TestEnvelope:
         assert error["message"].startswith("result too large to print")
 
     def test_pool_cap_is_checked_before_any_search(self, tmp_path):
-        # 13 elements would need 8191 subset rows; the cap is 12 elements
+        # the witness fold shrinks its box once per hull leaf; the cap is 12 elements
         code, doc = run_json("infinite-cube", "--pool-size", "13")
         assert code == 3
         error = doc["result"]["error"]
         assert error["kind"] == "budget"
-        assert error["message"] == (
-            "pool of 13 elements would need 2^13 - 1 subset rows, above the cap for 12 elements"
-        )
+        assert error["message"] == "pool of 13 elements is above the cap of 12 elements"
         path = tmp_path / "pool.json"
         path.write_text(json.dumps([expr_to_json(e) for e in grid_translate_pool(CantorSchedule(1), 13)]))
         code, doc = run_json("infinite-cube", "--expr-file", str(path))
@@ -330,27 +328,23 @@ class TestEnvelope:
         assert doc["result"]["error"]["message"] == error["message"]
         assert len(doc["inputs"]["pool"]) == 13
 
-    @pytest.mark.parametrize(
-        "d, size, cells", [("5000", "7", 4445000), ("3", "12", 147420), ("64", "9", 294336)]
-    )
-    def test_table_cap_is_checked_before_any_search(self, d, size, cells, tmp_path):
-        # rows times elements times d: 127 * 7 * 5000 would take 1.6 GB
-        code, doc = run_json("infinite-cube", "--d", d, "--pool-size", size)
-        assert code == 3
-        error = doc["result"]["error"]
-        assert error["kind"] == "budget"
-        assert error["message"].endswith(f", {cells} cells, above the table cap of 131072 cells")
-        path = tmp_path / "pool.json"
-        pool = grid_translate_pool(CantorSchedule(int(d)), int(size))
-        path.write_text(json.dumps([expr_to_json(e) for e in pool]))
-        code, doc = run_json("infinite-cube", "--d", d, "--expr-file", str(path))
-        assert code == 3
-        assert doc["result"]["error"]["message"] == error["message"]
+    @pytest.mark.parametrize("d, size", [("3", "12"), ("64", "9"), ("5000", "3")])
+    def test_pools_up_to_the_cap_are_admitted_in_any_dimension(self, d, size, capsys):
+        # One witness over the pool: pools of 12 at d = 3 and of 9 at d = 64
+        # were refused while every subfamily had a row.
+        assert cover.check_pool_size(12) == 12
+        assert cli.main(["infinite-cube", "--d", d, "--pool-size", size, "--verify"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["found"] is True and result["verification"]["ok"] is True
+        assert len(result["witness"]["certificates"]) == int(size)
 
-    def test_the_largest_tables_under_the_cap_are_accepted(self):
-        # 4095 * 12 * 2 and 7 * 3 * 5000 cells
-        assert cover.check_pool_size(12, 2) == 12
-        assert cover.check_pool_size(3, 5000) == 3
+    def test_a_pool_whose_table_had_inconclusive_rows_is_witnessed_whole(self, capsys):
+        # The table of every subfamily had 32 rows at the stage cap and
+        # exited 3; the whole pool's fold finds its witness by stage 3.
+        assert cli.main(["infinite-cube", "--d", "1", "--pool-size", "9", "--stage-cap", "8", "--verify"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["found"] is True and result["verification"]["ok"] is True
+        assert result["witness"]["stage"] == 3
 
     @pytest.mark.parametrize("d, bits", [("16", 29), ("500", 746)])
     def test_corollary_families_above_the_cap_exit_three(self, d, bits):
@@ -1043,12 +1037,15 @@ class TestReplayTampers:
         "tamper",
         [
             _untampered,
-            _set(("report", "pool", 1, "gen", "x"), ["1/2"]),
-            _set(("report", "stage_cap"), 13),
-            _set(("report", "stage_cap"), 12.0),
-            _set(("report", "rows", 2, "inconclusive_stage"), 5),
+            _set(("witness", "stage"), 1002),  # the deepest certificate stage is 2
+            _set(("witness", "stage"), 1),
+            _set(("witness", "certificates", 1, "translation"), ["1/2"]),
+            _set(("witness", "certificates", 2, "element_index"), 1),
+            _set(("witness", "box", "hi"), ["1/1"]),
+            _set(("found",), False),
         ],
-        ids=["untampered", "pool", "stage-cap", "stage-cap-float", "inconclusive-stage"],
+        ids=["untampered", "stage-raised", "stage-lowered", "translation", "element-index", "box",
+             "found"],
     )
     def test_infinite_cube(self, tamper, capsys):
         argv = ("infinite-cube", "--pool-size", "3", "--stage-cap", "12")
@@ -1147,13 +1144,15 @@ class TestReplayTampers:
             (("uncovered-box", "--expr-file", "@pool"), ("found",), 1),
             (("cover-search", "--target-file", "@quarter", "--expr-file", "@missing", "--stage", "1"),
              ("attempt", "stage"), 1.0),
-            # row 54, subset [0, 1, 2, 4, 5], is the first at the stage cap
+            # element 5 is the first the fold cannot dodge by the stage cap
             (("infinite-cube", "--pool-size", "10", "--stage-cap", "8"),
-             ("report", "rows", 54, "inconclusive_stage"), 8.0),
+             ("needs_deeper_stage", "deepest_stage"), 8.0),
+            (("infinite-cube", "--pool-size", "3", "--stage-cap", "12"), ("witness", "stage"), 2.0),
         ],
         ids=["measure", "split-check", "rn-enumerate", "cantor-info", "hausdorff-bound",
              "tile-check", "range-solve-target", "range-solve-x", "uncovered-box-needs-deeper",
-             "uncovered-box-found", "cover-search-infinite", "infinite-cube-inconclusive"],
+             "uncovered-box-found", "cover-search-infinite", "infinite-cube-inconclusive",
+             "infinite-cube-found"],
     )
     def test_an_int_retyped_is_refused(self, argv, path, value, files, capsys):
         # 1, 1.0 and true are equal under ``==`` but not as JSON text.

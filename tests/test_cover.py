@@ -13,8 +13,8 @@ import contextlib
 import copy
 import itertools
 import json
-import marshal
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -36,10 +36,8 @@ from fatcantor import (
     base_expr,
     clip_to_box,
     cli,
-    extension_valid,
     find_uncovered_box,
     grid_translate_pool,
-    infinite_cube_report,
     iter_leaves,
     outer_upper,
     positive_hull,
@@ -396,40 +394,70 @@ class TestUncoveredBox:
 
 
 # ---------------------------------------------------------------------------
-# the full no-cover report
+# infinite-cube: one witness for the whole pool
 # ---------------------------------------------------------------------------
 
 
-class TestInfiniteCubeReport:
-    def test_small_pool_report_is_fully_witnessed(self):
-        rep = infinite_cube_report(S1, grid_translate_pool(S1, 2), 12)
-        assert rep.all_witnessed
-        assert rep.stage_cap == 12
-        # every nonempty subfamily of the pool appears
-        assert len(rep.rows) == 2 ** len(rep.pool) - 1
-        for row in rep.rows:
-            assert row.verified
-            assert row.witness is not None
-            assert row.inconclusive_stage is None
+def _cube_core(s, pool, cap):
+    """The infinite-cube result core and exit code, the core as the
+    ``--verify`` replay reads it: a copy of its JSON."""
+    core, code = cli.COMMANDS["infinite-cube"].run(s, {"pool": pool, "stage_cap": cap})
+    return copy.deepcopy(to_json(core)), code
 
-    def test_rows_replay_against_their_subfamilies(self):
-        rep = infinite_cube_report(S1, grid_translate_pool(S1, 4), 12)
-        assert rep.all_witnessed
-        for row in rep.rows:
-            members = [rep.pool[i] for i in row.subset]
-            assert uncovered_witness_valid(S1, Box.unit_cube(1), members, row.witness)
 
-    def test_empty_pool_uses_the_empty_family(self):
-        rep = infinite_cube_report(S1, [], 4)
-        assert rep.all_witnessed
-        assert len(rep.rows) == 1
-        assert rep.rows[0].subset == ()
+def _cut(witness, subset):
+    """The certificates of the elements in ``subset`` (increasing pool
+    indices), re-indexed within it, with the deepest of their stages."""
+    rank = {k: j for j, k in enumerate(subset)}
+    certificates = tuple(
+        replace(c, element_index=rank[c.element_index])
+        for c in witness.certificates
+        if c.element_index in rank
+    )
+    stage = max((c.certificate.stage for c in certificates), default=0)
+    return UncoveredWitness(witness.box, stage, certificates)
+
+
+def _subsets(size):
+    """Every nonempty subset of ``range(size)``, as increasing tuples."""
+    return [c for r in range(1, size + 1) for c in itertools.combinations(range(size), r)]
+
+
+class TestInfiniteCube:
+    def test_a_small_pool_has_one_checked_witness(self):
+        pool = grid_translate_pool(S1, 2)
+        core, code = _cube_core(S1, pool, 12)
+        assert code == 0
+        assert set(core) == {"found", "witness"} and core["found"] is True
+        witness = witness_from_json(core["witness"])
+        assert [c.element_index for c in witness.certificates] == [0, 1]
+        assert uncovered_witness_valid(S1, Box.unit_cube(1), pool, witness)
+
+    def test_the_witness_certifies_every_subfamily(self):
+        pool = grid_translate_pool(S1, 4)
+        witness = find_uncovered_box(Box.unit_cube(1), pool, S1, 12)
+        assert isinstance(witness, UncoveredWitness)
+        for subset in _subsets(4):
+            members = [pool[k] for k in subset]
+            assert uncovered_witness_valid(S1, Box.unit_cube(1), members, _cut(witness, subset))
+
+    def test_an_empty_pool_leaves_the_middle_half(self):
+        for d in (1, 2):
+            s = CantorSchedule(d)
+            core, code = _cube_core(s, [], 4)
+            assert code == 0
+            assert witness_from_json(core["witness"]) == UncoveredWitness(
+                Box((Fraction(1, 4),) * d, (Fraction(3, 4),) * d), 0, ()
+            )
+            (row,) = witness_oracle.infinite_cube_report(s, 0, 4).rows
+            assert row.witness == witness_from_json(core["witness"])
 
     def test_pool_cap_is_enforced(self):
         from fatcantor import BudgetError
 
-        with pytest.raises(BudgetError):
-            infinite_cube_report(S1, grid_translate_pool(S1, 13), 8)
+        with pytest.raises(BudgetError, match="pool of 13 elements is above the cap of 12 elements"):
+            _cube_core(S1, grid_translate_pool(S1, 13), 8)
+        assert cover.check_pool_size(12) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +466,10 @@ class TestInfiniteCubeReport:
 
 
 @st.composite
-def pools(draw, dim, max_size=9):
+def pools(draw, dim, max_size=9, kinds=("grid", "quartered", "leaves")):
     """A grid, quartered or multi-leaf pool of 0 to ``max_size`` elements."""
     s = CantorSchedule(dim)
-    kind = draw(st.sampled_from(["grid", "quartered", "leaves"]))
+    kind = draw(st.sampled_from(kinds))
     size = draw(st.integers(min_value=0, max_value=max_size))
     if kind == "grid":
         return grid_translate_pool(s, size)
@@ -453,33 +481,60 @@ def pools(draw, dim, max_size=9):
 class TestFoldAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), d=st.integers(min_value=1, max_value=2), cap=st.integers(min_value=0, max_value=12))
-    def test_table_equals_the_per_subset_search(self, data, d, cap):
+    def test_the_witness_is_the_last_row_of_the_table(self, data, d, cap):
+        # The fold's chain {0} < {0, 1} < ... is the full mask's chain of
+        # parents, so the one witness is the table's last row.
         s = CantorSchedule(d)
-        pool = data.draw(pools(d))
-        got = infinite_cube_report(s, pool, cap)
-        want = witness_oracle.infinite_cube_report(s, 0, cap, pool=pool)
-        assert got == want
-        assert to_json(got) == to_json(want)
+        pool = data.draw(pools(d, max_size=6))
+        got = find_uncovered_box(Box.unit_cube(d), pool, s, cap)
+        last = witness_oracle.infinite_cube_report(s, 0, cap, pool=pool).rows[-1]
+        if isinstance(got, NeedsDeeperStage):
+            assert last.witness is None and last.inconclusive_stage == got.deepest_stage
+        else:
+            assert last.witness == got and last.verified
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=2),
+        cap=st.integers(min_value=0, max_value=24),
+    )
+    def test_the_witness_cut_to_any_subfamily_passes_the_oracle(self, data, d, cap):
+        s = CantorSchedule(d)
+        pool = data.draw(pools(d, max_size=10, kinds=("grid", "quartered")))
+        witness = find_uncovered_box(Box.unit_cube(d), pool, s, cap)
+        assume(isinstance(witness, UncoveredWitness))
+        subset = tuple(k for k in range(len(pool)) if data.draw(st.booleans()))
+        members = [pool[k] for k in subset]
+        assert witness_oracle.witness_valid(s, Box.unit_cube(d), members, _cut(witness, subset))
 
     @pytest.mark.parametrize(
-        "d, size, cap, inconclusive",
-        [(1, 9, 8, 32), (1, 10, 8, 48), (1, 9, 12, 0), (2, 9, 0, 256), (2, 9, 1, 0)],
+        "d, size, cap, inconclusive, outcome",
+        [
+            (1, 9, 8, 32, None),
+            (1, 10, 8, 48, NeedsDeeperStage(deepest_stage=8, element_index=5, leaf_index=0)),
+            (1, 9, 12, 0, None),
+            (2, 9, 0, 256, NeedsDeeperStage(deepest_stage=0, element_index=0, leaf_index=0)),
+            (2, 9, 1, 0, None),
+        ],
     )
-    def test_grid_tables_with_inconclusive_rows_equal_the_oracle(self, d, size, cap, inconclusive):
+    def test_grid_pools_against_the_table(self, d, size, cap, inconclusive, outcome):
+        """The table's rows at the stage cap, and the one search: a pool
+        whose table had inconclusive rows may still be witnessed whole, and
+        the whole witness then certifies those rows' subfamilies too."""
         s = CantorSchedule(d)
-        got = infinite_cube_report(s, grid_translate_pool(s, size), cap)
-        want = witness_oracle.infinite_cube_report(s, size, cap)
-        assert sum(row.witness is None for row in got.rows) == inconclusive
-        assert got == want
-        assert to_json(got) == to_json(want)
-
-    def test_the_empty_pool_row_is_the_middle_half_of_the_cube(self):
-        for d in (1, 2):
-            s = CantorSchedule(d)
-            got = infinite_cube_report(s, [], 4)
-            assert got == witness_oracle.infinite_cube_report(s, 0, 4)
-            (row,) = got.rows
-            assert row.witness.box == Box((Fraction(1, 4),) * d, (Fraction(3, 4),) * d)
+        pool = grid_translate_pool(s, size)
+        table = witness_oracle.infinite_cube_report(s, size, cap)
+        assert sum(row.witness is None for row in table.rows) == inconclusive
+        got = find_uncovered_box(Box.unit_cube(d), pool, s, cap)
+        if outcome is not None:
+            assert got == outcome
+            return
+        assert got == table.rows[-1].witness
+        cube = Box.unit_cube(d)
+        for row in table.rows:
+            members = [pool[k] for k in row.subset]
+            assert witness_oracle.witness_valid(s, cube, members, _cut(got, row.subset))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -503,7 +558,7 @@ class TestFoldAgainstOracle:
         assert got == witness_oracle.find_uncovered_box(unit, pool, S1, 1)
         assert got == NeedsDeeperStage(deepest_stage=1, element_index=1, leaf_index=1)
 
-    def test_table_does_the_gap_searches_of_one_element_per_row(self, monkeypatch):
+    def test_the_command_does_one_gap_search_per_leaf(self, monkeypatch):
         calls = []
         find_gap = cover.find_gap
 
@@ -512,9 +567,9 @@ class TestFoldAgainstOracle:
             return find_gap(*args)
 
         monkeypatch.setattr(cover, "find_gap", counting)
-        rep = infinite_cube_report(S1, grid_translate_pool(S1, 9), 24)
-        assert rep.all_witnessed
-        assert len(calls) == 2**9 - 1
+        _, code = _cube_core(S1, grid_translate_pool(S1, 9), 24)
+        assert code == 0
+        assert len(calls) == 9
         calls.clear()
         monkeypatch.setattr(witness_oracle, "find_gap", counting)
         witness_oracle.infinite_cube_report(S1, 9, 24)
@@ -522,15 +577,8 @@ class TestFoldAgainstOracle:
 
 
 # ---------------------------------------------------------------------------
-# the table checked by extension against the check of every row on its own
+# the witness check against the oracle's check
 # ---------------------------------------------------------------------------
-
-
-def _core(report):
-    """A report's result core as the ``--verify`` replay reads it: a copy of
-    its JSON that keeps the JSON's shared subtrees, as ``cli.main`` hands it.
-    A tamper copies what it edits, so an edit changes one place only."""
-    return copy.deepcopy(to_json({"report": report}))
 
 
 def _own(items, k):
@@ -539,26 +587,20 @@ def _own(items, k):
     return items[k]
 
 
-def _verdict(check, *args):
-    # ``--verify`` counts a check that raises as failed
-    try:
-        return check(*args)
-    except Exception:
-        return False
-
-
 def _index(data, items):
     return data.draw(st.integers(min_value=0, max_value=len(items) - 1))
 
 
-def _tamper_witness(data, doc, parent_box, kind):
+def _tamper_witness(data, doc, target, kind):
     """Change a witness's JSON in place, copying a box or certificate before
-    editing it; ``parent_box`` is the box it was shrunk from."""
+    editing it; ``target`` is the box it was shrunk from."""
     certs = doc["certificates"]
-    if kind == "widen":  # past the parent's box on one side, by a little or a lot
-        axis = _index(data, parent_box.lo)
+    if kind == "widen":  # past the target on one side, by a little or a lot
+        axis = _index(data, target.lo)
         w = data.draw(st.sampled_from([Fraction(1, 2**30), Fraction(1, 64), Fraction(1, 2)]))
-        _own(doc, "box")["lo"][axis] = to_json(parent_box.lo[axis] - w)
+        _own(doc, "box")["lo"][axis] = to_json(target.lo[axis] - w)
+    elif kind == "witness-stage":  # the witness's own stage, not a certificate's
+        doc["stage"] = data.draw(st.sampled_from([doc["stage"] + 1, doc["stage"] + 1000, 0]))
     elif not certs:
         return
     elif kind == "stage":
@@ -579,111 +621,33 @@ def _tamper_witness(data, doc, parent_box, kind):
         certs[i], certs[j] = certs[j], certs[i]
 
 
-def _parent_box(rows, row, d):
-    for other in rows:
-        if other["subset"] == row["subset"][:-1] and other["witness"] is not None:
-            return serialize.box_from_json(other["witness"]["box"])
-    return Box.unit_cube(d)
+_WITNESS_TAMPERS = ("stage", "witness-stage", "retype", "widen", "drop", "swap")
 
 
-_WITNESS_TAMPERS = ("stage", "retype", "widen", "drop", "swap")
-_ROW_TAMPERS = ("delete", "reorder", "permute")
-
-
-def _tamper_rows(data, rows, d, kind):
-    """Change a table's JSON rows in place."""
-    witnessed = [row for row in rows if row["witness"] is not None]
-    if kind in _WITNESS_TAMPERS and witnessed:
-        row = witnessed[_index(data, witnessed)]
-        _tamper_witness(data, row["witness"], _parent_box(rows, row, d), kind)
-    elif kind == "delete" and rows:  # the parent of every row that extends it
-        del rows[_index(data, rows)]
-    elif kind == "reorder":
-        rows[:] = data.draw(st.permutations(rows))
-    elif kind == "permute":
-        longer = [row for row in rows if len(row["subset"]) >= 2]
-        if longer:
-            row = longer[_index(data, longer)]
-            row["subset"] = data.draw(st.permutations(row["subset"]))
-
-
-def _retype_a_repeat(data, rows):
-    """Set a field holding 1 to 1.0 or true, equal under ``==``, in a copy of
-    a certificate document an earlier row holds too; say whether one was found."""
-    seen, found = set(), []
-    for row in rows:
-        certs = row["witness"]["certificates"] if row["witness"] is not None else []
-        for k, cert in enumerate(certs):
-            key = marshal.dumps(cert, 0)
-            if key in seen:
-                for path in (("element_index",), ("leaf_index",), ("certificate", "stage")):
-                    value = cert[path[0]] if len(path) == 1 else cert[path[0]][path[1]]
-                    if type(value) is int and value == 1:
-                        found.append((certs, k, path))
-            seen.add(key)
-    if not found:
-        return False
-    certs, k, path = found[_index(data, found)]
-    holder = _own(certs, k)
-    for key in path[:-1]:
-        holder = holder[key]
-    holder[path[-1]] = data.draw(st.sampled_from([1.0, True]))
-    return True
-
-
-def _decoded(doc):
-    """A row's witness, or None where there is none or it does not decode."""
-    try:
-        return None if doc is None else witness_from_json(doc)
-    except PreconditionError:
-        return None
-
-
-def _on_its_own(s, pool, row):
-    members = [pool[k] for k in row.subset]
-    return row.witness is not None and witness_oracle.witness_valid(
-        s, Box.unit_cube(s.d), members, row.witness
-    )
-
-
-class TestCheckByExtension:
+class TestWitnessCheck:
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
         d=st.integers(min_value=1, max_value=2),
         cap=st.integers(min_value=0, max_value=12),
     )
-    def test_replay_verdicts_equal_the_check_of_every_row_on_its_own(self, data, d, cap):
+    def test_the_check_equals_the_oracle_check_on_tampered_witnesses(self, data, d, cap):
         s = CantorSchedule(d)
-        pool = data.draw(pools(d, max_size=5))
-        report = infinite_cube_report(s, pool, cap)
-        assert [row.verified for row in report.rows] == [
-            _on_its_own(s, pool, row) for row in report.rows
-        ]
-        inputs = {"pool": pool, "stage_cap": cap}
-        core = _core(report)
-
-        def replay():  # exact, as the command's rerun compares
-            return serialize.same_json(core, _core(infinite_cube_report(s, pool, cap)))
-
-        assert cli._check_infinite_cube(s, inputs, core, replay) == witness_oracle.check_infinite_cube(
-            s, inputs, core, replay
-        )
-        for kind in data.draw(st.lists(st.sampled_from(_WITNESS_TAMPERS + _ROW_TAMPERS), max_size=3)):
-            _tamper_rows(data, core["report"]["rows"], d, kind)
-        assert _verdict(cli._check_infinite_cube, s, inputs, core, replay) == _verdict(
-            witness_oracle.check_infinite_cube, s, inputs, core, replay
-        )
-        # the shared walk, row by row, on witnesses tampered in mask order
-        rows = _core(report)["report"]["rows"]
+        cube = Box.unit_cube(d)
+        elements = data.draw(st.lists(ring_exprs(dim=d, max_leaves=3), max_size=5))
+        witness = find_uncovered_box(cube, elements, s, cap)
+        assume(isinstance(witness, UncoveredWitness))
+        assert uncovered_witness_valid(s, cube, elements, witness)
+        doc = json.loads(json.dumps(to_json(witness)))
         for kind in data.draw(st.lists(st.sampled_from(_WITNESS_TAMPERS), max_size=3)):
-            _tamper_rows(data, rows, d, kind)
-        witnesses = [_decoded(row["witness"]) for row in rows]
-        assert cover.table_verdicts(s, pool, witnesses) == [
-            witness is not None
-            and _verdict(witness_oracle.witnessed_rows_valid, s, inputs, [row])
-            for row, witness in zip(rows, witnesses)
-        ]
+            _tamper_witness(data, doc, cube, kind)
+        try:
+            tampered = witness_from_json(doc)
+        except PreconditionError:  # a retyped field is refused by the decoder
+            return
+        assert uncovered_witness_valid(s, cube, elements, tampered) == witness_oracle.witness_valid(
+            s, cube, elements, tampered
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -691,73 +655,33 @@ class TestCheckByExtension:
         d=st.integers(min_value=1, max_value=2),
         cap=st.integers(min_value=0, max_value=12),
     )
-    def test_report_flags_equal_the_check_on_its_own_when_the_fold_goes_wrong(self, data, d, cap):
+    def test_the_replay_equals_the_oracle_when_the_search_goes_wrong(self, data, d, cap):
         s = CantorSchedule(d)
         pool = data.draw(pools(d, max_size=5))
-        shrink_past = cover._shrink_past
+        find_gap = cover.find_gap
 
-        def faulty(s, start, ei, element, stage_cap):
-            outcome = shrink_past(s, start, ei, element, stage_cap)
-            kind = data.draw(st.sampled_from((None, "stage", "widen", "drop", "swap")))
-            if kind is None or not isinstance(outcome, UncoveredWitness):
+        def faulty(s, t, box, stage_cap):
+            outcome = find_gap(s, t, box, stage_cap)
+            kind = data.draw(st.sampled_from((None, "stage", "widen")))
+            if kind is None or isinstance(outcome, NeedsDeeperStage):
                 return outcome
-            doc = json.loads(json.dumps(to_json(outcome)))
-            _tamper_witness(data, doc, start.box, kind)
-            return witness_from_json(doc)
+            if kind == "stage":
+                return replace(outcome, stage=data.draw(st.integers(min_value=0, max_value=14)))
+            lo = (outcome.box.lo[0] - data.draw(st.sampled_from([Fraction(1, 2**30), Fraction(1, 2)])),)
+            return replace(outcome, box=Box(lo + outcome.box.lo[1:], outcome.box.hi))
 
-        with mock.patch.object(cover, "_shrink_past", faulty):
-            report = infinite_cube_report(s, pool, cap)
-        assert [row.verified for row in report.rows] == [
-            _on_its_own(s, pool, row) for row in report.rows
-        ]
+        with mock.patch.object(cover, "find_gap", faulty):
+            core, code = _cube_core(s, pool, cap)
+        assume(code == 0)
+        inputs = {"pool": pool, "stage_cap": cap}
+        verified = cli._verify(cli.COMMANDS["infinite-cube"], s, inputs, core)
+        witness = witness_from_json(core["witness"])
+        assert verified == witness_oracle.witness_valid(s, Box.unit_cube(d), pool, witness)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        data=st.data(),
-        d=st.integers(min_value=1, max_value=2),
-        cap=st.integers(min_value=0, max_value=12),
-    )
-    def test_extension_by_a_run_equals_the_check_on_the_whole_family(self, data, d, cap):
-        """Where the child's box lies inside the parent's and its certificates
-        start with the parent's, extension by the new elements is the check on
-        its own of the concatenated family; anywhere else it refuses."""
-        s = CantorSchedule(d)
-        cube = Box.unit_cube(d)
-        elements = data.draw(st.lists(ring_exprs(dim=d, max_leaves=3), max_size=5))
-        k = data.draw(st.integers(min_value=0, max_value=len(elements)))
-        parent = find_uncovered_box(cube, elements[:k], s, cap) if k else UncoveredWitness(cube, 0, ())
-        child = find_uncovered_box(cube, elements, s, cap)
-        assume(isinstance(parent, UncoveredWitness) and isinstance(child, UncoveredWitness))
-        kind = data.draw(st.sampled_from((None, "stage", "widen", "drop", "swap")))
-        if kind is not None:
-            doc = json.loads(json.dumps(to_json(child)))
-            _tamper_witness(data, doc, parent.box, kind)
-            child = witness_from_json(doc)
-        extended = extension_valid(s, parent, child, k, elements[k:])
-        own = uncovered_witness_valid(s, cube, elements, child)
-        assert own == witness_oracle.witness_valid(s, cube, elements, child)
-        n = len(parent.certificates)
-        within = parent.box.contains_box(child.box) and child.certificates[:n] == parent.certificates
-        assert extended == (own and within)
-        if kind is None:
-            assert extended
-
-    def test_extension_proves_only_the_new_element(self):
-        pool = grid_translate_pool(S1, 2)
-        rows = {row.subset: row.witness for row in infinite_cube_report(S1, pool, 12).rows}
-        parent, child = rows[(0,)], rows[(0, 1)]
-        assert extension_valid(S1, parent, child, 1, [pool[1]])
-        # the wrong element, the wrong index, a missing certificate
-        assert not extension_valid(S1, parent, child, 1, [pool[0]])
-        assert not extension_valid(S1, parent, child, 0, [pool[1]])
-        dropped = UncoveredWitness(child.box, child.stage, child.certificates[1:])
-        assert not extension_valid(S1, parent, dropped, 1, [pool[1]])
-        assert not uncovered_witness_valid(S1, Box.unit_cube(1), pool, dropped)
-
-    def test_a_rows_box_is_checked_once(self):
-        # Five new certificates: the box's dimension, bounds and emptiness
-        # are checked once for the row; each certificate adds only the length
-        # of its translation and its miss test.  Boundedness is counted, since
+    def test_a_witness_box_is_checked_once(self):
+        # Five certificates: the box's dimension, bounds and emptiness are
+        # checked once; each certificate adds only the length of its
+        # translation and its miss test.  Boundedness is counted, since
         # ``contains_box`` reads emptiness too.
         pool = grid_translate_pool(S1, 5)
         cube = Box.unit_cube(1)
@@ -787,7 +711,7 @@ class TestCheckByExtension:
             fn.__code__
             for fn in (
                 CantorSchedule.interval_meets_stage_translate, cover._misses_stage_translate,
-                cover.extension_valid, cover.uncovered_witness_valid,
+                cover.uncovered_witness_valid,
             )
         }
 
@@ -810,200 +734,108 @@ class TestCheckByExtension:
         assert descent_oracle.descend_overlapping.__code__ in oracle
         assert validator <= entered(uncovered_witness_valid)
 
-    def test_a_box_past_its_parents_falls_back_to_the_check_on_its_own(self):
-        # A witness is the middle half of a gap, so a box a hair wider than
-        # its parent's still misses every translate: extension cannot say so,
-        # the check on its own does, and both table checks agree with it.
-        pool = grid_translate_pool(S1, 2)
-        report = infinite_cube_report(S1, pool, 12)
-        rows = {row.subset: row.witness for row in report.rows}
-        parent, child = rows[(0,)], rows[(0, 1)]
-        lo = (parent.box.lo[0] - Fraction(1, 2**30),)
-        wider = UncoveredWitness(Box(lo, child.box.hi), child.stage, child.certificates)
-        assert not extension_valid(S1, parent, wider, 1, [pool[1]])
-        assert uncovered_witness_valid(S1, Box.unit_cube(1), pool, wider)
-        core = _core(report)
-        (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
-        row["witness"]["box"] = to_json(wider.box)
-        inputs = {"pool": pool, "stage_cap": 12}
-        assert cli._check_infinite_cube(S1, inputs, core, None)
-        assert witness_oracle.check_infinite_cube(S1, inputs, core)
-
-    def test_a_retyped_prefix_is_decoded_again_and_refused(self):
-        pool = grid_translate_pool(S1, 2)
-        core = _core(infinite_cube_report(S1, pool, 12))
-        (row,) = [row for row in core["report"]["rows"] if row["subset"] == [0, 1]]
-        cert = _own(row["witness"]["certificates"], 0)["certificate"]
-        cert["stage"] = float(cert["stage"])  # equal under ``==`` to the parent's stage
-        inputs = {"pool": pool, "stage_cap": 12}
-        assert not _verdict(cli._check_infinite_cube, S1, inputs, core, None)
-        assert not _verdict(witness_oracle.check_infinite_cube, S1, inputs, core)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        data=st.data(),
-        d=st.integers(min_value=1, max_value=2),
-        cap=st.integers(min_value=0, max_value=12),
-    )
-    def test_the_table_decoder_equals_the_decoder_of_each_row(self, data, d, cap):
-        """``witnesses_from_json`` decodes a table as ``witness_from_json``
-        decodes each row, and refuses what that refuses, on tampered tables
-        too; a certificate retyped to equal under ``==`` one decoded before
-        is decoded on its own and refused."""
-        s = CantorSchedule(d)
-        pool = data.draw(pools(d, max_size=5))
-        rows = _core(infinite_cube_report(s, pool, cap))["report"]["rows"]
-        for kind in data.draw(st.lists(st.sampled_from(_WITNESS_TAMPERS), max_size=3)):
-            _tamper_rows(data, rows, d, kind)
-        retyped = data.draw(st.booleans()) and _retype_a_repeat(data, rows)
-        docs = [row["witness"] for row in rows]
-        try:
-            want = [None if doc is None else witness_from_json(doc) for doc in docs]
-        except PreconditionError as refusal:
-            with pytest.raises(PreconditionError) as got:
-                serialize.witnesses_from_json(docs)
-            assert str(got.value) == str(refusal)
-            return
-        assert not retyped
-        assert serialize.witnesses_from_json(docs) == want
+    def test_the_witness_stage_is_the_deepest_certificate_stage(self):
+        pool = grid_translate_pool(S1, 5)
+        cube = Box.unit_cube(1)
+        witness = find_uncovered_box(cube, pool, S1, 24)
+        assert isinstance(witness, UncoveredWitness)
+        deepest = max(c.certificate.stage for c in witness.certificates)
+        assert witness.stage == deepest > 0
+        for stage in (deepest - 1, deepest + 1, deepest + 1000):
+            moved = replace(witness, stage=stage)
+            assert not uncovered_witness_valid(S1, cube, pool, moved)
+            assert not witness_oracle.witness_valid(S1, cube, pool, moved)
+        empty = find_uncovered_box(cube, [], S1, 4)
+        assert empty.stage == 0 and uncovered_witness_valid(S1, cube, [], empty)
+        assert not uncovered_witness_valid(S1, cube, [], replace(empty, stage=1))
 
     @pytest.mark.parametrize("p", range(1, 7))
-    def test_each_pass_checks_one_certificate_per_row(self, p, monkeypatch, tmp_path):
-        """On p one-leaf elements a pass makes 2^p - 1 gap checks and decodes
-        each distinct certificate document once; the check of every row on
-        its own makes p * 2^(p-1) of each."""
-        gap_checks, decodes = [], []
+    def test_each_pass_checks_one_certificate_per_leaf(self, p, monkeypatch, tmp_path):
+        """On p one-leaf elements the search makes p gap searches, and the
+        replay decodes and checks p certificates; the table's check of every
+        row on its own made p * 2^(p-1) of each."""
+        gap_searches, gap_checks, decodes = [], [], []
         leaf_certificate_from_json = serialize.leaf_certificate_from_json
 
-        def counted(check):
-            def counted_check(*args, **kwargs):
-                gap_checks.append(args)
-                return check(*args, **kwargs)
+        def counted(calls, fn):
+            def counted_call(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
 
-            return counted_check
+            return counted_call
 
-        def counted_decode(doc):
-            decodes.append(doc)
-            return leaf_certificate_from_json(doc)
-
-        # the table's walk tests each new certificate's miss once, its box
-        # checked once per row; the oracle checks each whole certificate
-        monkeypatch.setattr(cover, "_misses_stage_translate", counted(cover._misses_stage_translate))
-        monkeypatch.setattr(witness_oracle, "gap_certificate_valid", counted(witness_oracle.gap_certificate_valid))
-        monkeypatch.setattr(serialize, "leaf_certificate_from_json", counted_decode)
-        pool = grid_translate_pool(S1, p)
-        report = infinite_cube_report(S1, pool, 24)
-        assert report.all_witnessed
-        assert len(gap_checks) == 2**p - 1
-        inputs, core = {"pool": pool, "stage_cap": 24}, _core(report)
-        distinct = {
-            marshal.dumps(cert, 0)
-            for row in core["report"]["rows"]
-            for cert in row["witness"]["certificates"]
-        }
-        assert len(distinct) <= 2**p - 1
-        gap_checks.clear()
-        assert cli._check_infinite_cube(S1, inputs, core, None)
-        assert len(gap_checks) == 2**p - 1
-        assert sorted(marshal.dumps(doc, 0) for doc in decodes) == sorted(distinct)
-        gap_checks.clear()
-        decodes.clear()
-        assert witness_oracle.check_infinite_cube(S1, inputs, core)
-        assert len(gap_checks) == len(decodes) == p * 2 ** (p - 1)
-        # the whole command: the report's pass, then the replay's
-        gap_checks.clear()
-        decodes.clear()
+        monkeypatch.setattr(cover, "find_gap", counted(gap_searches, cover.find_gap))
+        monkeypatch.setattr(cover, "_misses_stage_translate", counted(gap_checks, cover._misses_stage_translate))
+        monkeypatch.setattr(
+            witness_oracle, "gap_certificate_valid", counted(gap_checks, witness_oracle.gap_certificate_valid)
+        )
+        monkeypatch.setattr(serialize, "leaf_certificate_from_json", counted(decodes, leaf_certificate_from_json))
         argv = ["infinite-cube", "--pool-size", str(p), "--stage-cap", "24", "--verify"]
         assert cli.main([*argv, "--out", str(tmp_path / "cube.json")]) == 0
-        assert len(gap_checks) == 2 * (2**p - 1)
-        assert len(decodes) == len(distinct)
+        assert len(gap_searches) == len(gap_checks) == len(decodes) == p
+        gap_checks.clear()
+        report = witness_oracle.infinite_cube_report(S1, p, 24)
+        assert report.all_witnessed
+        assert len(gap_checks) == p * 2 ** (p - 1)
 
 
-def _cut_to_one(report):
-    del report["rows"][1:]
+# ---------------------------------------------------------------------------
+# the replay of an infinite-cube core
+# ---------------------------------------------------------------------------
 
 
-def _null_witnesses(report):
-    for row in report["rows"]:
-        row["witness"] = None
+def _null_witness(core):
+    core["witness"] = None
 
 
-def _flags_false(report):
-    for row in report["rows"]:
-        row["verified"] = False
-    report["all_witnessed"] = False
+def _last_certificate_dropped(core):
+    del core["witness"]["certificates"][-1]
 
 
-def _conjunction_false(report):
-    report["all_witnessed"] = False
+def _index_as_bool(core):
+    (cert,) = [c for c in core["witness"]["certificates"] if c["element_index"] == 1]
+    cert["element_index"] = True  # equal to 1 under ``==``
 
 
-def _null_witnesses_consistently(report):
-    # flags that agree with the missing witnesses, so only the replay can tell
-    _null_witnesses(report)
-    _flags_false(report)
+def _stage_as_float(core):
+    cert = core["witness"]["certificates"][0]["certificate"]
+    cert["stage"] = float(cert["stage"])
 
 
-def _inconclusive_stage(report):
-    (row,) = [row for row in report["rows"] if row["witness"] is None][:1]
-    row["inconclusive_stage"] += 1
+def _deeper_stage_edited(core):
+    core["needs_deeper_stage"]["deepest_stage"] += 1
 
 
-class TestTableShapeAndFlags:
-    """The replay checks the table as a whole, not only its witnessed rows."""
+def _found_claimed(core):
+    core["found"] = True
 
-    def verdicts(self, s, pool, cap, tamper=None):
-        decoded = {"pool": pool, "stage_cap": cap}
-        core = _core(infinite_cube_report(s, pool, cap))
+
+class TestReplayOfTheCore:
+    """The replay checks the whole core: the witness over the whole pool, or
+    a core without one by the rerun.  ``test_cli.py::TestReplayTampers``
+    tampers the witness's stage, box and ``found`` flag."""
+
+    def verdict(self, pool, cap, tamper=None):
+        core, code = _cube_core(S1, pool, cap)
         if tamper is not None:
-            tamper(core["report"])
-        got = cli._verify(cli.COMMANDS["infinite-cube"], s, cli._decode(to_json(decoded)), core)
-        want = _verdict(
-            witness_oracle.check_infinite_cube,
-            s,
-            decoded,
-            core,
-            lambda: _core(infinite_cube_report(s, pool, cap)) == core,
-        )
-        return got, want
+            tamper(core)
+        inputs = cli._decode(to_json({"pool": pool, "stage_cap": cap}))
+        return code, cli._verify(cli.COMMANDS["infinite-cube"], S1, inputs, core)
 
-    @pytest.mark.parametrize("cap", [1, 12], ids=["inconclusive-rows", "all-witnessed"])
-    def test_an_untampered_table_verifies(self, cap):
-        assert self.verdicts(S1, grid_translate_pool(S1, 3), cap) == (True, True)
+    @pytest.mark.parametrize("cap, code", [(1, 3), (12, 0)], ids=["needs-deeper-stage", "found"])
+    def test_an_untampered_core_verifies(self, cap, code):
+        assert self.verdict(grid_translate_pool(S1, 3), cap) == (code, True)
 
-    def test_an_empty_pool_has_one_row(self):
-        assert self.verdicts(S1, [], 4) == (True, True)
+    def test_an_empty_pool_verifies(self):
+        assert self.verdict([], 4) == (0, True)
 
     @pytest.mark.parametrize(
         "tamper",
-        [_cut_to_one, _null_witnesses, _flags_false, _conjunction_false, _null_witnesses_consistently],
+        [_null_witness, _last_certificate_dropped, _index_as_bool, _stage_as_float],
     )
-    def test_each_tamper_is_refused(self, tamper):
-        assert self.verdicts(S1, grid_translate_pool(S1, 3), 12, tamper) == (False, False)
+    def test_each_tamper_of_a_witness_is_refused(self, tamper):
+        assert self.verdict(grid_translate_pool(S1, 3), 12, tamper) == (0, False)
 
-    def test_a_row_without_a_witness_is_replayed(self):
-        assert self.verdicts(S1, grid_translate_pool(S1, 3), 1, _inconclusive_stage) == (False, False)
-
-    def test_a_subset_index_of_another_type_is_refused(self):
-        def retype(report):
-            assert report["rows"][1]["subset"] == [1]
-            report["rows"][1]["subset"] = [True]  # equal to [1] under ``==``
-
-        assert self.verdicts(S1, grid_translate_pool(S1, 3), 12, retype) == (False, False)
-
-    def test_a_shared_certificate_edited_in_one_row_is_refused(self):
-        # The JSON of a table holds each certificate once, shared by every row
-        # that extends the row it first appears in; a copy keeps that sharing.
-        pool = grid_translate_pool(S1, 4)
-        core = copy.deepcopy(to_json({"report": infinite_cube_report(S1, pool, 12)}))
-        rows = core["report"]["rows"]
-        first = rows[0]["witness"]["certificates"][0]
-        holders = [row for row in rows if row["witness"]["certificates"][0] is first]
-        assert len(holders) == 8
-        inputs = {"pool": pool, "stage_cap": 12}
-        assert cli._check_infinite_cube(S1, inputs, core, None)
-        cert = _own(holders[-1]["witness"]["certificates"], 0)
-        cert["translation"] = ["1/3"]
-        assert holders[0]["witness"]["certificates"][0]["translation"] == ["0/1"]
-        assert not cli._check_infinite_cube(S1, inputs, core, None)
-        assert not witness_oracle.check_infinite_cube(S1, inputs, core)
+    @pytest.mark.parametrize("tamper", [_deeper_stage_edited, _found_claimed])
+    def test_each_tamper_of_a_report_of_the_stage_cap_is_refused(self, tamper):
+        assert self.verdict(grid_translate_pool(S1, 3), 1, tamper) == (3, False)

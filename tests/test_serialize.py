@@ -11,6 +11,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from unittest import mock
 
 import pytest
@@ -42,7 +43,7 @@ from fatcantor import (
     tile_check,
 )
 from fatcantor.cli import _target_from_json
-from fatcantor.cover import grid_translate_pool, infinite_cube_report
+from fatcantor.cover import grid_translate_pool
 from fatcantor.hausdorff import PowerGauge
 from fatcantor.serialize import (
     MAX_EXPR_DEPTH,
@@ -529,7 +530,7 @@ REPORTS = {
         S1,
         1,
     ),
-    "InfiniteCubeReport": lambda: infinite_cube_report(S1, grid_translate_pool(S1, 2), 8),
+    "UncoveredWitness": lambda: find_uncovered_box(Box.unit_cube(1), grid_translate_pool(S1, 2), S1, 8),
     "DeltaCover": lambda: nu_delta_upper(CantorSchedule(2), PowerGauge(2), Fraction(1, 8)),
     "CorollaryReport": lambda: corollary_pipeline(S1, Fraction(1, 4)),
     "LevelSolution": lambda: solve_level(S1, Fraction(1, 4)),
@@ -695,16 +696,24 @@ def test_writer_repeats_shared_subtrees_as_the_stdlib_writes_them(value, kept):
         assert dumps_document(doc) == _stdlib(doc)
 
 
-def test_a_table_holds_each_certificate_once_and_writes_as_the_stdlib():
-    s = CantorSchedule(2)
-    doc = to_json(infinite_cube_report(s, grid_translate_pool(s, 5), 12))
-    certs = [cert for row in doc["rows"] for cert in row["witness"]["certificates"]]
-    assert len(certs) == 5 * 2**4 and len({id(cert) for cert in certs}) == 2**5 - 1
-    # a row's box is its newest certificate's box
-    for row in doc["rows"]:
-        assert row["witness"]["box"] is row["witness"]["certificates"][-1]["certificate"]["box"]
-    assert dumps_document(doc) == _stdlib(doc)
-    assert json.loads(dumps_document(doc)) == doc
+def test_a_merge_tree_writes_its_shared_offsets_once_and_as_the_stdlib():
+    # The merge steps of one level hold one offsets object, a container
+    # large enough at d = 3 that the writer keeps its text for each repeat.
+    family = CubeFamily(3, (Fraction(1, 8),) * 2**9)
+    doc = to_json(pack_cover(family, target_side=Fraction(1, 2)))
+    steps = doc["merge_tree"]
+    shared = {id(step["offsets"]) for step in steps}
+    assert len(shared) < len(steps)
+    with mock.patch.object(serialize, "encode_basestring_ascii", wraps=encode_basestring_ascii) as kept:
+        text = dumps_document(doc)
+    with (
+        mock.patch.object(serialize, "_KEPT_CHUNKS", len(text)),
+        mock.patch.object(serialize, "encode_basestring_ascii", wraps=encode_basestring_ascii) as rewritten,
+    ):
+        assert dumps_document(doc) == text
+    assert kept.call_count < rewritten.call_count
+    assert text == _stdlib(doc)
+    assert json.loads(text) == doc
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
