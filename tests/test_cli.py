@@ -328,6 +328,19 @@ class TestEnvelope:
         assert doc["result"]["error"]["message"] == error["message"]
         assert len(doc["inputs"]["pool"]) == 13
 
+    @pytest.mark.parametrize("d", ["3", "5000"])
+    def test_the_pool_cap_is_the_same_in_every_dimension(self, d, monkeypatch, capsys):
+        # The table's cap counted cells, so it fell as d grew; the witness's
+        # cap is 12 elements at any d, and it still refuses before any search.
+        def no_search(*args, **kwargs):
+            raise AssertionError("the pool cap was not checked before the search")
+
+        monkeypatch.setattr(cover, "find_gap", no_search)
+        assert cli.main(["infinite-cube", "--d", d, "--pool-size", "13"]) == 3
+        error = json.loads(capsys.readouterr().out)["result"]["error"]
+        assert error["kind"] == "budget"
+        assert error["message"] == "pool of 13 elements is above the cap of 12 elements"
+
     @pytest.mark.parametrize("d, size", [("3", "12"), ("64", "9"), ("5000", "3")])
     def test_pools_up_to_the_cap_are_admitted_in_any_dimension(self, d, size, capsys):
         # One witness over the pool: pools of 12 at d = 3 and of 9 at d = 64

@@ -734,6 +734,41 @@ class TestWitnessCheck:
         assert descent_oracle.descend_overlapping.__code__ in oracle
         assert validator <= entered(uncovered_witness_valid)
 
+    def test_a_box_wider_than_the_searchs_still_passes(self):
+        # A witness is the middle half of a gap, so a box a hair wider than
+        # the search's still misses every translate: the check reads only
+        # the box it is given, as the oracle and the replay of the core do.
+        pool = grid_translate_pool(S1, 2)
+        core, code = _cube_core(S1, pool, 12)
+        assert code == 0
+        witness = witness_from_json(core["witness"])
+        lo = (witness.box.lo[0] - Fraction(1, 2**30),)
+        wider = replace(witness, box=Box(lo, witness.box.hi))
+        assert uncovered_witness_valid(S1, Box.unit_cube(1), pool, wider)
+        assert witness_oracle.witness_valid(S1, Box.unit_cube(1), pool, wider)
+        core["witness"]["box"] = to_json(wider.box)
+        inputs = {"pool": pool, "stage_cap": 12}
+        assert cli._verify(cli.COMMANDS["infinite-cube"], S1, inputs, core)
+
+    def test_each_certificate_is_tied_to_its_element(self):
+        pool = grid_translate_pool(S1, 2)
+        cube = Box.unit_cube(1)
+        witness = find_uncovered_box(cube, pool, S1, 12)
+        assert isinstance(witness, UncoveredWitness)
+        assert uncovered_witness_valid(S1, cube, pool, witness)
+        first, second = witness.certificates
+        # the wrong element, the wrong index, the wrong order, a missing certificate
+        wrong = [
+            (pool[::-1], witness),
+            ([pool[0], pool[0]], witness),
+            (pool, replace(witness, certificates=(first, replace(second, element_index=0)))),
+            (pool, replace(witness, certificates=(second, first))),
+            (pool, UncoveredWitness(witness.box, first.certificate.stage, (first,))),
+        ]
+        for elements, tampered in wrong:
+            assert not uncovered_witness_valid(S1, cube, elements, tampered)
+            assert not witness_oracle.witness_valid(S1, cube, elements, tampered)
+
     def test_the_witness_stage_is_the_deepest_certificate_stage(self):
         pool = grid_translate_pool(S1, 5)
         cube = Box.unit_cube(1)
