@@ -230,42 +230,49 @@ def _check_cover_search(s: CantorSchedule, i: dict, core: dict, replay: Replay) 
 
 def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     """A found box is checked by its witness, one check over the whole pool
-    against the inputs' target (the unit cube for ``infinite-cube``); any
-    other core, such as a report of the stage cap, by the rerun."""
+    against the inputs' target (the unit cube for ``infinite-cube``), and
+    the witness must be written as the program writes what it decodes to;
+    any other core, such as a report of the stage cap, by the rerun."""
     witness = core.get("witness")
     if not same_json(core, {"found": True, "witness": witness}):
         return replay()
-    return uncovered_witness_valid(s, i["target"], i["pool"], witness_from_json(witness))
+    decoded = witness_from_json(witness)
+    if not same_json(witness, to_json(decoded)):
+        return False
+    return uncovered_witness_valid(s, i["target"], i["pool"], decoded)
 
 
 def _placed(doc: Any) -> PackingLayout:
-    """A layout's placements and target, all that ``layout_covers`` reads;
-    its merge tree is left undecoded."""
+    """A layout decoded from its JSON: its placements and target."""
     m = _expect(doc, ("placements", "target"), "packing layout")
-    return PackingLayout(placements_from_json(m), box_from_json(m["target"]), ())
+    return PackingLayout(placements_from_json(m), box_from_json(m["target"]))
 
 
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     """The layout's placements must cover the cube ``[0, alpha·target_side)^d``,
     and the core must name that cube as the layout's target and as
-    ``covered_cube``, and count the placements."""
+    ``covered_cube``, count the placements, and hold nothing else."""
     doc = core.get("layout")
     layout = _placed(doc)
     cube = to_json(Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"]))
-    echo = {"layout": {**doc, "target": cube}, "placements": len(layout.placements), "covered_cube": cube}
+    echo = {
+        "layout": {"placements": doc["placements"], "target": cube},
+        "placements": len(layout.placements),
+        "covered_cube": cube,
+    }
     return same_json(core, echo) and layout_covers(i["family"], layout)
 
 
 def _check_corollary_demo(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     """Rebuild the closed-form steps from the inputs, without packing, and
     the report from them and the layout's placements and target: it must
-    pass every check and equal the report, whose layout is read only
-    through those and must name the target as ``covered_cube`` does."""
+    pass every check and equal the report, whose layout holds only those
+    and must name the target as ``covered_cube`` does."""
     layout = _expect(core.get("report"), ("layout",), "corollary report")["layout"]
     plan = corollary_plan(s, i["delta"], a=i["a"], bits=i["bits"])
     rebuilt = corollary_report(s, plan, _placed(layout))
     echo = to_json(replace(rebuilt, layout=None))
-    echo["layout"] = {**layout, "target": echo["covered_cube"]}
+    echo["layout"] = {"placements": layout["placements"], "target": echo["covered_cube"]}
     return rebuilt.checks.all_ok() and same_json(core, {"report": echo})
 
 

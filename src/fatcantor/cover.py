@@ -40,7 +40,6 @@ from typing import Sequence
 
 from .cantor import (
     CantorSchedule,
-    GapCertificate,
     NeedsDeeperStage,
     StageLattice,
     _misses_stage_translate,
@@ -228,12 +227,13 @@ def outer_upper(
 
 @dataclass(frozen=True)
 class LeafCertificate:
-    """Per-generator record inside an uncovered-box witness."""
+    """Per-generator record inside an uncovered-box witness: the leaf, and
+    the stage at which the witness's box misses its closed translate."""
 
     element_index: int
     leaf_index: int
     translation: tuple[Fraction, ...]
-    certificate: GapCertificate
+    stage: int
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,10 @@ class UncoveredWitness:
     """Open box inside the target that misses every cover element.
 
     ``stage`` is the deepest stage any leaf needed, 0 with no leaf.  The box
-    sits inside the witness of every per-leaf certificate, hence misses each
-    leaf's stage approximation and a fortiori the true element sets.
+    sits inside the gap the search found for each leaf, hence misses each
+    leaf's stage approximation at its certificate's stage, and a fortiori
+    the true element sets.  A certificate keeps only that stage: a check
+    that read the larger gap box could certify nothing more.
     """
 
     box: Box
@@ -279,7 +281,7 @@ def find_uncovered_box(
             outcome = find_gap(s, leaf.translation, box, stage_cap)
             if isinstance(outcome, NeedsDeeperStage):
                 return NeedsDeeperStage(outcome.deepest_stage, element_index=ei, leaf_index=li)
-            certificates.append(LeafCertificate(ei, li, leaf.translation, outcome))
+            certificates.append(LeafCertificate(ei, li, leaf.translation, outcome.stage))
             box, deepest = outcome.box, max(deepest, outcome.stage)
     if not certificates:
         lo, hi = zip(*(middle_half(*side) for side in zip(box.lo, box.hi)))  # type: ignore[arg-type]
@@ -308,7 +310,7 @@ def uncovered_witness_valid(
     if not target.contains_box(box):
         return False
     certificates = witness.certificates
-    if witness.stage != max((c.certificate.stage for c in certificates), default=0):
+    if witness.stage != max((c.stage for c in certificates), default=0):
         return False
     recorded = [(c.element_index, c.leaf_index, c.translation) for c in certificates]
     expected = [
@@ -321,7 +323,7 @@ def uncovered_witness_valid(
     # The box was checked once above; each certificate adds its translation.
     return all(
         len(cert.translation) == s.d
-        and _misses_stage_translate(s, cert.translation, cert.certificate.stage, box)
+        and _misses_stage_translate(s, cert.translation, cert.stage, box)
         for cert in certificates
     )
 

@@ -19,11 +19,13 @@ raising its numerators to the power d took 25 s at d = 2 and 82 s at
 d = 3, against 0.2 s grouped.  Each side's dyadic exponent is the
 bit-length rule of ``floor_log2`` on the unreduced integer ratio
 side/alpha.  Before a layout is returned, its coverage of the target is
-proved by induction over its merge tree, in integer arithmetic and without
-box algebra (``_tiling_covers``).  ``layout_covers`` is the independent
-replay on the box kernel's slab trees, built on one integer lattice: one
-tree per placed cube, from its translation and side, folded by union and
-subtracted from the target's tree.
+proved by induction over the merge steps that built it, in integer
+arithmetic and without box algebra (``_tiling_covers``).  A layout holds
+only its placements and target: the steps stay with that proof, and no
+document carries them.  ``layout_covers`` is the independent replay on the
+box kernel's slab trees, built on one integer lattice: one tree per placed
+cube, from its translation and side, folded by union and subtracted from
+the target's tree.
 """
 
 from __future__ import annotations
@@ -86,21 +88,13 @@ def _dyadic_exponents(sides: Sequence[Fraction], alpha: Fraction) -> list[int]:
 
 @dataclass(frozen=True)
 class MergeStep:
-    """One merge: 2**d cubes of level ``level`` become cube ``result``.
-
-    ``offsets[i]`` is the relative position of ``constituents[i]`` inside
-    the result, the lexicographic enumeration of the corners {0, 2**level}^d.
-    """
+    """One merge: 2**d cubes of level ``level`` become cube ``result``;
+    ``constituents[i]`` sits at the i-th corner of {0, 2**level}^d in
+    lexicographic order, axis 0 slowest."""
 
     level: int
     constituents: tuple[int, ...]
     result: int
-    offsets: tuple[tuple[Fraction, ...], ...]
-
-
-def _corner_offsets(dim: int, level: int) -> tuple[tuple[Fraction, ...], ...]:
-    # ``product`` enumerates {0, 2**level}^d lexicographically, axis 0 slowest.
-    return tuple(itertools.product((Fraction(0), pow2(level)), repeat=dim))
 
 
 def merge_dyadic(dim: int, exponents: Sequence[int]) -> tuple[list[tuple[int, int]], list[MergeStep]]:
@@ -128,10 +122,9 @@ def merge_dyadic(dim: int, exponents: Sequence[int]) -> tuple[list[tuple[int, in
             continue
         if level + 1 not in queues:
             pending.append(level + 1)
-        offsets = _corner_offsets(dim, level)
         above = queues.setdefault(level + 1, [])
         for start in range(0, merged, group):
-            steps.append(MergeStep(level, tuple(ids[start : start + group]), next_id, offsets))
+            steps.append(MergeStep(level, tuple(ids[start : start + group]), next_id))
             above.append(next_id)
             next_id += 1
         del ids[:merged]
@@ -145,14 +138,13 @@ class PackingLayout:
 
     ``placements`` are (input index, translation) pairs; each input index
     occurs at most once and the placed boxes are translates of the original
-    input cubes.  ``merge_tree`` records how the dyadic shadows of the
-    inputs were assembled, which is exactly the data needed to re-derive
-    the translations.
+    input cubes.  That is all a check of the cover reads, so it is all a
+    layout holds: the merge steps that put the cubes there stay with
+    ``pack_cover``'s own proof.
     """
 
     placements: tuple[tuple[int, tuple[Fraction, ...]], ...]
     target: Box
-    merge_tree: tuple[MergeStep, ...]
 
 
 def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
@@ -264,40 +256,40 @@ def pack_cover(
     unit = alpha * pow2(base)
     scaled = tuple((idx, tuple(unit * v for v in pos)) for idx, pos in placements)
     target = Box.cube((Fraction(0),) * family.dim, alpha * target_side)
-    layout = PackingLayout(placements=scaled, target=target, merge_tree=tuple(steps))
+    layout = PackingLayout(placements=scaled, target=target)
 
-    if not _tiling_covers(family, layout, alpha, selected):
+    if not _tiling_covers(family, layout, steps, alpha, selected):
         raise AssertionError("constructed layout failed its own coverage verification")
     return layout
 
 
 def _tiling_covers(
-    family: CubeFamily, layout: PackingLayout, alpha: Fraction, selected: int
+    family: CubeFamily, layout: PackingLayout, steps: Sequence[MergeStep], alpha: Fraction, selected: int
 ) -> bool:
-    """Coverage proof by induction over the layout's merge tree, in integers.
+    """Coverage proof by induction over the merge steps, in integers.
 
     Call a cube of side ``alpha * 2**k`` a cube of level k.  A merge step of
     level k has 2**d constituents of level k: an input, or the result of a
-    step of level k - 1.  Its offsets are the corners {0, 2**k}^d in
-    lexicographic order, recomputed here, so the constituents placed at its
-    corners tile its result, a cube of level k + 1.  By induction down from
-    the selected cube, of level ``top``, the inputs reached tile it with
-    cubes of their levels.  Positions are integer vectors in units of
-    ``alpha * 2**base``, ``base`` the lowest level in the tree.  The reached
-    inputs must be distinct and must be exactly the layout's placements,
-    each translation ``unit * position``.  Each input's side must be at
-    least ``alpha * 2**level``, so its placement contains its cube of the
-    tiling.  So the placements cover ``[0, alpha * 2**top)^d``, and the
-    target must lie inside it.  A selected input is placed alone at the
-    origin and must contain the target.  Nothing here is shared with the
-    search: no box algebra, no rounding, and no offsets from the merge.
+    step of level k - 1.  Placed at the corners {0, 2**k}^d in
+    lexicographic order, recomputed here, they tile its result, a cube of
+    level k + 1.  By induction down from the selected cube, of level
+    ``top``, the inputs reached tile it with cubes of their levels.
+    Positions are integer vectors in units of ``alpha * 2**base``, ``base``
+    the lowest level of the steps.  The reached inputs must be distinct and
+    must be exactly the layout's placements, each translation
+    ``unit * position``.  Each input's side must be at least
+    ``alpha * 2**level``, so its placement contains its cube of the tiling.
+    So the placements cover ``[0, alpha * 2**top)^d``, and the target must
+    lie inside it.  A selected input is placed alone at the origin and must
+    contain the target.  Nothing here is shared with the search: no box
+    algebra, no rounding, and no corners from the merge.
     """
     dim, sides = family.dim, family.sides
     lo, hi = layout.target.lo, layout.target.hi
     if len(lo) != dim or len(hi) != dim:
         return False
-    steps = {step.result: step for step in layout.merge_tree}
-    top_step = steps.get(selected)
+    by_result = {step.result: step for step in steps}
+    top_step = by_result.get(selected)
     if top_step is None:
         if not 0 <= selected < len(sides) or len(layout.placements) != 1:
             return False
@@ -310,14 +302,13 @@ def _tiling_covers(
             and all(0 <= a and b <= side for a, b in zip(lo, hi))
         )
 
-    base = min(step.level for step in layout.merge_tree)
+    base = min(step.level for step in steps)
     top = top_step.level + 1
     bound = _scaled(alpha, top)
     if not all(0 <= a and b <= bound for a, b in zip(lo, hi)):
         return False
     group = 1 << dim
-    # By level: the offsets tuple that passed, and the integer corners.
-    corners: dict[int, tuple[object, list[tuple[int, ...]]]] = {}
+    corners: dict[int, list[tuple[int, ...]]] = {}  # the integer corners, by level
     reached: dict[int, tuple[int, tuple[int, ...]]] = {}
     seen: set[int] = set()
     stack = [(selected, top, (0,) * dim)]
@@ -326,7 +317,7 @@ def _tiling_covers(
         if cube in seen:
             return False
         seen.add(cube)
-        step = steps.get(cube)
+        step = by_result.get(cube)
         if step is None:
             if not 0 <= cube < len(sides):
                 return False
@@ -335,18 +326,13 @@ def _tiling_covers(
         k = step.level
         if k + 1 != level or len(step.constituents) != group:
             return False
-        entry = corners.get(k)
-        if entry is None:
-            bits = [[mask >> (dim - 1 - axis) & 1 for axis in range(dim)] for mask in range(group)]
-            side = Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
-            if step.offsets != tuple(tuple(side if b else 0 for b in row) for row in bits):
-                return False
-            # Keep the tuple that passed: a later step sharing it compares by identity.
+        units_at = corners.get(k)
+        if units_at is None:
             units = 1 << (k - base)
-            entry = corners[k] = (step.offsets, [tuple(units if b else 0 for b in row) for row in bits])
-        offsets, units_at = entry
-        if step.offsets != offsets:
-            return False
+            units_at = corners[k] = [
+                tuple(units if mask >> (dim - 1 - axis) & 1 else 0 for axis in range(dim))
+                for mask in range(group)
+            ]
         for cid, corner in zip(step.constituents, units_at):
             stack.append((cid, k, tuple(map(operator.add, position, corner))))
 

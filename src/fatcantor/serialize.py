@@ -10,17 +10,14 @@ hand-written encoder: scalars, ``Box`` (infinity markers),
 (placements print as ``{"index", "translate"}``) and ring expressions
 (one-key objects).  No encoder checks printability itself:
 ``rationals.format_fraction`` and ``rationals.printable`` refuse a number
-with more digits than Python prints.  Within one call, each dataclass
-object and each tuple is encoded once, by identity, and every place that
-holds it holds the same JSON object: the merge steps of one level of a
-packing layout share their corner offsets.  An encoded document is
-therefore read-only; a caller that edits one place copies it first.
+with more digits than Python prints.  Each place in a document holds its
+own JSON object, so a caller may edit one place without touching another.
 
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
 input.  They are the same functions the ``--verify`` replay path uses.
-A layout is read only as its placements (:func:`placements_from_json`) and
-target; nothing decodes its merge tree.
+A layout is its placements (:func:`placements_from_json`) and target, and
+a leaf certificate holds the stage its check reads, not the gap box.
 
 :func:`same_json` is the one comparison behind every ``--verify`` verdict:
 two JSON values match when their objects have the same keys, in any order,
@@ -33,13 +30,12 @@ certificates walks only the rest.
 ``json.dumps(doc, indent=2, sort_keys=True)``, but in one recursive walk that
 appends to one list and joins it once: with ``indent`` set, CPython's
 ``json`` falls back to its pure-Python encoder, nested generators (one per
-level) through which every piece of text is yielded.  A dict or list object
-that repeats at one depth is written once and its text appended again.  It
-accepts only what documents hold: ``dict`` with ``str`` keys (emitted
-sorted), ``list`` and ``tuple``, and exact ``str``, ``int``, ``bool`` and
-``None``.  Any other type, floats included, raises ``TypeError``.  Strings
-go through the C escaper ``json`` itself uses under ``ensure_ascii``, so the
-text is ASCII and the bytes are the stdlib's.
+level) through which every piece of text is yielded.  It accepts only what
+documents hold: ``dict`` with ``str`` keys (emitted sorted), ``list`` and
+``tuple``, and exact ``str``, ``int``, ``bool`` and ``None``.  Any other
+type, floats included, raises ``TypeError``.  Strings go through the C
+escaper ``json`` itself uses under ``ensure_ascii``, so the text is ASCII
+and the bytes are the stdlib's.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
-from .cantor import GapCertificate
 from .cover import LeafCertificate, UncoveredWitness
 from .errors import PreconditionError
 from .geometry import Box
@@ -80,11 +75,11 @@ def _expect(doc: Any, keys: Sequence[str], what: str) -> Mapping[str, Any]:
 # -- scalars ----------------------------------------------------------------
 
 
-def frac_to_json(value: Fraction, memo: Any = None) -> str:
+def frac_to_json(value: Fraction) -> str:
     return format_fraction(value)
 
 
-def int_to_json(value: int, memo: Any = None) -> int:
+def int_to_json(value: int) -> int:
     return printable(value)
 
 
@@ -116,14 +111,14 @@ def _count_of(doc: Mapping[str, Any], key: str, what: str) -> int:
     return value
 
 
-def quad_to_json(value: ExtendedRational, memo: Any = None) -> dict:
+def quad_to_json(value: ExtendedRational) -> dict:
     return {"a": frac_to_json(value.a), "b": frac_to_json(value.b), "sqrt": value.n}
 
 
 # -- geometry ---------------------------------------------------------------
 
 
-def box_to_json(box: Box, memo: Any = None) -> dict:
+def box_to_json(box: Box) -> dict:
     return {"lo": [coord_to_json(v) for v in box.lo], "hi": [coord_to_json(v) for v in box.hi]}
 
 
@@ -139,14 +134,12 @@ def box_from_json(doc: Any) -> Box:
 _BINARY_OPS = {"union": Union, "diff": Diff, "inter": Inter}
 
 
-def expr_to_json(e: "RingExpr", memo: "dict | None" = None) -> dict:
+def expr_to_json(e: "RingExpr") -> dict:
     """One-key objects: {"gen": {...}} or {"union"|"diff"|"inter": [l, r]}."""
-    if memo is None:
-        memo = {}
     if isinstance(e, Gen):
-        return {"gen": {"x": _list(e.translation, memo), "clip": _encode(e.clip, memo)}}
+        return {"gen": {"x": _list(e.translation), "clip": _encode(e.clip)}}
     name = {Union: "union", Diff: "diff", Inter: "inter"}[type(e)]
-    return {name: [_encode(e.left, memo), _encode(e.right, memo)]}
+    return {name: [_encode(e.left), _encode(e.right)]}
 
 
 def expr_from_json(doc: Any) -> "RingExpr":
@@ -190,20 +183,14 @@ def exprs_from_json(doc: Any) -> list["RingExpr"]:
 # -- certificates and packing ------------------------------------------------
 
 
-def gap_certificate_from_json(doc: Any) -> GapCertificate:
-    what = "gap certificate"
-    m = _expect(doc, ("stage", "box"), what)
-    return GapCertificate(stage=_count_of(m, "stage", what), box=box_from_json(m["box"]))
-
-
 def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
     what = "leaf certificate"
-    m = _expect(doc, ("element_index", "leaf_index", "translation", "certificate"), what)
+    m = _expect(doc, ("element_index", "leaf_index", "translation", "stage"), what)
     return LeafCertificate(
         element_index=_count_of(m, "element_index", what),
         leaf_index=_count_of(m, "leaf_index", what),
         translation=tuple(frac_from_json(v) for v in _list_of(m, "translation", what)),
-        certificate=gap_certificate_from_json(m["certificate"]),
+        stage=_count_of(m, "stage", what),
     )
 
 
@@ -271,91 +258,66 @@ def same_json(doc: Any, expected: Any) -> bool:
 # -- the encoder --------------------------------------------------------------
 
 
-def _encode_layout(layout: PackingLayout, memo: dict) -> dict:
+def _encode_layout(layout: PackingLayout) -> dict:
     return {
-        "placements": [
-            {"index": idx, "translate": _list(pos, memo)} for idx, pos in layout.placements
-        ],
-        "target": _encode(layout.target, memo),
-        "merge_tree": _list(layout.merge_tree, memo),
+        "placements": [{"index": idx, "translate": _list(pos)} for idx, pos in layout.placements],
+        "target": _encode(layout.target),
     }
 
 
-def _same(value: Any, memo: dict) -> Any:
+def _same(value: Any) -> Any:
     return value
 
 
-def _list(values: Sequence[Any], memo: dict) -> list:
+def _list(values: Sequence[Any]) -> list:
     # ``_encode`` inlined here and in ``_by_fields``: one call less per value
-    return [_ENCODERS.get(type(v), _by_fields)(v, memo) for v in values]
+    return [_ENCODERS.get(type(v), _by_fields)(v) for v in values]
 
 
-def _once(encode: "Callable[[Any, dict], Any]") -> "Callable[[Any, dict], Any]":
-    """``encode`` run once per object of a :func:`to_json` call; a repeat of
-    the object returns the JSON of its first occurrence."""
-
-    def encode_once(value: Any, memo: dict) -> Any:
-        hit = memo.get(id(value))
-        if hit is None:
-            # The value is held with its JSON, so no other object takes its id.
-            hit = memo[id(value)] = (value, encode(value, memo))
-        return hit[1]
-
-    return encode_once
-
-
-# Encoders by exact type; each takes the value and the memo of its
-# :func:`to_json` call, the JSON of every dataclass object and tuple encoded
-# so far, by identity (a list is mutable, so it is encoded where it stands).
-# A dataclass not listed gets its encoder from ``_by_fields`` on first use.
-# The encoders recurse through this table, never through a public name, so a
-# wrapper on a public function sees one call per document.
-_ENCODERS: "dict[type, Callable[[Any, dict], Any]]" = {
+# Encoders by exact type.  A dataclass not listed gets its encoder from
+# ``_by_fields`` on first use.  The encoders recurse through this table,
+# never through a public name, so a wrapper on a public function sees one
+# call per document.
+_ENCODERS: "dict[type, Callable[[Any], Any]]" = {
     Fraction: frac_to_json,
     int: int_to_json,
     bool: _same,
     str: _same,
     type(None): _same,
-    tuple: _once(_list),
+    tuple: _list,
     list: _list,
-    dict: lambda doc, memo: {key: _encode(v, memo) for key, v in doc.items()},
-    Box: _once(box_to_json),
-    ExtendedRational: _once(quad_to_json),
-    PackingLayout: _once(_encode_layout),
-    Gen: _once(expr_to_json),
-    Union: _once(expr_to_json),
-    Diff: _once(expr_to_json),
-    Inter: _once(expr_to_json),
+    dict: lambda doc: {key: _encode(v) for key, v in doc.items()},
+    Box: box_to_json,
+    ExtendedRational: quad_to_json,
+    PackingLayout: _encode_layout,
+    Gen: expr_to_json,
+    Union: expr_to_json,
+    Diff: expr_to_json,
+    Inter: expr_to_json,
 }
 
 
-def _by_fields(value: Any, memo: dict) -> dict:
+def _by_fields(value: Any) -> dict:
     """Encode a dataclass as the object of its fields, and register that
-    encoder, run once per object (:func:`_once`), for its type; refuse any
-    other type."""
+    encoder for its type; refuse any other type."""
     kind = type(value)
     if not dataclasses.is_dataclass(kind):
         raise TypeError(f"no JSON encoding for {kind.__name__}")
     names = tuple(f.name for f in dataclasses.fields(kind))
 
-    def encode(obj: Any, memo: dict) -> dict:
-        # ``_once`` inlined: one call less per object
-        hit = memo.get(id(obj))
-        if hit is not None:
-            return hit[1]
+    def encode(obj: Any) -> dict:
         doc = {}
         for name in names:
             v = getattr(obj, name)
-            doc[name] = _ENCODERS.get(type(v), _by_fields)(v, memo)
-        memo[id(obj)] = (obj, doc)
+            doc[name] = _ENCODERS.get(type(v), _by_fields)(v)
         return doc
 
     _ENCODERS[kind] = encode
-    return encode(value, memo)
+    return encode(value)
 
 
-def _encode(value: Any, memo: dict) -> Any:
-    return _ENCODERS.get(type(value), _by_fields)(value, memo)
+def _encode(value: Any) -> Any:
+    return _ENCODERS.get(type(value), _by_fields)(value)
 
 
 def to_json(value: Any) -> Any:
@@ -363,39 +325,26 @@ def to_json(value: Any) -> Any:
 
     A dataclass without its own encoder becomes ``{field: to_json(value)}``;
     ``Fraction`` prints as ``"p/q"``; tuples become lists.  Any other type
-    raises ``TypeError``.  A dataclass object or tuple met twice is encoded
-    once, and both places hold the same JSON object, so the document is
-    read-only.
+    raises ``TypeError``.  Each place in the document holds its own JSON
+    object, even where ``value`` holds one object twice.
     """
-    return _encode(value, {})
+    return _encode(value)
 
 
 # -- the document writer --------------------------------------------------------
-
-
-# ``dumps_document`` keeps for a repeat the text of a container written in
-# more chunks than this: a certificate at d = 1 takes about 50, a box at
-# d = 1 about 20.
-_KEPT_CHUNKS = 24
 
 
 def dumps_document(doc: Any) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, written in one pass.
 
     ``doc`` holds dicts with ``str`` keys, lists, tuples and exact ``str``,
-    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``.  A
-    container object met again at the same depth is written once and its
-    text repeated, so ``doc`` must not change during the call.
+    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``.
     """
     chunks: "list[str]" = []
     append = chunks.append
     # pads[k] starts a line at depth k; commas[k] ends an item and does that.
     pads = ["\n"]
     commas = [",\n"]
-    # written[k]: by id, the chunks of each large container written at depth
-    # k so far (its first and end index), or its text once it repeats.  The
-    # text depends on the depth alone, so a repeat at that depth appends it.
-    written: "list[dict[int, Any]]" = [{}]
 
     def write(value: Any, depth: int) -> None:
         kind = type(value)
@@ -411,15 +360,6 @@ def dumps_document(doc: Any) -> str:
             if inner == len(pads):
                 pads.append(pads[depth] + "  ")
                 commas.append("," + pads[inner])
-                written.append({})
-            seen = written[depth]
-            text = seen.get(id(value))
-            if text is not None:
-                if type(text) is not str:
-                    text = seen[id(value)] = "".join(chunks[text[0]:text[1]])
-                append(text)
-                return
-            first = len(chunks)
             sep = pads[inner]
             if kind is dict:
                 append("{")
@@ -441,10 +381,6 @@ def dumps_document(doc: Any) -> str:
                     sep = commas[inner]
                 append(pads[depth])
                 append("]")
-            # Only a large container is kept: an entry for every container
-            # costs more than writing a small one again.
-            if len(chunks) - first > _KEPT_CHUNKS:
-                seen[id(value)] = (first, len(chunks))
         elif value is None:
             append("null")
         elif kind is bool:

@@ -917,8 +917,7 @@ class TestDeterminismAndReplay:
 
 def _replay(argv, tamper, capsys):
     """``cli._verify`` on a copy of a command's result core changed in place
-    by ``tamper``, and the stderr it printed.  The copy keeps the JSON's
-    shared subtrees, as ``cli.main`` hands it to the replay."""
+    by ``tamper``, and the stderr it printed."""
     args = cli._parser().parse_args(argv)
     command = cli.COMMANDS[args.command]
     s = CantorSchedule(args.d, args.c, args.rho)
@@ -985,8 +984,7 @@ def _retyped(path, value):
 def _structural_tampers(core):
     """Every single-field change of a core's shape: each key deleted, and
     each container replaced by null, an empty list or object, a string or a
-    number that it does not already equal; as (path, tamper) pairs.  A
-    subtree the core shares is changed at each place that holds it."""
+    number that it does not already equal; as (path, tamper) pairs."""
 
     def walk(value, path):
         items = value.items() if isinstance(value, dict) else enumerate(value)
@@ -1034,9 +1032,10 @@ class TestReplayTampers:
             _set(("layout", "placements", 1, "translate"), ["1/4", "0/1"]),  # at d = 1
             _set(("layout", "placements", 1, "index"), -1),
             _zero_as_integer_text,
+            _set(("layout", "merge_tree"), []),  # a layout is its placements and target alone
         ],
         ids=["untampered", "repeated-index", "index-outside", "count", "count-float", "covered-cube",
-             "translation-length", "index-negative", "target-text"],
+             "translation-length", "index-negative", "target-text", "extra-key"],
     )
     def test_pack(self, tamper, capsys):
         assert _replayed(self.PACK, tamper, capsys) is (tamper is _untampered)
@@ -1056,9 +1055,12 @@ class TestReplayTampers:
             _set(("witness", "certificates", 2, "element_index"), 1),
             _set(("witness", "box", "hi"), ["1/1"]),
             _set(("found",), False),
+            # the old gap certificate beside the stage, and the box in unreduced text
+            _set(("witness", "certificates", 0, "certificate"), {"stage": 1, "box": {"lo": [], "hi": []}}),
+            _set(("witness", "box", "lo"), ["394/768"]),
         ],
         ids=["untampered", "stage-raised", "stage-lowered", "translation", "element-index", "box",
-             "found"],
+             "found", "extra-key", "box-text"],
     )
     def test_infinite_cube(self, tamper, capsys):
         argv = ("infinite-cube", "--pool-size", "3", "--stage-cap", "12")
@@ -1075,9 +1077,10 @@ class TestReplayTampers:
             _set(("report", "layout", "target", "hi"), ["1/16"]),
             _shrink_corollary_target,
             _set(("report", "layout", "target", "lo"), ["0"]),  # the same box, in other text
+            _set(("report", "layout", "merge_tree"), []),
         ],
         ids=["untampered", "family", "kept", "check-flag", "layout-target", "covered-cube-and-target",
-             "layout-target-text"],
+             "layout-target-text", "layout-extra-key"],
     )
     def test_corollary_demo(self, tamper, capsys):
         argv = ("corollary-demo", "--delta", "1/4")
@@ -1191,8 +1194,7 @@ class TestReplayTampers:
     )
     def test_a_changed_shape_is_refused_not_a_crash(self, argv, files, capsys):
         """Each key deleted, each container replaced by another shape: the
-        check refuses it, and never as an internal fault.  Only a layout's
-        merge tree is read by no check, so a change there may pass."""
+        check refuses it, and never as an internal fault."""
         args = cli._parser().parse_args([files.get(arg, arg) for arg in argv])
         command = cli.COMMANDS[args.command]
         s = CantorSchedule(args.d, args.c, args.rho)
@@ -1207,4 +1209,4 @@ class TestReplayTampers:
             ok = cli._verify(command, s, inputs, tampered)
             err = capsys.readouterr().err
             assert "verification crashed" not in err, (path, err)
-            assert not ok or "merge_tree" in path, path
+            assert not ok, path

@@ -10,7 +10,16 @@ bisection, which no other case reaches.  A changed digest means a
 document changed, so a change to any report's JSON must update its digest
 here on purpose.  The five ``infinite-cube`` digests were re-recorded when
 its table of every subfamily became one witness over the whole pool (the
-table's last row) and its pool-cap message stopped counting rows.  Each document must also equal the stdlib's
+table's last row) and its pool-cap message stopped counting rows.  Ten
+digests were re-recorded when layouts dropped their merge tree and leaf
+certificates their gap box, which no check read: ``pack``,
+``corollary-demo``, ``corollary-demo-a`` and ``corollary-demo-odd-d`` lost
+``layout.merge_tree``, and ``uncovered-box``, ``uncovered-box-mixed-pool``,
+``infinite-cube``, ``infinite-cube-quartered``, ``infinite-cube-expr-file``
+and ``infinite-cube-mixed-pool`` hold each certificate's stage in place of
+its ``{stage, box}``.  Each is the old document with just those fields
+changed; the other uncovered-box and infinite-cube cases hold no
+certificate and kept their digests.  Each document must also equal the stdlib's
 ``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
 writer reproduces without running it.  The
 input files are literal JSON, so the fixtures do not depend on the encoder
@@ -77,17 +86,17 @@ CASES = {
     "uncovered-box": (
         ["uncovered-box", "--expr-file", "pool.json", "--stage-cap", "8", "--verify"],
         0,
-        "3c7eef51d41ac34c384d112f2b6b61980278d394b1e1f96d85faf4ca11cba82c",
+        "14a9ef29aca34037f14cc4650bfaa5de3e5817e7d40e2390ad591173df2b3edc",
     ),
     "infinite-cube": (
         ["infinite-cube", "--pool-size", "2", "--stage-cap", "8", "--verify"],
         0,
-        "c0e5e7be4e878bcd362dcb9d5ab7806c1608ff8141e766e786554e82ced6e117",
+        "03fe98ca41042f23b45a0c3c40a3bd29d45e37088e5d878a521738600361bc77",
     ),
     "pack": (
         ["pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/3", "--verify"],
         0,
-        "d1ee28dcc5bb25443a1643159b3ba1eea2cbe8e1765447b859cfa59e8359ba62",
+        "03e126581983737659604373b42d4f6829228ccc7c88687f1aba60c1e148a98d",
     ),
     "hausdorff-bound": (
         ["hausdorff-bound", "--d", "2", "--delta", "1/8", "--verify"],
@@ -97,7 +106,7 @@ CASES = {
     "corollary-demo": (
         ["corollary-demo", "--delta", "1/4", "--verify"],
         0,
-        "43062a2c78ee0c2797c0038a5df4bafd70e4e42698ef48446a7b011e05fd8b6c",
+        "45e98451f95cd3e690392d45ccad37097699b7af075543267bad629de2487929",
     ),
     "range-solve": (
         ["range-solve", "--target", "1/4", "--verify"],
@@ -147,12 +156,12 @@ CASES = {
     "infinite-cube-quartered": (
         ["infinite-cube", "--pool-size", "2", "--quartered", "--stage-cap", "8", "--verify"],
         0,
-        "88fec9cbc170feb00682ecf16553313e414583b82d95ad0c4237b6477501ed42",
+        "0d885a2bbed5b9ffa256a714a4587c6643a9e346d2257f4a5502fbd18e0f2343",
     ),
     "infinite-cube-expr-file": (
         ["infinite-cube", "--expr-file", "pool3.json", "--stage-cap", "8", "--verify"],
         0,
-        "b38c576dbbf939672d11c791221b2f8ce77b1e5a22fa69c7647fc2e136fe0d25",
+        "10602600d0a9ef213538db2bc067797ed9a955623a2b7b0574be414545536c82",
     ),
     "uncovered-box-no-files": (
         ["uncovered-box", "--stage-cap", "4", "--verify"],
@@ -178,7 +187,7 @@ CASES = {
     "corollary-demo-a": (
         ["corollary-demo", "--delta", "1/4", "--a", "1/5", "--verify"],
         0,
-        "7e3923ecbec3ef1c02c83d9107f50bb527ba1acff7aaaa0b531424bd18a9e6f4",
+        "cd829a76b631bc69702d55cbba9e53076a47506f94f86b733d391453faff45df",
     ),
     "split-check-above": (
         ["split-check", "--expr-file", "diff.json", "--threshold", "1/3", "--above", "--stage", "3",
@@ -212,7 +221,7 @@ CASES = {
     "corollary-demo-odd-d": (
         ["corollary-demo", "--d", "3", "--delta", "1/8", "--verify"],
         0,
-        "c958037a799e8dca786f25659f4cbfee3e8148001197936097ef7daf3a827c17",
+        "e071f93a83f21da232eebf119e9033df1031ba1ea61919ee25951f29558fa6b2",
     ),
     "cover-search-expr-target": (
         ["cover-search", "--target-file", "diff.json", "--expr-file", "pool3.json", "--verify"],
@@ -222,12 +231,12 @@ CASES = {
     "uncovered-box-mixed-pool": (
         ["uncovered-box", "--expr-file", "mixed.json", "--verify"],
         0,
-        "87c570d9667868abfddb9d2cd5f9851510acb05050267e8cf12966e75819d436",
+        "09796e20f8b49b97fd8a595ea349701647aefe7710dffbe40c7eff86892712ba",
     ),
     "infinite-cube-mixed-pool": (
         ["infinite-cube", "--expr-file", "mixed.json", "--verify"],
         0,
-        "07a3955bf2718f00b32f91ab262db5c6e8331ab1df612b1a2b5ff8643a7ccbf4",
+        "66d5944b65dfeec0aa42636f8bb66872f06bb7f6f730fef3082bd7f0237115fa",
     ),
     "measure-half-line": (
         ["measure", "--expr-file", "half-line.json", "--stage", "3", "--verify"],

@@ -333,6 +333,26 @@ class TestOneEvaluationPath:
 
 
 class TestUncoveredBox:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_witness_box_lies_in_the_gap_of_every_leaf(self, d, monkeypatch):
+        # So a certificate keeps only its stage: the check of the witness's
+        # own box is all the gap box could have certified.
+        s = CantorSchedule(d)
+        pool = grid_translate_pool(s, 5)
+        gaps = []
+
+        search = cover.find_gap
+
+        def recorded(*args):
+            gaps.append(search(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(cover, "find_gap", recorded)
+        witness = find_uncovered_box(Box.unit_cube(d), pool, s, 24)
+        assert isinstance(witness, UncoveredWitness) and len(gaps) == 5
+        assert [gap.stage for gap in gaps] == [c.stage for c in witness.certificates]
+        assert all(gap.box.contains_box(witness.box) for gap in gaps)
+
     def test_empty_family_leaves_the_whole_interior_free(self):
         w = find_uncovered_box(Box.unit_cube(1), [], S1, 4)
         assert isinstance(w, UncoveredWitness)
@@ -414,7 +434,7 @@ def _cut(witness, subset):
         for c in witness.certificates
         if c.element_index in rank
     )
-    stage = max((c.certificate.stage for c in certificates), default=0)
+    stage = max((c.stage for c in certificates), default=0)
     return UncoveredWitness(witness.box, stage, certificates)
 
 
@@ -604,14 +624,13 @@ def _tamper_witness(data, doc, target, kind):
     elif not certs:
         return
     elif kind == "stage":
-        _own(certs, _index(data, certs))["certificate"]["stage"] = data.draw(
+        _own(certs, _index(data, certs))["stage"] = data.draw(
             st.integers(min_value=0, max_value=14)
         )
     elif kind == "retype":  # a value equal to the old one under ``==``, of another type
         cert = _own(certs, _index(data, certs))
         key = data.draw(st.sampled_from(["element_index", "leaf_index", "stage"]))
-        holder = cert["certificate"] if key == "stage" else cert
-        holder[key] = data.draw(st.sampled_from([float(holder[key]), holder[key] == 1]))
+        cert[key] = data.draw(st.sampled_from([float(cert[key]), cert[key] == 1]))
     elif kind == "drop":
         del certs[_index(data, certs)]
     elif kind == "swap" and len(certs) >= 2:
@@ -763,7 +782,7 @@ class TestWitnessCheck:
             ([pool[0], pool[0]], witness),
             (pool, replace(witness, certificates=(first, replace(second, element_index=0)))),
             (pool, replace(witness, certificates=(second, first))),
-            (pool, UncoveredWitness(witness.box, first.certificate.stage, (first,))),
+            (pool, UncoveredWitness(witness.box, first.stage, (first,))),
         ]
         for elements, tampered in wrong:
             assert not uncovered_witness_valid(S1, cube, elements, tampered)
@@ -774,7 +793,7 @@ class TestWitnessCheck:
         cube = Box.unit_cube(1)
         witness = find_uncovered_box(cube, pool, S1, 24)
         assert isinstance(witness, UncoveredWitness)
-        deepest = max(c.certificate.stage for c in witness.certificates)
+        deepest = max(c.stage for c in witness.certificates)
         assert witness.stage == deepest > 0
         for stage in (deepest - 1, deepest + 1, deepest + 1000):
             moved = replace(witness, stage=stage)
@@ -833,7 +852,7 @@ def _index_as_bool(core):
 
 
 def _stage_as_float(core):
-    cert = core["witness"]["certificates"][0]["certificate"]
+    cert = core["witness"]["certificates"][0]
     cert["stage"] = float(cert["stage"])
 
 

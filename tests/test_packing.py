@@ -37,7 +37,6 @@ from fatcantor import (
 from fatcantor.packing import (
     MAX_FAMILY_CUBES,
     MergeStep,
-    _corner_offsets,
     _tiling_covers,
     check_family_size,
 )
@@ -84,7 +83,7 @@ def merge_dyadic_by_rescan(dim: int, exponents: list[int]):
         for idx in ids:
             del alive[idx]
         alive[next_id] = level + 1
-        steps.append(MergeStep(level, tuple(ids), next_id, _corner_offsets(dim, level)))
+        steps.append(MergeStep(level, tuple(ids), next_id))
         next_id += 1
     return sorted(alive.items()), steps
 
@@ -176,6 +175,16 @@ class TestMergeDyadic:
         for dim, exponents in [(1, [-9] * 512), (1, [-3, -9, -9, -4] * 100), (2, [-5] * 300 + [-3] * 7)]:
             assert merge_dyadic(dim, exponents) == merge_dyadic_by_rescan(dim, exponents)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_constituents_sit_at_the_lexicographic_corners(self, dim):
+        # 2^d halves make one unit cube; input i sits at the i-th corner of
+        # {0, 1/2}^d in lexicographic order, axis 0 slowest.
+        (step,) = merge_dyadic(dim, [-1] * 2**dim)[1]
+        assert step.constituents == tuple(range(2**dim))
+        corners = itertools.product((Fraction(0), Fraction(1, 2)), repeat=dim)
+        layout = pack_cover(CubeFamily(dim, (Fraction(1, 2),) * 2**dim))
+        assert layout.placements == tuple(enumerate(corners))
+
     def test_two_quarters_then_a_half_build_a_unit_cube(self):
         final, steps = merge_dyadic(1, [-1, -2, -2])
         assert [level for _, level in final] == [0]
@@ -185,17 +194,6 @@ class TestMergeDyadic:
         assert steps[1].level == -1
         # the second merge combines the original half with the merged pair
         assert steps[1].constituents == (0, 3)
-
-    def test_merge_steps_use_lexicographic_corner_offsets(self):
-        _, steps = merge_dyadic(2, [-1, -1, -1, -1])
-        (step,) = steps
-        side = pow2(-1)
-        assert step.offsets == (
-            (Fraction(0), Fraction(0)),
-            (Fraction(0), side),
-            (side, Fraction(0)),
-            (side, side),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +332,7 @@ def tiling_proof(fam: CubeFamily, placements) -> bool:
     # In these families the last merge builds the selected cube.
     selected = steps[-1].result
     tampered = dataclasses.replace(layout, placements=tuple(placements))
-    return _tiling_covers(fam, tampered, Fraction(1), selected)
+    return _tiling_covers(fam, tampered, steps, Fraction(1), selected)
 
 
 def at(*coords):
@@ -373,17 +371,19 @@ class TestTilingProof:
     @pytest.mark.parametrize(
         "dim,sides,digest",
         [
-            (1, (Fraction(1, 64),) * 64, "ef9f03c2713bfe0e"),
-            (1, tuple(Fraction(k, 97) for k in range(1, 20)), "0d77c720ad67a7b1"),
-            (2, (Fraction(1, 4),) * 16, "1fc6f226b08b4cef"),
-            (2, tuple(Fraction(k, 23) for k in range(3, 14)), "1d51084e2b42bb08"),
-            (3, (Fraction(1, 2),) * 8, "d422c502ffda090a"),
-            (3, tuple(Fraction(k, 13) for k in range(5, 12)), "a02ba4cf1504b362"),
+            (1, (Fraction(1, 64),) * 64, "1dffa73f1d0efc60"),
+            (1, tuple(Fraction(k, 97) for k in range(1, 20)), "ead3436bd14750ef"),
+            (2, (Fraction(1, 4),) * 16, "c490a510a054f772"),
+            (2, tuple(Fraction(k, 23) for k in range(3, 14)), "57c849278cfdfe68"),
+            (3, (Fraction(1, 2),) * 8, "0c38c15852ac2d9f"),
+            (3, tuple(Fraction(k, 13) for k in range(5, 12)), "1bc33d2eea38ff2a"),
         ],
     )
     def test_layouts_are_frozen(self, dim, sides, digest):
         # sha256 prefixes of the serialized layouts recorded with the
-        # pairwise overlap check, before the tiling proof used box algebra
+        # pairwise overlap check, before the tiling proof used box algebra;
+        # re-recorded without the merge tree that layouts no longer hold,
+        # from the old layouts with that one key dropped
         doc = json.dumps(to_json(pack_cover(CubeFamily(dim, sides))), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
 
@@ -395,10 +395,11 @@ class TestTilingProof:
 ALPHAS = (Fraction(1), Fraction(3, 4), Fraction(2, 3))
 
 
-def selected_cube(fam: CubeFamily, alpha: Fraction) -> int:
-    """The cube pack_cover unfolds: the smallest adequate final cube."""
-    final, _ = merge_dyadic(fam.dim, [floor_log2(v / alpha) for v in fam.sides])
-    return min((k, idx) for idx, k in final if pow2(k) >= Fraction(1, 2))[1]
+def merge_of(fam: CubeFamily, alpha: Fraction) -> tuple[list[MergeStep], int]:
+    """The merge steps of ``pack_cover`` and the cube it unfolds: the
+    smallest adequate final cube."""
+    final, steps = merge_dyadic(fam.dim, [floor_log2(v / alpha) for v in fam.sides])
+    return steps, min((k, idx) for idx, k in final if pow2(k) >= Fraction(1, 2))[1]
 
 
 @st.composite
@@ -425,7 +426,8 @@ class TestMergeTreeProof:
     def test_proof_and_replay_accept_every_layout(self, case):
         fam, alpha = case
         layout = pack_cover(fam, alpha=alpha)
-        assert _tiling_covers(fam, layout, alpha, selected_cube(fam, alpha))
+        steps, selected = merge_of(fam, alpha)
+        assert _tiling_covers(fam, layout, steps, alpha, selected)
         assert layout_covers(fam, layout)
 
     # Eight quarters merge into two halves (cubes 10 and 11), which merge
@@ -436,14 +438,16 @@ class TestMergeTreeProof:
 
     def test_the_mutant_base_passes(self):
         layout = pack_cover(self.FAMILY, alpha=self.ALPHA)
-        assert [(step.level, step.result) for step in layout.merge_tree] == [(-2, 10), (-2, 11), (-1, 12)]
-        assert layout.merge_tree[-1].constituents == (8, 9, 10, 11)
-        assert selected_cube(self.FAMILY, self.ALPHA) == 12
-        assert _tiling_covers(self.FAMILY, layout, self.ALPHA, 12)
+        steps, selected = merge_of(self.FAMILY, self.ALPHA)
+        assert [(step.level, step.result) for step in steps] == [(-2, 10), (-2, 11), (-1, 12)]
+        assert steps[-1].constituents == (8, 9, 10, 11)
+        assert selected == 12
+        assert _tiling_covers(self.FAMILY, layout, steps, self.ALPHA, 12)
 
     def mutant(self, kind):
+        """The family, the layout and the merge steps, one of them changed."""
         fam, layout = self.FAMILY, pack_cover(self.FAMILY, alpha=self.ALPHA)
-        placements, tree = list(layout.placements), list(layout.merge_tree)
+        placements, tree = list(layout.placements), merge_of(fam, self.ALPHA)[0]
         unit = self.ALPHA / 4  # alpha * 2**base, base = -2
         if kind == "shifted":
             index, (x, y) = placements[2]
@@ -451,11 +455,6 @@ class TestMergeTreeProof:
         elif kind == "swapped":
             a, b, *rest = tree[2].constituents
             tree[2] = dataclasses.replace(tree[2], constituents=(b, a, *rest))
-        elif kind.startswith("offset"):
-            step = tree[int(kind[-1])]  # the walk checks cube 12, then 11, then 10
-            offsets = list(step.offsets)
-            offsets[1] = offsets[2]
-            tree[int(kind[-1])] = dataclasses.replace(step, offsets=tuple(offsets))
         elif kind == "dropped":
             del tree[0]
         elif kind == "dropped-and-placed":
@@ -470,7 +469,7 @@ class TestMergeTreeProof:
             index, (x, y) = placements[0]
             placements[0] = (index, (x,))
         elif kind == "target-dimension":
-            return fam, dataclasses.replace(layout, target=Box.cube(at(0), self.ALPHA / 2))
+            return fam, dataclasses.replace(layout, target=Box.cube(at(0), self.ALPHA / 2)), tree
         elif kind == "duplicate-constituent":
             # input 0 at two corners of cube 10, input 1 nowhere: the
             # placements name input 0 once, at the corner the walk meets last
@@ -482,7 +481,7 @@ class TestMergeTreeProof:
             # cube 10 claims level -3: its inputs, placed at the corners
             # {0, 1/8}^2 of its position (1/2, 0), tile only a quarter cube,
             # but cube 12 takes it for a half
-            tree[0] = dataclasses.replace(tree[0], level=-3, offsets=_corner_offsets(2, -3))
+            tree[0] = dataclasses.replace(tree[0], level=-3)
             eighth = self.ALPHA / 8
             for index, (dx, dy) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
                 placements[index] = (index, (4 * eighth + dx * eighth, dy * eighth))
@@ -491,28 +490,52 @@ class TestMergeTreeProof:
             sides[0] = unit - Fraction(1, 1000)
             fam = CubeFamily(2, tuple(sides))
         elif kind == "target":
-            return fam, dataclasses.replace(layout, target=Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000)))
-        return fam, dataclasses.replace(layout, placements=tuple(placements), merge_tree=tuple(tree))
+            target = Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000))
+            return fam, dataclasses.replace(layout, target=target), tree
+        return fam, dataclasses.replace(layout, placements=tuple(placements)), tree
 
     @pytest.mark.parametrize(
         "kind",
-        ["shifted", "swapped", "offset0", "offset1", "offset2", "dropped", "dropped-and-placed",
-         "arity", "duplicate-constituent", "duplicate-placement", "level", "side", "target",
-         "target-dimension", "short-translation"],
+        ["shifted", "swapped", "dropped", "dropped-and-placed", "arity", "duplicate-constituent",
+         "duplicate-placement", "level", "side", "target", "target-dimension", "short-translation"],
     )
     def test_mutants_are_rejected(self, kind):
-        fam, layout = self.mutant(kind)
-        assert not _tiling_covers(fam, layout, self.ALPHA, 12)
+        fam, layout, steps = self.mutant(kind)
+        assert not _tiling_covers(fam, layout, steps, self.ALPHA, 12)
 
-    def test_only_the_proof_sees_the_tree_mutants(self):
-        # The placements of these mutants still cover the target, so the
-        # replay accepts them; the proof refuses them for their tree.
-        for kind in ["offset0", "offset1", "offset2"]:
-            fam, layout = self.mutant(kind)
-            assert layout_covers(fam, layout)
+    @pytest.mark.parametrize(
+        "dim,sides",
+        [
+            (1, (Fraction(1, 64),) * 64),
+            (1, tuple(Fraction(k, 97) for k in range(1, 20))),
+            (2, (Fraction(1, 4),) * 16),
+            (3, (Fraction(1, 2),) * 8),
+        ],
+        ids=["1d-equal", "1d-non-dyadic", "2d-equal", "3d-equal"],
+    )
+    def test_each_constituent_is_held_to_its_corner(self, dim, sides):
+        # Rotating the constituents of any one step under the selected cube
+        # moves each to another corner, away from where it is placed.
+        fam = CubeFamily(dim, sides)
+        layout = pack_cover(fam)
+        steps, selected = merge_of(fam, Fraction(1))
+        by_result = {step.result: k for k, step in enumerate(steps)}
+        used, stack = [], [selected]
+        while stack:
+            k = by_result.get(stack.pop())
+            if k is not None:
+                used.append(k)
+                stack.extend(steps[k].constituents)
+        assert used
+        for k in used:
+            rotated = list(steps)
+            first, *rest = steps[k].constituents
+            rotated[k] = dataclasses.replace(steps[k], constituents=(*rest, first))
+            assert not _tiling_covers(fam, layout, rotated, Fraction(1), selected)
 
     def test_the_proof_calls_nothing_the_search_calls(self):
         layout = pack_cover(self.FAMILY, alpha=self.ALPHA)
+        steps, _ = merge_of(self.FAMILY, self.ALPHA)
         called = set()
 
         def profile(frame, event, arg):
@@ -521,22 +544,23 @@ class TestMergeTreeProof:
 
         sys.setprofile(profile)
         try:
-            assert _tiling_covers(self.FAMILY, layout, self.ALPHA, 12)
+            assert _tiling_covers(self.FAMILY, layout, steps, self.ALPHA, 12)
         finally:
             sys.setprofile(None)
         names = {name for _, name in called}
-        assert not names & {"_corner_offsets", "merge_dyadic", "_dyadic_exponents", "floor_log2", "pow2"}
+        assert not names & {"merge_dyadic", "_dyadic_exponents", "floor_log2", "pow2"}
         assert not [path for path, _ in called if path.endswith("geometry.py")]
 
     def test_a_selected_input_is_placed_alone_at_the_origin(self):
         fam = CubeFamily(2, (Fraction(3, 4), Fraction(3, 4)))
         layout = pack_cover(fam)
-        assert not layout.merge_tree and _tiling_covers(fam, layout, Fraction(1), 0)
+        steps, selected = merge_of(fam, Fraction(1))
+        assert not steps and selected == 0 and _tiling_covers(fam, layout, steps, Fraction(1), 0)
         moved = ((0, at("1/100", 0)),)
-        assert not _tiling_covers(fam, dataclasses.replace(layout, placements=moved), Fraction(1), 0)
+        assert not _tiling_covers(fam, dataclasses.replace(layout, placements=moved), steps, Fraction(1), 0)
         wide = Box.cube(at(0, 0), Fraction(3, 4) + Fraction(1, 100))
-        assert not _tiling_covers(fam, dataclasses.replace(layout, target=wide), Fraction(1), 0)
-        assert not _tiling_covers(fam, layout, Fraction(1), 1)
+        assert not _tiling_covers(fam, dataclasses.replace(layout, target=wide), steps, Fraction(1), 0)
+        assert not _tiling_covers(fam, layout, steps, Fraction(1), 1)
 
     def test_a_deep_chain_unfolds_past_the_recursion_limit(self):
         # 1/2, 1/4, ..., 2^-1200 and 2^-1200 merge into a unit cube through
@@ -544,7 +568,7 @@ class TestMergeTreeProof:
         depth = 1200
         fam = CubeFamily(1, tuple(pow2(-k) for k in range(1, depth + 1)) + (pow2(-depth),))
         layout = pack_cover(fam)
-        assert len(layout.merge_tree) == depth
+        assert len(merge_of(fam, Fraction(1))[0]) == depth
         assert layout.placements[0] == (0, at(0)) and layout.placements[-1] == (depth, (1 - pow2(-depth),))
 
     def test_pack_verify_folds_the_placements_once(self, monkeypatch, tmp_path):
@@ -587,7 +611,7 @@ def grid_layout(dim: int, h: Fraction, g: int) -> tuple[CubeFamily, PackingLayou
     corners = list(itertools.product(range(g), repeat=dim))
     placements = tuple((i, tuple(h * k for k in corner)) for i, corner in enumerate(corners))
     target = Box.cube((Fraction(0),) * dim, g * h)
-    return CubeFamily(dim, (h,) * len(corners)), PackingLayout(placements, target, ())
+    return CubeFamily(dim, (h,) * len(corners)), PackingLayout(placements, target)
 
 
 _STEPS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 6)]
@@ -626,7 +650,7 @@ def perturbed_layouts(draw):
         tuple(b + abs(draw(st.sampled_from(_NUDGES))) for b in hi),
     )
     return CubeFamily(dim, tuple(sides)), PackingLayout(
-        tuple((order[k], placements[k]) for k in range(len(sides))), target, ()
+        tuple((order[k], placements[k]) for k in range(len(sides))), target
     )
 
 
@@ -661,7 +685,7 @@ class TestReplayOnTrees:
             target = Box(target.lo, (POS_INF, *target.hi[1:]))
         elif kind == "repeated":
             placements[-1] = (placements[0][0], placements[-1][1])
-        layout = PackingLayout(tuple(placements), target, ())
+        layout = PackingLayout(tuple(placements), target)
         assert layout_covers(fam, layout) is box_algebra_replay(fam, layout) is covers
 
     def test_a_target_of_the_wrong_dimension_raises(self):

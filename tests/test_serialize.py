@@ -11,8 +11,6 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +29,11 @@ from fatcantor import (
     base_expr,
     cli,
     corollary_pipeline,
-    find_gap,
     find_uncovered_box,
     measure_bounds,
     nu_delta_upper,
     outer_upper,
     pack_cover,
-    serialize,
     solve_level,
     split_identity_check,
     tile_check,
@@ -56,7 +52,6 @@ from fatcantor.serialize import (
     exprs_from_json,
     frac_from_json,
     frac_to_json,
-    gap_certificate_from_json,
     int_to_json,
     leaf_certificate_from_json,
     placements_from_json,
@@ -283,12 +278,6 @@ def test_schedule_round_trip():
     assert (back.d, back.c, back.rho) == (2, Fraction(1, 2), Fraction(1, 3))
 
 
-def test_gap_certificate_round_trip():
-    cert = find_gap(S1, [Fraction(0)], Box.cube((Fraction(1, 2),), Fraction(1, 4)), 8)
-    back = gap_certificate_from_json(to_json(cert))
-    assert back == cert
-
-
 def test_witness_round_trip():
     w = find_uncovered_box(Box.unit_cube(1), [base_expr(S1)], S1, 8)
     back = witness_from_json(to_json(w))
@@ -315,9 +304,8 @@ def _witness_doc():
          "leaf certificate: 'leaf_index' must be an integer, got bool"),
         (("certificates", 0, "translation"), "01",
          "leaf certificate: 'translation' must be a list, got str"),
-        (("certificates", 1, "certificate", "stage"), 2.0,
-         "gap certificate: 'stage' must be an integer, got float"),
-        (("certificates", 1, "certificate", "stage"), -2, "gap certificate: 'stage' must be nonnegative"),
+        (("certificates", 1, "stage"), 2.0, "leaf certificate: 'stage' must be an integer, got float"),
+        (("certificates", 1, "stage"), -2, "leaf certificate: 'stage' must be nonnegative"),
     ],
 )
 def test_certificate_decoders_take_exact_integers_and_lists(path, value, message):
@@ -335,8 +323,7 @@ def test_certificate_decoders_take_exact_integers_and_lists(path, value, message
 # Arbitrary JSON in the certificate fields, mixed with the fields' own shapes
 # so that many documents get past the first checks.
 _CERT_KEYS = st.sampled_from(
-    ["stage", "box", "lo", "hi", "element_index", "leaf_index", "translation", "certificate",
-     "certificates"]
+    ["stage", "box", "lo", "hi", "element_index", "leaf_index", "translation", "certificates"]
 )
 _cert_scalars = (
     st.none()
@@ -361,10 +348,9 @@ def _shaped(fields):
 
 _coords = st.lists(_cert_scalars, max_size=2) | _cert_anything
 _box_docs = _shaped({"lo": _coords, "hi": _coords})
-_gap_docs = _shaped({"stage": _cert_scalars, "box": _box_docs})
 _leaf_docs = _shaped(
     {"element_index": _cert_scalars, "leaf_index": _cert_scalars, "translation": _coords,
-     "certificate": _gap_docs}
+     "stage": _cert_scalars}
 )
 _witness_docs = _shaped(
     {"box": _box_docs, "stage": _cert_scalars,
@@ -373,10 +359,9 @@ _witness_docs = _shaped(
 
 
 @settings(max_examples=300, deadline=None)
-@given(gap=_gap_docs, leaf=_leaf_docs, witness=_witness_docs)
-def test_certificate_decoders_return_a_value_or_refuse_arbitrary_json(gap, leaf, witness):
+@given(leaf=_leaf_docs, witness=_witness_docs)
+def test_certificate_decoders_return_a_value_or_refuse_arbitrary_json(leaf, witness):
     for decode, doc in (
-        (gap_certificate_from_json, gap),
         (leaf_certificate_from_json, leaf),
         (witness_from_json, witness),
     ):
@@ -422,7 +407,7 @@ def test_cube_family_decodes_dim_and_sides_by_their_shape(doc, message):
 
 
 def test_layout_round_trip():
-    # the replays decode a layout's placements and target; its merge tree is never read
+    # a layout is its placements and target, and the replays decode both
     fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     layout = pack_cover(fam)
     doc = to_json(layout)
@@ -497,8 +482,9 @@ def test_to_json_round_trips_every_certificate():
     assert witness_from_json(to_json(w)) == w
     assert w.certificates
     for leaf in w.certificates:
-        assert leaf_certificate_from_json(to_json(leaf)) == leaf
-        assert gap_certificate_from_json(to_json(leaf.certificate)) == leaf.certificate
+        doc = to_json(leaf)
+        assert set(doc) == {"element_index", "leaf_index", "translation", "stage"}
+        assert leaf_certificate_from_json(doc) == leaf
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -507,9 +493,9 @@ def test_to_json_round_trips_packing_documents(dim):
     layout = pack_cover(fam)
     assert cube_family_from_json(to_json(fam)) == fam
     doc = to_json(layout)
+    assert set(doc) == {"placements", "target"}
     assert placements_from_json(doc) == layout.placements
     assert box_from_json(doc["target"]) == layout.target
-    assert layout.merge_tree
     placement = doc["placements"][0]
     assert set(placement) == {"index", "translate"}
 
@@ -607,6 +593,14 @@ def test_scalars_and_containers():
     assert to_json({"k": Fraction(-2, 3), "n": None}) == {"k": "-2/3", "n": None}
 
 
+def test_each_place_holds_its_own_json_object():
+    # One box and one tuple held twice: an edit of one place leaves the other.
+    box, pair = Box.unit_cube(1), (Fraction(1, 2), Fraction(3, 4))
+    doc = to_json({"a": [box, pair], "b": [box, pair]})
+    doc["a"][0]["lo"][0] = doc["a"][1][0] = "x"
+    assert doc["b"] == [{"lo": ["0/1"], "hi": ["1/1"]}, ["1/2", "3/4"]]
+
+
 class _Opaque:
     pass
 
@@ -686,44 +680,11 @@ def test_writer_matches_the_stdlib_indented_encoder(value):
     assert dumps_document(value) == _stdlib(value)
 
 
-@given(value=json_values, kept=st.sampled_from([-1, serialize._KEPT_CHUNKS]))
+@given(value=json_values)
 @settings(max_examples=200)
-def test_writer_repeats_shared_subtrees_as_the_stdlib_writes_them(value, kept):
-    # kept = -1: the text of every container is kept for a repeat
+def test_writer_repeats_shared_subtrees_as_the_stdlib_writes_them(value):
     shared = {"v": value, "w": [value]}
     doc = {"a": shared, "b": [shared, {"c": shared}], "d": [[shared, shared]], "e": value}
-    with mock.patch.object(serialize, "_KEPT_CHUNKS", kept):
-        assert dumps_document(doc) == _stdlib(doc)
-
-
-def test_a_merge_tree_writes_its_shared_offsets_once_and_as_the_stdlib():
-    # The merge steps of one level hold one offsets object, a container
-    # large enough at d = 3 that the writer keeps its text for each repeat.
-    family = CubeFamily(3, (Fraction(1, 8),) * 2**9)
-    doc = to_json(pack_cover(family, target_side=Fraction(1, 2)))
-    steps = doc["merge_tree"]
-    shared = {id(step["offsets"]) for step in steps}
-    assert len(shared) < len(steps)
-    with mock.patch.object(serialize, "encode_basestring_ascii", wraps=encode_basestring_ascii) as kept:
-        text = dumps_document(doc)
-    with (
-        mock.patch.object(serialize, "_KEPT_CHUNKS", len(text)),
-        mock.patch.object(serialize, "encode_basestring_ascii", wraps=encode_basestring_ascii) as rewritten,
-    ):
-        assert dumps_document(doc) == text
-    assert kept.call_count < rewritten.call_count
-    assert text == _stdlib(doc)
-    assert json.loads(text) == doc
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_merge_steps_of_one_level_share_their_offsets(dim):
-    family = CubeFamily(dim, (Fraction(1, 8),) * 2 ** (3 * dim))
-    doc = to_json(pack_cover(family, target_side=Fraction(1, 2)))
-    by_level = {}
-    for step in doc["merge_tree"]:
-        assert by_level.setdefault(step["level"], step["offsets"]) is step["offsets"]
-    assert len(by_level) == 3
     assert dumps_document(doc) == _stdlib(doc)
 
 

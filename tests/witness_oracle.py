@@ -83,7 +83,7 @@ def find_uncovered_box(
                     element_index=ei,
                     leaf_index=li,
                     translation=leaf.translation,
-                    certificate=outcome,
+                    stage=outcome.stage,
                 )
             )
             box = outcome.box
@@ -107,7 +107,7 @@ def witness_valid(
         return False
     if not target.contains_box(box):
         return False
-    stages = [c.certificate.stage for c in witness.certificates]
+    stages = [c.stage for c in witness.certificates]
     if witness.stage != (max(stages) if stages else 0):
         return False
     expected = [
@@ -119,7 +119,7 @@ def witness_valid(
     if recorded != expected:
         return False
     return all(
-        gap_certificate_valid(s, c.translation, GapCertificate(c.certificate.stage, box))
+        gap_certificate_valid(s, c.translation, GapCertificate(c.stage, box))
         for c in witness.certificates
     )
 
