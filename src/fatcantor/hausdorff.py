@@ -14,16 +14,18 @@ certified bisection inverse.  Its stage-n value comes from one descent
 along the path of ``x`` (``_levels``), which yields the levels of all
 stages 1, 2, ... in turn as integer numerators over one common
 denominator.  The stage lengths come from the schedule's one table
-(``cantor._Ladder``), and a solve tables its verdict cuts once.  A
-bisection midpoint thus costs O(N) integer steps at its deciding stage
-N, not O(N^2) ``Fraction`` operations.
+(``cantor._Ladder``).  A solve decides on that table's integers: its
+stopping stage, its verdict cuts (one integer floor division each, made
+once per solve) and its bisection, whose abscissas are numerators over
+the table's common denominator.  A bisection midpoint thus costs O(N)
+integer steps at its deciding stage N, and only a returned solution
+becomes ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 from typing import Iterator
 
 from .cantor import CantorSchedule, _numerator_over, box_count, check_stage
@@ -375,13 +377,13 @@ def corollary_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _levels(lengths: list[int], x: Fraction) -> Iterator[int]:
-    """Stage-n levels of ``x`` for n = 0, 1, ..., as integer numerators.
+def _levels(lengths: list[int], point: int) -> Iterator[int]:
+    """Stage-n levels of ``x = point / lengths[0]`` for n = 0, 1, ..., as integer numerators.
 
     ``lengths[n]`` is the stage-n interval length as an integer numerator
     over one common denominator, which is ``lengths[0]`` (stage 0 is
-    [0, 1]) and must be a multiple of the denominator of ``x``; the levels
-    are numerators over it too, up to stage ``len(lengths) - 1``.
+    [0, 1]); ``point`` is the abscissa ``x`` in [0, 1] over it, and the
+    levels are numerators over it too, up to stage ``len(lengths) - 1``.
 
     The stage-n level is ``measure(stage-n set ∩ [0, x])`` in one
     dimension.  One walk down the path of ``x`` yields all of them, since
@@ -392,11 +394,9 @@ def _levels(lengths: list[int], x: Fraction) -> Iterator[int]:
     so the level is ``length_n * W_n + (x - lo_n)``.  Once ``x`` falls in
     the gap of step g, the left child lies wholly below it and the right
     child wholly above, and the level is ``length_n * G * 2**(n-g)`` from
-    then on, with ``G = 2*W_(g-1) + 1``.  Abscissas outside [0, 1] are
-    clamped, which gives level 0 below and ``lambda_n`` above.  A step
-    costs one integer product.
+    then on, with ``G = 2*W_(g-1) + 1``.  A step costs one integer
+    product.
     """
-    point = _numerator_over(min(max(x, Fraction(0)), Fraction(1)), lengths[0])
     lo, hi, word = 0, lengths[0], 0
     yield point
     for n in range(1, len(lengths)):
@@ -436,14 +436,16 @@ def range_function(s: CantorSchedule, x: Fraction, stage: int) -> MeasureBounds:
     path of ``x`` (``_levels``) gives the one-dimensional stage level in
     O(stage) integer operations instead of materializing
     ``2**(stage*d)`` boxes; the other d - 1 axes contribute the factor
-    ``lambda_stage**(d-1)``.  Both bounds are monotone nondecreasing in
-    ``x`` at fixed stage.
+    ``lambda_stage**(d-1)``.  An ``x`` outside [0, 1] is clamped, which
+    gives level 0 below and ``lambda_stage`` above.  Both bounds are
+    monotone nondecreasing in ``x`` at fixed stage.
     """
     if stage < 0:
         raise PreconditionError("stage must be nonnegative")
     x = as_fraction(x)
     lengths = s._ladder.over(stage, x.denominator)
-    *_, level = _levels(lengths, x)
+    point = _numerator_over(min(max(x, Fraction(0)), Fraction(1)), lengths[0])
+    *_, level = _levels(lengths, point)
     return _bracket(s, stage, Fraction(level, lengths[0]))
 
 
@@ -474,39 +476,54 @@ def _verdict_cuts(
 ) -> list[tuple[int, int, int]]:
     """Per stage n >= 1, the level numerators at which ``_classify_point`` decides.
 
-    A level numerator L over ``lengths[0]`` has the stage-n bounds
-    ``[max(0, a - defect_n), a]`` with ``a = L * lambda_n**(d-1) / lengths[0]``.
-    They are "le" when ``a <= target``, "ge" when
-    ``max(0, a - defect_n) >= target`` and "straddle" when their width
-    ``min(a, defect_n)`` is at most ``tol``.  Each test is one comparison
-    of L with an integer cut.  A level never exceeds 1, so the straddle
-    cut ``lengths[0]`` admits every L.
+    All numerators are over ``D = lengths[0]``, and ``M_n = lengths[n] << n``
+    is ``lambda_n`` over it.  A level numerator L has the stage-n bounds
+    ``[max(0, a - defect_n), a]`` with ``a = L * M_n**(d-1) / D**d`` and
+    ``defect_n = (M_n**d - lambda**d * D**d) / D**d``.  They are "le" when
+    ``a <= target``, that is ``L <= floor(target * D**d / M_n**(d-1))``;
+    "ge" when ``a - defect_n >= target > 0``, that is
+    ``L >= M_n + ceil((target - lambda**d) * D**d / M_n**(d-1))``; and
+    "straddle" when their width ``min(a, defect_n)`` is at most ``tol``.
+    ``lengths`` must end at the first stage whose defect is within ``tol``
+    (``_stage_for_width``).  A level never exceeds D, so that stage's
+    straddle cut is D, and an earlier stage's is
+    ``floor(tol * D**d / M_n**(d-1))``.  Each cut is one integer floor
+    division, and each test one comparison of L with a cut.
     """
+    d, den, last = s.d, lengths[0], len(lengths) - 1
+    scale = den**d
+    # target, lambda**d - target and tol, each times D**d, as a numerator
+    # p over a denominator q
+    le_p, le_q = target.numerator * scale, target.denominator
+    gap = s.limit_measure() - target
+    ge_p, ge_q = gap.numerator * scale, gap.denominator
+    tol_p, tol_q = tol.numerator * scale, tol.denominator
     cuts = []
-    for n in range(1, len(lengths)):
-        unit = s.stage_measure_1d(n) ** (s.d - 1) / lengths[0]
-        defect = s.stage_defect(n)
+    for n in range(1, last + 1):
+        m = lengths[n] << n
+        unit = m ** (d - 1)
         cuts.append(
             (
-                floor(target / unit),
-                ceil((target + defect) / unit) if target > 0 else 0,
-                lengths[0] if defect <= tol else floor(tol / unit),
+                le_p // (le_q * unit),
+                m - ge_p // (ge_q * unit) if target else 0,
+                den if n == last else tol_p // (tol_q * unit),
             )
         )
     return cuts
 
 
 def _classify_point(
-    lengths: list[int], cuts: list[tuple[int, int, int]], x: Fraction
+    lengths: list[int], cuts: list[tuple[int, int, int]], point: int
 ) -> tuple[str, int, int]:
     """Certify level(x) <= target ("le"), >= target ("ge"), or "straddle".
 
-    Returns the verdict, the deciding stage and its level numerator.  The
-    stages 1, 2, ... are tried along one descent of ``x``.  The tables end
-    at the first stage whose defect is within the tolerance, and a bracket
-    is never wider than the defect, so that stage straddles at the latest.
+    ``x`` is ``point / lengths[0]``.  Returns the verdict, the deciding
+    stage and its level numerator.  The stages 1, 2, ... are tried along
+    one descent of ``x``.  The tables end at the first stage whose defect
+    is within the tolerance, and a bracket is never wider than the defect,
+    so that stage straddles at the latest.
     """
-    levels = _levels(lengths, x)
+    levels = _levels(lengths, point)
     next(levels)
     for n, (level, (le, ge, straddle)) in enumerate(zip(levels, cuts), 1):
         if level <= le:
@@ -519,11 +536,22 @@ def _classify_point(
 
 
 def _stage_for_width(s: CantorSchedule, width: Fraction) -> int:
-    """First stage whose defect is at most ``width``; refused above ``MAX_STAGE``."""
+    """First stage whose defect is at most ``width``; refused above ``MAX_STAGE``.
+
+    ``lambda_n`` is ``M_n / D_n`` on the schedule's table, with
+    ``M_n = lengths[n] << n`` and ``D_n = dens[n]``, so with
+    ``p / q = width + lambda**d`` the test ``defect_n <= width`` is
+    ``M_n**d * q <= p * D_n**d`` on integers.
+    """
+    ladder, d = s._ladder, s.d
+    bound = width + s.limit_measure()
+    p, q = bound.numerator, bound.denominator
     n = 1
-    while s.stage_defect(n) > width:
+    ladder.reach(n)
+    while (ladder.lengths[n] << n) ** d * q > p * ladder.dens[n] ** d:
         n += 1
         check_stage(n)
+        ladder.reach(n)
     return n
 
 
@@ -547,12 +575,15 @@ def solve_level(
     ``cantor.MAX_STAGE``, is refused before the search starts, so a solve
     takes at most ``MAX_TOL_BITS + 1`` bisection steps.
 
-    Cost: the stage lengths up to N = ``_stage_for_width(s, tol/2)`` are
-    read from the schedule's table, and each stage's integer cuts for the
-    le/ge/straddle tests are built once per solve.  Each midpoint is then
+    Cost: the stopping stage N = ``_stage_for_width(s, tol/2)`` is found
+    on the schedule's table by one integer comparison per stage, and each
+    stage's le/ge/straddle cuts are one integer floor division each, made
+    once per solve.  ``lo``, ``hi`` and every midpoint are integer
+    numerators over the table's common denominator, and each midpoint is
     one descent (``_levels``) that stops at its deciding stage, at one
     integer product and a few integer comparisons per stage, so a solve is
-    O(N) midpoints of at most O(N) steps each.  Only the returned bracket becomes a ``MeasureBounds``.
+    O(N) midpoints of at most O(N) steps each.  Only the returned solution,
+    or a ``BudgetError``'s partial bracket, becomes ``Fraction``s.
     """
     target = as_fraction(target)
     tol = as_fraction(tol)
@@ -566,42 +597,47 @@ def solve_level(
     half = tol / 2
     stage = _stage_for_width(s, half)
     # The search stops once hi - lo <= half, so every abscissa it visits
-    # is a multiple of 2**-(b + 1) with 2**b > 1/half.
+    # is a multiple of 2**-(b + 1) with 2**b > 1/half, and the common
+    # denominator ``den`` is a multiple of that grid: each midpoint of two
+    # visited numerators over ``den`` is an integer.
     lengths = s._ladder.over(stage, 1 << (half.denominator.bit_length() + 1))
     cuts = _verdict_cuts(s, lengths, target, half)
-    lo, hi = Fraction(0), Fraction(1)
+    den = lengths[0]
+    wide = half.numerator * den  # hi - lo > half on numerators over den
+    lo, hi = 0, den
     iterations = 0
-    while hi - lo > half:
+    while (hi - lo) * half.denominator > wide:
         if iterations >= max_iter:
             raise BudgetError(
                 f"bisection did not reach tolerance within {max_iter} iterations",
-                partial=(lo, hi),
+                partial=(Fraction(lo, den), Fraction(hi, den)),
             )
-        mid = (lo + hi) / 2
+        mid = (lo + hi) >> 1
         verdict, n, level = _classify_point(lengths, cuts, mid)
         if verdict == "le":
             lo = mid
         elif verdict == "ge":
             hi = mid
         else:
+            point = Fraction(mid, den)
             return LevelSolution(
                 target=target,
-                point=mid,
-                lo=mid,
-                hi=mid,
-                bracket=_bracket(s, n, Fraction(level, lengths[0])),
+                point=point,
+                lo=point,
+                hi=point,
+                bracket=_bracket(s, n, Fraction(level, den)),
                 iterations=iterations + 1,
                 status="straddle",
             )
         iterations += 1
-    point = (lo + hi) / 2
-    *_, level = _levels(lengths, point)
+    mid = (lo + hi) >> 1
+    *_, level = _levels(lengths, mid)
     return LevelSolution(
         target=target,
-        point=point,
-        lo=lo,
-        hi=hi,
-        bracket=_bracket(s, stage, Fraction(level, lengths[0])),
+        point=Fraction(mid, den),
+        lo=Fraction(lo, den),
+        hi=Fraction(hi, den),
+        bracket=_bracket(s, stage, Fraction(level, den)),
         iterations=iterations,
         status="converged",
     )

@@ -5,8 +5,10 @@ them with ``--verify``.  The first fifteen digests were recorded before the
 report encoders were folded into ``serialize.to_json``, the next fifteen
 before the subcommands were declared in one command table, the next five,
 which pin paths no other case runs, before ``rationals`` took over the
-printability checks, and the last one pins ``range-solve``'s converged
-bisection, which no other case reaches.  A changed digest means a
+printability checks, the next one pins ``range-solve``'s converged
+bisection, which no other case reaches, and the last one its budget
+partial, recorded before the bisection moved from ``Fraction``s to
+integer numerators.  A changed digest means a
 document changed, so a change to any report's JSON must update its digest
 here on purpose.  The five ``infinite-cube`` digests were re-recorded when
 its table of every subfamily became one witness over the whole pool (the
@@ -249,6 +251,12 @@ CASES = {
          "--verify"],
         0,
         "b91ef2367a6b981ef83e245d257a07f7e6c0cf4c8f9b92cda66c2718a8d1aefc",
+    ),
+    # a bisection stopped by its budget: the partial bracket after 2 steps
+    "range-solve-budget": (
+        ["range-solve", "--target", "1/3", "--max-iter", "2"],
+        3,
+        "8aaedff9c33282ddf28ab22a9d81ea6c9c30f1c5edc92b751e572e022c8603b7",
     ),
 }
 

@@ -38,7 +38,7 @@ from fatcantor import (
     solve_level,
 )
 from fatcantor.cantor import MAX_STAGE
-from fatcantor.hausdorff import MAX_TOL_BITS
+from fatcantor.hausdorff import MAX_TOL_BITS, _stage_for_width, _verdict_cuts
 
 import level_oracle
 from strategies import boxes, fractions, positive_fractions, unit_fractions
@@ -466,17 +466,43 @@ LEVEL_SCHEDULES = [
 
 
 @st.composite
-def level_schedules(draw):
+def level_schedules(draw, max_dim=3):
     c, rho = draw(st.sampled_from(LEVEL_SCHEDULES))
-    return CantorSchedule(draw(st.integers(min_value=1, max_value=3)), c=c, rho=rho)
+    return CantorSchedule(draw(st.integers(min_value=1, max_value=max_dim)), c=c, rho=rho)
+
+
+@st.composite
+def tolerances(draw):
+    """A positive tolerance whose denominator need not be a power of two:
+    thousandths, ``1/(3 * 2**k)``, an arbitrary small rational, or one of
+    1 or more."""
+    k = draw(st.integers(min_value=0, max_value=24))
+    return draw(
+        st.one_of(
+            st.builds(Fraction, st.integers(min_value=1, max_value=999), st.just(1000)),
+            st.just(Fraction(1, 3 << k)),
+            st.builds(
+                Fraction, st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=10**6)
+            ),
+            st.builds(
+                lambda den, extra: Fraction(den + extra, den),
+                st.integers(min_value=1, max_value=9),
+                st.integers(min_value=0, max_value=30),
+            ),
+        )
+    )
 
 
 @st.composite
 def level_targets(draw, s):
-    """0, the limit measure, a flat spot of the level function, or a point in between."""
+    """0, the limit measure, a flat spot of the level function, a stage
+    bound of a dyadic abscissa, or a point in between."""
     top = s.limit_measure()
     g = draw(st.integers(min_value=1, max_value=6))
     odd = 2 * draw(st.integers(min_value=0, max_value=(1 << (g - 1)) - 1)) + 1
+    # a bisection midpoint's stage-n bounds: a verdict cut lands exactly on it
+    n = draw(st.integers(min_value=1, max_value=8))
+    bracket = level_oracle.range_function(s, Fraction(odd, 1 << g), n)
     return draw(
         st.sampled_from(
             [
@@ -484,6 +510,8 @@ def level_targets(draw, s):
                 top,
                 # the level of every point of a step-g gap
                 top * Fraction(odd, 1 << g),
+                bracket.lower,
+                min(bracket.upper, top),
                 top * Fraction(draw(st.integers(min_value=1, max_value=999)), 1000),
             ]
         )
@@ -521,6 +549,78 @@ class TestLevelKernelAgainstOracle:
                 got = solve_level(s, target, tol=pow2(-30))
                 assert got.status == "straddle"
                 assert got == level_oracle.solve_level(s, target, tol=pow2(-30))
+
+    @settings(max_examples=60)
+    @given(data=st.data(), s=level_schedules(max_dim=6), tol=tolerances())
+    def test_solve_level_equals_the_oracle_at_any_tolerance(self, data, s, tol):
+        # the midpoint grid and the verdict cuts both follow the
+        # tolerance's denominator, which need not be a power of two
+        target = data.draw(level_targets(s))
+        assert solve_level(s, target, tol=tol) == level_oracle.solve_level(s, target, tol=tol)
+
+    @given(data=st.data(), s=level_schedules(max_dim=6), tol=tolerances())
+    def test_verdict_cuts_are_the_exact_boundaries(self, data, s, tol):
+        # each integer cut against the closed-form bracket of the level
+        # numerators on both sides of it, so a cut off by one fails even
+        # where no bisection happens to land on it
+        target = data.draw(level_targets(s))
+        lengths = s._ladder.over(_stage_for_width(s, tol), data.draw(st.sampled_from([1, 3, 1 << 20])))
+        den = lengths[0]
+        for n, (le, ge, straddle) in enumerate(_verdict_cuts(s, lengths, target, tol), 1):
+            defect = s.stage_defect(n)
+
+            def upper(level):
+                return Fraction(level, den) * s.stage_measure_1d(n) ** (s.d - 1)
+
+            assert upper(le) <= target < upper(le + 1)
+            if target:
+                assert upper(ge - 1) - defect < target <= upper(ge) - defect
+            else:
+                assert ge == 0
+            if defect <= tol:
+                assert straddle == den
+            else:
+                assert upper(straddle) <= tol < upper(straddle + 1)
+
+    @pytest.mark.parametrize("max_iter", range(4))
+    @pytest.mark.parametrize(
+        "s, target, tol",
+        [
+            (S1, Fraction(1, 3), Fraction(1, 1 << 20)),
+            (CantorSchedule(2, c=Fraction(1, 2), rho=Fraction(1, 3)), Fraction(1, 7), Fraction(7, 1000)),
+        ],
+    )
+    def test_budget_partial_equals_the_oracle(self, s, target, tol, max_iter):
+        with pytest.raises(BudgetError) as got:
+            solve_level(s, target, tol=tol, max_iter=max_iter)
+        with pytest.raises(BudgetError) as want:
+            level_oracle.solve_level(s, target, tol=tol, max_iter=max_iter)
+        assert str(got.value) == str(want.value)
+        assert got.value.partial == want.value.partial
+        assert all(type(end) is Fraction for end in got.value.partial)
+
+    @given(data=st.data(), s=level_schedules(max_dim=6), n=st.integers(min_value=1, max_value=40))
+    def test_stage_for_width_equals_the_oracle(self, data, s, n):
+        # widths on, just below and just above a stage's defect, or arbitrary
+        defect = s.stage_defect(n)
+        width = data.draw(
+            st.one_of(
+                positive_fractions(),
+                st.sampled_from([defect, defect * Fraction(999, 1000), defect * Fraction(1001, 1000)]),
+            )
+        )
+        assert _stage_for_width(s, width) == level_oracle._stage_for_width(s, width)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("c, rho", LEVEL_SCHEDULES)
+    def test_stage_for_width_is_refused_above_the_cap_like_the_oracle(self, c, rho, d):
+        s = CantorSchedule(d, c=c, rho=rho)
+        last = s.stage_defect(MAX_STAGE)
+        assert _stage_for_width(s, last) == level_oracle._stage_for_width(s, last) == MAX_STAGE
+        refusal = f"^stage must be between 0 and {MAX_STAGE}, got {MAX_STAGE + 1}$"
+        for stage_for_width in (_stage_for_width, level_oracle._stage_for_width):
+            with pytest.raises(PreconditionError, match=refusal):
+                stage_for_width(s, last * Fraction(999, 1000))
 
     @given(data=st.data(), s=level_schedules(), n=st.integers(min_value=0, max_value=64))
     def test_range_function_equals_the_oracle_level(self, data, s, n):
