@@ -70,7 +70,7 @@ from .hausdorff import (
 from .packing import (
     DEFAULT_ALPHA, DEFAULT_TARGET_SIDE, CubeFamily, PackingLayout, layout_covers, pack_cover
 )
-from .rationals import parse_fraction
+from .rationals import parse_each, parse_fraction
 from .ring import (
     DEFAULT_RN_CAP,
     DEFAULT_STAGE_CAP,
@@ -130,14 +130,15 @@ def rational(text: str) -> Fraction:
 
 
 def _frac_list_arg(text: str) -> list[Fraction]:
-    """A comma-separated list of rationals: an empty entry is refused, since
-    dropping it would shift the indices of the entries after it."""
+    """A comma-separated list of rationals, each distinct entry parsed once:
+    an empty entry is refused, since dropping it would shift the indices of
+    the entries after it."""
     items = [piece.strip() for piece in text.split(",")]
     if not all(items):
         raise argparse.ArgumentTypeError(
             "expected a comma-separated list of rationals, got an empty entry"
         )
-    return [rational(piece) for piece in items]
+    return parse_each(items, rational)
 
 
 def nonnegative_int(text: str) -> int:
@@ -243,15 +244,20 @@ def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay)
 
 
 def _placed(doc: Any) -> PackingLayout:
-    """A layout decoded from its JSON: its placements and target."""
+    """A layout decoded from its JSON onto one lattice: its placements and
+    target.  The placements' text must be exactly what the encoder writes
+    for them (``placements_from_json``), so the document's own placements
+    list is the one a re-encode would give."""
     m = _expect(doc, ("placements", "target"), "packing layout")
-    return PackingLayout(placements_from_json(m), box_from_json(m["target"]))
+    unit, placements = placements_from_json(m)
+    return PackingLayout(unit, placements, box_from_json(m["target"]))
 
 
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     """The layout's placements must cover the cube ``[0, alpha·target_side)^d``,
     and the core must name that cube as the layout's target and as
-    ``covered_cube``, count the placements, and hold nothing else."""
+    ``covered_cube``, count the placements, and hold nothing else.  The
+    placements are decoded strictly, so the echo holds them as written."""
     doc = core.get("layout")
     layout = _placed(doc)
     cube = to_json(Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"]))
@@ -267,7 +273,8 @@ def _check_corollary_demo(s: CantorSchedule, i: dict, core: dict, replay: Replay
     """Rebuild the closed-form steps from the inputs, without packing, and
     the report from them and the layout's placements and target: it must
     pass every check and equal the report, whose layout holds only those
-    and must name the target as ``covered_cube`` does."""
+    and must name the target as ``covered_cube`` does.  The placements are
+    decoded strictly (``_placed``), so the echo holds them as written."""
     layout = _expect(core.get("report"), ("layout",), "corollary report")["layout"]
     plan = corollary_plan(s, i["delta"], a=i["a"], bits=i["bits"])
     rebuilt = corollary_report(s, plan, _placed(layout))

@@ -22,10 +22,13 @@ side/alpha.  Before a layout is returned, its coverage of the target is
 proved by induction over the merge steps that built it, in integer
 arithmetic and without box algebra (``_tiling_covers``).  A layout holds
 only its placements and target: the steps stay with that proof, and no
-document carries them.  ``layout_covers`` is the independent replay on the
-box kernel's slab trees, built on one integer lattice: one tree per placed
-cube, from its translation and side, folded by union and subtracted from
-the target's tree.
+document carries them.  Every cube the unfold places sits on one lattice,
+``alpha * 2**base * Z^d``, so a layout holds that unit once and each
+placement's position as an integer vector; no coordinate is a ``Fraction``
+from the search to the check.  ``layout_covers`` is the independent replay
+on the box kernel's slab trees, built on one integer lattice: one tree per
+placed cube, from its position and side, folded by union and subtracted
+from the target's tree.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from .geometry import _SUBTRACT, Box, _box_tree, _combine, _union_all, check_ker
 from .rationals import _floor_log2_ratio, as_fraction, is_finite, pow2, printable
 
 
-# Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.5-0.7 s with or
-# without ``--verify``, and 8192 cubes over distinct prime denominators at d = 3 in 1.3-1.6 s
-# with it (whole CLI runs, Python 3.11, 2-core x86 VM).
+# Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.3-0.45 s with or
+# without ``--verify``, and 8192 cubes over distinct prime denominators at d = 3 in 1.3-2.0 s
+# with it (whole CLI runs, Python 3.11, 2-core x86 VM whose speed drifted between runs).
 MAX_FAMILY_CUBES = 1 << 13
 # The scale and target side of ``pack_cover`` unless told otherwise: the
 # largest target side the covering guarantee admits.
@@ -73,8 +76,8 @@ class CubeFamily:
         if not isinstance(self.dim, int) or self.dim < 1:
             raise PreconditionError(f"dimension must be a positive integer, got {self.dim!r}")
         check_kernel_dim(self.dim)
-        sides = tuple(as_fraction(v) for v in self.sides)
-        if any(v <= 0 for v in sides):
+        sides = tuple(map(as_fraction, self.sides))
+        if any(v.numerator <= 0 for v in sides):  # the denominator is positive
             raise PreconditionError("cube sides must be positive")
         object.__setattr__(self, "sides", sides)
 
@@ -134,49 +137,55 @@ def merge_dyadic(dim: int, exponents: Sequence[int]) -> tuple[list[tuple[int, in
 
 @dataclass(frozen=True)
 class PackingLayout:
-    """Placements of input cubes that cover the target cube.
+    """Placements of input cubes that cover the target cube, on one lattice.
 
-    ``placements`` are (input index, translation) pairs; each input index
-    occurs at most once and the placed boxes are translates of the original
-    input cubes.  That is all a check of the cover reads, so it is all a
-    layout holds: the merge steps that put the cubes there stay with
-    ``pack_cover``'s own proof.
+    ``unit`` is a positive rational and ``placements`` are (input index,
+    position) pairs, the position a vector of integers: the input cube is
+    translated by ``unit * position``.  Each input index occurs at most
+    once.  That is all a check of the cover reads, so it is all a layout
+    holds: the merge steps that put the cubes there stay with
+    ``pack_cover``'s own proof.  ``pack_cover`` takes ``alpha * 2**base``
+    as the unit, a decoded layout ``1/lcm`` of its coordinates'
+    denominators.
     """
 
-    placements: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    unit: Fraction
+    placements: tuple[tuple[int, tuple[int, ...]], ...]
     target: Box
 
 
 def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
     """Exact coverage replay on the box kernel's trees: each placement places
-    a distinct input of the family by a translation of the family's
-    dimension, and the target's tree less the union of the placed cubes'
-    trees is empty.
+    a distinct input of the family at a position of the family's dimension,
+    and the target's tree less the union of the placed cubes' trees is
+    empty.
 
-    The trees hold integers: every finite coordinate is scaled to a
-    numerator over the lcm of the denominators of the translations, the
-    placed cubes' sides and the target's finite ends.  The kernel only
-    compares coordinates, and a positive common scale keeps every
-    comparison, so the verdict is the one on the rationals.  An infinite
-    target end stays its marker, which the kernel compares with integers."""
-    dim, sides, target = family.dim, family.sides, layout.target
+    The trees hold integers: every finite coordinate is scaled by the lcm
+    of the denominators of the unit, the placed cubes' sides and the
+    target's finite ends, so each position is multiplied by one factor.  The
+    kernel only compares coordinates, and a positive common scale keeps
+    every comparison, so the verdict is the one on the rationals.  An
+    infinite target end stays its marker, which the kernel compares with
+    integers."""
+    dim, sides, target, unit = family.dim, family.sides, layout.target, layout.unit
     indices = {index for index, _ in layout.placements}
     if len(indices) != len(layout.placements) or not indices.issubset(range(len(sides))):
         return False
-    if any(len(translation) != dim for _, translation in layout.placements):
+    if any(len(position) != dim for _, position in layout.placements):
         return False
     if target.dim != dim:
         raise DimensionMismatchError(f"union of dimension {target.dim} vs {dim}")
-    denominators = {x.denominator for _, t in layout.placements for x in t}
-    denominators.update(sides[i].denominator for i, _ in layout.placements)
+    denominators = {sides[i].denominator for i in indices}
     denominators.update(x.denominator for x in target.lo + target.hi if is_finite(x))
+    denominators.add(unit.denominator)
     scale = lcm(*denominators)
     factor = {q: scale // q for q in denominators}
+    step = unit.numerator * factor[unit.denominator]
     trees = []
-    for i, t in layout.placements:
+    for i, position in layout.placements:
         side = sides[i]
         width = side.numerator * factor[side.denominator]
-        lo = [x.numerator * factor[x.denominator] for x in t]
+        lo = [p * step for p in position]
         trees.append(_box_tree(lo, [x + width for x in lo]))
     placed = _union_all(trees, dim)
     lo, hi = ([x.numerator * factor[x.denominator] if is_finite(x) else x for x in corner]
@@ -253,10 +262,8 @@ def pack_cover(
             stack.append((cid, tuple(map(operator.add, position, corner))))
     placements.sort()
 
-    unit = alpha * pow2(base)
-    scaled = tuple((idx, tuple(unit * v for v in pos)) for idx, pos in placements)
     target = Box.cube((Fraction(0),) * family.dim, alpha * target_side)
-    layout = PackingLayout(placements=scaled, target=target)
+    layout = PackingLayout(unit=alpha * pow2(base), placements=tuple(placements), target=target)
 
     if not _tiling_covers(family, layout, steps, alpha, selected):
         raise AssertionError("constructed layout failed its own coverage verification")
@@ -275,9 +282,10 @@ def _tiling_covers(
     level k + 1.  By induction down from the selected cube, of level
     ``top``, the inputs reached tile it with cubes of their levels.
     Positions are integer vectors in units of ``alpha * 2**base``, ``base``
-    the lowest level of the steps.  The reached inputs must be distinct and
-    must be exactly the layout's placements, each translation
-    ``unit * position``.  Each input's side must be at least
+    the lowest level of the steps, so the layout's unit must be that value,
+    checked once.  The reached inputs must be distinct and must be exactly
+    the layout's placements, each at the position reached, compared as
+    integers.  Each input's side must be at least
     ``alpha * 2**level``, so its placement contains its cube of the tiling.
     So the placements cover ``[0, alpha * 2**top)^d``, and the target must
     lie inside it.  A selected input is placed alone at the origin and must
@@ -293,12 +301,12 @@ def _tiling_covers(
     if top_step is None:
         if not 0 <= selected < len(sides) or len(layout.placements) != 1:
             return False
-        ((index, translation),) = layout.placements
+        ((index, position),) = layout.placements
         side = sides[selected]
         return (
             index == selected
-            and len(translation) == dim
-            and all(t == 0 for t in translation)
+            and len(position) == dim
+            and all(p == 0 for p in position)
             and all(0 <= a and b <= side for a, b in zip(lo, hi))
         )
 
@@ -336,18 +344,14 @@ def _tiling_covers(
         for cid, corner in zip(step.constituents, units_at):
             stack.append((cid, k, tuple(map(operator.add, position, corner))))
 
-    if len(reached) != len(layout.placements):
+    if len(reached) != len(layout.placements) or layout.unit != _scaled(alpha, base):
         return False
     an, ad = alpha.numerator, alpha.denominator
-    unit = _scaled(alpha, base)
-    un, ud = unit.numerator, unit.denominator
-    for index, translation in layout.placements:
+    for index, position in layout.placements:
         entry = reached.pop(index, None)
-        if entry is None or len(translation) != dim:
+        if entry is None or entry[1] != position:
             return False
-        level, position = entry
-        if any(t.numerator * ud != un * p * t.denominator for t, p in zip(translation, position)):
-            return False
+        level = entry[0]
         # side >= alpha * 2**level, cross-multiplied
         side = sides[index]
         have, need = side.numerator * ad, an * side.denominator

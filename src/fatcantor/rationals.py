@@ -3,7 +3,9 @@
 Every coordinate in this package is a ``fractions.Fraction``; the two
 singletons below let boxes have unbounded sides (half-space clips) without
 ever touching floating point.  Rationals serialize as ``"p/q"`` in lowest
-terms with a positive denominator, infinities as ``"inf"`` / ``"-inf"``.
+terms with a positive denominator, infinities as ``"inf"`` / ``"-inf"``;
+:func:`parse_ratio` reads back that text and no other, where
+:func:`parse_fraction` takes any text ``Fraction()`` reads.
 ``functools.total_ordering`` derives the infinities' ``<=``, ``>`` and
 ``>=`` from their ``<`` and identity equality.
 
@@ -11,7 +13,8 @@ This module owns printability: Python prints an integer of at most
 ``sys.get_int_max_str_digits()`` digits, and a number longer than that
 refuses the run with ``errors.too_large_to_print()`` (exit 2) instead of
 failing where it is printed.  :func:`format_fraction` refuses so for every
-rational a document holds, and :func:`printable` for an integer count or a
+rational a document holds (:func:`format_ratio` for one given as its
+numerator and denominator), and :func:`printable` for an integer count or a
 number a refusal message shows.
 """
 
@@ -21,7 +24,8 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from typing import TypeVar, Union
+from math import gcd
+from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import PreconditionError, too_large_to_print
 
@@ -80,8 +84,14 @@ def as_fraction(value: object) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(p: int, q: int) -> str:
+    """The text of ``p/q``, given in lowest terms with ``q >= 1``, as
+    ``format_fraction`` writes it, without building a ``Fraction``."""
     try:
-        return f"{value.numerator}/{value.denominator}"
+        return f"{p}/{q}"
     except ValueError as exc:
         raise too_large_to_print() from exc
 
@@ -135,6 +145,41 @@ def parse_fraction(text: str) -> Fraction:
     raise PreconditionError(
         f"exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
     )
+
+
+# Exactly the text ``format_fraction`` writes: lowest terms, a denominator of
+# at least 1, ASCII digits without leading zeros, and no sign on zero.
+_REDUCED = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def parse_ratio(text: object) -> tuple[int, int]:
+    """The numerator and denominator of ``text`` written exactly as
+    :func:`format_fraction` writes a rational; any other value or text, or a
+    number with more digits than Python reads, raises ``PreconditionError``."""
+    match = _REDUCED.fullmatch(text) if type(text) is str else None
+    if match is not None:
+        try:
+            p, q = int(match[1]), int(match[2])
+        except ValueError as exc:
+            raise PreconditionError(
+                f"a rational has more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
+        if gcd(p, q) == 1:
+            return p, q
+    raise PreconditionError(f'expected a rational written "p/q" in lowest terms, got {text!r}')
+
+
+def parse_each(texts: Iterable[str], parse: "Callable[[str], _T]") -> list[_T]:
+    """``[parse(text) for text in texts]``, calling ``parse`` once per
+    distinct text: a refusal is still the first text's, in order."""
+    parsed: dict[str, _T] = {}
+    values = []
+    for text in texts:
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse(text)
+        values.append(value)
+    return values
 
 
 def coord_to_json(value: Coord) -> str:

@@ -7,17 +7,22 @@ names, so a report's JSON keys are its field names and a new field cannot
 be left out.  Only the types whose JSON is not their fields' object have a
 hand-written encoder: scalars, ``Box`` (infinity markers),
 ``ExtendedRational`` (field ``n`` prints as ``"sqrt"``), ``PackingLayout``
-(placements print as ``{"index", "translate"}``) and ring expressions
+(placements print as ``{"index", "translate"}``, the translate being the
+unit times the position, and the unit is not printed) and ring expressions
 (one-key objects).  No encoder checks printability itself:
-``rationals.format_fraction`` and ``rationals.printable`` refuse a number
-with more digits than Python prints.  Each place in a document holds its
+``rationals.format_fraction``, ``format_ratio`` and ``printable`` refuse a
+number with more digits than Python prints.  Each place in a document holds its
 own JSON object, so a caller may edit one place without touching another.
 
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
 input.  They are the same functions the ``--verify`` replay path uses.
-A layout is its placements (:func:`placements_from_json`) and target, and
-a leaf certificate holds the stage its check reads, not the gap box.
+A layout is its placements and target.  Its placements stay on one integer
+lattice from encoder to decoder: each coordinate's text is written from
+the layout's unit and integer position, and :func:`placements_from_json`
+reads the placements back as a unit and integer positions, refusing any
+text the encoder does not write.  A leaf certificate holds the stage its
+check reads, not the gap box.
 
 :func:`same_json` is the one comparison behind every ``--verify`` verdict:
 two JSON values match when their objects have the same keys, in any order,
@@ -43,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from typing import Any, Callable, Mapping, Sequence
 
 from .cover import LeafCertificate, UncoveredWitness
@@ -50,7 +56,16 @@ from .errors import PreconditionError
 from .geometry import Box
 from .packing import CubeFamily, PackingLayout
 from .quadratic import ExtendedRational
-from .rationals import coord_from_json, coord_to_json, format_fraction, parse_fraction, printable
+from .rationals import (
+    coord_from_json,
+    coord_to_json,
+    format_fraction,
+    format_ratio,
+    parse_each,
+    parse_fraction,
+    parse_ratio,
+    printable,
+)
 from .ring import Diff, Gen, Inter, RingExpr, Union
 
 # Deepest expression ``expr_from_json`` admits, counted in nodes on the
@@ -204,22 +219,47 @@ def witness_from_json(doc: Any) -> UncoveredWitness:
 
 
 def cube_family_from_json(doc: Any) -> CubeFamily:
+    """A cube family; each distinct side text is parsed once."""
     what = "cube family"
     m = _expect(doc, ("dim", "sides"), what)
-    return CubeFamily(_count_of(m, "dim", what), tuple(frac_from_json(v) for v in _list_of(m, "sides", what)))
+    sides = parse_each(map(_scalar_text, _list_of(m, "sides", what)), parse_fraction)
+    return CubeFamily(_count_of(m, "dim", what), tuple(sides))
 
 
-def placements_from_json(doc: Any) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
-    """A layout's placements as (input index, translation) pairs; nothing
-    else of the layout is read."""
+_PLACEMENT_KEYS = ("index", "translate")
+
+
+def placements_from_json(doc: Any) -> tuple[Fraction, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """A layout's unit and placements, decoded onto one lattice; nothing
+    else of the layout is read.
+
+    Each placement is exactly ``{"index", "translate"}``, with an exact
+    nonnegative int index, and each coordinate exactly the text the encoder
+    writes (:func:`rationals.parse_ratio`), parsed once per distinct text.
+    The unit is ``1/L``, ``L`` the lcm of the coordinates' denominators, and
+    each position the integer vector of the coordinates times ``L``.  So the
+    layout re-encodes to the text it was read from."""
     what = "placement"
     m = _expect(doc, ("placements",), "packing layout")
-    placements = []
+    ratios: "dict[str, tuple[int, int]]" = {}
+    read = []
     for p in _list_of(m, "placements", "packing layout"):
-        pm = _expect(p, ("index", "translate"), what)
+        pm = _expect(p, _PLACEMENT_KEYS, what)
+        if len(pm) != len(_PLACEMENT_KEYS):
+            raise PreconditionError(
+                f"{what}: expected the keys {list(_PLACEMENT_KEYS)} alone, got {list(pm)}"
+            )
         index = _count_of(pm, "index", what)
-        placements.append((index, tuple(frac_from_json(v) for v in _list_of(pm, "translate", what))))
-    return tuple(placements)
+        texts = _list_of(pm, "translate", what)
+        for text in texts:
+            # parse_ratio refuses a value that is not a string before it is a key
+            if type(text) is not str or text not in ratios:
+                ratios[text] = parse_ratio(text)
+        read.append((index, texts))
+    scale = lcm(*{q for _, q in ratios.values()})
+    position = {text: p * (scale // q) for text, (p, q) in ratios.items()}
+    placements = tuple((index, tuple(map(position.__getitem__, texts))) for index, texts in read)
+    return Fraction(1, scale), placements
 
 
 # -- comparison -----------------------------------------------------------------
@@ -259,8 +299,18 @@ def same_json(doc: Any, expected: Any) -> bool:
 
 
 def _encode_layout(layout: PackingLayout) -> dict:
+    """Each coordinate ``unit * p`` is written from the integers, with one
+    ``gcd`` per distinct ``p``: the text ``format_fraction`` writes for it."""
+    un, ud = layout.unit.numerator, layout.unit.denominator
+    text = {}
+    for p in {p for _, position in layout.placements for p in position}:
+        g = gcd(p, ud)
+        text[p] = format_ratio(un * (p // g), ud // g)
     return {
-        "placements": [{"index": idx, "translate": _list(pos)} for idx, pos in layout.placements],
+        "placements": [
+            {"index": idx, "translate": list(map(text.__getitem__, position))}
+            for idx, position in layout.placements
+        ],
         "target": _encode(layout.target),
     }
 

@@ -1045,6 +1045,38 @@ class TestReplayTampers:
         assert not ok
         assert err.startswith("verification refused: ")
 
+    # Each layout's placement 1 sits at 1/4 (pack) or 1/8 (corollary-demo),
+    # and placement 0 at 0: the same points in text the program does not write.
+    LAYOUTS = {
+        "pack": (
+            PACK, ("layout",), {"unreduced": "2/8", "decimal": "0.25", "leading-zero": "01/4", "space": " 1/4"}
+        ),
+        "corollary-demo": (
+            ("corollary-demo", "--delta", "1/4"),
+            ("report", "layout"),
+            {"unreduced": "2/16", "decimal": "0.125", "leading-zero": "01/8", "space": " 1/8"},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    @pytest.mark.parametrize(
+        "kind", ["unreduced", "decimal", "leading-zero", "space", "negative-zero", "extra-key", "index-true"]
+    )
+    def test_placements_in_other_text_are_refused(self, name, kind, capsys):
+        argv, layout, texts = self.LAYOUTS[name]
+        placements = (*layout, "placements")
+        if kind in texts:
+            tamper = _set((*placements, 1, "translate"), [texts[kind]])
+        elif kind == "negative-zero":
+            tamper = _set((*placements, 0, "translate"), ["-0/1"])
+        elif kind == "extra-key":
+            tamper = _set((*placements, 1, "note"), "0/1")
+        else:
+            tamper = _set((*placements, 1, "index"), True)
+        ok, err = _replay(argv, tamper, capsys)
+        assert not ok
+        assert err.startswith("verification refused: ")
+
     @pytest.mark.parametrize(
         "tamper",
         [

@@ -40,11 +40,12 @@ from fatcantor.packing import (
     _tiling_covers,
     check_family_size,
 )
-from fatcantor import cli, packing
+from fatcantor import cli, packing, serialize
 from fatcantor.rationals import POS_INF, _floor_log2_ratio
 from fatcantor.serialize import to_json
 
 import test_cli_golden
+from layouts import lattice_layout, translations
 from strategies import fractions, positive_fractions
 
 
@@ -183,7 +184,7 @@ class TestMergeDyadic:
         assert step.constituents == tuple(range(2**dim))
         corners = itertools.product((Fraction(0), Fraction(1, 2)), repeat=dim)
         layout = pack_cover(CubeFamily(dim, (Fraction(1, 2),) * 2**dim))
-        assert layout.placements == tuple(enumerate(corners))
+        assert translations(layout) == tuple(enumerate(corners))
 
     def test_two_quarters_then_a_half_build_a_unit_cube(self):
         final, steps = merge_dyadic(1, [-1, -2, -2])
@@ -206,11 +207,9 @@ class TestPackCover:
         fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
         layout = pack_cover(fam)
         assert layout.target == Box.interval(Fraction(0), Fraction(1, 2))
-        assert layout.placements == (
-            (0, (Fraction(0),)),
-            (1, (Fraction(1, 2),)),
-            (2, (Fraction(3, 4),)),
-        )
+        # on the lattice of the smallest merged level, 2^-2
+        assert layout.unit == Fraction(1, 4)
+        assert layout.placements == ((0, (0,)), (1, (2,)), (2, (3,)))
         assert layout_covers(fam, layout)
 
     def test_single_adequate_cube_is_placed_alone(self):
@@ -223,7 +222,7 @@ class TestPackCover:
     def test_placement_boxes_stay_inside_the_covered_cube(self):
         fam = CubeFamily(2, tuple(Fraction(1, 2) for _ in range(5)))
         layout = pack_cover(fam)
-        covered = BoxUnion.from_boxes(2, [Box.cube(t, fam.sides[i]) for i, t in layout.placements])
+        covered = BoxUnion.from_boxes(2, [Box.cube(t, fam.sides[i]) for i, t in translations(layout)])
         assert covered.contains_union(BoxUnion.single(layout.target))
 
     @settings(max_examples=120)
@@ -315,7 +314,7 @@ class TestPackCover:
         # target side of 1/2, and the smaller (unmerged) cube must win.
         fam = CubeFamily(dim, (Fraction(1, 2),) * (2**dim + 1))
         layout = pack_cover(fam)
-        assert layout.placements == ((2**dim, (Fraction(0),) * dim),)
+        assert layout.placements == ((2**dim, (0,) * dim),)
         assert layout_covers(fam, layout)
 
 
@@ -324,14 +323,15 @@ class TestPackCover:
 # ---------------------------------------------------------------------------
 
 
-def tiling_proof(fam: CubeFamily, placements) -> bool:
-    """Run ``_tiling_covers`` on pack_cover's layout with other placements."""
+def tiling_proof(fam: CubeFamily, placements, unit=None) -> bool:
+    """Run ``_tiling_covers`` on pack_cover's layout with other placements,
+    given as translations on the layout's lattice, or on ``unit``."""
     layout = pack_cover(fam)
     exponents = [floor_log2(v) for v in fam.sides]
     _, steps = merge_dyadic(fam.dim, exponents)
     # In these families the last merge builds the selected cube.
     selected = steps[-1].result
-    tampered = dataclasses.replace(layout, placements=tuple(placements))
+    tampered = lattice_layout(placements, layout.target, unit or layout.unit)
     return _tiling_covers(fam, tampered, steps, Fraction(1), selected)
 
 
@@ -344,8 +344,8 @@ class TestTilingProof:
     FOUR_HALVES = CubeFamily(2, (Fraction(1, 2),) * 4)
 
     def test_pack_cover_layouts_pass(self):
-        assert tiling_proof(self.HALF_QUARTERS, pack_cover(self.HALF_QUARTERS).placements)
-        assert tiling_proof(self.FOUR_HALVES, pack_cover(self.FOUR_HALVES).placements)
+        assert tiling_proof(self.HALF_QUARTERS, translations(pack_cover(self.HALF_QUARTERS)))
+        assert tiling_proof(self.FOUR_HALVES, translations(pack_cover(self.FOUR_HALVES)))
 
     @pytest.mark.parametrize(
         "which,placements",
@@ -356,13 +356,17 @@ class TestTilingProof:
             ("1d", [(0, at(0)), (1, at("1/2")), (2, at("3/4")), (3, at("3/4"))]),
             # equal total volume, two shadows on the same quadrant
             ("2d", [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0)), (3, at("1/2", 0))]),
-            # overlapping by half a shadow
-            ("2d", [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0)), (3, at("1/2", "1/4"))]),
         ],
     )
     def test_overlapping_shadows_fail(self, which, placements):
         fam = self.HALF_QUARTERS if which == "1d" else self.FOUR_HALVES
         assert not tiling_proof(fam, placements)
+
+    def test_a_layout_off_the_proofs_lattice_fails(self):
+        # Overlapping by half a shadow: (1/2, 1/4) is off the proof's lattice
+        # of 1/2, so the layout is on the lattice of 1/4.
+        placements = [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0)), (3, at("1/2", "1/4"))]
+        assert not tiling_proof(self.FOUR_HALVES, placements, Fraction(1, 4))
 
     def test_missing_cube_fails(self):
         assert not tiling_proof(self.HALF_QUARTERS, [(0, at(0)), (1, at("1/2"))])
@@ -428,7 +432,7 @@ class TestMergeTreeProof:
         layout = pack_cover(fam, alpha=alpha)
         steps, selected = merge_of(fam, alpha)
         assert _tiling_covers(fam, layout, steps, alpha, selected)
-        assert layout_covers(fam, layout)
+        assert layout_covers(fam, layout) and box_algebra_replay(fam, layout)
 
     # Eight quarters merge into two halves (cubes 10 and 11), which merge
     # with two more halves into the unit cube 12: two steps at one level,
@@ -448,10 +452,15 @@ class TestMergeTreeProof:
         """The family, the layout and the merge steps, one of them changed."""
         fam, layout = self.FAMILY, pack_cover(self.FAMILY, alpha=self.ALPHA)
         placements, tree = list(layout.placements), merge_of(fam, self.ALPHA)[0]
-        unit = self.ALPHA / 4  # alpha * 2**base, base = -2
+        unit = layout.unit
+        assert unit == self.ALPHA / 4  # alpha * 2**base, base = -2
         if kind == "shifted":
             index, (x, y) = placements[2]
-            placements[2] = (index, (x + unit, y))
+            placements[2] = (index, (x + 1, y))
+        elif kind == "unit":
+            # the same positions on the lattice of alpha/2: every translation
+            # doubled, the cubes spread apart
+            unit = self.ALPHA / 2
         elif kind == "swapped":
             a, b, *rest = tree[2].constituents
             tree[2] = dataclasses.replace(tree[2], constituents=(b, a, *rest))
@@ -480,11 +489,13 @@ class TestMergeTreeProof:
         elif kind == "level":
             # cube 10 claims level -3: its inputs, placed at the corners
             # {0, 1/8}^2 of its position (1/2, 0), tile only a quarter cube,
-            # but cube 12 takes it for a half
+            # but cube 12 takes it for a half; the lowest level is now -3, so
+            # the layout is on the lattice of alpha/8
             tree[0] = dataclasses.replace(tree[0], level=-3)
-            eighth = self.ALPHA / 8
+            unit = self.ALPHA / 8
+            placements = [(index, (2 * x, 2 * y)) for index, (x, y) in placements]
             for index, (dx, dy) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-                placements[index] = (index, (4 * eighth + dx * eighth, dy * eighth))
+                placements[index] = (index, (4 + dx, dy))
         elif kind == "side":
             sides = list(fam.sides)
             sides[0] = unit - Fraction(1, 1000)
@@ -492,11 +503,11 @@ class TestMergeTreeProof:
         elif kind == "target":
             target = Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000))
             return fam, dataclasses.replace(layout, target=target), tree
-        return fam, dataclasses.replace(layout, placements=tuple(placements)), tree
+        return fam, dataclasses.replace(layout, unit=unit, placements=tuple(placements)), tree
 
     @pytest.mark.parametrize(
         "kind",
-        ["shifted", "swapped", "dropped", "dropped-and-placed", "arity", "duplicate-constituent",
+        ["shifted", "unit", "swapped", "dropped", "dropped-and-placed", "arity", "duplicate-constituent",
          "duplicate-placement", "level", "side", "target", "target-dimension", "short-translation"],
     )
     def test_mutants_are_rejected(self, kind):
@@ -556,8 +567,8 @@ class TestMergeTreeProof:
         layout = pack_cover(fam)
         steps, selected = merge_of(fam, Fraction(1))
         assert not steps and selected == 0 and _tiling_covers(fam, layout, steps, Fraction(1), 0)
-        moved = ((0, at("1/100", 0)),)
-        assert not _tiling_covers(fam, dataclasses.replace(layout, placements=moved), steps, Fraction(1), 0)
+        moved = lattice_layout(((0, at("1/100", 0)),), layout.target)
+        assert not _tiling_covers(fam, moved, steps, Fraction(1), 0)
         wide = Box.cube(at(0, 0), Fraction(3, 4) + Fraction(1, 100))
         assert not _tiling_covers(fam, dataclasses.replace(layout, target=wide), steps, Fraction(1), 0)
         assert not _tiling_covers(fam, layout, steps, Fraction(1), 1)
@@ -569,7 +580,8 @@ class TestMergeTreeProof:
         fam = CubeFamily(1, tuple(pow2(-k) for k in range(1, depth + 1)) + (pow2(-depth),))
         layout = pack_cover(fam)
         assert len(merge_of(fam, Fraction(1))[0]) == depth
-        assert layout.placements[0] == (0, at(0)) and layout.placements[-1] == (depth, (1 - pow2(-depth),))
+        placed = translations(layout)
+        assert placed[0] == (0, at(0)) and placed[-1] == (depth, (1 - pow2(-depth),))
 
     def test_pack_verify_folds_the_placements_once(self, monkeypatch, tmp_path):
         folds = []
@@ -588,6 +600,25 @@ class TestMergeTreeProof:
         # the replay's one fold, over the placements' trees
         assert folds == [64]
 
+    def test_pack_parses_each_distinct_side_once(self, monkeypatch, tmp_path):
+        calls = {"cli": Counter(), "serialize": Counter()}
+        for name, module in (("cli", cli), ("serialize", serialize)):
+            parse = module.parse_fraction
+
+            def counted(text, parse=parse, seen=calls[name]):
+                seen[text] += 1
+                return parse(text)
+
+            monkeypatch.setattr(module, "parse_fraction", counted)
+        out = tmp_path / "pack.json"
+        argv = ["pack", "--d", "1", "--sides", ",".join(["1/512"] * 512), "--verify", "--out", str(out)]
+        assert cli.main(argv) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["verification"]["ok"] is True and result["placements"] == 512
+        # argv parsing, then the family decoded from the document's inputs
+        assert calls["cli"] == {"1/512": 1}
+        assert calls["serialize"]["1/512"] == 1 and max(calls["serialize"].values()) == 1
+
 
 # ---------------------------------------------------------------------------
 # the replay on the kernel's trees against the box-algebra route
@@ -596,22 +627,24 @@ class TestMergeTreeProof:
 
 def box_algebra_replay(fam: CubeFamily, layout: PackingLayout) -> bool:
     """``layout_covers`` by box algebra: one Box per placement, folded by
-    ``BoxUnion.from_boxes``, must contain the target's ``BoxUnion``."""
+    ``BoxUnion.from_boxes``, must contain the target's ``BoxUnion``; each
+    translation is ``unit * position``, a ``Fraction``."""
     indices = {index for index, _ in layout.placements}
     if len(indices) != len(layout.placements) or not indices.issubset(range(len(fam.sides))):
         return False
-    if any(len(translation) != fam.dim for _, translation in layout.placements):
+    if any(len(position) != fam.dim for _, position in layout.placements):
         return False
-    placed = BoxUnion.from_boxes(fam.dim, [Box.cube(t, fam.sides[i]) for i, t in layout.placements])
+    placed = BoxUnion.from_boxes(fam.dim, [Box.cube(t, fam.sides[i]) for i, t in translations(layout)])
     return placed.contains_union(BoxUnion.single(layout.target))
 
 
 def grid_layout(dim: int, h: Fraction, g: int) -> tuple[CubeFamily, PackingLayout]:
-    """g**d cubes of side h that tile the target [0, g h)**d exactly."""
+    """g**d cubes of side h that tile the target [0, g h)**d exactly, on
+    the lattice of h."""
     corners = list(itertools.product(range(g), repeat=dim))
     placements = tuple((i, tuple(h * k for k in corner)) for i, corner in enumerate(corners))
     target = Box.cube((Fraction(0),) * dim, g * h)
-    return CubeFamily(dim, (h,) * len(corners)), PackingLayout(placements, target)
+    return CubeFamily(dim, (h,) * len(corners)), lattice_layout(placements, target, h)
 
 
 _STEPS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 6)]
@@ -633,7 +666,7 @@ def perturbed_layouts(draw):
         return fam, layout
     nudges = draw(st.sampled_from([_NUDGES, _PRIME_NUDGES]))
     sides, placements = [], []
-    for index, translation in layout.placements:
+    for index, translation in translations(layout):
         if draw(st.integers(0, 5)) == 0:
             continue
         sides.append(h + abs(draw(st.sampled_from(nudges))))
@@ -649,8 +682,8 @@ def perturbed_layouts(draw):
         tuple(a + draw(st.sampled_from(_NUDGES)) if draw(st.booleans()) else a for a in lo),
         tuple(b + abs(draw(st.sampled_from(_NUDGES))) for b in hi),
     )
-    return CubeFamily(dim, tuple(sides)), PackingLayout(
-        tuple((order[k], placements[k]) for k in range(len(sides))), target
+    return CubeFamily(dim, tuple(sides)), lattice_layout(
+        [(order[k], placements[k]) for k in range(len(sides))], target
     )
 
 
@@ -671,7 +704,7 @@ class TestReplayOnTrees:
     )
     def test_tampers(self, dim, h, g, kind, covers):
         fam, layout = grid_layout(dim, h, g)
-        placements, target = list(layout.placements), layout.target
+        placements, target = list(translations(layout)), layout.target
         if kind == "dropped":
             del placements[-1]
         elif kind == "shifted":
@@ -685,7 +718,7 @@ class TestReplayOnTrees:
             target = Box(target.lo, (POS_INF, *target.hi[1:]))
         elif kind == "repeated":
             placements[-1] = (placements[0][0], placements[-1][1])
-        layout = PackingLayout(tuple(placements), target)
+        layout = lattice_layout(placements, target)
         assert layout_covers(fam, layout) is box_algebra_replay(fam, layout) is covers
 
     def test_a_target_of_the_wrong_dimension_raises(self):

@@ -24,6 +24,7 @@ from fatcantor import (
     ExtendedRational,
     Gen,
     Inter,
+    PackingLayout,
     PreconditionError,
     Union,
     base_expr,
@@ -41,6 +42,7 @@ from fatcantor import (
 from fatcantor.cli import _target_from_json
 from fatcantor.cover import grid_translate_pool
 from fatcantor.hausdorff import PowerGauge
+from fatcantor.rationals import format_fraction
 from fatcantor.serialize import (
     MAX_EXPR_DEPTH,
     box_from_json,
@@ -60,6 +62,7 @@ from fatcantor.serialize import (
     witness_from_json,
 )
 
+from layouts import translations
 from strategies import approx_set, boxes, fractions, ring_exprs, schedules
 
 S1 = CantorSchedule(1)
@@ -411,7 +414,14 @@ def test_layout_round_trip():
     fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     layout = pack_cover(fam)
     doc = to_json(layout)
-    assert placements_from_json(doc) == layout.placements
+    assert doc["placements"] == [
+        {"index": 0, "translate": ["0/1"]},
+        {"index": 1, "translate": ["1/2"]},
+        {"index": 2, "translate": ["3/4"]},
+    ]
+    # decoded onto 1/lcm of the denominators, here pack_cover's own unit
+    assert placements_from_json(doc) == (layout.unit, layout.placements)
+    assert layout.unit == Fraction(1, 4) and layout.placements == ((0, (0,)), (1, (2,)), (2, (3,)))
     assert box_from_json(doc["target"]) == layout.target
 
 
@@ -494,7 +504,8 @@ def test_to_json_round_trips_packing_documents(dim):
     assert cube_family_from_json(to_json(fam)) == fam
     doc = to_json(layout)
     assert set(doc) == {"placements", "target"}
-    assert placements_from_json(doc) == layout.placements
+    unit, placements = placements_from_json(doc)
+    assert translations(PackingLayout(unit, placements, layout.target)) == translations(layout)
     assert box_from_json(doc["target"]) == layout.target
     placement = doc["placements"][0]
     assert set(placement) == {"index", "translate"}
@@ -576,11 +587,69 @@ def test_to_json_holds_only_json_values(kind):
 
 def test_placements_decode_their_index_as_an_exact_int():
     layout = {"placements": [{"index": 1, "translate": ["0/1"]}]}
-    assert placements_from_json(layout) == ((1, (Fraction(0),)),)
+    assert placements_from_json(layout) == (Fraction(1), ((1, (0,)),))
     for index in (1.0, True, "1", -1):
         layout["placements"][0]["index"] = index
         with pytest.raises(PreconditionError, match="placement: 'index' must be"):
             placements_from_json(layout)
+
+
+_positions = st.integers(-40, 40) | st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=200)
+@given(
+    unit=st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+    dim=st.integers(1, 3),
+    data=st.data(),
+)
+def test_lattice_placements_round_trip_through_their_text(unit, dim, data):
+    positions = data.draw(st.lists(st.tuples(*[_positions] * dim), max_size=12))
+    layout = PackingLayout(unit, tuple(enumerate(positions)), Box.unit_cube(dim))
+    doc = to_json(layout)
+    # each coordinate written from the integers is format_fraction's text
+    for (_, position), placement in zip(layout.placements, doc["placements"]):
+        assert placement["translate"] == [format_fraction(unit * p) for p in position]
+    decoded_unit, placements = placements_from_json(json.loads(json.dumps(doc)))
+    decoded = PackingLayout(decoded_unit, placements, layout.target)
+    assert translations(decoded) == translations(layout)
+    assert dumps_document(to_json(decoded)) == dumps_document(doc)
+
+
+def test_a_lattice_coordinate_too_long_to_print_is_refused():
+    huge = 10**5000
+    for unit, position in [(Fraction(1, 3), huge), (Fraction(huge, 7), 1), (Fraction(1, huge), 1)]:
+        with pytest.raises(PreconditionError, match="^result too large to print"):
+            to_json(PackingLayout(unit, ((0, (position,)),), Box.unit_cube(1)))
+    # zero is 0/1 on any lattice
+    assert to_json(PackingLayout(Fraction(1, huge), ((0, (0,)),), Box.unit_cube(1)))["placements"] == [
+        {"index": 0, "translate": ["0/1"]}
+    ]
+
+
+@pytest.mark.parametrize(
+    "placement, message",
+    [
+        *[
+            ({"index": 0, "translate": [text]}, "in lowest terms")
+            for text in ["2/8", "0.25", "01/4", "-0/1", " 1/4", "1/4 ", "0/2", "1/04", "+1/4", "1/-4", "1/0",
+                         "1", "\uff11/4", 0, 0.25, None, True, ["1/4"], {"1/4": 0}]
+        ],
+        ({"index": 0, "translate": ["1" * 5000 + "/1"]}, "a rational has more than"),
+        ({"index": 0, "translate": ["1/4"], "note": "0/1"}, "alone, got"),
+    ],
+)
+def test_placements_decode_only_the_text_the_encoder_writes(placement, message):
+    with pytest.raises(PreconditionError, match=message):
+        placements_from_json({"placements": [{"index": 1, "translate": ["1/4"]}, placement]})
+
+
+def test_placements_decode_onto_the_lcm_of_their_denominators():
+    doc = {
+        "placements": [{"index": 0, "translate": ["-1/6", "0/1"]}, {"index": 1, "translate": ["3/4", "-1/6"]}]
+    }
+    assert placements_from_json(doc) == (Fraction(1, 12), ((0, (-2, 0)), (1, (9, -2))))
+    assert placements_from_json({"placements": []}) == (Fraction(1), ())
 
 
 def test_scalars_and_containers():
