@@ -23,13 +23,13 @@ materialized.
 
 The claim a witness makes is monotone: a box that misses every translate
 of a pool misses the union of any subfamily too.  So ``infinite-cube``
-runs one search over its whole pool, and that one witness, cut down to a
-subfamily's certificates, certifies every subfamily.  Checking is monotone
-the same way: a sub-box of a box that misses a closed stage translate
-misses it too, so each certificate's stage is checked against the
+runs one search over its whole pool, and that one witness, its stages cut
+down to the sublist of a subfamily's leaves, certifies every subfamily.
+Checking is monotone the same way: a sub-box of a box that misses a closed
+stage translate misses it too, so each leaf's stage is checked against the
 witness's own box.  ``uncovered_witness_valid`` is the one witness check:
-it reads the box once, ties the witness's stage to its certificates, and
-runs one gap-certificate check per hull leaf.
+it reads the box once, pairs the i-th hull leaf of the elements with the
+i-th stage, and runs one gap-certificate check per pair.
 """
 
 from __future__ import annotations
@@ -226,30 +226,19 @@ def outer_upper(
 
 
 @dataclass(frozen=True)
-class LeafCertificate:
-    """Per-generator record inside an uncovered-box witness: the leaf, and
-    the stage at which the witness's box misses its closed translate."""
-
-    element_index: int
-    leaf_index: int
-    translation: tuple[Fraction, ...]
-    stage: int
-
-
-@dataclass(frozen=True)
 class UncoveredWitness:
     """Open box inside the target that misses every cover element.
 
-    ``stage`` is the deepest stage any leaf needed, 0 with no leaf.  The box
-    sits inside the gap the search found for each leaf, hence misses each
-    leaf's stage approximation at its certificate's stage, and a fortiori
-    the true element sets.  A certificate keeps only that stage: a check
-    that read the larger gap box could certify nothing more.
+    ``certificates`` holds one stage per hull leaf, elements in pool order
+    and leaves left to right: the box sits inside the gap the search found
+    for that leaf, hence misses the leaf's stage approximation at that
+    stage, and a fortiori the true element set.  The leaf itself, its
+    translation included, is read from the elements, never from the
+    witness.
     """
 
     box: Box
-    stage: int
-    certificates: tuple[LeafCertificate, ...]
+    certificates: tuple[int, ...]
 
 
 def find_uncovered_box(
@@ -274,19 +263,19 @@ def find_uncovered_box(
     if target.is_empty:
         raise PreconditionError("witness target needs positive sides")
 
-    box, deepest = target, 0
-    certificates: list[LeafCertificate] = []
+    box = target
+    certificates: list[int] = []
     for ei, element in enumerate(elements):
         for li, leaf in enumerate(hull_leaves(element)):
             outcome = find_gap(s, leaf.translation, box, stage_cap)
             if isinstance(outcome, NeedsDeeperStage):
                 return NeedsDeeperStage(outcome.deepest_stage, element_index=ei, leaf_index=li)
-            certificates.append(LeafCertificate(ei, li, leaf.translation, outcome.stage))
-            box, deepest = outcome.box, max(deepest, outcome.stage)
+            certificates.append(outcome.stage)
+            box = outcome.box
     if not certificates:
         lo, hi = zip(*(middle_half(*side) for side in zip(box.lo, box.hi)))  # type: ignore[arg-type]
         box = Box(lo, hi)
-    return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
+    return UncoveredWitness(box=box, certificates=tuple(certificates))
 
 
 def uncovered_witness_valid(
@@ -298,33 +287,23 @@ def uncovered_witness_valid(
     """Re-verify a witness from serialized data alone.
 
     The witness is valid when its box is a bounded, nonempty box of
-    dimension ``s.d`` inside the target, its certificates are one
-    ``(ei, li, translation)`` per hull leaf ``li`` of ``elements[ei]``, in
-    that order, its stage is the largest certificate stage (0 with none),
-    and the box misses each leaf's closed stage approximation at that
-    leaf's recorded stage.
+    dimension ``s.d`` inside the target, it holds one stage per hull leaf
+    of the elements (elements in order, leaves left to right), and the box
+    misses each leaf's closed translate, of dimension ``s.d``, at that
+    leaf's stage.
     """
     box = witness.box
     if box.dim != s.d or not box.is_bounded or box.is_empty:
         return False
     if not target.contains_box(box):
         return False
-    certificates = witness.certificates
-    if witness.stage != max((c.stage for c in certificates), default=0):
+    leaves = [leaf for element in elements for leaf in hull_leaves(element)]
+    if len(leaves) != len(witness.certificates):
         return False
-    recorded = [(c.element_index, c.leaf_index, c.translation) for c in certificates]
-    expected = [
-        (ei, li, leaf.translation)
-        for ei, element in enumerate(elements)
-        for li, leaf in enumerate(hull_leaves(element))
-    ]
-    if recorded != expected:
-        return False
-    # The box was checked once above; each certificate adds its translation.
+    # The box was checked once above; each leaf adds its translation.
     return all(
-        len(cert.translation) == s.d
-        and _misses_stage_translate(s, cert.translation, cert.stage, box)
-        for cert in certificates
+        len(leaf.translation) == s.d and _misses_stage_translate(s, leaf.translation, stage, box)
+        for leaf, stage in zip(leaves, witness.certificates)
     )
 
 

@@ -27,8 +27,8 @@ document carries them.  Every cube the unfold places sits on one lattice,
 placement's position as an integer vector; no coordinate is a ``Fraction``
 from the search to the check.  ``layout_covers`` is the independent replay
 on the box kernel's slab trees, built on one integer lattice: one tree per
-placed cube, from its position and side, folded by union and subtracted
-from the target's tree.
+placed cube that meets the target, from its position and side, folded by
+union and subtracted from the target's tree.
 """
 
 from __future__ import annotations
@@ -158,7 +158,9 @@ def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
     """Exact coverage replay on the box kernel's trees: each placement places
     a distinct input of the family at a position of the family's dimension,
     and the target's tree less the union of the placed cubes' trees is
-    empty.
+    empty.  Only the cubes whose half-open box meets the target's get a
+    tree: the target lies in the union of all cubes exactly when it lies in
+    the union of those that meet it.
 
     The trees hold integers: every finite coordinate is scaled by the lcm
     of the denominators of the unit, the placed cubes' sides and the
@@ -175,22 +177,25 @@ def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
         return False
     if target.dim != dim:
         raise DimensionMismatchError(f"union of dimension {target.dim} vs {dim}")
+    if target.is_empty:
+        return True
     denominators = {sides[i].denominator for i in indices}
     denominators.update(x.denominator for x in target.lo + target.hi if is_finite(x))
     denominators.add(unit.denominator)
     scale = lcm(*denominators)
     factor = {q: scale // q for q in denominators}
     step = unit.numerator * factor[unit.denominator]
+    t_lo, t_hi = ([x.numerator * factor[x.denominator] if is_finite(x) else x for x in corner]
+                  for corner in (target.lo, target.hi))
     trees = []
     for i, position in layout.placements:
         side = sides[i]
         width = side.numerator * factor[side.denominator]
         lo = [p * step for p in position]
-        trees.append(_box_tree(lo, [x + width for x in lo]))
-    placed = _union_all(trees, dim)
-    lo, hi = ([x.numerator * factor[x.denominator] if is_finite(x) else x for x in corner]
-              for corner in (target.lo, target.hi))
-    return not _combine(_SUBTRACT, () if target.is_empty else _box_tree(lo, hi), placed, dim)
+        hi = [x + width for x in lo]
+        if all(map(operator.lt, lo, t_hi)) and all(map(operator.lt, t_lo, hi)):
+            trees.append(_box_tree(lo, hi))
+    return not _combine(_SUBTRACT, _box_tree(t_lo, t_hi), _union_all(trees, dim), dim)
 
 
 def pack_cover(

@@ -21,8 +21,9 @@ A layout is its placements and target.  Its placements stay on one integer
 lattice from encoder to decoder: each coordinate's text is written from
 the layout's unit and integer position, and :func:`placements_from_json`
 reads the placements back as a unit and integer positions, refusing any
-text the encoder does not write.  A leaf certificate holds the stage its
-check reads, not the gap box.
+text the encoder does not write.  A witness is its box and one stage per
+hull leaf: the leaves themselves, translations included, are read from the
+document's inputs, never from the witness.
 
 :func:`same_json` is the one comparison behind every ``--verify`` verdict:
 two JSON values match when their objects have the same keys, in any order,
@@ -51,7 +52,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from typing import Any, Callable, Mapping, Sequence
 
-from .cover import LeafCertificate, UncoveredWitness
+from .cover import UncoveredWitness
 from .errors import PreconditionError
 from .geometry import Box
 from .packing import CubeFamily, PackingLayout
@@ -116,14 +117,17 @@ def _list_of(doc: Mapping[str, Any], key: str, what: str) -> list:
     return value
 
 
-def _count_of(doc: Mapping[str, Any], key: str, what: str) -> int:
+def _count(value: Any, what: str) -> int:
     # An exact int: ``int()`` would take 1.9 as 1 and true as 1.
-    value = doc[key]
     if type(value) is not int:
-        raise PreconditionError(f"{what}: {key!r} must be an integer, got {type(value).__name__}")
+        raise PreconditionError(f"{what} must be an integer, got {type(value).__name__}")
     if value < 0:
-        raise PreconditionError(f"{what}: {key!r} must be nonnegative")
+        raise PreconditionError(f"{what} must be nonnegative")
     return value
+
+
+def _count_of(doc: Mapping[str, Any], key: str, what: str) -> int:
+    return _count(doc[key], f"{what}: {key!r}")
 
 
 def quad_to_json(value: ExtendedRational) -> dict:
@@ -198,24 +202,14 @@ def exprs_from_json(doc: Any) -> list["RingExpr"]:
 # -- certificates and packing ------------------------------------------------
 
 
-def leaf_certificate_from_json(doc: Any) -> LeafCertificate:
-    what = "leaf certificate"
-    m = _expect(doc, ("element_index", "leaf_index", "translation", "stage"), what)
-    return LeafCertificate(
-        element_index=_count_of(m, "element_index", what),
-        leaf_index=_count_of(m, "leaf_index", what),
-        translation=tuple(frac_from_json(v) for v in _list_of(m, "translation", what)),
-        stage=_count_of(m, "stage", what),
-    )
-
-
 def witness_from_json(doc: Any) -> UncoveredWitness:
-    """One witness; ``null``, like any other malformed document, is refused."""
+    """One witness: a box and one exact nonnegative int stage per hull
+    leaf; ``null``, like any other malformed document, is refused."""
     what = "uncovered witness"
-    m = _expect(doc, ("box", "stage", "certificates"), what)
-    certificates = tuple(leaf_certificate_from_json(c) for c in _list_of(m, "certificates", what))
-    box, stage = box_from_json(m["box"]), _count_of(m, "stage", what)
-    return UncoveredWitness(box=box, stage=stage, certificates=certificates)
+    m = _expect(doc, ("box", "certificates"), what)
+    stages = _list_of(m, "certificates", what)
+    certificates = tuple(_count(v, f"{what}: certificate {k}") for k, v in enumerate(stages))
+    return UncoveredWitness(box=box_from_json(m["box"]), certificates=certificates)
 
 
 def cube_family_from_json(doc: Any) -> CubeFamily:

@@ -357,7 +357,7 @@ class TestEnvelope:
         assert cli.main(["infinite-cube", "--d", "1", "--pool-size", "9", "--stage-cap", "8", "--verify"]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["found"] is True and result["verification"]["ok"] is True
-        assert result["witness"]["stage"] == 3
+        assert max(result["witness"]["certificates"]) == 3
 
     @pytest.mark.parametrize("d, bits", [("16", 29), ("500", 746)])
     def test_corollary_families_above_the_cap_exit_three(self, d, bits):
@@ -1077,26 +1077,38 @@ class TestReplayTampers:
         assert not ok
         assert err.startswith("verification refused: ")
 
+    # The witness's stages are (1, 2, 0): one per leaf of the three elements.
+    CUBE = ("infinite-cube", "--pool-size", "3", "--stage-cap", "12")
+    OLD_LEAF = {"element_index": 0, "leaf_index": 0, "translation": ["0/1"], "stage": 1}
+
     @pytest.mark.parametrize(
         "tamper",
         [
             _untampered,
-            _set(("witness", "stage"), 1002),  # the deepest certificate stage is 2
-            _set(("witness", "stage"), 1),
-            _set(("witness", "certificates", 1, "translation"), ["1/2"]),
-            _set(("witness", "certificates", 2, "element_index"), 1),
+            _set(("witness", "stage"), 2),  # the old summary stage beside the stages
+            _set(("witness", "certificates", 1), 1),
+            _set(("witness", "certificates"), [1, 2]),
+            _set(("witness", "certificates"), [1, 2, 0, 0]),
+            _set(("witness", "certificates", 0), True),
+            _set(("witness", "certificates", 0), 1.0),
+            _set(("witness", "certificates", 0), "1"),
+            _set(("witness", "certificates", 2), -1),
+            _set(("witness", "certificates", 0), OLD_LEAF),
             _set(("witness", "box", "hi"), ["1/1"]),
             _set(("found",), False),
-            # the old gap certificate beside the stage, and the box in unreduced text
-            _set(("witness", "certificates", 0, "certificate"), {"stage": 1, "box": {"lo": [], "hi": []}}),
-            _set(("witness", "box", "lo"), ["394/768"]),
+            _set(("witness", "box", "lo"), ["394/768"]),  # the same box, in unreduced text
         ],
-        ids=["untampered", "stage-raised", "stage-lowered", "translation", "element-index", "box",
-             "found", "extra-key", "box-text"],
+        ids=["untampered", "stage-key", "stage-lowered", "too-short", "too-long", "stage-true",
+             "stage-float", "stage-text", "stage-negative", "leaf-object", "box", "found", "box-text"],
     )
     def test_infinite_cube(self, tamper, capsys):
-        argv = ("infinite-cube", "--pool-size", "3", "--stage-cap", "12")
-        assert _replayed(argv, tamper, capsys) is (tamper is _untampered)
+        assert _replayed(self.CUBE, tamper, capsys) is (tamper is _untampered)
+
+    @pytest.mark.parametrize("stages", [[2, 3, 1], [1002, 2, 0], [2, 2, 0]])
+    def test_infinite_cube_accepts_deeper_stages(self, stages, capsys):
+        # A deeper stage shrinks the translate the box must miss, so the
+        # witness still certifies what it claims.
+        assert _replayed(self.CUBE, _set(("witness", "certificates"), stages), capsys)
 
     @pytest.mark.parametrize(
         "tamper",
@@ -1195,7 +1207,7 @@ class TestReplayTampers:
             # element 5 is the first the fold cannot dodge by the stage cap
             (("infinite-cube", "--pool-size", "10", "--stage-cap", "8"),
              ("needs_deeper_stage", "deepest_stage"), 8.0),
-            (("infinite-cube", "--pool-size", "3", "--stage-cap", "12"), ("witness", "stage"), 2.0),
+            (("infinite-cube", "--pool-size", "3", "--stage-cap", "12"), ("witness", "certificates", 1), 2.0),
         ],
         ids=["measure", "split-check", "rn-enumerate", "cantor-info", "hausdorff-bound",
              "tile-check", "range-solve-target", "range-solve-x", "uncovered-box-needs-deeper",

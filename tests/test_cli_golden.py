@@ -21,7 +21,19 @@ certificates their gap box, which no check read: ``pack``,
 and ``infinite-cube-mixed-pool`` hold each certificate's stage in place of
 its ``{stage, box}``.  Each is the old document with just those fields
 changed; the other uncovered-box and infinite-cube cases hold no
-certificate and kept their digests.  Each document must also equal the stdlib's
+certificate and kept their digests.  Seven digests were re-recorded when a
+witness became its box and one stage per hull leaf, dropping each
+certificate's echoed element index, leaf index and translation and the
+witness's summary ``stage`` (old -> new sha256, first 12 hex digits):
+``uncovered-box`` 14a9ef29aca3 -> ea662581c096, ``uncovered-box-no-files``
+3fda3790023e -> 56166fdf42b0, ``uncovered-box-mixed-pool`` 09796e20f8b4 ->
+2ec37f809030, ``infinite-cube`` 03fe98ca4104 -> a3ecf068e4c1,
+``infinite-cube-quartered`` 0d885a2bbed5 -> 147a143a36af,
+``infinite-cube-expr-file`` 10602600d0a9 -> 0a3b0a76f5fe and
+``infinite-cube-mixed-pool`` 66d5944b65df -> bcb620de86df.  Each is the old
+document with just the witness changed; ``uncovered-box-needs-deeper`` and
+``infinite-cube-pool-cap`` hold no witness and kept their digests.  Each
+document must also equal the stdlib's
 ``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
 writer reproduces without running it.  The
 input files are literal JSON, so the fixtures do not depend on the encoder
@@ -88,12 +100,12 @@ CASES = {
     "uncovered-box": (
         ["uncovered-box", "--expr-file", "pool.json", "--stage-cap", "8", "--verify"],
         0,
-        "14a9ef29aca34037f14cc4650bfaa5de3e5817e7d40e2390ad591173df2b3edc",
+        "ea662581c0966f7718a2cf4e04ab8bfabe9af98f1eb1cf0d41f60e67e88828e7",
     ),
     "infinite-cube": (
         ["infinite-cube", "--pool-size", "2", "--stage-cap", "8", "--verify"],
         0,
-        "03fe98ca41042f23b45a0c3c40a3bd29d45e37088e5d878a521738600361bc77",
+        "a3ecf068e4c18129a3a339fa4f81f63fb2ab6b22505ecad3e3b13123606bc262",
     ),
     "pack": (
         ["pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/3", "--verify"],
@@ -158,17 +170,17 @@ CASES = {
     "infinite-cube-quartered": (
         ["infinite-cube", "--pool-size", "2", "--quartered", "--stage-cap", "8", "--verify"],
         0,
-        "0d885a2bbed5b9ffa256a714a4587c6643a9e346d2257f4a5502fbd18e0f2343",
+        "147a143a36af8d7bcbe50e651dc38a3156b7e890453a8aefb5ba3324f8d96dfc",
     ),
     "infinite-cube-expr-file": (
         ["infinite-cube", "--expr-file", "pool3.json", "--stage-cap", "8", "--verify"],
         0,
-        "10602600d0a9ef213538db2bc067797ed9a955623a2b7b0574be414545536c82",
+        "0a3b0a76f5fe64c83c741c79e4eb0cc7a74779c86cb01f59fc9b0db8fa5a126d",
     ),
     "uncovered-box-no-files": (
         ["uncovered-box", "--stage-cap", "4", "--verify"],
         0,
-        "3fda3790023e0c6afe078d722221e9644f9410b11fb51d317f2bb0bf84ef9f3d",
+        "56166fdf42b0659fad1b5366a72518d99b2d2ecc144282225887c8560867e639",
     ),
     "tile-check-base-file": (
         ["tile-check", "--base-file", "edge.json", "--q", "2", "--verify"],
@@ -233,12 +245,12 @@ CASES = {
     "uncovered-box-mixed-pool": (
         ["uncovered-box", "--expr-file", "mixed.json", "--verify"],
         0,
-        "09796e20f8b49b97fd8a595ea349701647aefe7710dffbe40c7eff86892712ba",
+        "2ec37f809030a973d6e821a14db6951ce77cb54123bf2b4e3f88c7f4d9cdb524",
     ),
     "infinite-cube-mixed-pool": (
         ["infinite-cube", "--expr-file", "mixed.json", "--verify"],
         0,
-        "66d5944b65dfeec0aa42636f8bb66872f06bb7f6f730fef3082bd7f0237115fa",
+        "bcb620de86df3dfecf3efd90342a990e9f71ad5aa4551e2db5ba95780d9195e1",
     ),
     "measure-half-line": (
         ["measure", "--expr-file", "half-line.json", "--stage", "3", "--verify"],

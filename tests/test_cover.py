@@ -46,7 +46,7 @@ from fatcantor import (
     verify_cover,
 )
 
-from fatcantor import cover, serialize
+from fatcantor import cover
 from fatcantor.errors import PreconditionError
 from fatcantor.serialize import to_json, witness_from_json
 
@@ -350,7 +350,7 @@ class TestUncoveredBox:
         monkeypatch.setattr(cover, "find_gap", recorded)
         witness = find_uncovered_box(Box.unit_cube(d), pool, s, 24)
         assert isinstance(witness, UncoveredWitness) and len(gaps) == 5
-        assert [gap.stage for gap in gaps] == [c.stage for c in witness.certificates]
+        assert [gap.stage for gap in gaps] == list(witness.certificates)
         assert all(gap.box.contains_box(witness.box) for gap in gaps)
 
     def test_empty_family_leaves_the_whole_interior_free(self):
@@ -367,7 +367,8 @@ class TestUncoveredBox:
         mid = (lo + hi) / 2
         # replay against the brute construction at the witness stage
         assert not any(
-            blo <= mid <= bhi for blo, bhi in brute_stage_intervals(S1.c, S1.rho, w.stage)
+            blo <= mid <= bhi
+            for blo, bhi in brute_stage_intervals(S1.c, S1.rho, max(w.certificates))
         )
 
     def test_shallow_caps_yield_needs_deeper(self):
@@ -388,11 +389,7 @@ class TestUncoveredBox:
         w = find_uncovered_box(Box.unit_cube(1), pool, S1, 8)
         assert isinstance(w, UncoveredWitness)
         # move the box into the covered left edge of the stage set
-        fake = UncoveredWitness(
-            box=Box.interval(Fraction(0), Fraction(1, 64)),
-            stage=w.stage,
-            certificates=w.certificates,
-        )
+        fake = replace(w, box=Box.interval(Fraction(0), Fraction(1, 64)))
         assert not uncovered_witness_valid(S1, Box.unit_cube(1), pool, fake)
 
     @given(
@@ -425,17 +422,12 @@ def _cube_core(s, pool, cap):
     return copy.deepcopy(to_json(core)), code
 
 
-def _cut(witness, subset):
-    """The certificates of the elements in ``subset`` (increasing pool
-    indices), re-indexed within it, with the deepest of their stages."""
-    rank = {k: j for j, k in enumerate(subset)}
-    certificates = tuple(
-        replace(c, element_index=rank[c.element_index])
-        for c in witness.certificates
-        if c.element_index in rank
-    )
-    stage = max((c.stage for c in certificates), default=0)
-    return UncoveredWitness(witness.box, stage, certificates)
+def _cut(witness, pool, subset):
+    """The witness of ``pool`` cut down to the elements in ``subset``
+    (increasing pool indices): the sublist of their leaves' stages."""
+    stages = iter(witness.certificates)
+    per_element = [[next(stages) for _ in cover.hull_leaves(e)] for e in pool]
+    return replace(witness, certificates=tuple(x for k in subset for x in per_element[k]))
 
 
 def _subsets(size):
@@ -450,7 +442,8 @@ class TestInfiniteCube:
         assert code == 0
         assert set(core) == {"found", "witness"} and core["found"] is True
         witness = witness_from_json(core["witness"])
-        assert [c.element_index for c in witness.certificates] == [0, 1]
+        assert len(witness.certificates) == 2
+        assert all(type(stage) is int for stage in core["witness"]["certificates"])
         assert uncovered_witness_valid(S1, Box.unit_cube(1), pool, witness)
 
     def test_the_witness_certifies_every_subfamily(self):
@@ -459,7 +452,7 @@ class TestInfiniteCube:
         assert isinstance(witness, UncoveredWitness)
         for subset in _subsets(4):
             members = [pool[k] for k in subset]
-            assert uncovered_witness_valid(S1, Box.unit_cube(1), members, _cut(witness, subset))
+            assert uncovered_witness_valid(S1, Box.unit_cube(1), members, _cut(witness, pool, subset))
 
     def test_an_empty_pool_leaves_the_middle_half(self):
         for d in (1, 2):
@@ -467,7 +460,7 @@ class TestInfiniteCube:
             core, code = _cube_core(s, [], 4)
             assert code == 0
             assert witness_from_json(core["witness"]) == UncoveredWitness(
-                Box((Fraction(1, 4),) * d, (Fraction(3, 4),) * d), 0, ()
+                Box((Fraction(1, 4),) * d, (Fraction(3, 4),) * d), ()
             )
             (row,) = witness_oracle.infinite_cube_report(s, 0, 4).rows
             assert row.witness == witness_from_json(core["witness"])
@@ -526,7 +519,7 @@ class TestFoldAgainstOracle:
         assume(isinstance(witness, UncoveredWitness))
         subset = tuple(k for k in range(len(pool)) if data.draw(st.booleans()))
         members = [pool[k] for k in subset]
-        assert witness_oracle.witness_valid(s, Box.unit_cube(d), members, _cut(witness, subset))
+        assert witness_oracle.witness_valid(s, Box.unit_cube(d), members, _cut(witness, pool, subset))
 
     @pytest.mark.parametrize(
         "d, size, cap, inconclusive, outcome",
@@ -554,7 +547,7 @@ class TestFoldAgainstOracle:
         cube = Box.unit_cube(d)
         for row in table.rows:
             members = [pool[k] for k in row.subset]
-            assert witness_oracle.witness_valid(s, cube, members, _cut(got, row.subset))
+            assert witness_oracle.witness_valid(s, cube, members, _cut(got, pool, row.subset))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -612,35 +605,32 @@ def _index(data, items):
 
 
 def _tamper_witness(data, doc, target, kind):
-    """Change a witness's JSON in place, copying a box or certificate before
-    editing it; ``target`` is the box it was shrunk from."""
-    certs = doc["certificates"]
+    """Change a witness's JSON in place, copying its box before editing it;
+    ``target`` is the box it was shrunk from."""
+    stages = doc["certificates"]
     if kind == "widen":  # past the target on one side, by a little or a lot
         axis = _index(data, target.lo)
         w = data.draw(st.sampled_from([Fraction(1, 2**30), Fraction(1, 64), Fraction(1, 2)]))
         _own(doc, "box")["lo"][axis] = to_json(target.lo[axis] - w)
-    elif kind == "witness-stage":  # the witness's own stage, not a certificate's
-        doc["stage"] = data.draw(st.sampled_from([doc["stage"] + 1, doc["stage"] + 1000, 0]))
-    elif not certs:
+    elif kind == "append":  # one stage more than there are leaves
+        stages.append(data.draw(st.integers(min_value=0, max_value=14)))
+    elif not stages:
         return
     elif kind == "stage":
-        _own(certs, _index(data, certs))["stage"] = data.draw(
-            st.integers(min_value=0, max_value=14)
-        )
-    elif kind == "retype":  # a value equal to the old one under ``==``, of another type
-        cert = _own(certs, _index(data, certs))
-        key = data.draw(st.sampled_from(["element_index", "leaf_index", "stage"]))
-        cert[key] = data.draw(st.sampled_from([float(cert[key]), cert[key] == 1]))
+        stages[_index(data, stages)] = data.draw(st.integers(min_value=0, max_value=14))
+    elif kind == "retype":  # the old value as a float, as text, or a bool
+        k = _index(data, stages)
+        stages[k] = data.draw(st.sampled_from([float(stages[k]), stages[k] == 1, str(stages[k])]))
     elif kind == "drop":
-        del certs[_index(data, certs)]
-    elif kind == "swap" and len(certs) >= 2:
+        del stages[_index(data, stages)]
+    elif kind == "swap" and len(stages) >= 2:
         i, j = data.draw(
-            st.lists(st.integers(0, len(certs) - 1), min_size=2, max_size=2, unique=True)
+            st.lists(st.integers(0, len(stages) - 1), min_size=2, max_size=2, unique=True)
         )
-        certs[i], certs[j] = certs[j], certs[i]
+        stages[i], stages[j] = stages[j], stages[i]
 
 
-_WITNESS_TAMPERS = ("stage", "witness-stage", "retype", "widen", "drop", "swap")
+_WITNESS_TAMPERS = ("stage", "append", "retype", "widen", "drop", "swap")
 
 
 class TestWitnessCheck:
@@ -698,9 +688,9 @@ class TestWitnessCheck:
         assert verified == witness_oracle.witness_valid(s, Box.unit_cube(d), pool, witness)
 
     def test_a_witness_box_is_checked_once(self):
-        # Five certificates: the box's dimension, bounds and emptiness are
-        # checked once; each certificate adds only the length of its
-        # translation and its miss test.  Boundedness is counted, since
+        # Five leaves: the box's dimension, bounds and emptiness are
+        # checked once; each leaf adds only the length of its translation
+        # and its miss test.  Boundedness is counted, since
         # ``contains_box`` reads emptiness too.
         pool = grid_translate_pool(S1, 5)
         cube = Box.unit_cube(1)
@@ -769,47 +759,62 @@ class TestWitnessCheck:
         inputs = {"pool": pool, "stage_cap": 12}
         assert cli._verify(cli.COMMANDS["infinite-cube"], S1, inputs, core)
 
-    def test_each_certificate_is_tied_to_its_element(self):
-        pool = grid_translate_pool(S1, 2)
-        cube = Box.unit_cube(1)
-        witness = find_uncovered_box(cube, pool, S1, 12)
-        assert isinstance(witness, UncoveredWitness)
-        assert uncovered_witness_valid(S1, cube, pool, witness)
-        first, second = witness.certificates
-        # the wrong element, the wrong index, the wrong order, a missing certificate
-        wrong = [
-            (pool[::-1], witness),
-            ([pool[0], pool[0]], witness),
-            (pool, replace(witness, certificates=(first, replace(second, element_index=0)))),
-            (pool, replace(witness, certificates=(second, first))),
-            (pool, UncoveredWitness(witness.box, first.stage, (first,))),
-        ]
-        for elements, tampered in wrong:
-            assert not uncovered_witness_valid(S1, cube, elements, tampered)
-            assert not witness_oracle.witness_valid(S1, cube, elements, tampered)
-
-    def test_the_witness_stage_is_the_deepest_certificate_stage(self):
+    def test_the_stages_pair_with_the_leaves_in_order(self):
+        # Stages (1, 3, 6, 0, 0): each is the shallowest that the final box
+        # needs for its leaf, so a shallower one, a missing one, one too
+        # many and every swap of two unequal stages are refused.
         pool = grid_translate_pool(S1, 5)
         cube = Box.unit_cube(1)
         witness = find_uncovered_box(cube, pool, S1, 24)
         assert isinstance(witness, UncoveredWitness)
-        deepest = max(c.stage for c in witness.certificates)
-        assert witness.stage == deepest > 0
-        for stage in (deepest - 1, deepest + 1, deepest + 1000):
-            moved = replace(witness, stage=stage)
-            assert not uncovered_witness_valid(S1, cube, pool, moved)
-            assert not witness_oracle.witness_valid(S1, cube, pool, moved)
+        stages = witness.certificates
+        assert stages == (1, 3, 6, 0, 0)
+
+        def verdict(elements, certificates):
+            tampered = replace(witness, certificates=tuple(certificates))
+            got = uncovered_witness_valid(S1, cube, elements, tampered)
+            assert got == witness_oracle.witness_valid(S1, cube, elements, tampered)
+            return got
+
+        assert verdict(pool, stages)
+        assert not verdict(pool, stages[:-1])
+        assert not verdict(pool, stages + (0,))
+        assert not verdict(pool[:-1], stages)
+        assert not verdict(pool, (0,) + stages[1:])
+        assert not verdict(pool, stages[:2] + (5,) + stages[3:])
+        # deeper stages only shrink the translates the box must miss
+        assert verdict(pool, [stage + 1 for stage in stages])
+        assert verdict(pool, [stage + 1000 for stage in stages])
+        for i, j in itertools.combinations(range(5), 2):
+            swapped = list(stages)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert verdict(pool, swapped) == (stages[i] == stages[j])
+        # at the deepest stage everywhere, any order passes
+        deepest = [max(stages)] * 5
+        assert verdict(pool, deepest) and verdict(pool[::-1], deepest)
+        # with no leaf, no stage
         empty = find_uncovered_box(cube, [], S1, 4)
-        assert empty.stage == 0 and uncovered_witness_valid(S1, cube, [], empty)
-        assert not uncovered_witness_valid(S1, cube, [], replace(empty, stage=1))
+        assert empty.certificates == () and verdict([], ())
+        assert not uncovered_witness_valid(S1, cube, [], replace(empty, certificates=(0,)))
+
+    def test_a_leaf_of_another_dimension_is_refused(self):
+        # The translation comes from the elements: a leaf whose translation
+        # is not of the schedule's dimension fails the check, never raises.
+        cube = Box.unit_cube(1)
+        witness = find_uncovered_box(cube, grid_translate_pool(S1, 2), S1, 12)
+        assert isinstance(witness, UncoveredWitness)
+        unit2 = Box.unit_cube(2)
+        elements = [Gen((Fraction(0),), cube), Gen((Fraction(1, 2), Fraction(0)), unit2)]
+        assert not uncovered_witness_valid(S1, cube, elements, witness)
+        assert not witness_oracle.witness_valid(S1, cube, elements, witness)
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_each_pass_checks_one_certificate_per_leaf(self, p, monkeypatch, tmp_path):
         """On p one-leaf elements the search makes p gap searches, and the
         replay decodes and checks p certificates; the table's check of every
         row on its own made p * 2^(p-1) of each."""
-        gap_searches, gap_checks, decodes = [], [], []
-        leaf_certificate_from_json = serialize.leaf_certificate_from_json
+        gap_searches, gap_checks, decoded = [], [], []
+        witness_from_json = cli.witness_from_json
 
         def counted(calls, fn):
             def counted_call(*args, **kwargs):
@@ -818,15 +823,20 @@ class TestWitnessCheck:
 
             return counted_call
 
+        def decode(doc):
+            witness = witness_from_json(doc)
+            decoded.extend(witness.certificates)
+            return witness
+
         monkeypatch.setattr(cover, "find_gap", counted(gap_searches, cover.find_gap))
         monkeypatch.setattr(cover, "_misses_stage_translate", counted(gap_checks, cover._misses_stage_translate))
         monkeypatch.setattr(
             witness_oracle, "gap_certificate_valid", counted(gap_checks, witness_oracle.gap_certificate_valid)
         )
-        monkeypatch.setattr(serialize, "leaf_certificate_from_json", counted(decodes, leaf_certificate_from_json))
+        monkeypatch.setattr(cli, "witness_from_json", decode)
         argv = ["infinite-cube", "--pool-size", str(p), "--stage-cap", "24", "--verify"]
         assert cli.main([*argv, "--out", str(tmp_path / "cube.json")]) == 0
-        assert len(gap_searches) == len(gap_checks) == len(decodes) == p
+        assert len(gap_searches) == len(gap_checks) == len(decoded) == p
         gap_checks.clear()
         report = witness_oracle.infinite_cube_report(S1, p, 24)
         assert report.all_witnessed
@@ -846,14 +856,23 @@ def _last_certificate_dropped(core):
     del core["witness"]["certificates"][-1]
 
 
-def _index_as_bool(core):
-    (cert,) = [c for c in core["witness"]["certificates"] if c["element_index"] == 1]
-    cert["element_index"] = True  # equal to 1 under ``==``
+def _stage_as_bool(core):
+    stages = core["witness"]["certificates"]
+    stages[stages.index(1)] = True  # equal to 1 under ``==``
 
 
 def _stage_as_float(core):
-    cert = core["witness"]["certificates"][0]
-    cert["stage"] = float(cert["stage"])
+    stages = core["witness"]["certificates"]
+    stages[0] = float(stages[0])
+
+
+def _old_witness_stage_kept(core):
+    core["witness"]["stage"] = max(core["witness"]["certificates"])
+
+
+def _old_leaf_object(core):
+    stages = core["witness"]["certificates"]
+    stages[0] = {"element_index": 0, "leaf_index": 0, "translation": ["0"], "stage": stages[0]}
 
 
 def _deeper_stage_edited(core):
@@ -867,7 +886,7 @@ def _found_claimed(core):
 class TestReplayOfTheCore:
     """The replay checks the whole core: the witness over the whole pool, or
     a core without one by the rerun.  ``test_cli.py::TestReplayTampers``
-    tampers the witness's stage, box and ``found`` flag."""
+    tampers the witness's stages, box and ``found`` flag."""
 
     def verdict(self, pool, cap, tamper=None):
         core, code = _cube_core(S1, pool, cap)
@@ -885,7 +904,10 @@ class TestReplayOfTheCore:
 
     @pytest.mark.parametrize(
         "tamper",
-        [_null_witness, _last_certificate_dropped, _index_as_bool, _stage_as_float],
+        [
+            _null_witness, _last_certificate_dropped, _stage_as_bool, _stage_as_float,
+            _old_witness_stage_kept, _old_leaf_object,
+        ],
     )
     def test_each_tamper_of_a_witness_is_refused(self, tamper):
         assert self.verdict(grid_translate_pool(S1, 3), 12, tamper) == (0, False)

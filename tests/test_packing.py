@@ -597,8 +597,10 @@ class TestMergeTreeProof:
         assert cli.main(argv) == 0
         result = json.loads(out.read_text())["result"]
         assert result["verification"]["ok"] is True and result["placements"] == 64
-        # the replay's one fold, over the placements' trees
-        assert folds == [64]
+        # the replay's one fold, over the trees of the 16 placed cubes
+        # that meet the covered cube [0, 1/2)^2
+        assert result["covered_cube"]["hi"] == ["1/2", "1/2"]
+        assert folds == [16]
 
     def test_pack_parses_each_distinct_side_once(self, monkeypatch, tmp_path):
         calls = {"cli": Counter(), "serialize": Counter()}
@@ -720,6 +722,42 @@ class TestReplayOnTrees:
             placements[-1] = (placements[0][0], placements[-1][1])
         layout = lattice_layout(placements, target)
         assert layout_covers(fam, layout) is box_algebra_replay(fam, layout) is covers
+
+    def test_only_the_cubes_that_meet_the_target_get_a_tree(self, monkeypatch):
+        # A 3 x 3 grid covering [0, 1)^2, and three unit cubes beside it:
+        # one far away, two touching a face of the half-open target.
+        folded = []
+        union_all = packing._union_all
+
+        def counted(trees, d):
+            folded.append(len(trees))
+            return union_all(trees, d)
+
+        monkeypatch.setattr(packing, "_union_all", counted)
+        fam, layout = grid_layout(2, Fraction(1, 3), 3)
+        fam = CubeFamily(2, fam.sides + (Fraction(1),) * 3)
+        grid = list(translations(layout))
+        beside = [(9, (Fraction(5), Fraction(-7))), (10, (Fraction(1), Fraction(0))), (11, (Fraction(0), Fraction(-1)))]
+
+        def verdict(placements, target=layout.target):
+            folded.clear()
+            replayed = lattice_layout(placements, target)
+            got = layout_covers(fam, replayed)
+            assert got is box_algebra_replay(fam, replayed)
+            return got
+
+        assert verdict(grid + beside) and folded == [9]
+        assert not verdict(grid[:4] + grid[5:] + beside) and folded == [8]
+        # the checks over every placement still read the ones beside the target
+        assert not verdict(grid + [(0, (Fraction(5), Fraction(5)))])
+        assert not verdict(grid + [(12, (Fraction(5), Fraction(5)))])
+        assert not verdict(grid + [(9, (Fraction(5),))])
+        # a large cube alone, outside the target or touching its face, covers nothing
+        big = CubeFamily(2, (Fraction(10),))
+        for corner in ((Fraction(2), Fraction(2)), (Fraction(1), Fraction(-5)), (Fraction(-5), Fraction(1))):
+            outside = lattice_layout([(0, corner)], layout.target)
+            assert not layout_covers(big, outside) and not box_algebra_replay(big, outside)
+            assert folded[-1] == 0
 
     def test_a_target_of_the_wrong_dimension_raises(self):
         fam, layout = grid_layout(1, Fraction(1, 2), 2)

@@ -55,9 +55,9 @@ from fatcantor.serialize import (
     frac_from_json,
     frac_to_json,
     int_to_json,
-    leaf_certificate_from_json,
     placements_from_json,
     quad_to_json,
+    same_json,
     to_json,
     witness_from_json,
 )
@@ -296,22 +296,17 @@ def _witness_doc():
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("stage",), 1.9, "uncovered witness: 'stage' must be an integer, got float"),
-        (("stage",), True, "uncovered witness: 'stage' must be an integer, got bool"),
-        (("stage",), "1", "uncovered witness: 'stage' must be an integer, got str"),
-        (("stage",), -1, "uncovered witness: 'stage' must be nonnegative"),
         (("certificates",), {}, "uncovered witness: 'certificates' must be a list, got dict"),
-        (("certificates", 1, "element_index"), 1.0,
-         "leaf certificate: 'element_index' must be an integer, got float"),
-        (("certificates", 0, "leaf_index"), False,
-         "leaf certificate: 'leaf_index' must be an integer, got bool"),
-        (("certificates", 0, "translation"), "01",
-         "leaf certificate: 'translation' must be a list, got str"),
-        (("certificates", 1, "stage"), 2.0, "leaf certificate: 'stage' must be an integer, got float"),
-        (("certificates", 1, "stage"), -2, "leaf certificate: 'stage' must be nonnegative"),
+        (("certificates", 1), 1.0, "uncovered witness: certificate 1 must be an integer, got float"),
+        (("certificates", 0), True, "uncovered witness: certificate 0 must be an integer, got bool"),
+        (("certificates", 0), "1", "uncovered witness: certificate 0 must be an integer, got str"),
+        (("certificates", 1), -1, "uncovered witness: certificate 1 must be nonnegative"),
+        (("certificates", 0), {"element_index": 0, "leaf_index": 0, "translation": ["0"], "stage": 1},
+         "uncovered witness: certificate 0 must be an integer, got dict"),
+        (("box", "lo"), "0", "box: 'lo' must be a list, got str"),
     ],
 )
-def test_certificate_decoders_take_exact_integers_and_lists(path, value, message):
+def test_the_witness_decoder_takes_exact_integers_and_lists(path, value, message):
     doc = _witness_doc()
     witness_from_json(doc)
     holder = doc
@@ -326,7 +321,7 @@ def test_certificate_decoders_take_exact_integers_and_lists(path, value, message
 # Arbitrary JSON in the certificate fields, mixed with the fields' own shapes
 # so that many documents get past the first checks.
 _CERT_KEYS = st.sampled_from(
-    ["stage", "box", "lo", "hi", "element_index", "leaf_index", "translation", "certificates"]
+    ["stage", "box", "lo", "hi", "certificates"]
 )
 _cert_scalars = (
     st.none()
@@ -351,28 +346,34 @@ def _shaped(fields):
 
 _coords = st.lists(_cert_scalars, max_size=2) | _cert_anything
 _box_docs = _shaped({"lo": _coords, "hi": _coords})
-_leaf_docs = _shaped(
-    {"element_index": _cert_scalars, "leaf_index": _cert_scalars, "translation": _coords,
-     "stage": _cert_scalars}
-)
 _witness_docs = _shaped(
-    {"box": _box_docs, "stage": _cert_scalars,
-     "certificates": st.lists(_leaf_docs, max_size=3) | _cert_anything}
+    {"box": _box_docs, "certificates": st.lists(_cert_scalars, max_size=3) | _cert_anything}
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(leaf=_leaf_docs, witness=_witness_docs)
-def test_certificate_decoders_return_a_value_or_refuse_arbitrary_json(leaf, witness):
-    for decode, doc in (
-        (leaf_certificate_from_json, leaf),
-        (witness_from_json, witness),
-    ):
-        try:
-            value = decode(doc)
-        except PreconditionError:
-            continue
-        assert decode(to_json(value)) == value
+@given(witness=_witness_docs)
+def test_the_witness_decoder_returns_a_value_or_refuses_arbitrary_json(witness):
+    try:
+        value = witness_from_json(witness)
+    except PreconditionError:
+        return
+    assert all(type(stage) is int and stage >= 0 for stage in value.certificates)
+    assert witness_from_json(to_json(value)) == value
+
+
+def test_an_old_witness_does_not_re_encode_to_its_text():
+    # The decoder reads only the box and the stages; a ``stage`` key or a
+    # leaf object makes the text differ from the re-encoded witness, which
+    # ``--verify`` compares with, or is refused outright.
+    doc = _witness_doc()
+    old = {**doc, "stage": max(doc["certificates"])}
+    assert not same_json(old, to_json(witness_from_json(old)))
+    assert same_json(doc, to_json(witness_from_json(doc)))
+    leaves = [{"element_index": k, "leaf_index": 0, "translation": ["0"], "stage": stage}
+              for k, stage in enumerate(doc["certificates"])]
+    with pytest.raises(PreconditionError, match="certificate 0 must be an integer, got dict"):
+        witness_from_json({**doc, "certificates": leaves})
 
 
 def test_measure_bounds_document_carries_the_bracket():
@@ -491,10 +492,10 @@ def test_to_json_round_trips_every_certificate():
     w = find_uncovered_box(Box.unit_cube(2), [base_expr(s)], s, 8)
     assert witness_from_json(to_json(w)) == w
     assert w.certificates
-    for leaf in w.certificates:
-        doc = to_json(leaf)
-        assert set(doc) == {"element_index", "leaf_index", "translation", "stage"}
-        assert leaf_certificate_from_json(doc) == leaf
+    doc = to_json(w)
+    assert set(doc) == {"box", "certificates"}
+    assert doc["certificates"] == list(w.certificates)
+    assert all(type(stage) is int for stage in doc["certificates"])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

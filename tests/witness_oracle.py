@@ -8,8 +8,8 @@ search run from the unit cube again for every nonempty subset of the pool,
 each row checked on its own, so a pool of p one-leaf elements costs
 p * 2^(p-1) gap searches where the full-pool witness costs p.
 ``witness_valid`` is the check of one witness on its own, written as its
-own loop over the certificates and hull leaves.  It checks each
-certificate with ``gap_certificate_valid``: the box, closed, misses the
+own loop over the hull leaves and their recorded stages.  It checks each
+pair with ``gap_certificate_valid``: the box, closed, misses the
 closed stage translate when on some axis the depth-first walk of
 ``descent_oracle.descend_overlapping`` finds no stage interval that meets
 it.  Nothing here calls the library's search or its certificate check
@@ -28,7 +28,6 @@ from fatcantor import (
     Box,
     CantorSchedule,
     GapCertificate,
-    LeafCertificate,
     NeedsDeeperStage,
     UncoveredWitness,
     find_gap,
@@ -68,8 +67,7 @@ def find_uncovered_box(
         raise PreconditionError("witness target needs positive sides")
 
     box = Box(target.lo, target.hi)
-    certificates: list[LeafCertificate] = []
-    deepest = 0
+    stages: list[int] = []
     processed = False
     for ei, element in enumerate(elements):
         for li, leaf in enumerate(hull_leaves(element)):
@@ -78,50 +76,37 @@ def find_uncovered_box(
                 return NeedsDeeperStage(
                     deepest_stage=outcome.deepest_stage, element_index=ei, leaf_index=li
                 )
-            certificates.append(
-                LeafCertificate(
-                    element_index=ei,
-                    leaf_index=li,
-                    translation=leaf.translation,
-                    stage=outcome.stage,
-                )
-            )
+            stages.append(outcome.stage)
             box = outcome.box
-            deepest = max(deepest, outcome.stage)
             processed = True
     if not processed:
         pairs = [middle_half(lo, hi) for lo, hi in zip(box.lo, box.hi)]
         box = Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-    return UncoveredWitness(box=box, stage=deepest, certificates=tuple(certificates))
+    return UncoveredWitness(box=box, certificates=tuple(stages))
 
 
 def witness_valid(
     s: CantorSchedule, target: Box, elements: Sequence[object], witness: UncoveredWitness
 ) -> bool:
-    """Is the witness a bounded, nonempty box inside the target whose
-    certificates list exactly the hull leaves of the elements, each missed
-    by the box at its recorded stage, and whose stage is the deepest of
-    those stages (0 with none)?"""
+    """Is the witness a bounded, nonempty box inside the target with one
+    recorded stage per hull leaf of the elements, in order, each leaf
+    missed by the box at its stage?"""
     box = witness.box
     if box.dim != s.d or not box.is_bounded or box.is_empty:
         return False
     if not target.contains_box(box):
         return False
-    stages = [c.stage for c in witness.certificates]
-    if witness.stage != (max(stages) if stages else 0):
+    translations = []
+    for element in elements:
+        for leaf in hull_leaves(element):
+            translations.append(leaf.translation)
+    stages = list(witness.certificates)
+    if len(stages) != len(translations):
         return False
-    expected = [
-        (ei, li, leaf.translation)
-        for ei, element in enumerate(elements)
-        for li, leaf in enumerate(hull_leaves(element))
-    ]
-    recorded = [(c.element_index, c.leaf_index, c.translation) for c in witness.certificates]
-    if recorded != expected:
-        return False
-    return all(
-        gap_certificate_valid(s, c.translation, GapCertificate(c.stage, box))
-        for c in witness.certificates
-    )
+    for t, stage in zip(translations, stages):
+        if not gap_certificate_valid(s, t, GapCertificate(stage, box)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
