@@ -372,6 +372,11 @@ class CantorSchedule:
         to_fraction = functools.partial(Fraction, denominator=lattice.scales[0])
         return BoxUnion(self.d, _map_ends(tree, [to_fraction] * self.d))
 
+    @property
+    def feasible_stage(self) -> int:
+        """Largest stage whose set the box cap admits: ``2**(n*d) <= DEFAULT_BOX_CAP``."""
+        return (DEFAULT_BOX_CAP.bit_length() - 1) // self.d
+
     def lattice(self, n: int, leaves: Iterable[tuple[Sequence[object], Box]]) -> StageLattice:
         """The integer lattice on which stage-n leaves ``(A_n + t) ∩ clip`` are built.
 
@@ -381,11 +386,10 @@ class CantorSchedule:
         (``geometry.MAX_KERNEL_DIM``) are checked before any work.
         """
         check_stage(n)
-        if 1 << (n * self.d) > DEFAULT_BOX_CAP:
+        if n > self.feasible_stage:
             raise BudgetError(
                 f"stage {n} in dimension {self.d} needs 2^{n * self.d} boxes, above the cap of"
-                f" {DEFAULT_BOX_CAP}; largest feasible stage is"
-                f" {(DEFAULT_BOX_CAP.bit_length() - 1) // self.d}"
+                f" {DEFAULT_BOX_CAP}; largest feasible stage is {self.feasible_stage}"
             )
         check_kernel_dim(self.d)
         den, ends = self._stage_ends(n)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .cantor import CantorSchedule, StageLattice
@@ -216,6 +217,25 @@ def measure_bounds(e: "RingExpr", s: CantorSchedule, n: int) -> MeasureBounds:
     return MeasureBounds(lower, upper, stage=n, leaf_count=L)
 
 
+def _budget_stage(s: CantorSchedule, leaves: int, tol: Fraction, last: int) -> int:
+    """First stage n in ``1..last`` whose budget ``leaves * stage_defect(n)``
+    is at most ``tol``, or 1 when there is none.
+
+    Closed form on the schedule's table, with no evaluation:
+    ``lambda_1(A_n)`` is ``M_n / D_n`` with ``M_n = lengths[n] << n`` and
+    ``D_n = dens[n]``, so with ``p / q = tol / leaves + lambda**d`` the test
+    is ``M_n**d * q <= p * D_n**d`` on integers.
+    """
+    ladder, d = s._ladder, s.d
+    bound = tol / leaves + s.limit_measure()
+    p, q = bound.numerator, bound.denominator
+    for n in range(1, last + 1):
+        ladder.reach(n)
+        if (ladder.lengths[n] << n) ** d * q <= p * ladder.dens[n] ** d:
+            return n
+    return 1
+
+
 def premeasure(
     e: "RingExpr",
     s: CantorSchedule,
@@ -223,22 +243,65 @@ def premeasure(
     *,
     stage_cap: int = DEFAULT_STAGE_CAP,
 ) -> MeasureBounds:
-    """Deepen the stage until the certified interval is narrower than ``tol``."""
+    """The bracket of the first stage in ``1..stage_cap`` whose width is at most ``tol``.
+
+    If no stage up to ``stage_cap`` reaches ``tol``, or the box cap stops
+    the search first, a ``BudgetError`` carries the narrowest bracket
+    evaluated (the earliest stage on ties).
+
+    The width at stage n is ``budget + min(m, budget)`` with a ``Diff`` and
+    ``min(m, budget)`` without one, where ``budget = L * stage_defect(n)``
+    is a closed form and only the stage measure ``m`` needs an evaluation.
+    So the stages before ``n_b``, the first whose budget is at most
+    ``tol``, need none: with a ``Diff`` each is wider than its budget, and
+    without one ``m`` never grows with n (``A_(n+1)`` lies in ``A_n`` and
+    every connective keeps inclusion), so ``m > tol`` at ``n_b`` makes
+    every earlier stage wider than ``tol`` and ``n_b`` the answer.  The
+    scan starts at ``n_b`` when ``n_b`` is at most both ``stage_cap`` and
+    ``CantorSchedule.feasible_stage``, else at stage 1.  Only when the
+    skip cannot decide (no ``Diff`` and ``m <= tol`` at ``n_b``, or a cap
+    after a skipped start) does it evaluate the skipped stages from 1 up.
+
+    Cost: ``n_b`` is one integer comparison per stage on the schedule's
+    table.  A run evaluates each stage from its start to its answer once,
+    so a ``Diff``-free run whose stage measure stays above ``tol`` costs
+    one stage evaluation; a run the skip cannot decide evaluates the
+    stages a scan from stage 1 would, plus those already evaluated.
+    """
     tol = as_fraction(tol)
     if tol <= 0:
         raise PreconditionError(f"tolerance must be positive, got {printable(tol)}")
+    simplified = simplify(e)
+    start = 1
+    if simplified is not None:
+        start = _budget_stage(s, leaf_count(simplified), tol, min(stage_cap, s.feasible_stage))
+    # every stage before ``start`` is known to be wider than ``tol``
+    settled = start == 1 or has_diff(simplified)
+    # Up from ``start``; at most one stage past the box cap, which refuses.
+    # Without a ``Diff`` the width at ``start`` is at most ``tol``, so the
+    # scan up stops there.
+    last = min(stage_cap, s.feasible_stage + 1) if settled else start
     best: MeasureBounds | None = None
-    for n in range(1, stage_cap + 1):
+    capped: tuple[int, BudgetError] | None = None
+    for n in chain(range(start, last + 1), range(1, start)):
         try:
             bounds = measure_bounds(e, s, n)
         except BudgetError as exc:
-            raise BudgetError(
-                f"box cap hit at stage {n} before reaching tolerance {printable(tol)}", partial=best
-            ) from exc
-        if best is None or bounds.width < best.width:
+            capped = n, exc
+            continue
+        if best is None or (bounds.width, n) < (best.width, best.stage):
             best = bounds
-        if bounds.width <= tol:
+        # without a ``Diff``, ``upper`` is the stage measure
+        if bounds.width <= tol and (settled or n < start or bounds.upper > tol):
             return bounds
+    # no ``Diff``, ``m <= tol`` at ``start`` and no earlier stage within ``tol``
+    if best is not None and best.width <= tol:
+        return best
+    if capped is not None:
+        n, exc = capped
+        raise BudgetError(
+            f"box cap hit at stage {n} before reaching tolerance {printable(tol)}", partial=best
+        ) from exc
     raise BudgetError(
         f"stage cap {stage_cap} reached with width {printable(best.width) if best else '?'}"
         f" > {printable(tol)}",

@@ -6,9 +6,12 @@ report encoders were folded into ``serialize.to_json``, the next fifteen
 before the subcommands were declared in one command table, the next five,
 which pin paths no other case runs, before ``rationals`` took over the
 printability checks, the next one pins ``range-solve``'s converged
-bisection, which no other case reaches, and the last one its budget
+bisection, which no other case reaches, the next one its budget
 partial, recorded before the bisection moved from ``Fraction``s to
-integer numerators.  A changed digest means a
+integer numerators, and the last three ``measure --tol`` on expressions
+without a ``Diff``, recorded before ``premeasure`` began its scan at the
+first stage whose closed-form budget is within the tolerance.  A changed
+digest means a
 document changed, so a change to any report's JSON must update its digest
 here on purpose.  The five ``infinite-cube`` digests were re-recorded when
 its table of every subfamily became one witness over the whole pool (the
@@ -67,6 +70,8 @@ FILES = {
     "mixed.json": f'[{{"diff": [{BASE}, {HALF}]}}, {{"union": [{{"inter": [{BASE}, {HALF}]}}, '
     f'{BASE.replace("0/1", "-1/2", 1)}]}}]',
     "half-line.json": '{"gen": {"x": ["0/1"], "clip": {"lo": ["-inf"], "hi": ["1/2"]}}}',
+    "union.json": f'{{"union": [{BASE}, {HALF}]}}',
+    "sliver.json": '{"gen": {"x": ["0/1"], "clip": {"lo": ["0/1"], "hi": ["1/64"]}}}',
 }
 
 CASES = {
@@ -269,6 +274,26 @@ CASES = {
         ["range-solve", "--target", "1/3", "--max-iter", "2"],
         3,
         "8aaedff9c33282ddf28ab22a9d81ea6c9c30f1c5edc92b751e572e022c8603b7",
+    ),
+    # --tol on Diff-free expressions: a union whose stage measure stays
+    # above the tolerance (stage 7), a leaf whose stage-1 measure is
+    # already within it (stage 1, though stage 3 is the first whose budget
+    # is), and a union stopped by its stage cap
+    "measure-tol-union": (
+        ["measure", "--expr-file", "union.json", "--tol", "1/100", "--verify"],
+        0,
+        "c070315a7e18ef066babbd320d2bb92d18f44a910f8f3d86d226169301cfd279",
+    ),
+    "measure-tol-sliver": (
+        ["measure", "--expr-file", "sliver.json", "--tol", "1/16", "--verify"],
+        0,
+        "db50cca88811fc9875784f30831f3adcb9d562fa70093e2e8f20f9e5181987ab",
+    ),
+    "measure-budget-union": (
+        ["measure", "--expr-file", "union.json", "--tol", "1/1000000", "--stage-cap", "3",
+         "--verify"],
+        3,
+        "0e4b54bc52fe379ef5d3af58a1f0d8fe0a052d5d6437decce6dc10a7e5e435e0",
     ),
 }
 

@@ -23,6 +23,7 @@ from fatcantor import (
     Diff,
     Gen,
     Inter,
+    MeasureBounds,
     PreconditionError,
     Union,
     base_expr,
@@ -237,6 +238,139 @@ class TestPremeasure:
 
         with pytest.raises(BudgetError):
             premeasure(base_expr(S1), S1, Fraction(1, 2**40), stage_cap=6)
+
+
+def _translate(s, x, lo=0, hi=1):
+    """The base set shifted by ``x`` on every axis, clipped to ``[lo, hi)^d``."""
+    return Gen((Fraction(x),) * s.d, Box((Fraction(lo),) * s.d, (Fraction(hi),) * s.d))
+
+
+def _union(s):
+    return Union(base_expr(s), _translate(s, Fraction(1, 2)))
+
+
+def _diff(s):
+    return Diff(base_expr(s), _translate(s, Fraction(1, 2)))
+
+
+def _sliver(s):
+    return _translate(s, 0, 0, Fraction(1, 64))
+
+
+def _has_a_diff(e):
+    simplified = simplify(e)
+    return simplified is not None and ring.has_diff(simplified)
+
+
+class TestPremeasureSkip:
+    """``premeasure`` starts at the first stage whose closed-form budget
+    ``L * stage_defect(n)`` is at most ``tol``, and answers as a scan from
+    stage 1 would."""
+
+    # The premise of the skip, on every stage the box cap admits.
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=3))
+    def test_diff_free_stage_measures_never_grow(self, data, d):
+        s = data.draw(schedules(dim=d))
+        e = data.draw(ring_exprs(dim=d, max_leaves=3, positive_only=True))
+        # without a Diff, the upper end of a bracket is the stage measure
+        m = [measure_bounds(e, s, n).upper for n in range(s.feasible_stage + 1)]
+        assert all(deeper <= shallower for shallower, deeper in zip(m, m[1:]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), d=st.integers(min_value=1, max_value=3))
+    def test_a_bracket_with_a_diff_is_at_least_its_budget_wide(self, data, d):
+        s = data.draw(schedules(dim=d))
+        e = data.draw(ring_exprs(dim=d, max_leaves=3).filter(_has_a_diff))
+        for n in range(s.feasible_stage + 1):
+            b = measure_bounds(e, s, n)
+            assert b.width >= b.leaf_count * s.stage_defect(n)
+
+    # Each branch against the scan from stage 1 of ``ring_oracle``: the
+    # expression, the tolerance, the stage cap, and the stage answered or
+    # the start of the ``BudgetError`` message.
+    BRANCHES = {
+        "diff-free-above-tol": (1, _union, lambda s: Fraction(1, 100), 24, 7),
+        "diff-free-above-tol-d2": (2, _union, lambda s: Fraction(1, 10), 24, 4),
+        "diff-free-above-tol-d3": (3, _union, lambda s: Fraction(1, 4), 24, 2),
+        # the scan from 1 stops at stage 1; a skip that ignores m answers 3
+        "diff-free-below-tol": (1, _sliver, lambda s: Fraction(1, 16), 24, 1),
+        # m is at most tol at the start and above it at every earlier stage
+        "diff-free-below-tol-from-the-start": (
+            1, lambda s: _translate(s, 0, 0, Fraction(1, 4)), lambda s: Fraction(3, 16), 24, 2
+        ),
+        "empty": (1, lambda s: Gen((Fraction(0),), Box.empty(1)), lambda s: Fraction(1, 8), 24, 1),
+        "diff": (1, _diff, lambda s: Fraction(1, 8), 24, 4),
+        # the first stage within tol is past the box cap
+        "start-past-the-box-cap": (6, _union, lambda s: 2 * s.stage_defect(3), 24, "box cap hit at stage 3"),
+        "start-past-the-box-cap-diff": (
+            6, _diff, lambda s: 2 * s.stage_defect(3), 24, "box cap hit at stage 3"
+        ),
+        "box-cap-after-a-skip": (6, _diff, lambda s: 2 * s.stage_defect(2), 24, "box cap hit at stage 3"),
+        "stage-cap-after-a-skip": (1, _diff, lambda s: 2 * s.stage_defect(5), 5, "stage cap 5 reached"),
+        "stage-cap-below-the-start": (1, _union, lambda s: Fraction(1, 10**6), 3, "stage cap 3 reached"),
+        "stage-cap-0": (1, _union, lambda s: Fraction(1, 8), 0, "stage cap 0 reached"),
+        # A search for the start bounded only by the stage cap would reach
+        # stage 9966 and refuse it as a precondition.
+        "deeper-than-the-box-cap": (
+            1, _union, lambda s: Fraction(1, 10**3000), 100000, "box cap hit at stage 17"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BRANCHES))
+    def test_each_branch_equals_the_scan_from_stage_1(self, name):
+        d, make, tol_of, cap, expected = self.BRANCHES[name]
+        s = CantorSchedule(d)
+        e, tol = make(s), tol_of(s)
+        got = TestLatticeAgainstOracle.outcome(lambda: premeasure(e, s, tol, stage_cap=cap))
+        assert got == TestLatticeAgainstOracle.outcome(
+            lambda: ring_oracle.premeasure(e, s, tol, stage_cap=cap)
+        )
+        if isinstance(expected, int):
+            assert got.stage == expected and got.width <= tol
+        else:
+            assert got[0] is BudgetError and got[1].startswith(expected)
+
+    def test_a_tie_goes_to_the_earliest_stage(self, monkeypatch):
+        # Brackets as wide as their budgets, but stage 5 as wide as stage 4:
+        # the scan from stage 5 meets stage 4 later, and must still report it.
+        def budget(n):
+            return 2 * S1.stage_defect(n)
+
+        widths = {n: budget(4 if n == 5 else n) for n in range(1, 6)}
+
+        def bracket(e, s, n):
+            return MeasureBounds(Fraction(0), widths[n], stage=n, leaf_count=2)
+
+        monkeypatch.setattr(ring, "measure_bounds", bracket)
+        monkeypatch.setattr(ring_oracle, "measure_bounds", bracket)
+        got = TestLatticeAgainstOracle.outcome(lambda: premeasure(_diff(S1), S1, budget(5), stage_cap=5))
+        assert got == TestLatticeAgainstOracle.outcome(
+            lambda: ring_oracle.premeasure(_diff(S1), S1, budget(5), stage_cap=5)
+        )
+        assert got[2].stage == 4
+
+    @pytest.mark.parametrize(
+        "make, tol, stages",
+        [
+            (_union, Fraction(1, 100), [7]),
+            (_sliver, Fraction(1, 16), [3, 1]),
+            (_diff, Fraction(1, 8), [3, 4]),
+        ],
+        ids=["diff-free-above-tol", "diff-free-below-tol", "diff"],
+    )
+    def test_stages_evaluated(self, monkeypatch, make, tol, stages):
+        seen = []
+        evaluate = ring._stage_measure
+
+        def counted(e, s, n):
+            seen.append(n)
+            return evaluate(e, s, n)
+
+        monkeypatch.setattr(ring, "_stage_measure", counted)
+        premeasure(make(S1), S1, tol)
+        assert seen == stages
 
 
 # ---------------------------------------------------------------------------
