@@ -18,17 +18,23 @@ for 8192 distinct prime denominators that lcm has about 10^5 bits, and
 raising its numerators to the power d took 25 s at d = 2 and 82 s at
 d = 3, against 0.2 s grouped.  Each side's dyadic exponent is the
 bit-length rule of ``floor_log2`` on the unreduced integer ratio
-side/alpha.  Before a layout is returned, its coverage of the target is
-proved by induction over the merge steps that built it, in integer
-arithmetic and without box algebra (``_tiling_covers``).  A layout holds
-only its placements and target: the steps stay with that proof, and no
-document carries them.  Every cube the unfold places sits on one lattice,
-``alpha * 2**base * Z^d``, so a layout holds that unit once and each
-placement's position as an integer vector; no coordinate is a ``Fraction``
-from the search to the check.  ``layout_covers`` is the independent replay
-on the box kernel's slab trees, built on one integer lattice: one tree per
-placed cube that meets the target, from its position and side, folded by
-union and subtracted from the target's tree.
+side/alpha.  The merge is recorded one entry per level, ``(level, ids
+merged in order, first result id)``: group j of a level's ids, ``2**d`` of
+them, became cube ``first + j``, and results are numbered consecutively
+from the number of inputs (``MergeRecord``).  The unfold and the proof walk
+the selected cube's tree a level at a time, from the entry that made it
+down, with no object per merge step.  Before a layout is returned, its
+coverage of the target is proved by induction over that record, in integer
+arithmetic and without box algebra (``_tiling_covers``); the proof checks
+the record's own shape too.  A layout holds only its placements and
+target: the record stays with that proof, and no document carries it.
+Every cube the unfold places sits on one lattice, ``alpha * 2**base *
+Z^d``, so a layout holds that unit once and each placement's position as
+an integer vector; no coordinate is a ``Fraction`` from the search to the
+check.  ``layout_covers`` is the independent replay on the box kernel's
+slab trees, built on one integer lattice: one tree per placed cube that
+meets the target, from its position and side, folded by union and
+subtracted from the target's tree.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from .geometry import _SUBTRACT, Box, _box_tree, _combine, _union_all, check_ker
 from .rationals import _floor_log2_ratio, as_fraction, is_finite, pow2, printable
 
 
-# Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.3-0.45 s with or
-# without ``--verify``, and 8192 cubes over distinct prime denominators at d = 3 in 1.3-2.0 s
+# Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.25-0.5 s with or
+# without ``--verify``, and 8192 cubes over distinct prime denominators at d = 3 in 0.75-1.1 s
 # with it (whole CLI runs, Python 3.11, 2-core x86 VM whose speed drifted between runs).
 MAX_FAMILY_CUBES = 1 << 13
 # The scale and target side of ``pack_cover`` unless told otherwise: the
@@ -90,32 +96,39 @@ def _dyadic_exponents(sides: Sequence[Fraction], alpha: Fraction) -> list[int]:
 
 
 @dataclass(frozen=True)
-class MergeStep:
-    """One merge: 2**d cubes of level ``level`` become cube ``result``;
-    ``constituents[i]`` sits at the i-th corner of {0, 2**level}^d in
-    lexicographic order, axis 0 slowest."""
+class MergeRecord:
+    """The merges of ``merge_dyadic``, one entry ``(level, ids, first)`` per
+    level that merged, levels increasing.  ``ids`` are the cubes of that
+    level merged there, in order: group j of them, ``ids[j * 2**dim : (j +
+    1) * 2**dim]``, became cube ``first + j``, its i-th member at the i-th
+    corner of {0, 2**level}^d in lexicographic order, axis 0 slowest.
+    Results are numbered consecutively from the number of inputs.  ``len()``
+    is the number of merge steps, one per group."""
 
-    level: int
-    constituents: tuple[int, ...]
-    result: int
+    dim: int
+    levels: tuple[tuple[int, tuple[int, ...], int], ...]
+
+    def __len__(self) -> int:
+        return sum(len(ids) for _, ids, _ in self.levels) >> self.dim
 
 
-def merge_dyadic(dim: int, exponents: Sequence[int]) -> tuple[list[tuple[int, int]], list[MergeStep]]:
+def merge_dyadic(dim: int, exponents: Sequence[int]) -> tuple[list[tuple[int, int]], MergeRecord]:
     """Merge equal dyadic cubes bottom-up until every level holds < 2**d.
 
     Cubes are identified by index: inputs are 0..n-1, merged cubes extend
     the numbering.  Policy is deterministic: always merge the 2**d
     lowest-index cubes at the smallest eligible level; a merge only feeds
     the next level up and new indices are the largest, so one upward sweep
-    over per-level queues makes those steps.  Returns the final alive
-    family as (index, exponent) pairs in index order plus the merge steps.
+    over per-level queues makes those steps, each level's at once.  Returns
+    the final alive family as (index, exponent) pairs in index order plus
+    the record of the merges, one entry per level.
     """
     group = 1 << dim
     queues: dict[int, list[int]] = {}
     for idx, k in enumerate(exponents):
         queues.setdefault(k, []).append(idx)
     pending = sorted(queues, reverse=True)  # levels still to sweep, lowest last
-    steps: list[MergeStep] = []
+    levels: list[tuple[int, tuple[int, ...], int]] = []
     next_id = len(exponents)
     while pending:
         level = pending.pop()
@@ -125,14 +138,13 @@ def merge_dyadic(dim: int, exponents: Sequence[int]) -> tuple[list[tuple[int, in
             continue
         if level + 1 not in queues:
             pending.append(level + 1)
-        above = queues.setdefault(level + 1, [])
-        for start in range(0, merged, group):
-            steps.append(MergeStep(level, tuple(ids[start : start + group]), next_id))
-            above.append(next_id)
-            next_id += 1
+        made = merged // group
+        levels.append((level, tuple(ids[:merged]), next_id))
+        queues.setdefault(level + 1, []).extend(range(next_id, next_id + made))
+        next_id += made
         del ids[:merged]
     final = sorted((idx, k) for k, ids in queues.items() for idx in ids)
-    return final, steps
+    return final, MergeRecord(dim, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -143,7 +155,7 @@ class PackingLayout:
     position) pairs, the position a vector of integers: the input cube is
     translated by ``unit * position``.  Each input index occurs at most
     once.  That is all a check of the cover reads, so it is all a layout
-    holds: the merge steps that put the cubes there stay with
+    holds: the merge record that put the cubes there stays with
     ``pack_cover``'s own proof.  ``pack_cover`` takes ``alpha * 2**base``
     as the unit, a decoded layout ``1/lcm`` of its coordinates'
     denominators.
@@ -235,7 +247,7 @@ def pack_cover(
         )
 
     exponents = _dyadic_exponents(family.sides, alpha)
-    final, steps = merge_dyadic(family.dim, exponents)
+    final, record = merge_dyadic(dim, exponents)
 
     adequate = [(k, idx) for idx, k in final if pow2(k) >= target_side]
     if not adequate:
@@ -244,67 +256,80 @@ def pack_cover(
         )
     _, selected = min(adequate)
 
-    # Unfold the selected cube's merge tree.  Positions are integer vectors
-    # in units of alpha * 2**base, so a level-k step puts its constituents
-    # at the corners {0, 2**(k - base)}^d of its own position.
-    by_result = {step.result: step for step in steps}
-    base = min((step.level for step in steps), default=0)
-    corners: dict[int, list[tuple[int, ...]]] = {}
+    # Unfold the selected cube's merge tree a level at a time, from the
+    # entry that made it down: the cubes of one level that the tree holds
+    # are results of the entry one level down, or inputs, which are placed.
+    # Positions are integer vectors in units of alpha * 2**base, so a
+    # level-k merge puts its constituents at the corners {0, 2**(k - base)}^d
+    # of its result's position.
+    levels, group, inputs = record.levels, 1 << dim, len(family.sides)
+    base = levels[0][0] if levels else 0
+    # the entry that made the selected cube and those below it; none for an input
+    walk = [entry for entry in levels if entry[2] <= selected]
     placements: list[tuple[int, tuple[int, ...]]] = []
-    stack = [(selected, (0,) * family.dim)]
-    while stack:
-        cube_id, position = stack.pop()
-        step = by_result.get(cube_id)
-        if step is None:
-            placements.append((cube_id, position))
-            continue
-        units = corners.get(step.level)
-        if units is None:
-            units = corners[step.level] = list(
-                itertools.product((0, 1 << (step.level - base)), repeat=family.dim)
-            )
-        for cid, corner in zip(step.constituents, units):
-            stack.append((cid, tuple(map(operator.add, position, corner))))
+    cubes = [(selected, (0,) * dim)]
+    for level, ids, first in reversed(walk):
+        corners = list(itertools.product((0, 1 << (level - base)), repeat=dim))
+        below = []
+        for cube_id, position in cubes:
+            start = (cube_id - first) * group
+            for cid, corner in zip(ids[start : start + group], corners):
+                (placements if cid < inputs else below).append(
+                    (cid, tuple(map(operator.add, position, corner)))
+                )
+        cubes = below
+        if not cubes:
+            break
+    placements += cubes  # the selected cube, if it is an input
     placements.sort()
 
-    target = Box.cube((Fraction(0),) * family.dim, alpha * target_side)
+    target = Box.cube((Fraction(0),) * dim, alpha * target_side)
     layout = PackingLayout(unit=alpha * pow2(base), placements=tuple(placements), target=target)
 
-    if not _tiling_covers(family, layout, steps, alpha, selected):
+    if not _tiling_covers(family, layout, record, alpha, selected):
         raise AssertionError("constructed layout failed its own coverage verification")
     return layout
 
 
 def _tiling_covers(
-    family: CubeFamily, layout: PackingLayout, steps: Sequence[MergeStep], alpha: Fraction, selected: int
+    family: CubeFamily, layout: PackingLayout, record: MergeRecord, alpha: Fraction, selected: int
 ) -> bool:
-    """Coverage proof by induction over the merge steps, in integers.
+    """Coverage proof by induction over the merge record, in integers.
 
-    Call a cube of side ``alpha * 2**k`` a cube of level k.  A merge step of
-    level k has 2**d constituents of level k: an input, or the result of a
-    step of level k - 1.  Placed at the corners {0, 2**k}^d in
-    lexicographic order, recomputed here, they tile its result, a cube of
-    level k + 1.  By induction down from the selected cube, of level
-    ``top``, the inputs reached tile it with cubes of their levels.
-    Positions are integer vectors in units of ``alpha * 2**base``, ``base``
-    the lowest level of the steps, so the layout's unit must be that value,
-    checked once.  The reached inputs must be distinct and must be exactly
-    the layout's placements, each at the position reached, compared as
-    integers.  Each input's side must be at least
-    ``alpha * 2**level``, so its placement contains its cube of the tiling.
-    So the placements cover ``[0, alpha * 2**top)^d``, and the target must
-    lie inside it.  A selected input is placed alone at the origin and must
-    contain the target.  Nothing here is shared with the search: no box
-    algebra, no rounding, and no corners from the merge.
+    Call a cube of side ``alpha * 2**k`` a cube of level k.  The record must
+    have its shape: levels increasing, each entry's id count a multiple of
+    2**d, and results numbered consecutively from the number of inputs, so
+    each result has one group of constituents and one level.  A group of a
+    level-k entry has 2**d constituents of level k: each an input, or a
+    result of the entry exactly one level down.  Placed at the corners
+    {0, 2**k}^d in lexicographic order, recomputed here, they tile its
+    result, a cube of level k + 1.  By induction down from the selected
+    cube, of level ``top``, walked a level at a time from the entry that
+    made it, the inputs reached tile it with cubes of their levels.  No
+    input may be reached twice, so no result is either: its inputs would
+    be.  Positions are integer vectors in units of ``alpha * 2**base``,
+    ``base`` the lowest level of the record, so the layout's unit must be
+    that value, checked once.  The reached inputs must be exactly the
+    layout's placements, each at the position reached, compared as
+    integers.  Each input's side must be at least ``alpha * 2**level``, so
+    its placement contains its cube of the tiling.  So the placements cover
+    ``[0, alpha * 2**top)^d``, and the target must lie inside it.  A
+    selected input is placed alone at the origin and must contain the
+    target.  Nothing here is shared with the search: no box algebra, no
+    rounding, and no corners from the merge.
     """
     dim, sides = family.dim, family.sides
     lo, hi = layout.target.lo, layout.target.hi
     if len(lo) != dim or len(hi) != dim:
         return False
-    by_result = {step.result: step for step in steps}
-    top_step = by_result.get(selected)
-    if top_step is None:
-        if not 0 <= selected < len(sides) or len(layout.placements) != 1:
+    inputs, group, levels = len(sides), 1 << dim, record.levels
+    made = inputs  # the number the next result must have
+    for i, (level, ids, first) in enumerate(levels):
+        if first != made or len(ids) % group or i and level <= levels[i - 1][0]:
+            return False
+        made += len(ids) // group
+    if selected < inputs:
+        if selected < 0 or len(layout.placements) != 1:
             return False
         ((index, position),) = layout.placements
         side = sides[selected]
@@ -314,40 +339,43 @@ def _tiling_covers(
             and all(p == 0 for p in position)
             and all(0 <= a and b <= side for a, b in zip(lo, hi))
         )
+    if selected >= made:
+        return False
+    e = len(levels) - 1  # the entry that made the selected cube
+    while levels[e][2] > selected:
+        e -= 1
 
-    base = min(step.level for step in steps)
-    top = top_step.level + 1
+    base, top = levels[0][0], levels[e][0] + 1
     bound = _scaled(alpha, top)
     if not all(0 <= a and b <= bound for a, b in zip(lo, hi)):
         return False
-    group = 1 << dim
-    corners: dict[int, list[tuple[int, ...]]] = {}  # the integer corners, by level
     reached: dict[int, tuple[int, tuple[int, ...]]] = {}
-    seen: set[int] = set()
-    stack = [(selected, top, (0,) * dim)]
-    while stack:
-        cube, level, position = stack.pop()
-        if cube in seen:
-            return False
-        seen.add(cube)
-        step = by_result.get(cube)
-        if step is None:
-            if not 0 <= cube < len(sides):
-                return False
-            reached[cube] = (level, position)
-            continue
-        k = step.level
-        if k + 1 != level or len(step.constituents) != group:
-            return False
-        units_at = corners.get(k)
-        if units_at is None:
-            units = 1 << (k - base)
-            units_at = corners[k] = [
-                tuple(units if mask >> (dim - 1 - axis) & 1 else 0 for axis in range(dim))
-                for mask in range(group)
-            ]
-        for cid, corner in zip(step.constituents, units_at):
-            stack.append((cid, k, tuple(map(operator.add, position, corner))))
+    cubes = [(selected, (0,) * dim)]  # the tree's cubes of level k + 1, results of entry i
+    for i in range(e, -1, -1):
+        k, ids, first = levels[i]
+        # the results of the entry one level down, if there is one
+        low, high = (levels[i - 1][2], first) if i and levels[i - 1][0] == k - 1 else (0, 0)
+        units = 1 << (k - base)
+        corners = [
+            tuple(units if mask >> (dim - 1 - axis) & 1 else 0 for axis in range(dim))
+            for mask in range(group)
+        ]
+        below = []
+        for cube, position in cubes:
+            start = (cube - first) * group
+            for cid, corner in zip(ids[start : start + group], corners):
+                at = tuple(map(operator.add, position, corner))
+                if 0 <= cid < inputs:
+                    if cid in reached:
+                        return False
+                    reached[cid] = (k, at)
+                elif low <= cid < high:
+                    below.append((cid, at))
+                else:
+                    return False
+        cubes = below
+        if not cubes:
+            break
 
     if len(reached) != len(layout.placements) or layout.unit != _scaled(alpha, base):
         return False

@@ -9,9 +9,11 @@ hand-written encoder: scalars, ``Box`` (infinity markers),
 ``ExtendedRational`` (field ``n`` prints as ``"sqrt"``), ``PackingLayout``
 (placements print as ``{"index", "translate"}``, the translate being the
 unit times the position, and the unit is not printed) and ring expressions
-(one-key objects).  No encoder checks printability itself:
-``rationals.format_fraction``, ``format_ratio`` and ``printable`` refuse a
-number with more digits than Python prints.  Each place in a document holds its
+(one-key objects).  ``CubeFamily`` prints as its fields' object, but has
+its own encoder too, which formats each distinct side object once.  No
+encoder checks printability itself: ``rationals.format_fraction``,
+``format_ratio`` and ``printable`` refuse a number with more digits than
+Python prints.  Each place in a document holds its
 own JSON object, so a caller may edit one place without touching another.
 
 The decoders stay hand-written, because they validate input from outside
@@ -21,9 +23,10 @@ A layout is its placements and target.  Its placements stay on one integer
 lattice from encoder to decoder: each coordinate's text is written from
 the layout's unit and integer position, and :func:`placements_from_json`
 reads the placements back as a unit and integer positions, refusing any
-text the encoder does not write.  A witness is its box and one stage per
-hull leaf: the leaves themselves, translations included, are read from the
-document's inputs, never from the witness.
+text the encoder does not write.  It tests each placement for the exact
+shape the encoder writes before it checks one in detail.  A witness is
+its box and one stage per hull leaf: the leaves themselves, translations
+included, are read from the document's inputs, never from the witness.
 
 :func:`same_json` is the one comparison behind every ``--verify`` verdict:
 two JSON values match when their objects have the same keys, in any order,
@@ -131,7 +134,7 @@ def _count_of(doc: Mapping[str, Any], key: str, what: str) -> int:
 
 
 def quad_to_json(value: ExtendedRational) -> dict:
-    return {"a": frac_to_json(value.a), "b": frac_to_json(value.b), "sqrt": value.n}
+    return {"a": frac_to_json(value.a), "b": frac_to_json(value.b), "sqrt": printable(value.n)}
 
 
 # -- geometry ---------------------------------------------------------------
@@ -238,13 +241,22 @@ def placements_from_json(doc: Any) -> tuple[Fraction, tuple[tuple[int, tuple[int
     ratios: "dict[str, tuple[int, int]]" = {}
     read = []
     for p in _list_of(m, "placements", "packing layout"):
-        pm = _expect(p, _PLACEMENT_KEYS, what)
-        if len(pm) != len(_PLACEMENT_KEYS):
-            raise PreconditionError(
-                f"{what}: expected the keys {list(_PLACEMENT_KEYS)} alone, got {list(pm)}"
-            )
-        index = _count_of(pm, "index", what)
-        texts = _list_of(pm, "translate", what)
+        # The shape the encoder writes is tested first; anything else goes
+        # through the checks, which raise or accept it as this test would.
+        if not (
+            type(p) is dict
+            and len(p) == 2
+            and type(index := p.get("index")) is int
+            and index >= 0
+            and type(texts := p.get("translate")) is list
+        ):
+            pm = _expect(p, _PLACEMENT_KEYS, what)
+            if len(pm) != len(_PLACEMENT_KEYS):
+                raise PreconditionError(
+                    f"{what}: expected the keys {list(_PLACEMENT_KEYS)} alone, got {list(pm)}"
+                )
+            index = _count_of(pm, "index", what)
+            texts = _list_of(pm, "translate", what)
         for text in texts:
             # parse_ratio refuses a value that is not a string before it is a key
             if type(text) is not str or text not in ratios:
@@ -309,6 +321,15 @@ def _encode_layout(layout: PackingLayout) -> dict:
     }
 
 
+def _encode_family(family: CubeFamily) -> dict:
+    """Each distinct side object is formatted once: the CLI and
+    :func:`cube_family_from_json` parse each distinct text once, so equal
+    sides share one object."""
+    objects = {id(v): v for v in family.sides}
+    text = {key: frac_to_json(v) for key, v in objects.items()}
+    return {"dim": int_to_json(family.dim), "sides": [text[id(v)] for v in family.sides]}
+
+
 def _same(value: Any) -> Any:
     return value
 
@@ -333,6 +354,7 @@ _ENCODERS: "dict[type, Callable[[Any], Any]]" = {
     dict: lambda doc: {key: _encode(v) for key, v in doc.items()},
     Box: box_to_json,
     ExtendedRational: quad_to_json,
+    CubeFamily: _encode_family,
     PackingLayout: _encode_layout,
     Gen: expr_to_json,
     Union: expr_to_json,

@@ -237,6 +237,17 @@ class TestEnvelope:
         assert error["kind"] == "precondition"
         assert error["message"].startswith("result too large to print")
 
+    @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+    def test_a_square_root_too_large_to_print_exits_two(self, verify):
+        # the cover's value a + b sqrt(n) has an n of over 4300 digits
+        argv = ("hausdorff-bound", "--d", "3", "--rho", "1/1000000", "--delta", "2", "--exponent", "1")
+        code, doc = run_json(*argv, "--stage", "257", *verify)
+        assert code == 2
+        assert doc["result"]["error"] == {
+            "kind": "precondition",
+            "message": "result too large to print: a number in it has more than 4300 digits",
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -36,7 +36,7 @@ from fatcantor import (
 )
 from fatcantor.packing import (
     MAX_FAMILY_CUBES,
-    MergeStep,
+    MergeRecord,
     _tiling_covers,
     check_family_size,
 )
@@ -46,6 +46,7 @@ from fatcantor.serialize import to_json
 
 import test_cli_golden
 from layouts import lattice_layout, translations
+from packing_oracle import merge_dyadic_by_rescan, record_of, steps_of, unfold_by_steps
 from strategies import fractions, positive_fractions
 
 
@@ -64,29 +65,6 @@ def oracle_final_levels(dim: int, exponents: list[int]) -> Counter:
             counts[level] = digit
         level += 1
     return counts
-
-
-def merge_dyadic_by_rescan(dim: int, exponents: list[int]):
-    """Merge by regrouping every alive cube before each step (oracle)."""
-    alive: dict[int, int] = {i: k for i, k in enumerate(exponents)}
-    next_id = len(alive)
-    steps: list[MergeStep] = []
-    group = 1 << dim
-    while True:
-        by_level: dict[int, list[int]] = {}
-        for idx, k in alive.items():
-            by_level.setdefault(k, []).append(idx)
-        eligible = sorted(k for k, ids in by_level.items() if len(ids) >= group)
-        if not eligible:
-            break
-        level = eligible[0]
-        ids = sorted(by_level[level])[:group]
-        for idx in ids:
-            del alive[idx]
-        alive[next_id] = level + 1
-        steps.append(MergeStep(level, tuple(ids), next_id))
-        next_id += 1
-    return sorted(alive.items()), steps
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +110,18 @@ def test_the_bit_length_rule_needs_no_lowest_terms(p, q, m):
 # ---------------------------------------------------------------------------
 
 
+def assert_sweep_is_the_rescan(dim, exponents):
+    final, record = merge_dyadic(dim, exponents)
+    rescan_final, steps = merge_dyadic_by_rescan(dim, exponents)
+    assert final == rescan_final
+    # the rescan's steps, numbered consecutively from the inputs
+    assert steps_of(record) == steps and len(record) == len(steps)
+    # one entry per level, levels increasing
+    assert record == record_of(dim, steps)
+    levels = [level for level, _, _ in record.levels]
+    assert levels == sorted(set(levels))
+
+
 class TestMergeDyadic:
     @given(
         dim=st.integers(min_value=1, max_value=3),
@@ -157,12 +147,14 @@ class TestMergeDyadic:
         exponents=st.lists(st.integers(min_value=-5, max_value=2), min_size=1, max_size=30),
     )
     def test_dyadic_volume_is_conserved(self, dim, exponents):
-        final, steps = merge_dyadic(dim, exponents)
+        final, record = merge_dyadic(dim, exponents)
         before = sum(pow2(e) ** dim for e in exponents)
         after = sum(pow2(level) ** dim for _, level in final)
         assert before == after
         # and every individual step conserves it too
-        for step in steps:
+        for _, ids, _ in record.levels:
+            assert ids and len(ids) % 2**dim == 0
+        for step in steps_of(record):
             assert len(step.constituents) == 2**dim
 
     @given(
@@ -170,31 +162,28 @@ class TestMergeDyadic:
         exponents=st.lists(st.integers(min_value=-8, max_value=2), max_size=300),
     )
     def test_sweep_equals_the_rescan(self, dim, exponents):
-        assert merge_dyadic(dim, exponents) == merge_dyadic_by_rescan(dim, exponents)
+        assert_sweep_is_the_rescan(dim, exponents)
 
     def test_sweep_equals_the_rescan_on_long_carries(self):
         for dim, exponents in [(1, [-9] * 512), (1, [-3, -9, -9, -4] * 100), (2, [-5] * 300 + [-3] * 7)]:
-            assert merge_dyadic(dim, exponents) == merge_dyadic_by_rescan(dim, exponents)
+            assert_sweep_is_the_rescan(dim, exponents)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_constituents_sit_at_the_lexicographic_corners(self, dim):
         # 2^d halves make one unit cube; input i sits at the i-th corner of
         # {0, 1/2}^d in lexicographic order, axis 0 slowest.
-        (step,) = merge_dyadic(dim, [-1] * 2**dim)[1]
-        assert step.constituents == tuple(range(2**dim))
+        record = merge_dyadic(dim, [-1] * 2**dim)[1]
+        assert record.levels == ((-1, tuple(range(2**dim)), 2**dim),)
         corners = itertools.product((Fraction(0), Fraction(1, 2)), repeat=dim)
         layout = pack_cover(CubeFamily(dim, (Fraction(1, 2),) * 2**dim))
         assert translations(layout) == tuple(enumerate(corners))
 
     def test_two_quarters_then_a_half_build_a_unit_cube(self):
-        final, steps = merge_dyadic(1, [-1, -2, -2])
+        final, record = merge_dyadic(1, [-1, -2, -2])
         assert [level for _, level in final] == [0]
-        assert len(steps) == 2
-        assert steps[0].level == -2
-        assert steps[0].constituents == (1, 2)
-        assert steps[1].level == -1
+        assert len(record) == 2
         # the second merge combines the original half with the merged pair
-        assert steps[1].constituents == (0, 3)
+        assert record.levels == ((-2, (1, 2), 3), (-1, (0, 3), 4))
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +317,11 @@ def tiling_proof(fam: CubeFamily, placements, unit=None) -> bool:
     given as translations on the layout's lattice, or on ``unit``."""
     layout = pack_cover(fam)
     exponents = [floor_log2(v) for v in fam.sides]
-    _, steps = merge_dyadic(fam.dim, exponents)
+    _, record = merge_dyadic(fam.dim, exponents)
     # In these families the last merge builds the selected cube.
-    selected = steps[-1].result
+    selected = steps_of(record)[-1].result
     tampered = lattice_layout(placements, layout.target, unit or layout.unit)
-    return _tiling_covers(fam, tampered, steps, Fraction(1), selected)
+    return _tiling_covers(fam, tampered, record, Fraction(1), selected)
 
 
 def at(*coords):
@@ -399,11 +388,11 @@ class TestTilingProof:
 ALPHAS = (Fraction(1), Fraction(3, 4), Fraction(2, 3))
 
 
-def merge_of(fam: CubeFamily, alpha: Fraction) -> tuple[list[MergeStep], int]:
-    """The merge steps of ``pack_cover`` and the cube it unfolds: the
+def merge_of(fam: CubeFamily, alpha: Fraction) -> tuple[MergeRecord, int]:
+    """The merge record of ``pack_cover`` and the cube it unfolds: the
     smallest adequate final cube."""
-    final, steps = merge_dyadic(fam.dim, [floor_log2(v / alpha) for v in fam.sides])
-    return steps, min((k, idx) for idx, k in final if pow2(k) >= Fraction(1, 2))[1]
+    final, record = merge_dyadic(fam.dim, [floor_log2(v / alpha) for v in fam.sides])
+    return record, min((k, idx) for idx, k in final if pow2(k) >= Fraction(1, 2))[1]
 
 
 @st.composite
@@ -430,8 +419,8 @@ class TestMergeTreeProof:
     def test_proof_and_replay_accept_every_layout(self, case):
         fam, alpha = case
         layout = pack_cover(fam, alpha=alpha)
-        steps, selected = merge_of(fam, alpha)
-        assert _tiling_covers(fam, layout, steps, alpha, selected)
+        record, selected = merge_of(fam, alpha)
+        assert _tiling_covers(fam, layout, record, alpha, selected)
         assert layout_covers(fam, layout) and box_algebra_replay(fam, layout)
 
     # Eight quarters merge into two halves (cubes 10 and 11), which merge
@@ -439,21 +428,76 @@ class TestMergeTreeProof:
     # non-dyadic sides, alpha != 1.
     ALPHA = Fraction(3, 4)
     FAMILY = CubeFamily(2, tuple(Fraction(3, 4) * v for v in [Fraction(13, 50)] * 8 + [Fraction(27, 50)] * 2))
+    # Two eighths merge at level -3 into cube 4, a quarter alone at level -2;
+    # two halves merge at level -1 into the unit cube 5, selected.
+    ACROSS = CubeFamily(1, tuple(Fraction(3, 4) * v for v in [Fraction(1, 8)] * 2 + [Fraction(1, 2)] * 2))
+    # Two quarters merge into the half 4, two units into cube 5 of side 2:
+    # the half is selected, below the top entry.
+    BELOW = CubeFamily(1, tuple(Fraction(3, 4) * v for v in [Fraction(1, 4)] * 2 + [Fraction(1)] * 2))
+    # Four eighths merge into the quarters 6 and 7, those into the half 8,
+    # selected; two units merge into cube 9 of side 2, above it.
+    CHAIN = CubeFamily(1, tuple(Fraction(3, 4) * v for v in [Fraction(1, 8)] * 4 + [Fraction(1)] * 2))
 
     def test_the_mutant_base_passes(self):
         layout = pack_cover(self.FAMILY, alpha=self.ALPHA)
-        steps, selected = merge_of(self.FAMILY, self.ALPHA)
-        assert [(step.level, step.result) for step in steps] == [(-2, 10), (-2, 11), (-1, 12)]
-        assert steps[-1].constituents == (8, 9, 10, 11)
+        record, selected = merge_of(self.FAMILY, self.ALPHA)
+        assert [(step.level, step.result) for step in steps_of(record)] == [(-2, 10), (-2, 11), (-1, 12)]
+        assert record.levels == ((-2, tuple(range(8)), 10), (-1, (8, 9, 10, 11), 12))
         assert selected == 12
-        assert _tiling_covers(self.FAMILY, layout, steps, self.ALPHA, 12)
+        assert _tiling_covers(self.FAMILY, layout, record, self.ALPHA, 12)
+        for fam, levels, selected in [
+            (self.ACROSS, ((-3, (0, 1), 4), (-1, (2, 3), 5)), 5),
+            (self.BELOW, ((-2, (0, 1), 4), (0, (2, 3), 5)), 4),
+            (self.CHAIN, ((-3, (0, 1, 2, 3), 6), (-2, (6, 7), 8), (0, (4, 5), 9)), 8),
+        ]:
+            record, got = merge_of(fam, self.ALPHA)
+            assert record.levels == levels and got == selected
+            assert _tiling_covers(fam, pack_cover(fam, alpha=self.ALPHA), record, self.ALPHA, selected)
+
+    def unfolded(self, fam, levels, selected):
+        """A record from ``levels`` and the layout its steps unfold to,
+        nothing checked: only the record is wrong."""
+        record = MergeRecord(fam.dim, levels)
+        base, placements = unfold_by_steps(fam.dim, steps_of(record), selected)
+        target = Box.cube((Fraction(0),) * fam.dim, self.ALPHA / 2)
+        return fam, PackingLayout(self.ALPHA * pow2(base), tuple(placements), target), record, selected
 
     def mutant(self, kind):
-        """The family, the layout and the merge steps, one of them changed."""
+        """The family, the layout, the merge record and the selected cube,
+        one of them changed."""
         fam, layout = self.FAMILY, pack_cover(self.FAMILY, alpha=self.ALPHA)
-        placements, tree = list(layout.placements), merge_of(fam, self.ALPHA)[0]
+        placements, steps = list(layout.placements), steps_of(merge_of(fam, self.ALPHA)[0])
         unit = layout.unit
         assert unit == self.ALPHA / 4  # alpha * 2**base, base = -2
+        # the record's own shape
+        if kind == "count":
+            # the level -2 entry holds nine ids, not a multiple of 4: two
+            # groups and input 8 alone after them, which no walk reaches
+            return fam, layout, MergeRecord(2, ((-2, tuple(range(9)), 10), (-1, (8, 9, 10, 11), 12))), 12
+        if kind == "levels-out-of-order":
+            # cube 10 made at level -1 and cube 11 at level -2, numbered in order
+            return fam, layout, MergeRecord(2, ((-1, (0, 1, 2, 3), 10), (-2, (4, 5, 6, 7), 11))), 11
+        if kind == "numbering-gap":
+            # the half numbered 9, not 8, and cube 8 taken for the second
+            # quarter: a number in the gap, which no group made, so nothing
+            # is placed in [alpha/4, alpha/2)
+            record = MergeRecord(1, ((-3, (0, 1, 2, 3), 6), (-2, (6, 8), 9), (0, (4, 5), 10)))
+            target = Box.cube(at(0), self.ALPHA / 2)
+            return self.CHAIN, PackingLayout(self.ALPHA / 8, ((0, (0,)), (1, (1,))), target), record, 9
+        if kind == "across-a-level":
+            # cube 4, made at level -3, taken for a half at the corner 0 of cube 5
+            return self.unfolded(self.ACROSS, ((-3, (0, 1), 4), (-1, (4, 3), 5)), 5)
+        if kind == "higher-entry":
+            # the half 4 holds cube 5 of side 2, made by the entry above
+            return self.unfolded(self.BELOW, ((-2, (0, 5), 4), (0, (2, 3), 5)), 4)
+        if kind.startswith("result-twice"):
+            # cube 10 at two corners of cube 12, cube 11 nowhere: inputs 0-3
+            # are placed once, under the corner of cube 10 or of cube 11
+            record = MergeRecord(2, ((-2, tuple(range(8)), 10), (-1, (8, 9, 10, 10), 12)))
+            under = placements[4:8] if kind.endswith("later") else placements[:4]
+            placements = [(k, position) for k, (_, position) in enumerate(under)] + placements[8:]
+            return fam, dataclasses.replace(layout, placements=tuple(placements)), record, 12
+        # one merge step changed
         if kind == "shifted":
             index, (x, y) = placements[2]
             placements[2] = (index, (x + 1, y))
@@ -462,27 +506,29 @@ class TestMergeTreeProof:
             # doubled, the cubes spread apart
             unit = self.ALPHA / 2
         elif kind == "swapped":
-            a, b, *rest = tree[2].constituents
-            tree[2] = dataclasses.replace(tree[2], constituents=(b, a, *rest))
+            a, b, *rest = steps[2].constituents
+            steps[2] = steps[2]._replace(constituents=(b, a, *rest))
         elif kind == "dropped":
-            del tree[0]
+            del steps[0]
         elif kind == "dropped-and-placed":
             # cube 11 placed as if it were an input, in place of inputs 4-7
-            del tree[1]
+            del steps[1]
             placements[4:8] = [(11, placements[4][1])]
         elif kind == "arity":
             # cube 12 from three constituents, the corner of cube 11 bare
-            tree[2] = dataclasses.replace(tree[2], constituents=(8, 9, 10))
+            steps[2] = steps[2]._replace(constituents=(8, 9, 10))
             del placements[4:8]
         elif kind == "short-translation":
             index, (x, y) = placements[0]
             placements[0] = (index, (x,))
         elif kind == "target-dimension":
-            return fam, dataclasses.replace(layout, target=Box.cube(at(0), self.ALPHA / 2)), tree
-        elif kind == "duplicate-constituent":
+            layout = dataclasses.replace(layout, target=Box.cube(at(0), self.ALPHA / 2))
+        elif kind.startswith("duplicate-constituent"):
             # input 0 at two corners of cube 10, input 1 nowhere: the
-            # placements name input 0 once, at the corner the walk meets last
-            tree[0] = dataclasses.replace(tree[0], constituents=(0, 0, 2, 3))
+            # placements name input 0 once, at the first corner or the second
+            steps[0] = steps[0]._replace(constituents=(0, 0, 2, 3))
+            if kind.endswith("later"):
+                placements[0] = (0, placements[1][1])
             del placements[1]
         elif kind == "duplicate-placement":
             placements.append(placements[0])
@@ -491,7 +537,7 @@ class TestMergeTreeProof:
             # {0, 1/8}^2 of its position (1/2, 0), tile only a quarter cube,
             # but cube 12 takes it for a half; the lowest level is now -3, so
             # the layout is on the lattice of alpha/8
-            tree[0] = dataclasses.replace(tree[0], level=-3)
+            steps[0] = steps[0]._replace(level=-3)
             unit = self.ALPHA / 8
             placements = [(index, (2 * x, 2 * y)) for index, (x, y) in placements]
             for index, (dx, dy) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
@@ -501,18 +547,20 @@ class TestMergeTreeProof:
             sides[0] = unit - Fraction(1, 1000)
             fam = CubeFamily(2, tuple(sides))
         elif kind == "target":
-            target = Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000))
-            return fam, dataclasses.replace(layout, target=target), tree
-        return fam, dataclasses.replace(layout, unit=unit, placements=tuple(placements)), tree
+            layout = dataclasses.replace(layout, target=Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000)))
+        layout = dataclasses.replace(layout, unit=unit, placements=tuple(placements))
+        return fam, layout, record_of(fam.dim, steps), 12
 
     @pytest.mark.parametrize(
         "kind",
         ["shifted", "unit", "swapped", "dropped", "dropped-and-placed", "arity", "duplicate-constituent",
-         "duplicate-placement", "level", "side", "target", "target-dimension", "short-translation"],
+         "duplicate-constituent-later", "duplicate-placement", "level", "side", "target", "target-dimension",
+         "short-translation", "count", "levels-out-of-order", "numbering-gap", "across-a-level", "higher-entry",
+         "result-twice", "result-twice-later"],
     )
     def test_mutants_are_rejected(self, kind):
-        fam, layout, steps = self.mutant(kind)
-        assert not _tiling_covers(fam, layout, steps, self.ALPHA, 12)
+        fam, layout, record, selected = self.mutant(kind)
+        assert not _tiling_covers(fam, layout, record, self.ALPHA, selected)
 
     @pytest.mark.parametrize(
         "dim,sides",
@@ -529,7 +577,8 @@ class TestMergeTreeProof:
         # moves each to another corner, away from where it is placed.
         fam = CubeFamily(dim, sides)
         layout = pack_cover(fam)
-        steps, selected = merge_of(fam, Fraction(1))
+        record, selected = merge_of(fam, Fraction(1))
+        steps = steps_of(record)
         by_result = {step.result: k for k, step in enumerate(steps)}
         used, stack = [], [selected]
         while stack:
@@ -541,12 +590,12 @@ class TestMergeTreeProof:
         for k in used:
             rotated = list(steps)
             first, *rest = steps[k].constituents
-            rotated[k] = dataclasses.replace(steps[k], constituents=(*rest, first))
-            assert not _tiling_covers(fam, layout, rotated, Fraction(1), selected)
+            rotated[k] = steps[k]._replace(constituents=(*rest, first))
+            assert not _tiling_covers(fam, layout, record_of(dim, rotated), Fraction(1), selected)
 
     def test_the_proof_calls_nothing_the_search_calls(self):
         layout = pack_cover(self.FAMILY, alpha=self.ALPHA)
-        steps, _ = merge_of(self.FAMILY, self.ALPHA)
+        record, _ = merge_of(self.FAMILY, self.ALPHA)
         called = set()
 
         def profile(frame, event, arg):
@@ -555,7 +604,7 @@ class TestMergeTreeProof:
 
         sys.setprofile(profile)
         try:
-            assert _tiling_covers(self.FAMILY, layout, steps, self.ALPHA, 12)
+            assert _tiling_covers(self.FAMILY, layout, record, self.ALPHA, 12)
         finally:
             sys.setprofile(None)
         names = {name for _, name in called}
@@ -565,13 +614,13 @@ class TestMergeTreeProof:
     def test_a_selected_input_is_placed_alone_at_the_origin(self):
         fam = CubeFamily(2, (Fraction(3, 4), Fraction(3, 4)))
         layout = pack_cover(fam)
-        steps, selected = merge_of(fam, Fraction(1))
-        assert not steps and selected == 0 and _tiling_covers(fam, layout, steps, Fraction(1), 0)
+        record, selected = merge_of(fam, Fraction(1))
+        assert not record.levels and selected == 0 and _tiling_covers(fam, layout, record, Fraction(1), 0)
         moved = lattice_layout(((0, at("1/100", 0)),), layout.target)
-        assert not _tiling_covers(fam, moved, steps, Fraction(1), 0)
+        assert not _tiling_covers(fam, moved, record, Fraction(1), 0)
         wide = Box.cube(at(0, 0), Fraction(3, 4) + Fraction(1, 100))
-        assert not _tiling_covers(fam, dataclasses.replace(layout, target=wide), steps, Fraction(1), 0)
-        assert not _tiling_covers(fam, layout, steps, Fraction(1), 1)
+        assert not _tiling_covers(fam, dataclasses.replace(layout, target=wide), record, Fraction(1), 0)
+        assert not _tiling_covers(fam, layout, record, Fraction(1), 1)
 
     def test_a_deep_chain_unfolds_past_the_recursion_limit(self):
         # 1/2, 1/4, ..., 2^-1200 and 2^-1200 merge into a unit cube through
@@ -620,6 +669,68 @@ class TestMergeTreeProof:
         # argv parsing, then the family decoded from the document's inputs
         assert calls["cli"] == {"1/512": 1}
         assert calls["serialize"]["1/512"] == 1 and max(calls["serialize"].values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the level walk against the step walk
+# ---------------------------------------------------------------------------
+
+TARGET_SIDES = (Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
+
+
+@st.composite
+def unfold_cases(draw):
+    """A feasible family, its alpha and a target side.  Sides are alpha
+    times 2**k, for k from -4 to 0, times a factor in [1, 2); cubes of
+    level -2 are added until the family is feasible.  Maybe 2**d cubes of
+    side 16 alpha are added too, which merge at level 4, above every
+    level of the tree the selected cube comes from."""
+    dim = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from(ALPHAS))
+    factors = st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(13, 8)])
+    sides = [pow2(k) * draw(factors) for k in draw(st.lists(st.integers(-4, 0), max_size=40))]
+    while sum(v**dim for v in sides) < 1:
+        sides.append(Fraction(1, 4) * draw(factors))
+    if draw(st.booleans()):
+        sides += [Fraction(16)] * 2**dim
+    order = draw(st.permutations(sides))
+    return CubeFamily(dim, tuple(alpha * v for v in order)), alpha, draw(st.sampled_from(TARGET_SIDES))
+
+
+def assert_the_level_walk_is_the_step_walk(fam: CubeFamily, alpha: Fraction, target_side: Fraction) -> int:
+    """``pack_cover``'s layout is the oracle's unfold of the rescan's steps;
+    return the selected cube."""
+    exponents = [floor_log2(v / alpha) for v in fam.sides]
+    final, steps = merge_dyadic_by_rescan(fam.dim, exponents)
+    assert len(merge_dyadic(fam.dim, exponents)[1]) == len(steps)
+    selected = min((k, idx) for idx, k in final if pow2(k) >= target_side)[1]
+    base, placements = unfold_by_steps(fam.dim, steps, selected)
+    layout = pack_cover(fam, target_side=target_side, alpha=alpha)
+    assert layout.placements == tuple(placements)
+    assert layout.unit == alpha * pow2(base)
+    return selected
+
+
+class TestLevelWalk:
+    @settings(max_examples=200)
+    @given(case=unfold_cases())
+    def test_the_level_walk_places_what_the_step_walk_places(self, case):
+        assert_the_level_walk_is_the_step_walk(*case)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("target_side", TARGET_SIDES, ids=["1/4", "3/8", "1/2"])
+    def test_a_cube_below_the_top_level_unfolds_from_its_own_entry(self, dim, target_side):
+        # 2^d eighths merge into a quarter, or 2^3d sixteenths into a half
+        # through three levels, the smallest adequate cube; 2^d unit cubes
+        # merge above it at level 0, the record's top entry.
+        small, count = (Fraction(1, 8), 2**dim) if target_side == Fraction(1, 4) else (Fraction(1, 16), 2 ** (3 * dim))
+        alpha = Fraction(2, 3)
+        fam = CubeFamily(dim, tuple(alpha * v for v in [Fraction(1)] * 2**dim + [small] * count))
+        selected = assert_the_level_walk_is_the_step_walk(fam, alpha, target_side)
+        record = merge_dyadic(dim, [floor_log2(v / alpha) for v in fam.sides])[1]
+        level, ids, first = record.levels[-1]
+        assert level == 0 and selected < first
+        assert len(pack_cover(fam, target_side=target_side, alpha=alpha).placements) == count
 
 
 # ---------------------------------------------------------------------------

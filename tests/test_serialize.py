@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from fatcantor import (
     split_identity_check,
     tile_check,
 )
+from fatcantor import serialize
 from fatcantor.cli import _target_from_json
 from fatcantor.cover import grid_translate_pool
 from fatcantor.hausdorff import PowerGauge
@@ -120,6 +122,11 @@ def test_quadratic_round_trip(a, b, n):
 def test_quadratic_shape_pin():
     x = ExtendedRational(Fraction(1, 2), Fraction(3), 2)
     assert quad_to_json(x) == {"a": "1/2", "b": "3/1", "sqrt": 2}
+
+
+def test_a_radicand_too_long_to_print_is_refused():
+    with pytest.raises(PreconditionError, match="^result too large to print"):
+        quad_to_json(ExtendedRational(Fraction(0), Fraction(1), 10**5000 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +402,25 @@ def test_cube_family_round_trip():
     assert cube_family_from_json(to_json(fam)) == fam
 
 
+def test_the_family_encoder_formats_each_distinct_side_once(monkeypatch):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    fam = CubeFamily(3, (half, third) * 300 + (Fraction(1, 2),))
+    formatted = []
+
+    def counted(value):
+        formatted.append(value)
+        return format_fraction(value)
+
+    monkeypatch.setattr(serialize, "frac_to_json", counted)
+    doc = to_json(fam)
+    # the object of the fields, as every other dataclass prints
+    assert doc == {"dim": 3, "sides": ["1/2", "1/3"] * 300 + ["1/2"]}
+    assert list(doc) == [f.name for f in dataclasses.fields(fam)]
+    # once per side object: the last half is a second object, equal to the first
+    assert formatted == [half, third, Fraction(1, 2)]
+    assert cube_family_from_json(doc) == fam
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -643,6 +669,37 @@ def test_a_lattice_coordinate_too_long_to_print_is_refused():
 def test_placements_decode_only_the_text_the_encoder_writes(placement, message):
     with pytest.raises(PreconditionError, match=message):
         placements_from_json({"placements": [{"index": 1, "translate": ["1/4"]}, placement]})
+
+
+@pytest.mark.parametrize(
+    "placement, message",
+    [
+        ([1, ["1/4"]], "placement: expected an object, got list"),
+        ({"index": 1}, r"placement: missing keys \['translate'\]"),
+        ({"index": 1, "translate": ("1/4",)}, "placement: 'translate' must be a list, got tuple"),
+        ({"index": 1, "translate": "1/4"}, "placement: 'translate' must be a list, got str"),
+        ({"index": 1, "place": ["1/4"]}, r"placement: missing keys \['translate'\]"),
+        ({"index": -2, "translate": ["1/4"]}, "placement: 'index' must be nonnegative"),
+        ({"index": False, "translate": ["1/4"]}, "placement: 'index' must be an integer, got bool"),
+    ],
+)
+def test_placements_off_the_written_shape_get_the_checks_messages(placement, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        placements_from_json({"placements": [{"index": 0, "translate": ["0/1"]}, placement]})
+
+
+def test_placements_off_the_written_shape_decode_as_the_written_shape():
+    # a mapping that is not a dict, and a dict in another key order, pass the checks
+    written = {"placements": [{"index": 1, "translate": ["1/4", "0/1"]}, {"index": 0, "translate": ["1/2", "1/3"]}]}
+    other = {
+        "placements": [
+            types.MappingProxyType({"translate": ["1/4", "0/1"], "index": 1}),
+            {"translate": ["1/2", "1/3"], "index": 0},
+        ]
+    }
+    assert placements_from_json(other) == placements_from_json(written) == (
+        Fraction(1, 12), ((1, (3, 0)), (0, (6, 4)))
+    )
 
 
 def test_placements_decode_onto_the_lcm_of_their_denominators():
