@@ -23,7 +23,7 @@ one comparison, :func:`serialize.same_json`: two JSON values match when
 they print alike but for key order, so ``1``, ``1.0`` and ``true`` differ.
 By default the result is recomputed and its JSON compared with the
 document's.  An entry whose output carries a certificate (a witness, a
-layout, a cover) checks that certificate with its validator instead, and
+layout, a cover, a grid) checks that certificate with its validator instead, and
 compares the rest of the result with what the inputs and the certificate
 give; a result of any other shape is checked by the rerun, or refused.
 The verdict is appended under ``result.verification``.
@@ -35,7 +35,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -61,8 +61,7 @@ from .hausdorff import (
     DEFAULT_ROOT_BITS,
     PowerGauge,
     corollary_pipeline,
-    corollary_plan,
-    corollary_report,
+    grid_covers,
     nu_delta_upper,
     range_function,
     solve_level,
@@ -243,23 +242,15 @@ def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay)
     return uncovered_witness_valid(s, i["target"], i["pool"], decoded)
 
 
-def _placed(doc: Any) -> PackingLayout:
-    """A layout decoded from its JSON onto one lattice: its placements and
-    target.  The placements' text must be exactly what the encoder writes
-    for them (``placements_from_json``), so the document's own placements
-    list is the one a re-encode would give."""
-    m = _expect(doc, ("placements", "target"), "packing layout")
-    unit, placements = placements_from_json(m)
-    return PackingLayout(unit, placements, box_from_json(m["target"]))
-
-
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
     """The layout's placements must cover the cube ``[0, alpha·target_side)^d``,
     and the core must name that cube as the layout's target and as
     ``covered_cube``, count the placements, and hold nothing else.  The
-    placements are decoded strictly, so the echo holds them as written."""
-    doc = core.get("layout")
-    layout = _placed(doc)
+    placements' text must be exactly what the encoder writes for them
+    (``placements_from_json``), so the echo holds them as written."""
+    doc = _expect(core.get("layout"), ("placements", "target"), "packing layout")
+    unit, placements = placements_from_json(doc)
+    layout = PackingLayout(unit, placements, box_from_json(doc["target"]))
     cube = to_json(Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"]))
     echo = {
         "layout": {"placements": doc["placements"], "target": cube},
@@ -270,17 +261,20 @@ def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
 
 
 def _check_corollary_demo(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    """Rebuild the closed-form steps from the inputs, without packing, and
-    the report from them and the layout's placements and target: it must
-    pass every check and equal the report, whose layout holds only those
-    and must name the target as ``covered_cube`` does.  The placements are
-    decoded strictly (``_placed``), so the echo holds them as written."""
-    layout = _expect(core.get("report"), ("layout",), "corollary report")["layout"]
-    plan = corollary_plan(s, i["delta"], a=i["a"], bits=i["bits"])
-    rebuilt = corollary_report(s, plan, _placed(layout))
-    echo = to_json(replace(rebuilt, layout=None))
-    echo["layout"] = {"placements": layout["placements"], "target": echo["covered_cube"]}
-    return rebuilt.checks.all_ok() and same_json(core, {"report": echo})
+    """Rebuild the closed-form report from the inputs: the core must equal
+    it, which refuses a tampered grid before any power of it is taken.
+    Then the document's grid, an exact int of at least 1, must cover the
+    target by :func:`hausdorff.grid_covers`, and every check must pass."""
+    rebuilt = corollary_pipeline(s, i["delta"], a=i["a"], bits=i["bits"])
+    if not same_json(core, to_json({"report": rebuilt})):
+        return False
+    grid = core["report"]["grid"]
+    return (
+        type(grid) is int
+        and grid >= 1
+        and grid_covers(s.d, rebuilt.cover.side, rebuilt.alpha, rebuilt.kept, grid)
+        and rebuilt.checks.all_ok()
+    )
 
 
 def _check_range_solve(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
@@ -541,7 +535,7 @@ COMMANDS: "dict[str, Command]" = {
         inputs=lambda a, s: {"delta": a.delta, "a": a.a, "bits": a.bits},
         run=lambda s, i: (
             {"report": (report := corollary_pipeline(s, i["delta"], a=i["a"], bits=i["bits"]))},
-            0 if report.checks.all_ok() and report.verified else 1,
+            0 if report.checks.all_ok() else 1,
         ),
         check=_check_corollary_demo,
     ),

