@@ -243,17 +243,20 @@ def _check_uncovered_box(s: CantorSchedule, i: dict, core: dict, replay: Replay)
 
 
 def _check_pack(s: CantorSchedule, i: dict, core: dict, replay: Replay) -> bool:
-    """The layout's placements must cover the cube ``[0, alpha·target_side)^d``,
+    """The layout's placements, each input translated by the unit times its
+    integer position, must cover the cube ``[0, alpha·target_side)^d``,
     and the core must name that cube as the layout's target and as
     ``covered_cube``, count the placements, and hold nothing else.  The
-    placements' text must be exactly what the encoder writes for them
-    (``placements_from_json``), so the echo holds them as written."""
-    doc = _expect(core.get("layout"), ("placements", "target"), "packing layout")
+    layout must be exactly the shape the encoder writes, its unit a reduced
+    positive ``"p/q"`` and each position a list of ints
+    (``placements_from_json``), so the echo holds its unit and placements
+    as written."""
+    doc = core.get("layout")
     unit, placements = placements_from_json(doc)
     layout = PackingLayout(unit, placements, box_from_json(doc["target"]))
     cube = to_json(Box.cube((Fraction(0),) * i["family"].dim, i["alpha"] * i["target_side"]))
     echo = {
-        "layout": {"placements": doc["placements"], "target": cube},
+        "layout": {"unit": doc["unit"], "placements": doc["placements"], "target": cube},
         "placements": len(layout.placements),
         "covered_cube": cube,
     }

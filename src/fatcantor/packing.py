@@ -10,13 +10,16 @@ merge tree.  If no merged cube ever reached side 1/2 (after normalizing by
 level and total volume below ``sum_{k>=2} (2**d - 1) * 2**(-k*d) < 2**-d``,
 contradicting the volume hypothesis; so an adequate cube always exists.
 
-Everything is exact, and the per-cube checks run on integers.  The volume
-hypothesis sums the numerators' d-th powers as integers per side
-denominator, then adds one ``Fraction`` per distinct denominator in a
-balanced fold.  It does not put all sides over one common denominator:
-for 8192 distinct prime denominators that lcm has about 10^5 bits, and
-raising its numerators to the power d took 25 s at d = 2 and 82 s at
-d = 3, against 0.2 s grouped.  Each side's dyadic exponent is the
+Everything is exact, and the per-cube checks run on integers.  The
+coercion and sign test of a family's sides, their dyadic exponents and
+their powers in the volume sum are each done once per distinct side
+object: equal texts decode to one object, so an equal-sided family of
+512 cubes costs one of each.  The volume hypothesis sums the numerators'
+d-th powers as integers per side denominator, then adds one ``Fraction``
+per distinct denominator in a balanced fold.  It does not put all sides
+over one common denominator: for 8192 distinct prime denominators that
+lcm has about 10^5 bits, and raising its numerators to the power d took
+25 s at d = 2 and 82 s at d = 3, against 0.2 s grouped.  Each side's dyadic exponent is the
 bit-length rule of ``floor_log2`` on the unreduced integer ratio
 side/alpha.  The merge is recorded one entry per level, ``(level, ids
 merged in order, first result id)``: group j of a level's ids, ``2**d`` of
@@ -26,25 +29,28 @@ the selected cube's tree a level at a time, from the entry that made it
 down, with no object per merge step.  Before a layout is returned, its
 coverage of the target is proved by induction over that record, in integer
 arithmetic and without box algebra (``_tiling_covers``); the proof checks
-the record's own shape too.  A layout holds only its placements and
+the record's own shape too.  A layout holds only its unit, placements and
 target: the record stays with that proof, and no document carries it.
 Every cube the unfold places sits on one lattice, ``alpha * 2**base *
 Z^d``, so a layout holds that unit once and each placement's position as
-an integer vector; no coordinate is a ``Fraction`` from the search to the
-check.  ``layout_covers`` is the independent replay on the box kernel's
-slab trees, built on one integer lattice: one tree per placed cube that
-meets the target, from its position and side, folded by union and
-subtracted from the target's tree.
+an integer vector, and its document writes them so: the unit as one
+``"p/q"`` and each position as a list of JSON ints.  No coordinate is a
+``Fraction`` or a rational text from the search to the check.
+``layout_covers`` is the independent replay on the box kernel's slab
+trees, built on one integer lattice: one tree per placed cube that meets
+the target, from its position and side, folded by union and subtracted
+from the target's tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Any, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
 from .geometry import _SUBTRACT, Box, _box_tree, _combine, _union_all, check_kernel_dim
@@ -72,17 +78,29 @@ class CubeFamily:
         if not isinstance(self.dim, int) or self.dim < 1:
             raise PreconditionError(f"dimension must be a positive integer, got {self.dim!r}")
         check_kernel_dim(self.dim)
-        sides = tuple(map(as_fraction, self.sides))
-        if any(v.numerator <= 0 for v in sides):  # the denominator is positive
+        sides = tuple(self.sides)
+        fractions = {key: as_fraction(v) for key, v in _distinct(sides).items()}
+        if any(v.numerator <= 0 for v in fractions.values()):  # the denominator is positive
             raise PreconditionError("cube sides must be positive")
-        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "sides", tuple(map(fractions.__getitem__, map(id, sides))))
+
+
+def _distinct(sides: Sequence[Any]) -> "dict[int, Any]":
+    """Each distinct side object by its ``id``, in order of first occurrence.
+    Equal texts decode to one object, so an equal-sided family holds one."""
+    return dict(zip(map(id, sides), sides))
 
 
 def _dyadic_exponents(sides: Sequence[Fraction], alpha: Fraction) -> list[int]:
     """The exponents k_j with ``2**k_j <= side_j / alpha < 2**(k_j + 1)``, by
-    ``floor_log2``'s rule on the unreduced integer ratios: no Fraction per side."""
+    ``floor_log2``'s rule on the unreduced integer ratios, once per distinct
+    side object: no Fraction per side."""
     an, ad = alpha.numerator, alpha.denominator
-    return [_floor_log2_ratio(v.numerator * ad, v.denominator * an) for v in sides]
+    exponent = {
+        key: _floor_log2_ratio(v.numerator * ad, v.denominator * an)
+        for key, v in _distinct(sides).items()
+    }
+    return list(map(exponent.__getitem__, map(id, sides)))
 
 
 @dataclass(frozen=True)
@@ -147,8 +165,7 @@ class PackingLayout:
     once.  That is all a check of the cover reads, so it is all a layout
     holds: the merge record that put the cubes there stays with
     ``pack_cover``'s own proof.  ``pack_cover`` takes ``alpha * 2**base``
-    as the unit, a decoded layout ``1/lcm`` of its coordinates'
-    denominators.
+    as the unit; a decoded layout's unit is its document's.
     """
 
     unit: Fraction
@@ -228,10 +245,12 @@ def pack_cover(
     if not 0 < target_side <= Fraction(1, 2):
         raise PreconditionError(f"target side must be in (0, 1/2], got {printable(target_side)}")
     dim = family.dim
-    # sum (side/alpha)**d, grouped by side denominator (see the module docstring)
+    # sum (side/alpha)**d, grouped by side denominator (see the module
+    # docstring), one power per distinct side object times its count
+    counts = Counter(map(id, family.sides))
     powers: dict[int, int] = {}
-    for v in family.sides:
-        powers[v.denominator] = powers.get(v.denominator, 0) + v.numerator**dim
+    for key, v in _distinct(family.sides).items():
+        powers[v.denominator] = powers.get(v.denominator, 0) + counts[key] * v.numerator**dim
     terms = [Fraction(p, q**dim) for q, p in powers.items()] or [Fraction(0)]
     while len(terms) > 1:
         terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]

@@ -13,9 +13,8 @@ This module owns printability: Python prints an integer of at most
 ``sys.get_int_max_str_digits()`` digits, and a number longer than that
 refuses the run with ``errors.too_large_to_print()`` (exit 2) instead of
 failing where it is printed.  :func:`format_fraction` refuses so for every
-rational a document holds (:func:`format_ratio` for one given as its
-numerator and denominator), and :func:`printable` for an integer count or a
-number a refusal message shows.
+rational a document holds, and :func:`printable` for an integer a
+document holds or a number a refusal message shows.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 from .errors import PreconditionError, too_large_to_print
 
@@ -84,14 +83,8 @@ def as_fraction(value: object) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    return format_ratio(value.numerator, value.denominator)
-
-
-def format_ratio(p: int, q: int) -> str:
-    """The text of ``p/q``, given in lowest terms with ``q >= 1``, as
-    ``format_fraction`` writes it, without building a ``Fraction``."""
     try:
-        return f"{p}/{q}"
+        return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
         raise too_large_to_print() from exc
 
@@ -169,17 +162,13 @@ def parse_ratio(text: object) -> tuple[int, int]:
     raise PreconditionError(f'expected a rational written "p/q" in lowest terms, got {text!r}')
 
 
-def parse_each(texts: Iterable[str], parse: "Callable[[str], _T]") -> list[_T]:
+def parse_each(texts: Sequence[str], parse: "Callable[[str], _T]") -> list[_T]:
     """``[parse(text) for text in texts]``, calling ``parse`` once per
-    distinct text: a refusal is still the first text's, in order."""
-    parsed: dict[str, _T] = {}
-    values = []
-    for text in texts:
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = parse(text)
-        values.append(value)
-    return values
+    distinct text, in order of first occurrence: a refusal is still the
+    first text's, in order, and equal texts give one object."""
+    distinct = dict.fromkeys(texts)
+    parsed = dict(zip(distinct, map(parse, distinct)))
+    return list(map(parsed.__getitem__, texts))
 
 
 def coord_to_json(value: Coord) -> str:

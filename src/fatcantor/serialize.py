@@ -1,32 +1,33 @@
 """Lossless JSON encoding for every structure the CLI emits or reads.
 
-Scalars are strings ("p/q", "inf", "-inf"), never floats, so encode/decode
-round-trips are bit-exact.  One encoder, :func:`to_json`, emits every
-report: a dataclass becomes the object of its fields, keyed by the field
-names, so a report's JSON keys are its field names and a new field cannot
-be left out.  Only the types whose JSON is not their fields' object have a
-hand-written encoder: scalars, ``Box`` (infinity markers),
+Scalars are strings ("p/q", "inf", "-inf") or JSON ints, never floats, so
+encode/decode round-trips are bit-exact.  One encoder, :func:`to_json`,
+emits every report: a dataclass becomes the object of its fields, keyed by
+the field names, so a report's JSON keys are its field names and a new
+field cannot be left out.  Only the types whose JSON is not their fields'
+object have a hand-written encoder: scalars, ``Box`` (infinity markers),
 ``ExtendedRational`` (field ``n`` prints as ``"sqrt"``), ``PackingLayout``
-(placements print as ``{"index", "translate"}``, the translate being the
-unit times the position, and the unit is not printed) and ring expressions
-(one-key objects).  ``CubeFamily`` prints as its fields' object, but has
-its own encoder too, which formats each distinct side object once.  No
-encoder checks printability itself: ``rationals.format_fraction``,
-``format_ratio`` and ``printable`` refuse a number with more digits than
-Python prints.  Each place in a document holds its
-own JSON object, so a caller may edit one place without touching another.
+(placements print as ``{"index", "position"}``, the position a list of
+JSON ints) and ring expressions (one-key objects).  ``CubeFamily`` prints
+as its fields' object, but has its own encoder too, which formats each
+distinct side object once.  No encoder checks printability itself:
+``rationals.format_fraction`` and ``printable`` refuse a number with more
+digits than Python prints.  Each place in a document holds its own JSON
+object, so a caller may edit one place without touching another.
 
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
 input.  They are the same functions the ``--verify`` replay path uses.
-A layout is its placements and target.  Its placements stay on one integer
-lattice from encoder to decoder: each coordinate's text is written from
-the layout's unit and integer position, and :func:`placements_from_json`
-reads the placements back as a unit and integer positions, refusing any
-text the encoder does not write.  It tests each placement for the exact
-shape the encoder writes before it checks one in detail.  A witness is
-its box and one stage per hull leaf: the leaves themselves, translations
-included, are read from the document's inputs, never from the witness.
+A layout is its unit, placements and target, and stays on one integer
+lattice from encoder to decoder: the document holds the unit once, as
+``"p/q"``, and each placement's position as a list of JSON ints, a
+translation being ``unit * position``.  :func:`placements_from_json`
+reads the unit and the integer positions back as they are written, with
+no rational text per coordinate, and refuses any other shape.  It tests
+each placement for the exact shape the encoder writes before it checks
+one in detail.  A witness is its box and one stage per hull leaf: the
+leaves themselves, translations included, are read from the document's
+inputs, never from the witness.
 
 :func:`same_json` is the one comparison behind every ``--verify`` verdict:
 two JSON values match when their objects have the same keys, in any order,
@@ -50,21 +51,20 @@ and the bytes are the stdlib's.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
 from typing import Any, Callable, Mapping, Sequence
 
 from .cover import UncoveredWitness
 from .errors import PreconditionError
 from .geometry import Box
-from .packing import CubeFamily, PackingLayout
+from .packing import CubeFamily, PackingLayout, _distinct
 from .quadratic import ExtendedRational
 from .rationals import (
     coord_from_json,
     coord_to_json,
     format_fraction,
-    format_ratio,
     parse_each,
     parse_fraction,
     parse_ratio,
@@ -216,56 +216,65 @@ def witness_from_json(doc: Any) -> UncoveredWitness:
 
 
 def cube_family_from_json(doc: Any) -> CubeFamily:
-    """A cube family; each distinct side text is parsed once."""
+    """A cube family; each distinct side text is parsed once.  Sides that
+    are all strings skip the per-entry shape check: ``1``, ``true`` and
+    ``1.0`` are equal keys, so a list holding any other type is checked
+    entry by entry first."""
     what = "cube family"
     m = _expect(doc, ("dim", "sides"), what)
-    sides = parse_each(map(_scalar_text, _list_of(m, "sides", what)), parse_fraction)
-    return CubeFamily(_count_of(m, "dim", what), tuple(sides))
+    sides = _list_of(m, "sides", what)
+    if not set(map(type, sides)) <= {str}:
+        sides = list(map(_scalar_text, sides))
+    return CubeFamily(_count_of(m, "dim", what), tuple(parse_each(sides, parse_fraction)))
 
 
-_PLACEMENT_KEYS = ("index", "translate")
+def _only_keys(doc: Mapping[str, Any], keys: Sequence[str], what: str) -> None:
+    if len(doc) != len(keys):
+        raise PreconditionError(f"{what}: expected the keys {list(keys)} alone, got {list(doc)}")
+
+
+_LAYOUT_KEYS = ("unit", "placements", "target")
+_PLACEMENT_KEYS = ("index", "position")
 
 
 def placements_from_json(doc: Any) -> tuple[Fraction, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """A layout's unit and placements, decoded onto one lattice; nothing
-    else of the layout is read.
+    """A layout's unit and placements, as the document writes them; the
+    layout must hold exactly ``{"unit", "placements", "target"}``, and its
+    target is not read here.
 
-    Each placement is exactly ``{"index", "translate"}``, with an exact
-    nonnegative int index, and each coordinate exactly the text the encoder
-    writes (:func:`rationals.parse_ratio`), parsed once per distinct text.
-    The unit is ``1/L``, ``L`` the lcm of the coordinates' denominators, and
-    each position the integer vector of the coordinates times ``L``.  So the
-    layout re-encodes to the text it was read from."""
+    The unit is exactly the text the encoder writes
+    (:func:`rationals.parse_ratio`), and positive.  Each placement is
+    exactly ``{"index", "position"}``, with an exact nonnegative int index
+    and a list of exact ints (``type(v) is int``: ``true`` and ``1.0`` are
+    refused) as its position.  No coordinate is parsed as a rational, so
+    the layout re-encodes to the document it was read from."""
     what = "placement"
-    m = _expect(doc, ("placements",), "packing layout")
-    ratios: "dict[str, tuple[int, int]]" = {}
-    read = []
-    for p in _list_of(m, "placements", "packing layout"):
+    m = _expect(doc, _LAYOUT_KEYS, "packing layout")
+    _only_keys(m, _LAYOUT_KEYS, "packing layout")
+    p, q = parse_ratio(m["unit"])
+    if p <= 0:
+        raise PreconditionError(f"packing layout: the unit must be positive, got {m['unit']!r}")
+    indices, positions = [], []
+    for placement in _list_of(m, "placements", "packing layout"):
         # The shape the encoder writes is tested first; anything else goes
         # through the checks, which raise or accept it as this test would.
         if not (
-            type(p) is dict
-            and len(p) == 2
-            and type(index := p.get("index")) is int
+            type(placement) is dict
+            and len(placement) == 2
+            and type(index := placement.get("index")) is int
             and index >= 0
-            and type(texts := p.get("translate")) is list
+            and type(position := placement.get("position")) is list
         ):
-            pm = _expect(p, _PLACEMENT_KEYS, what)
-            if len(pm) != len(_PLACEMENT_KEYS):
-                raise PreconditionError(
-                    f"{what}: expected the keys {list(_PLACEMENT_KEYS)} alone, got {list(pm)}"
-                )
+            pm = _expect(placement, _PLACEMENT_KEYS, what)
+            _only_keys(pm, _PLACEMENT_KEYS, what)
             index = _count_of(pm, "index", what)
-            texts = _list_of(pm, "translate", what)
-        for text in texts:
-            # parse_ratio refuses a value that is not a string before it is a key
-            if type(text) is not str or text not in ratios:
-                ratios[text] = parse_ratio(text)
-        read.append((index, texts))
-    scale = lcm(*{q for _, q in ratios.values()})
-    position = {text: p * (scale // q) for text, (p, q) in ratios.items()}
-    placements = tuple((index, tuple(map(position.__getitem__, texts))) for index, texts in read)
-    return Fraction(1, scale), placements
+            position = _list_of(pm, "position", what)
+        indices.append(index)
+        positions.append(position)
+    if not set(map(type, itertools.chain.from_iterable(positions))) <= {int}:
+        bad = next(v for v in itertools.chain.from_iterable(positions) if type(v) is not int)
+        raise PreconditionError(f"{what}: 'position' must hold integers, got {type(bad).__name__}")
+    return Fraction(p, q), tuple(zip(indices, map(tuple, positions)))
 
 
 # -- comparison -----------------------------------------------------------------
@@ -305,17 +314,16 @@ def same_json(doc: Any, expected: Any) -> bool:
 
 
 def _encode_layout(layout: PackingLayout) -> dict:
-    """Each coordinate ``unit * p`` is written from the integers, with one
-    ``gcd`` per distinct ``p``: the text ``format_fraction`` writes for it."""
-    un, ud = layout.unit.numerator, layout.unit.denominator
-    text = {}
-    for p in {p for _, position in layout.placements for p in position}:
-        g = gcd(p, ud)
-        text[p] = format_ratio(un * (p // g), ud // g)
+    """The unit once, as ``"p/q"``, and each position as its list of ints.
+    The coordinate of the largest magnitude stands for the printability of
+    all of them."""
+    unit = frac_to_json(layout.unit)
+    coordinates = itertools.chain.from_iterable(position for _, position in layout.placements)
+    printable(max(map(abs, coordinates), default=0))
     return {
+        "unit": unit,
         "placements": [
-            {"index": idx, "translate": list(map(text.__getitem__, position))}
-            for idx, position in layout.placements
+            {"index": idx, "position": list(position)} for idx, position in layout.placements
         ],
         "target": _encode(layout.target),
     }
@@ -325,9 +333,9 @@ def _encode_family(family: CubeFamily) -> dict:
     """Each distinct side object is formatted once: the CLI and
     :func:`cube_family_from_json` parse each distinct text once, so equal
     sides share one object."""
-    objects = {id(v): v for v in family.sides}
-    text = {key: frac_to_json(v) for key, v in objects.items()}
-    return {"dim": int_to_json(family.dim), "sides": [text[id(v)] for v in family.sides]}
+    text = {key: frac_to_json(v) for key, v in _distinct(family.sides).items()}
+    sides = list(map(text.__getitem__, map(id, family.sides)))
+    return {"dim": int_to_json(family.dim), "sides": sides}
 
 
 def _same(value: Any) -> Any:

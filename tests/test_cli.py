@@ -1054,6 +1054,7 @@ def _zero_as_integer_text(core):
 
 
 class TestReplayTampers:
+    # four cubes of 1/4 at d = 1, input i placed at position i on the unit 1/4
     PACK = ("pack", "--sides", "1/4,1/4,1/4,1/4")
 
     @pytest.mark.parametrize(
@@ -1061,20 +1062,20 @@ class TestReplayTampers:
         [
             _untampered,
             # one input placed twice: cube 0 at 0 and at 1/4
-            _set(("layout", "placements"), [
-                {"index": 0, "translate": ["0/1"]}, {"index": 0, "translate": ["1/4"]}
-            ]),
+            _set(("layout", "placements"), [{"index": 0, "position": [0]}, {"index": 0, "position": [1]}]),
             _set(("layout", "placements", 1, "index"), 9),  # a family of 4 cubes
             _set(("placements",), 3),
             _set(("placements",), 2.0),
             _set(("covered_cube", "hi"), ["1/4"]),
-            _set(("layout", "placements", 1, "translate"), ["1/4", "0/1"]),  # at d = 1
+            _set(("layout", "placements", 1, "position"), [1, 0]),  # at d = 1
             _set(("layout", "placements", 1, "index"), -1),
             _zero_as_integer_text,
-            _set(("layout", "merge_tree"), []),  # a layout is its placements and target alone
+            _set(("layout", "merge_tree"), []),  # a layout is its unit, placements and target alone
+            _set(("layout", "unit"), "1/2"),  # the unit doubled: a gap at [1/4, 1/2)
+            _set(("layout", "placements", 1, "position"), [2]),  # a gap at [1/4, 1/2)
         ],
         ids=["untampered", "repeated-index", "index-outside", "count", "count-float", "covered-cube",
-             "translation-length", "index-negative", "target-text", "extra-key"],
+             "position-length", "index-negative", "target-text", "extra-key", "unit-doubled", "position-moved"],
     )
     def test_pack(self, tamper, capsys):
         assert _replayed(self.PACK, tamper, capsys) is (tamper is _untampered)
@@ -1084,32 +1085,52 @@ class TestReplayTampers:
         assert not ok
         assert err.startswith("verification refused: ")
 
-    # The layout's placement 1 sits at 1/4 and placement 0 at 0: the same
-    # points in text the program does not write.
-    LAYOUTS = {
-        "pack": (
-            PACK, ("layout",), {"unreduced": "2/8", "decimal": "0.25", "leading-zero": "01/4", "space": " 1/4"}
-        ),
-    }
+    def test_a_halved_unit_fails_the_check_cleanly(self, capsys):
+        # The cubes 1 and 2 of 1/4, merged into the selected cube of 1/2, sit at
+        # positions 0 and 1 on the unit 1/4.  The unit halved decodes, and
+        # its cubes at 0 and 1/8 miss [3/8, 1/2).
+        argv = ("pack", "--sides", "1,1/4,1/4")
+        assert _replayed(argv, _untampered, capsys)
+        ok, err = _replay(argv, _set(("layout", "unit"), "1/8"), capsys)
+        assert not ok
+        assert err == ""
 
-    @pytest.mark.parametrize("name", sorted(LAYOUTS))
     @pytest.mark.parametrize(
-        "kind", ["unreduced", "decimal", "leading-zero", "space", "negative-zero", "extra-key", "index-true"]
+        "path, value",
+        [
+            *[((1, "position", 0), value) for value in (1.0, True, "1", None, [1])],
+            *[((1, "position"), value) for value in (1.0, True, "1", None, [[1]], {"0": 1})],
+            *[((1, "index"), value) for value in (True, -1, 1.0, "1", None)],
+            ((1, "note"), 0),
+            ((1, "translate"), ["1/4"]),
+        ],
     )
-    def test_placements_in_other_text_are_refused(self, name, kind, capsys):
-        argv, layout, texts = self.LAYOUTS[name]
-        placements = (*layout, "placements")
-        if kind in texts:
-            tamper = _set((*placements, 1, "translate"), [texts[kind]])
-        elif kind == "negative-zero":
-            tamper = _set((*placements, 0, "translate"), ["-0/1"])
-        elif kind == "extra-key":
-            tamper = _set((*placements, 1, "note"), "0/1")
-        else:
-            tamper = _set((*placements, 1, "index"), True)
-        ok, err = _replay(argv, tamper, capsys)
+    def test_placements_off_the_written_shape_are_refused(self, path, value, capsys):
+        ok, err = _replay(self.PACK, _set(("layout", "placements", *path), value), capsys)
+        assert not ok
+        assert err.startswith("verification refused: placement: ")
+
+    @pytest.mark.parametrize("unit", ["2/8", "0/1", "-1/4", "0.25", "01/4", " 1/4", "1/4 ", 1, None, ["1/4"]])
+    def test_units_off_the_written_text_are_refused(self, unit, capsys):
+        ok, err = _replay(self.PACK, _set(("layout", "unit"), unit), capsys)
         assert not ok
         assert err.startswith("verification refused: ")
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _drop(("layout", "unit")),
+            _drop(("layout", "target")),
+            _set(("layout", "note"), "0/1"),
+            _set(("layout", "placements"), {}),
+            _set(("layout",), None),
+        ],
+        ids=["no-unit", "no-target", "extra-key", "placements-object", "layout-null"],
+    )
+    def test_layouts_off_the_written_shape_are_refused(self, tamper, capsys):
+        ok, err = _replay(self.PACK, tamper, capsys)
+        assert not ok
+        assert err.startswith("verification refused: packing layout: ")
 
     # The witness's stages are (1, 2, 0): one per leaf of the three elements.
     CUBE = ("infinite-cube", "--pool-size", "3", "--stage-cap", "12")
@@ -1146,7 +1167,9 @@ class TestReplayTampers:
 
     # grid 2 of kept 35 cubes of side 9/128 covers [0, 1922011/16777216)^3
     COROLLARY = ("corollary-demo", "--d", "3", "--delta", "1/8")
-    OLD_LAYOUT = {"placements": [{"index": 0, "translate": ["0/1"] * 3}], "target": {"lo": ["0/1"] * 3, "hi": ["1/1"] * 3}}
+    OLD_LAYOUT = {
+        "unit": "1/1", "placements": [{"index": 0, "position": [0] * 3}], "target": {"lo": ["0/1"] * 3, "hi": ["1/1"] * 3}
+    }
 
     @pytest.mark.parametrize(
         "tamper",

@@ -44,7 +44,11 @@ part of d: ``corollary-demo`` 45e98451f95c -> 0728bc75ceef,
 ``corollary-demo-odd-d`` e071f93a83f2 -> 73aac9508300.  Each is the old
 document with just those fields changed, its gauge value the same real
 number; the ``hausdorff-bound`` cases' radicands were already 1 and kept
-their digests.  Each document must also equal the stdlib's
+their digests.  The ``pack`` digest was re-recorded when a layout's
+document became its unit, written once, and each placement's integer
+position, in place of a rational translate per coordinate: 03e126581983
+-> fa2d7b9ae7cd.  It is the old document with just the layout changed,
+each old translate the unit times the new position.  Each document must also equal the stdlib's
 ``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
 writer reproduces without running it.  The
 input files are literal JSON, so the fixtures do not depend on the encoder
@@ -123,7 +127,7 @@ CASES = {
     "pack": (
         ["pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/3", "--verify"],
         0,
-        "03e126581983737659604373b42d4f6829228ccc7c88687f1aba60c1e148a98d",
+        "fa2d7b9ae7cd5d50af38b91696a2033da312d913c59bbee6e5f26569c642a393",
     ),
     "hausdorff-bound": (
         ["hausdorff-bound", "--d", "2", "--delta", "1/8", "--verify"],

@@ -97,6 +97,58 @@ def test_integer_rounding_is_floor_log2_of_the_ratio(sides, alpha, powers):
     assert packing._dyadic_exponents(sides, alpha) == expected
 
 
+@st.composite
+def mixed_sides(draw):
+    """Sides that mix one object held many times, equal values held in
+    distinct objects, and distinct values, in a drawn order."""
+    pool = draw(st.lists(positive_fractions(max_value=Fraction(8)), min_size=1, max_size=6))
+    sides = []
+    for _ in range(draw(st.integers(1, 24))):
+        v = draw(st.sampled_from(pool))
+        # the pool's own object, or an equal value in an object of its own
+        sides.append(v if draw(st.booleans()) else Fraction(v.numerator, v.denominator))
+    return sides
+
+
+@given(sides=mixed_sides(), alpha=st.sampled_from(_ALPHAS))
+def test_exponents_of_distinct_side_objects_are_floor_log2_of_each_side(sides, alpha):
+    assert packing._dyadic_exponents(sides, alpha) == [floor_log2(v / alpha) for v in sides]
+
+
+def test_each_distinct_side_object_is_rounded_coerced_and_powered_once(monkeypatch):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    sides = (half, third) * 8 + (Fraction(1, 2), 1)  # the last half an equal object of its own
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(packing, name, wrapper)
+
+    counted("as_fraction", packing.as_fraction)
+    counted("_floor_log2_ratio", packing._floor_log2_ratio)
+    fam = CubeFamily(1, sides)
+    assert fam.sides == (half, third) * 8 + (half, Fraction(1))
+    assert fam.sides[0] is fam.sides[14] is half and type(fam.sides[-1]) is Fraction
+    assert calls["as_fraction"] == 4
+    assert packing._dyadic_exponents(fam.sides, Fraction(1)) == [-1, -2] * 8 + [-1, 0]
+    assert calls["_floor_log2_ratio"] == 4
+    # the volume sum counts a shared object once per occurrence
+    with pytest.raises(PreconditionError, match="total normalized volume 5/6 is below 1"):
+        pack_cover(CubeFamily(1, (half, third)))
+    layout = pack_cover(CubeFamily(2, (half,) * 3 + (Fraction(1, 2),)))
+    assert len(layout.placements) == 4
+
+
+@pytest.mark.parametrize("sides", [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(1, 2), 0, Fraction(1, 2))])
+def test_a_shared_or_later_nonpositive_side_is_refused(sides):
+    with pytest.raises(PreconditionError, match="cube sides must be positive"):
+        CubeFamily(1, sides)
+    with pytest.raises(PreconditionError, match="expected an exact rational, got float"):
+        CubeFamily(1, (*sides, 0.5))
+
+
 @given(
     p=st.integers(1, 1 << 80), q=st.integers(1, 1 << 80), m=st.integers(1, 1 << 40)
 )
@@ -364,19 +416,26 @@ class TestTilingProof:
     @pytest.mark.parametrize(
         "dim,sides,digest",
         [
-            (1, (Fraction(1, 64),) * 64, "1dffa73f1d0efc60"),
-            (1, tuple(Fraction(k, 97) for k in range(1, 20)), "ead3436bd14750ef"),
-            (2, (Fraction(1, 4),) * 16, "c490a510a054f772"),
-            (2, tuple(Fraction(k, 23) for k in range(3, 14)), "57c849278cfdfe68"),
-            (3, (Fraction(1, 2),) * 8, "0c38c15852ac2d9f"),
-            (3, tuple(Fraction(k, 13) for k in range(5, 12)), "1bc33d2eea38ff2a"),
+            (1, (Fraction(1, 64),) * 64, "dd51474ee9b952c6"),
+            (1, tuple(Fraction(k, 97) for k in range(1, 20)), "0e10664846e50b46"),
+            (2, (Fraction(1, 4),) * 16, "df3dda2e63749df0"),
+            (2, tuple(Fraction(k, 23) for k in range(3, 14)), "1ea372c49d568a1b"),
+            (3, (Fraction(1, 2),) * 8, "d754ff5d3cccf58b"),
+            (3, tuple(Fraction(k, 13) for k in range(5, 12)), "79d38a629963dd1c"),
         ],
     )
     def test_layouts_are_frozen(self, dim, sides, digest):
         # sha256 prefixes of the serialized layouts recorded with the
         # pairwise overlap check, before the tiling proof used box algebra;
         # re-recorded without the merge tree that layouts no longer hold,
-        # from the old layouts with that one key dropped
+        # from the old layouts with that one key dropped; re-recorded again
+        # when a layout's document became its unit and integer positions,
+        # each old translate equal to the unit times the new position
+        # (old -> new: 1dffa73f1d0efc60 -> dd51474ee9b952c6,
+        # ead3436bd14750ef -> 0e10664846e50b46, c490a510a054f772 ->
+        # df3dda2e63749df0, 57c849278cfdfe68 -> 1ea372c49d568a1b,
+        # 0c38c15852ac2d9f -> d754ff5d3cccf58b, 1bc33d2eea38ff2a ->
+        # 79d38a629963dd1c)
         doc = json.dumps(to_json(pack_cover(CubeFamily(dim, sides))), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
 

@@ -18,6 +18,7 @@ from fatcantor.rationals import (
     coord_to_json,
     format_fraction,
     is_finite,
+    parse_each,
     parse_fraction,
     printable,
 )
@@ -213,3 +214,20 @@ def test_coord_json_round_trip():
     assert coord_from_json(coord_to_json(Fraction(22, 7))) == Fraction(22, 7)
     assert coord_to_json(POS_INF) == "inf"
     assert coord_to_json(NEG_INF) == "-inf"
+
+
+def test_parse_each_parses_each_distinct_text_once_in_order():
+    parsed = []
+
+    def parse(text):
+        parsed.append(text)
+        return parse_fraction(text)
+
+    values = parse_each(["1/2", "1/3", "1/2", "2/4", "1/3"], parse)
+    assert values == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
+    assert parsed == ["1/2", "1/3", "2/4"]
+    assert values[0] is values[2] and values[1] is values[4]
+    # a refusal is the first refused text's, in order
+    with pytest.raises(PreconditionError, match="not a rational: 'x'"):
+        parse_each(["1/2", "x", "1/2", "y"], parse_fraction)
+    assert parse_each([], parse_fraction) == []

@@ -32,6 +32,7 @@ from fatcantor import (
     cli,
     corollary_pipeline,
     find_uncovered_box,
+    layout_covers,
     measure_bounds,
     nu_delta_upper,
     outer_upper,
@@ -64,7 +65,6 @@ from fatcantor.serialize import (
     witness_from_json,
 )
 
-from layouts import translations
 from strategies import approx_set, boxes, fractions, ring_exprs, schedules
 
 S1 = CantorSchedule(1)
@@ -436,17 +436,42 @@ def test_cube_family_decodes_dim_and_sides_by_their_shape(doc, message):
         cube_family_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "sides, message",
+    [
+        (["1/2", True], "expected a rational string, got True"),
+        (["1/2", 1.0], "expected a rational string, got 1.0"),
+        ([True, "1/2", 1], "expected a rational string, got True"),
+        ([1, "1/2", True], "expected a rational string, got True"),
+        (["1", "1/2", 1.0], "expected a rational string, got 1.0"),
+        (["1/2", None], "expected a rational string, got None"),
+    ],
+)
+def test_family_sides_that_hash_alike_are_each_checked(sides, message):
+    # 1, true and 1.0 are one dict key, so only all-string sides skip the per-entry check
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        cube_family_from_json({"dim": 1, "sides": sides})
+
+
+def test_family_sides_decode_each_distinct_text_once():
+    fam = cube_family_from_json({"dim": 1, "sides": ["1/2", 1, "1/2", "1", 1]})
+    assert fam.sides == (Fraction(1, 2), Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1))
+    # equal texts decode to one object; "1" and 1 are distinct texts of one value
+    assert fam.sides[0] is fam.sides[2] and fam.sides[1] is fam.sides[4]
+
+
 def test_layout_round_trip():
-    # a layout is its placements and target, and the replays decode both
+    # a layout is its unit, placements and target, and the replays decode all three
     fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     layout = pack_cover(fam)
     doc = to_json(layout)
+    assert doc["unit"] == "1/4"
     assert doc["placements"] == [
-        {"index": 0, "translate": ["0/1"]},
-        {"index": 1, "translate": ["1/2"]},
-        {"index": 2, "translate": ["3/4"]},
+        {"index": 0, "position": [0]},
+        {"index": 1, "position": [2]},
+        {"index": 2, "position": [3]},
     ]
-    # decoded onto 1/lcm of the denominators, here pack_cover's own unit
+    # decoded on the document's unit, here pack_cover's own
     assert placements_from_json(doc) == (layout.unit, layout.placements)
     assert layout.unit == Fraction(1, 4) and layout.placements == ((0, (0,)), (1, (2,)), (2, (3,)))
     assert box_from_json(doc["target"]) == layout.target
@@ -530,12 +555,38 @@ def test_to_json_round_trips_packing_documents(dim):
     layout = pack_cover(fam)
     assert cube_family_from_json(to_json(fam)) == fam
     doc = to_json(layout)
-    assert set(doc) == {"placements", "target"}
-    unit, placements = placements_from_json(doc)
-    assert translations(PackingLayout(unit, placements, layout.target)) == translations(layout)
+    assert set(doc) == {"unit", "placements", "target"}
+    assert placements_from_json(doc) == (layout.unit, layout.placements)
     assert box_from_json(doc["target"]) == layout.target
-    placement = doc["placements"][0]
-    assert set(placement) == {"index", "translate"}
+    for placement in doc["placements"]:
+        assert set(placement) == {"index", "position"}
+        assert all(type(v) is int for v in placement["position"])
+
+
+@st.composite
+def _feasible_families(draw):
+    """A family of d = 1-3 with sum side**d >= 1: equal sides held in one
+    object, or sides with distinct denominators."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        side = Fraction(1, draw(st.sampled_from([2, 3, 4, 8])))
+        sides = [side] * (int(1 / side**dim) + draw(st.integers(0, 9)))
+    else:
+        sides, volume = [], Fraction(0)
+        while volume < 1:
+            sides.append(Fraction(draw(st.integers(13, 63)), draw(st.integers(64, 97))))
+            volume += sides[-1] ** dim
+    return CubeFamily(dim, tuple(sides))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fam=_feasible_families())
+def test_layouts_decode_to_their_unit_and_positions(fam):
+    layout = pack_cover(fam)
+    doc = json.loads(json.dumps(to_json(layout)))
+    assert placements_from_json(doc) == (layout.unit, layout.placements)
+    unit, placements = placements_from_json(doc)
+    assert layout_covers(fam, PackingLayout(unit, placements, box_from_json(doc["target"])))
 
 
 _S1_HALF = Gen((Fraction(1, 2),), Box.unit_cube(1))
@@ -612,8 +663,13 @@ def test_to_json_holds_only_json_values(kind):
     assert json.loads(json.dumps(doc)) == doc
 
 
+def _layout_doc(*placements, unit="1/4"):
+    """A layout document holding ``placements``, on ``unit``, with a unit target."""
+    return {"unit": unit, "placements": list(placements), "target": {"lo": ["0/1"], "hi": ["1/1"]}}
+
+
 def test_placements_decode_their_index_as_an_exact_int():
-    layout = {"placements": [{"index": 1, "translate": ["0/1"]}]}
+    layout = _layout_doc({"index": 1, "position": [0]}, unit="1/1")
     assert placements_from_json(layout) == (Fraction(1), ((1, (0,)),))
     for index in (1.0, True, "1", -1):
         layout["placements"][0]["index"] = index
@@ -634,80 +690,122 @@ def test_lattice_placements_round_trip_through_their_text(unit, dim, data):
     positions = data.draw(st.lists(st.tuples(*[_positions] * dim), max_size=12))
     layout = PackingLayout(unit, tuple(enumerate(positions)), Box.unit_cube(dim))
     doc = to_json(layout)
-    # each coordinate written from the integers is format_fraction's text
-    for (_, position), placement in zip(layout.placements, doc["placements"]):
-        assert placement["translate"] == [format_fraction(unit * p) for p in position]
+    # the unit once, each position as its ints
+    assert doc["unit"] == format_fraction(unit)
+    assert [placement["position"] for placement in doc["placements"]] == [list(p) for p in positions]
     decoded_unit, placements = placements_from_json(json.loads(json.dumps(doc)))
+    assert (decoded_unit, placements) == (unit, layout.placements)
     decoded = PackingLayout(decoded_unit, placements, layout.target)
-    assert translations(decoded) == translations(layout)
     assert dumps_document(to_json(decoded)) == dumps_document(doc)
 
 
 def test_a_lattice_coordinate_too_long_to_print_is_refused():
     huge = 10**5000
-    for unit, position in [(Fraction(1, 3), huge), (Fraction(huge, 7), 1), (Fraction(1, huge), 1)]:
+    for unit, position in [(Fraction(1, 3), huge), (Fraction(1, 3), -huge), (Fraction(huge, 7), 1),
+                           (Fraction(1, huge), 1)]:
         with pytest.raises(PreconditionError, match="^result too large to print"):
-            to_json(PackingLayout(unit, ((0, (position,)),), Box.unit_cube(1)))
-    # zero is 0/1 on any lattice
-    assert to_json(PackingLayout(Fraction(1, huge), ((0, (0,)),), Box.unit_cube(1)))["placements"] == [
-        {"index": 0, "translate": ["0/1"]}
+            to_json(PackingLayout(unit, ((0, (0, position)),), Box.unit_cube(2)))
+    # the unit is written once, so it is refused even where every position is 0
+    with pytest.raises(PreconditionError, match="^result too large to print"):
+        to_json(PackingLayout(Fraction(1, huge), ((0, (0,)),), Box.unit_cube(1)))
+    # a position just short of the limit prints
+    most = 10 ** (sys.get_int_max_str_digits() - 1)
+    assert to_json(PackingLayout(Fraction(1), ((0, (-most,)),), Box.unit_cube(1)))["placements"] == [
+        {"index": 0, "position": [-most]}
     ]
 
 
+_PLACEMENT = {"index": 1, "position": [1]}
+
+
 @pytest.mark.parametrize(
-    "placement, message",
+    "unit, message",
     [
         *[
-            ({"index": 0, "translate": [text]}, "in lowest terms")
+            (text, "in lowest terms")
             for text in ["2/8", "0.25", "01/4", "-0/1", " 1/4", "1/4 ", "0/2", "1/04", "+1/4", "1/-4", "1/0",
-                         "1", "\uff11/4", 0, 0.25, None, True, ["1/4"], {"1/4": 0}]
+                         "1", "\uff11/4", 0, 1, 0.25, None, True, ["1/4"], {"1/4": 0}]
         ],
-        ({"index": 0, "translate": ["1" * 5000 + "/1"]}, "a rational has more than"),
-        ({"index": 0, "translate": ["1/4"], "note": "0/1"}, "alone, got"),
+        ("1" * 5000 + "/1", "a rational has more than"),
+        ("0/1", "the unit must be positive, got '0/1'"),
+        ("-1/4", "the unit must be positive, got '-1/4'"),
     ],
 )
-def test_placements_decode_only_the_text_the_encoder_writes(placement, message):
+def test_a_layout_unit_decodes_only_as_the_encoder_writes_it(unit, message):
     with pytest.raises(PreconditionError, match=message):
-        placements_from_json({"placements": [{"index": 1, "translate": ["1/4"]}, placement]})
+        placements_from_json(_layout_doc(_PLACEMENT, unit=unit))
+
+
+@pytest.mark.parametrize(
+    "position, message",
+    [
+        *[([1, value], f"got {kind}") for value, kind in
+          [(1.0, "float"), (True, "bool"), ("1", "str"), (None, "NoneType"), ([0], "list")]],
+        ([[0]], "got list"),
+        *[(value, f"'position' must be a list, got {kind}") for value, kind in
+          [(1.0, "float"), (True, "bool"), ("1", "str"), (None, "NoneType"), ({"0": 0}, "dict")]],
+    ],
+)
+def test_placements_decode_only_int_positions(position, message):
+    with pytest.raises(PreconditionError, match=f"^placement: .*{message}$"):
+        placements_from_json(_layout_doc(_PLACEMENT, {"index": 0, "position": position}))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({k: v for k, v in _layout_doc().items() if k != "unit"}, r"missing keys \['unit'\]"),
+        ({k: v for k, v in _layout_doc().items() if k != "target"}, r"missing keys \['target'\]"),
+        ({**_layout_doc(), "merge_tree": []},
+         r"expected the keys \['unit', 'placements', 'target'\] alone, got \['unit', 'placements', 'target', 'merge_tree'\]"),
+        ({**_layout_doc(), "placements": {}}, "'placements' must be a list, got dict"),
+        ([], "expected an object, got list"),
+        (None, "expected an object, got NoneType"),
+    ],
+)
+def test_a_layout_decodes_only_in_the_shape_the_encoder_writes(doc, message):
+    with pytest.raises(PreconditionError, match=f"^packing layout: {message}"):
+        placements_from_json(doc)
 
 
 @pytest.mark.parametrize(
     "placement, message",
     [
-        ([1, ["1/4"]], "placement: expected an object, got list"),
-        ({"index": 1}, r"placement: missing keys \['translate'\]"),
-        ({"index": 1, "translate": ("1/4",)}, "placement: 'translate' must be a list, got tuple"),
-        ({"index": 1, "translate": "1/4"}, "placement: 'translate' must be a list, got str"),
-        ({"index": 1, "place": ["1/4"]}, r"placement: missing keys \['translate'\]"),
-        ({"index": -2, "translate": ["1/4"]}, "placement: 'index' must be nonnegative"),
-        ({"index": False, "translate": ["1/4"]}, "placement: 'index' must be an integer, got bool"),
+        ([1, [1]], "placement: expected an object, got list"),
+        ({"index": 1}, r"placement: missing keys \['position'\]"),
+        ({"index": 1, "position": (1,)}, "placement: 'position' must be a list, got tuple"),
+        ({"index": 1, "position": "1"}, "placement: 'position' must be a list, got str"),
+        ({"index": 1, "translate": ["1/4"]}, r"placement: missing keys \['position'\]"),
+        ({"index": 1, "position": [1], "note": 0},
+         r"placement: expected the keys \['index', 'position'\] alone, got \['index', 'position', 'note'\]"),
+        ({"index": -2, "position": [1]}, "placement: 'index' must be nonnegative"),
+        ({"index": False, "position": [1]}, "placement: 'index' must be an integer, got bool"),
+        ({"index": True, "position": [1]}, "placement: 'index' must be an integer, got bool"),
     ],
 )
 def test_placements_off_the_written_shape_get_the_checks_messages(placement, message):
     with pytest.raises(PreconditionError, match=f"^{message}$"):
-        placements_from_json({"placements": [{"index": 0, "translate": ["0/1"]}, placement]})
+        placements_from_json(_layout_doc({"index": 0, "position": [0]}, placement))
 
 
 def test_placements_off_the_written_shape_decode_as_the_written_shape():
     # a mapping that is not a dict, and a dict in another key order, pass the checks
-    written = {"placements": [{"index": 1, "translate": ["1/4", "0/1"]}, {"index": 0, "translate": ["1/2", "1/3"]}]}
-    other = {
-        "placements": [
-            types.MappingProxyType({"translate": ["1/4", "0/1"], "index": 1}),
-            {"translate": ["1/2", "1/3"], "index": 0},
-        ]
-    }
+    written = _layout_doc({"index": 1, "position": [3, 0]}, {"index": 0, "position": [6, 4]}, unit="1/12")
+    other = _layout_doc(
+        types.MappingProxyType({"position": [3, 0], "index": 1}),
+        {"position": [6, 4], "index": 0},
+        unit="1/12",
+    )
     assert placements_from_json(other) == placements_from_json(written) == (
         Fraction(1, 12), ((1, (3, 0)), (0, (6, 4)))
     )
 
 
-def test_placements_decode_onto_the_lcm_of_their_denominators():
-    doc = {
-        "placements": [{"index": 0, "translate": ["-1/6", "0/1"]}, {"index": 1, "translate": ["3/4", "-1/6"]}]
-    }
-    assert placements_from_json(doc) == (Fraction(1, 12), ((0, (-2, 0)), (1, (9, -2))))
-    assert placements_from_json({"placements": []}) == (Fraction(1), ())
+def test_placements_decode_on_the_documents_unit():
+    # the positions as written, with no common factor taken out
+    doc = _layout_doc({"index": 0, "position": [-2, 0]}, {"index": 1, "position": [8, -2]}, unit="1/12")
+    assert placements_from_json(doc) == (Fraction(1, 12), ((0, (-2, 0)), (1, (8, -2))))
+    assert placements_from_json(_layout_doc(unit="3/2")) == (Fraction(3, 2), ())
 
 
 def test_scalars_and_containers():
