@@ -58,7 +58,7 @@ from .packing import (
     pack_cover,
 )
 from .quadratic import ExtendedRational
-from .rationals import NEG_INF, POS_INF, Coord, floor_log2, pow2
+from .rationals import NEG_INF, POS_INF, Coord, pow2
 from .ring import (
     Diff,
     Gen,
@@ -121,7 +121,6 @@ __all__ = [
     "expr_dim",
     "find_gap",
     "find_uncovered_box",
-    "floor_log2",
     "generate_rn",
     "grid_translate_pool",
     "iter_leaves",

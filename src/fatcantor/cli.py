@@ -1,7 +1,8 @@
 """Command-line front end: exact JSON in, exact JSON out.
 
-Every subcommand prints exactly one JSON document to stdout (or ``--out``)
-with the envelope ``{"command", "config", "inputs", "result"}``.  All
+Every subcommand prints exactly one JSON document to stdout (or ``--out``),
+the stdlib's compact JSON with sorted keys, with the envelope
+``{"command", "config", "inputs", "result"}``.  All
 numeric payloads are rational strings ("p/q") or quadratic-field objects —
 no floats.  Output is deterministic: identical flags produce byte-identical
 documents.
@@ -85,7 +86,6 @@ from .serialize import (
     _list_of,
     box_from_json,
     cube_family_from_json,
-    dumps_document,
     expr_from_json,
     exprs_from_json,
     frac_from_json,
@@ -627,7 +627,8 @@ def _verify(command: Command, s: CantorSchedule, inputs: dict, core: dict) -> bo
 
 
 def _emit(doc: dict, out: "str | None") -> None:
-    text = dumps_document(doc) + "\n"
+    # compact, so the stdlib writes it with its C encoder
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

@@ -333,13 +333,11 @@ def corollary_pipeline(
     covered_cube = Box.cube((Fraction(0),) * d, alpha / 2)
 
     # Exact inequality chain.  The kept cubes are axis cubes with the same
-    # side as the cover boxes, so their diameters agree identically.
+    # side as the cover boxes, so each has the cover's squared diameter,
+    # d * side**2.
     half_a = ExtendedRational.from_rational(a / 2)
     sum_ok = (cover.value - half_a).sign() > 0
-    cube_diam_sq = diam_squared(Box.cube((Fraction(0),) * d, side))
-    diam_ok = ExtendedRational.sqrt_fraction(cube_diam_sq) == ExtendedRational.sqrt_fraction(
-        cover.diam_squared
-    )
+    diam_ok = cover.diam_squared == d * side * side
     q = a * a / (4 * Fraction(d) ** d)
     alpha_pow = alpha ** (2 * d)
     alpha_ok = alpha_pow == q if alpha_exact else alpha_pow <= q
@@ -442,8 +440,9 @@ class LevelSolution:
     some midpoint's own level bounds pin the target more tightly than the
     tolerance (the level function is locally flat there, so no point does
     better).  The invariant is exact throughout:
-    level(lo) <= target <= level(hi); either way
-    ``|bracket.midpoint() - target| <= tol``.
+    level(lo) <= target <= level(hi); either way the bracket's midpoint
+    is within ``tol`` of the target:
+    ``|(bracket.lower + bracket.upper) / 2 - target| <= tol``.
     """
 
     target: Fraction

@@ -19,12 +19,13 @@ d-th powers as integers per side denominator, then adds one ``Fraction``
 per distinct denominator in a balanced fold.  It does not put all sides
 over one common denominator: for 8192 distinct prime denominators that
 lcm has about 10^5 bits, and raising its numerators to the power d took
-25 s at d = 2 and 82 s at d = 3, against 0.2 s grouped.  Each side's dyadic exponent is the
-bit-length rule of ``floor_log2`` on the unreduced integer ratio
-side/alpha.  The merge is recorded one entry per level, ``(level, ids
-merged in order, first result id)``: group j of a level's ids, ``2**d`` of
-them, became cube ``first + j``, and results are numbered consecutively
-from the number of inputs (``MergeRecord``).  The unfold and the proof walk
+25 s at d = 2 and 82 s at d = 3, against 0.2 s grouped.  Each side's
+dyadic exponent is the bit-length rule of ``rationals._floor_log2_ratio``
+on the unreduced integer ratio side/alpha.  The merge is recorded one
+entry per level, ``(level, ids merged in order, first result id)``:
+group j of a level's ids, ``2**d`` of them, became cube ``first + j``,
+and results are numbered consecutively from the number of inputs
+(``MergeRecord``).  The unfold and the proof walk
 the selected cube's tree a level at a time, from the entry that made it
 down, with no object per merge step.  Before a layout is returned, its
 coverage of the target is proved by induction over that record, in integer
@@ -93,8 +94,8 @@ def _distinct(sides: Sequence[Any]) -> "dict[int, Any]":
 
 def _dyadic_exponents(sides: Sequence[Fraction], alpha: Fraction) -> list[int]:
     """The exponents k_j with ``2**k_j <= side_j / alpha < 2**(k_j + 1)``, by
-    ``floor_log2``'s rule on the unreduced integer ratios, once per distinct
-    side object: no Fraction per side."""
+    ``_floor_log2_ratio``'s bit-length rule on the unreduced integer ratios,
+    once per distinct side object: no Fraction per side."""
     an, ad = alpha.numerator, alpha.denominator
     exponent = {
         key: _floor_log2_ratio(v.numerator * ad, v.denominator * an)

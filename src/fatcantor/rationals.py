@@ -194,14 +194,6 @@ def pow2(k: int) -> Fraction:
     return Fraction(1, 1 << (-k))
 
 
-def floor_log2(value: Fraction) -> int:
-    """Largest k with 2**k <= value (value must be positive)."""
-    p = value.numerator
-    if p <= 0:
-        raise PreconditionError(f"floor_log2 needs a positive value, got {value}")
-    return _floor_log2_ratio(p, value.denominator)
-
-
 def _floor_log2_ratio(p: int, q: int) -> int:
     """Largest k with 2**k <= p/q, for positive integers p, q in any terms.
 

@@ -200,9 +200,6 @@ class MeasureBounds:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
-
 
 def measure_bounds(e: "RingExpr", s: CantorSchedule, n: int) -> MeasureBounds:
     """Bracket the true measure of ``e`` using the stage-n evaluation."""

@@ -14,6 +14,11 @@ distinct side object once.  No encoder checks printability itself:
 ``rationals.format_fraction`` and ``printable`` refuse a number with more
 digits than Python prints.  Each place in a document holds its own JSON
 object, so a caller may edit one place without touching another.
+:func:`to_json` returns only dicts with ``str`` keys, lists, and exact
+``str``, ``int``, ``bool`` and ``None``: a float, any other key type and
+any type without an encoder raise ``TypeError``.  The CLI writes that as
+the stdlib's compact JSON, ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"))``, which runs its C encoder and is ASCII.
 
 The decoders stay hand-written, because they validate input from outside
 the program: they check shapes and raise ``PreconditionError`` on malformed
@@ -35,17 +40,6 @@ and every value has the same JSON type, so ``1``, ``1.0`` and ``true``
 differ, as their text does.  It skips a subtree both sides hold as one
 object, so a check that builds its expectation around the document's own
 certificates walks only the rest.
-
-:func:`dumps_document` writes a document as text.  It returns exactly
-``json.dumps(doc, indent=2, sort_keys=True)``, but in one recursive walk that
-appends to one list and joins it once: with ``indent`` set, CPython's
-``json`` falls back to its pure-Python encoder, nested generators (one per
-level) through which every piece of text is yielded.  It accepts only what
-documents hold: ``dict`` with ``str`` keys (emitted sorted), ``list`` and
-``tuple``, and exact ``str``, ``int``, ``bool`` and ``None``.  Any other
-type, floats included, raises ``TypeError``.  Strings go through the C
-escaper ``json`` itself uses under ``ensure_ascii``, so the text is ASCII
-and the bytes are the stdlib's.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
 from .cover import UncoveredWitness
@@ -75,8 +68,8 @@ from .ring import Diff, Gen, Inter, RingExpr, Union
 # Deepest expression ``expr_from_json`` admits, counted in nodes on the
 # longest root-to-leaf path (a generator alone has depth 1).  Every pass over
 # a decoded tree recurses once or twice per level (simplify, ring._evaluate,
-# positive_hull, to_json, dumps_document, and ``rn-enumerate`` output
-# seven layers deeper), so this keeps them all far below the interpreter's
+# positive_hull, to_json, ``json.dumps``, and ``rn-enumerate`` output seven
+# layers deeper), so this keeps them all far below the interpreter's
 # recursion limit, even from a caller already deep in its stack.  Golden and
 # benchmark expressions have at most four leaves.
 MAX_EXPR_DEPTH = 64
@@ -343,8 +336,19 @@ def _same(value: Any) -> Any:
 
 
 def _list(values: Sequence[Any]) -> list:
-    # ``_encode`` inlined here and in ``_by_fields``: one call less per value
+    # ``_encode`` inlined here, in ``_dict`` and in ``_by_fields``: one call
+    # less per value
     return [_ENCODERS.get(type(v), _by_fields)(v) for v in values]
+
+
+def _dict(doc: dict) -> dict:
+    # ``json.dumps`` would write an int, bool or None key as a string
+    encoded = {}
+    for key, v in doc.items():
+        if type(key) is not str:
+            raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        encoded[key] = _ENCODERS.get(type(v), _by_fields)(v)
+    return encoded
 
 
 # Encoders by exact type.  A dataclass not listed gets its encoder from
@@ -359,7 +363,7 @@ _ENCODERS: "dict[type, Callable[[Any], Any]]" = {
     type(None): _same,
     tuple: _list,
     list: _list,
-    dict: lambda doc: {key: _encode(v) for key, v in doc.items()},
+    dict: _dict,
     Box: box_to_json,
     ExtendedRational: quad_to_json,
     CubeFamily: _encode_family,
@@ -398,69 +402,9 @@ def to_json(value: Any) -> Any:
     """The JSON document of ``value``: a scalar, a list, a dict or a report.
 
     A dataclass without its own encoder becomes ``{field: to_json(value)}``;
-    ``Fraction`` prints as ``"p/q"``; tuples become lists.  Any other type
-    raises ``TypeError``.  Each place in the document holds its own JSON
+    ``Fraction`` prints as ``"p/q"``; tuples become lists.  Any other type,
+    and a dict key that is not a ``str``, raises ``TypeError``.  Each place
+    in the document holds its own JSON
     object, even where ``value`` holds one object twice.
     """
     return _encode(value)
-
-
-# -- the document writer --------------------------------------------------------
-
-
-def dumps_document(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, written in one pass.
-
-    ``doc`` holds dicts with ``str`` keys, lists, tuples and exact ``str``,
-    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``.
-    """
-    chunks: "list[str]" = []
-    append = chunks.append
-    # pads[k] starts a line at depth k; commas[k] ends an item and does that.
-    pads = ["\n"]
-    commas = [",\n"]
-
-    def write(value: Any, depth: int) -> None:
-        kind = type(value)
-        if kind is str:
-            append(encode_basestring_ascii(value))
-        elif kind is int:
-            append(int.__repr__(value))
-        elif kind is dict or kind is list or kind is tuple:
-            if not value:
-                append("{}" if kind is dict else "[]")
-                return
-            inner = depth + 1
-            if inner == len(pads):
-                pads.append(pads[depth] + "  ")
-                commas.append("," + pads[inner])
-            sep = pads[inner]
-            if kind is dict:
-                append("{")
-                for key, item in sorted(value.items()):
-                    if type(key) is not str:
-                        raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-                    append(sep)
-                    append(encode_basestring_ascii(key))
-                    append(": ")
-                    write(item, inner)
-                    sep = commas[inner]
-                append(pads[depth])
-                append("}")
-            else:
-                append("[")
-                for item in value:
-                    append(sep)
-                    write(item, inner)
-                    sep = commas[inner]
-                append(pads[depth])
-                append("]")
-        elif value is None:
-            append("null")
-        elif kind is bool:
-            append("true" if value else "false")
-        else:
-            raise TypeError(f"no JSON text for {kind.__name__}")
-
-    write(doc, 0)
-    return "".join(chunks)

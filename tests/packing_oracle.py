@@ -5,13 +5,16 @@ unfolds them a level at a time.  Here the merges are steps, one per group of
 2^d cubes: the rescan regroups every alive cube before each step, and the
 unfold walks the selected cube's tree node by node, through a dict from
 each result to the step that made it.  ``steps_of`` and ``record_of`` turn
-one form into the other.
+one form into the other.  ``floor_log2`` is the oracle of
+``packing._dyadic_exponents``: it finds each exponent by comparing powers
+of two with the value, not by the bit-length rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
 from typing import NamedTuple
 
 from fatcantor.packing import MergeRecord
@@ -25,6 +28,19 @@ class Step(NamedTuple):
     level: int
     constituents: tuple
     result: int
+
+
+def floor_log2(value: Fraction) -> int:
+    """Largest k with 2**k <= value, for a positive value.  The bit lengths
+    only pick the first k tried; the two loops alone decide."""
+    if value <= 0:
+        raise ValueError(f"floor_log2 needs a positive value, got {value}")
+    k = value.numerator.bit_length() - value.denominator.bit_length()
+    while Fraction(2) ** k > value:
+        k -= 1
+    while Fraction(2) ** (k + 1) <= value:
+        k += 1
+    return k
 
 
 def merge_dyadic_by_rescan(dim: int, exponents: list[int]):

@@ -48,11 +48,17 @@ their digests.  The ``pack`` digest was re-recorded when a layout's
 document became its unit, written once, and each placement's integer
 position, in place of a rational translate per coordinate: 03e126581983
 -> fa2d7b9ae7cd.  It is the old document with just the layout changed,
-each old translate the unit times the new position.  Each document must also equal the stdlib's
-``json.dumps(doc, indent=2, sort_keys=True)`` text, which the CLI's own
-writer reproduces without running it.  The
-input files are literal JSON, so the fixtures do not depend on the encoder
-under test.
+each old translate the unit times the new position.
+
+Every digest was recorded on the document as
+``json.dumps(doc, indent=2, sort_keys=True)`` wrote it.  Since the CLI
+began writing the stdlib's compact JSON, a case hashes its output
+re-indented that way (:func:`indented_digest`), and its output must equal
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of the document
+it parses to: the first check pins every value, the second every byte.
+The compact form changed whitespace only, so no digest was re-recorded.
+The input files are literal JSON, so the fixtures do not depend on the
+encoder under test.
 
 Each document of a run that exits 0 must also replay from its own text:
 read back with ``json.loads``, so that it shares no subtree and keeps no
@@ -310,6 +316,14 @@ CASES = {
 }
 
 
+def indented_digest(out: str) -> str:
+    """The sha256 of a document's text re-indented as the digests were
+    recorded; the output must be that document's compact text."""
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return hashlib.sha256((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_document_is_byte_identical(name, tmp_path, monkeypatch, capsys):
     argv, code, digest = CASES[name]
@@ -319,11 +333,10 @@ def test_document_is_byte_identical(name, tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == code
     out = capsys.readouterr().out
     if code == 0:
-        verified = "--verify" in argv
-        assert ('"ok": true' if verified else '"requested": false') in out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    # the writer's text is the stdlib's indented text of the same document
-    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        verification = json.loads(out)["result"]["verification"]
+        expected = {"requested": True, "ok": True} if "--verify" in argv else {"requested": False}
+        assert verification == expected
+    assert indented_digest(out) == digest
 
 
 def replays_from_text(text: str) -> bool:

@@ -7,6 +7,7 @@ nothing with the package's Newton iteration.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -40,6 +41,7 @@ from fatcantor import (
     side_scale_for,
     solve_level,
 )
+from fatcantor import hausdorff
 from fatcantor.cantor import MAX_STAGE
 from fatcantor.hausdorff import MAX_TOL_BITS, _stage_for_width, _verdict_cuts, grid_covers
 
@@ -330,6 +332,18 @@ class TestCorollaryPipeline:
         assert rep.checks.all_ok()
         assert layout_covers(*grid_of(rep, rep.grid))
 
+    def test_an_edited_cover_diameter_fails_its_check(self, monkeypatch):
+        # d * side**2 is the kept cubes' squared diameter; a cover that
+        # claims another fails that link of the chain alone
+        def edited(*args, **kwargs):
+            cover = nu_delta_upper(*args, **kwargs)
+            return dataclasses.replace(cover, diam_squared=cover.diam_squared + cover.side**2)
+
+        monkeypatch.setattr(hausdorff, "nu_delta_upper", edited)
+        checks = corollary_pipeline(CantorSchedule(2), Fraction(1, 4)).checks
+        assert checks.diam_preserved is False and not checks.all_ok()
+        assert dataclasses.replace(checks, diam_preserved=True).all_ok()
+
     def test_chain_inequalities_recompute(self):
         rep = corollary_pipeline(S1, Fraction(1, 4))
         # gauge sum strictly above a/2
@@ -485,13 +499,13 @@ class TestSolveLevel:
     def test_solutions_meet_the_tolerance_contract(self, target):
         tol = pow2(-20)
         sol = solve_level(S1, target, tol=tol)
-        mid = sol.bracket.midpoint()
+        mid = (sol.bracket.lower + sol.bracket.upper) / 2
         assert abs(mid - target) <= tol
         assert sol.lo <= sol.point <= sol.hi
 
     def test_tolerance_can_be_relaxed(self):
         sol = solve_level(S1, Fraction(1, 3), tol=Fraction(1, 64))
-        assert abs(sol.bracket.midpoint() - Fraction(1, 3)) <= Fraction(1, 64)
+        assert abs((sol.bracket.lower + sol.bracket.upper) / 2 - Fraction(1, 3)) <= Fraction(1, 64)
 
     def test_out_of_range_targets_are_rejected(self):
         with pytest.raises(PreconditionError):
@@ -511,7 +525,7 @@ class TestSolveLevel:
         s = CantorSchedule(1, rho=pow2(-20))
         tol = pow2(-MAX_TOL_BITS)
         sol = solve_level(s, Fraction(1, 3), tol=tol)
-        assert abs(sol.bracket.midpoint() - Fraction(1, 3)) <= tol
+        assert abs((sol.bracket.lower + sol.bracket.upper) / 2 - Fraction(1, 3)) <= tol
         assert sol.iterations <= MAX_TOL_BITS + 1
         with pytest.raises(PreconditionError, match=f"^tolerance must be at least 2\\^-{MAX_TOL_BITS}$"):
             solve_level(s, Fraction(1, 3), tol=tol / 2)

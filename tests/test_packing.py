@@ -28,7 +28,6 @@ from fatcantor import (
     DimensionMismatchError,
     PackingLayout,
     PreconditionError,
-    floor_log2,
     layout_covers,
     merge_dyadic,
     pack_cover,
@@ -45,7 +44,7 @@ from fatcantor.serialize import to_json
 
 import test_cli_golden
 from layouts import lattice_layout, translations
-from packing_oracle import merge_dyadic_by_rescan, record_of, steps_of, unfold_by_steps
+from packing_oracle import floor_log2, merge_dyadic_by_rescan, record_of, steps_of, unfold_by_steps
 from strategies import fractions, positive_fractions
 
 
@@ -667,7 +666,7 @@ class TestMergeTreeProof:
         finally:
             sys.setprofile(None)
         names = {name for _, name in called}
-        assert not names & {"merge_dyadic", "_dyadic_exponents", "floor_log2", "pow2"}
+        assert not names & {"merge_dyadic", "_dyadic_exponents", "_floor_log2_ratio", "pow2"}
         assert not [path for path, _ in called if path.endswith("geometry.py")]
 
     def test_a_selected_input_is_placed_alone_at_the_origin(self):
@@ -957,5 +956,4 @@ class TestOnePath:
         for method in ("from_boxes", "single", "contains_union"):
             monkeypatch.setattr(BoxUnion, method, _refuse)
         assert "--verify" in argv and cli.main(argv) == code == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert test_cli_golden.indented_digest(capsys.readouterr().out) == digest

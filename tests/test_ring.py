@@ -171,7 +171,6 @@ class TestMeasureBounds:
         b = measure_bounds(base_expr(S1), S1, 4)
         assert (b.lower, b.upper) == (Fraction(1, 2), Fraction(17, 32))
         assert b.stage == 4 and b.leaf_count == 1
-        assert b.midpoint() == Fraction(33, 64)
         assert b.width == Fraction(1, 32)
 
     def test_self_difference_collapses_to_zero(self):
