@@ -148,6 +148,13 @@ def test_a_shared_or_later_nonpositive_side_is_refused(sides):
         CubeFamily(1, (*sides, 0.5))
 
 
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1), Fraction(-1, 7)])
+def test_floor_log2_rejects_nonpositive(bad):
+    # the oracle answers only where CubeFamily lets _dyadic_exponents go
+    with pytest.raises(ValueError, match="floor_log2 needs a positive value"):
+        floor_log2(bad)
+
+
 @given(
     p=st.integers(1, 1 << 80), q=st.integers(1, 1 << 80), m=st.integers(1, 1 << 40)
 )

@@ -7,7 +7,9 @@ schema is shape-checked explicitly because external tooling consumes it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import sys
 import types
@@ -881,6 +883,114 @@ def test_to_json_refuses_numbers_too_long_to_print():
         to_json({"count": huge})
     with pytest.raises(PreconditionError, match="too large to print"):
         to_json(Box((Fraction(0),), (Fraction(huge, 7),)))
+
+
+def test_to_json_names_the_refused_type():
+    with pytest.raises(TypeError, match="^no JSON encoding for float$"):
+        to_json({"x": [0.5]})
+    with pytest.raises(TypeError, match="^no JSON encoding for _Opaque$"):
+        to_json(_Opaque())
+    with pytest.raises(TypeError, match="^no JSON encoding for set$"):
+        to_json(_Holder([{1, 2}]))
+
+
+# ---------------------------------------------------------------------------
+# the document text: the stdlib's compact JSON of what to_json returns
+# ---------------------------------------------------------------------------
+
+
+def _emitted(doc) -> str:
+    """The text ``cli`` prints for ``doc``."""
+    with contextlib.redirect_stdout(io.StringIO()) as buffer:
+        cli._emit(doc, None)
+    return buffer.getvalue()
+
+
+# Every code point, lone surrogates included, plus the characters JSON escapes.
+_texts = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff\ud800", "\u00e9\u20ac\U0001f600", "\u2028"]
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**4000), max_value=10**4000)
+    | st.sampled_from([10**3999, -(10**3999)])
+    | _texts
+)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _containers(value) -> list:
+    """Every list and dict in ``value``, the root included, by walk."""
+    found = []
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            found.append(v)
+            stack.extend(v)
+        elif isinstance(v, dict):
+            found.append(v)
+            stack.extend(v.values())
+    return found
+
+
+@given(value=json_values)
+@settings(max_examples=300)
+def test_to_json_keeps_every_json_value_the_stdlib_writes(value):
+    # tuples become lists; nothing else changes, bools stay apart from ints
+    assert same_json(to_json(value), json.loads(json.dumps(value)))
+
+
+@given(value=json_values)
+@settings(max_examples=200)
+def test_emitted_text_is_one_ascii_line_of_compact_sorted_json(value):
+    text = _emitted(to_json(value))
+    assert text.isascii() and text.endswith("\n") and text.count("\n") == 1
+    parsed = json.loads(text)
+    assert same_json(parsed, json.loads(json.dumps(value)))
+    assert text == json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@given(value=json_values)
+@settings(max_examples=200)
+def test_shared_subtrees_become_separate_objects_with_the_same_text(value):
+    shared = {"v": value, "w": [value]}
+    doc = {"a": shared, "b": [shared, {"c": shared}], "d": [[shared, shared]], "e": value}
+    encoded = to_json(doc)
+    assert _emitted(encoded) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    containers = _containers(encoded)
+    assert len(set(map(id, containers))) == len(containers)
+
+
+def test_emit_sorts_keys_at_every_depth_and_keeps_empty_containers():
+    value = {"b": [[], {}, [[{}]], ()], "a": {"z": None, "": True, "A": False}, "\u00e9": -7}
+    expected = '{"a":{"":true,"A":false,"z":null},"b":[[],{},[[{}]],[]],"\\u00e9":-7}\n'
+    assert _emitted(to_json(value)) == expected
+    assert _emitted([]) == "[]\n" and _emitted({}) == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "text, escaped",
+    [
+        ("\u00e9", "\\u00e9"),
+        ("\u20ac", "\\u20ac"),
+        ("\U0001f600", "\\ud83d\\ude00"),
+        ("\ud800", "\\ud800"),
+        ("\u2028", "\\u2028"),
+        ('"\\\x00\x1f\x7f', '\\"\\\\\\u0000\\u001f\\u007f'),
+    ],
+    ids=["latin", "bmp", "astral", "lone-surrogate", "line-separator", "json-escapes"],
+)
+def test_emit_escapes_what_is_not_printable_ascii(text, escaped):
+    assert _emitted({"s": text}) == '{"s":"' + escaped + '"}\n'
 
 
 def test_out_file_holds_the_bytes_stdout_prints(tmp_path, capsys):
