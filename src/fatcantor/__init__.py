@@ -41,7 +41,6 @@ from .hausdorff import (
     LevelSolution,
     PowerGauge,
     corollary_pipeline,
-    diam_squared,
     dyadic_root_floor,
     min_stage_for_delta,
     nu_delta_upper,
@@ -116,7 +115,6 @@ __all__ = [
     "base_expr",
     "clip_to_box",
     "corollary_pipeline",
-    "diam_squared",
     "dyadic_root_floor",
     "expr_dim",
     "find_gap",

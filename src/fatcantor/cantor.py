@@ -11,8 +11,12 @@ A stage-n approximation is a union of ``2**(n*d)`` boxes, so exact
 materialization explodes quickly.  Stage sets are built on an integer
 lattice (``StageLattice``): each axis in units of one common denominator,
 so building, combining and measuring them is integer work, and Fractions
-are made only for a set a caller keeps; a leaf's slab tree holds its d
-interval lists, not its boxes.
+are made only for a set a caller keeps.  The lattice holds the stage set
+once per distinct axis scale, as its 2**n lower ends and their one common
+length (``CantorSchedule._stage_lows``, the one builder of stage
+intervals); a leaf bisects that list for its clip and emits its shifted
+intervals in one pass, and its slab tree holds its d interval lists, not
+its boxes.
 
 Gap search walks the 1-D construction tree level by level
 (``_Walk``): a level keeps the intervals whose closure meets a query
@@ -27,9 +31,9 @@ descent on each axis of the box), which ``cover.uncovered_witness_valid`` runs.
 
 Every stage length comes from one table per schedule (``_Ladder``): the
 lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` as numerators over the common
-denominator of levels 0..k, computed once, extended one level at a time as
-a caller first needs it, and kept for the schedule.  The walks, the stage
-sets and :mod:`.hausdorff` all read it.
+denominator of levels 0..k, computed on integers once, extended one level
+at a time as a caller first needs it, and kept for the schedule.  The
+walks, the stage sets and :mod:`.hausdorff` all read it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from operator import itemgetter
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
@@ -95,19 +98,21 @@ def _volume(tree: _Tree, d: int) -> int:
 class StageLattice:
     """Stage-n leaves on an integer lattice: axis i in units of ``1/scales[i]``.
 
-    ``ends[i]`` holds the stage intervals as integers over ``scales[i]``.
-    A leaf is the product of its d shifted and clipped interval lists, as
-    the slab tree that ``geometry._combine`` takes.  Scaling each axis by a
-    positive constant keeps order and equality, so the kernel's canonical
-    forms, equality and dedup on the lattice are those of the rational
-    sets.  A measure is one integer sum (:meth:`measure`), and no result
-    is converted back to Fractions except by
+    On axis i the stage intervals are ``[x, x + lengths[i]]`` for ``x`` in
+    ``lows[i]``, all integers over ``scales[i]``; axes of one scale share
+    one list.  A leaf is the product of its d shifted and clipped interval
+    lists, as the slab tree that ``geometry._combine`` takes.  Scaling each
+    axis by a positive constant keeps order and equality, so the kernel's
+    canonical forms, equality and dedup on the lattice are those of the
+    rational sets.  A measure is one integer sum (:meth:`measure`), and no
+    result is converted back to Fractions except by
     :meth:`CantorSchedule.stage_approx`.
     """
 
     d: int
     scales: tuple[int, ...]
-    ends: tuple[list[tuple[int, int]], ...]
+    lows: tuple[list[int], ...]
+    lengths: tuple[int, ...]
 
     def leaf(self, t: Sequence[object], clip: Box) -> _Tree:
         """``(A_n + t) ∩ clip`` as a canonical slab tree; ``t`` and the finite
@@ -120,27 +125,29 @@ class StageLattice:
         if clip.is_empty:
             return ()
         axes = []
-        for ends, scale, shift, lo_clip, hi_clip in zip(self.ends, self.scales, t, clip.lo, clip.hi):
+        for lows, length, scale, shift, lo_clip, hi_clip in zip(
+            self.lows, self.lengths, self.scales, t, clip.lo, clip.hi
+        ):
             offset = _numerator_over(as_fraction(shift), scale)
-            # The intervals that meet the clip, found in the unshifted list.
-            first, stop = 0, len(ends)
-            if is_finite(lo_clip):
-                lo_cut = _numerator_over(lo_clip, scale)
-                first = bisect_right(ends, lo_cut - offset, key=itemgetter(1))
-            if is_finite(hi_clip):
-                hi_cut = _numerator_over(hi_clip, scale)
-                stop = bisect_left(ends, hi_cut - offset, lo=first, key=itemgetter(0))
+            # The intervals that meet the clip: an interval is dropped when
+            # its upper end is at most the lower cut, or its lower end at
+            # least the upper cut.
+            lo_cut = _numerator_over(lo_clip, scale) if is_finite(lo_clip) else None
+            hi_cut = _numerator_over(hi_clip, scale) if is_finite(hi_clip) else None
+            first = 0 if lo_cut is None else bisect_right(lows, lo_cut - offset - length)
+            stop = len(lows) if hi_cut is None else bisect_left(lows, hi_cut - offset, lo=first)
             if first == stop:
                 return ()
-            axis = [(lo + offset, hi + offset) for lo, hi in ends[first:stop]]
-            if is_finite(lo_clip):
-                axis[0] = (max(axis[0][0], lo_cut), axis[0][1])
-            if is_finite(hi_clip):
-                axis[-1] = (axis[-1][0], min(axis[-1][1], hi_cut))
-            axes.append(axis)
+            axes.append((lows, first, stop, offset, length, lo_cut, hi_cut))
         tree = _POINT
-        for axis in reversed(axes):
-            tree = tuple((lo, hi, tree) for lo, hi in axis)
+        for lows, first, stop, offset, length, lo_cut, hi_cut in reversed(axes):
+            top = offset + length
+            slabs = [(x + offset, x + top, tree) for x in lows[first:stop]]
+            if lo_cut is not None and slabs[0][0] < lo_cut:
+                slabs[0] = (lo_cut, slabs[0][1], tree)
+            if hi_cut is not None and slabs[-1][1] > hi_cut:
+                slabs[-1] = (slabs[-1][0], hi_cut, tree)
+            tree = tuple(slabs)
         return tree
 
     def box(self, box: Box) -> _Tree:
@@ -170,32 +177,45 @@ class _Ladder:
     """The schedule's one table of stage lengths, grown one level at a time.
 
     Only here are the lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` computed,
-    with a running removal ``c*rho**k``; each equals the closed form
-    ``stage_interval_length(k)`` exactly.  ``lengths[k]`` is ``l_k`` over
-    ``dens[k] = D_k``, the common denominator of ``l_0 .. l_k``, and
-    ``steps[k]`` is ``D_k / D_(k-1)`` (``D_0 = 1``), so a position over
-    ``D_(k-1)`` times ``steps[k]`` is the same position over ``D_k``.  A
-    level is computed when a caller first asks for it and kept for the
-    schedule, so a walk that stops early costs nothing for the levels below.
+    on integers: with ``c = cp/cq`` and ``rho = p/q``, ``l_k = U_k / E_k``
+    where ``E_k = cq * (2q)**k``, ``U_0 = cq`` and ``U_k = q*U_(k-1) -
+    cp * p**k * 2**(k-1)``, reduced by one gcd per level; each equals the
+    closed form ``stage_interval_length(k)`` exactly.  ``lengths[k]`` is
+    ``l_k`` over ``dens[k] = D_k``, the common denominator of ``l_0 ..
+    l_k``, and ``steps[k]`` is ``D_k / D_(k-1)`` (``D_0 = 1``), so a
+    position over ``D_(k-1)`` times ``steps[k]`` is the same position over
+    ``D_k``.  A level is computed when a caller first asks for it and kept
+    for the schedule, so a walk that stops early costs nothing for the
+    levels below.
     """
 
-    __slots__ = ("lengths", "steps", "dens", "_length", "_removal", "_rho")
+    __slots__ = ("lengths", "steps", "dens", "_u", "_e", "_removal", "_two_p", "_q", "_two_q")
 
     def __init__(self, c: Fraction, rho: Fraction) -> None:
         self.lengths = [1]
         self.steps = [1]
         self.dens = [1]
-        self._length, self._removal, self._rho = Fraction(1), c, rho
+        # U_0 over E_0, and twice the removal term, cp * (2p)**k, at k = 0.
+        self._u = self._e = c.denominator
+        self._removal = c.numerator
+        self._two_p, self._q, self._two_q = 2 * rho.numerator, rho.denominator, 2 * rho.denominator
 
     def reach(self, k: int) -> None:
         """Make the levels up to ``k`` available."""
-        while len(self.lengths) <= k:
-            self._removal *= self._rho
-            length = self._length = (self._length - self._removal) / 2
-            den = lcm(self.dens[-1], length.denominator)
-            self.steps.append(den // self.dens[-1])
-            self.lengths.append(length.numerator * (den // length.denominator))
-            self.dens.append(den)
+        lengths, steps, dens = self.lengths, self.steps, self.dens
+        two_p, q, two_q = self._two_p, self._q, self._two_q
+        u, e, removal = self._u, self._e, self._removal
+        while len(lengths) <= k:
+            removal *= two_p
+            u = q * u - (removal >> 1)
+            e *= two_q
+            g = gcd(u, e)
+            reduced = e // g
+            den = lcm(dens[-1], reduced)
+            steps.append(den // dens[-1])
+            lengths.append(u // g * (den // reduced))
+            dens.append(den)
+        self._u, self._e, self._removal = u, e, removal
 
     def over(self, n: int, grain: int = 1) -> list[int]:
         """Lengths of stages 0..n as integer numerators over ``lcm(D_n, grain)``.
@@ -345,20 +365,25 @@ class CantorSchedule:
             raise BudgetError(
                 f"stage {n} has {1 << n} intervals, above the cap of {DEFAULT_BOX_CAP}"
             )
-        den, ends = self._stage_ends(n)
-        return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
+        den, lows, length = self._stage_lows(n)
+        return [(Fraction(x, den), Fraction(x + length, den)) for x in lows]
 
-    def _stage_ends(self, n: int) -> tuple[int, list[tuple[int, int]]]:
-        """Stage-n intervals as integer numerators over one common denominator.
+    def _stage_lows(self, n: int, grain: int = 1) -> tuple[int, list[int], int]:
+        """The stage-n intervals over ``den = lcm(D_n, grain)``: ``(den, lows,
+        length)``, with the 2**n lower ends left to right and their common
+        length, all integers.
 
-        Integer arithmetic builds the 2**n intervals several times faster
-        than Fraction arithmetic; callers convert only what they keep.
+        The right child of a stage-(k-1) interval starts ``l_(k-1) - l_k``
+        above its left child, so the interval with address bits ``b_1 ..
+        b_n`` starts at the sum of those gaps over its set bits: the list
+        doubles once per stage, from the deepest up.
         """
-        den, *children = self._ladder.over(n)
-        ends = [(0, den)]
-        for child in children:
-            ends = [pair for lo, hi in ends for pair in ((lo, lo + child), (hi - child, hi))]
-        return den, ends
+        lengths = self._ladder.over(n, grain)
+        lows = [0]
+        for k in range(n, 0, -1):
+            gap = lengths[k - 1] - lengths[k]
+            lows += [x + gap for x in lows]
+        return lengths[0], lows, lengths[n]
 
     def stage_approx(self, n: int) -> BoxUnion:
         """Stage-n approximation as a canonical half-open box union.
@@ -392,20 +417,21 @@ class CantorSchedule:
                 f" {DEFAULT_BOX_CAP}; largest feasible stage is {self.feasible_stage}"
             )
         check_kernel_dim(self.d)
-        den, ends = self._stage_ends(n)
-        dens: list[set[int]] = [{den} for _ in range(self.d)]
+        ladder = self._ladder
+        ladder.reach(n)
+        dens: list[set[int]] = [{ladder.dens[n]} for _ in range(self.d)]
         for t, clip in leaves:
             for axis_dens, shift, lo_clip, hi_clip in zip(dens, t, clip.lo, clip.hi):
                 axis_dens.add(as_fraction(shift).denominator)
                 axis_dens.update(v.denominator for v in (lo_clip, hi_clip) if is_finite(v))
         scales = tuple(lcm(*axis_dens) for axis_dens in dens)
+        # Each distinct scale gets its stage set built once, at that scale.
+        built = {scale: self._stage_lows(n, scale) for scale in set(scales)}
         return StageLattice(
             self.d,
             scales,
-            tuple(
-                ends if scale == den else [(lo * (scale // den), hi * (scale // den)) for lo, hi in ends]
-                for scale in scales
-            ),
+            tuple(built[scale][1] for scale in scales),
+            tuple(built[scale][2] for scale in scales),
         )
 
     @functools.cached_property

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cantor import CantorSchedule, _numerator_over, box_count, check_stage
-from .errors import BudgetError, PreconditionError, UnboundedBoxError
+from .errors import BudgetError, PreconditionError
 from .geometry import Box
 from .quadratic import ExtendedRational
 from .rationals import as_fraction, printable
@@ -156,16 +156,6 @@ def nu_delta_upper(
         diam_squared=diam_sq,
         value=value,
     )
-
-
-def diam_squared(box: Box) -> Fraction:
-    """Squared diameter of a box's closure, exact: the sum of its squared
-    sides, a plain rational though the diameter itself usually is not."""
-    if box.is_empty:
-        raise PreconditionError("diameter of the empty set is undefined here")
-    if not box.is_bounded:
-        raise UnboundedBoxError("diameter requires bounded boxes")
-    return sum((hi - lo) ** 2 for lo, hi in zip(box.lo, box.hi))
 
 
 def _int_root_floor(x: int, k: int) -> int:

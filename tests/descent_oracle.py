@@ -1,6 +1,13 @@
 """Slow reference walks of the fat Cantor construction tree.
 
-These are the routines that the integer walks in ``cantor`` (the search's
+``brute_stage_intervals`` replays the construction from its definition,
+in ``Fraction``s: start from [0, 1], and at stage k remove from the middle
+of each surviving interval an open interval of length ``c * rho**k``.  It
+reads only ``c`` and ``rho``, so the stage sets of ``ring_oracle`` and of
+the leaf oracle in ``test_box_kernel`` share nothing with the schedule's
+lower-ends builder that the lattice reads.
+
+The other routines are the routines that the integer walks in ``cantor`` (the search's
 ``_Walk`` and the validator's descent) replaced.  ``descend_overlapping``
 is a depth-first stack over ``(lo, hi, depth)`` nodes, sorted at the end;
 it rebuilds every child length from the closed form
@@ -22,6 +29,20 @@ from fatcantor import Box, CantorSchedule, GapCertificate, NeedsDeeperStage
 from fatcantor import PreconditionError, middle_half
 from fatcantor.cantor import check_stage
 from fatcantor.rationals import as_fraction
+
+
+def brute_stage_intervals(c: Fraction, rho: Fraction, n: int) -> list[tuple[Fraction, Fraction]]:
+    """Stage-n surviving intervals, computed directly from the definition."""
+    intervals = [(Fraction(0), Fraction(1))]
+    for k in range(1, n + 1):
+        removed = c * rho**k
+        out = []
+        for lo, hi in intervals:
+            mid = (lo + hi) / 2
+            out.append((lo, mid - removed / 2))
+            out.append((mid + removed / 2, hi))
+        intervals = out
+    return intervals
 
 
 def descend_overlapping(

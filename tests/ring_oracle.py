@@ -1,23 +1,24 @@
 """Slow reference evaluation of ring expressions, one Fraction leaf at a time.
 
 This is the evaluation the integer lattice in ``ring`` replaced.  Each leaf
-is built on its own common denominator and converted to a ``BoxUnion`` of
-reduced Fractions (``clipped_translate``, which nests the product's slab
-tree itself, with no kernel call), the expression is folded with
-``BoxUnion`` operations, and measures add one box volume at a time.
+is built in Fractions from the construction's definition
+(``clipped_translate``, on ``descent_oracle.brute_stage_intervals``; it
+nests the product's slab tree itself, with no kernel call), the expression
+is folded with ``BoxUnion`` operations, and measures add one box volume at
+a time.
 ``generate_rn`` keys every candidate by ``approx_set`` of the whole
 candidate tree, so each key rebuilds every leaf of a tree whose size
 doubles per layer, and nothing reuses a parent's set.
 ``split_identity_check`` clips by both sides of the cut it is given
 (axis, threshold, above) and measures each clipped set the same way.  None
-of it touches ``StageLattice``, so the differential tests compare the
-lattice against code that shares none of it; kept only as an oracle.
+of it touches ``StageLattice``, the schedule's length table or its lower
+ends, so the differential tests compare the lattice against code that
+shares none of it; kept only as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from fatcantor import Box, BoxUnion, CantorSchedule, Diff, Union
@@ -41,14 +42,13 @@ from fatcantor.ring import (
     simplify,
 )
 
-
-def _numerator_over(v: Fraction, scale: int) -> int:
-    return v.numerator * (scale // v.denominator)
+from descent_oracle import brute_stage_intervals
 
 
 def clipped_translate(s: CantorSchedule, n: int, t: Sequence[object], clip: Box) -> BoxUnion:
-    """``(A_n + t) ∩ clip``: each axis shifted and clipped over its own
-    denominator, then converted to Fractions."""
+    """``(A_n + t) ∩ clip``: the stage intervals from the definition
+    (``descent_oracle.brute_stage_intervals``), each axis shifted and
+    clipped in Fractions."""
     if len(t) != s.d or clip.dim != s.d:
         raise DimensionMismatchError(
             f"translation of length {len(t)}, clip of dimension {clip.dim},"
@@ -63,29 +63,22 @@ def clipped_translate(s: CantorSchedule, n: int, t: Sequence[object], clip: Box)
         )
     if clip.is_empty:
         return BoxUnion.empty(s.d)
-    den, ends = s._stage_ends(n)
+    stage = brute_stage_intervals(s.c, s.rho, n)
     axes: list[list[tuple[Fraction, Fraction]]] = []
     for shift, lo_clip, hi_clip in zip(t, clip.lo, clip.hi):
         shift = as_fraction(shift)
-        finite = [v for v in (lo_clip, hi_clip) if is_finite(v)]
-        scale = lcm(den, shift.denominator, *(v.denominator for v in finite))
-        factor = scale // den
-        offset = _numerator_over(shift, scale)
-        lo_cut = _numerator_over(lo_clip, scale) if is_finite(lo_clip) else None
-        hi_cut = _numerator_over(hi_clip, scale) if is_finite(hi_clip) else None
         axis: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in ends:
-            lo = lo * factor + offset
-            hi = hi * factor + offset
-            if hi_cut is not None:
-                if lo >= hi_cut:
+        for lo, hi in stage:
+            lo, hi = lo + shift, hi + shift
+            if is_finite(hi_clip):
+                if lo >= hi_clip:
                     break
-                hi = min(hi, hi_cut)
-            if lo_cut is not None:
-                if hi <= lo_cut:
+                hi = min(hi, hi_clip)
+            if is_finite(lo_clip):
+                if hi <= lo_clip:
                     continue
-                lo = max(lo, lo_cut)
-            axis.append((Fraction(lo, scale), Fraction(hi, scale)))
+                lo = max(lo, lo_clip)
+            axis.append((lo, hi))
         if not axis:
             return BoxUnion.empty(s.d)
         axes.append(axis)

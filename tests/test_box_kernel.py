@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import box_oracle
 import ring_oracle
+from descent_oracle import brute_stage_intervals
 from fatcantor import Box, BoxUnion, BudgetError, CantorSchedule, geometry
 from fatcantor.rationals import NEG_INF, POS_INF
 
@@ -141,8 +142,9 @@ class TestSweepAgainstPairwiseLoops:
 
 
 def leaf_oracle(s: CantorSchedule, n: int, t, clip: Box) -> BoxUnion:
-    """(A_n + t) ∩ clip from validated boxes and the pairwise loop."""
-    ivs = s.stage_intervals_1d(n)
+    """(A_n + t) ∩ clip from validated boxes and the pairwise loop, on the
+    stage intervals replayed from the definition."""
+    ivs = brute_stage_intervals(s.c, s.rho, n)
     stage = box_oracle.canonical(
         s.d,
         [Box(tuple(p[0] for p in prod), tuple(p[1] for p in prod)) for prod in itertools.product(ivs, repeat=s.d)],
@@ -172,6 +174,24 @@ def leaf_cases(draw):
     return s, n, t, Box(tuple(lo), tuple(hi))
 
 
+@st.composite
+def touching_leaf_cases(draw):
+    """A leaf whose clip ends are each ``t + e``, ``e`` a stage-n interval
+    end, or unbounded: a lower end on an interval's upper end, an upper end
+    on its lower end, and an upper end on its upper end all come up."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    s = draw(schedules(dim=dim))
+    n = draw(st.integers(min_value=0, max_value={1: 6, 2: 3, 3: 2}[dim]))
+    ends = sorted({v for iv in brute_stage_intervals(s.c, s.rho, n) for v in iv})
+    t = tuple(draw(fractions(min_value=Fraction(-2), max_value=Fraction(2))) for _ in range(dim))
+    lo, hi = [], []
+    for shift in t:
+        a, b = sorted(draw(st.sampled_from(ends)) + shift for _ in range(2))
+        lo.append(draw(st.sampled_from([a, a, NEG_INF])))
+        hi.append(draw(st.sampled_from([b, b, POS_INF])))
+    return s, n, t, Box(tuple(lo), tuple(hi))
+
+
 class TestClippedTranslate:
     @settings(max_examples=200)
     @given(case=leaf_cases())
@@ -180,6 +200,37 @@ class TestClippedTranslate:
         got = clipped_translate(s, n, t, clip)
         assert_same(got, s.stage_approx(n).translate(t).intersect_box(clip))
         assert_same(got, leaf_oracle(s, n, t, clip))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=touching_leaf_cases())
+    def test_clip_ends_on_interval_ends(self, case):
+        s, n, t, clip = case
+        got = clipped_translate(s, n, t, clip)
+        assert_same(got, leaf_oracle(s, n, t, clip))
+        assert_same(got, ring_oracle.clipped_translate(s, n, t, clip))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_each_exact_touch(self, dim, n):
+        # On every axis: the first interval's upper end as the lower cut
+        # drops it, the last interval's lower end as the upper cut drops
+        # it, and the last interval's upper end as the upper cut keeps it
+        # whole.
+        s = CantorSchedule(dim, c=Fraction(1, 2), rho=Fraction(1, 3))
+        ivs = brute_stage_intervals(s.c, s.rho, n)
+        t = tuple(Fraction(k, 7) for k in range(1, dim + 1))
+        cases = [
+            (lambda x: (ivs[0][1] + x, POS_INF), ivs[1:]),
+            (lambda x: (NEG_INF, ivs[-1][0] + x), ivs[:-1]),
+            (lambda x: (NEG_INF, ivs[-1][1] + x), ivs),
+        ]
+        for cut, kept in cases:
+            clip = Box(*zip(*(cut(x) for x in t)))
+            axes = [[(lo + x, hi + x) for lo, hi in kept] for x in t]
+            want = box_oracle.canonical(dim, [Box(*zip(*p)) for p in itertools.product(*axes)])
+            got = clipped_translate(s, n, t, clip)
+            assert_same(got, want)
+            assert_same(got, leaf_oracle(s, n, t, clip))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_clip(self, dim):

@@ -1,20 +1,21 @@
 """Fat Cantor stage construction and gap certificates.
 
-Oracle: the construction is replayed here from its definition with a plain
-list of closed intervals.  Start from [0, 1]; at stage k remove from the
-middle of each surviving interval an open interval of length c * rho^k.
-Everything else in this file is checked against that replay.
+Oracle: the construction is replayed from its definition with a plain
+list of closed intervals (``descent_oracle.brute_stage_intervals``).  Start
+from [0, 1]; at stage k remove from the middle of each surviving interval
+an open interval of length c * rho^k.  Everything else in this file is
+checked against that replay.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatcantor import (
@@ -32,22 +33,9 @@ from fatcantor.cantor import MAX_DIM, _Walk, box_count
 from fatcantor.rationals import pow2
 
 import descent_oracle
+from descent_oracle import brute_stage_intervals
 from strategies import boxes, fractions, schedules, unit_fractions
 from witness_oracle import gap_certificate_valid
-
-
-def brute_stage_intervals(c: Fraction, rho: Fraction, n: int) -> list[tuple[Fraction, Fraction]]:
-    """Stage-n surviving intervals, computed directly from the definition."""
-    intervals = [(Fraction(0), Fraction(1))]
-    for k in range(1, n + 1):
-        removed = c * rho**k
-        out = []
-        for lo, hi in intervals:
-            mid = (lo + hi) / 2
-            out.append((lo, mid - removed / 2))
-            out.append((mid + removed / 2, hi))
-        intervals = out
-    return intervals
 
 
 def brute_point_in_stage(c, rho, n, x) -> bool:
@@ -343,6 +331,21 @@ def walk_schedules(draw, dim=1):
 
 
 @st.composite
+def valid_schedules(draw):
+    """Any valid 1-D schedule with small terms: ``rho = p/q`` and ``c`` may
+    have non-unit numerators and denominators (2/9, 3/7, 5/3, ...), as long
+    as ``2*rho < 1`` and ``c*rho/(1 - 2*rho) < 1``."""
+    q = draw(st.integers(min_value=3, max_value=40))
+    rho = Fraction(draw(st.integers(min_value=1, max_value=(q - 1) // 2)), q)
+    bound = (1 - 2 * rho) / rho  # c must stay below it
+    den = draw(st.integers(min_value=1, max_value=12))
+    top = ceil(bound * den) - 1  # the largest numerator over den below the bound
+    assume(top >= 1)
+    c = Fraction(draw(st.integers(min_value=1, max_value=top)), den)
+    return CantorSchedule(1, c=c, rho=rho)
+
+
+@st.composite
 def walk_points(draw, s):
     """Stage endpoints, gap points, points outside [0, 1] and other rationals."""
     k = draw(st.integers(min_value=0, max_value=5))
@@ -413,6 +416,29 @@ class TestWalkAgainstOracle:
             assert den == lcm(grain, *(length.denominator for length in closed))
             assert den % grain == 0 and all(den % at == 0 for at in s._ladder.dens[: n + 1])
             assert [Fraction(length, den) for length in lengths] == closed
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=valid_schedules(), grain=st.sampled_from([1, 3, 1 << 40, 1009]))
+    def test_the_integer_ladder_equals_the_closed_form_on_any_schedule(self, s, grain):
+        ladder = s._ladder
+        ladder.reach(64)
+        closed = [s.stage_interval_length(k) for k in range(65)]
+        den = 1
+        for k in range(65):
+            assert ladder.steps[k] == ladder.dens[k] // (ladder.dens[k - 1] if k else 1)
+            den *= ladder.steps[k]
+            assert ladder.dens[k] == den == lcm(*(length.denominator for length in closed[: k + 1]))
+            assert Fraction(ladder.lengths[k], ladder.dens[k]) == closed[k]
+        for n in (0, 1, 7, 40, 64):
+            lengths = ladder.over(n, grain)
+            assert lengths[0] == lcm(grain, *(length.denominator for length in closed[: n + 1]))
+            assert [Fraction(length, lengths[0]) for length in lengths] == closed[: n + 1]
+        # The stage set's lower ends, from that table, at any scale.
+        for n in range(6):
+            got_den, lows, length = s._stage_lows(n, grain)
+            assert got_den == ladder.over(n, grain)[0]
+            got = [(Fraction(x, got_den), Fraction(x + length, got_den)) for x in lows]
+            assert got == brute_stage_intervals(s.c, s.rho, n)
 
     @given(data=st.data(), s=walk_schedules(), n=st.integers(min_value=0, max_value=10))
     def test_descend_overlapping_equals_the_stack_walk(self, data, s, n):

@@ -54,7 +54,7 @@ import cover_oracle
 import descent_oracle
 import witness_oracle
 from strategies import approx_set, boxes, fractions, ring_exprs
-from test_cantor import brute_stage_intervals
+from descent_oracle import brute_stage_intervals
 
 S1 = CantorSchedule(1)
 

@@ -29,7 +29,6 @@ from fatcantor import (
     base_expr,
     clip_to_box,
     corollary_pipeline,
-    diam_squared,
     dyadic_root_floor,
     layout_covers,
     measure_bounds,
@@ -49,6 +48,16 @@ import level_oracle
 from strategies import boxes, fractions, positive_fractions, unit_fractions
 
 S1 = CantorSchedule(1)
+
+
+def diam_squared(box: Box) -> Fraction:
+    """Squared diameter of a box's closure, exact: the sum of its squared
+    sides, a plain rational though the diameter itself usually is not."""
+    if box.is_empty:
+        raise PreconditionError("diameter of the empty set is undefined here")
+    if not box.is_bounded:
+        raise UnboundedBoxError("diameter requires bounded boxes")
+    return sum((hi - lo) ** 2 for lo, hi in zip(box.lo, box.hi))
 
 
 def corner_diam_squared(boxes: list[Box]) -> Fraction:

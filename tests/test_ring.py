@@ -42,8 +42,8 @@ from fatcantor.cantor import StageLattice
 from fatcantor.serialize import to_json
 
 import ring_oracle
+from descent_oracle import brute_stage_intervals
 from strategies import approx_set, boxes, fractions, gens, odd_gens, ring_exprs, schedules
-from test_cantor import brute_stage_intervals
 
 
 # ---------------------------------------------------------------------------
