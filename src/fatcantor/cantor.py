@@ -43,6 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, DimensionMismatchError, PreconditionError
@@ -81,9 +82,14 @@ def _numerator_over(v: Fraction, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
+_lo, _hi = itemgetter(0), itemgetter(1)  # a slab's lower and upper end
+
+
 def _volume(tree: _Tree, d: int) -> int:
     """Integer volume of a lattice tree, axis by axis: each distinct section
-    (by identity) carries the summed products above it, and is walked once."""
+    (by identity) carries the summed products above it, and is walked once.
+    On the last axis a section's length is the sum of its upper ends less
+    the sum of its lower ends, two ``map`` passes with no per-slab frame."""
     level = {id(tree): [tree, 1]}
     for _ in range(d - 1):
         below: dict[int, list] = {}
@@ -91,7 +97,7 @@ def _volume(tree: _Tree, d: int) -> int:
             for x0, x1, sub in section:
                 below.setdefault(id(sub), [sub, 0])[1] += weight * (x1 - x0)
         level = below
-    return sum(weight * sum(x1 - x0 for x0, x1, _ in section) for section, weight in level.values())
+    return sum(weight * (sum(map(_hi, section)) - sum(map(_lo, section))) for section, weight in level.values())
 
 
 @dataclass(frozen=True)

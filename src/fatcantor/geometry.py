@@ -14,10 +14,14 @@ returns trees.  It walks the slabs of two trees with two pointers, cutting
 at every slab boundary of either side; a piece covered by one operand only
 is kept or dropped by the operation's truth table, and a piece covered by
 both recurses on the two sections.  Adjacent pieces with equal results
-merge, so the output is canonical without a further pass.  At dimension 0
-the section is the point, so the same sweep is the 1-D interval merge.  The
-cost is linear in the number of slabs per axis instead of the product of
-the box counts.  ``BoxUnion`` holds the tree itself: each operation is one
+merge, so the output is canonical without a further pass.  A run of slabs
+that one operand holds alone, up to the other's next slab, is found by one
+bisect on the upper ends and copied as one slice: its slabs are canonical
+already, so only the pieces on either side of it need the merge check.  At
+dimension 0 the section is the point, so the same sweep is the 1-D
+interval merge.  The cost is linear in the points where the operands
+interleave, plus one bisect and one slice per run, instead of the product
+of the box counts.  ``BoxUnion`` holds the tree itself: each operation is one
 kernel call on its operands' trees, ``from_boxes`` folds single-box trees
 (``_box_tree``; a nonempty box is already canonical) with ``_union_all``,
 and a translation maps the slab ends (``_map_ends``).  Its ``boxes``,
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -210,13 +215,18 @@ _SUBTRACT: _Op = (True, False, False)
 
 _Tree = tuple  # a slab tree: see the module docstring
 _POINT: _Tree = ("point",)
+_upper = operator.itemgetter(1)  # a slab's upper end
 
 
 def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
     """The canonical tree of ``a op b`` for canonical trees a, b.
 
     One two-pointer sweep over the axis-0 slabs of both operands; pieces
-    covered by both recurse on their sections in dimension d - 1.  Only
+    covered by both recurse on their sections in dimension d - 1, except on
+    the last axis, where both sections are the point.  A run of slabs one
+    operand holds alone is stepped over by one bisect and copied, when the
+    op keeps it, as one slice, so the cost is linear in the points where the
+    operands interleave, plus one bisect and one slice per run.  Only
     coordinate comparisons are used, never hashing.
     """
     only_a, only_b, both = op
@@ -256,6 +266,15 @@ def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
             if only_a:
                 emit(a0, a1, ta)
             i += 1
+            if i < na and a[i][1] <= b0:
+                # Slabs i .. k-1 end at or before b0 too: a run of a alone,
+                # copied as one slice.  As a's own consecutive slabs they merge
+                # with no piece before them, and emit merges the piece after
+                # them with the last one where they touch.
+                k = bisect_right(a, b0, i + 1, na, key=_upper)
+                if only_a:
+                    out.extend(a[i:k])
+                i = k
             if i == na:
                 break
             a0, a1, ta = a[i]
@@ -268,12 +287,17 @@ def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
             if only_b:
                 emit(b0, b1, tb)
             j += 1
+            if j < nb and b[j][1] <= a0:
+                k = bisect_right(b, a0, j + 1, nb, key=_upper)
+                if only_b:
+                    out.extend(b[j:k])
+                j = k
             if j == nb:
                 break
             b0, b1, tb = b[j]
         else:
             # Both cover [a0, min(a1, b1)).
-            section = _combine(op, ta, tb, d - 1)
+            section = (ta if both else ()) if d == 1 else _combine(op, ta, tb, d - 1)
             if a1 is b1 or a1 == b1:
                 emit(a0, a1, section)
                 i += 1

@@ -58,6 +58,47 @@ def operand_pairs(draw):
     return draw(grid_unions(dim)), draw(grid_unions(dim))
 
 
+@st.composite
+def run_pairs(draw):
+    """Two operands laid out along axis 0 in blocks, so each holds long runs
+    of slabs the other does not meet.
+
+    Up to five blocks of two to six touching segments of axis 0, on an
+    integer grid of 48, go to ``a``, to ``b``, to both or to neither, and
+    sorting the blocks puts all of one operand below the other's.  A block
+    keeps its end segments, so blocks touch, and skips about one inner
+    segment in four, so its slabs stay apart.  Each segment's cross-section
+    comes from a pool of two, so where a run of one operand ends exactly at
+    the other's next slab the two sections are often equal and the pieces
+    must merge.  The first and last segments may be unbounded.  Each
+    operand keeps at most 12 boxes, canonicalised by the oracle.
+    """
+    dim = draw(st.integers(min_value=1, max_value=3))
+    sides = st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=2, unique=True).map(sorted)
+    section = st.lists(st.lists(sides, min_size=dim - 1, max_size=dim - 1), min_size=1, max_size=2)
+    pool = [draw(section), draw(section)]
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        owner = draw(st.sampled_from(["a", "b", "a", "b", "ab", ""]))
+        inner = draw(st.lists(st.sampled_from([True, True, True, False]), max_size=4))
+        kept = [True, *inner, True]
+        blocks.append((owner, kept))
+    if draw(st.booleans()):
+        blocks.sort()
+    owners = [owner if keep else "" for owner, kept in blocks for keep in kept]
+    grid = st.integers(min_value=0, max_value=47)
+    ends = sorted(draw(st.lists(grid, min_size=len(owners) + 1, max_size=len(owners) + 1, unique=True)))
+    ends[0] = draw(st.sampled_from([ends[0], ends[0], NEG_INF]))
+    ends[-1] = draw(st.sampled_from([ends[-1], ends[-1], POS_INF]))
+    segments = list(itertools.pairwise(ends))
+    boxes: dict[str, list[Box]] = {"a": [], "b": []}
+    for (x0, x1), owner in zip(segments, owners):
+        for name in owner:
+            cross = draw(st.sampled_from(pool))
+            boxes[name] += [Box((x0, *(lo for lo, _ in box)), (x1, *(hi for _, hi in box))) for box in cross]
+    return box_oracle.canonical(dim, boxes["a"][:12]), box_oracle.canonical(dim, boxes["b"][:12])
+
+
 def assert_same(got: BoxUnion, want: BoxUnion) -> None:
     assert got == want
     assert repr(got) == repr(want)
@@ -134,6 +175,36 @@ class TestSweepAgainstPairwiseLoops:
         for _, fast, _slow in OPS:
             got = fast(a, b)
             assert_same(BoxUnion.from_boxes(got.dim, reversed(got.boxes)), got)
+
+
+class TestRunsAreCopiedWhole:
+    """A stretch of slabs that one operand holds alone is copied as one slice."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=run_pairs())
+    @pytest.mark.parametrize("name,fast,slow", OPS, ids=[op[0] for op in OPS])
+    def test_long_runs_match(self, name, fast, slow, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            got = fast(x, y)
+            assert_same(got, slow(x, y))
+            assert_same(box_oracle.canonical(got.dim, got.boxes), got)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_run_keeps_the_operands_slabs(self, dim):
+        # a lies wholly below b and does not touch it, so each operand is
+        # one run: after its first slab, the result holds its own tuples.
+        def spaced(start):
+            return box_oracle.canonical(
+                dim, [Box((start + 3 * k,) + (0,) * (dim - 1), (start + 3 * k + 1,) + (k + 1,) * (dim - 1)) for k in range(4)]
+            )
+
+        a, b = spaced(0), spaced(20)
+        for got in (a.union(b).tree, b.union(a).tree):
+            assert got == a.tree + b.tree
+            assert all(x is y for x, y in zip(got[1:4], a.tree[1:]))
+            assert all(x is y for x, y in zip(got[5:], b.tree[1:]))
+        assert all(x is y for x, y in zip(a.subtract(b).tree[1:], a.tree[1:]))
 
 
 # ---------------------------------------------------------------------------
