@@ -40,7 +40,7 @@ from fatcantor import (
     side_scale_for,
     solve_level,
 )
-from fatcantor import hausdorff
+from fatcantor import cantor, hausdorff
 from fatcantor.cantor import MAX_STAGE
 from fatcantor.hausdorff import MAX_TOL_BITS, _stage_for_width, _verdict_cuts, grid_covers
 
@@ -539,6 +539,24 @@ class TestSolveLevel:
         with pytest.raises(PreconditionError, match=f"^tolerance must be at least 2\\^-{MAX_TOL_BITS}$"):
             solve_level(s, Fraction(1, 3), tol=tol / 2)
 
+    def test_a_fine_solve_takes_linear_level_steps(self, monkeypatch):
+        # every level step reads the stage table once; walking each midpoint
+        # from [0, 1] read it 527,878 times here, about N * b / 2
+        reads = []
+
+        class CountingLengths(list):
+            def __getitem__(self, n):
+                reads.append(n)
+                return super().__getitem__(n)
+
+        over = cantor._Ladder.over
+        monkeypatch.setattr(cantor._Ladder, "over", lambda *args: CountingLengths(over(*args)))
+        tol = pow2(-1024)
+        sol = solve_level(S1, Fraction(1, 3), tol=tol)
+        stage, steps = _stage_for_width(S1, tol / 2), sol.iterations
+        assert (stage, steps, sol.bracket.stage) == (1024, 1025, 1024)
+        assert len(reads) <= 4 * (stage + steps)
+
 
 # ---------------------------------------------------------------------------
 # the single-descent kernel against the per-stage oracle
@@ -606,6 +624,36 @@ def level_targets(draw, s):
     )
 
 
+# (c, rho) whose defect shrinks by 8 to 512 times a stage, so the oracle,
+# O(N^2) steps a midpoint, stays quick down to tolerance 2^-64
+FINE_SCHEDULES = [
+    (Fraction(1), Fraction(1, 16)),
+    (Fraction(1, 2), Fraction(1, 32)),
+    (Fraction(3), Fraction(1, 1024)),
+]
+
+
+@st.composite
+def boundary_targets(draw, s):
+    """The level of a stage-m endpoint, which inside (0, 1) is a gap edge,
+    a stage bound of that endpoint, or a target just beside its level.
+
+    Each stage-m interval carries ``limit / 2**m`` of the level, so the
+    search closes in on the endpoint, and ``lo`` and ``hi`` part on the
+    boundary of every stage from m on."""
+    top = s.limit_measure()
+    m = draw(st.integers(min_value=1, max_value=5))
+    j = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+    side = draw(st.integers(min_value=0, max_value=1))
+    level = top * Fraction(j + side, 1 << m)
+    bracket = level_oracle.range_function(
+        s, s.stage_intervals_1d(m)[j][side], m + draw(st.integers(min_value=0, max_value=12))
+    )
+    beside = top * pow2(-draw(st.integers(min_value=41, max_value=70)))
+    target = draw(st.sampled_from([level, level - beside, level + beside, bracket.lower, bracket.upper]))
+    return min(max(target, Fraction(0)), top)
+
+
 @st.composite
 def abscissas(draw, s):
     """Outside [0, 1], a stage endpoint, or a small-denominator point."""
@@ -644,6 +692,23 @@ class TestLevelKernelAgainstOracle:
         # the midpoint grid and the verdict cuts both follow the
         # tolerance's denominator, which need not be a power of two
         target = data.draw(level_targets(s))
+        assert solve_level(s, target, tol=tol) == level_oracle.solve_level(s, target, tol=tol)
+
+    @settings(max_examples=30)
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=3),
+        schedule=st.sampled_from(FINE_SCHEDULES),
+        bits=st.integers(min_value=41, max_value=64),
+        grain=st.sampled_from([1, 3, 5]),
+    )
+    def test_fine_solves_at_stage_boundaries_equal_the_oracle(self, data, d, schedule, bits, grain):
+        # each midpoint resumes where lo and hi part; at these targets they
+        # part on a stage boundary, or in a gap and the interval beside it
+        c, rho = schedule
+        s = CantorSchedule(d, c=c, rho=rho)
+        target = data.draw(boundary_targets(s))
+        tol = Fraction(grain, 1 << bits)
         assert solve_level(s, target, tol=tol) == level_oracle.solve_level(s, target, tol=tol)
 
     @given(data=st.data(), s=level_schedules(max_dim=6), tol=tolerances())
