@@ -33,7 +33,9 @@ Every stage length comes from one table per schedule (``_Ladder``): the
 lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` as numerators over the common
 denominator of levels 0..k, computed on integers once, extended one level
 at a time as a caller first needs it, and kept for the schedule.  The
-walks, the stage sets and :mod:`.hausdorff` all read it.
+walks, the stage sets, the level function of :mod:`.hausdorff` and the one
+stopping-stage search (``CantorSchedule._first_stage_within``, which
+``hausdorff.solve_level`` and ``ring.premeasure`` call) all read it.
 """
 
 from __future__ import annotations
@@ -352,6 +354,10 @@ class CantorSchedule:
         return self.stage_measure_1d(n) ** self.d
 
     def limit_measure(self) -> Fraction:
+        return self._limit
+
+    @functools.cached_property
+    def _limit(self) -> Fraction:
         return self.limit_measure_1d() ** self.d
 
     def stage_defect(self, n: int) -> Fraction:
@@ -443,6 +449,23 @@ class CantorSchedule:
     @functools.cached_property
     def _ladder(self) -> _Ladder:
         return _Ladder(self.c, self.rho)
+
+    def _first_stage_within(self, width: Fraction, last: int) -> int | None:
+        """First stage n in ``1..last`` whose defect is at most ``width``, or ``None``.
+
+        ``lambda_1(A_n)`` is ``M_n / D_n`` on the table, with ``M_n =
+        lengths[n] << n`` and ``D_n = dens[n]``, so with ``p / q = width +
+        lambda**d`` the test ``stage_defect(n) <= width`` is ``M_n**d * q <=
+        p * D_n**d`` on integers: one comparison per stage, no ``Fraction``.
+        """
+        ladder, d = self._ladder, self.d
+        bound = width + self.limit_measure()
+        p, q = bound.numerator, bound.denominator
+        for n in range(1, last + 1):
+            ladder.reach(n)
+            if (ladder.lengths[n] << n) ** d * q <= p * ladder.dens[n] ** d:
+                return n
+        return None
 
     def _descend_overlapping(
         self, n: int, qlo: Fraction, qhi: Fraction

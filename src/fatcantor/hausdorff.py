@@ -11,18 +11,19 @@ Also here: the explicit pipeline turning the measure of the limit set into
 a covered cube, whose cover is a grid of equal cubes checked by two exact
 comparisons, and the level function
 ``x -> measure(limit set ∩ {first coordinate <= x})`` together with a
-certified bisection inverse.  Its stage-n value comes from one descent
-along the path of ``x`` (``_levels``), which yields the levels of all
-stages 1, 2, ... in turn as integer numerators over one common
-denominator.  The stage lengths come from the schedule's one table
-(``cantor._Ladder``).  A solve decides on that table's integers: its
-stopping stage, its verdict cuts (one integer floor division each, made
-once per solve) and its bisection, whose abscissas are numerators over
-the table's common denominator.  Each bisection midpoint resumes the walk
-where the two ends of the bracket part, so a solve of b steps to the
-stopping stage N takes O(N + b) integer level steps (at ``rho <= 1/4``,
-away from the ends of the range; ``solve_level`` gives the cost), and
-only a returned solution becomes ``Fraction``s.
+certified bisection inverse.  Every stage-n value, of a point or of a
+bisection midpoint, comes from the one walk down the path of ``x``
+(``_levels``), which yields the levels of all stages in turn as integer
+numerators over one common denominator.  The stage lengths come from the
+schedule's one table (``cantor._Ladder``).  A solve decides on that
+table's integers: its stopping stage (``CantorSchedule._first_stage_within``),
+its verdict cuts (one integer floor division each, made once per solve)
+and its bisection, whose abscissas are numerators over the table's common
+denominator.  Each bisection midpoint resumes the walk where the two ends
+of the bracket part, so a solve of b steps to the stopping stage N takes
+O(N + b) integer level steps (at ``rho <= 1/4``, away from the ends of
+the range; ``solve_level`` gives the cost), and only a returned solution
+becomes ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .cantor import CantorSchedule, _numerator_over, box_count, check_stage
+from .cantor import MAX_STAGE, CantorSchedule, _numerator_over, box_count, check_stage
 from .errors import BudgetError, PreconditionError
 from .geometry import Box
 from .quadratic import ExtendedRational
@@ -351,8 +352,8 @@ def corollary_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _levels(lengths: list[int], point: int) -> Iterator[int]:
-    """Stage-n levels of ``x = point / lengths[0]`` for n = 0, 1, ..., as integer numerators.
+def _levels(lengths: list[int], point: int, path: list[tuple[int, int]], start: int) -> Iterator[int]:
+    """Stage-n levels of ``x = point / lengths[0]`` from n = ``start`` on, as integer numerators.
 
     ``lengths[n]`` is the stage-n interval length as an integer numerator
     over one common denominator, which is ``lengths[0]`` (stage 0 is
@@ -369,22 +370,34 @@ def _levels(lengths: list[int], point: int) -> Iterator[int]:
     the gap of step g, the left child lies wholly below it and the right
     child wholly above, and the level is ``length_n * G * 2**(n-g)`` from
     then on, with ``G = 2*W_(g-1) + 1``.  A step costs one integer
-    product.
+    product and reads the table once.
+
+    ``path`` holds ``(lo_n, W_n)`` for n = 0..k, a prefix of the path of
+    ``x`` (``[(0, 0)]`` walks from [0, 1]).  The walk reads its levels up
+    to stage k off it, steps alone from stage k + 1, appending each
+    interval it enters to ``path``, and yields nothing below ``start``.
     """
-    lo, hi, word = 0, lengths[0], 0
-    yield point
-    for n in range(1, len(lengths)):
+    k = len(path) - 1
+    for n in range(min(start, k), len(lengths)):
         child = lengths[n]
-        if point >= hi - child:
+        if n <= k:
+            lo, word = path[n]
+            hi = lo + child
+        elif point >= hi - child:
             lo, word = hi - child, 2 * word + 1
+            path.append((lo, word))
         elif point <= lo + child:
             hi, word = lo + child, 2 * word
+            path.append((lo, word))
         else:
-            blocks = 2 * word + 1
-            for m in range(n, len(lengths)):
-                yield lengths[m] * blocks << (m - n)
+            blocks, gap = 2 * word + 1, n
+            if gap >= start:
+                yield child * blocks
+            for n in range(max(gap + 1, start), len(lengths)):
+                yield lengths[n] * blocks << (n - gap)
             return
-        yield child * word + point - lo
+        if n >= start:
+            yield child * word + point - lo
 
 
 def _bracket(s: CantorSchedule, lengths: list[int], n: int, level: int) -> MeasureBounds:
@@ -423,7 +436,7 @@ def range_function(s: CantorSchedule, x: Fraction, stage: int) -> MeasureBounds:
     x = as_fraction(x)
     lengths = s._ladder.over(stage, x.denominator)
     point = _numerator_over(min(max(x, Fraction(0)), Fraction(1)), lengths[0])
-    *_, level = _levels(lengths, point)
+    (level,) = _levels(lengths, point, [(0, 0)], stage)
     return _bracket(s, lengths, stage, level)
 
 
@@ -464,8 +477,8 @@ def _verdict_cuts(
     ``L >= M_n + ceil((target - lambda**d) * D**d / M_n**(d-1))``; and
     "straddle" when their width ``min(a, defect_n)`` is at most ``tol``.
     ``lengths`` must end at the first stage whose defect is within ``tol``
-    (``_stage_for_width``).  A level never exceeds D, so that stage's
-    straddle cut is D, and an earlier stage's is
+    (``CantorSchedule._first_stage_within``).  A level never exceeds D, so
+    that stage's straddle cut is D, and an earlier stage's is
     ``floor(tol * D**d / M_n**(d-1))``.  Each cut is one integer floor
     division, and each test one comparison of L with a cut.
     """
@@ -491,26 +504,6 @@ def _verdict_cuts(
     return cuts
 
 
-def _stage_for_width(s: CantorSchedule, width: Fraction) -> int:
-    """First stage whose defect is at most ``width``; refused above ``MAX_STAGE``.
-
-    ``lambda_n`` is ``M_n / D_n`` on the schedule's table, with
-    ``M_n = lengths[n] << n`` and ``D_n = dens[n]``, so with
-    ``p / q = width + lambda**d`` the test ``defect_n <= width`` is
-    ``M_n**d * q <= p * D_n**d`` on integers.
-    """
-    ladder, d = s._ladder, s.d
-    bound = width + s.limit_measure()
-    p, q = bound.numerator, bound.denominator
-    n = 1
-    ladder.reach(n)
-    while (ladder.lengths[n] << n) ** d * q > p * ladder.dens[n] ** d:
-        n += 1
-        check_stage(n)
-        ladder.reach(n)
-    return n
-
-
 def solve_level(
     s: CantorSchedule,
     target: Fraction,
@@ -531,17 +524,18 @@ def solve_level(
     ``cantor.MAX_STAGE``, is refused before the search starts, so a solve
     takes at most ``MAX_TOL_BITS + 1`` bisection steps.
 
-    Cost: the stopping stage N = ``_stage_for_width(s, tol/2)`` is found
-    on the schedule's table by one integer comparison per stage, and each
-    stage's le/ge/straddle cuts are one integer floor division each, made
-    once per solve.  ``lo``, ``hi`` and every midpoint are integer
-    numerators over the table's common denominator.  A midpoint is tested
-    at stages 1, 2, ... until one decides, at one integer product and a
-    few comparisons per stage, but it resumes the walk that ``lo`` and
-    ``hi`` share: it is not tested below the lower of the stages that
-    decided them, where it is undecided too, it reads its level off their
-    shared intervals up to the stage k where they part, and it walks
-    alone from stage k + 1.  At ``rho <= 1/4`` the defect shrinks at
+    Cost: the stopping stage N, the first whose defect is at most
+    ``tol/2``, is found by ``CantorSchedule._first_stage_within`` at one
+    integer comparison per stage, and each stage's le/ge/straddle cuts are
+    one integer floor division each, made once per solve.  ``lo``, ``hi``
+    and every midpoint are integer numerators over the table's common
+    denominator.  A midpoint is tested at stages 1, 2, ... until one
+    decides, at one integer product and a few comparisons per stage, but
+    its walk (``_levels``) resumes on the path that ``lo`` and ``hi``
+    share: it is not tested below the lower of the stages that decided
+    them, where it is undecided too, it reads its level off their shared
+    intervals up to the stage k where they part, and it walks alone from
+    stage k + 1.  At ``rho <= 1/4`` the defect shrinks at
     least as fast as the interval length, so the deciding stage stays a
     few steps past k, and a solve of b bisection steps takes O(N + b)
     level steps: at d = 1, target 1/3 and tol 2^-1024, 7,169 reads of the
@@ -562,14 +556,18 @@ def solve_level(
     if not 0 <= target <= top:
         raise PreconditionError(f"target must lie in [0, {printable(top)}], got {printable(target)}")
     half = tol / 2
-    stage = _stage_for_width(s, half)
+    stage = s._first_stage_within(half, MAX_STAGE)
+    if stage is None:
+        raise PreconditionError(
+            f"tolerance {printable(tol)} needs a stage above MAX_STAGE = {MAX_STAGE}"
+        )
     # The search stops once hi - lo <= half, so every abscissa it visits
     # is a multiple of 2**-(b + 1) with 2**b > 1/half, and the common
     # denominator ``den`` is a multiple of that grid: each midpoint of two
     # visited numerators over ``den`` is an integer.
     lengths = s._ladder.over(stage, 1 << (half.denominator.bit_length() + 1))
     cuts = _verdict_cuts(s, lengths, target, half)
-    den, last = lengths[0], len(lengths) - 1
+    den = lengths[0]
     wide = half.numerator * den  # hi - lo > half on numerators over den
     lo, hi = 0, den
     # path[n] is (lo_n, W_n) of the stage-n interval that holds both lo
@@ -587,31 +585,11 @@ def solve_level(
             )
         mid = (lo + hi) >> 1
         # A stage-n level is nondecreasing in x, so mid is undecided at
-        # every stage where lo and hi both are: below ``first``.  Up to
-        # stage k it lies in their interval and reads its level off
-        # ``path``; from stage k + 1 it walks alone, appending its own
-        # intervals to ``path``, and after a gap its levels are the
-        # closed form of ``_levels``.
-        first = min(lo_stage, hi_stage)
-        k, blocks = len(path) - 1, 0
-        for n in range(min(first, k), last + 1):
-            child = lengths[n]
-            if n <= k:
-                start, word = path[n]
-                end = start + child
-            elif blocks:
-                pass  # past a gap
-            elif mid >= end - child:
-                start, word = end - child, 2 * word + 1
-                path.append((start, word))
-            elif mid <= start + child:
-                end, word = start + child, 2 * word
-                path.append((start, word))
-            else:
-                blocks, gap = 2 * word + 1, n
-            if n < first:
-                continue
-            level = child * blocks << (n - gap) if blocks else child * word + mid - start
+        # every stage where lo and hi both are: below ``first``.  Its walk
+        # resumes on ``path``, the intervals that hold lo and hi, and
+        # appends mid's own.
+        first, shared = min(lo_stage, hi_stage), len(path)
+        for n, level in enumerate(_levels(lengths, mid, path, first), first):
             le, ge, straddle = cuts[n - 1]
             if level <= le:
                 lo, lo_stage, kept = mid, n, hi
@@ -635,13 +613,12 @@ def solve_level(
         # Keep the intervals of mid's walk that also hold the end it did
         # not replace.  The closed stage-n intervals are disjoint, so a
         # point's walk takes the one that holds it.
-        k += 1
-        while k < len(path) and path[k][0] <= kept <= path[k][0] + lengths[k]:
-            k += 1
-        del path[k:]
+        while shared < len(path) and path[shared][0] <= kept <= path[shared][0] + lengths[shared]:
+            shared += 1
+        del path[shared:]
         iterations += 1
     mid = (lo + hi) >> 1
-    *_, level = _levels(lengths, mid)
+    (level,) = _levels(lengths, mid, [(0, 0)], stage)
     return LevelSolution(
         target=target,
         point=Fraction(mid, den),

@@ -214,25 +214,6 @@ def measure_bounds(e: "RingExpr", s: CantorSchedule, n: int) -> MeasureBounds:
     return MeasureBounds(lower, upper, stage=n, leaf_count=L)
 
 
-def _budget_stage(s: CantorSchedule, leaves: int, tol: Fraction, last: int) -> int:
-    """First stage n in ``1..last`` whose budget ``leaves * stage_defect(n)``
-    is at most ``tol``, or 1 when there is none.
-
-    Closed form on the schedule's table, with no evaluation:
-    ``lambda_1(A_n)`` is ``M_n / D_n`` with ``M_n = lengths[n] << n`` and
-    ``D_n = dens[n]``, so with ``p / q = tol / leaves + lambda**d`` the test
-    is ``M_n**d * q <= p * D_n**d`` on integers.
-    """
-    ladder, d = s._ladder, s.d
-    bound = tol / leaves + s.limit_measure()
-    p, q = bound.numerator, bound.denominator
-    for n in range(1, last + 1):
-        ladder.reach(n)
-        if (ladder.lengths[n] << n) ** d * q <= p * ladder.dens[n] ** d:
-            return n
-    return 1
-
-
 def premeasure(
     e: "RingExpr",
     s: CantorSchedule,
@@ -259,11 +240,13 @@ def premeasure(
     skip cannot decide (no ``Diff`` and ``m <= tol`` at ``n_b``, or a cap
     after a skipped start) does it evaluate the skipped stages from 1 up.
 
-    Cost: ``n_b`` is one integer comparison per stage on the schedule's
-    table.  A run evaluates each stage from its start to its answer once,
-    so a ``Diff``-free run whose stage measure stays above ``tol`` costs
-    one stage evaluation; a run the skip cannot decide evaluates the
-    stages a scan from stage 1 would, plus those already evaluated.
+    Cost: ``n_b``, the first stage whose defect is at most ``tol / L``,
+    is the schedule's one stopping-stage search
+    (``CantorSchedule._first_stage_within``).  A run evaluates each stage
+    from its start to its answer once, so a ``Diff``-free run whose stage
+    measure stays above ``tol`` costs one stage evaluation; a run the skip
+    cannot decide evaluates the stages a scan from stage 1 would, plus
+    those already evaluated.
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -271,7 +254,7 @@ def premeasure(
     simplified = simplify(e)
     start = 1
     if simplified is not None:
-        start = _budget_stage(s, leaf_count(simplified), tol, min(stage_cap, s.feasible_stage))
+        start = s._first_stage_within(tol / leaf_count(simplified), min(stage_cap, s.feasible_stage)) or 1
     # every stage before ``start`` is known to be wider than ``tol``
     settled = start == 1 or has_diff(simplified)
     # Up from ``start``; at most one stage past the box cap, which refuses.

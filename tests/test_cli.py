@@ -191,11 +191,12 @@ class TestEnvelope:
     def test_range_solve_target_checks_the_stage_its_tolerance_needs(self):
         # At d = 1 the stage-n defect is 2^-(n+1), and the bracket must be
         # narrower than tol/2: tol = 2^-1025 is the first to need stage 1025.
+        tol = Fraction(1, 2**1025)
         code, doc = run_json("range-solve", "--target", "1/3", "--tol", f"1/{2**1025}")
         assert code == 2
         error = doc["result"]["error"]
         assert error["kind"] == "precondition"
-        assert error["message"] == f"stage must be between 0 and {MAX_STAGE}, got {MAX_STAGE + 1}"
+        assert error["message"] == f"tolerance {tol} needs a stage above MAX_STAGE = {MAX_STAGE}"
 
     def test_range_solve_finishes_at_the_finest_tolerance(self):
         # tol = 2^-1024 is the finest the stage cap admits at d = 1: its
@@ -780,6 +781,32 @@ class TestKernelDimensionCap:
         code, doc = self.run_main(capsys, self.argvs(tmp_path, MAX_KERNEL_DIM)[which])
         assert code == 0
         assert doc["result"]["verification"]["ok"] is True
+
+
+class TestLimitMeasureOnce:
+    """A request computes the schedule's limit measure once, however many
+    brackets, cuts and checks read it."""
+
+    @pytest.mark.parametrize("which", ["range-solve", "measure"])
+    def test_a_request_computes_the_limit_measure_once(self, capsys, monkeypatch, tmp_path, which):
+        path = tmp_path / "diff.json"
+        expr = Diff(base_expr(CantorSchedule(1)), Gen((Fraction(1, 3),), Box.unit_cube(1)))
+        path.write_text(json.dumps(expr_to_json(expr)))
+        argv = {
+            "range-solve": ["range-solve", "--d", "2", "--target", "1/7", "--tol", f"1/{2**38}", "--verify"],
+            "measure": ["measure", "--expr-file", str(path), "--tol", "1/100", "--verify"],
+        }[which]
+        calls = []
+        limit_measure_1d = CantorSchedule.limit_measure_1d
+
+        def counted(self):
+            calls.append(self)
+            return limit_measure_1d(self)
+
+        monkeypatch.setattr(CantorSchedule, "limit_measure_1d", counted)
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["verification"]["ok"] is True
+        assert len(calls) == 1
 
 
 class TestBudgetPartials:

@@ -42,7 +42,7 @@ from fatcantor import (
 )
 from fatcantor import cantor, hausdorff
 from fatcantor.cantor import MAX_STAGE
-from fatcantor.hausdorff import MAX_TOL_BITS, _stage_for_width, _verdict_cuts, grid_covers
+from fatcantor.hausdorff import MAX_TOL_BITS, _levels, _verdict_cuts, grid_covers
 
 import level_oracle
 from strategies import boxes, fractions, positive_fractions, unit_fractions
@@ -553,7 +553,7 @@ class TestSolveLevel:
         monkeypatch.setattr(cantor._Ladder, "over", lambda *args: CountingLengths(over(*args)))
         tol = pow2(-1024)
         sol = solve_level(S1, Fraction(1, 3), tol=tol)
-        stage, steps = _stage_for_width(S1, tol / 2), sol.iterations
+        stage, steps = level_oracle._stage_for_width(S1, tol / 2), sol.iterations
         assert (stage, steps, sol.bracket.stage) == (1024, 1025, 1024)
         assert len(reads) <= 4 * (stage + steps)
 
@@ -717,7 +717,8 @@ class TestLevelKernelAgainstOracle:
         # numerators on both sides of it, so a cut off by one fails even
         # where no bisection happens to land on it
         target = data.draw(level_targets(s))
-        lengths = s._ladder.over(_stage_for_width(s, tol), data.draw(st.sampled_from([1, 3, 1 << 20])))
+        grain = data.draw(st.sampled_from([1, 3, 1 << 20]))
+        lengths = s._ladder.over(s._first_stage_within(tol, MAX_STAGE), grain)
         den = lengths[0]
         for n, (le, ge, straddle) in enumerate(_verdict_cuts(s, lengths, target, tol), 1):
             defect = s.stage_defect(n)
@@ -752,9 +753,17 @@ class TestLevelKernelAgainstOracle:
         assert got.value.partial == want.value.partial
         assert all(type(end) is Fraction for end in got.value.partial)
 
-    @given(data=st.data(), s=level_schedules(max_dim=6), n=st.integers(min_value=1, max_value=40))
-    def test_stage_for_width_equals_the_oracle(self, data, s, n):
-        # widths on, just below and just above a stage's defect, or arbitrary
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=6),
+        rho=st.sampled_from([Fraction(1, 4), Fraction(1, 3), pow2(-20)]),
+        n=st.integers(min_value=1, max_value=40),
+    )
+    def test_first_stage_within_equals_a_fraction_scan(self, data, d, rho, n):
+        # widths on, just below and just above a stage's defect, or
+        # arbitrary; searches that end at stage 0, 1, the box cap's stage
+        # or the stage cap
+        s = CantorSchedule(d, c=Fraction(1, 2) if rho == Fraction(1, 3) else Fraction(1), rho=rho)
         defect = s.stage_defect(n)
         width = data.draw(
             st.one_of(
@@ -762,18 +771,48 @@ class TestLevelKernelAgainstOracle:
                 st.sampled_from([defect, defect * Fraction(999, 1000), defect * Fraction(1001, 1000)]),
             )
         )
-        assert _stage_for_width(s, width) == level_oracle._stage_for_width(s, width)
+        for last in (0, 1, s.feasible_stage, n, MAX_STAGE):
+            scan = next((m for m in range(1, last + 1) if s.stage_defect(m) <= width), None)
+            assert s._first_stage_within(width, last) == scan
+        assert s._first_stage_within(width, MAX_STAGE) == level_oracle._stage_for_width(s, width)
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("c, rho", LEVEL_SCHEDULES)
     def test_stage_for_width_is_refused_above_the_cap_like_the_oracle(self, c, rho, d):
+        # the oracle refuses the stage it would need; the solver, which
+        # was given no stage, refuses the tolerance that needs it
         s = CantorSchedule(d, c=c, rho=rho)
         last = s.stage_defect(MAX_STAGE)
-        assert _stage_for_width(s, last) == level_oracle._stage_for_width(s, last) == MAX_STAGE
-        refusal = f"^stage must be between 0 and {MAX_STAGE}, got {MAX_STAGE + 1}$"
-        for stage_for_width in (_stage_for_width, level_oracle._stage_for_width):
-            with pytest.raises(PreconditionError, match=refusal):
-                stage_for_width(s, last * Fraction(999, 1000))
+        assert s._first_stage_within(last, MAX_STAGE) == level_oracle._stage_for_width(s, last) == MAX_STAGE
+        below = last * Fraction(999, 1000)
+        assert s._first_stage_within(below, MAX_STAGE) is None
+        with pytest.raises(PreconditionError, match=f"^stage must be between 0 and {MAX_STAGE}, got {MAX_STAGE + 1}$"):
+            level_oracle._stage_for_width(s, below)
+        refusal = f"^tolerance {2 * below} needs a stage above MAX_STAGE = {MAX_STAGE}$"
+        with pytest.raises(PreconditionError, match=refusal):
+            solve_level(s, s.limit_measure() / 3, tol=2 * below)
+
+    @given(data=st.data(), s=level_schedules(), n=st.integers(min_value=0, max_value=12))
+    def test_a_resumed_walk_yields_the_levels_of_a_fresh_one(self, data, s, n):
+        # x at a stage endpoint (inside (0, 1), the edge of a gap), in a
+        # gap, or anywhere; the walk resumed on each prefix of x's own path
+        # from each start stage yields the fresh walk's levels, and extends
+        # the prefix to that path
+        m = data.draw(st.integers(min_value=0, max_value=5))
+        intervals = s.stage_intervals_1d(m)
+        ends = [v for pair in intervals for v in pair]
+        gaps = [(left[1] + right[0]) / 2 for left, right in zip(intervals, intervals[1:])]
+        x = data.draw(st.one_of(st.sampled_from(ends + gaps), unit_fractions()))
+        lengths = s._ladder.over(n, x.denominator)
+        point = cantor._numerator_over(x, lengths[0])
+        path = [(0, 0)]
+        fresh = list(_levels(lengths, point, path, 0))
+        assert fresh == [level_oracle._stage_level(s, x, k) * lengths[0] for k in range(n + 1)]
+        for depth in range(1, len(path) + 1):
+            for start in range(n + 1):
+                prefix = path[:depth]
+                assert list(_levels(lengths, point, prefix, start)) == fresh[start:]
+                assert prefix == path
 
     @given(data=st.data(), s=level_schedules(), n=st.integers(min_value=0, max_value=64))
     def test_range_function_equals_the_oracle_level(self, data, s, n):
