@@ -756,14 +756,15 @@ class TestLevelKernelAgainstOracle:
     @given(
         data=st.data(),
         d=st.integers(min_value=1, max_value=6),
-        rho=st.sampled_from([Fraction(1, 4), Fraction(1, 3), pow2(-20)]),
-        n=st.integers(min_value=1, max_value=40),
+        schedule=st.sampled_from(LEVEL_SCHEDULES + [(Fraction(1), pow2(-20))]),
+        n=st.integers(min_value=0, max_value=40),
     )
-    def test_first_stage_within_equals_a_fraction_scan(self, data, d, rho, n):
-        # widths on, just below and just above a stage's defect, or
-        # arbitrary; searches that end at stage 0, 1, the box cap's stage
-        # or the stage cap
-        s = CantorSchedule(d, c=Fraction(1, 2) if rho == Fraction(1, 3) else Fraction(1), rho=rho)
+    def test_first_stage_within_equals_a_fraction_scan(self, data, d, schedule, n):
+        # every level schedule and rho = 2^-20; widths on, just below and
+        # just above a stage's defect, or arbitrary; searches that end at
+        # stage 0, 1, the box cap's stage or the stage cap
+        c, rho = schedule
+        s = CantorSchedule(d, c=c, rho=rho)
         defect = s.stage_defect(n)
         width = data.draw(
             st.one_of(
