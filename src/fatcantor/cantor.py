@@ -33,8 +33,9 @@ Every stage length comes from one table per schedule (``_Ladder``): the
 lengths ``l_k = (l_(k-1) - c*rho**k) / 2`` as numerators over the common
 denominator of levels 0..k, computed on integers once, extended one level
 at a time as a caller first needs it, and kept for the schedule.  The
-walks, the stage sets, the level function of :mod:`.hausdorff` and the one
-stopping-stage search (``CantorSchedule._first_stage_within``, which
+walks, the stage sets, the level function of :mod:`.hausdorff` and its
+inverse (``_level`` and ``_last_point_within``), and the one stopping-stage
+search (``CantorSchedule._first_stage_within``, which
 ``hausdorff.solve_level`` and ``ring.premeasure`` call) all read it.
 """
 

@@ -11,19 +11,19 @@ Also here: the explicit pipeline turning the measure of the limit set into
 a covered cube, whose cover is a grid of equal cubes checked by two exact
 comparisons, and the level function
 ``x -> measure(limit set ∩ {first coordinate <= x})`` together with a
-certified bisection inverse.  Every stage-n value, of a point or of a
-bisection midpoint, comes from the one walk down the path of ``x``
-(``_levels``), which yields the levels of all stages in turn as integer
-numerators over one common denominator.  The stage lengths come from the
-schedule's one table (``cantor._Ladder``).  A solve decides on that
-table's integers: its stopping stage (``CantorSchedule._first_stage_within``),
-its verdict cuts (one integer floor division each, made once per solve)
-and its bisection, whose abscissas are numerators over the table's common
-denominator.  Each bisection midpoint resumes the walk where the two ends
-of the bracket part, so a solve of b steps to the stopping stage N takes
-O(N + b) integer level steps (at ``rho <= 1/4``, away from the ends of
-the range; ``solve_level`` gives the cost), and only a returned solution
-becomes ``Fraction``s.
+certified bisection inverse.  A point's stage-n level comes from one
+integer walk down its path (``_level``), as a numerator over the common
+denominator of the schedule's one table of stage lengths
+(``cantor._Ladder``).  Every stage-n interval has the same length ``l_n``,
+so the stage-N level is a nondecreasing staircase of slope-1 runs and flat
+gaps, and its inverse (``_last_point_within``) reads a level's interval
+off the binary digits of its quotient by ``l_N``.  A solve decides on the
+table's integers: its stopping stage N
+(``CantorSchedule._first_stage_within``), stage N's two verdict cuts, and
+the two abscissas that the inverse makes of them once per solve, against
+which each bisection midpoint is two integer comparisons.  A solve of b
+steps thus takes O(N + b) integer operations (``solve_level`` gives the
+cost), and only a returned solution becomes ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .cantor import MAX_STAGE, CantorSchedule, _numerator_over, box_count, check_stage
 from .errors import BudgetError, PreconditionError
@@ -352,52 +351,58 @@ def corollary_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _levels(lengths: list[int], point: int, path: list[tuple[int, int]], start: int) -> Iterator[int]:
-    """Stage-n levels of ``x = point / lengths[0]`` from n = ``start`` on, as integer numerators.
+def _level(lengths: list[int], point: int) -> int:
+    """Stage-N level of ``x = point / lengths[0]`` as an integer numerator, N = ``len(lengths) - 1``.
 
     ``lengths[n]`` is the stage-n interval length as an integer numerator
     over one common denominator, which is ``lengths[0]`` (stage 0 is
     [0, 1]); ``point`` is the abscissa ``x`` in [0, 1] over it, and the
-    levels are numerators over it too, up to stage ``len(lengths) - 1``.
+    level is a numerator over it too.
 
-    The stage-n level is ``measure(stage-n set ∩ [0, x])`` in one
-    dimension.  One walk down the path of ``x`` yields all of them, since
-    the path (left child, right child or gap at each step) does not depend
-    on n.  After step n, ``x`` lies in the stage-n interval starting at
-    ``lo_n`` and has ``W_n`` stage-n intervals to its left, where ``W_n``
-    is the path read as a binary word; each of them carries ``length_n``,
-    so the level is ``length_n * W_n + (x - lo_n)``.  Once ``x`` falls in
-    the gap of step g, the left child lies wholly below it and the right
-    child wholly above, and the level is ``length_n * G * 2**(n-g)`` from
-    then on, with ``G = 2*W_(g-1) + 1``.  A step costs one integer
-    product and reads the table once.
-
-    ``path`` holds ``(lo_n, W_n)`` for n = 0..k, a prefix of the path of
-    ``x`` (``[(0, 0)]`` walks from [0, 1]).  The walk reads its levels up
-    to stage k off it, steps alone from stage k + 1, appending each
-    interval it enters to ``path``, and yields nothing below ``start``.
+    The stage-N level is ``measure(stage-N set ∩ [0, x])`` in one
+    dimension.  The walk follows the path of ``x`` down from [0, 1]: after
+    step n, ``x`` lies in the stage-n interval starting at ``lo`` and has
+    ``W_n`` stage-n intervals to its left, where ``W_n`` is the path (left
+    or right child at each step) read as a binary word.  Each stage-N
+    interval carries ``l_N``, so the level is ``l_N * W_N + (x - lo)``.
+    If ``x`` falls in the gap of step g instead, the left child lies
+    wholly below it and the right child wholly above, and the level is
+    ``l_N * (2*W_(g-1) + 1) * 2**(N-g)``.  A step reads the table once.
     """
-    k = len(path) - 1
-    for n in range(min(start, k), len(lengths)):
+    last = len(lengths) - 1
+    lo = word = 0
+    parent = lengths[0]
+    for n in range(1, last + 1):
         child = lengths[n]
-        if n <= k:
-            lo, word = path[n]
-            hi = lo + child
-        elif point >= hi - child:
-            lo, word = hi - child, 2 * word + 1
-            path.append((lo, word))
-        elif point <= lo + child:
-            hi, word = lo + child, 2 * word
-            path.append((lo, word))
-        else:
-            blocks, gap = 2 * word + 1, n
-            if gap >= start:
-                yield child * blocks
-            for n in range(max(gap + 1, start), len(lengths)):
-                yield lengths[n] * blocks << (n - gap)
-            return
-        if n >= start:
-            yield child * word + point - lo
+        word <<= 1
+        if point >= lo + parent - child:
+            lo, word = lo + parent - child, word | 1
+        elif point > lo + child:
+            return lengths[last] * (word | 1) << (last - n)
+        parent = child
+    return lengths[last] * word + point - lo
+
+
+def _last_point_within(lengths: list[int], level: int) -> int:
+    """Largest point numerator whose stage-N level (``_level``) is at most ``level``.
+
+    ``level`` must lie in ``[0, 2**N * l_N)``, below the full level.  In
+    the symmetric construction every stage-N interval has the one length
+    ``l_N``, so the stage-N level rises with slope 1 across each of them
+    and is flat across each gap.  With ``(j, r) = divmod(level, l_N)``,
+    it reaches ``level`` at ``lo_j + r`` in the j-th interval from the
+    left, and ``lo_j + r + 1``, in the same closed interval, lies one
+    above it.  ``lo_j`` is the sum of ``l_(k-1) - l_k``, the step from
+    the left child to the right one at stage k, over the stages k whose
+    bit of j is set, j read as an N-bit word from its most significant
+    bit.  A set bit reads the table twice.
+    """
+    last = len(lengths) - 1
+    word, point = divmod(level, lengths[last])
+    for k, bit in enumerate(format(word, f"0{last}b"), 1):
+        if bit == "1":
+            point += lengths[k - 1] - lengths[k]
+    return point
 
 
 def _bracket(s: CantorSchedule, lengths: list[int], n: int, level: int) -> MeasureBounds:
@@ -424,7 +429,7 @@ def range_function(s: CantorSchedule, x: Fraction, stage: int) -> MeasureBounds:
 
     Agrees exactly with clipping the base generator to the half-space and
     taking its measure bounds at the same stage.  One descent along the
-    path of ``x`` (``_levels``) gives the one-dimensional stage level in
+    path of ``x`` (``_level``) gives the one-dimensional stage level in
     O(stage) integer operations instead of materializing
     ``2**(stage*d)`` boxes; the other d - 1 axes contribute the factor
     ``lambda_stage**(d-1)``.  An ``x`` outside [0, 1] is clamped, which
@@ -436,8 +441,7 @@ def range_function(s: CantorSchedule, x: Fraction, stage: int) -> MeasureBounds:
     x = as_fraction(x)
     lengths = s._ladder.over(stage, x.denominator)
     point = _numerator_over(min(max(x, Fraction(0)), Fraction(1)), lengths[0])
-    (level,) = _levels(lengths, point, [(0, 0)], stage)
-    return _bracket(s, lengths, stage, level)
+    return _bracket(s, lengths, stage, _level(lengths, point))
 
 
 @dataclass(frozen=True)
@@ -451,7 +455,10 @@ class LevelSolution:
     better).  The invariant is exact throughout:
     level(lo) <= target <= level(hi); either way the bracket's midpoint
     is within ``tol`` of the target:
-    ``|(bracket.lower + bracket.upper) / 2 - target| <= tol``.
+    ``|(bracket.lower + bracket.upper) / 2 - target| <= tol``.  A target
+    below ``tol/2`` is a ``"straddle"`` at once: ``point``, ``lo`` and
+    ``hi`` are 0, whose level is exactly 0, the bracket is ``[0, 0]`` at
+    the stopping stage, and ``iterations`` is 0.
     """
 
     target: Fraction
@@ -463,45 +470,27 @@ class LevelSolution:
     status: str
 
 
-def _verdict_cuts(
-    s: CantorSchedule, lengths: list[int], target: Fraction, tol: Fraction
-) -> list[tuple[int, int, int]]:
-    """Per stage n >= 1, the level numerators at which ``solve_level`` decides a midpoint.
+def _verdict_cuts(s: CantorSchedule, lengths: list[int], target: Fraction) -> tuple[int, int]:
+    """The stage-N level numerators ``(LE, GE)`` at which ``solve_level`` decides, N = ``len(lengths) - 1``.
 
-    All numerators are over ``D = lengths[0]``, and ``M_n = lengths[n] << n``
-    is ``lambda_n`` over it.  A level numerator L has the stage-n bounds
-    ``[max(0, a - defect_n), a]`` with ``a = L * M_n**(d-1) / D**d`` and
-    ``defect_n = (M_n**d - lambda**d * D**d) / D**d``.  They are "le" when
-    ``a <= target``, that is ``L <= floor(target * D**d / M_n**(d-1))``;
-    "ge" when ``a - defect_n >= target > 0``, that is
-    ``L >= M_n + ceil((target - lambda**d) * D**d / M_n**(d-1))``; and
-    "straddle" when their width ``min(a, defect_n)`` is at most ``tol``.
-    ``lengths`` must end at the first stage whose defect is within ``tol``
-    (``CantorSchedule._first_stage_within``).  A level never exceeds D, so
-    that stage's straddle cut is D, and an earlier stage's is
-    ``floor(tol * D**d / M_n**(d-1))``.  Each cut is one integer floor
-    division, and each test one comparison of L with a cut.
+    All numerators are over ``D = lengths[0]``, and ``M = lengths[N] << N``
+    is ``lambda_N`` over it.  A level numerator L has the stage-N bounds
+    ``[max(0, a - defect_N), a]`` with ``a = L * M**(d-1) / D**d`` and
+    ``defect_N = (M**d - lambda**d * D**d) / D**d``.  They are "le" when
+    ``a <= target``, that is ``L <= LE = floor(target * D**d / M**(d-1))``,
+    and "ge" when ``a - defect_N >= target > 0``, that is ``L >= GE = M -
+    floor((lambda**d - target) * D**d / M**(d-1))``.  For ``0 < target <=
+    lambda**d``, which is below ``lambda_N**d``, ``0 <= LE < M`` and ``1
+    <= GE <= M``: both cuts are levels that ``_last_point_within`` inverts.
     """
     d, den, last = s.d, lengths[0], len(lengths) - 1
-    scale = den**d
-    # target, lambda**d - target and tol, each times D**d, as a numerator
-    # p over a denominator q
-    le_p, le_q = target.numerator * scale, target.denominator
+    m = lengths[last] << last
+    scale, unit = den**d, m ** (d - 1)
     gap = s.limit_measure() - target
-    ge_p, ge_q = gap.numerator * scale, gap.denominator
-    tol_p, tol_q = tol.numerator * scale, tol.denominator
-    cuts = []
-    for n in range(1, last + 1):
-        m = lengths[n] << n
-        unit = m ** (d - 1)
-        cuts.append(
-            (
-                le_p // (le_q * unit),
-                m - ge_p // (ge_q * unit) if target else 0,
-                den if n == last else tol_p // (tol_q * unit),
-            )
-        )
-    return cuts
+    return (
+        target.numerator * scale // (target.denominator * unit),
+        m - gap.numerator * scale // (gap.denominator * unit),
+    )
 
 
 def solve_level(
@@ -514,36 +503,37 @@ def solve_level(
     """Find ``x`` whose level is ``target``, by certified bisection.
 
     Maintains level(lo) <= target <= level(hi) with exact comparisons at
-    adaptively chosen stages.  The level function is 1-Lipschitz, so once
-    ``hi - lo <= tol/2`` the midpoint's true level is within ``tol/2`` of
-    the target; its bounds are then refined below width ``tol/2`` as well,
-    giving ``|midpoint(bounds) - target| <= tol``.  Midpoints whose bounds
-    cannot be separated from the target (flat spots of the level function)
-    end the search early with an even tighter ``"straddle"`` result.  A
-    tolerance below ``2**-MAX_TOL_BITS``, or one that needs a stage above
-    ``cantor.MAX_STAGE``, is refused before the search starts, so a solve
-    takes at most ``MAX_TOL_BITS + 1`` bisection steps.
+    the stopping stage N, the first whose defect is at most ``tol/2``.  The
+    level function is 1-Lipschitz, so once ``hi - lo <= tol/2`` the
+    midpoint's true level is within ``tol/2`` of the target, and its
+    stage-N bounds are at most ``tol/2`` wide, giving ``|midpoint(bounds)
+    - target| <= tol``.  A midpoint whose bounds cannot be separated from
+    the target (a flat spot of the level function) ends the search early
+    with an even tighter ``"straddle"`` result.  A target below ``tol/2``
+    is solved at x = 0, whose level is exactly 0, before any bisection
+    (see ``LevelSolution``).  A tolerance below ``2**-MAX_TOL_BITS``, or
+    one that needs a stage above ``cantor.MAX_STAGE``, is refused before
+    the search starts, so a solve takes at most ``MAX_TOL_BITS + 1``
+    bisection steps.
 
-    Cost: the stopping stage N, the first whose defect is at most
-    ``tol/2``, is found by ``CantorSchedule._first_stage_within`` at one
-    integer comparison per stage, and each stage's le/ge/straddle cuts are
-    one integer floor division each, made once per solve.  ``lo``, ``hi``
-    and every midpoint are integer numerators over the table's common
-    denominator.  A midpoint is tested at stages 1, 2, ... until one
-    decides, at one integer product and a few comparisons per stage, but
-    its walk (``_levels``) resumes on the path that ``lo`` and ``hi``
-    share: it is not tested below the lower of the stages that decided
-    them, where it is undecided too, it reads its level off their shared
-    intervals up to the stage k where they part, and it walks alone from
-    stage k + 1.  At ``rho <= 1/4`` the defect shrinks at
-    least as fast as the interval length, so the deciding stage stays a
-    few steps past k, and a solve of b bisection steps takes O(N + b)
-    level steps: at d = 1, target 1/3 and tol 2^-1024, 7,169 reads of the
-    stage table, against 527,878 when each midpoint walked from [0, 1].
-    A midpoint still walks up to N stages while ``lo`` is 0 or ``hi`` is
-    1, which lasts about ``log2(1/min(target, limit - target))`` steps,
-    and at ``rho > 1/4``, where its deciding stage runs ahead of k in
-    proportion to k.  Only the returned solution, or a ``BudgetError``'s
+    Why stage N alone decides: at a stage n below N the defect is above
+    ``tol/2``, so a bracket there is at most ``tol/2`` wide only when its
+    upper bound is, and then it is "le", which is tested first, since the
+    target is at least ``tol/2``.  As n grows the upper bound only falls
+    and the lower bound only rises, so a midpoint that is "le" or "ge" at
+    some stage is so at N, and one that is neither at N straddles there.
+
+    Cost: N is found by ``CantorSchedule._first_stage_within`` at one
+    integer comparison per stage.  Stage N's two verdict cuts
+    (``_verdict_cuts``) are one integer floor division each, and the
+    inverse of the stage-N level (``_last_point_within``) turns them, once
+    per solve, into the abscissas at and below which a midpoint is "le"
+    and at and above which it is "ge".  ``lo``, ``hi`` and every midpoint
+    are integer numerators over the table's common denominator, so a
+    bisection step is two integer comparisons, and a solve of b steps
+    takes O(N + b) integer operations wherever the target lies; the
+    straddling midpoint or the converged point is walked once
+    (``_level``).  Only the returned solution, or a ``BudgetError``'s
     partial bracket, becomes ``Fraction``s.
     """
     target = as_fraction(target)
@@ -566,16 +556,24 @@ def solve_level(
     # denominator ``den`` is a multiple of that grid: each midpoint of two
     # visited numerators over ``den`` is an integer.
     lengths = s._ladder.over(stage, 1 << (half.denominator.bit_length() + 1))
-    cuts = _verdict_cuts(s, lengths, target, half)
+    if target < half:
+        zero = Fraction(0)
+        return LevelSolution(
+            target=target,
+            point=zero,
+            lo=zero,
+            hi=zero,
+            bracket=_bracket(s, lengths, stage, 0),
+            iterations=0,
+            status="straddle",
+        )
+    le, ge = _verdict_cuts(s, lengths, target)
+    # A stage-N level is nondecreasing in x: a midpoint is "le" when it is
+    # at most ``below`` and "ge" when it is at least ``above``.
+    below, above = _last_point_within(lengths, le), _last_point_within(lengths, ge - 1) + 1
     den = lengths[0]
     wide = half.numerator * den  # hi - lo > half on numerators over den
     lo, hi = 0, den
-    # path[n] is (lo_n, W_n) of the stage-n interval that holds both lo
-    # and hi, for n = 0..k, as ``_levels`` walks it.  lo and hi were
-    # decided at stages lo_stage and hi_stage; 0 and 1 are decided at
-    # stage 1, which skips nothing.
-    path = [(0, 0)]
-    lo_stage = hi_stage = 1
     iterations = 0
     while (hi - lo) * half.denominator > wide:
         if iterations >= max_iter:
@@ -584,47 +582,29 @@ def solve_level(
                 partial=(Fraction(lo, den), Fraction(hi, den)),
             )
         mid = (lo + hi) >> 1
-        # A stage-n level is nondecreasing in x, so mid is undecided at
-        # every stage where lo and hi both are: below ``first``.  Its walk
-        # resumes on ``path``, the intervals that hold lo and hi, and
-        # appends mid's own.
-        first, shared = min(lo_stage, hi_stage), len(path)
-        for n, level in enumerate(_levels(lengths, mid, path, first), first):
-            le, ge, straddle = cuts[n - 1]
-            if level <= le:
-                lo, lo_stage, kept = mid, n, hi
-                break
-            if level >= ge:
-                hi, hi_stage, kept = mid, n, lo
-                break
-            if level <= straddle:
-                point = Fraction(mid, den)
-                return LevelSolution(
-                    target=target,
-                    point=point,
-                    lo=point,
-                    hi=point,
-                    bracket=_bracket(s, lengths, n, level),
-                    iterations=iterations + 1,
-                    status="straddle",
-                )
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
+            hi = mid
         else:
-            raise AssertionError("the last stage's bracket is within the tolerance")
-        # Keep the intervals of mid's walk that also hold the end it did
-        # not replace.  The closed stage-n intervals are disjoint, so a
-        # point's walk takes the one that holds it.
-        while shared < len(path) and path[shared][0] <= kept <= path[shared][0] + lengths[shared]:
-            shared += 1
-        del path[shared:]
+            point = Fraction(mid, den)
+            return LevelSolution(
+                target=target,
+                point=point,
+                lo=point,
+                hi=point,
+                bracket=_bracket(s, lengths, stage, _level(lengths, mid)),
+                iterations=iterations + 1,
+                status="straddle",
+            )
         iterations += 1
     mid = (lo + hi) >> 1
-    (level,) = _levels(lengths, mid, [(0, 0)], stage)
     return LevelSolution(
         target=target,
         point=Fraction(mid, den),
         lo=Fraction(lo, den),
         hi=Fraction(hi, den),
-        bracket=_bracket(s, lengths, stage, level),
+        bracket=_bracket(s, lengths, stage, _level(lengths, mid)),
         iterations=iterations,
         status="converged",
     )

@@ -833,6 +833,23 @@ class TestBudgetPartials:
         assert code == 3
         assert doc["result"]["error"]["partial"] == ["1/2", "3/4"]
 
+    def test_range_solve_below_half_the_tolerance_needs_no_budget(self):
+        # x = 0 has level exactly 0, within tol/2 of the target, so the
+        # solve takes no bisection step and --max-iter 0 cannot stop it
+        code, doc = run_json("range-solve", "--target", "0", "--max-iter", "0", "--verify")
+        assert code == 0
+        result = doc["result"]
+        assert result["verification"] == {"requested": True, "ok": True}
+        assert result["solution"] == {
+            "target": "0/1",
+            "point": "0/1",
+            "lo": "0/1",
+            "hi": "0/1",
+            "bracket": {"lower": "0/1", "upper": "0/1", "stage": 20, "leaf_count": 1},
+            "iterations": 0,
+            "status": "straddle",
+        }
+
     def test_rn_enumerate_reports_the_last_full_layer(self):
         code, doc = run_json("rn-enumerate", "--n", "2", "--max-size", "1")
         assert code == 3

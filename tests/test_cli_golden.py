@@ -10,8 +10,10 @@ bisection, which no other case reaches, the next one its budget
 partial, recorded before the bisection moved from ``Fraction``s to
 integer numerators, and the last three ``measure --tol`` on expressions
 without a ``Diff``, recorded before ``premeasure`` began its scan at the
-first stage whose closed-form budget is within the tolerance.  A changed
-digest means a
+first stage whose closed-form budget is within the tolerance.  The
+``range-solve-below-half-tol`` case, added when a target below half the
+tolerance began to be solved at x = 0 without bisecting, pins that
+solution.  A changed digest means a
 document changed, so a change to any report's JSON must update its digest
 here on purpose.  The five ``infinite-cube`` digests were re-recorded when
 its table of every subfamily became one witness over the whole pool (the
@@ -312,6 +314,12 @@ CASES = {
          "--verify"],
         3,
         "0e4b54bc52fe379ef5d3af58a1f0d8fe0a052d5d6437decce6dc10a7e5e435e0",
+    ),
+    # a target below tol/2 = 2^-21: solved at x = 0, whose level is 0
+    "range-solve-below-half-tol": (
+        ["range-solve", "--target", "1/10000000", "--verify"],
+        0,
+        "9a0ac6e0e8e433dbf1c125fbaecab19e161119e325064d7480af6c9f519716a0",
     ),
 }
 

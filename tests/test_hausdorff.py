@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatcantor import (
@@ -22,6 +22,8 @@ from fatcantor import (
     CantorSchedule,
     CubeFamily,
     ExtendedRational,
+    LevelSolution,
+    MeasureBounds,
     PackingLayout,
     PowerGauge,
     PreconditionError,
@@ -42,7 +44,14 @@ from fatcantor import (
 )
 from fatcantor import cantor, hausdorff
 from fatcantor.cantor import MAX_STAGE
-from fatcantor.hausdorff import MAX_TOL_BITS, _levels, _verdict_cuts, grid_covers
+from fatcantor.hausdorff import (
+    DEFAULT_MAX_ITER,
+    MAX_TOL_BITS,
+    _last_point_within,
+    _level,
+    _verdict_cuts,
+    grid_covers,
+)
 
 import level_oracle
 from strategies import boxes, fractions, positive_fractions, unit_fractions
@@ -490,6 +499,24 @@ class TestRangeFunction:
         assert (b.lower, b.upper, b.stage, b.leaf_count) == (0, 0, 1024, 1)
 
 
+def solution_at_zero(s: CantorSchedule, target: Fraction, tol: Fraction) -> LevelSolution:
+    """The solution of a target below ``tol/2``: x = 0, whose level is
+    exactly 0, with the bracket [0, 0] at the oracle's stopping stage."""
+    zero = Fraction(0)
+    stage = level_oracle._stage_for_width(s, tol / 2)
+    bracket = MeasureBounds(lower=zero, upper=zero, stage=stage, leaf_count=1)
+    return LevelSolution(target, zero, zero, zero, bracket, 0, "straddle")
+
+
+def solves_like_the_oracle(s: CantorSchedule, target: Fraction, tol: Fraction) -> bool:
+    """``solve_level`` equals the oracle's bisection at a target of at least
+    ``tol/2``, and ``solution_at_zero`` below it."""
+    got = solve_level(s, target, tol=tol)
+    if target < tol / 2:
+        return got == solution_at_zero(s, target, tol)
+    return got == level_oracle.solve_level(s, target, tol=tol)
+
+
 class TestSolveLevel:
     def test_target_quarter_is_hit_exactly_at_one_half(self):
         sol = solve_level(S1, Fraction(1, 4))
@@ -502,6 +529,19 @@ class TestSolveLevel:
         assert zero.bracket.lower <= 0 <= zero.bracket.upper
         full = solve_level(S1, S1.limit_measure())
         assert full.bracket.upper >= S1.limit_measure()
+
+    @pytest.mark.parametrize("max_iter", [0, DEFAULT_MAX_ITER])
+    @pytest.mark.parametrize("target", [Fraction(0), pow2(-22), pow2(-21) - pow2(-60)])
+    def test_a_target_below_half_the_tolerance_is_solved_at_zero(self, target, max_iter):
+        # the level of x = 0 is exactly 0, within tol/2 of the target, so
+        # no bisection step is taken and no budget can run out
+        sol = solve_level(S1, target, tol=pow2(-20), max_iter=max_iter)
+        assert sol == solution_at_zero(S1, target, pow2(-20))
+
+    def test_half_the_tolerance_is_bisected(self):
+        with pytest.raises(BudgetError):
+            solve_level(S1, pow2(-21), tol=pow2(-20), max_iter=0)
+        assert solves_like_the_oracle(S1, pow2(-21), pow2(-20))
 
     @given(target=st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
                                    Fraction(2, 5), Fraction(12, 29), Fraction(17, 100)]))
@@ -539,9 +579,25 @@ class TestSolveLevel:
         with pytest.raises(PreconditionError, match=f"^tolerance must be at least 2\\^-{MAX_TOL_BITS}$"):
             solve_level(s, Fraction(1, 3), tol=tol / 2)
 
-    def test_a_fine_solve_takes_linear_level_steps(self, monkeypatch):
-        # every level step reads the stage table once; walking each midpoint
-        # from [0, 1] read it 527,878 times here, about N * b / 2
+    @pytest.mark.parametrize(
+        "s, target, tol, stage, steps",
+        [
+            (S1, Fraction(1, 3), pow2(-1024), 1024, 1025),
+            # targets within 10^-300 of 0 and of the limit measure, which
+            # keep lo at 0 or hi at 1 for about 1000 steps
+            (S1, Fraction(1, 10**300), pow2(-1024), 1024, 1025),
+            (S1, Fraction(1, 2) - Fraction(1, 10**300), pow2(-1024), 1024, 1025),
+            (CantorSchedule(3), Fraction(1, 10**300), pow2(-1000), 1000, 998),
+            # rho = 1/3 > 1/4, where the defect shrinks more slowly than
+            # the interval length
+            (CantorSchedule(1, c=Fraction(1, 2), rho=Fraction(1, 3)), Fraction(1, 7), pow2(-256), 438, 257),
+            (CantorSchedule(1, c=Fraction(1, 2), rho=Fraction(1, 3)), Fraction(1, 7), pow2(-512), 876, 513),
+        ],
+    )
+    def test_a_fine_solve_takes_linear_level_steps(self, monkeypatch, s, target, tol, stage, steps):
+        # the inverse reads the stage table twice a set bit and the walk
+        # once a stage, so no read depends on the bisection step; walking
+        # each midpoint from [0, 1] reads it about N * b / 2 times
         reads = []
 
         class CountingLengths(list):
@@ -551,11 +607,10 @@ class TestSolveLevel:
 
         over = cantor._Ladder.over
         monkeypatch.setattr(cantor._Ladder, "over", lambda *args: CountingLengths(over(*args)))
-        tol = pow2(-1024)
-        sol = solve_level(S1, Fraction(1, 3), tol=tol)
-        stage, steps = level_oracle._stage_for_width(S1, tol / 2), sol.iterations
-        assert (stage, steps, sol.bracket.stage) == (1024, 1025, 1024)
+        sol = solve_level(s, target, tol=tol)
         assert len(reads) <= 4 * (stage + steps)
+        assert level_oracle._stage_for_width(s, tol / 2) == stage
+        assert (sol.iterations, sol.bracket.stage) == (steps, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +730,7 @@ class TestLevelKernelAgainstOracle:
     @given(data=st.data(), s=level_schedules(), bits=st.integers(min_value=1, max_value=40))
     def test_solve_level_equals_the_oracle_bisection(self, data, s, bits):
         target = data.draw(level_targets(s))
-        tol = pow2(-bits)
-        assert solve_level(s, target, tol=tol) == level_oracle.solve_level(s, target, tol=tol)
+        assert solves_like_the_oracle(s, target, pow2(-bits))
 
     def test_flat_spots_straddle_like_the_oracle(self):
         for c, rho in LEVEL_SCHEDULES:
@@ -686,13 +740,24 @@ class TestLevelKernelAgainstOracle:
                 assert got.status == "straddle"
                 assert got == level_oracle.solve_level(s, target, tol=pow2(-30))
 
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("c, rho", LEVEL_SCHEDULES)
+    def test_a_midpoint_on_a_verdict_cut_is_decided_like_the_oracle(self, c, rho, d, x):
+        # a target on a bound of a bisection midpoint's stage-N bracket puts
+        # that midpoint exactly on the abscissa of the le or the ge cut
+        s, tol = CantorSchedule(d, c=c, rho=rho), pow2(-12)
+        bracket = level_oracle.range_function(s, x, level_oracle._stage_for_width(s, tol / 2))
+        for target in (bracket.lower, bracket.upper):
+            assert solves_like_the_oracle(s, target, tol)
+
     @settings(max_examples=60)
     @given(data=st.data(), s=level_schedules(max_dim=6), tol=tolerances())
     def test_solve_level_equals_the_oracle_at_any_tolerance(self, data, s, tol):
         # the midpoint grid and the verdict cuts both follow the
         # tolerance's denominator, which need not be a power of two
         target = data.draw(level_targets(s))
-        assert solve_level(s, target, tol=tol) == level_oracle.solve_level(s, target, tol=tol)
+        assert solves_like_the_oracle(s, target, tol)
 
     @settings(max_examples=30)
     @given(
@@ -703,38 +768,63 @@ class TestLevelKernelAgainstOracle:
         grain=st.sampled_from([1, 3, 5]),
     )
     def test_fine_solves_at_stage_boundaries_equal_the_oracle(self, data, d, schedule, bits, grain):
-        # each midpoint resumes where lo and hi part; at these targets they
-        # part on a stage boundary, or in a gap and the interval beside it
+        # at these targets lo and hi close in on a stage boundary, or on a
+        # gap and the interval beside it
         c, rho = schedule
         s = CantorSchedule(d, c=c, rho=rho)
         target = data.draw(boundary_targets(s))
-        tol = Fraction(grain, 1 << bits)
-        assert solve_level(s, target, tol=tol) == level_oracle.solve_level(s, target, tol=tol)
+        assert solves_like_the_oracle(s, target, Fraction(grain, 1 << bits))
 
     @given(data=st.data(), s=level_schedules(max_dim=6), tol=tolerances())
-    def test_verdict_cuts_are_the_exact_boundaries(self, data, s, tol):
-        # each integer cut against the closed-form bracket of the level
-        # numerators on both sides of it, so a cut off by one fails even
-        # where no bisection happens to land on it
+    def test_verdict_cuts_and_their_abscissas_are_the_exact_boundaries(self, data, s, tol):
+        # stage N's integer cuts against the closed-form bracket of the
+        # level numerators on both sides of each, and the abscissas the
+        # inverse makes of them against the forward walk, so a cut or an
+        # abscissa off by one fails even where no bisection lands on it;
+        # ``tol`` is the solver's half tolerance here, which it uses only
+        # up to the target
         target = data.draw(level_targets(s))
+        assume(target > 0)
+        tol = min(tol, target)
         grain = data.draw(st.sampled_from([1, 3, 1 << 20]))
-        lengths = s._ladder.over(s._first_stage_within(tol, MAX_STAGE), grain)
-        den = lengths[0]
-        for n, (le, ge, straddle) in enumerate(_verdict_cuts(s, lengths, target, tol), 1):
-            defect = s.stage_defect(n)
+        n = s._first_stage_within(tol, MAX_STAGE)
+        lengths = s._ladder.over(n, grain)
+        den, full = lengths[0], lengths[n] << n
+        defect = s.stage_defect(n)
 
-            def upper(level):
-                return Fraction(level, den) * s.stage_measure_1d(n) ** (s.d - 1)
+        def upper(level):
+            return Fraction(level, den) * s.stage_measure_1d(n) ** (s.d - 1)
 
-            assert upper(le) <= target < upper(le + 1)
-            if target:
-                assert upper(ge - 1) - defect < target <= upper(ge) - defect
-            else:
-                assert ge == 0
-            if defect <= tol:
-                assert straddle == den
-            else:
-                assert upper(straddle) <= tol < upper(straddle + 1)
+        le, ge = _verdict_cuts(s, lengths, target)
+        assert upper(le) <= target < upper(le + 1)
+        assert upper(ge - 1) - defect < target <= upper(ge) - defect
+        # both are levels the inverse takes, so it needs no range branches
+        assert 0 <= le < full and 1 <= ge <= full
+        below, above = _last_point_within(lengths, le), _last_point_within(lengths, ge - 1) + 1
+        assert _level(lengths, below) <= le < _level(lengths, below + 1)
+        assert _level(lengths, above - 1) < ge <= _level(lengths, above)
+
+    @given(data=st.data(), s=level_schedules(), n=st.integers(min_value=1, max_value=12))
+    def test_the_inverse_returns_the_last_abscissa_at_a_walked_level(self, data, s, n):
+        # x at a stage endpoint (0, 1, or inside (0, 1) the edge of a gap),
+        # in a gap, or anywhere: its walked level is the oracle's, and below
+        # the full level the inverse returns the last abscissa at that level
+        m = data.draw(st.integers(min_value=0, max_value=5))
+        intervals = s.stage_intervals_1d(m)
+        ends = [v for pair in intervals for v in pair]
+        gaps = [(left[1] + right[0]) / 2 for left, right in zip(intervals, intervals[1:])]
+        x = data.draw(st.one_of(st.sampled_from(ends + gaps), unit_fractions()))
+        lengths = s._ladder.over(n, x.denominator)
+        den, full = lengths[0], lengths[n] << n
+        point = cantor._numerator_over(x, den)
+        level = _level(lengths, point)
+        assert level == level_oracle._stage_level(s, x, n) * den
+        if level == full:
+            assert point == den
+        else:
+            last = _last_point_within(lengths, level)
+            assert point <= last and _level(lengths, last) == level < _level(lengths, last + 1)
+        assert (_last_point_within(lengths, 0), _last_point_within(lengths, full - 1)) == (0, den - 1)
 
     @pytest.mark.parametrize("max_iter", range(4))
     @pytest.mark.parametrize(
@@ -792,28 +882,6 @@ class TestLevelKernelAgainstOracle:
         refusal = f"^tolerance {2 * below} needs a stage above MAX_STAGE = {MAX_STAGE}$"
         with pytest.raises(PreconditionError, match=refusal):
             solve_level(s, s.limit_measure() / 3, tol=2 * below)
-
-    @given(data=st.data(), s=level_schedules(), n=st.integers(min_value=0, max_value=12))
-    def test_a_resumed_walk_yields_the_levels_of_a_fresh_one(self, data, s, n):
-        # x at a stage endpoint (inside (0, 1), the edge of a gap), in a
-        # gap, or anywhere; the walk resumed on each prefix of x's own path
-        # from each start stage yields the fresh walk's levels, and extends
-        # the prefix to that path
-        m = data.draw(st.integers(min_value=0, max_value=5))
-        intervals = s.stage_intervals_1d(m)
-        ends = [v for pair in intervals for v in pair]
-        gaps = [(left[1] + right[0]) / 2 for left, right in zip(intervals, intervals[1:])]
-        x = data.draw(st.one_of(st.sampled_from(ends + gaps), unit_fractions()))
-        lengths = s._ladder.over(n, x.denominator)
-        point = cantor._numerator_over(x, lengths[0])
-        path = [(0, 0)]
-        fresh = list(_levels(lengths, point, path, 0))
-        assert fresh == [level_oracle._stage_level(s, x, k) * lengths[0] for k in range(n + 1)]
-        for depth in range(1, len(path) + 1):
-            for start in range(n + 1):
-                prefix = path[:depth]
-                assert list(_levels(lengths, point, prefix, start)) == fresh[start:]
-                assert prefix == path
 
     @given(data=st.data(), s=level_schedules(), n=st.integers(min_value=0, max_value=64))
     def test_range_function_equals_the_oracle_level(self, data, s, n):
