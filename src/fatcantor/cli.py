@@ -1,8 +1,10 @@
 """Command-line front end: exact JSON in, exact JSON out.
 
-Every subcommand prints exactly one JSON document to stdout (or ``--out``),
-the stdlib's compact JSON with sorted keys, with the envelope
-``{"command", "config", "inputs", "result"}``.  All
+Every run past argument parsing prints exactly one JSON document to stdout
+(or ``--out``), the stdlib's compact JSON with sorted keys, with the
+envelope ``{"command", "config", "inputs", "result"}``.  A run that
+argparse refuses (an unknown flag, a malformed value or a missing required
+flag) exits 2 with its usage on stderr and prints no document.  All
 numeric payloads are rational strings ("p/q") or quadratic-field objects —
 no floats.  Output is deterministic: identical flags produce byte-identical
 documents.
@@ -152,21 +154,33 @@ def _refuse(message: str) -> Any:
     raise PreconditionError(message)
 
 
+def _exact(key: str, kind: type) -> "Callable[[Any], Any]":
+    """The decoder of an input key that holds exactly a JSON int or bool:
+    ``int`` would read 2.9 as 2 and true as 1, and ``bool`` any text as true."""
+
+    def decode(value: Any) -> Any:
+        if type(value) is not kind:
+            _refuse(f"input {key!r} must be a JSON {kind.__name__}, got {type(value).__name__}")
+        return value
+
+    return decode
+
+
 # How each input key decodes from the document, the same in every subcommand;
 # ``None`` passes through.  The lambdas look the library decoders up in this
 # module's globals at call time, so a wrapper bound over one sees every call.
 _DECODERS: "dict[str, Callable[[Any], Any]]" = {
-    **dict.fromkeys(
-        ("stage", "stage_cap", "n", "budget", "axis", "reference_stage", "max_size",
-         "exponent", "bits", "max_iter", "max_tiles"),
-        int,
-    ),
+    **{
+        key: _exact(key, int)
+        for key in ("stage", "stage_cap", "n", "budget", "axis", "reference_stage", "max_size",
+                    "exponent", "bits", "max_iter", "max_tiles")
+    },
     **dict.fromkeys(
         ("tol", "delta", "alpha", "threshold", "target_side", "a", "x"),
         lambda v: frac_from_json(v),
     ),
-    "above": bool,
-    "clip": bool,
+    "above": _exact("above", bool),
+    "clip": _exact("clip", bool),
     "q": lambda v: [frac_from_json(x) for x in v],
     "expr": lambda v: expr_from_json(v),
     "pool": lambda v: exprs_from_json(v),
@@ -644,7 +658,7 @@ _parser = functools.cache(build_parser)
 def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # a refusal (usage on stderr, exit 2) or --help: no document
         return int(exc.code or 0)
 
     command = COMMANDS[args.command]
@@ -656,7 +670,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         inputs = _decode(doc["inputs"])
         core, code = command.run(schedule, inputs)
         result = to_json(core)
-    except Exception as exc:  # every failure still prints a document
+    except Exception as exc:  # every failure past parsing still prints a document
         code, error, message = _error(exc)
         print(message, file=sys.stderr)
         result = {"error": error}

@@ -25,18 +25,20 @@ on the unreduced integer ratio side/alpha.  The merge is recorded one
 entry per level, ``(level, ids merged in order, first result id)``:
 group j of a level's ids, ``2**d`` of them, became cube ``first + j``,
 and results are numbered consecutively from the number of inputs
-(``MergeRecord``).  The unfold and the proof walk
-the selected cube's tree a level at a time, from the entry that made it
-down, with no object per merge step.  Before a layout is returned, its
-coverage of the target is proved by induction over that record, in integer
-arithmetic and without box algebra (``_tiling_covers``); the proof checks
-the record's own shape too.  A layout holds only its unit, placements and
-target: the record stays with that proof, and no document carries it.
-Every cube the unfold places sits on one lattice, ``alpha * 2**base *
-Z^d``, so a layout holds that unit once and each placement's position as
-an integer vector, and its document writes them so: the unit as one
-``"p/q"`` and each position as a list of JSON ints.  No coordinate is a
-``Fraction`` or a rational text from the search to the check.
+(``MergeRecord``).  One walk places the inputs and proves the cover
+(``_tiling_covers``): it descends the selected cube's tree a level at a
+time, from the entry that made it down, with no object per merge step,
+and checks each step of the induction over the record, the record's own
+shape included, in integer arithmetic and without box algebra.  It skips
+every constituent whose corner lies at or past the target's upper end on
+some axis, with its whole subtree, so a layout places only cubes that meet
+the target.  A layout holds only its unit, placements and target: the
+record stays with that walk, and no document carries it.  Every cube the
+walk places sits on one lattice, ``alpha * 2**base * Z^d``, so a layout
+holds that unit once and each placement's position as an integer vector,
+and its document writes them so: the unit as one ``"p/q"`` and each
+position as a list of JSON ints.  No coordinate is a ``Fraction`` or a
+rational text from the search to the check.
 ``layout_covers`` is the independent replay on the box kernel's slab
 trees, built on one integer lattice: one tree per placed cube that meets
 the target, from its position and side, folded by union and subtracted
@@ -45,7 +47,6 @@ from the target's tree.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -228,8 +229,9 @@ def pack_cover(
 
     Requires ``sum (side_j / alpha)**d >= 1`` and ``target_side <= 1/2``;
     under those hypotheses the merge process must produce a normalized cube
-    of side >= 1/2 (see the module docstring), and unfolding its merge tree
-    places the original cubes so that their union covers the target.  The
+    of side >= 1/2 (see the module docstring), and walking its merge tree
+    places the original cubes that meet the target so that their union
+    covers it (``_tiling_covers``, which proves it as it goes).  The
     smallest adequate cube is selected, ties broken by lowest index.  A
     family above ``MAX_FAMILY_CUBES`` cubes is refused before any work.
     """
@@ -272,100 +274,73 @@ def pack_cover(
         )
     _, selected = min(adequate)
 
-    # Unfold the selected cube's merge tree a level at a time, from the
-    # entry that made it down: the cubes of one level that the tree holds
-    # are results of the entry one level down, or inputs, which are placed.
-    # Positions are integer vectors in units of alpha * 2**base, so a
-    # level-k merge puts its constituents at the corners {0, 2**(k - base)}^d
-    # of its result's position.
-    levels, group, inputs = record.levels, 1 << dim, len(family.sides)
-    base = levels[0][0] if levels else 0
-    # the entry that made the selected cube and those below it; none for an input
-    walk = [entry for entry in levels if entry[2] <= selected]
-    placements: list[tuple[int, tuple[int, ...]]] = []
-    cubes = [(selected, (0,) * dim)]
-    for level, ids, first in reversed(walk):
-        corners = list(itertools.product((0, 1 << (level - base)), repeat=dim))
-        below = []
-        for cube_id, position in cubes:
-            start = (cube_id - first) * group
-            for cid, corner in zip(ids[start : start + group], corners):
-                (placements if cid < inputs else below).append(
-                    (cid, tuple(map(operator.add, position, corner)))
-                )
-        cubes = below
-        if not cubes:
-            break
-    placements += cubes  # the selected cube, if it is an input
-    placements.sort()
-
     target = Box.cube((Fraction(0),) * dim, alpha * target_side)
-    layout = PackingLayout(unit=alpha * pow2(base), placements=tuple(placements), target=target)
-
-    if not _tiling_covers(family, layout, record, alpha, selected):
-        raise AssertionError("constructed layout failed its own coverage verification")
+    layout = _tiling_covers(family, record, alpha, selected, target)
+    if layout is None:
+        raise AssertionError("the merge record failed its own coverage proof")
     return layout
 
 
 def _tiling_covers(
-    family: CubeFamily, layout: PackingLayout, record: MergeRecord, alpha: Fraction, selected: int
-) -> bool:
-    """Coverage proof by induction over the merge record, in integers.
+    family: CubeFamily, record: MergeRecord, alpha: Fraction, selected: int, target: Box
+) -> PackingLayout | None:
+    """The layout that places the selected cube's inputs over ``target``,
+    proved by induction over the merge record as the walk descends, in
+    integers; ``None`` if a step of the proof fails.
 
     Call a cube of side ``alpha * 2**k`` a cube of level k.  The record must
     have its shape: levels increasing, each entry's id count a multiple of
     2**d, and results numbered consecutively from the number of inputs, so
     each result has one group of constituents and one level.  A group of a
-    level-k entry has 2**d constituents of level k: each an input, or a
-    result of the entry exactly one level down.  Placed at the corners
-    {0, 2**k}^d in lexicographic order, recomputed here, they tile its
-    result, a cube of level k + 1.  By induction down from the selected
-    cube, of level ``top``, walked a level at a time from the entry that
-    made it, the inputs reached tile it with cubes of their levels.  No
-    input may be reached twice, so no result is either: its inputs would
-    be.  Positions are integer vectors in units of ``alpha * 2**base``,
-    ``base`` the lowest level of the record, so the layout's unit must be
-    that value, checked once.  The reached inputs must be exactly the
-    layout's placements, each at the position reached, compared as
-    integers.  Each input's side must be at least ``alpha * 2**level``, so
-    its placement contains its cube of the tiling.  So the placements cover
-    ``[0, alpha * 2**top)^d``, and the target must lie inside it.  A
-    selected input is placed alone at the origin and must contain the
-    target.  Nothing here is shared with the search: no box algebra, no
-    rounding, and no corners from the merge.
+    level-k entry has 2**d constituents of level k: placed at the corners
+    {0, 2**k}^d in lexicographic order, computed here, they tile its result,
+    a cube of level k + 1.  The walk descends from the selected cube, of
+    level ``top``, a level at a time from the entry that made it.
+    Positions are integer vectors in units of ``alpha * 2**base``, ``base``
+    the lowest level of the record, which is the layout's unit.  A
+    constituent whose lower corner lies at or past the target's upper end
+    on some axis is skipped with its whole subtree: every cube under it
+    misses the half-open target.  Each constituent kept must be an input or
+    a result of the entry exactly one level down, no input may be reached
+    twice (so no result is: its inputs would be), and each input reached is
+    placed where it was reached and must have a side of at least ``alpha *
+    2**level``, so its placement contains its cube of the tiling.  By
+    induction, the placed inputs cover the part of ``[0, alpha *
+    2**top)^d`` that the target meets, and the target, whose lower ends
+    must be 0 or more, must lie inside that cube.  A selected input is
+    placed alone at the origin and must contain the target.  Nothing here
+    is shared with the search: no box algebra, no rounding, and no corners
+    from the merge.
     """
     dim, sides = family.dim, family.sides
-    lo, hi = layout.target.lo, layout.target.hi
+    lo, hi = target.lo, target.hi
     if len(lo) != dim or len(hi) != dim:
-        return False
+        return None
     inputs, group, levels = len(sides), 1 << dim, record.levels
     made = inputs  # the number the next result must have
     for i, (level, ids, first) in enumerate(levels):
         if first != made or len(ids) % group or i and level <= levels[i - 1][0]:
-            return False
+            return None
         made += len(ids) // group
-    if selected < inputs:
-        if selected < 0 or len(layout.placements) != 1:
-            return False
-        ((index, position),) = layout.placements
-        side = sides[selected]
-        return (
-            index == selected
-            and len(position) == dim
-            and all(p == 0 for p in position)
-            and all(0 <= a and b <= side for a, b in zip(lo, hi))
-        )
-    if selected >= made:
-        return False
-    e = len(levels) - 1  # the entry that made the selected cube
-    while levels[e][2] > selected:
-        e -= 1
-
-    base, top = levels[0][0], levels[e][0] + 1
-    bound = _scaled(alpha, top)
+    if 0 <= selected < inputs:
+        e, bound = -1, sides[selected]  # no entry: a selected input is placed alone
+    elif inputs <= selected < made:
+        e = len(levels) - 1  # the entry that made the selected cube
+        while levels[e][2] > selected:
+            e -= 1
+        bound = _scaled(alpha, levels[e][0] + 1)
+    else:
+        return None
     if not all(0 <= a and b <= bound for a, b in zip(lo, hi)):
-        return False
-    reached: dict[int, tuple[int, tuple[int, ...]]] = {}
+        return None
+
+    base = levels[0][0] if levels else 0
+    unit = _scaled(alpha, base)
+    # a position at or past limit[axis] on some axis has its corner at or
+    # past the target's upper end there
+    limit = [-(-b // unit) for b in hi]
+    an, ad = alpha.numerator, alpha.denominator
+    placed: dict[int, tuple[int, ...]] = {}  # each input reached, at its position
     cubes = [(selected, (0,) * dim)]  # the tree's cubes of level k + 1, results of entry i
     for i in range(e, -1, -1):
         k, ids, first = levels[i]
@@ -381,32 +356,24 @@ def _tiling_covers(
             start = (cube - first) * group
             for cid, corner in zip(ids[start : start + group], corners):
                 at = tuple(map(operator.add, position, corner))
+                if any(map(operator.ge, at, limit)):
+                    continue
                 if 0 <= cid < inputs:
-                    if cid in reached:
-                        return False
-                    reached[cid] = (k, at)
+                    # side >= alpha * 2**k, cross-multiplied
+                    side = sides[cid]
+                    have, need = side.numerator * ad, an * side.denominator
+                    if cid in placed or have << max(-k, 0) < need << max(k, 0):
+                        return None
+                    placed[cid] = at
                 elif low <= cid < high:
                     below.append((cid, at))
                 else:
-                    return False
+                    return None
         cubes = below
         if not cubes:
             break
-
-    if len(reached) != len(layout.placements) or layout.unit != _scaled(alpha, base):
-        return False
-    an, ad = alpha.numerator, alpha.denominator
-    for index, position in layout.placements:
-        entry = reached.pop(index, None)
-        if entry is None or entry[1] != position:
-            return False
-        level = entry[0]
-        # side >= alpha * 2**level, cross-multiplied
-        side = sides[index]
-        have, need = side.numerator * ad, an * side.denominator
-        if have << max(-level, 0) < need << max(level, 0):
-            return False
-    return True
+    placed.update(cubes)  # the selected cube, if it is an input
+    return PackingLayout(unit=unit, placements=tuple(sorted(placed.items())), target=target)
 
 
 def _scaled(alpha: Fraction, k: int) -> Fraction:

@@ -20,6 +20,7 @@ import pytest
 
 from fatcantor import Box, CantorSchedule, Diff, Gen, base_expr, cli, cover, grid_translate_pool, serialize
 from fatcantor.cantor import MAX_DIM, MAX_STAGE
+from fatcantor.errors import PreconditionError
 from fatcantor.geometry import DEFAULT_TILE_CAP, MAX_KERNEL_DIM
 from fatcantor.hausdorff import (
     DEFAULT_LEVEL_TOL,
@@ -36,6 +37,8 @@ from fatcantor.packing import DEFAULT_ALPHA, DEFAULT_TARGET_SIDE, pack_cover
 from fatcantor.rationals import MAX_DECIMAL_EXPONENT
 from fatcantor.ring import DEFAULT_RN_CAP, MAX_RN_LAYER
 from fatcantor.serialize import MAX_EXPR_DEPTH, box_to_json, expr_to_json
+
+import test_cli_golden
 
 
 def run_cli(*args: str):
@@ -997,6 +1000,48 @@ class TestDeterminismAndReplay:
         assert first["result"]["verification"] == {"requested": True, "ok": True}
         assert second["config"]["seed"] == 0
         assert second["result"]["verification"] == {"requested": False}
+
+
+# ---------------------------------------------------------------------------
+# an integer or flag input decodes only from its exact JSON type
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("stage", 2.9, "input 'stage' must be a JSON int, got float"),
+        ("stage_cap", True, "input 'stage_cap' must be a JSON int, got bool"),
+        ("clip", "false", "input 'clip' must be a JSON bool, got str"),
+        ("budget", "12", "input 'budget' must be a JSON int, got str"),
+    ],
+)
+def test_an_int_or_flag_input_is_read_exactly(key, value, message):
+    # int() would read 2.9 as 2, true as 1 and "12" as 12, and bool() "false" as true
+    with pytest.raises(PreconditionError) as refused:
+        cli._decode({key: value})
+    assert str(refused.value) == message
+
+
+def test_exact_ints_and_flags_decode_to_themselves():
+    inputs = {"stage": 2, "stage_cap": 0, "budget": 12, "clip": False, "above": True, "max_iter": None}
+    assert cli._decode(inputs) == inputs
+
+
+@pytest.mark.parametrize("stage", [2.0, 3.0])
+def test_a_golden_document_with_a_float_stage_is_refused(stage, tmp_path, monkeypatch):
+    # the measure golden at stage 3, its stage written as a float: 3.0 once
+    # replayed as stage 3, and 2.0 as stage 2
+    argv, _, _ = test_cli_golden.CASES["measure"]
+    for fname, text in test_cli_golden.FILES.items():
+        (tmp_path / fname).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--out", "doc.json"]) == 0
+    doc = json.loads((tmp_path / "doc.json").read_text(encoding="utf-8"))
+    assert doc["inputs"]["stage"] == 3 and test_cli_golden.replays_from_text(json.dumps(doc))
+    doc["inputs"]["stage"] = stage
+    with pytest.raises(PreconditionError, match="^input 'stage' must be a JSON int, got float$"):
+        test_cli_golden.replays_from_text(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,11 @@ their digests.  The ``pack`` digest was re-recorded when a layout's
 document became its unit, written once, and each placement's integer
 position, in place of a rational translate per coordinate: 03e126581983
 -> fa2d7b9ae7cd.  It is the old document with just the layout changed,
-each old translate the unit times the new position.
+each old translate the unit times the new position.  It was re-recorded
+again when ``pack`` stopped placing the cubes that miss its target:
+fa2d7b9ae7cd -> e499c508c788.  It is the old document less the three
+placements past ``[0, 1/2)^2``, with ``placements`` 4 -> 1; the unit and
+the placement at the origin are unchanged.
 
 Every digest was recorded on the document as
 ``json.dumps(doc, indent=2, sort_keys=True)`` wrote it.  Since the CLI
@@ -135,7 +139,7 @@ CASES = {
     "pack": (
         ["pack", "--d", "2", "--sides", "1/2,1/2,1/2,1/2,1/3", "--verify"],
         0,
-        "fa2d7b9ae7cd5d50af38b91696a2033da312d913c59bbee6e5f26569c642a393",
+        "e499c508c788eeeb6a9a549d52551d988d414f231444666e1f3436ba9a8b63fc",
     ),
     "hausdorff-bound": (
         ["hausdorff-bound", "--d", "2", "--delta", "1/8", "--verify"],

@@ -620,7 +620,8 @@ def _tamper_witness(data, doc, target, kind):
         stages[_index(data, stages)] = data.draw(st.integers(min_value=0, max_value=14))
     elif kind == "retype":  # the old value as a float, as text, or a bool
         k = _index(data, stages)
-        stages[k] = data.draw(st.sampled_from([float(stages[k]), stages[k] == 1, str(stages[k])]))
+        if type(stages[k]) is int:  # not a value an earlier tamper retyped
+            stages[k] = data.draw(st.sampled_from([float(stages[k]), stages[k] == 1, str(stages[k])]))
     elif kind == "drop":
         del stages[_index(data, stages)]
     elif kind == "swap" and len(stages) >= 2:

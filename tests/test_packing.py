@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -137,7 +138,8 @@ def test_each_distinct_side_object_is_rounded_coerced_and_powered_once(monkeypat
     with pytest.raises(PreconditionError, match="total normalized volume 5/6 is below 1"):
         pack_cover(CubeFamily(1, (half, third)))
     layout = pack_cover(CubeFamily(2, (half,) * 3 + (Fraction(1, 2),)))
-    assert len(layout.placements) == 4
+    # the four halves merge into the unit cube; only the one at its origin meets [0, 1/2)^2
+    assert layout.placements == ((0, (0, 0)),)
 
 
 @pytest.mark.parametrize("sides", [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(1, 2), 0, Fraction(1, 2))])
@@ -232,8 +234,11 @@ class TestMergeDyadic:
         record = merge_dyadic(dim, [-1] * 2**dim)[1]
         assert record.levels == ((-1, tuple(range(2**dim)), 2**dim),)
         corners = itertools.product((Fraction(0), Fraction(1, 2)), repeat=dim)
-        layout = pack_cover(CubeFamily(dim, (Fraction(1, 2),) * 2**dim))
+        fam = CubeFamily(dim, (Fraction(1, 2),) * 2**dim)
+        layout = _tiling_covers(fam, record, Fraction(1), 2**dim, Box.unit_cube(dim))
         assert translations(layout) == tuple(enumerate(corners))
+        # over pack_cover's target [0, 1/2)^d only the cube at the origin is placed
+        assert pack_cover(fam).placements == ((0, (0,) * dim),)
 
     def test_two_quarters_then_a_half_build_a_unit_cube(self):
         final, record = merge_dyadic(1, [-1, -2, -2])
@@ -253,10 +258,16 @@ class TestPackCover:
         fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
         layout = pack_cover(fam)
         assert layout.target == Box.interval(Fraction(0), Fraction(1, 2))
-        # on the lattice of the smallest merged level, 2^-2
+        # on the lattice of the smallest merged level, 2^-2; the quarters
+        # merged into [1/2, 1) lie past the target and are not placed
         assert layout.unit == Fraction(1, 4)
-        assert layout.placements == ((0, (0,)), (1, (2,)), (2, (3,)))
+        assert layout.placements == ((0, (0,)),)
         assert layout_covers(fam, layout)
+        # over the whole selected cube [0, 1) every input is placed
+        record, selected = merge_of(fam, Fraction(1))
+        whole = _tiling_covers(fam, record, Fraction(1), selected, Box.unit_cube(1))
+        assert whole.placements == ((0, (0,)), (1, (2,)), (2, (3,)))
+        assert layout_covers(fam, whole)
 
     def test_single_adequate_cube_is_placed_alone(self):
         fam = CubeFamily(2, (Fraction(3, 4), Fraction(3, 4)))
@@ -323,7 +334,8 @@ class TestPackCover:
 
     def test_family_cap(self):
         at_the_cap = pack_cover(CubeFamily(1, (Fraction(1),) * MAX_FAMILY_CUBES))
-        assert len(at_the_cap.placements) == MAX_FAMILY_CUBES
+        # the 8192 unit cubes merge into one of side 2^13; [0, 1/2) meets only the first
+        assert at_the_cap.placements == ((0, (0,)),)
         family = CubeFamily(1, (Fraction(1),) * (MAX_FAMILY_CUBES + 1))
         message = r"^a family of at least 2\^13 cubes is above the cap of 8192 cubes$"
         with pytest.raises(BudgetError, match=message):
@@ -366,20 +378,27 @@ class TestPackCover:
 
 
 # ---------------------------------------------------------------------------
-# the tiling proof inside pack_cover
+# the walk's layouts against the replay
 # ---------------------------------------------------------------------------
 
 
-def tiling_proof(fam: CubeFamily, placements, unit=None) -> bool:
-    """Run ``_tiling_covers`` on pack_cover's layout with other placements,
-    given as translations on the layout's lattice, or on ``unit``."""
-    layout = pack_cover(fam)
-    exponents = [floor_log2(v) for v in fam.sides]
-    _, record = merge_dyadic(fam.dim, exponents)
-    # In these families the last merge builds the selected cube.
-    selected = steps_of(record)[-1].result
+def whole_cube(fam: CubeFamily, record: MergeRecord, selected: int, alpha: Fraction = Fraction(1)) -> Box:
+    """The selected result as a target, ``[0, alpha * 2**top)^d``: the walk
+    then skips nothing and places every input of its tree."""
+    top = max(level for level, _, first in record.levels if first <= selected) + 1
+    return Box.cube((Fraction(0),) * fam.dim, alpha * pow2(top))
+
+
+def replay(fam: CubeFamily, placements, unit=None) -> bool:
+    """``layout_covers`` over the whole selected cube on other placements,
+    given as translations on the walk's lattice, or on ``unit``; the box
+    algebra route must agree."""
+    record, selected = merge_of(fam, Fraction(1))
+    layout = _tiling_covers(fam, record, Fraction(1), selected, whole_cube(fam, record, selected))
     tampered = lattice_layout(placements, layout.target, unit or layout.unit)
-    return _tiling_covers(fam, tampered, record, Fraction(1), selected)
+    verdict = layout_covers(fam, tampered)
+    assert verdict is box_algebra_replay(fam, tampered)
+    return verdict
 
 
 def at(*coords):
@@ -391,42 +410,52 @@ class TestTilingProof:
     FOUR_HALVES = CubeFamily(2, (Fraction(1, 2),) * 4)
 
     def test_pack_cover_layouts_pass(self):
-        assert tiling_proof(self.HALF_QUARTERS, translations(pack_cover(self.HALF_QUARTERS)))
-        assert tiling_proof(self.FOUR_HALVES, translations(pack_cover(self.FOUR_HALVES)))
+        for fam in (self.HALF_QUARTERS, self.FOUR_HALVES):
+            record, selected = merge_of(fam, Fraction(1))
+            whole = _tiling_covers(fam, record, Fraction(1), selected, Box.unit_cube(fam.dim))
+            assert replay(fam, translations(whole))
+            layout = pack_cover(fam)
+            assert _tiling_covers(fam, record, Fraction(1), selected, layout.target) == layout
+            assert layout_covers(fam, layout)
 
+    # Layouts other than the walk's tiling: the replay refuses each over the
+    # covered cube [0, 1)^d.
     @pytest.mark.parametrize(
         "which,placements",
         [
             # equal total volume, but [1/2, 3/4) is used twice and [3/4, 1) missed
             ("1d", [(0, at(0)), (1, at("1/2")), (2, at("1/2"))]),
-            # the union is the whole cube, but [3/4, 1) is used twice
-            ("1d", [(0, at(0)), (1, at("1/2")), (2, at("3/4")), (3, at("3/4"))]),
             # equal total volume, two shadows on the same quadrant
             ("2d", [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0)), (3, at("1/2", 0))]),
         ],
     )
     def test_overlapping_shadows_fail(self, which, placements):
         fam = self.HALF_QUARTERS if which == "1d" else self.FOUR_HALVES
-        assert not tiling_proof(fam, placements)
+        assert not replay(fam, placements)
+
+    def test_an_overlapping_cover_is_a_cover(self):
+        # [3/4, 1) used twice, but the union is the whole cube: not the
+        # walk's tiling, and still a cover
+        assert replay(self.HALF_QUARTERS, [(0, at(0)), (1, at("1/2")), (2, at("3/4")), (3, at("3/4"))])
 
     def test_a_layout_off_the_proofs_lattice_fails(self):
-        # Overlapping by half a shadow: (1/2, 1/4) is off the proof's lattice
+        # Overlapping by half a shadow: (1/2, 1/4) is off the walk's lattice
         # of 1/2, so the layout is on the lattice of 1/4.
         placements = [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0)), (3, at("1/2", "1/4"))]
-        assert not tiling_proof(self.FOUR_HALVES, placements, Fraction(1, 4))
+        assert not replay(self.FOUR_HALVES, placements, Fraction(1, 4))
 
     def test_missing_cube_fails(self):
-        assert not tiling_proof(self.HALF_QUARTERS, [(0, at(0)), (1, at("1/2"))])
-        assert not tiling_proof(self.FOUR_HALVES, [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0))])
+        assert not replay(self.HALF_QUARTERS, [(0, at(0)), (1, at("1/2"))])
+        assert not replay(self.FOUR_HALVES, [(0, at(0, 0)), (1, at(0, "1/2")), (2, at("1/2", 0))])
 
     @pytest.mark.parametrize(
         "dim,sides,digest",
         [
-            (1, (Fraction(1, 64),) * 64, "dd51474ee9b952c6"),
-            (1, tuple(Fraction(k, 97) for k in range(1, 20)), "0e10664846e50b46"),
-            (2, (Fraction(1, 4),) * 16, "df3dda2e63749df0"),
+            (1, (Fraction(1, 64),) * 64, "69a702f01648f078"),
+            (1, tuple(Fraction(k, 97) for k in range(1, 20)), "41495e423216e548"),
+            (2, (Fraction(1, 4),) * 16, "2461c7e1665f65fb"),
             (2, tuple(Fraction(k, 23) for k in range(3, 14)), "1ea372c49d568a1b"),
-            (3, (Fraction(1, 2),) * 8, "d754ff5d3cccf58b"),
+            (3, (Fraction(1, 2),) * 8, "3541d81e9dd1ebfd"),
             (3, tuple(Fraction(k, 13) for k in range(5, 12)), "79d38a629963dd1c"),
         ],
     )
@@ -441,7 +470,13 @@ class TestTilingProof:
         # ead3436bd14750ef -> 0e10664846e50b46, c490a510a054f772 ->
         # df3dda2e63749df0, 57c849278cfdfe68 -> 1ea372c49d568a1b,
         # 0c38c15852ac2d9f -> d754ff5d3cccf58b, 1bc33d2eea38ff2a ->
-        # 79d38a629963dd1c)
+        # 79d38a629963dd1c); re-recorded when the walk stopped placing the
+        # cubes that miss the target, each new layout the old one less
+        # those placements, its unit unchanged (old -> new:
+        # dd51474ee9b952c6 -> 69a702f01648f078, 64 -> 32 placements;
+        # 0e10664846e50b46 -> 41495e423216e548, 9 -> 4; df3dda2e63749df0 ->
+        # 2461c7e1665f65fb, 16 -> 4; d754ff5d3cccf58b -> 3541d81e9dd1ebfd,
+        # 8 -> 1; the other two place one cube and are unchanged)
         doc = json.dumps(to_json(pack_cover(CubeFamily(dim, sides))), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
 
@@ -485,7 +520,7 @@ class TestMergeTreeProof:
         fam, alpha = case
         layout = pack_cover(fam, alpha=alpha)
         record, selected = merge_of(fam, alpha)
-        assert _tiling_covers(fam, layout, record, alpha, selected)
+        assert _tiling_covers(fam, record, alpha, selected, layout.target) == layout
         assert layout_covers(fam, layout) and box_algebra_replay(fam, layout)
 
     # Eight quarters merge into two halves (cubes 10 and 11), which merge
@@ -509,7 +544,12 @@ class TestMergeTreeProof:
         assert [(step.level, step.result) for step in steps_of(record)] == [(-2, 10), (-2, 11), (-1, 12)]
         assert record.levels == ((-2, tuple(range(8)), 10), (-1, (8, 9, 10, 11), 12))
         assert selected == 12
-        assert _tiling_covers(self.FAMILY, layout, record, self.ALPHA, 12)
+        assert _tiling_covers(self.FAMILY, record, self.ALPHA, 12, layout.target) == layout
+        # input 8, of side 81/200 at the origin, alone meets [0, 3/8)^2
+        assert layout.placements == ((8, (0, 0)),)
+        whole = _tiling_covers(self.FAMILY, record, self.ALPHA, 12, Box.cube(at(0, 0), self.ALPHA))
+        assert whole.unit == self.ALPHA / 4 and len(whole.placements) == 10
+        assert layout_covers(self.FAMILY, whole)
         for fam, levels, selected in [
             (self.ACROSS, ((-3, (0, 1), 4), (-1, (2, 3), 5)), 5),
             (self.BELOW, ((-2, (0, 1), 4), (0, (2, 3), 5)), 4),
@@ -517,52 +557,99 @@ class TestMergeTreeProof:
         ]:
             record, got = merge_of(fam, self.ALPHA)
             assert record.levels == levels and got == selected
-            assert _tiling_covers(fam, pack_cover(fam, alpha=self.ALPHA), record, self.ALPHA, selected)
-
-    def unfolded(self, fam, levels, selected):
-        """A record from ``levels`` and the layout its steps unfold to,
-        nothing checked: only the record is wrong."""
-        record = MergeRecord(fam.dim, levels)
-        base, placements = unfold_by_steps(fam.dim, steps_of(record), selected)
-        target = Box.cube((Fraction(0),) * fam.dim, self.ALPHA / 2)
-        return fam, PackingLayout(self.ALPHA * pow2(base), tuple(placements), target), record, selected
+            layout = pack_cover(fam, alpha=self.ALPHA)
+            assert _tiling_covers(fam, record, self.ALPHA, selected, layout.target) == layout
+            assert _tiling_covers(fam, record, self.ALPHA, selected, whole_cube(fam, record, selected, self.ALPHA))
 
     def mutant(self, kind):
-        """The family, the layout, the merge record and the selected cube,
-        one of them changed."""
-        fam, layout = self.FAMILY, pack_cover(self.FAMILY, alpha=self.ALPHA)
-        placements, steps = list(layout.placements), steps_of(merge_of(fam, self.ALPHA)[0])
-        unit = layout.unit
-        assert unit == self.ALPHA / 4  # alpha * 2**base, base = -2
+        """The family, a merge record, the selected cube and the target,
+        one of them wrong.  The target is the whole selected cube unless the
+        mutant is the target, so the walk skips no constituent."""
+        fam, steps = self.FAMILY, steps_of(merge_of(self.FAMILY, self.ALPHA)[0])
+        target = Box.cube(at(0, 0), self.ALPHA)  # cube 12, of level 0
         # the record's own shape
         if kind == "count":
             # the level -2 entry holds nine ids, not a multiple of 4: two
             # groups and input 8 alone after them, which no walk reaches
-            return fam, layout, MergeRecord(2, ((-2, tuple(range(9)), 10), (-1, (8, 9, 10, 11), 12))), 12
+            return fam, MergeRecord(2, ((-2, tuple(range(9)), 10), (-1, (8, 9, 10, 11), 12))), 12, target
         if kind == "levels-out-of-order":
-            # cube 10 made at level -1 and cube 11 at level -2, numbered in order
-            return fam, layout, MergeRecord(2, ((-1, (0, 1, 2, 3), 10), (-2, (4, 5, 6, 7), 11))), 11
+            # cube 10 made at level -1 and cube 11 at level -2, numbered in
+            # order; the target is cube 11, of level -1
+            record = MergeRecord(2, ((-1, (0, 1, 2, 3), 10), (-2, (4, 5, 6, 7), 11)))
+            return fam, record, 11, Box.cube(at(0, 0), self.ALPHA / 2)
         if kind == "numbering-gap":
             # the half numbered 9, not 8, and cube 8 taken for the second
-            # quarter: a number in the gap, which no group made, so nothing
-            # is placed in [alpha/4, alpha/2)
+            # quarter: a number in the gap, which no group made
             record = MergeRecord(1, ((-3, (0, 1, 2, 3), 6), (-2, (6, 8), 9), (0, (4, 5), 10)))
-            target = Box.cube(at(0), self.ALPHA / 2)
-            return self.CHAIN, PackingLayout(self.ALPHA / 8, ((0, (0,)), (1, (1,))), target), record, 9
+            return self.CHAIN, record, 9, Box.cube(at(0), self.ALPHA / 2)
         if kind == "across-a-level":
             # cube 4, made at level -3, taken for a half at the corner 0 of cube 5
-            return self.unfolded(self.ACROSS, ((-3, (0, 1), 4), (-1, (4, 3), 5)), 5)
+            return self.ACROSS, MergeRecord(1, ((-3, (0, 1), 4), (-1, (4, 3), 5))), 5, Box.cube(at(0), self.ALPHA)
         if kind == "higher-entry":
             # the half 4 holds cube 5 of side 2, made by the entry above
-            return self.unfolded(self.BELOW, ((-2, (0, 5), 4), (0, (2, 3), 5)), 4)
-        if kind.startswith("result-twice"):
-            # cube 10 at two corners of cube 12, cube 11 nowhere: inputs 0-3
-            # are placed once, under the corner of cube 10 or of cube 11
-            record = MergeRecord(2, ((-2, tuple(range(8)), 10), (-1, (8, 9, 10, 10), 12)))
-            under = placements[4:8] if kind.endswith("later") else placements[:4]
-            placements = [(k, position) for k, (_, position) in enumerate(under)] + placements[8:]
-            return fam, dataclasses.replace(layout, placements=tuple(placements)), record, 12
+            record = MergeRecord(1, ((-2, (0, 5), 4), (0, (2, 3), 5)))
+            return self.BELOW, record, 4, Box.cube(at(0), self.ALPHA / 2)
         # one merge step changed
+        if kind == "dropped":
+            del steps[0]
+        elif kind == "dropped-and-placed":
+            # cube 11 at its corner of cube 12, though no step made it
+            del steps[1]
+        elif kind == "arity":
+            # cube 12 from three constituents, the corner of cube 11 bare
+            steps[2] = steps[2]._replace(constituents=(8, 9, 10))
+        elif kind == "duplicate-constituent":
+            # input 0 at two corners of cube 10, input 1 nowhere
+            steps[0] = steps[0]._replace(constituents=(0, 0, 2, 3))
+        elif kind == "duplicate-constituent-later":
+            # input 0 at a corner of cube 10 and of cube 11, input 7 nowhere
+            steps[1] = steps[1]._replace(constituents=(4, 5, 6, 0))
+        elif kind == "result-twice":
+            # cube 10 at two corners of cube 12, cube 11 nowhere
+            steps[2] = steps[2]._replace(constituents=(8, 9, 10, 10))
+        elif kind == "result-twice-later":
+            # cube 11 at the first and last corners of cube 12, input 8 nowhere
+            steps[2] = steps[2]._replace(constituents=(11, 9, 10, 11))
+        elif kind == "level":
+            # cube 10 claims level -3: its inputs, placed at the corners
+            # {0, 1/8}^2 of its position, tile only a quarter cube, but cube
+            # 12 takes it for a half
+            steps[0] = steps[0]._replace(level=-3)
+        elif kind == "side":
+            sides = list(fam.sides)
+            sides[0] = self.ALPHA / 4 - Fraction(1, 1000)
+            fam = CubeFamily(2, tuple(sides))
+        elif kind == "target":
+            target = Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000))
+        elif kind == "target-dimension":
+            target = Box.cube(at(0), self.ALPHA / 2)
+        return fam, record_of(fam.dim, steps), 12, target
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["dropped", "dropped-and-placed", "arity", "duplicate-constituent", "duplicate-constituent-later",
+         "level", "side", "target", "target-dimension", "count", "levels-out-of-order", "numbering-gap",
+         "across-a-level", "higher-entry", "result-twice", "result-twice-later"],
+    )
+    def test_mutants_are_rejected(self, kind):
+        fam, record, selected, target = self.mutant(kind)
+        assert _tiling_covers(fam, record, self.ALPHA, selected, target) is None
+
+    def test_a_skipped_subtree_is_not_read(self):
+        # Cube 10 at two corners of cube 12, both past the target [0, 3/8)^2:
+        # the walk skips them unread and places input 8 alone, as from the
+        # true record.  Over the whole cube it reaches them and refuses.
+        fam, record, selected, whole = self.mutant("result-twice")
+        layout = pack_cover(fam, alpha=self.ALPHA)
+        assert _tiling_covers(fam, record, self.ALPHA, selected, layout.target) == layout
+        assert _tiling_covers(fam, record, self.ALPHA, selected, whole) is None
+
+    @pytest.mark.parametrize("kind", ["shifted", "unit", "duplicate-placement", "short-translation"])
+    def test_layout_tampers_are_refused_by_the_replay(self, kind):
+        # The walk's layout of the whole cube 12, one placement or the unit changed.
+        record, _ = merge_of(self.FAMILY, self.ALPHA)
+        layout = _tiling_covers(self.FAMILY, record, self.ALPHA, 12, Box.cube(at(0, 0), self.ALPHA))
+        placements, unit = list(layout.placements), layout.unit
         if kind == "shifted":
             index, (x, y) = placements[2]
             placements[2] = (index, (x + 1, y))
@@ -570,62 +657,14 @@ class TestMergeTreeProof:
             # the same positions on the lattice of alpha/2: every translation
             # doubled, the cubes spread apart
             unit = self.ALPHA / 2
-        elif kind == "swapped":
-            a, b, *rest = steps[2].constituents
-            steps[2] = steps[2]._replace(constituents=(b, a, *rest))
-        elif kind == "dropped":
-            del steps[0]
-        elif kind == "dropped-and-placed":
-            # cube 11 placed as if it were an input, in place of inputs 4-7
-            del steps[1]
-            placements[4:8] = [(11, placements[4][1])]
-        elif kind == "arity":
-            # cube 12 from three constituents, the corner of cube 11 bare
-            steps[2] = steps[2]._replace(constituents=(8, 9, 10))
-            del placements[4:8]
+        elif kind == "duplicate-placement":
+            placements.append(placements[0])
         elif kind == "short-translation":
             index, (x, y) = placements[0]
             placements[0] = (index, (x,))
-        elif kind == "target-dimension":
-            layout = dataclasses.replace(layout, target=Box.cube(at(0), self.ALPHA / 2))
-        elif kind.startswith("duplicate-constituent"):
-            # input 0 at two corners of cube 10, input 1 nowhere: the
-            # placements name input 0 once, at the first corner or the second
-            steps[0] = steps[0]._replace(constituents=(0, 0, 2, 3))
-            if kind.endswith("later"):
-                placements[0] = (0, placements[1][1])
-            del placements[1]
-        elif kind == "duplicate-placement":
-            placements.append(placements[0])
-        elif kind == "level":
-            # cube 10 claims level -3: its inputs, placed at the corners
-            # {0, 1/8}^2 of its position (1/2, 0), tile only a quarter cube,
-            # but cube 12 takes it for a half; the lowest level is now -3, so
-            # the layout is on the lattice of alpha/8
-            steps[0] = steps[0]._replace(level=-3)
-            unit = self.ALPHA / 8
-            placements = [(index, (2 * x, 2 * y)) for index, (x, y) in placements]
-            for index, (dx, dy) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-                placements[index] = (index, (4 + dx, dy))
-        elif kind == "side":
-            sides = list(fam.sides)
-            sides[0] = unit - Fraction(1, 1000)
-            fam = CubeFamily(2, tuple(sides))
-        elif kind == "target":
-            layout = dataclasses.replace(layout, target=Box.cube(at(0, 0), self.ALPHA + Fraction(1, 1000)))
-        layout = dataclasses.replace(layout, unit=unit, placements=tuple(placements))
-        return fam, layout, record_of(fam.dim, steps), 12
-
-    @pytest.mark.parametrize(
-        "kind",
-        ["shifted", "unit", "swapped", "dropped", "dropped-and-placed", "arity", "duplicate-constituent",
-         "duplicate-constituent-later", "duplicate-placement", "level", "side", "target", "target-dimension",
-         "short-translation", "count", "levels-out-of-order", "numbering-gap", "across-a-level", "higher-entry",
-         "result-twice", "result-twice-later"],
-    )
-    def test_mutants_are_rejected(self, kind):
-        fam, layout, record, selected = self.mutant(kind)
-        assert not _tiling_covers(fam, layout, record, self.ALPHA, selected)
+        tampered = dataclasses.replace(layout, unit=unit, placements=tuple(placements))
+        assert layout_covers(self.FAMILY, layout)
+        assert not layout_covers(self.FAMILY, tampered) and not box_algebra_replay(self.FAMILY, tampered)
 
     @pytest.mark.parametrize(
         "dim,sides",
@@ -639,10 +678,13 @@ class TestMergeTreeProof:
     )
     def test_each_constituent_is_held_to_its_corner(self, dim, sides):
         # Rotating the constituents of any one step under the selected cube
-        # moves each to another corner, away from where it is placed.
+        # moves each to another corner: the walk places each input where the
+        # rotated record's step unfold puts it, away from where the true
+        # record puts it.
         fam = CubeFamily(dim, sides)
-        layout = pack_cover(fam)
         record, selected = merge_of(fam, Fraction(1))
+        whole = whole_cube(fam, record, selected)
+        layout = _tiling_covers(fam, record, Fraction(1), selected, whole)
         steps = steps_of(record)
         by_result = {step.result: k for k, step in enumerate(steps)}
         used, stack = [], [selected]
@@ -656,10 +698,13 @@ class TestMergeTreeProof:
             rotated = list(steps)
             first, *rest = steps[k].constituents
             rotated[k] = steps[k]._replace(constituents=(*rest, first))
-            assert not _tiling_covers(fam, layout, record_of(dim, rotated), Fraction(1), selected)
+            got = _tiling_covers(fam, record_of(dim, rotated), Fraction(1), selected, whole)
+            base, placements = unfold_by_steps(dim, rotated, selected)
+            assert got.placements == tuple(placements) and got.unit == pow2(base)
+            assert got.placements != layout.placements
 
     def test_the_proof_calls_nothing_the_search_calls(self):
-        layout = pack_cover(self.FAMILY, alpha=self.ALPHA)
+        target = pack_cover(self.FAMILY, alpha=self.ALPHA).target
         record, _ = merge_of(self.FAMILY, self.ALPHA)
         called = set()
 
@@ -669,7 +714,7 @@ class TestMergeTreeProof:
 
         sys.setprofile(profile)
         try:
-            assert _tiling_covers(self.FAMILY, layout, record, self.ALPHA, 12)
+            assert _tiling_covers(self.FAMILY, record, self.ALPHA, 12, target)
         finally:
             sys.setprofile(None)
         names = {name for _, name in called}
@@ -680,22 +725,29 @@ class TestMergeTreeProof:
         fam = CubeFamily(2, (Fraction(3, 4), Fraction(3, 4)))
         layout = pack_cover(fam)
         record, selected = merge_of(fam, Fraction(1))
-        assert not record.levels and selected == 0 and _tiling_covers(fam, layout, record, Fraction(1), 0)
-        moved = lattice_layout(((0, at("1/100", 0)),), layout.target)
-        assert not _tiling_covers(fam, moved, record, Fraction(1), 0)
+        assert not record.levels and selected == 0
+        assert _tiling_covers(fam, record, Fraction(1), 0, layout.target) == layout
+        assert layout.placements == ((0, (0, 0)),) and layout.unit == 1
+        # the other input is a cube the record holds too
+        assert _tiling_covers(fam, record, Fraction(1), 1, layout.target).placements == ((1, (0, 0)),)
         wide = Box.cube(at(0, 0), Fraction(3, 4) + Fraction(1, 100))
-        assert not _tiling_covers(fam, dataclasses.replace(layout, target=wide), record, Fraction(1), 0)
-        assert not _tiling_covers(fam, layout, record, Fraction(1), 1)
+        assert _tiling_covers(fam, record, Fraction(1), 0, wide) is None
+        below = Box(at(-1, 0), at("1/2", "1/2"))
+        assert _tiling_covers(fam, record, Fraction(1), 0, below) is None
+        for missing in (-1, 2):
+            assert _tiling_covers(fam, record, Fraction(1), missing, layout.target) is None
 
     def test_a_deep_chain_unfolds_past_the_recursion_limit(self):
         # 1/2, 1/4, ..., 2^-1200 and 2^-1200 merge into a unit cube through
         # 1200 levels, deeper than Python's default recursion limit.
         depth = 1200
         fam = CubeFamily(1, tuple(pow2(-k) for k in range(1, depth + 1)) + (pow2(-depth),))
-        layout = pack_cover(fam)
-        assert len(merge_of(fam, Fraction(1))[0]) == depth
-        placed = translations(layout)
+        record, selected = merge_of(fam, Fraction(1))
+        assert len(record) == depth
+        placed = translations(_tiling_covers(fam, record, Fraction(1), selected, Box.unit_cube(1)))
         assert placed[0] == (0, at(0)) and placed[-1] == (depth, (1 - pow2(-depth),))
+        # the chain lies in [1/2, 1), past pack_cover's target
+        assert pack_cover(fam).placements == ((0, (0,)),)
 
     def test_pack_verify_folds_the_placements_once(self, monkeypatch, tmp_path):
         folds = []
@@ -710,9 +762,9 @@ class TestMergeTreeProof:
         argv = ["pack", "--d", "2", "--sides", ",".join(["1/8"] * 64), "--verify", "--out", str(out)]
         assert cli.main(argv) == 0
         result = json.loads(out.read_text())["result"]
-        assert result["verification"]["ok"] is True and result["placements"] == 64
-        # the replay's one fold, over the trees of the 16 placed cubes
-        # that meet the covered cube [0, 1/2)^2
+        assert result["verification"]["ok"] is True and result["placements"] == 16
+        # the replay's one fold, over the trees of the 16 placed cubes, the
+        # ones that meet the covered cube [0, 1/2)^2
         assert result["covered_cube"]["hi"] == ["1/2", "1/2"]
         assert folds == [16]
 
@@ -730,7 +782,8 @@ class TestMergeTreeProof:
         argv = ["pack", "--d", "1", "--sides", ",".join(["1/512"] * 512), "--verify", "--out", str(out)]
         assert cli.main(argv) == 0
         result = json.loads(out.read_text())["result"]
-        assert result["verification"]["ok"] is True and result["placements"] == 512
+        # the 512 cubes merge into the unit cube, and half of them meet [0, 1/2)
+        assert result["verification"]["ok"] is True and result["placements"] == 256
         # argv parsing, then the family decoded from the document's inputs
         assert calls["cli"] == {"1/512": 1}
         assert calls["serialize"]["1/512"] == 1 and max(calls["serialize"].values()) == 1
@@ -763,16 +816,27 @@ def unfold_cases(draw):
 
 
 def assert_the_level_walk_is_the_step_walk(fam: CubeFamily, alpha: Fraction, target_side: Fraction) -> int:
-    """``pack_cover``'s layout is the oracle's unfold of the rescan's steps;
-    return the selected cube."""
+    """``pack_cover``'s layout is the oracle's unfold of the rescan's steps,
+    filtered to the cubes that meet the target, and the walk over the whole
+    selected cube is the whole unfold; return the selected cube."""
     exponents = [floor_log2(v / alpha) for v in fam.sides]
     final, steps = merge_dyadic_by_rescan(fam.dim, exponents)
-    assert len(merge_dyadic(fam.dim, exponents)[1]) == len(steps)
-    selected = min((k, idx) for idx, k in final if pow2(k) >= target_side)[1]
+    _, record = merge_dyadic(fam.dim, exponents)
+    assert len(record) == len(steps)
+    level, selected = min((k, idx) for idx, k in final if pow2(k) >= target_side)
     base, placements = unfold_by_steps(fam.dim, steps, selected)
+    unit = alpha * pow2(base)
     layout = pack_cover(fam, target_side=target_side, alpha=alpha)
-    assert layout.placements == tuple(placements)
-    assert layout.unit == alpha * pow2(base)
+    meets = [
+        (index, position)
+        for index, position in placements
+        if Box.cube([unit * p for p in position], fam.sides[index]).intersect(layout.target)
+    ]
+    assert layout.placements == tuple(meets)
+    assert layout.unit == unit
+    whole = Box.cube((Fraction(0),) * fam.dim, alpha * pow2(level))
+    walked = _tiling_covers(fam, record, alpha, selected, whole)
+    assert walked.placements == tuple(placements) and walked.unit == unit
     return selected
 
 
@@ -781,6 +845,12 @@ class TestLevelWalk:
     @given(case=unfold_cases())
     def test_the_level_walk_places_what_the_step_walk_places(self, case):
         assert_the_level_walk_is_the_step_walk(*case)
+
+    @settings(max_examples=150)
+    @given(case=feasible_families(), target_side=st.sampled_from(TARGET_SIDES))
+    def test_the_walk_places_the_unfold_that_meets_the_target(self, case, target_side):
+        fam, alpha = case
+        assert_the_level_walk_is_the_step_walk(fam, alpha, target_side)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("target_side", TARGET_SIDES, ids=["1/4", "3/8", "1/2"])
@@ -795,7 +865,10 @@ class TestLevelWalk:
         record = merge_dyadic(dim, [floor_log2(v / alpha) for v in fam.sides])[1]
         level, ids, first = record.levels[-1]
         assert level == 0 and selected < first
-        assert len(pack_cover(fam, target_side=target_side, alpha=alpha).placements) == count
+        # the small cubes whose corners lie below the target side on every axis
+        assert len(pack_cover(fam, target_side=target_side, alpha=alpha).placements) == (
+            math.ceil(target_side / small) ** dim
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -463,19 +463,19 @@ def test_family_sides_decode_each_distinct_text_once():
 
 def test_layout_round_trip():
     # a layout is its unit, placements and target, and the replays decode all three
-    fam = CubeFamily(1, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-    layout = pack_cover(fam)
-    doc = to_json(layout)
-    assert doc["unit"] == "1/4"
-    assert doc["placements"] == [
-        {"index": 0, "position": [0]},
-        {"index": 1, "position": [2]},
-        {"index": 2, "position": [3]},
-    ]
-    # decoded on the document's unit, here pack_cover's own
-    assert placements_from_json(doc) == (layout.unit, layout.placements)
-    assert layout.unit == Fraction(1, 4) and layout.placements == ((0, (0,)), (1, (2,)), (2, (3,)))
-    assert box_from_json(doc["target"]) == layout.target
+    # (the quarters, merged into [1/2, 1), miss the target and are not placed)
+    for sides, placements in [
+        ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), ((0, (0,)),)),
+        ((Fraction(1, 4),) * 4, ((0, (0,)), (1, (1,)))),
+    ]:
+        layout = pack_cover(CubeFamily(1, sides))
+        doc = to_json(layout)
+        assert doc["unit"] == "1/4"
+        assert doc["placements"] == [{"index": i, "position": list(p)} for i, p in placements]
+        # decoded on the document's unit, here pack_cover's own
+        assert placements_from_json(doc) == (layout.unit, layout.placements)
+        assert layout.unit == Fraction(1, 4) and layout.placements == placements
+        assert box_from_json(doc["target"]) == layout.target
 
 
 def test_corollary_document_is_float_free_and_json_safe():
