@@ -15,24 +15,26 @@ at every slab boundary of either side; a piece covered by one operand only
 is kept or dropped by the operation's truth table, and a piece covered by
 both recurses on the two sections.  Adjacent pieces with equal results
 merge, so the output is canonical without a further pass.  A run of slabs
-that one operand holds alone, up to the other's next slab, is found by one
-bisect on the upper ends and copied as one slice: its slabs are canonical
-already, so only the pieces on either side of it need the merge check.  At
-dimension 0 the section is the point, so the same sweep is the 1-D
-interval merge.  The cost is linear in the points where the operands
+that one operand holds alone, up to the other's next slab, is found once a
+second slab in a row ends short of that slab, by one bisect on the upper
+ends, and copied as one slice: its slabs are canonical already, so only
+the pieces on either side of it need the merge check.  At dimension 0 the
+section is the point, so the same sweep is the 1-D interval merge.  The cost is linear in the points where the operands
 interleave, plus one bisect and one slice per run, instead of the product
 of the box counts.  ``BoxUnion`` holds the tree itself: each operation is one
-kernel call on its operands' trees, ``from_boxes`` folds single-box trees
+kernel call on its operands' trees, ``from_boxes`` unions single-box trees
 (``_box_tree``; a nonempty box is already canonical) with ``_union_all``,
 and a translation maps the slab ends (``_map_ends``).  Its ``boxes``,
 ordered by lower corner, are a view flattened (``_corners``) only when a
 caller reads them.  The slab-decomposition canonicaliser this replaced is
 kept only as the test oracle (``tests/box_oracle.py``).
 
-``_union_all`` is the one balanced union fold.  Besides ``from_boxes``,
-``packing.layout_covers`` folds its placements' trees with it and
-``tile_check`` each axis's run of intervals; neither builds a ``Box`` or
-a ``BoxUnion`` per piece.
+``_union_all`` is the one union of many trees.  At d = 1 the slabs are
+intervals, so it sorts them all once by lower end and merges them in one
+pass; in more axes it folds the trees pairwise through the kernel, in a
+balanced order.  Besides ``from_boxes``, ``packing.layout_covers`` unions
+its placements' trees with it and ``tile_check`` each axis's run of
+intervals; neither builds a ``Box`` or a ``BoxUnion`` per piece.
 
 The kernel recurses once per axis and tree equality twice (a slab tuple
 inside the axis's tuple), so the commands refuse box algebra in more than
@@ -57,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import BudgetError, DimensionMismatchError, PreconditionError, UnboundedBoxError
 from .rationals import NEG_INF, POS_INF, Coord, as_fraction, format_fraction, is_finite, printable
 
-# Most intervals ``tile_check`` folds: ``sum(p_i)`` over the axes of ``q``.
+# Most intervals ``tile_check`` unions: ``sum(p_i)`` over the axes of ``q``.
 DEFAULT_TILE_CAP = 1 << 16
 # Most axes the commands admit in box algebra: tree equality recurses
 # through 2*256 nested tuples, which with the callers' frames stays below
@@ -215,6 +217,7 @@ _SUBTRACT: _Op = (True, False, False)
 
 _Tree = tuple  # a slab tree: see the module docstring
 _POINT: _Tree = ("point",)
+_lower = operator.itemgetter(0)  # a slab's lower end
 _upper = operator.itemgetter(1)  # a slab's upper end
 
 
@@ -224,10 +227,10 @@ def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
     One two-pointer sweep over the axis-0 slabs of both operands; pieces
     covered by both recurse on their sections in dimension d - 1, except on
     the last axis, where both sections are the point.  A run of slabs one
-    operand holds alone is stepped over by one bisect and copied, when the
-    op keeps it, as one slice, so the cost is linear in the points where the
-    operands interleave, plus one bisect and one slice per run.  Only
-    coordinate comparisons are used, never hashing.
+    operand holds alone is stepped over, from its second slab, by one bisect
+    and copied, when the op keeps it, as one slice, so the cost is linear in
+    the points where the operands interleave, plus one bisect and one slice
+    per run.  Only coordinate comparisons are used, never hashing.
     """
     only_a, only_b, both = op
     if d == 0:
@@ -255,6 +258,10 @@ def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
     a0, a1, ta = a[0]
     b0, b1, tb = b[0]
     # Invariant: [a0, a1) is the unswept rest of slab i of a, [b0, b1) of b.
+    # gap_a is b0 as it stood when a's last slab ended short of it: b0 only
+    # grows, so while it is still that object nothing of b was swept since,
+    # and a second slab of a in a row ends short (gap_b likewise).
+    gap_a = gap_b = None
     while True:
         if a0 is not b0 and a0 < b0:
             # a alone up to b's next slab or the end of its own.
@@ -263,18 +270,21 @@ def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
                     emit(a0, b0, ta)
                 a0 = b0
                 continue
-            if only_a:
-                emit(a0, a1, ta)
-            i += 1
-            if i < na and a[i][1] <= b0:
-                # Slabs i .. k-1 end at or before b0 too: a run of a alone,
-                # copied as one slice.  As a's own consecutive slabs they merge
-                # with no piece before them, and emit merges the piece after
-                # them with the last one where they touch.
+            if b0 is gap_a:
+                # Slab i - 1 ended short of b0 too, so slab i is whole and
+                # starts a run of a alone: slabs i .. k-1, copied as one slice.
+                # As a's own consecutive slabs they merge with no piece before
+                # them, and emit merges the piece after them with the last one
+                # where they touch.
                 k = bisect_right(a, b0, i + 1, na, key=_upper)
                 if only_a:
                     out.extend(a[i:k])
                 i = k
+            else:
+                if only_a:
+                    emit(a0, a1, ta)
+                i += 1
+                gap_a = b0
             if i == na:
                 break
             a0, a1, ta = a[i]
@@ -284,14 +294,16 @@ def _combine(op: _Op, a: _Tree, b: _Tree, d: int) -> _Tree:
                     emit(b0, a0, tb)
                 b0 = a0
                 continue
-            if only_b:
-                emit(b0, b1, tb)
-            j += 1
-            if j < nb and b[j][1] <= a0:
+            if a0 is gap_b:
                 k = bisect_right(b, a0, j + 1, nb, key=_upper)
                 if only_b:
                     out.extend(b[j:k])
                 j = k
+            else:
+                if only_b:
+                    emit(b0, b1, tb)
+                j += 1
+                gap_b = a0
             if j == nb:
                 break
             b0, b1, tb = b[j]
@@ -342,7 +354,29 @@ def _box_tree(lo: Sequence[Coord], hi: Sequence[Coord]) -> _Tree:
 
 
 def _union_all(trees: list[_Tree], d: int) -> _Tree:
-    """The union of canonical trees, by a balanced fold."""
+    """The union of canonical trees.
+
+    At d = 1 the slabs are intervals: all of them are sorted once by lower
+    end and merged in one pass, a slab that starts at or below the running
+    upper end (touching included) extending it to the larger of the two, so
+    n slabs cost one sort and one pass.  In more axes the sections must
+    be merged too, so the trees go through a balanced fold of ``_combine``.
+    Only coordinate comparisons are used, never hashing.
+    """
+    if d == 1:
+        out: list[tuple[Coord, Coord, _Tree]] = []
+        slabs = sorted([slab for tree in trees for slab in tree], key=_lower)
+        if slabs:
+            lo, hi, _ = slabs[0]
+            for x0, x1, _ in slabs:
+                if x0 <= hi:
+                    if hi < x1:
+                        hi = x1
+                else:
+                    out.append((lo, hi, _POINT))
+                    lo, hi = x0, x1
+            out.append((lo, hi, _POINT))
+        return tuple(out)
     while len(trees) > 1:
         merged = [_combine(_UNION, trees[i], trees[i + 1], d) for i in range(0, len(trees) - 1, 2)]
         trees = merged + trees[2 * len(merged) :]
@@ -389,8 +423,8 @@ class BoxUnion:
 
     @staticmethod
     def from_boxes(dim: int, boxes: Iterable[Box]) -> "BoxUnion":
-        # A nonempty box is its own canonical form, so a balanced fold of
-        # unions over single boxes canonicalises any list.
+        # A nonempty box is its own canonical form, so the union of the
+        # single boxes' trees canonicalises any list.
         parts: list[_Tree] = []
         for b in boxes:
             if b.dim != dim:
@@ -492,9 +526,10 @@ def tile_check(base: Box, q: Sequence[object], *, max_tiles: int = DEFAULT_TILE_
     of one interval per axis, so the tiles' union is the product of each
     axis's union: the grid tiles the scaled box exactly when, on every axis,
     the ``p_i`` intervals ``[k a_i / s_i, (k + 1) a_i / s_i)`` union to
-    ``[0, q_i * a_i)``.  That folds ``sum(p_i)`` intervals, not
-    ``prod(p_i)`` boxes, so ``max_tiles`` caps ``sum(p_i)``, checked before
-    ``prod(p_i)`` is computed.
+    ``[0, q_i * a_i)``.  That unions ``sum(p_i)`` intervals, each axis's by
+    one sort and one merge (``_union_all`` at d = 1), not ``prod(p_i)``
+    boxes, so ``max_tiles`` caps ``sum(p_i)``, checked before ``prod(p_i)``
+    is computed.
     """
     check_kernel_dim(len(q))
     if max_tiles > DEFAULT_TILE_CAP:

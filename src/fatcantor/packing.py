@@ -41,8 +41,8 @@ position as a list of JSON ints.  No coordinate is a ``Fraction`` or a
 rational text from the search to the check.
 ``layout_covers`` is the independent replay on the box kernel's slab
 trees, built on one integer lattice: one tree per placed cube that meets
-the target, from its position and side, folded by union and subtracted
-from the target's tree.
+the target, from its position and side, united (at d = 1 by one sort and
+one merge) and subtracted from the target's tree.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from .geometry import _SUBTRACT, Box, _box_tree, _combine, _union_all, check_ker
 from .rationals import _floor_log2_ratio, as_fraction, is_finite, pow2, printable
 
 
-# Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.25-0.5 s with or
-# without ``--verify``, and 8192 cubes over distinct prime denominators at d = 3 in 0.75-1.1 s
-# with it (whole CLI runs, Python 3.11, 2-core x86 VM whose speed drifted between runs).
+# Largest family ``pack_cover`` accepts; 8192 equal cubes at d = 1 pack in 0.13-0.2 s with or
+# without ``--verify``, and 8192 cubes over distinct prime denominators at d = 3 in 0.75-0.8 s
+# with it (whole CLI runs, CPU time, Python 3.11, 2-core x86 VM).
 MAX_FAMILY_CUBES = 1 << 13
 # The scale and target side of ``pack_cover`` unless told otherwise: the
 # largest target side the covering guarantee admits.
@@ -181,7 +181,9 @@ def layout_covers(family: CubeFamily, layout: PackingLayout) -> bool:
     and the target's tree less the union of the placed cubes' trees is
     empty.  Only the cubes whose half-open box meets the target's get a
     tree: the target lies in the union of all cubes exactly when it lies in
-    the union of those that meet it.
+    the union of those that meet it.  The union is ``_union_all``'s: at
+    d = 1 one sort and one merge of the placed intervals, so the kernel
+    runs once, for the subtraction; in more axes a balanced fold.
 
     The trees hold integers: every finite coordinate is scaled by the lcm
     of the denominators of the unit, the placed cubes' sides and the

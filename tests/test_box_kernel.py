@@ -2,8 +2,9 @@
 
 ``BoxUnion.from_boxes``, ``union``, ``intersect``, ``intersect_box`` and
 ``subtract`` all run through one sweep over axis-0 slabs
-(``geometry._combine``), and ring leaves are built axis by axis
-(``StageLattice.leaf``).  The oracle is the code they
+(``geometry._combine``), except that a union of many 1-D trees
+(``geometry._union_all``) is one sort and one merge, and ring leaves are
+built axis by axis (``StageLattice.leaf``).  The oracle is the code they
 replaced (``box_oracle``): the recursive slab-decomposition canonicaliser,
 and pairwise box intersections and carvings handed to it.  Operands are
 canonicalised by the oracle too, so no side of a comparison depends on the
@@ -99,6 +100,26 @@ def run_pairs(draw):
     return box_oracle.canonical(dim, boxes["a"][:12]), box_oracle.canonical(dim, boxes["b"][:12])
 
 
+def halves(k: int) -> Fraction:
+    return Fraction(k, 2)
+
+
+@st.composite
+def interval_trees(draw):
+    """A canonical 1-D tree: a sorted set of grid points taken in pairs as
+    its slabs' ends, either ints k or Fractions k/2, the outer ends
+    sometimes unbounded.  Trees drawn from the one small grid often touch,
+    nest, repeat and share lower ends; an empty set gives the empty tree.
+    """
+    to_end = draw(st.sampled_from([int, halves]))
+    points = sorted(draw(st.sets(st.integers(min_value=-1, max_value=8), max_size=8)))
+    ends = [to_end(k) for k in points[: len(points) // 2 * 2]]
+    if ends:
+        ends[0] = draw(st.sampled_from([ends[0], ends[0], NEG_INF]))
+        ends[-1] = draw(st.sampled_from([ends[-1], ends[-1], POS_INF]))
+    return tuple((x0, x1, geometry._POINT) for x0, x1 in zip(ends[::2], ends[1::2]))
+
+
 def assert_same(got: BoxUnion, want: BoxUnion) -> None:
     assert got == want
     assert repr(got) == repr(want)
@@ -134,6 +155,33 @@ class TestSweepAgainstPairwiseLoops:
         a = data.draw(grid_unions(dim))
         box = data.draw(grid_boxes(dim))
         assert_same(a.intersect_box(box), box_oracle.intersect_box(a, box))
+
+    @settings(max_examples=300)
+    @given(trees=st.lists(interval_trees(), max_size=6), data=st.data())
+    def test_a_1d_union_is_the_slab_decomposition(self, trees, data):
+        # _union_all sorts and merges the slabs of 1-D trees in one pass
+        if trees and data.draw(st.booleans()):
+            trees.append(data.draw(st.sampled_from(trees)))  # every slab of a tree twice
+        boxes = [Box((x0,), (x1,)) for tree in trees for x0, x1, _ in tree]
+        want = box_oracle.canonical(1, boxes).tree
+        assert geometry._union_all(trees, 1) == want
+        assert geometry._union_all(data.draw(st.permutations(trees)), 1) == want
+
+    def test_a_1d_union_merges_what_touches_nests_or_repeats(self):
+        point, half = geometry._POINT, Fraction(1, 2)
+        cases = [
+            ([], ()),
+            ([(), ()], ()),
+            ([((0, 1, point),), ((1, 2, point),)], ((0, 2, point),)),  # touching
+            ([((half, 1, point),), ((0, half, point),)], ((0, 1, point),)),
+            ([((0, 5, point),), ((1, 2, point), (3, 4, point))], ((0, 5, point),)),  # nested
+            ([((0, 2, point),), ((0, 1, point),)], ((0, 2, point),)),  # equal lower ends
+            ([((0, 1, point),)] * 3, ((0, 1, point),)),  # repeated
+            ([((NEG_INF, 0, point),), ((0, POS_INF, point),)], ((NEG_INF, POS_INF, point),)),
+            ([((3, POS_INF, point),), ((NEG_INF, 1, point),)], ((NEG_INF, 1, point), (3, POS_INF, point))),
+        ]
+        for trees, want in cases:
+            assert geometry._union_all(trees, 1) == want
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_operands(self, dim):

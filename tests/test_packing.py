@@ -39,7 +39,7 @@ from fatcantor.packing import (
     MergeRecord,
     _tiling_covers,
 )
-from fatcantor import cli, packing, serialize
+from fatcantor import cli, geometry, packing, serialize
 from fatcantor.rationals import POS_INF, _floor_log2_ratio
 from fatcantor.serialize import to_json
 
@@ -767,6 +767,25 @@ class TestMergeTreeProof:
         # ones that meet the covered cube [0, 1/2)^2
         assert result["covered_cube"]["hi"] == ["1/2", "1/2"]
         assert folds == [16]
+
+    def test_pack_verify_unions_intervals_without_the_pairwise_kernel(self, monkeypatch, tmp_path):
+        # At d = 1 the placed cubes' union is one sort and one merge, so the
+        # kernel runs once, for the target's tree less that union.
+        combines = []
+        for module in (geometry, packing):
+            combine = module._combine
+
+            def counted(op, a, b, d, combine=combine):
+                combines.append(op)
+                return combine(op, a, b, d)
+
+            monkeypatch.setattr(module, "_combine", counted)
+        out = tmp_path / "pack.json"
+        argv = ["pack", "--d", "1", "--sides", ",".join(["1/64"] * 64), "--verify", "--out", str(out)]
+        assert cli.main(argv) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["verification"]["ok"] is True and result["placements"] == 32
+        assert combines == [geometry._SUBTRACT]
 
     def test_pack_parses_each_distinct_side_once(self, monkeypatch, tmp_path):
         calls = {"cli": Counter(), "serialize": Counter()}
